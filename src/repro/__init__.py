@@ -23,6 +23,7 @@ from repro.exceptions import (
     DimensionalityError,
     IndexNotBuiltError,
     MemoryBudgetExceeded,
+    NonFiniteValueError,
     PartitionCorruptError,
     PartitionLostError,
     PartitionNotFoundError,
@@ -41,6 +42,7 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "DimensionalityError",
+    "NonFiniteValueError",
     "IndexNotBuiltError",
     "StorageError",
     "PartitionNotFoundError",

@@ -72,6 +72,8 @@ from repro.core.skeleton import (
 from repro.core.trie import TrieNode
 from repro.exceptions import (
     ConfigurationError,
+    DimensionalityError,
+    NonFiniteValueError,
     PartitionNotFoundError,
     StorageError,
 )
@@ -188,6 +190,121 @@ class QueryResult:
     stats: QueryStats
 
 
+class _PartitionReads:
+    """What one routed walk has read so far, and how it reads more.
+
+    :meth:`ClimberIndex.knn` and :meth:`ClimberIndex.knn_progressive`
+    visit the same plan with the same per-partition semantics; the visit,
+    the within-partition expansion and the final refinement live here
+    once, so the two walks cannot drift apart.
+    """
+
+    def __init__(self, index: "ClimberIndex", on_failure: str) -> None:
+        self._index = index
+        self._on_failure = on_failure
+        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
+        self.loaded: list[str] = []
+        self.failed: list[str] = []
+        self.data_bytes = 0
+        self.scan_costs: list[TaskCost] = []
+        self._fallback_pool: list[tuple] = []
+
+    def visit(
+        self, actual: str, wanted: set[str]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Open one physical partition and read its ``wanted`` clusters.
+
+        Returns the ``(ids, values)`` read, or ``None`` when the partition
+        holds none of the wanted clusters or was skipped as unreadable.
+        The open and the cluster read succeed or fail atomically from the
+        query's view: a failure after retry exhaustion either aborts the
+        query (mode ``"raise"``) or drops the whole partition (mode
+        ``"skip"``) — never a half-read partition.
+        """
+        try:
+            part = self._index.dfs.read_partition(actual)
+            present: list[str] = []
+            other: list[str] = []
+            for key in part.cluster_keys():
+                (present if key in wanted else other).append(key)
+            run = None
+            if present:
+                # One cluster-range read per partition: with format v2 the
+                # handle maps the payload once and slices the runs these
+                # keys cover (adjacent clusters coalesce).  Lazy checksum
+                # verification fires here.
+                run = part.read_clusters(present)
+        except PartitionNotFoundError:
+            raise
+        except StorageError:
+            if self._on_failure != "skip":
+                raise
+            self.failed.append(actual)
+            return None
+        self.loaded.append(actual)
+        self.data_bytes += part.nbytes
+        if run is not None:
+            self.runs.append(run)
+        cost = self._index._partition_scan_cost(part)
+        if other:
+            # Remember the rest of the partition for the within-partition
+            # expansion CLIMBER-kNN applies when the node is too small;
+            # the records are only materialised if that happens.
+            self._fallback_pool.append(
+                (actual, part, other, cost, run is not None)
+            )
+        self.scan_costs.append(cost)
+        return run
+
+    def expand_within_partitions(self, k: int) -> bool:
+        """Fold in the visited partitions' other clusters when the targeted
+        ones hold fewer than ``k`` records; whether that happened."""
+        n_targeted = sum(ids.shape[0] for ids, _ in self.runs)
+        if n_targeted >= k or not self._fallback_pool:
+            return False
+        for actual, part, other, cost, contributed in self._fallback_pool:
+            try:
+                run = part.read_clusters(other)
+            except PartitionNotFoundError:
+                raise
+            except StorageError:
+                if self._on_failure != "skip":
+                    raise
+                if not contributed:
+                    # The partition contributed nothing usable after all:
+                    # retract its load accounting and reclassify it as
+                    # failed.  (A partition whose *targeted* clusters were
+                    # already folded in stays loaded — only its expansion
+                    # read degraded.)
+                    self.loaded.remove(actual)
+                    self.failed.append(actual)
+                    self.data_bytes -= part.nbytes
+                    self.scan_costs.remove(cost)
+                continue
+            self.runs.append(run)
+        return True
+
+    def refine(
+        self, query: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Exact top-k over everything read: ``(ids, distances, examined)``.
+
+        A lone run goes to the kernel as the mapped view it is; only
+        several runs are stacked.  The answer owns its memory either way
+        (the kernel gathers the chosen rows into fresh arrays).
+        """
+        if not self.runs:
+            return (np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.float64), 0)
+        if len(self.runs) == 1:
+            all_ids, all_vals = self.runs[0]
+        else:
+            all_ids = np.concatenate([ids for ids, _ in self.runs])
+            all_vals = np.vstack([values for _, values in self.runs])
+        ids, dists = knn_bruteforce(query, all_vals, all_ids, k)
+        return ids, dists, int(all_ids.shape[0])
+
+
 class ClimberIndex:
     """A built CLIMBER index over one data series dataset."""
 
@@ -205,6 +322,7 @@ class ClimberIndex:
         #: ``None`` until :meth:`attach_calibration` loads one; confidence
         #: mode then falls back to the conservative built-in prior.
         self.calibration: ProgressiveCalibration | None = None
+        self._series_length: int | None = None
         # Telemetry resolution: an explicit argument wins; else adopt the
         # build's telemetry (so build.* and query.* metrics share one
         # registry); else create one per index from config.telemetry —
@@ -294,20 +412,12 @@ class ClimberIndex:
         Returns a summary dict (records appended, partitions written,
         simulated seconds).
         """
-        existing = self.dfs.list_partitions()
-        if existing:
-            # Header metadata when the DFS maintains it (no payload read,
-            # no logical read charge for a mere length check).
-            series_length = getattr(self.dfs, "series_length", None)
-            if series_length is not None:
-                base_length = series_length(existing[0])
-            else:
-                base_length = self.dfs.read_partition(existing[0]).series_length
-            if dataset.length != base_length:
-                raise ConfigurationError(
-                    f"appended series length {dataset.length} != indexed "
-                    f"length {base_length}"
-                )
+        base_length = self.series_length
+        if base_length is not None and dataset.length != base_length:
+            raise ConfigurationError(
+                f"appended series length {dataset.length} != indexed "
+                f"length {base_length}"
+            )
         cfg = self.config
         sim = ClusterSimulator(self.model)
         scale = cfg.cost_scale
@@ -460,6 +570,25 @@ class ClimberIndex:
     @property
     def n_records(self) -> int:
         return self._art.n_records
+
+    @property
+    def series_length(self) -> int | None:
+        """Length of the indexed series; ``None`` while the store is empty.
+
+        Header metadata when the DFS maintains it (no payload read, no
+        logical read charge for a mere length check), resolved once.
+        """
+        if self._series_length is None:
+            existing = self.dfs.list_partitions()
+            if existing:
+                series_length = getattr(self.dfs, "series_length", None)
+                if series_length is not None:
+                    self._series_length = series_length(existing[0])
+                else:
+                    self._series_length = self.dfs.read_partition(
+                        existing[0]
+                    ).series_length
+        return self._series_length
 
     @property
     def global_index_nbytes(self) -> int:
@@ -729,6 +858,50 @@ class ClimberIndex:
         if variant not in ("knn", "adaptive", "od-smallest"):
             raise ConfigurationError(f"unknown variant {variant!r}")
 
+    def check_queries(self, queries: np.ndarray) -> np.ndarray:
+        """``queries`` as a validated ``(q, n)`` float64 matrix.
+
+        The one gate every query entry point passes before any routing or
+        DFS read: a 1-D series or a 2-D batch, of the indexed length, all
+        values finite.  Raises :class:`DimensionalityError` on a shape
+        mismatch and :class:`NonFiniteValueError` on NaN/inf, naming the
+        first offending row.
+        """
+        try:
+            arr = np.asarray(queries, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise DimensionalityError(
+                f"queries are not a numeric array: {err}"
+            ) from None
+        if arr.ndim == 1:
+            arr = arr.reshape(1, -1)
+        if arr.ndim != 2:
+            raise DimensionalityError(
+                f"expected a 1-D series or a (q, n) batch, got ndim={arr.ndim}"
+            )
+        if arr.shape[0] == 0:
+            return arr
+        n = self.series_length
+        if n is not None and arr.shape[1] != n:
+            raise DimensionalityError(
+                f"query length {arr.shape[1]} != indexed length {n}"
+            )
+        if not np.isfinite(arr).all():
+            row = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+            raise NonFiniteValueError(
+                f"query row {row} holds NaN or infinite values"
+            )
+        return arr
+
+    def check_query(self, query: np.ndarray) -> np.ndarray:
+        """One query — 1-D or ``(1, n)`` — as a validated 1-D series."""
+        arr = self.check_queries(query)
+        if arr.shape[0] != 1:
+            raise DimensionalityError(
+                f"expected one series (1-D or (1, n)), got shape {arr.shape}"
+            )
+        return arr[0]
+
     def _resolve_on_failure(self, on_partition_failure: str | None) -> str:
         """Degraded-query mode: explicit argument → config → ``"raise"``."""
         if on_partition_failure is None:
@@ -772,9 +945,16 @@ class ClimberIndex:
             index references but the store has never held
             (:class:`~repro.exceptions.PartitionNotFoundError`) always
             raises — that is index/store inconsistency, not a fault.
+
+        Raises
+        ------
+        DimensionalityError, NonFiniteValueError
+            ``query`` is not one finite series of the indexed length
+            (see :meth:`check_queries`); nothing has been read by then.
         """
         self._validate_query_args(k, variant)
         on_failure = self._resolve_on_failure(on_partition_failure)
+        query = self.check_query(query)
         probe = _probe if _probe is not None else self._tel.probe()
         t0 = time.perf_counter()
         od_slack = 1 if variant == "adaptive" else 0
@@ -787,8 +967,7 @@ class ClimberIndex:
             with probe.stage("route"):
                 candidates = self.group_candidates(ranked, od_slack=od_slack)
         return self._knn_routed(
-            np.asarray(query, dtype=np.float64),
-            k, variant, adaptive_factor, candidates, t0,
+            query, k, variant, adaptive_factor, candidates, t0,
             probe=probe,
             on_failure=on_failure,
         )
@@ -829,9 +1008,7 @@ class ClimberIndex:
         """
         self._validate_query_args(k, variant)
         on_failure = self._resolve_on_failure(on_partition_failure)
-        arr = np.asarray(queries, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
+        arr = self.check_queries(queries)
         if arr.shape[0] == 0:
             return []
         tel = self._tel
@@ -1002,86 +1179,15 @@ class ClimberIndex:
             t_mark = now
             counters_before = getattr(self.dfs, "counters", None)
 
-        ids_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        loaded = []
-        failed: list[str] = []
-        data_bytes = 0
-        scan_costs = []
-        fallback_pool: list[tuple] = []
+        reads = _PartitionReads(self, on_failure)
         for pname in sorted(to_load):
             wanted = set(to_load[pname])
             # Base partition plus any delta partitions appended later.
             physical = ([pname] if self.dfs.has_partition(pname) else [])
             physical += self._delta_names(pname)
             for actual in physical:
-                # All per-partition reads (open + targeted cluster ranges)
-                # succeed or fail atomically from this query's view: a
-                # failure after retry exhaustion either aborts the query
-                # (mode "raise") or drops the whole partition (mode
-                # "skip") — never a half-read partition.
-                try:
-                    part = self.dfs.read_partition(actual)
-                    present = [
-                        key for key in part.cluster_keys() if key in wanted
-                    ]
-                    cid = cval = None
-                    if present:
-                        # One cluster-range read per partition: with format
-                        # v2 the handle maps only the byte ranges these keys
-                        # cover (adjacent clusters coalesce into single
-                        # slices).  Lazy checksum verification fires here.
-                        cid, cval = part.read_clusters(present)
-                except PartitionNotFoundError:
-                    raise
-                except StorageError:
-                    if on_failure != "skip":
-                        raise
-                    failed.append(actual)
-                    continue
-                loaded.append(actual)
-                data_bytes += part.nbytes
-                if cid is not None:
-                    ids_parts.append(cid)
-                    val_parts.append(cval)
-                # Remember the rest of the partition for the within-partition
-                # expansion CLIMBER-kNN applies when the node is too small;
-                # the records are only materialised if that happens.
-                other_keys = [
-                    key for key in part.cluster_keys() if key not in wanted
-                ]
-                cost = self._partition_scan_cost(part)
-                if other_keys:
-                    fallback_pool.append(
-                        (actual, part, other_keys, cost, cid is not None)
-                    )
-                scan_costs.append(cost)
-
-        n_targeted = int(sum(p.shape[0] for p in ids_parts))
-        expanded = False
-        if n_targeted < k and fallback_pool:
-            expanded = True
-            for actual, part, other_keys, cost, contributed in fallback_pool:
-                try:
-                    cid, cval = part.read_clusters(other_keys)
-                except PartitionNotFoundError:
-                    raise
-                except StorageError:
-                    if on_failure != "skip":
-                        raise
-                    if not contributed:
-                        # The partition contributed nothing usable after
-                        # all: retract its load accounting and reclassify
-                        # it as failed.  (A partition whose *targeted*
-                        # clusters were already folded in stays loaded —
-                        # only its expansion read degraded.)
-                        loaded.remove(actual)
-                        failed.append(actual)
-                        data_bytes -= part.nbytes
-                        scan_costs.remove(cost)
-                    continue
-                ids_parts.append(cid)
-                val_parts.append(cval)
+                reads.visit(actual, wanted)
+        expanded = reads.expand_within_partitions(k)
 
         if probe is not None:
             now = time.perf_counter()
@@ -1098,21 +1204,13 @@ class ClimberIndex:
                     counters_after.cache_misses - counters_before.cache_misses,
                 )
 
-        if ids_parts:
-            all_ids = np.concatenate(ids_parts)
-            all_vals = np.vstack(val_parts)
-            ids, dists = knn_bruteforce(query, all_vals, all_ids, k)
-            examined = int(all_ids.shape[0])
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            dists = np.empty(0, dtype=np.float64)
-            examined = 0
+        ids, dists, examined = reads.refine(query, k)
 
         if probe is not None:
             probe.add_stage("refine", time.perf_counter() - t_mark)
             probe.add_count("candidates_scored", examined)
 
-        sim.run_stage("query/scan", scan_costs)
+        sim.run_stage("query/scan", reads.scan_costs)
         report = sim.fresh_report()
         stats = QueryStats(
             variant=variant,
@@ -1122,13 +1220,13 @@ class ClimberIndex:
             path_len=primary.path_len,
             gn_size=primary.gn.count,
             n_selected_nodes=len(selected),
-            partitions_loaded=tuple(loaded),
-            data_bytes=data_bytes,
+            partitions_loaded=tuple(reads.loaded),
+            data_bytes=reads.data_bytes,
             records_examined=examined,
             expanded_within_partition=expanded,
             sim_seconds=report.total_seconds,
             wall_seconds=time.perf_counter() - t0,
-            partitions_failed=tuple(failed),
+            partitions_failed=tuple(reads.failed),
         )
         tel = self._tel
         if tel.enabled:
@@ -1219,6 +1317,7 @@ class ClimberIndex:
         self._validate_query_args(k, variant)
         on_failure = self._resolve_on_failure(on_partition_failure)
         rule = self._resolve_stop_rule(early_stop, confidence)
+        query = self.check_query(query)
         probe = _probe if _probe is not None else self._tel.probe()
         t0 = time.perf_counter()
         od_slack = 1 if variant == "adaptive" else 0
@@ -1232,8 +1331,7 @@ class ClimberIndex:
                 candidates = self.group_candidates(ranked, od_slack=od_slack)
         primary = self.select_primary(candidates)
         return self._knn_progressive_routed(
-            np.asarray(query, dtype=np.float64),
-            k, variant, adaptive_factor, candidates, t0, rule,
+            query, k, variant, adaptive_factor, candidates, t0, rule,
             primary=primary,
             probe=probe,
             on_failure=on_failure,
@@ -1265,9 +1363,7 @@ class ClimberIndex:
         self._validate_query_args(k, variant)
         on_failure = self._resolve_on_failure(on_partition_failure)
         rule = self._resolve_stop_rule(early_stop, confidence)
-        arr = np.asarray(queries, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
+        arr = self.check_queries(queries)
         if arr.shape[0] == 0:
             return []
         tel = self._tel
@@ -1366,15 +1462,16 @@ class ClimberIndex:
         """The progressive walk over :meth:`_knn_routed`'s exact plan.
 
         Parity discipline: planning (``_select_nodes`` +
-        ``_plan_partition_reads``), the per-partition read/skip semantics,
-        the within-partition expansion trigger and the cost accounting all
-        replicate ``_knn_routed`` statement for statement, in the same
-        order.  Intermediate top-k states come from per-partition
-        ``knn_bruteforce`` merged via ``knn_merge`` (exact over the
-        candidates seen so far); the *final* answer is recomputed from the
-        candidate arrays concatenated in the canonical visit order — the
-        identical computation ``_knn_routed`` performs — so full-coverage
-        runs are bit-identical to :meth:`knn` down to the distance ulps.
+        ``_plan_partition_reads``) replicates ``_knn_routed`` statement
+        for statement; the per-partition read/skip semantics, the
+        within-partition expansion and the final refinement are the same
+        :class:`_PartitionReads` code.  Intermediate top-k states come
+        from per-partition ``knn_bruteforce`` merged via ``knn_merge``
+        (exact over the candidates seen so far); the *final* answer is
+        recomputed from the candidate arrays concatenated in the canonical
+        visit order — the identical computation ``_knn_routed`` performs —
+        so full-coverage runs are bit-identical to :meth:`knn` down to the
+        distance ulps.
         """
         sim = ClusterSimulator(self.model)
         cfg = self.config
@@ -1414,13 +1511,7 @@ class ClimberIndex:
             probe.add_stage("select", now - t_mark)
             counters_before = getattr(self.dfs, "counters", None)
 
-        ids_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        loaded = []
-        failed: list[str] = []
-        data_bytes = 0
-        scan_costs = []
-        fallback_pool: list[tuple] = []
+        reads = _PartitionReads(self, on_failure)
         run_ids = np.empty(0, dtype=np.int64)
         run_dists = np.empty(0, dtype=np.float64)
         stable = 0
@@ -1428,40 +1519,9 @@ class ClimberIndex:
         stopped = False
 
         for pname, actual in plan:
-            wanted = set(to_load[pname])
             if probe is not None:
                 t_read = time.perf_counter()
-            step_failed = False
-            cid = cval = None
-            try:
-                part = self.dfs.read_partition(actual)
-                present = [
-                    key for key in part.cluster_keys() if key in wanted
-                ]
-                if present:
-                    cid, cval = part.read_clusters(present)
-            except PartitionNotFoundError:
-                raise
-            except StorageError:
-                if on_failure != "skip":
-                    raise
-                failed.append(actual)
-                step_failed = True
-            if not step_failed:
-                loaded.append(actual)
-                data_bytes += part.nbytes
-                if cid is not None:
-                    ids_parts.append(cid)
-                    val_parts.append(cval)
-                other_keys = [
-                    key for key in part.cluster_keys() if key not in wanted
-                ]
-                cost = self._partition_scan_cost(part)
-                if other_keys:
-                    fallback_pool.append(
-                        (actual, part, other_keys, cost, cid is not None)
-                    )
-                scan_costs.append(cost)
+            run = reads.visit(actual, set(to_load[pname]))
             if probe is not None:
                 probe.add_stage("read", time.perf_counter() - t_read)
             visited += 1
@@ -1472,8 +1532,8 @@ class ClimberIndex:
             )
             new_neighbors = 0
             changed = False
-            if not step_failed and cid is not None and cid.shape[0]:
-                part_ids, part_d = knn_bruteforce(query, cval, cid, k)
+            if run is not None and run[0].shape[0]:
+                part_ids, part_d = knn_bruteforce(query, run[1], run[0], k)
                 new_ids, new_d = knn_merge(
                     [(run_ids, run_dists), (part_ids, part_d)], k
                 )
@@ -1526,30 +1586,11 @@ class ClimberIndex:
         # targeted records means fewer than k in hand, so an early-stopped
         # walk can never reach this with a truthy trigger — the expansion
         # only ever runs at full coverage, where it must mirror knn.
-        n_targeted = int(sum(p.shape[0] for p in ids_parts))
-        expanded = False
-        if n_targeted < k and fallback_pool:
-            expanded = True
-            if probe is not None:
-                t_read = time.perf_counter()
-            for actual, part, other_keys, cost, contributed in fallback_pool:
-                try:
-                    cid, cval = part.read_clusters(other_keys)
-                except PartitionNotFoundError:
-                    raise
-                except StorageError:
-                    if on_failure != "skip":
-                        raise
-                    if not contributed:
-                        loaded.remove(actual)
-                        failed.append(actual)
-                        data_bytes -= part.nbytes
-                        scan_costs.remove(cost)
-                    continue
-                ids_parts.append(cid)
-                val_parts.append(cval)
-            if probe is not None:
-                probe.add_stage("read", time.perf_counter() - t_read)
+        if probe is not None:
+            t_read = time.perf_counter()
+        expanded = reads.expand_within_partitions(k)
+        if expanded and probe is not None:
+            probe.add_stage("read", time.perf_counter() - t_read)
 
         if probe is not None:
             if counters_before is not None:
@@ -1567,21 +1608,13 @@ class ClimberIndex:
         # Final answer: the canonical concatenated refinement — the same
         # arrays in the same order _knn_routed concatenates, so the
         # distances match knn's to the bit (BLAS reduction order and all).
-        if ids_parts:
-            all_ids = np.concatenate(ids_parts)
-            all_vals = np.vstack(val_parts)
-            ids, dists = knn_bruteforce(query, all_vals, all_ids, k)
-            examined = int(all_ids.shape[0])
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            dists = np.empty(0, dtype=np.float64)
-            examined = 0
+        ids, dists, examined = reads.refine(query, k)
 
         if probe is not None:
             probe.add_stage("refine", time.perf_counter() - t_mark)
             probe.add_count("candidates_scored", examined)
 
-        sim.run_stage("query/scan", scan_costs)
+        sim.run_stage("query/scan", reads.scan_costs)
         report = sim.fresh_report()
         stats = QueryStats(
             variant=variant,
@@ -1591,13 +1624,13 @@ class ClimberIndex:
             path_len=primary.path_len,
             gn_size=primary.gn.count,
             n_selected_nodes=len(selected),
-            partitions_loaded=tuple(loaded),
-            data_bytes=data_bytes,
+            partitions_loaded=tuple(reads.loaded),
+            data_bytes=reads.data_bytes,
             records_examined=examined,
             expanded_within_partition=expanded,
             sim_seconds=report.total_seconds,
             wall_seconds=time.perf_counter() - t0,
-            partitions_failed=tuple(failed),
+            partitions_failed=tuple(reads.failed),
             partitions_forgone=forgone,
         )
         tel = self._tel

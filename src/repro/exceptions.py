@@ -19,6 +19,13 @@ class DimensionalityError(ReproError):
     """An array does not have the shape an operation requires."""
 
 
+class NonFiniteValueError(ReproError):
+    """An array holds NaN or infinite values where finite data is required.
+
+    Distances to such a series are undefined, so a query carrying one is
+    refused at the boundary instead of being answered with garbage."""
+
+
 class IndexNotBuiltError(ReproError):
     """A query was issued against an index that has not been built yet."""
 

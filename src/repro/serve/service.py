@@ -47,6 +47,7 @@ import numpy as np
 from repro.core.index import ClimberIndex, QueryStats
 from repro.exceptions import (
     ConfigurationError,
+    ReproError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
@@ -319,10 +320,19 @@ class QueryService:
         ServiceClosedError
             The service is not running, or stopped before this request
             could be dispatched.
+        DimensionalityError, NonFiniteValueError
+            ``query`` is not one finite series of the indexed length.
+            Refused here, before admission, so a malformed request fails
+            alone and never takes its micro-batch down with it.
         """
         if not self.running:
             raise ServiceClosedError("service is not running")
         self._c_requests.inc()
+        try:
+            query = self.index.check_query(query)
+        except ReproError:
+            self._c_failures.inc()
+            raise
         while self._queue.qsize() >= self.config.queue_limit:
             if self.config.admission == "reject":
                 self._c_rejected.inc()
@@ -344,7 +354,7 @@ class QueryService:
             raise ServiceClosedError("service stopped while blocked")
         future = self._loop.create_future()
         req = _Request(
-            np.asarray(query, dtype=np.float64),
+            query,
             (int(k), variant, adaptive_factor, on_partition_failure,
              early_stop, confidence),
             future,

@@ -529,7 +529,9 @@ class SimulatedDFS:
                 injector.begin_attempt(name)
             t_attempt = time.perf_counter()
             try:
-                part = self._engine.open_partition(partition_id)
+                part = self._engine.open_partition(
+                    partition_id, logical_nbytes=self._sizes[partition_id]
+                )
             except (PartitionLostError, PartitionNotFoundError):
                 raise  # permanent: retrying cannot help
             except StorageError as err:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Union
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.exceptions import (
 )
 from repro.storage.engine.backend import StorageBackend
 from repro.storage.engine.format import (
+    HEAD_PROBE_SIZE,
     VERIFY_MODES,
     PartitionV2View,
     encode_partition_v2,
@@ -190,25 +192,48 @@ class StorageEngine:
     def has_partition(self, partition_id: str) -> bool:
         return self.backend.exists(self._name(partition_id))
 
-    def open_partition(self, partition_id: str) -> PartitionHandle:
+    def _probe(self, partition_id: str) -> tuple[str, int, memoryview]:
+        """Blob name, stored size and leading bytes of one partition.
+
+        ``size`` doubles as the existence check (it raises
+        :class:`PartitionNotFoundError` itself), and the one head range
+        serves both the format sniff and the v2 header decode.
+        """
+        name = self._name(partition_id)
+        try:
+            size = self.backend.size(name)
+        except PartitionNotFoundError:
+            raise PartitionNotFoundError(
+                f"no partition {partition_id!r}"
+            ) from None
+        head = self.backend.read_range(name, 0, min(size, HEAD_PROBE_SIZE))
+        return name, size, head
+
+    def _open_v2(self, name: str, size: int, head: memoryview, verify: str,
+                 logical_nbytes: int | None = None) -> PartitionV2View:
+        return PartitionV2View(
+            partial(self.backend.read_range, name),
+            physical_size=size,
+            verify=verify,
+            corruption_cb=self.corruption_cb,
+            head=head,
+            logical_nbytes=logical_nbytes,
+        )
+
+    def open_partition(
+        self, partition_id: str, logical_nbytes: int | None = None
+    ) -> PartitionHandle:
         """Open a stored partition in whichever format it was written.
 
         v2 payloads come back as a lazy zero-copy view (header + directory
         parsed, payloads untouched); v1 payloads are fully deserialised.
+        ``logical_nbytes`` is the partition's logical size when the caller
+        tracks it (the DFS registry), sparing the view from deriving it.
         """
-        name = self._name(partition_id)
-        if not self.backend.exists(name):
-            raise PartitionNotFoundError(f"no partition {partition_id!r}")
-        size = self.backend.size(name)
-        if is_v2_payload(self.backend.read_range(name, 0, min(size, 8))):
-            return PartitionV2View(
-                lambda offset, length: self.backend.read_range(
-                    name, offset, length
-                ),
-                physical_size=size,
-                verify=self.verify,
-                corruption_cb=self.corruption_cb,
-            )
+        name, size, head = self._probe(partition_id)
+        if is_v2_payload(head):
+            return self._open_v2(name, size, head, self.verify,
+                                 logical_nbytes)
         # v1 payloads carry no checksums; typed decode failures are the
         # best integrity signal available (a flipped byte that still
         # decodes is undetectable in v1 — one of the reasons v2+checksums
@@ -244,29 +269,19 @@ class StorageEngine:
         Legacy v1 payloads written before size metadata existed fall back
         to a full deserialisation (the migration path).
         """
-        name = self._name(partition_id)
-        if not self.backend.exists(name):
-            raise PartitionNotFoundError(f"no partition {partition_id!r}")
-        size = self.backend.size(name)
-        if is_v2_payload(self.backend.read_range(name, 0, min(size, 8))):
-            view = PartitionV2View(
-                lambda offset, length: self.backend.read_range(
-                    name, offset, length
-                ),
-                physical_size=size,
-                # Metadata scans never touch payload sections, so eager
-                # payload verification would be pure waste here; cap at
-                # lazy (meta/directory CRCs still checked at open).
-                verify="off" if self.verify == "off" else "lazy",
-                corruption_cb=self.corruption_cb,
+        name, size, head = self._probe(partition_id)
+        if is_v2_payload(head):
+            # Metadata scans never touch payload sections, so eager
+            # payload verification would be pure waste here; cap at
+            # lazy (meta/directory CRCs still checked at open).
+            view = self._open_v2(
+                name, size, head, "off" if self.verify == "off" else "lazy"
             )
             return PartitionMeta(view.nbytes, view.record_count,
                                  view.series_length)
         if size < _V1_BLOB_LEN.size:
             raise StorageError(f"truncated partition payload {partition_id!r}")
-        (meta_len,) = _V1_BLOB_LEN.unpack(
-            bytes(self.backend.read_range(name, 0, _V1_BLOB_LEN.size))
-        )
+        (meta_len,) = _V1_BLOB_LEN.unpack_from(head)
         if _V1_BLOB_LEN.size + meta_len > size:
             raise StorageError(f"truncated partition payload {partition_id!r}")
         meta = json_from_bytes(

@@ -38,11 +38,12 @@ served).  The base header's field offsets are unchanged, the magic stays
 so a backing directory can mix generations.  Verification is configurable
 on the view: meta/directory checksums are checked at open (those bytes
 are read anyway), payload checksums either at open (``verify="eager"``)
-or once on the first payload mapping (``"lazy"``, the default), or never
-(``"off"``).  A mismatch raises
-:class:`~repro.exceptions.PartitionCorruptError`; integrity reads do not
-count toward ``materialised_bytes`` (that metric tracks data served to
-the query, not safety re-reads).
+or on the first payload mapping (``"lazy"``, the default), or never
+(``"off"``).  The lazy check runs over the very buffer the first read is
+served from — one mapped range covers both payload sections, so what is
+verified is what is served.  A mismatch raises
+:class:`~repro.exceptions.PartitionCorruptError`; ``materialised_bytes``
+counts the runs served to the reader, never the bytes a check touched.
 """
 
 from __future__ import annotations
@@ -90,6 +91,10 @@ HEADER_SIZE = _HEADER.size
 # the base header so every base field keeps its byte offset.
 _CRC_BLOCK = struct.Struct("<4I")
 CRC_BLOCK_SIZE = _CRC_BLOCK.size
+
+#: Leading bytes a reader fetches in one range: enough for the format
+#: sniff, the fixed header and (version 3) the CRC block.
+HEAD_PROBE_SIZE = HEADER_SIZE + CRC_BLOCK_SIZE
 
 _IDS_ITEMSIZE = 8     # int64
 _VALUES_ITEMSIZE = 8  # float64
@@ -347,24 +352,30 @@ class PartitionV2View:
     verify:
         Checksum verification mode for version-3 payloads (payloads
         without checksums are never verified): ``"lazy"`` (default)
-        checks meta/directory CRCs at open and the payload CRCs once, on
-        the first payload mapping; ``"eager"`` checks everything at
-        open; ``"off"`` skips verification.  A mismatch raises
+        checks meta/directory CRCs at open and the payload CRCs on the
+        first payload mapping, over the buffer that mapping serves;
+        ``"eager"`` checks everything at open; ``"off"`` skips
+        verification.  A mismatch raises
         :class:`~repro.exceptions.PartitionCorruptError`.
     corruption_cb:
         Zero-argument callable invoked once per detected corruption
         (before the raise) — the DFS hooks its
         ``dfs.corruption_detected`` counter here.
+    head:
+        The blob's first :data:`HEAD_PROBE_SIZE` bytes, when the caller
+        already fetched them to sniff the format; read here otherwise.
+    logical_nbytes:
+        The partition's logical size, when the caller tracks it (the DFS
+        registry does); derived from the directory on first use otherwise.
 
-    The view exposes the :class:`PartitionFile` access interface
-    (``read_cluster``/``read_clusters``/``read_all``/``ids``/``values``/
-    ``nbytes``/...) but materialises nothing beyond the header, meta blob
-    and cluster directory until a payload range is requested.  Returned
-    arrays are read-only views into the backing buffer; consumers that
-    need writable data copy (``np.concatenate``/``np.vstack`` downstream
-    already do).  ``materialised_bytes`` tracks how many bytes have been
-    mapped *for the reader* — the benchmark's "bytes materialised"
-    metric; integrity re-reads are excluded.
+    An open costs two range reads — the head, then meta blob and cluster
+    directory together (they are adjacent) — and each payload access one
+    more: ``[ids_offset, total_size)`` is mapped once and every cluster
+    run is a local slice of it.  The view exposes the
+    :class:`PartitionFile` access interface; returned arrays are
+    read-only views into the backing buffer.  ``materialised_bytes``
+    counts the bytes served *to the reader* (the benchmark's "bytes
+    materialised" metric), not those an integrity check touched.
     """
 
     def __init__(
@@ -373,6 +384,8 @@ class PartitionV2View:
         physical_size: int | None = None,
         verify: str = "lazy",
         corruption_cb: Callable[[], None] | None = None,
+        head: bytes | memoryview | None = None,
+        logical_nbytes: int | None = None,
     ) -> None:
         if verify not in VERIFY_MODES:
             raise StorageError(
@@ -381,10 +394,12 @@ class PartitionV2View:
             )
         self._read = read_range
         self._corruption_cb = corruption_cb
-        head = bytes(read_range(0, HEADER_SIZE))
-        if (len(head) >= 12 and head[:8] == FORMAT_V2_MAGIC
-                and int.from_bytes(head[8:12], "little") == FORMAT_V3_VERSION):
-            head += bytes(read_range(HEADER_SIZE, CRC_BLOCK_SIZE))
+        self._logical_nbytes = logical_nbytes
+        if head is None:
+            head = read_range(
+                0, HEAD_PROBE_SIZE if physical_size is None
+                else min(physical_size, HEAD_PROBE_SIZE)
+            )
         self.v2_header = decode_v2_header(head, physical_size)
         h = self.v2_header
         checked = verify != "off" and h.crcs is not None
@@ -398,9 +413,13 @@ class PartitionV2View:
                     f"truncated v2 partition: storage ends before the "
                     f"declared {h.total_size} bytes"
                 )
-        meta_bytes = bytes(read_range(h.header_size, h.meta_size))
-        if len(meta_bytes) != h.meta_size:
-            self._corrupt("short meta blob read")
+        n = h.n_clusters
+        dir_nbytes = 2 * 8 * n
+        dir_start = h.dir_offset - h.header_size
+        front = read_range(h.header_size, dir_start + dir_nbytes)
+        if len(front) != dir_start + dir_nbytes:
+            self._corrupt("short meta blob / directory read")
+        meta_bytes = bytes(front[:h.meta_size])
         if checked and zlib.crc32(meta_bytes) != h.crcs[0]:
             self._corrupt("meta blob checksum mismatch")
         try:
@@ -411,52 +430,30 @@ class PartitionV2View:
                 or "keys" not in meta:
             raise StorageError("corrupt v2 partition: malformed meta blob")
         keys = list(meta["keys"])
-        if len(keys) != h.n_clusters:
+        if len(keys) != n:
             raise StorageError(
                 f"corrupt v2 partition: {len(keys)} keys for "
-                f"{h.n_clusters} directory entries"
+                f"{n} directory entries"
             )
-        dir_nbytes = 2 * 8 * h.n_clusters
-        directory = bytes(read_range(h.dir_offset, dir_nbytes))
-        if len(directory) != dir_nbytes:
-            self._corrupt("short directory read")
-        if checked and zlib.crc32(directory) != h.crcs[1]:
+        if checked and zlib.crc32(front[dir_start:]) != h.crcs[1]:
             self._corrupt("directory checksum mismatch")
-        offsets = np.frombuffer(directory[:8 * h.n_clusters], dtype=np.int64)
-        counts = np.frombuffer(directory[8 * h.n_clusters:], dtype=np.int64)
-        if h.n_clusters and not (
-            np.all(offsets >= 0)
-            and np.all(counts >= 0)
-            and np.all(offsets + counts <= h.n_records)
-        ):
-            raise StorageError(
-                "corrupt v2 partition: directory range outside payload"
-            )
+        entries = struct.unpack_from(f"<{2 * n}q", front, dir_start)
+        ranges = list(zip(entries[:n], entries[n:]))
+        for offset, count in ranges:
+            if offset < 0 or count < 0 or offset + count > h.n_records:
+                raise StorageError(
+                    "corrupt v2 partition: directory range outside payload"
+                )
         self.partition_id = str(meta["partition_id"])
-        self.header: dict[str, tuple[int, int]] = {
-            k: (int(o), int(c)) for k, o, c in zip(keys, offsets, counts)
-        }
+        self.header: dict[str, tuple[int, int]] = dict(zip(keys, ranges))
         self.materialised_bytes = h.header_size + h.meta_size + dir_nbytes
         if checked and verify == "eager":
-            self._verify_payload()
+            self._map_payload()
 
     def _corrupt(self, reason: str) -> None:
         if self._corruption_cb is not None:
             self._corruption_cb()
         raise PartitionCorruptError(f"corrupt v2 partition: {reason}")
-
-    def _verify_payload(self) -> None:
-        """Check the ids/values CRCs (version-3 payloads, once)."""
-        h = self.v2_header
-        ids_nbytes = h.n_records * _IDS_ITEMSIZE
-        val_nbytes = h.n_records * h.row_nbytes
-        # Integrity reads bypass materialised_bytes on purpose: the metric
-        # tracks bytes served to the reader, not safety re-reads.
-        if zlib.crc32(self._read(h.ids_offset, ids_nbytes)) != h.crcs[2]:
-            self._corrupt("ids payload checksum mismatch")
-        if zlib.crc32(self._read(h.values_offset, val_nbytes)) != h.crcs[3]:
-            self._corrupt("values payload checksum mismatch")
-        self._verify_payload_pending = False
 
     # -- geometry ---------------------------------------------------------------
 
@@ -477,17 +474,17 @@ class PartitionV2View:
     def nbytes(self) -> int:
         """*Logical* partition size — identical to the v1 accounting.
 
-        Computed by the shared :func:`logical_partition_nbytes` formula
-        (records with per-record overhead plus the JSON header length), so
-        DFS counters and simulated costs are byte-identical whichever
-        physical format serves the partition.
+        The shared :func:`logical_partition_nbytes` figure (records with
+        per-record overhead plus the JSON header length), so DFS counters
+        and simulated costs are byte-identical whichever physical format
+        serves the partition.  Views opened through the DFS are handed the
+        registry's figure; a standalone view derives it when first asked.
         """
-        cached = self.__dict__.get("_nbytes")
-        if cached is None:
-            cached = self.__dict__["_nbytes"] = logical_partition_nbytes(
+        if self._logical_nbytes is None:
+            self._logical_nbytes = logical_partition_nbytes(
                 self.record_count, self.series_length, self.header
             )
-        return cached
+        return self._logical_nbytes
 
     def cluster_keys(self) -> list[str]:
         return list(self.header)
@@ -497,29 +494,49 @@ class PartitionV2View:
 
     # -- range mapping ----------------------------------------------------------
 
-    def _map_run(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Map one contiguous record run as (ids, values) views."""
-        if self._verify_payload_pending:
-            self._verify_payload()
+    def _map_payload(self) -> memoryview:
+        """Map ``[ids_offset, total_size)`` in one range read, checking the
+        pending payload CRCs (once per view) over sub-slices of that very
+        buffer: a reader is served exactly the bytes that passed."""
         h = self.v2_header
-        ids_nbytes = count * _IDS_ITEMSIZE
-        val_nbytes = count * h.row_nbytes
-        ids_buf = self._read(h.ids_offset + start * _IDS_ITEMSIZE, ids_nbytes)
-        val_buf = self._read(h.values_offset + start * h.row_nbytes,
-                             val_nbytes)
+        nbytes = h.total_size - h.ids_offset
+        buf = self._read(h.ids_offset, nbytes)
         # A checked backend raises on out-of-range requests; this guards
         # custom read callbacks that silently return short slices, which
         # would otherwise surface as numpy reshape errors.
-        if len(ids_buf) != ids_nbytes or len(val_buf) != val_nbytes:
+        if len(buf) != nbytes:
             self._corrupt(
-                f"short payload read for records [{start}, {start + count})"
+                f"short payload read: {len(buf)} of {nbytes} bytes"
             )
-        ids = np.frombuffer(ids_buf, dtype=np.int64)
-        values = np.frombuffer(val_buf, dtype=np.float64).reshape(
-            count, h.series_length
-        )
-        self.materialised_bytes += ids_nbytes + val_nbytes
-        return ids, values
+        if self._verify_payload_pending:
+            ids_nbytes = h.n_records * _IDS_ITEMSIZE
+            if zlib.crc32(buf[:ids_nbytes]) != h.crcs[2]:
+                self._corrupt("ids payload checksum mismatch")
+            if zlib.crc32(buf[h.values_offset - h.ids_offset:]) != h.crcs[3]:
+                self._corrupt("values payload checksum mismatch")
+            self._verify_payload_pending = False
+        return buf
+
+    def _map_runs(
+        self, runs: list[tuple[int, int]]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Contiguous record runs as (ids, values) views of one mapping."""
+        h = self.v2_header
+        buf = self._map_payload()
+        values_base = h.values_offset - h.ids_offset
+        parts = []
+        for start, count in runs:
+            ids = np.frombuffer(buf, dtype=np.int64, count=count,
+                                offset=start * _IDS_ITEMSIZE)
+            values = np.frombuffer(
+                buf, dtype=np.float64, count=count * h.series_length,
+                offset=values_base + start * h.row_nbytes,
+            ).reshape(count, h.series_length)
+            self.materialised_bytes += (
+                count * _IDS_ITEMSIZE + count * h.row_nbytes
+            )
+            parts.append((ids, values))
+        return parts
 
     def _runs(self, keys: Iterable[str]) -> list[tuple[int, int]]:
         """Record runs covering ``keys`` in order, adjacent runs coalesced."""
@@ -544,7 +561,7 @@ class PartitionV2View:
             raise StorageError(
                 f"partition {self.partition_id!r} has no cluster {key!r}"
             )
-        return self._map_run(*self.header[key])
+        return self._map_runs([self.header[key]])[0]
 
     def read_clusters(
         self, keys: Iterable[str]
@@ -558,7 +575,7 @@ class PartitionV2View:
         runs = self._runs(keys)
         if not runs:
             raise StorageError("read_clusters requires at least one key")
-        parts = [self._map_run(start, count) for start, count in runs]
+        parts = self._map_runs(runs)
         if len(parts) == 1:
             return parts[0]
         return (
@@ -568,7 +585,7 @@ class PartitionV2View:
 
     def read_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Every record in the partition, as two whole-payload views."""
-        return self._map_run(0, self.record_count)
+        return self._map_runs([(0, self.record_count)])[0]
 
     @property
     def ids(self) -> np.ndarray:

@@ -7,6 +7,8 @@ live under ``benchmarks/``.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,22 @@ STD_INDEX_CONFIG = ClimberConfig(
     n_input_partitions=16,
     seed=3,
 )
+
+
+def expect_degraded(expected: bool = True, match: str = ""):
+    """Context for code that *should* emit the ``parallel execution
+    degraded`` RuntimeWarning.
+
+    CI runs the plain tier-1 suite with ``-W error::RuntimeWarning`` so a
+    stray NumPy "invalid value" cannot pass silently; the intentional
+    degradation notices are asserted here instead.  ``expected=False``
+    is a no-op, for parametrised cells that do not degrade.
+    """
+    if not expected:
+        return contextlib.nullcontext()
+    return pytest.warns(
+        RuntimeWarning, match=f"parallel execution degraded.*{match}"
+    )
 
 
 @pytest.fixture

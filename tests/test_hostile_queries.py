@@ -1,0 +1,169 @@
+"""Hostile queries are refused at the boundary, with a typed error.
+
+A NaN or infinite query, a batch handed to the single-query call and a
+query of the wrong length used to be *answered* (empty, ``inf`` distances
+plus a NumPy warning, a flattened 2n-long "query") or to fail with a bare
+``ValueError`` only after partitions had been read.  Every entry point
+now validates once, before any routing or DFS read.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+import numpy as np
+import pytest
+
+from repro.core import ClimberConfig, ClimberIndex
+from repro.datasets import random_walk_dataset
+from repro.exceptions import (
+    DimensionalityError,
+    NonFiniteValueError,
+    ReproError,
+)
+from repro.obs import MetricsRegistry
+from repro.serve import QueryService, ServeConfig
+from repro.storage import SimulatedDFS
+
+LENGTH = 32
+
+
+def build_index():
+    ds = random_walk_dataset(600, LENGTH, seed=5)
+    cfg = ClimberConfig(word_length=8, n_pivots=24, prefix_length=4,
+                        capacity=60, sample_fraction=0.3,
+                        n_input_partitions=4, seed=2)
+    return ClimberIndex.build(ds, cfg, dfs=SimulatedDFS())
+
+
+@pytest.fixture(scope="module")
+def index():
+    return build_index()
+
+
+def good(seed=0):
+    return random_walk_dataset(1, LENGTH, seed=seed).values[0]
+
+
+def hostile_cases():
+    nan = good()
+    nan[3] = np.nan
+    inf = good()
+    inf[-1] = np.inf
+    return [
+        ("all-nan", np.full(LENGTH, np.nan), NonFiniteValueError),
+        ("one-nan", nan, NonFiniteValueError),
+        ("inf", inf, NonFiniteValueError),
+        ("too-short", good()[:-1], DimensionalityError),
+        ("too-long", np.concatenate([good(), good()]), DimensionalityError),
+        ("3-d", np.zeros((1, 1, LENGTH)), DimensionalityError),
+        ("not-numeric", ["a", "b"], DimensionalityError),
+    ]
+
+
+CASES = hostile_cases()
+IDS = [name for name, _, _ in CASES]
+
+
+def single_entry_points(index):
+    return {
+        "knn": lambda q: index.knn(q, 5),
+        "knn_progressive": lambda q: list(index.knn_progressive(q, 5)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["knn", "knn_progressive"])
+@pytest.mark.parametrize("name,query,error", CASES, ids=IDS)
+def test_single_query_calls_refuse_before_reading(index, entry, name, query,
+                                                  error):
+    call = single_entry_points(index)[entry]
+    before = index.dfs.counters
+    rng_state = index._rng.bit_generator.state
+    with pytest.raises(error) as caught:
+        call(query)
+    assert isinstance(caught.value, ReproError)
+    # Nothing was read or charged, and the tie-break RNG stream did not
+    # advance: a refused query leaves no trace on later answers.
+    assert index.dfs.counters == before
+    assert index._rng.bit_generator.state == rng_state
+
+
+@pytest.mark.parametrize("entry", ["knn", "knn_progressive"])
+def test_a_batch_is_not_a_query(index, entry):
+    batch = np.stack([good(1), good(2)])
+    with pytest.raises(DimensionalityError, match="one series"):
+        single_entry_points(index)[entry](batch)
+
+
+@pytest.mark.parametrize("entry", ["knn", "knn_progressive"])
+def test_one_row_matrix_is_a_query(index, entry):
+    q = good(3)
+    flat = index.knn(q, 5)
+    if entry == "knn":
+        boxed = index.knn(q.reshape(1, -1), 5)
+    else:
+        boxed = list(index.knn_progressive(q.reshape(1, -1), 5))[-1]
+    np.testing.assert_array_equal(boxed.ids, flat.ids)
+    np.testing.assert_array_equal(boxed.distances, flat.distances)
+
+
+@pytest.mark.parametrize("entry", ["knn_batch", "knn_batch_progressive"])
+@pytest.mark.parametrize("name,query,error", CASES[1:3], ids=IDS[1:3])
+def test_batch_calls_name_the_bad_row(index, entry, name, query, error):
+    batch = np.stack([good(1), good(2), query, good(4)])
+    before = index.dfs.counters
+    with pytest.raises(error, match="row 2"):
+        getattr(index, entry)(batch, 5)
+    assert index.dfs.counters == before
+
+
+@pytest.mark.parametrize("entry", ["knn_batch", "knn_batch_progressive"])
+def test_batch_calls_refuse_wrong_shapes(index, entry):
+    call = getattr(index, entry)
+    with pytest.raises(DimensionalityError, match="length"):
+        call(np.zeros((3, LENGTH + 1)), 5)
+    with pytest.raises(DimensionalityError, match="ndim"):
+        call(np.zeros((2, 2, LENGTH)), 5)
+    assert call(np.empty((0, LENGTH)), 5) == []
+
+
+def test_refused_queries_emit_no_numpy_warning(index, recwarn):
+    for _, query, error in CASES:
+        with pytest.raises(error):
+            index.knn(query, 5)
+    assert not [w for w in recwarn.list
+                if issubclass(w.category, RuntimeWarning)]
+
+
+def test_service_fails_the_bad_request_alone():
+    """A malformed request never reaches a micro-batch: its neighbours in
+    the admission window are answered exactly as if it had not come."""
+    served, twin = build_index(), build_index()
+    queries = [good(i) for i in range(6)]
+    expected = [twin.knn(q, 5) for q in queries]
+    bad = [np.full(LENGTH, np.nan), good()[:-3], np.stack([good(), good()])]
+
+    async def drive():
+        config = ServeConfig(max_batch=16, max_delay_s=0.02)
+        async with QueryService(served, config,
+                                registry=MetricsRegistry()) as service:
+            mixed = queries[:3] + bad + queries[3:]
+            results = await asyncio.gather(
+                *(service.submit(q, 5) for q in mixed),
+                return_exceptions=True,
+            )
+            return results, service.stats()
+
+    results, stats = asyncio.run(drive())
+    errors = results[3:6]
+    assert isinstance(errors[0], NonFiniteValueError)
+    assert isinstance(errors[1], DimensionalityError)
+    assert isinstance(errors[2], DimensionalityError)
+    answers = results[:3] + results[6:]
+    for got, want in zip(answers, expected):
+        np.testing.assert_array_equal(got.ids, want.ids)
+        np.testing.assert_array_equal(got.distances, want.distances)
+    counters = stats["metrics"]["counters"]
+    assert counters["serve.requests"] == 9
+    assert counters["serve.responses"] == 6
+    assert counters["serve.failures"] == 3

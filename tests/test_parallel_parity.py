@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import expect_degraded
 
 import repro.core.builder as builder_mod
 from repro.core.builder import build_index_artifacts
@@ -111,7 +112,9 @@ class TestExecutors:
             make_executor("gpu", 2)
 
     def test_shared_memory_gate_degrades_process_to_threads(self):
-        with make_executor("process", 2, require_shared_memory=True) as ex:
+        with expect_degraded(match="shared-memory stage"):
+            ex = make_executor("process", 2, require_shared_memory=True)
+        with ex:
             assert isinstance(ex, ThreadExecutor)
             assert ex.shares_memory
 
@@ -131,7 +134,8 @@ class TestExecutors:
             return x
 
         with make_executor("thread", 2) as ex:
-            with pytest.raises(ValueError, match="worker failed"):
+            with pytest.raises(ValueError, match="worker failed"), \
+                    expect_degraded(match="failed twice"):
                 ex.map(boom, range(8))
 
     def test_split_ranges(self):
@@ -235,7 +239,10 @@ class TestBuildParity:
         # record-identical.
         dataset = _dataset(n=1500)
         ref = build_index_artifacts(dataset, _config(1, conversion_format="v1"))
-        par = build_index_artifacts(dataset, _config(4, conversion_format="v1"))
+        with expect_degraded(match="v1 in-memory object store"):
+            par = build_index_artifacts(
+                dataset, _config(4, conversion_format="v1")
+            )
         assert ref.dfs.list_partitions() == par.dfs.list_partitions()
         for pid in ref.dfs.list_partitions():
             a_ids, a_vals = ref.dfs.read_partition(pid).read_all()

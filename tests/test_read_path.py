@@ -1,0 +1,251 @@
+"""Guards on the cache-off partition read path.
+
+Three properties the one-pass read must keep and that nothing else pins:
+
+* **verification is per open, never remembered** — the payload CRC runs
+  over the bytes of *this* read, so a byte that rots between two reads of
+  the same name (same inode, same size, same mtime granularity) is caught
+  by the second;
+* **the call budget** — a cache-off open plus a single-run cluster read
+  costs at most three backend range reads, one ``size`` and no ``exists``;
+* **the aliasing contract** — a lone run reaches the refine kernel as the
+  mapped buffer itself, while the answer a caller keeps owns its memory
+  and outlives the mapping.
+"""
+
+from __future__ import annotations
+
+import gc
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import repro.core.index as index_module
+from repro.core import ClimberConfig, ClimberIndex
+from repro.datasets import random_walk_dataset
+from repro.exceptions import PartitionCorruptError
+from repro.resilience import FaultPlan
+from repro.storage import PartitionFile, SimulatedDFS
+from repro.storage.engine import decode_v2_header
+
+LENGTH = 16
+PER_CLUSTER = 40
+
+
+def make_partition(pid="p0", n_clusters=3, seed=0):
+    rng = np.random.default_rng(seed)
+    clusters = {}
+    for c in range(n_clusters):
+        ids = np.arange(c * PER_CLUSTER, (c + 1) * PER_CLUSTER)
+        clusters[f"g0/{c}"] = (ids, rng.normal(size=(PER_CLUSTER, LENGTH)))
+    return PartitionFile.from_clusters(pid, clusters)
+
+
+def read_everything(dfs, pid="p0"):
+    part = dfs.read_partition(pid)
+    return part.read_clusters(part.cluster_keys())
+
+
+class CountingBackend:
+    """A ``StorageBackend`` that counts the calls it forwards."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls: Counter[str] = Counter()
+
+    def read_range(self, name, offset, length):
+        self.calls["read_range"] += 1
+        return self.inner.read_range(name, offset, length)
+
+    def size(self, name):
+        self.calls["size"] += 1
+        return self.inner.size(name)
+
+    def exists(self, name):
+        self.calls["exists"] += 1
+        return self.inner.exists(name)
+
+    def write(self, name, data):
+        self.inner.write(name, data)
+
+    def delete(self, name):
+        self.inner.delete(name)
+
+    def list_names(self):
+        return self.inner.list_names()
+
+    def close(self):
+        self.inner.close()
+
+
+class TestVerificationIsPerOpen:
+    def test_byte_flipped_on_disk_between_reads_is_caught(self, tmp_path):
+        dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0)
+        part = make_partition()
+        dfs.write_partition(part)
+        ids, values = read_everything(dfs)
+        np.testing.assert_array_equal(values, part.values)
+        del ids, values
+        path = tmp_path / dfs.engine.blob_name("p0")
+        header = decode_v2_header(path.read_bytes())
+        # Same file, same inode, same size: one payload byte changes in
+        # place, under the backend's still-open mapping.
+        with path.open("r+b") as fh:
+            fh.seek(header.values_offset + 5 * LENGTH * 8 + 3)
+            byte = fh.read(1)
+            fh.seek(-1, 1)
+            fh.write(bytes([byte[0] ^ 0x10]))
+        with pytest.raises(PartitionCorruptError, match="values payload"):
+            read_everything(dfs)
+        assert dfs.counters.corruption_detected == 1
+        assert dfs.counters.partitions_read == 2  # both opens succeeded
+        dfs.engine.close()
+
+    def test_bit_flipped_on_the_second_attempt_only_is_caught(self, tmp_path):
+        clean = FaultPlan(seed=0)
+        dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0,
+                           fault_plan=clean)
+        dfs.write_partition(make_partition())
+        name = dfs.engine.blob_name("p0")
+        size = dfs.engine.physical_nbytes("p0")
+        values_offset = decode_v2_header(
+            (tmp_path / name).read_bytes()
+        ).values_offset
+        read_everything(dfs)  # attempt 0: clean, verified, served
+        assert dfs.counters.corruption_detected == 0
+        # Attempt 1 of the same blob reads one bit flipped; the seed is
+        # the first whose flip lands in the values section.
+        flipping = next(
+            plan for plan in (
+                FaultPlan(seed=s, bit_flip_rate=1.0) for s in range(64)
+            )
+            if plan.decide(name, 1, size).flip_byte >= values_offset
+        )
+        dfs.fault_injector.plan = flipping
+        with pytest.raises(PartitionCorruptError, match="values payload"):
+            read_everything(dfs)
+        assert dfs.fault_injector.attempts(name) == 2
+        assert dfs.counters.corruption_detected == 1
+        dfs.engine.close()
+
+
+class TestCallBudget:
+    def test_open_and_single_run_read(self, tmp_path):
+        dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0)
+        part = make_partition()
+        dfs.write_partition(part)
+        backend = CountingBackend(dfs.engine.backend)
+        dfs.engine.backend = backend
+        view = dfs.read_partition("p0")
+        assert backend.calls["read_range"] <= 2
+        ids, values = view.read_clusters(view.cluster_keys())
+        assert backend.calls["read_range"] <= 3
+        assert backend.calls["size"] == 1
+        assert backend.calls["exists"] == 0
+        np.testing.assert_array_equal(ids, part.ids)
+        np.testing.assert_array_equal(values, part.values)
+        # Bytes served to the reader: header + meta + directory at open,
+        # then the one run — exactly what the four-read path accounted.
+        h = view.v2_header
+        n = part.record_count
+        assert view.materialised_bytes == (
+            h.header_size + h.meta_size + 2 * 8 * h.n_clusters
+            + n * 8 + n * LENGTH * 8
+        )
+        assert view.nbytes == part.nbytes == dfs.partition_nbytes("p0")
+        del ids, values
+        dfs.engine.close()
+
+    def test_runs_of_one_read_share_one_mapping(self, tmp_path):
+        dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0)
+        part = make_partition(n_clusters=5)
+        dfs.write_partition(part)
+        backend = CountingBackend(dfs.engine.backend)
+        dfs.engine.backend = backend
+        view = dfs.read_partition("p0")
+        keys = view.cluster_keys()[::2]  # three separate runs
+        ids, values = view.read_clusters(keys)
+        assert backend.calls["read_range"] <= 3
+        want_ids, want_values = part.read_clusters(keys)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(values, want_values)
+        dfs.engine.close()
+
+    def test_attach_and_partition_meta(self, tmp_path):
+        writer = SimulatedDFS(backing_dir=tmp_path)
+        parts = [make_partition(f"p{i}", seed=i) for i in range(4)]
+        for part in parts:
+            writer.write_partition(part)
+        writer.engine.close()
+        fresh = SimulatedDFS(backing_dir=tmp_path)
+        backend = CountingBackend(fresh.engine.backend)
+        fresh.engine.backend = backend
+        assert fresh.attach() == len(parts)
+        assert backend.calls["read_range"] <= 2 * len(parts)
+        assert backend.calls["exists"] == 0
+        for part in parts:
+            assert fresh.partition_nbytes(part.partition_id) == part.nbytes
+        backend.calls.clear()
+        meta = fresh.engine.partition_meta("p2")
+        assert backend.calls["read_range"] <= 2
+        assert meta.logical_nbytes == parts[2].nbytes
+        fresh.engine.close()
+
+
+class TestAliasing:
+    @pytest.fixture()
+    def disk_index(self, tmp_path):
+        ds = random_walk_dataset(800, 32, seed=9)
+        cfg = ClimberConfig(word_length=8, n_pivots=24, prefix_length=4,
+                            capacity=80, sample_fraction=0.3,
+                            n_input_partitions=4, seed=4)
+        dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0)
+        return ds, ClimberIndex.build(ds, cfg, dfs=dfs)
+
+    def test_lone_run_is_refined_in_place_and_answers_own_their_memory(
+        self, disk_index, monkeypatch
+    ):
+        ds, index = disk_index
+        dfs = index.dfs
+        seen = []
+        kernel = index_module.knn_bruteforce
+
+        def spy(query, data, ids, k):
+            seen.append((data, ids))
+            return kernel(query, data, ids, k)
+
+        monkeypatch.setattr(index_module, "knn_bruteforce", spy)
+        in_place = 0
+        results = []
+        for query in ds.values[:40]:
+            seen.clear()
+            result = index.knn(query, 5)
+            results.append(result)
+            if len(result.stats.partitions_loaded) != 1 or len(seen) != 1:
+                continue
+            data, ids = seen[0]
+            name = dfs.engine.blob_name(result.stats.partitions_loaded[0])
+            blob = np.frombuffer(
+                dfs.engine.backend.read_range(
+                    name, 0, dfs.engine.backend.size(name)
+                ),
+                dtype=np.uint8,
+            )
+            if np.shares_memory(data, blob):
+                in_place += 1
+                assert np.shares_memory(ids, blob)
+                assert not data.flags.writeable
+                assert not np.shares_memory(result.ids, blob)
+                assert not np.shares_memory(result.distances, blob)
+            del data, ids, blob
+        # Single-partition, single-run walks are the common case here; the
+        # kernel must have seen the mapping itself in them, not a copy.
+        assert in_place >= 10
+        seen.clear()
+        gc.collect()
+        dfs.engine.close()
+        for result in results:
+            assert result.ids.flags.owndata
+            assert result.distances.flags.owndata
+            assert result.ids[0] >= 0 and np.isfinite(result.distances).all()
