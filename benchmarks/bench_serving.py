@@ -14,6 +14,10 @@ The acceptance artifact of the unserialized-DFS PR
   concurrent clients: throughput (QPS) and latency percentiles
   (p50/p90/p99) per serving configuration, including a ``max_batch=1``
   row so the micro-batching win is measured rather than assumed.
+* **Idle queueing gate** — work conservation at the serving tier.  One
+  closed-loop client never finds the worker busy, so nothing may hold its
+  requests for companions: the run fails unless the median
+  ``queue_delay_s`` stays under ``IDLE_QUEUE_GATE`` x ``max_delay_s``.
 * **Straggler overlap gate** — the lock-convoy regression check at the
   serving tier.  The built store is reopened with a 100%-straggler
   fault plan (every physical open sleeps a fixed delay) and a burst of
@@ -52,6 +56,8 @@ OUT_PATH = REPO_ROOT / "BENCH_serving.json"
 OVERLAP_GATE = 0.6          # wall must stay under this fraction of the
                             # summed injected straggler sleeps
 STRAGGLER_DELAY_S = 0.02
+IDLE_QUEUE_GATE = 0.25      # a lone client's median queue delay must stay
+                            # under this fraction of max_delay_s
 
 
 def operating_point(smoke: bool):
@@ -171,10 +177,37 @@ def run_load(index, queries, k, n_clients, per_client,
         "p90_ms": round(float(np.percentile(lat, 90)) * 1e3, 3),
         "p99_ms": round(float(np.percentile(lat, 99)) * 1e3, 3),
         "mean_queue_delay_ms": round(float(np.mean(queue_delays)) * 1e3, 3),
+        "p50_queue_delay_ms": round(
+            float(np.percentile(queue_delays, 50)) * 1e3, 3),
         "mean_batch_size": round(float(np.mean(batch_sizes)), 2),
         "batches": counters["serve.batches"],
         "rejected": counters["serve.rejected"],
     }
+
+
+# -- idle queueing gate ------------------------------------------------------------
+
+
+def check_idle_queueing(index, queries, k, requests) -> dict:
+    """One closed-loop client against the default 2 ms window.
+
+    Each request arrives at an idle service, so a work-conserving batcher
+    dispatches it at once; a batcher that taxes every request with the
+    window shows a median queue delay of ``max_delay_s`` here.
+    """
+    serve_config = ServeConfig(max_delay_s=0.002)
+    row = run_load(index, queries, k, 1, requests, serve_config)
+    limit_ms = IDLE_QUEUE_GATE * serve_config.max_delay_s * 1e3
+    if row["p50_queue_delay_ms"] >= limit_ms:
+        raise SystemExit(
+            f"idle queueing gate failed: a lone client's median queue "
+            f"delay is {row['p50_queue_delay_ms']:.3f}ms, not under "
+            f"{limit_ms:.3f}ms ({IDLE_QUEUE_GATE} x max_delay_s); the "
+            f"batcher holds requests while a worker is free — results "
+            f"not written"
+        )
+    return {**row, "max_delay_s": serve_config.max_delay_s,
+            "gate_ms": limit_ms}
 
 
 # -- straggler overlap gate --------------------------------------------------------
@@ -287,6 +320,12 @@ def main() -> None:
               f"p99 {row['p99_ms']:.2f}ms  "
               f"mean batch {row['mean_batch_size']:.1f}")
 
+    idle = check_idle_queueing(load_index, queries, args.k,
+                               6 * per_client)
+    print(f"idle queueing: median queue delay "
+          f"{idle['p50_queue_delay_ms']:.3f}ms < {idle['gate_ms']:.3f}ms  "
+          f"(p50 {idle['p50_ms']:.2f}ms end to end)")
+
     # 32 concurrent queries -> 4 row shards at n_workers=4, so the burst
     # has real cross-shard read parallelism for the sleeps to overlap.
     overlap = measure_overlap(dataset, config_kwargs, queries[:32], args.k)
@@ -301,6 +340,7 @@ def main() -> None:
         "k": args.k,
         "zero_fault_parity": parity,
         "load_sweep": sweep,
+        "idle_queueing": idle,
         "straggler_overlap": overlap,
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

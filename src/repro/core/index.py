@@ -984,7 +984,7 @@ class ClimberIndex:
         """Answer a batch of kNN queries (rows of ``queries``).
 
         The batch pipeline shares work across rows: one PAA transform, one
-        signature computation and one OD/WD routing matrix over the
+        signature computation and one OD routing matrix over the
         *distinct* signatures (duplicate queries — common in periodic
         monitoring traffic — are routed once) serve the whole batch, and
         partition loads are shared through the DFS read cache when it is
@@ -997,7 +997,7 @@ class ClimberIndex:
         record scans run as row shards on a thread pool (the index's
         object graph is shared, so a ``"process"`` executor degrades to
         threads here).  The split keeps answers bit-identical to the
-        serial sweep for any worker count: the shared routing matrix is
+        serial sweep for any worker count: the shared OD matrix is
         computed once up front; the only RNG consumer
         (:meth:`select_primary`) runs on this thread in row order before
         the fan-out; and each shard's remaining work is a pure function of
@@ -1011,104 +1011,124 @@ class ClimberIndex:
         arr = self.check_queries(queries)
         if arr.shape[0] == 0:
             return []
+        probes, candidates_of, primaries, shared_share = self._route_batch(
+            arr, variant, _probes
+        )
+
+        def answer_row(i):
+            return self._knn_routed(
+                arr[i], k, variant, adaptive_factor, candidates_of[i],
+                time.perf_counter() - shared_share,
+                primary=primaries[i],
+                probe=probes[i],
+                on_failure=on_failure,
+            )
+
+        return self._run_row_shards(
+            arr.shape[0], answer_row, serial=_probes is not None
+        )
+
+    def _route_batch(
+        self,
+        arr: np.ndarray,
+        variant: str,
+        probes: list[QueryProbe | None] | None,
+    ) -> tuple[list[QueryProbe | None], list[list[GroupCandidate]],
+               list[GroupCandidate], float]:
+        """The batch pipelines' shared prologue: signatures, routing, primaries.
+
+        Returns ``(probes, candidates_of, primaries, shared_share)``, one
+        entry per row of ``arr`` in the first three.  ``probes`` are the
+        explicit ones (``explain_query``) or implicit when telemetry is
+        enabled; under probe sampling individual entries are ``None``
+        (that row records only ``query.count``).  ``shared_share`` is the
+        signature/routing span amortised evenly over the rows, so
+        per-query ``wall_seconds`` stay comparable to :meth:`knn`'s.
+
+        Routing is the single-query path's, row by row — one OD row, then
+        Weight Distances accumulated lazily for just the chosen groups —
+        so a batch of one costs one :meth:`knn`.  Primary selection is the
+        only ``_rng`` consumer; running it here, serially in row order,
+        pins the RNG stream to the serial sweep's before the RNG-free
+        shard scans fan out.
+        """
         tel = self._tel
-        # Per-row probes: explicit (explain_query) or implicit when
-        # telemetry is enabled.  Under probe sampling individual entries
-        # may be None (that row records only query.count); when every row
-        # is sampled out the list collapses to None.  The shared
-        # signature/routing work is amortised evenly across the rows'
-        # live probes, mirroring the shared_share treatment of
-        # wall_seconds below.
-        probes = _probes
-        if probes is None and tel.enabled:
-            probes = [tel.probe() for _ in range(arr.shape[0])]
-            if not any(probe is not None for probe in probes):
-                probes = None
-        if probes is not None and len(probes) != arr.shape[0]:
+        n_rows = arr.shape[0]
+        if probes is None:
+            probes = (
+                [tel.probe() for _ in range(n_rows)] if tel.enabled
+                else [None] * n_rows
+            )
+        elif len(probes) != n_rows:
             raise ConfigurationError(
-                f"{len(probes)} probes for {arr.shape[0]} query rows"
+                f"{len(probes)} probes for {n_rows} query rows"
             )
         # Shared spans are split across *live* probes, not rows: under
         # probe sampling the sampled-out rows carry no stage breakdown,
         # and dividing by the row count would make the live probes'
         # stage sums under-report the measured span (the invariant
         # pinned in tests/test_obs.py).
-        live_probes = (
-            sum(1 for probe in probes if probe is not None)
-            if probes is not None else 0
-        )
+        live = [probe for probe in probes if probe is not None]
+
+        def share(stage: str, seconds: float) -> None:
+            if tel.enabled:
+                tel.registry.histogram(f"query.batch.{stage}_s").observe(seconds)
+            for probe in live:
+                probe.add_stage(stage, seconds / len(live))
+
         t0 = time.perf_counter()
         paa = paa_transform(arr, self.config.word_length)
         ranked = permutation_prefixes(
             paa, self._art.pivots, self.config.prefix_length
         )
-        if probes is not None:
-            sig_s = time.perf_counter() - t0
-            if tel.enabled:
-                tel.registry.histogram("query.batch.signature_s").observe(sig_s)
-            for probe in probes:
-                if probe is not None:
-                    probe.add_stage("signature", sig_s / live_probes)
+        if live:
+            share("signature", time.perf_counter() - t0)
         od_slack = 1 if variant == "adaptive" else 0
-        # Identical signatures route identically, so the OD/WD matrices are
-        # computed once per *distinct* signature and fanned back out.  Row
-        # results are independent of batch composition, so each query sees
+        t_route = time.perf_counter()
+        # Identical signatures route identically, so the OD matrix is
+        # computed once per *distinct* signature (row bytes as dict keys,
+        # in first-occurrence order) and fanned back out.  Row results are
+        # independent of batch composition, so each query sees
         # bit-identical distances with or without the deduplication.
-        uniq, inverse = np.unique(ranked, axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).reshape(-1)
-        od, wd = self._routing.distance_matrices(uniq)
-        # Phase split: candidates + primary selection for every row first —
-        # select_primary is the only _rng consumer, so running it serially
-        # in row order pins the RNG stream to the serial sweep's — then the
-        # RNG-free shard scans.
+        slot_of: dict[bytes, int] = {}
+        slots = [
+            slot_of.setdefault(sig.tobytes(), len(slot_of)) for sig in ranked
+        ]
+        uniq = np.frombuffer(b"".join(slot_of), dtype=ranked.dtype)
+        od = self._routing.od_matrix(uniq.reshape(len(slot_of), -1))
         candidates_of = []
         primaries = []
-        t_route = time.perf_counter()
-        for i in range(arr.shape[0]):
-            row = int(inverse[i])
+        for sig, slot in zip(ranked, slots):
             candidates_of.append(
-                self._routing.candidates(
-                    ranked[i], od[row], wd[row], od_slack=od_slack
-                )
+                self._routing.candidates(sig, od[slot], od_slack=od_slack)
             )
             primaries.append(self.select_primary(candidates_of[-1]))
-        if probes is not None:
-            route_s = time.perf_counter() - t_route
-            if tel.enabled:
-                tel.registry.histogram("query.batch.route_s").observe(route_s)
-            for probe in probes:
-                if probe is not None:
-                    probe.add_stage("route", route_s / live_probes)
-        # The shared signature/routing span is amortised evenly over the
-        # rows so per-query wall_seconds stay comparable to knn's.
-        shared_share = (time.perf_counter() - t0) / arr.shape[0]
+        if live:
+            share("route", time.perf_counter() - t_route)
+        return (probes, candidates_of, primaries,
+                (time.perf_counter() - t0) / n_rows)
 
-        def run_shard(span):
-            start, end = span
-            return [
-                self._knn_routed(
-                    arr[i], k, variant, adaptive_factor, candidates_of[i],
-                    time.perf_counter() - shared_share,
-                    primary=primaries[i],
-                    probe=probes[i] if probes is not None else None,
-                    on_failure=on_failure,
-                )
-                for i in range(start, end)
-            ]
+    def _run_row_shards(self, n_rows: int, answer_row, serial: bool) -> list:
+        """Answer rows ``0..n_rows`` as shards on the configured executor.
 
+        ``serial`` is set for explicitly probed batches (``explain_query``)
+        so per-row DFS cache-delta attribution is exact — concurrent
+        shards would interleave hits/misses across rows.
+        """
         cfg = self.config
-        if _probes is not None:
-            # Explicitly probed batches (explain_query) run serially so
-            # per-row DFS cache-delta attribution is exact — concurrent
-            # shards would interleave hits/misses across rows.
+        if serial:
             executor = SerialExecutor()
         else:
             executor = make_executor(cfg.executor, cfg.effective_n_workers,
                                      require_shared_memory=True)
+
+        def run_shard(span):
+            return [answer_row(i) for i in range(*span)]
+
         with executor:
             shards = executor.map(
-                tel.wrap_tasks("query.shard", run_shard),
-                split_ranges(arr.shape[0], _QUERY_SHARD_ROWS),
+                self._tel.wrap_tasks("query.shard", run_shard),
+                split_ranges(n_rows, _QUERY_SHARD_ROWS),
             )
         return [result for shard in shards for result in shard]
 
@@ -1366,85 +1386,25 @@ class ClimberIndex:
         arr = self.check_queries(queries)
         if arr.shape[0] == 0:
             return []
-        tel = self._tel
-        probes = _probes
-        if probes is None and tel.enabled:
-            probes = [tel.probe() for _ in range(arr.shape[0])]
-            if not any(probe is not None for probe in probes):
-                probes = None
-        if probes is not None and len(probes) != arr.shape[0]:
-            raise ConfigurationError(
-                f"{len(probes)} probes for {arr.shape[0]} query rows"
-            )
-        live_probes = (
-            sum(1 for probe in probes if probe is not None)
-            if probes is not None else 0
+        probes, candidates_of, primaries, shared_share = self._route_batch(
+            arr, variant, _probes
         )
-        t0 = time.perf_counter()
-        paa = paa_transform(arr, self.config.word_length)
-        ranked = permutation_prefixes(
-            paa, self._art.pivots, self.config.prefix_length
+
+        def answer_row(i):
+            final = None
+            for final in self._knn_progressive_routed(
+                arr[i], k, variant, adaptive_factor, candidates_of[i],
+                time.perf_counter() - shared_share, rule,
+                primary=primaries[i],
+                probe=probes[i],
+                on_failure=on_failure,
+            ):
+                pass
+            return final
+
+        return self._run_row_shards(
+            arr.shape[0], answer_row, serial=_probes is not None
         )
-        if probes is not None:
-            sig_s = time.perf_counter() - t0
-            if tel.enabled:
-                tel.registry.histogram("query.batch.signature_s").observe(sig_s)
-            for probe in probes:
-                if probe is not None:
-                    probe.add_stage("signature", sig_s / live_probes)
-        od_slack = 1 if variant == "adaptive" else 0
-        uniq, inverse = np.unique(ranked, axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).reshape(-1)
-        od, wd = self._routing.distance_matrices(uniq)
-        candidates_of = []
-        primaries = []
-        t_route = time.perf_counter()
-        for i in range(arr.shape[0]):
-            row = int(inverse[i])
-            candidates_of.append(
-                self._routing.candidates(
-                    ranked[i], od[row], wd[row], od_slack=od_slack
-                )
-            )
-            primaries.append(self.select_primary(candidates_of[-1]))
-        if probes is not None:
-            route_s = time.perf_counter() - t_route
-            if tel.enabled:
-                tel.registry.histogram("query.batch.route_s").observe(route_s)
-            for probe in probes:
-                if probe is not None:
-                    probe.add_stage("route", route_s / live_probes)
-        shared_share = (time.perf_counter() - t0) / arr.shape[0]
-
-        def run_shard(span):
-            start, end = span
-            out = []
-            for i in range(start, end):
-                walk = self._knn_progressive_routed(
-                    arr[i], k, variant, adaptive_factor, candidates_of[i],
-                    time.perf_counter() - shared_share, rule,
-                    primary=primaries[i],
-                    probe=probes[i] if probes is not None else None,
-                    on_failure=on_failure,
-                )
-                final = None
-                for final in walk:
-                    pass
-                out.append(final)
-            return out
-
-        cfg = self.config
-        if _probes is not None:
-            executor = SerialExecutor()
-        else:
-            executor = make_executor(cfg.executor, cfg.effective_n_workers,
-                                     require_shared_memory=True)
-        with executor:
-            shards = executor.map(
-                tel.wrap_tasks("query.shard", run_shard),
-                split_ranges(arr.shape[0], _QUERY_SHARD_ROWS),
-            )
-        return [update for shard in shards for update in shard]
 
     def _knn_progressive_routed(
         self,

@@ -13,11 +13,12 @@ dominates single-query latency.
 * the fall-back mask and per-group metadata arrays,
 * the decay-weight vector and its total weight,
 
-so that routing one query — or a whole batch — is a handful of NumPy
-calls over :func:`repro.pivots.routing_distances`.  The engine is
-*parity-exact* with the scalar path it replaced: identical OD/WD values
-bit-for-bit, identical candidate ordering (OD → WD → group id) and the
-same tie-break cascade (WD → path length → node size → seeded random,
+so that routing one query — or a whole batch — is one OD row per
+distinct signature (:meth:`RoutingTable.od_matrix`) plus Weight Distances
+for the few groups at the best OD (:meth:`RoutingTable.candidates`).  The
+engine is *parity-exact* with the scalar path it replaced: identical OD/WD
+values bit-for-bit, identical candidate ordering (OD → WD → group id) and
+the same tie-break cascade (WD → path length → node size → seeded random,
 consuming the RNG stream identically).  The seed implementation is kept
 below as :func:`scalar_group_candidates` / :func:`scalar_select_primary`
 for property tests and before/after benchmarks.
@@ -36,11 +37,9 @@ from repro.pivots import (
     overlap_distance,
     overlap_distance_matrix,
     pack_pivot_sets,
-    routing_distances,
     total_weight,
     wd_tie_tolerance,
     weight_distance,
-    weight_distance_matrix,
     words_for,
 )
 
@@ -121,7 +120,7 @@ class RoutingTable:
         ]
         self._weights_list = [float(w) for w in self.weights]
 
-    # -- distance matrices -------------------------------------------------------
+    # -- overlap distances -------------------------------------------------------
 
     def _check(self, ranked: np.ndarray) -> np.ndarray:
         arr = np.asarray(ranked, dtype=np.int64)
@@ -167,51 +166,21 @@ class RoutingTable:
                 ).astype(np.int64)
         return od
 
-    def wd_matrix(self, ranked: np.ndarray) -> np.ndarray:
-        """``(q, n_groups)`` Weight Distances; Total Weight at fall-backs."""
-        arr = self._check(ranked)
-        wd = np.full(
-            (arr.shape[0], self.n_groups), self.total_weight, dtype=np.float64
-        )
-        if self.real_indices.size:
-            wd[:, self.real_indices] = weight_distance_matrix(
-                arr, self.packed_centroids, self.n_pivots, self.weights
-            )
-        return wd
-
-    def distance_matrices(
-        self, ranked: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(q, n_groups)`` OD and WD matrices for a batch of signatures."""
-        arr = self._check(ranked)
-        q = arr.shape[0]
-        od = np.full((q, self.n_groups), self.prefix_length, dtype=np.int64)
-        wd = np.full((q, self.n_groups), self.total_weight, dtype=np.float64)
-        if self.real_indices.size:
-            od_real, wd_real = routing_distances(
-                arr, self.packed_centroids, self.n_pivots, self.weights
-            )
-            od[:, self.real_indices] = od_real
-            wd[:, self.real_indices] = wd_real
-        return od, wd
-
     # -- candidate selection -----------------------------------------------------
 
     def candidates(
         self,
         ranked_sig: np.ndarray,
         od_row: np.ndarray,
-        wd_row: np.ndarray | None = None,
         od_slack: int = 0,
     ) -> list[GroupCandidate]:
         """Groups at (or near) the smallest OD, ordered by (OD, WD, id).
 
-        ``od_row`` (and optionally ``wd_row``) are one row of the distance
-        matrices.  When ``wd_row`` is omitted — the single-query path —
-        Weight Distances are computed lazily for just the chosen groups,
-        which is where the scalar path spent most of its time; a batch
-        passes the precomputed full row instead.  Only the (few) chosen
-        groups pay for a Python trie walk.
+        ``od_row`` is the signature's row of :meth:`od_matrix`.  Weight
+        Distances are computed lazily for just the chosen groups — the
+        full ``(q, n_groups)`` WD matrix is where the scalar path spent
+        most of its time — and only those (few) groups pay for a Python
+        trie walk.  Single queries and batch rows take this same path.
         """
         sig = tuple(int(p) for p in ranked_sig)
         m = self.prefix_length
@@ -225,20 +194,17 @@ class RoutingTable:
             chosen = np.flatnonzero(
                 (od_row <= limit) & ~self.fallback_mask
             ).tolist()
-            if wd_row is None:
-                # Rank-ordered accumulation over the centroid bitset: the
-                # same additions, in the same order, as the scalar
-                # weight_distance — bit-identical, no array overhead.
-                wds = []
-                for i in chosen:
-                    bits = self._centroid_ints[int(self._centroid_row[i])]
-                    matched = 0.0
-                    for p, w in zip(sig, self._weights_list):
-                        if (bits >> p) & 1:
-                            matched += w
-                    wds.append(self.total_weight - matched)
-            else:
-                wds = [float(wd_row[i]) for i in chosen]
+            # Rank-ordered accumulation over the centroid bitset: the
+            # same additions, in the same order, as the scalar
+            # weight_distance — bit-identical, no array overhead.
+            wds = []
+            for i in chosen:
+                bits = self._centroid_ints[int(self._centroid_row[i])]
+                matched = 0.0
+                for p, w in zip(sig, self._weights_list):
+                    if (bits >> p) & 1:
+                        matched += w
+                wds.append(self.total_weight - matched)
         out = []
         flat_tries = self.flat.tries
         for i, wd in zip(chosen, wds):

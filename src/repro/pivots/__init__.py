@@ -8,7 +8,6 @@ from repro.pivots.distances import (
     overlap_distance,
     overlap_distance_matrix,
     overlap_distance_matrix_reference,
-    routing_distances,
     spearman_footrule,
     total_weight,
     wd_tie_tolerance,
@@ -45,7 +44,6 @@ __all__ = [
     "overlap_distance",
     "overlap_distance_matrix",
     "overlap_distance_matrix_reference",
-    "routing_distances",
     "decay_weights",
     "centroid_membership",
     "total_weight",

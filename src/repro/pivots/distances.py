@@ -30,7 +30,6 @@ __all__ = [
     "overlap_distance",
     "overlap_distance_matrix",
     "overlap_distance_matrix_reference",
-    "routing_distances",
     "decay_weights",
     "total_weight",
     "centroid_membership",
@@ -133,48 +132,6 @@ def overlap_distance_matrix_reference(
         axis=2, dtype=np.uint16
     )
     return (np.uint16(prefix_length) - inter).astype(np.uint16)
-
-
-def routing_distances(
-    ranked: np.ndarray,
-    packed_centroids: np.ndarray,
-    n_pivots: int,
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fused query-time OD + WD between ranked signatures and centroids.
-
-    The query hot path needs both metrics against every centroid: OD to
-    find the best-matching groups (Algorithm 3 L5-9) and WD to break OD
-    ties.  This computes both from one packing pass.
-
-    Parameters
-    ----------
-    ranked:
-        ``(q, m)`` rank-sensitive signatures.
-    packed_centroids:
-        ``(k, words)`` uint64 centroid bitsets from :func:`pack_pivot_sets`.
-    n_pivots:
-        Total pivot count ``r`` (bitset width).
-    weights:
-        ``(m,)`` decay weights of Def. 9.
-
-    Returns
-    -------
-    (od, wd)
-        ``(q, k)`` int64 Overlap Distances and ``(q, k)`` float64 Weight
-        Distances.  Both match the scalar :func:`overlap_distance` /
-        :func:`weight_distance` bit-for-bit.
-    """
-    arr = np.asarray(ranked, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ConfigurationError("ranked signatures must be a (q, m) matrix")
-    m = arr.shape[1]
-    packed = pack_pivot_sets(np.sort(arr, axis=1), n_pivots)
-    od = overlap_distance_matrix(packed, packed_centroids, m).astype(np.int64)
-    wd = weight_distance_matrix(
-        arr, packed_centroids, n_pivots, np.asarray(weights, dtype=np.float64)
-    )
-    return od, wd
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ The serving half of the ROADMAP's "millions of users" north star.  A
 :class:`QueryService` fronts one :class:`~repro.core.ClimberIndex` with an
 asyncio request path shaped like a production query tier:
 
-* **micro-batching** — incoming single-query requests are coalesced into
-  :meth:`~repro.core.ClimberIndex.knn_batch` calls (up to
-  :attr:`ServeConfig.max_batch` requests, waiting at most
-  :attr:`ServeConfig.max_delay_s` for stragglers), so the batch pipeline's
-  shared signature/routing work and the DFS read cache amortise across
-  concurrent users exactly as they do across rows of an offline batch;
+* **work-conserving micro-batching** — incoming single-query requests
+  ride :meth:`~repro.core.ClimberIndex.knn_batch` calls.  A batch goes the
+  moment a worker thread is free; requests coalesce only while every
+  worker is busy (until one frees up, :attr:`ServeConfig.max_batch` is
+  reached or the oldest has waited :attr:`ServeConfig.max_delay_s`), so
+  the batch pipeline's shared signature/routing work and the DFS read
+  cache amortise across concurrent users under load and an idle service
+  adds no queueing delay;
 * **admission control** — a bounded queue caps in-flight work.  In
   ``"reject"`` mode an arrival past :attr:`ServeConfig.queue_limit` fails
   fast with :class:`~repro.exceptions.ServiceOverloadedError` (load
@@ -68,10 +70,13 @@ class ServeConfig:
     max_batch:
         Most requests coalesced into one ``knn_batch`` dispatch.
     max_delay_s:
-        Longest a request waits for companions before its batch is
-        dispatched anyway.  The knob trades latency for batching: 0
-        dispatches immediately (every batch is whatever already queued),
-        a few milliseconds lets bursts coalesce.
+        Longest a request is held for companions.  Holding happens only
+        while every worker thread is busy: a batch is dispatched the
+        moment it is non-empty and a worker is free, so an idle service
+        never waits.  While all are busy, arrivals coalesce until a
+        worker frees up, ``max_batch`` is reached, or the batch's first
+        request has waited ``max_delay_s`` — then the batch is handed to
+        the pool regardless.  0 never holds a request.
     queue_limit:
         Bound of the admission queue (requests admitted but not yet
         dispatched).  Arrivals past it are rejected or blocked per
@@ -82,11 +87,13 @@ class ServeConfig:
         is full; ``"block"`` — suspend the submitting coroutine until
         space frees (backpressure).
     worker_threads:
-        Threads executing dispatched ``knn_batch`` calls.  1 serialises
-        batch execution (the batcher still collects the next batch while
-        the current one runs); more lets batches overlap in storage waits
-        — useful under fault-injected stragglers, where the narrowed DFS
-        lock lets distinct-partition reads proceed in parallel.
+        Threads executing dispatched ``knn_batch`` calls, and the number
+        of dispatches that may be in flight before arrivals start to
+        coalesce.  1 serialises batch execution (the next batch collects
+        while the current one runs); more lets batches overlap in storage
+        waits — useful under fault-injected stragglers, where the
+        narrowed DFS lock lets distinct-partition reads proceed in
+        parallel.
     """
 
     max_batch: int = 32
@@ -193,6 +200,7 @@ class QueryService:
         self._c_requests = self.registry.counter("serve.requests")
         self._c_responses = self.registry.counter("serve.responses")
         self._c_rejected = self.registry.counter("serve.rejected")
+        self._c_cancelled = self.registry.counter("serve.cancelled")
         self._c_batches = self.registry.counter("serve.batches")
         self._c_degraded = self.registry.counter("serve.degraded")
         self._c_failures = self.registry.counter("serve.failures")
@@ -206,6 +214,7 @@ class QueryService:
         self._h_queue_delay = self.registry.histogram("serve.queue_delay_s")
         self._queue: asyncio.Queue | None = None
         self._space: asyncio.Event | None = None
+        self._wake: asyncio.Event | None = None
         self._batcher: asyncio.Task | None = None
         self._inflight: set[asyncio.Task] = set()
         self._pool: ThreadPoolExecutor | None = None
@@ -229,6 +238,9 @@ class QueryService:
         self._queue = asyncio.Queue()
         self._space = asyncio.Event()
         self._space.set()
+        # The batcher's one wake-up: arrivals, finished dispatches, the
+        # open batch's max_delay_s timer and stop() all set it.
+        self._wake = asyncio.Event()
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.worker_threads,
             thread_name_prefix="climber-serve",
@@ -261,6 +273,7 @@ class QueryService:
                         ServiceClosedError("service stopped before dispatch")
                     )
         queue.put_nowait(_SHUTDOWN)
+        self._wake.set()
         await batcher
         # Submitters racing the shutdown (woken from a blocked admission
         # wait, or otherwise admitted after the sentinel) may have left
@@ -361,49 +374,70 @@ class QueryService:
             time.perf_counter(),
         )
         self._queue.put_nowait(req)
+        self._wake.set()
         self._g_queue_depth.set(self._queue.qsize())
         return await future
 
     # -- batcher ----------------------------------------------------------------
 
     async def _run(self) -> None:
+        """The batcher: one loop, work-conserving.
+
+        Each pass moves whatever is queued into the open batch (skipping
+        requests whose caller has gone), then dispatches it if a worker is
+        free — or, with every worker busy, if the window has closed:
+        ``max_batch`` reached, ``max_delay_s`` since the batch's first
+        request was submitted, or shutdown.  Otherwise it sleeps until the
+        next arrival, finished dispatch, window expiry or ``stop()``.
+        """
         cfg = self.config
-        loop = asyncio.get_running_loop()
+        queue, wake = self._queue, self._wake
+        batch: list[_Request] = []
+        shutdown = False
         while True:
-            first = await self._queue.get()
-            self._signal_space()
-            if first is _SHUTDOWN:
-                break
-            batch = [first]
-            shutdown = False
-            deadline = loop.time() + cfg.max_delay_s
-            while len(batch) < cfg.max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    # Window closed: take whatever is already queued, but
-                    # never wait for more.
-                    try:
-                        item = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                else:
-                    try:
-                        item = await asyncio.wait_for(
-                            self._queue.get(), timeout
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                self._signal_space()
+            wake.clear()
+            while len(batch) < cfg.max_batch and not queue.empty():
+                item = queue.get_nowait()
                 if item is _SHUTDOWN:
                     shutdown = True
                     break
                 batch.append(item)
-            self._g_queue_depth.set(self._queue.qsize())
-            task = asyncio.ensure_future(self._dispatch(batch))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+            # A caller cancelled while queued (timeout, disconnect) is not
+            # computed: no row in knn_batch, no place in batch_size.
+            live = [req for req in batch if not req.future.done()]
+            if len(live) < len(batch):
+                self._c_cancelled.inc(len(batch) - len(live))
+                batch = live
+            self._signal_space()
+            self._g_queue_depth.set(queue.qsize())
+            if batch:
+                hold_left = cfg.max_delay_s - (
+                    time.perf_counter() - batch[0].t_submit
+                )
+                if (
+                    len(self._inflight) < cfg.worker_threads
+                    or len(batch) >= cfg.max_batch
+                    or hold_left <= 0
+                    or shutdown
+                ):
+                    task = asyncio.ensure_future(self._dispatch(batch))
+                    self._inflight.add(task)
+                    task.add_done_callback(self._dispatch_done)
+                    batch = []
             if shutdown:
                 break
+            if not queue.empty():
+                continue  # max_batch left the next batch's requests behind
+            timer = (
+                self._loop.call_later(hold_left, wake.set) if batch else None
+            )
+            await wake.wait()
+            if timer is not None:
+                timer.cancel()
+
+    def _dispatch_done(self, task: asyncio.Task) -> None:
+        self._inflight.discard(task)
+        self._wake.set()  # a worker is free
 
     def _signal_space(self) -> None:
         if (self.config.admission == "block"

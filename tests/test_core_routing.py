@@ -101,20 +101,27 @@ class TestCandidateParity:
             best_wd = min(c.wd for c in cands if c.od == primary.od)
             assert primary.wd <= best_wd + 1e-12
 
-    def test_distance_matrices_match_scalar_metrics(self):
+    def test_od_matrix_and_lazy_wd_match_scalar_metrics(self):
+        """The batch prologue's two calls: one OD matrix over all rows,
+        then per-row ``candidates`` accumulating WD for the chosen groups
+        only — every value against the scalar metrics, bit for bit."""
         ds, idx = build_index(4)
         table: RoutingTable = idx.routing
         sigs = np.vstack(
             [idx.query_signature(ds.values[i]) for i in range(0, 60, 7)]
         )
-        od, wd = table.distance_matrices(sigs)
-        assert od.shape == wd.shape == (sigs.shape[0], idx.n_groups)
+        od = table.od_matrix(sigs)
+        assert od.shape == (sigs.shape[0], idx.n_groups)
+        m = idx.config.prefix_length
         for row, sig in enumerate(sigs):
-            ref = scalar_group_candidates(idx, sig, od_slack=idx.config.prefix_length)
+            ref = scalar_group_candidates(idx, sig, od_slack=m)
             for cand in ref:
-                gid = cand.entry.group_id
-                assert od[row, gid] == cand.od
-                assert wd[row, gid] == cand.wd
+                assert od[row, cand.entry.group_id] == cand.od
+            lazy = table.candidates(sig, od[row], od_slack=m)
+            assert [c.entry.group_id for c in lazy] == [
+                c.entry.group_id for c in ref
+            ]
+            assert [c.wd for c in lazy] == [c.wd for c in ref]
 
 
 class TestKnnParity:

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.routing import RoutingTable
+from repro.core.skeleton import GroupEntry, IndexSkeleton
+from repro.core.trie import TrieNode
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
     decay_weights,
@@ -14,7 +17,6 @@ from repro.pivots import (
     overlap_distance,
     overlap_distance_matrix,
     pack_pivot_sets,
-    routing_distances,
     spearman_footrule,
     total_weight,
     weight_distance,
@@ -212,6 +214,10 @@ class TestRankMetrics:
 
 
 class TestRoutingDistances:
+    """Query-time OD + WD — ``RoutingTable.od_matrix`` and the Weight
+    Distances ``candidates`` accumulates lazily for the chosen groups —
+    against the scalar metrics, over hand-made centroids."""
+
     @staticmethod
     def _random_case(rng, r=40, m=6, d=9, k=5):
         ranked = np.array(
@@ -224,26 +230,50 @@ class TestRoutingDistances:
         )
         return ranked, centroids
 
+    @staticmethod
+    def _table(centroids, weights, r=40):
+        """Fall-back G0 plus one root-only group per centroid row."""
+        groups = [GroupEntry(0, (), TrieNode(None, (), 0.0), 0, 0.0)] + [
+            GroupEntry(j, tuple(cent.tolist()), TrieNode(None, (), 1.0), j, 1.0)
+            for j, cent in enumerate(centroids, start=1)
+        ]
+        skeleton = IndexSkeleton(
+            prefix_length=centroids.shape[1], n_pivots=r, word_length=8,
+            groups=groups, n_partitions=len(groups),
+        )
+        return RoutingTable(skeleton, weights)
+
     @pytest.mark.parametrize("decay", ["exponential", "linear"])
     def test_matches_scalar_metrics_bitwise(self, decay):
         rng = np.random.default_rng(17)
         ranked, centroids = self._random_case(rng)
-        w = decay_weights(ranked.shape[1], decay)
-        packed = pack_pivot_sets(centroids, 40)
-        od, wd = routing_distances(ranked, packed, 40, w)
+        m = ranked.shape[1]
+        w = decay_weights(m, decay)
+        table = self._table(centroids, w)
+        od = table.od_matrix(ranked)
+        compared = 0
         for i, sig in enumerate(ranked):
-            for j, cent in enumerate(centroids):
+            for j, cent in enumerate(centroids, start=1):
                 assert od[i, j] == overlap_distance(sorted(sig), sorted(cent))
+            # od_slack=m: every group sharing a pivot with the signature.
+            for cand in table.candidates(sig, od[i], od_slack=m):
+                cent = centroids[cand.entry.group_id - 1]
                 # Exact equality: the sort order of routing depends on it.
-                assert wd[i, j] == weight_distance(sig, cent, w)
+                assert cand.wd == weight_distance(sig, cent, w)
+                compared += 1
+        assert compared > ranked.shape[0]
 
     def test_shapes_and_dtypes(self):
         rng = np.random.default_rng(3)
         ranked, centroids = self._random_case(rng, d=4, k=7)
-        w = decay_weights(ranked.shape[1])
-        od, wd = routing_distances(ranked, pack_pivot_sets(centroids, 40), 40, w)
-        assert od.shape == wd.shape == (4, 7)
-        assert od.dtype == np.int64 and wd.dtype == np.float64
+        m = ranked.shape[1]
+        table = self._table(centroids, decay_weights(m))
+        od = table.od_matrix(ranked)
+        assert od.shape == (4, 8) and od.dtype == np.int64
+        assert (od[:, 0] == m).all()  # the fall-back group overlaps nothing
+        assert np.array_equal(table.od_matrix(ranked[2]), od[2:3])
+        for cand in table.candidates(ranked[0], od[0], od_slack=m):
+            assert isinstance(cand.wd, float) and isinstance(cand.od, int)
 
 
 @given(st.integers(2, 40), st.data())

@@ -217,6 +217,44 @@ class TestParityOracle:
         assert (reference.dfs.counters.bytes_read
                 == progressive.dfs.counters.bytes_read)
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 7])
+    def test_batch_composition_is_invisible(self, batch_size):
+        """However a request stream is cut into batches — alone, beside a
+        duplicate, beside a distinct series with the same signature — both
+        batch pipelines answer each row as the caller's own ``knn`` would,
+        and leave the storage counters and the tie-break RNG where the
+        per-row sweep leaves them."""
+        base = _queries(6)
+        twin = base[0] + 1e-9  # distinct series, same z-normalised shape
+        stream = np.stack([
+            base[0], base[1], base[0], twin, base[2], base[1], base[3],
+            twin, base[4], base[4], base[0], base[5], base[2], base[3],
+        ])
+        dataset = _dataset()
+        solo, batch, prog = (
+            ClimberIndex.build(dataset, _config()) for _ in range(3)
+        )
+        assert not np.array_equal(twin, base[0])
+        assert np.array_equal(solo.query_signature(twin),
+                              solo.query_signature(base[0]))
+        refs = [solo.knn(q, 10) for q in stream]
+        chunks = [stream[i:i + batch_size]
+                  for i in range(0, len(stream), batch_size)]
+        batched = [r for c in chunks for r in batch.knn_batch(c, 10)]
+        finals = [r for c in chunks for r in prog.knn_batch_progressive(
+            c, 10, early_stop="off"
+        )]
+        for ref, res, final in zip(refs, batched, finals):
+            _assert_final_matches(final, ref)
+            assert res.ids.tobytes() == ref.ids.tobytes()
+            assert res.distances.tobytes() == ref.distances.tobytes()
+            for field in _PINNED_FIELDS:
+                assert getattr(res.stats, field) == getattr(ref.stats, field)
+        for other in (batch, prog):
+            assert other.dfs.counters == solo.dfs.counters
+            assert (other._rng.bit_generator.state
+                    == solo._rng.bit_generator.state)
+
     def test_progressive_consumes_same_rng_stream(self):
         """Interleaving knn and progressive calls on one index stays on
         the serial RNG stream: answers equal a knn-only twin's."""

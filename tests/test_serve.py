@@ -15,6 +15,9 @@ statistical.
 from __future__ import annotations
 
 import asyncio
+import queue
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -536,6 +539,187 @@ class TestSubmitStopRace:
         assert len(results) == len(queries)
         for r in results:
             assert isinstance(r, (QueryResponse, ServiceClosedError))
+
+
+class _GatedIndex:
+    """A stub index whose ``knn_batch`` announces each call, then blocks
+    until the test grants it a permit — so a worker is "busy" for exactly
+    as long as the test says.  Queries are ``[tag]``; the answer to a
+    query is its tag."""
+
+    def __init__(self):
+        self.calls: list[list[int]] = []
+        self.entered: queue.Queue = queue.Queue()
+        self.permits = threading.Semaphore(0)
+
+    def check_query(self, query):
+        return np.asarray(query, dtype=np.float64)
+
+    def knn_batch(self, queries, k, **_):
+        tags = [int(q[0]) for q in queries]
+        self.calls.append(tags)
+        self.entered.put(tags)
+        assert self.permits.acquire(timeout=30), "test never released the call"
+        stats = SimpleNamespace(degraded=False, partitions_forgone=())
+        return [
+            SimpleNamespace(ids=np.array([tag]), distances=np.zeros(1),
+                            stats=stats)
+            for tag in tags
+        ]
+
+
+class TestBatcherPolicy:
+    """Work-conserving micro-batching, pinned without sleeps or timings:
+    a free worker means go; every worker busy means coalesce until one
+    frees up, ``max_batch`` is reached or ``max_delay_s`` runs out."""
+
+    @staticmethod
+    def _run(scenario, **config):
+        """Run ``scenario(service, index, submit)`` in a started service."""
+        async def drive():
+            index = _GatedIndex()
+            service = QueryService(index, ServeConfig(**config),
+                                   registry=MetricsRegistry())
+
+            def submit(tag):
+                return asyncio.ensure_future(service.submit([tag], k=1))
+
+            async with service:
+                await scenario(service, index, submit)
+            return service, index
+
+        return asyncio.run(asyncio.wait_for(drive(), timeout=60))
+
+    @staticmethod
+    async def _entered(index):
+        """The tags of the next ``knn_batch`` call, once a worker is in it."""
+        return await asyncio.get_running_loop().run_in_executor(
+            None, index.entered.get, True, 30
+        )
+
+    @staticmethod
+    async def _until(condition):
+        """Yield to the loop until ``condition()``; bounded, never timed."""
+        deadline = asyncio.get_running_loop().time() + 30
+        while not condition():
+            assert asyncio.get_running_loop().time() < deadline
+            await asyncio.sleep(0)
+
+    @staticmethod
+    def _counter(service, name):
+        return service.stats()["metrics"]["counters"][name]
+
+    def test_idle_service_dispatches_a_lone_request_at_once(self):
+        async def scenario(service, index, submit):
+            lone = submit(1)
+            assert await self._entered(index) == [1]
+            index.permits.release()
+            response = await lone
+            assert response.batch_size == 1
+            assert response.queue_delay_s < 1.0  # of a 5 s window
+
+        self._run(scenario, max_delay_s=5.0)
+
+    def test_arrivals_coalesce_while_the_worker_is_busy(self):
+        async def scenario(service, index, submit):
+            first = submit(0)
+            assert await self._entered(index) == [0]
+            rest = [submit(tag) for tag in (1, 2, 3)]
+            await self._until(
+                lambda: self._counter(service, "serve.requests") == 4)
+            assert index.calls == [[0]]  # held: no worker, window open
+            index.permits.release()  # the worker frees up ...
+            assert await self._entered(index) == [1, 2, 3]  # ... one batch
+            index.permits.release()
+            assert (await first).batch_size == 1
+            for tag, response in zip((1, 2, 3), await asyncio.gather(*rest)):
+                assert response.batch_size == 3
+                assert response.ids.tolist() == [tag]
+
+        self._run(scenario, max_batch=8, max_delay_s=5.0)
+
+    def test_max_batch_closes_the_window_while_busy(self):
+        async def scenario(service, index, submit):
+            first = submit(0)
+            assert await self._entered(index) == [0]
+            rest = [submit(tag) for tag in (1, 2, 3, 4)]
+            # The full batch is handed to the pool although its only
+            # worker is still held; the fourth arrival stays behind.
+            await self._until(
+                lambda: self._counter(service, "serve.batches") == 2)
+            assert index.calls == [[0]]
+            index.permits.release()
+            assert await self._entered(index) == [1, 2, 3]
+            index.permits.release()
+            assert await self._entered(index) == [4]
+            index.permits.release()
+            sizes = [r.batch_size for r in await asyncio.gather(first, *rest)]
+            assert sizes == [1, 3, 3, 3, 1]
+
+        self._run(scenario, max_batch=3, max_delay_s=5.0)
+
+    def test_max_delay_closes_the_window_while_busy(self):
+        async def scenario(service, index, submit):
+            first = submit(0)
+            assert await self._entered(index) == [0]
+            rest = [submit(tag) for tag in (1, 2)]
+            # Nothing frees the worker: only the window's expiry can hand
+            # the second batch to the pool.
+            await self._until(
+                lambda: self._counter(service, "serve.batches") == 2)
+            assert index.calls == [[0]]
+            index.permits.release()
+            assert await self._entered(index) == [1, 2]
+            index.permits.release()
+            sizes = [r.batch_size for r in await asyncio.gather(first, *rest)]
+            assert sizes == [1, 2, 2]
+
+        self._run(scenario, max_batch=8, max_delay_s=0.02)
+
+    def test_second_worker_takes_a_second_batch(self):
+        async def scenario(service, index, submit):
+            first = submit(0)
+            assert await self._entered(index) == [0]
+            second = submit(1)
+            assert await self._entered(index) == [1]  # first still held
+            third = submit(2)  # both workers busy: this one waits
+            await self._until(
+                lambda: self._counter(service, "serve.requests") == 3)
+            assert index.calls == [[0], [1]]
+            index.permits.release()
+            assert await self._entered(index) == [2]
+            index.permits.release(2)
+            responses = await asyncio.gather(first, second, third)
+            assert [r.batch_size for r in responses] == [1, 1, 1]
+            # A free worker took each of the first two: neither sat out
+            # any part of the 5 s window.
+            assert max(r.queue_delay_s for r in responses[:2]) < 1.0
+
+        self._run(scenario, worker_threads=2, max_delay_s=5.0)
+
+    def test_cancelled_while_queued_is_skipped_and_counted(self):
+        async def scenario(service, index, submit):
+            first = submit(0)
+            assert await self._entered(index) == [0]
+            rest = [submit(tag) for tag in (1, 2, 3)]
+            await self._until(
+                lambda: self._counter(service, "serve.requests") == 4)
+            rest[1].cancel()  # the caller of request 2 goes away
+            with pytest.raises(asyncio.CancelledError):
+                await rest[1]
+            index.permits.release()
+            assert await self._entered(index) == [1, 3]  # no row for 2
+            index.permits.release()
+            await first
+            for tag, task in ((1, rest[0]), (3, rest[2])):
+                response = await task
+                assert response.batch_size == 2
+                assert response.ids.tolist() == [tag]
+            assert self._counter(service, "serve.cancelled") == 1
+            assert self._counter(service, "serve.responses") == 3
+
+        service, index = self._run(scenario, max_batch=8, max_delay_s=5.0)
+        assert index.calls == [[0], [1, 3]]
 
 
 class TestProgressiveServing:

@@ -126,17 +126,17 @@ class TestFormatParity:
 
 class TestBatchSignatureDedup:
     def test_repeated_queries_route_once(self, dataset, queries, monkeypatch):
-        """A batch of duplicates computes the routing matrix on unique rows."""
+        """A batch of duplicates computes the OD matrix on unique rows."""
         idx, _ = build(dataset, "v2")
         batch = np.repeat(queries[:3], 4, axis=0)  # 12 rows, 3 distinct
         seen_rows = []
-        original = type(idx.routing).distance_matrices
+        original = type(idx.routing).od_matrix
 
         def spy(self, ranked):
             seen_rows.append(np.asarray(ranked).shape[0])
             return original(self, ranked)
 
-        monkeypatch.setattr(type(idx.routing), "distance_matrices", spy)
+        monkeypatch.setattr(type(idx.routing), "od_matrix", spy)
         results = idx.knn_batch(batch, 8)
         assert seen_rows == [3]
         assert len(results) == 12
