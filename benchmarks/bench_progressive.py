@@ -17,6 +17,12 @@ The PR-10 acceptance suite, in one artifact:
   :func:`repro.evaluation.calibrate_early_stop` (measured on held-out
   queries) plus the served quality of ``streak:*`` / ``confidence:*``
   rules: mean visited fraction, early-stop rate, and realised recall.
+* **Drain-overhead gate** — a progressive answer is only worth streaming
+  if draining it costs about what the one-shot search costs: on the same
+  ``od-smallest`` plans, a drained ``knn_progressive(early_stop="off")``
+  may take at most 1.5x the wall of exhaustive ``knn`` (median over
+  queries of interleaved best-of rounds), per family, or the artifact is
+  refused.
 
 Usage::
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +51,8 @@ RECALL_FLOOR = 0.40         # recall@10 reachable before full coverage
 PARITY_FORMATS = ("v1", "v2")
 PARITY_WORKERS = (1, 2, 4)
 STOP_SPECS = ("streak:1", "streak:2", "confidence:0.9")
+DRAIN_OVERHEAD_CEILING = 1.5  # drained progressive wall / exhaustive knn wall
+DRAIN_ROUNDS = 7
 #: Curve + operating points use od-smallest: its promise-ordered plans
 #: are the deepest of the three variants, so it is where progressive
 #: delivery actually has partitions to forgo.
@@ -221,6 +230,31 @@ def stop_operating_points(index, queries, truth, k, variant) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# Drain-overhead gate
+# ---------------------------------------------------------------------------
+
+def drain_overhead_ratio(index, queries, k, variant) -> float:
+    """Median over queries of drained-progressive wall / exhaustive wall.
+
+    Each query's two walls are its best of ``DRAIN_ROUNDS`` rounds, the
+    two calls alternating inside every round so the host's drift and the
+    DFS cache treat both alike.
+    """
+    exhaustive = np.full(queries.count, np.inf)
+    drained = np.full(queries.count, np.inf)
+    for _ in range(DRAIN_ROUNDS):
+        for qi, q in enumerate(queries.values):
+            t0 = time.perf_counter()
+            index.knn(q, k, variant=variant)
+            t1 = time.perf_counter()
+            _final(index, q, k, variant=variant, early_stop="off")
+            t2 = time.perf_counter()
+            exhaustive[qi] = min(exhaustive[qi], t1 - t0)
+            drained[qi] = min(drained[qi], t2 - t1)
+    return float(np.median(drained / exhaustive))
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -269,12 +303,21 @@ def main() -> None:
         index.attach_calibration(calibration)
         points = stop_operating_points(index, queries, truth, args.k,
                                        CURVE_VARIANT)
+        overhead = drain_overhead_ratio(index, queries, args.k,
+                                        CURVE_VARIANT)
+        if overhead > DRAIN_OVERHEAD_CEILING:
+            raise SystemExit(
+                f"drain-overhead gate failed: drained progressive costs "
+                f"{overhead:.2f}x exhaustive knn on {family} "
+                f"(ceiling {DRAIN_OVERHEAD_CEILING}); results not written"
+            )
         per_family.append({
             "family": family,
             "recall_vs_partitions_visited": curve,
             "floor_before_full_coverage": reached,
             "calibration": json.loads(calibration.to_json()),
             "operating_points": points,
+            "drain_overhead_ratio": overhead,
         })
         head = ", ".join(
             f"{p['partitions_visited']}:{p['mean_recall']:.2f}"
@@ -287,6 +330,8 @@ def main() -> None:
             print(f"    {p['early_stop']}: recall {p['mean_recall']:.3f} "
                   f"at {100 * p['mean_visited_fraction']:.0f}% visited "
                   f"(stop rate {100 * p['early_stop_rate']:.0f}%)")
+        print(f"    drained progressive / exhaustive knn wall: "
+              f"{overhead:.2f}x (ceiling {DRAIN_OVERHEAD_CEILING})")
 
     if not floor_families:
         raise SystemExit(
@@ -303,6 +348,7 @@ def main() -> None:
         "k": args.k,
         "recall_floor": RECALL_FLOOR,
         "recall_floor_families": floor_families,
+        "drain_overhead_ceiling": DRAIN_OVERHEAD_CEILING,
         "parity": parity,
         "families": per_family,
     }

@@ -26,8 +26,11 @@ A query flows through four stages:
    rebuilt by :meth:`ClimberIndex.reopen`); one ``(q, groups)`` matrix
    serves a whole batch.
 3. **Node selection** — the per-variant trie-node expansion.
-4. **Record scan** — partition loads (served from the DFS read cache
-   when enabled) and a brute-force refinement over the candidate records.
+4. **Record scan** — the routed walk (:class:`_RoutedWalk`): partition
+   loads (served from the DFS read cache when enabled), each run scored
+   once where the storage engine mapped it, and a top-k selection over
+   the scores.  ``knn``/``knn_batch`` run the walk to its end;
+   ``knn_progressive`` drives the same walk one visit at a time.
 
 Simulated cost accounting charges *logical* partition touches, so the
 paper's access-volume metrics are independent of any caching.
@@ -55,7 +58,7 @@ from repro.cluster import (
 from repro.core.assignment import GroupAssigner
 from repro.core.builder import BuildArtifacts, build_index_artifacts
 from repro.core.config import ClimberConfig
-from repro.core.parallel import SerialExecutor, make_executor, split_ranges
+from repro.core.parallel import make_executor, split_ranges
 from repro.core.progressive import (
     ProgressiveCalibration,
     ProgressiveUpdate,
@@ -85,13 +88,8 @@ from repro.obs import (
     global_registry,
 )
 from repro.pivots import decay_weights, permutation_prefixes, wd_tie_tolerance
-from repro.series import (
-    SeriesDataset,
-    knn_bruteforce,
-    knn_merge,
-    paa_transform,
-    series_nbytes,
-)
+from repro.series import SeriesDataset, paa_transform, series_nbytes
+from repro.series.distance import block_scores, knn_select
 
 __all__ = [
     "ClimberIndex",
@@ -190,61 +188,124 @@ class QueryResult:
     stats: QueryStats
 
 
-class _PartitionReads:
-    """What one routed walk has read so far, and how it reads more.
+class _RoutedWalk:
+    """One query's walk over its routed plan, from planning to its stats.
 
-    :meth:`ClimberIndex.knn` and :meth:`ClimberIndex.knn_progressive`
-    visit the same plan with the same per-partition semantics; the visit,
-    the within-partition expansion and the final refinement live here
-    once, so the two walks cannot drift apart.
+    Plan → visit → expand → select → :class:`QueryStats` → telemetry →
+    simulated cost exist here once.  :meth:`ClimberIndex._knn_routed` runs
+    the walk to its end; the progressive calls drive it one :meth:`visit`
+    at a time and may :meth:`finish` it early.  Every record is scored
+    once, when its run is read, on the run as the storage engine mapped
+    it; the answer is a selection over those scores, so two drivers that
+    made the same visits return the same bits.
     """
 
-    def __init__(self, index: "ClimberIndex", on_failure: str) -> None:
+    def __init__(
+        self,
+        index: "ClimberIndex",
+        query: np.ndarray,
+        k: int,
+        variant: str,
+        adaptive_factor: int | None,
+        candidates: list[GroupCandidate],
+        primary: GroupCandidate | None,
+        probe: QueryProbe | None,
+        on_failure: str,
+    ) -> None:
         self._index = index
-        self._on_failure = on_failure
-        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
-        self.loaded: list[str] = []
-        self.failed: list[str] = []
-        self.data_bytes = 0
-        self.scan_costs: list[TaskCost] = []
+        self.k = k
+        self._variant = variant
+        self._candidates = candidates
+        self._probe = probe
+        self._skip_failures = on_failure == "skip"
+        self._mark()
+        if primary is None:
+            primary = index.select_primary(candidates)
+        self._primary = primary
+        self._selected = index._select_nodes(
+            variant, primary, candidates, k, adaptive_factor
+        )
+        to_load = index._plan_partition_reads(self._selected)
+        #: The routed plan as ``(physical partition, wanted cluster keys)``
+        #: in visit order: sorted base names, each base (when present)
+        #: before the delta partitions appended to it later.
+        self.plan: list[tuple[str, set[str]]] = []
+        for pname in sorted(to_load):
+            wanted = set(to_load[pname])
+            if index.dfs.has_partition(pname):
+                self.plan.append((pname, wanted))
+            for delta in index._delta_names(pname):
+                self.plan.append((delta, wanted))
+        self.visited = 0
+        self._neg2q = -2.0 * query
+        self.query_sq = float(np.dot(query, query))
+        self._scored: list[tuple[np.ndarray, np.ndarray]] = []
+        self._loaded: list[str] = []
+        self._failed: list[str] = []
+        self._data_bytes = 0
+        self._scan_costs: list[TaskCost] = []
         self._fallback_pool: list[tuple] = []
+        if probe is not None:
+            self._charge("select")
+            self._counters_before = getattr(index.dfs, "counters", None)
 
-    def visit(
-        self, actual: str, wanted: set[str]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Open one physical partition and read its ``wanted`` clusters.
+    # Probed walks charge wall time to stages between marks; a walk may be
+    # suspended between visits, so every entry point sets its own mark.
 
-        Returns the ``(ids, values)`` read, or ``None`` when the partition
-        holds none of the wanted clusters or was skipped as unreadable.
-        The open and the cluster read succeed or fail atomically from the
-        query's view: a failure after retry exhaustion either aborts the
-        query (mode ``"raise"``) or drops the whole partition (mode
-        ``"skip"``) — never a half-read partition.
+    def _mark(self) -> None:
+        if self._probe is not None:
+            self._t_mark = time.perf_counter()
+
+    def _charge(self, stage: str) -> None:
+        if self._probe is not None:
+            now = time.perf_counter()
+            self._probe.add_stage(stage, now - self._t_mark)
+            self._t_mark = now
+
+    def _score(
+        self, run: tuple[np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Score one run where it lies; keep 16 bytes a record, not the run."""
+        scored = (run[0], block_scores(run[1], self._neg2q))
+        self._scored.append(scored)
+        self._charge("refine")
+        return scored
+
+    def visit(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Open the next planned partition, read and score its wanted clusters.
+
+        Returns the ``(ids, scores)`` of the records read, or ``None`` when
+        the partition holds none of the wanted clusters or was skipped as
+        unreadable.  The open and the cluster read succeed or fail
+        atomically from the query's view: a failure after retry exhaustion
+        either aborts the query (mode ``"raise"``) or drops the whole
+        partition (mode ``"skip"``) — never a half-read partition.
+        :class:`PartitionNotFoundError` is never skipped: a partition the
+        index references but the store never held is index/store
+        inconsistency, not a transient fault.
         """
+        actual, wanted = self.plan[self.visited]
+        self.visited += 1
+        self._mark()
         try:
             part = self._index.dfs.read_partition(actual)
             present: list[str] = []
             other: list[str] = []
             for key in part.cluster_keys():
                 (present if key in wanted else other).append(key)
-            run = None
-            if present:
-                # One cluster-range read per partition: with format v2 the
-                # handle maps the payload once and slices the runs these
-                # keys cover (adjacent clusters coalesce).  Lazy checksum
-                # verification fires here.
-                run = part.read_clusters(present)
-        except PartitionNotFoundError:
-            raise
-        except StorageError:
-            if self._on_failure != "skip":
+            # One cluster-range read per partition: with format v2 the
+            # handle maps the payload once and slices the runs these keys
+            # cover (adjacent clusters coalesce).  Lazy checksum
+            # verification fires here.
+            run = part.read_clusters(present) if present else None
+        except StorageError as err:
+            if not self._skip_failures or isinstance(err, PartitionNotFoundError):
                 raise
-            self.failed.append(actual)
+            self._failed.append(actual)
+            self._charge("read")
             return None
-        self.loaded.append(actual)
-        self.data_bytes += part.nbytes
-        if run is not None:
-            self.runs.append(run)
+        self._loaded.append(actual)
+        self._data_bytes += part.nbytes
         cost = self._index._partition_scan_cost(part)
         if other:
             # Remember the rest of the partition for the within-partition
@@ -253,22 +314,21 @@ class _PartitionReads:
             self._fallback_pool.append(
                 (actual, part, other, cost, run is not None)
             )
-        self.scan_costs.append(cost)
-        return run
+        self._scan_costs.append(cost)
+        self._charge("read")
+        return None if run is None else self._score(run)
 
-    def expand_within_partitions(self, k: int) -> bool:
+    def _expand_within_partitions(self) -> bool:
         """Fold in the visited partitions' other clusters when the targeted
         ones hold fewer than ``k`` records; whether that happened."""
-        n_targeted = sum(ids.shape[0] for ids, _ in self.runs)
-        if n_targeted >= k or not self._fallback_pool:
+        n_targeted = sum(ids.shape[0] for ids, _ in self._scored)
+        if n_targeted >= self.k or not self._fallback_pool:
             return False
         for actual, part, other, cost, contributed in self._fallback_pool:
             try:
                 run = part.read_clusters(other)
-            except PartitionNotFoundError:
-                raise
-            except StorageError:
-                if self._on_failure != "skip":
+            except StorageError as err:
+                if not self._skip_failures or isinstance(err, PartitionNotFoundError):
                     raise
                 if not contributed:
                     # The partition contributed nothing usable after all:
@@ -276,33 +336,85 @@ class _PartitionReads:
                     # failed.  (A partition whose *targeted* clusters were
                     # already folded in stays loaded — only its expansion
                     # read degraded.)
-                    self.loaded.remove(actual)
-                    self.failed.append(actual)
-                    self.data_bytes -= part.nbytes
-                    self.scan_costs.remove(cost)
+                    self._loaded.remove(actual)
+                    self._failed.append(actual)
+                    self._data_bytes -= part.nbytes
+                    self._scan_costs.remove(cost)
                 continue
-            self.runs.append(run)
+            self._charge("read")
+            self._score(run)
         return True
 
-    def refine(
-        self, query: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Exact top-k over everything read: ``(ids, distances, examined)``.
+    def finish(self, t0: float) -> QueryResult:
+        """Expand if short, select the top-k, account; the walk's answer.
 
-        A lone run goes to the kernel as the mapped view it is; only
-        several runs are stacked.  The answer owns its memory either way
-        (the kernel gathers the chosen rows into fresh arrays).
+        Planned partitions not yet visited are reported as forgone.  The
+        answer owns its memory: selection gathers the chosen rows into
+        fresh arrays, nothing in it aliases a mapped partition.
         """
-        if not self.runs:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64), 0)
-        if len(self.runs) == 1:
-            all_ids, all_vals = self.runs[0]
-        else:
-            all_ids = np.concatenate([ids for ids, _ in self.runs])
-            all_vals = np.vstack([values for _, values in self.runs])
-        ids, dists = knn_bruteforce(query, all_vals, all_ids, k)
-        return ids, dists, int(all_ids.shape[0])
+        index = self._index
+        probe = self._probe
+        self._mark()
+        expanded = self._expand_within_partitions()
+        self._charge("read")
+        if probe is not None and self._counters_before is not None:
+            before, after = self._counters_before, index.dfs.counters
+            probe.add_count("cache_hits", after.cache_hits - before.cache_hits)
+            probe.add_count(
+                "cache_misses", after.cache_misses - before.cache_misses
+            )
+
+        # Refinement is a selection over 16 bytes a record; no series is
+        # copied, stacked or read again.
+        ids = np.empty(0, dtype=np.int64)
+        dists = np.empty(0, dtype=np.float64)
+        examined = 0
+        if self._scored:
+            all_ids = np.concatenate([run_ids for run_ids, _ in self._scored])
+            scores = np.concatenate([run for _, run in self._scored])
+            chosen, dists = knn_select(scores, all_ids, self.k, self.query_sq)
+            ids = all_ids[chosen]
+            examined = all_ids.shape[0]
+        if probe is not None:
+            self._charge("refine")
+            probe.add_count("candidates_scored", examined)
+
+        scan = ClusterSimulator(index.model).run_stage(
+            "query/scan", self._scan_costs
+        )
+        primary = self._primary
+        stats = QueryStats(
+            variant=self._variant,
+            k=self.k,
+            best_od=primary.od,
+            group_ids=tuple(c.entry.group_id for c in self._candidates),
+            path_len=primary.path_len,
+            gn_size=primary.gn.count,
+            n_selected_nodes=len(self._selected),
+            partitions_loaded=tuple(self._loaded),
+            data_bytes=self._data_bytes,
+            records_examined=examined,
+            expanded_within_partition=expanded,
+            sim_seconds=index._route_sim_seconds + scan.sim_seconds,
+            wall_seconds=time.perf_counter() - t0,
+            partitions_failed=tuple(self._failed),
+            partitions_forgone=tuple(
+                actual for actual, _ in self.plan[self.visited:]
+            ),
+        )
+        tel = index._tel
+        if tel.enabled:
+            tel.record_query(stats, probe)
+        return QueryResult(ids, dists, stats)
+
+
+def _partition_record_counts(dfs) -> list[int]:
+    """Records per stored partition: DFS header metadata when it keeps
+    any (no payload read), else one partition open each."""
+    count = getattr(dfs, "record_count", None)
+    if count is None:
+        return [dfs.read_partition(p).record_count for p in dfs.list_partitions()]
+    return [count(p) for p in dfs.list_partitions()]
 
 
 class ClimberIndex:
@@ -318,6 +430,16 @@ class ClimberIndex:
             config.prefix_length, config.decay, config.decay_rate
         )
         self._routing = RoutingTable(artifacts.skeleton, self._weights)
+        # Simulated cost of a query's driver-side routing: the signature of
+        # one query object plus a linear scan of the group list.  Fixed per
+        # index (``append`` never changes the group list) and independent
+        # of the data volume, so it is *not* scaled by cost_scale (the
+        # group list grows only with the signature space, paper §VII-B).
+        self._route_sim_seconds = model.task_time(TaskCost(cpu_ops=int(
+            ops_signature(config.n_pivots, config.word_length,
+                          config.prefix_length)
+            + len(artifacts.skeleton.groups) * config.prefix_length * 8
+        )))
         #: Offline-calibrated early-stopping curve (progressive queries).
         #: ``None`` until :meth:`attach_calibration` loads one; confidence
         #: mode then falls back to the conservative built-in prior.
@@ -522,13 +644,6 @@ class ClimberIndex:
                                   config.decay_rate),
             rng=np.random.default_rng(config.seed),
         )
-        record_count = getattr(dfs, "record_count", None)
-        if record_count is not None:
-            n_records = sum(record_count(p) for p in dfs.list_partitions())
-        else:
-            n_records = sum(
-                dfs.read_partition(p).record_count for p in dfs.list_partitions()
-            )
         artifacts = BuildArtifacts(
             skeleton=skeleton,
             pivots=loaded.pivots,
@@ -536,7 +651,7 @@ class ClimberIndex:
             assigner=assigner,
             sim_report=SimReport(),
             wall_seconds=0.0,
-            n_records=n_records,
+            n_records=sum(_partition_record_counts(dfs)),
         )
         return cls(artifacts, config, model)
 
@@ -617,16 +732,7 @@ class ClimberIndex:
         from DFS metadata when available, so no payloads are read.
         """
         skeleton = self._art.skeleton
-        record_count = getattr(self.dfs, "record_count", None)
-        if record_count is not None:
-            partition_records = [
-                record_count(p) for p in self.dfs.list_partitions()
-            ]
-        else:
-            partition_records = [
-                self.dfs.read_partition(p).record_count
-                for p in self.dfs.list_partitions()
-            ]
+        partition_records = _partition_record_counts(self.dfs)
         group_sizes = sorted(
             (g.est_size for g in skeleton.groups), reverse=True
         )
@@ -760,12 +866,7 @@ class ClimberIndex:
         k: int,
         adaptive_factor: int | None,
     ) -> list[tuple[GroupEntry, TrieNode]]:
-        """Stage 3: the per-variant trie-node selection.
-
-        Shared by :meth:`knn` and :meth:`knn_progressive` so both paths
-        plan from exactly the same node set (the progressive parity
-        oracle depends on it).
-        """
+        """Stage 3: the per-variant trie-node selection."""
         if variant == "od-smallest":
             return [(c.entry, c.entry.trie) for c in candidates]
         if variant == "adaptive":
@@ -852,9 +953,13 @@ class ClimberIndex:
         )
 
     @staticmethod
-    def _validate_query_args(k: int, variant: str) -> None:
-        if k < 1:
-            raise ConfigurationError("k must be >= 1")
+    def check_query_args(k: int, variant: str) -> None:
+        """Refuse a ``k`` that is not an integer >= 1 (Python or NumPy
+        integer, not ``bool``) or an unknown ``variant``; every query entry
+        point, :meth:`QueryService.submit` included, calls this first."""
+        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                or k < 1):
+            raise ConfigurationError(f"k must be an integer >= 1, got {k!r}")
         if variant not in ("knn", "adaptive", "od-smallest"):
             raise ConfigurationError(f"unknown variant {variant!r}")
 
@@ -862,17 +967,24 @@ class ClimberIndex:
         """``queries`` as a validated ``(q, n)`` float64 matrix.
 
         The one gate every query entry point passes before any routing or
-        DFS read: a 1-D series or a 2-D batch, of the indexed length, all
-        values finite.  Raises :class:`DimensionalityError` on a shape
-        mismatch and :class:`NonFiniteValueError` on NaN/inf, naming the
-        first offending row.
+        DFS read: a 1-D series or a 2-D batch, of the indexed length, real
+        numbers (float, signed or unsigned integer dtypes — complex,
+        boolean, string and object arrays are refused, never cast), all
+        values finite.  Raises :class:`DimensionalityError` on a dtype or
+        shape mismatch and :class:`NonFiniteValueError` on NaN/inf, naming
+        the first offending row.
         """
         try:
-            arr = np.asarray(queries, dtype=np.float64)
+            arr = np.asarray(queries)
         except (TypeError, ValueError) as err:
             raise DimensionalityError(
                 f"queries are not a numeric array: {err}"
             ) from None
+        if arr.dtype.kind not in "fiu":
+            raise DimensionalityError(
+                f"queries are not a real-numeric array: dtype {arr.dtype}"
+            )
+        arr = arr.astype(np.float64, copy=False)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
@@ -952,10 +1064,31 @@ class ClimberIndex:
             ``query`` is not one finite series of the indexed length
             (see :meth:`check_queries`); nothing has been read by then.
         """
-        self._validate_query_args(k, variant)
+        return self._knn_routed(*self._start_walk(
+            query, k, variant, adaptive_factor, on_partition_failure, _probe
+        ))
+
+    def _start_walk(
+        self,
+        query: np.ndarray,
+        k: int,
+        variant: str,
+        adaptive_factor: int | None,
+        on_partition_failure: str | None,
+        probe: QueryProbe | None,
+    ) -> tuple[_RoutedWalk, float]:
+        """Validate, route and plan one query; its walk and its clock.
+
+        Stages 1-3 run here, eagerly — signature, routing and primary
+        selection consume the index RNG stream the same way for
+        :meth:`knn` and :meth:`knn_progressive` — and nothing has been
+        read when this returns.
+        """
+        self.check_query_args(k, variant)
         on_failure = self._resolve_on_failure(on_partition_failure)
         query = self.check_query(query)
-        probe = _probe if _probe is not None else self._tel.probe()
+        if probe is None:
+            probe = self._tel.probe()
         t0 = time.perf_counter()
         od_slack = 1 if variant == "adaptive" else 0
         if probe is None:
@@ -966,11 +1099,9 @@ class ClimberIndex:
                 ranked = self.query_signature(query)
             with probe.stage("route"):
                 candidates = self.group_candidates(ranked, od_slack=od_slack)
-        return self._knn_routed(
-            query, k, variant, adaptive_factor, candidates, t0,
-            probe=probe,
-            on_failure=on_failure,
-        )
+        walk = _RoutedWalk(self, query, k, variant, adaptive_factor,
+                           candidates, None, probe, on_failure)
+        return walk, t0
 
     def knn_batch(
         self,
@@ -1006,27 +1137,59 @@ class ClimberIndex:
         ``cache_hits``/``cache_misses`` split may shift with worker
         interleaving, as any real cache's would.
         """
-        self._validate_query_args(k, variant)
+        return self._walk_rows(
+            queries, k, variant, adaptive_factor, on_partition_failure,
+            _probes, self._knn_routed,
+        )
+
+    def _walk_rows(
+        self,
+        queries: np.ndarray,
+        k: int,
+        variant: str,
+        adaptive_factor: int | None,
+        on_partition_failure: str | None,
+        probes: list[QueryProbe] | None,
+        drive,
+    ) -> list:
+        """The batch calls' body: route every row, ``drive(walk, t0)`` each.
+
+        Rows run as shards on the configured executor; explicitly probed
+        batches (``explain_query``) run serially so per-row DFS
+        cache-delta attribution is exact — concurrent shards would
+        interleave hits/misses across rows.
+        """
+        self.check_query_args(k, variant)
         on_failure = self._resolve_on_failure(on_partition_failure)
         arr = self.check_queries(queries)
         if arr.shape[0] == 0:
             return []
-        probes, candidates_of, primaries, shared_share = self._route_batch(
-            arr, variant, _probes
+        row_probes, candidates_of, primaries, shared_share = self._route_batch(
+            arr, variant, probes
         )
 
-        def answer_row(i):
-            return self._knn_routed(
-                arr[i], k, variant, adaptive_factor, candidates_of[i],
-                time.perf_counter() - shared_share,
-                primary=primaries[i],
-                probe=probes[i],
-                on_failure=on_failure,
+        def run_shard(span):
+            answers = []
+            for i in range(*span):
+                t0 = time.perf_counter() - shared_share
+                walk = _RoutedWalk(
+                    self, arr[i], k, variant, adaptive_factor,
+                    candidates_of[i], primaries[i], row_probes[i], on_failure,
+                )
+                answers.append(drive(walk, t0))
+            return answers
+
+        cfg = self.config
+        executor = make_executor(
+            "serial" if probes is not None else cfg.executor,
+            cfg.effective_n_workers, require_shared_memory=True,
+        )
+        with executor:
+            shards = executor.map(
+                self._tel.wrap_tasks("query.shard", run_shard),
+                split_ranges(arr.shape[0], _QUERY_SHARD_ROWS),
             )
-
-        return self._run_row_shards(
-            arr.shape[0], answer_row, serial=_probes is not None
-        )
+        return [answer for shard in shards for answer in shard]
 
     def _route_batch(
         self,
@@ -1108,150 +1271,11 @@ class ClimberIndex:
         return (probes, candidates_of, primaries,
                 (time.perf_counter() - t0) / n_rows)
 
-    def _run_row_shards(self, n_rows: int, answer_row, serial: bool) -> list:
-        """Answer rows ``0..n_rows`` as shards on the configured executor.
-
-        ``serial`` is set for explicitly probed batches (``explain_query``)
-        so per-row DFS cache-delta attribution is exact — concurrent
-        shards would interleave hits/misses across rows.
-        """
-        cfg = self.config
-        if serial:
-            executor = SerialExecutor()
-        else:
-            executor = make_executor(cfg.executor, cfg.effective_n_workers,
-                                     require_shared_memory=True)
-
-        def run_shard(span):
-            return [answer_row(i) for i in range(*span)]
-
-        with executor:
-            shards = executor.map(
-                self._tel.wrap_tasks("query.shard", run_shard),
-                split_ranges(n_rows, _QUERY_SHARD_ROWS),
-            )
-        return [result for shard in shards for result in shard]
-
-    def _knn_routed(
-        self,
-        query: np.ndarray,
-        k: int,
-        variant: str,
-        adaptive_factor: int | None,
-        candidates: list[GroupCandidate],
-        t0: float,
-        primary: GroupCandidate | None = None,
-        probe: QueryProbe | None = None,
-        on_failure: str = "raise",
-    ) -> QueryResult:
-        """Stages 3-4 of the pipeline: node selection + record scan.
-
-        ``primary`` may be precomputed by the caller (the batch pipeline
-        selects primaries for all rows serially, pinning the RNG stream,
-        before fanning the RNG-free remainder out to worker shards);
-        when omitted it is selected here, consuming ``self._rng``.
-
-        ``probe`` (when given) collects the select/read/refine stage
-        timings and the per-query DFS cache hit/miss delta.  Probing is
-        observation only — the answer set, stats and counters are
-        bit-identical with or without it; the cache delta is exact when
-        rows run serially and approximate under concurrent shards (other
-        rows' hits/misses interleave, as any shared cache's do).
-
-        ``on_failure="skip"`` degrades gracefully: a partition whose read
-        (or whose later payload materialisation — lazy checksum
-        verification fires on the first cluster read) raises a
-        :class:`~repro.exceptions.StorageError` is dropped from the
-        candidate set and recorded in ``stats.partitions_failed`` instead
-        of aborting the query.  :class:`PartitionNotFoundError` is never
-        skipped — a referenced-but-absent partition is index/store
-        inconsistency, not a transient fault.
-        """
-        sim = ClusterSimulator(self.model)
-        cfg = self.config
-        if probe is not None:
-            t_mark = time.perf_counter()
-        if primary is None:
-            primary = self.select_primary(candidates)
-
-        # Driver-side routing: signature of one query object plus a linear
-        # scan of the group list.  Independent of the data volume, so it is
-        # *not* scaled by cost_scale (the group list itself grows only with
-        # the signature space, paper §VII-B).
-        sim.run_driver_step(
-            "query/route",
-            TaskCost(
-                cpu_ops=int(
-                    ops_signature(cfg.n_pivots, cfg.word_length, cfg.prefix_length)
-                    + self.n_groups * cfg.prefix_length * 8
-                )
-            ),
-        )
-
-        selected = self._select_nodes(
-            variant, primary, candidates, k, adaptive_factor
-        )
-        to_load = self._plan_partition_reads(selected)
-
-        if probe is not None:
-            now = time.perf_counter()
-            probe.add_stage("select", now - t_mark)
-            t_mark = now
-            counters_before = getattr(self.dfs, "counters", None)
-
-        reads = _PartitionReads(self, on_failure)
-        for pname in sorted(to_load):
-            wanted = set(to_load[pname])
-            # Base partition plus any delta partitions appended later.
-            physical = ([pname] if self.dfs.has_partition(pname) else [])
-            physical += self._delta_names(pname)
-            for actual in physical:
-                reads.visit(actual, wanted)
-        expanded = reads.expand_within_partitions(k)
-
-        if probe is not None:
-            now = time.perf_counter()
-            probe.add_stage("read", now - t_mark)
-            t_mark = now
-            if counters_before is not None:
-                counters_after = self.dfs.counters
-                probe.add_count(
-                    "cache_hits",
-                    counters_after.cache_hits - counters_before.cache_hits,
-                )
-                probe.add_count(
-                    "cache_misses",
-                    counters_after.cache_misses - counters_before.cache_misses,
-                )
-
-        ids, dists, examined = reads.refine(query, k)
-
-        if probe is not None:
-            probe.add_stage("refine", time.perf_counter() - t_mark)
-            probe.add_count("candidates_scored", examined)
-
-        sim.run_stage("query/scan", reads.scan_costs)
-        report = sim.fresh_report()
-        stats = QueryStats(
-            variant=variant,
-            k=k,
-            best_od=primary.od,
-            group_ids=tuple(c.entry.group_id for c in candidates),
-            path_len=primary.path_len,
-            gn_size=primary.gn.count,
-            n_selected_nodes=len(selected),
-            partitions_loaded=tuple(reads.loaded),
-            data_bytes=reads.data_bytes,
-            records_examined=examined,
-            expanded_within_partition=expanded,
-            sim_seconds=report.total_seconds,
-            wall_seconds=time.perf_counter() - t0,
-            partitions_failed=tuple(reads.failed),
-        )
-        tel = self._tel
-        if tel.enabled:
-            tel.record_query(stats, probe)
-        return QueryResult(ids, dists, stats)
+    def _knn_routed(self, walk: _RoutedWalk, t0: float) -> QueryResult:
+        """Stage 4 of the pipeline: run the planned walk to its end."""
+        for _ in walk.plan:
+            walk.visit()
+        return walk.finish(t0)
 
     # -- progressive queries -----------------------------------------------------------
 
@@ -1278,9 +1302,7 @@ class ClimberIndex:
     ) -> StopRule | None:
         """Knob resolution: explicit arg → config → env → ``"off"``."""
         if early_stop is None:
-            spec: object = self.config.effective_early_stop
-        else:
-            spec = early_stop
+            early_stop = self.config.effective_early_stop
         if confidence is not None and not 0.0 < confidence < 1.0:
             raise ConfigurationError(
                 f"confidence must be in (0, 1), got {confidence!r}"
@@ -1289,7 +1311,7 @@ class ClimberIndex:
             confidence if confidence is not None
             else self.config.early_stop_confidence
         )
-        return resolve_stop_rule(spec, conf, self.calibration)
+        return resolve_stop_rule(early_stop, conf, self.calibration)
 
     def knn_progressive(
         self,
@@ -1311,9 +1333,10 @@ class ClimberIndex:
         final update carrying the full :class:`QueryStats`.  With
         ``early_stop`` disabled the final update is **bit-identical** to
         :meth:`knn` — same ids, distances, stats fields (bar
-        ``wall_seconds``) and logical DFS counters — because both paths
-        share the planner and the final answer is recomputed over the
-        candidate set concatenated in :meth:`knn`'s canonical order.
+        ``wall_seconds``) and logical DFS counters — because both calls
+        drive the one routed walk: every record is scored once, when its
+        run is read, and both answers are the same selection over the
+        same scores.
 
         Parameters beyond :meth:`knn`'s
         ------------------------------
@@ -1334,28 +1357,11 @@ class ClimberIndex:
         (consuming the index RNG stream exactly like :meth:`knn`); only
         the partition visits are lazy.
         """
-        self._validate_query_args(k, variant)
-        on_failure = self._resolve_on_failure(on_partition_failure)
         rule = self._resolve_stop_rule(early_stop, confidence)
-        query = self.check_query(query)
-        probe = _probe if _probe is not None else self._tel.probe()
-        t0 = time.perf_counter()
-        od_slack = 1 if variant == "adaptive" else 0
-        if probe is None:
-            ranked = self.query_signature(query)
-            candidates = self.group_candidates(ranked, od_slack=od_slack)
-        else:
-            with probe.stage("signature"):
-                ranked = self.query_signature(query)
-            with probe.stage("route"):
-                candidates = self.group_candidates(ranked, od_slack=od_slack)
-        primary = self.select_primary(candidates)
-        return self._knn_progressive_routed(
-            query, k, variant, adaptive_factor, candidates, t0, rule,
-            primary=primary,
-            probe=probe,
-            on_failure=on_failure,
+        walk, t0 = self._start_walk(
+            query, k, variant, adaptive_factor, on_partition_failure, _probe
         )
+        return self._stream_walk(walk, rule, t0)
 
     def knn_batch_progressive(
         self,
@@ -1380,247 +1386,125 @@ class ClimberIndex:
         the answer, its stats and the forgone coverage.  With stopping
         disabled every row is bit-identical to :meth:`knn_batch`.
         """
-        self._validate_query_args(k, variant)
-        on_failure = self._resolve_on_failure(on_partition_failure)
         rule = self._resolve_stop_rule(early_stop, confidence)
-        arr = self.check_queries(queries)
-        if arr.shape[0] == 0:
-            return []
-        probes, candidates_of, primaries, shared_share = self._route_batch(
-            arr, variant, _probes
-        )
 
-        def answer_row(i):
+        def drain(walk, t0):
             final = None
-            for final in self._knn_progressive_routed(
-                arr[i], k, variant, adaptive_factor, candidates_of[i],
-                time.perf_counter() - shared_share, rule,
-                primary=primaries[i],
-                probe=probes[i],
-                on_failure=on_failure,
-            ):
+            for final in self._stream_walk(walk, rule, t0):
                 pass
             return final
 
-        return self._run_row_shards(
-            arr.shape[0], answer_row, serial=_probes is not None
+        return self._walk_rows(
+            queries, k, variant, adaptive_factor, on_partition_failure,
+            _probes, drain,
         )
 
-    def _knn_progressive_routed(
-        self,
-        query: np.ndarray,
-        k: int,
-        variant: str,
-        adaptive_factor: int | None,
-        candidates: list[GroupCandidate],
-        t0: float,
-        rule: StopRule | None,
-        primary: GroupCandidate | None = None,
-        probe: QueryProbe | None = None,
-        on_failure: str = "raise",
+    def _stream_walk(
+        self, walk: _RoutedWalk, rule: StopRule | None, t0: float
     ) -> Iterator[ProgressiveUpdate]:
-        """The progressive walk over :meth:`_knn_routed`'s exact plan.
+        """Drive ``walk`` one visit at a time, yielding the running top-k.
 
-        Parity discipline: planning (``_select_nodes`` +
-        ``_plan_partition_reads``) replicates ``_knn_routed`` statement
-        for statement; the per-partition read/skip semantics, the
-        within-partition expansion and the final refinement are the same
-        :class:`_PartitionReads` code.  Intermediate top-k states come
-        from per-partition ``knn_bruteforce`` merged via ``knn_merge``
-        (exact over the candidates seen so far); the *final* answer is
-        recomputed from the candidate arrays concatenated in the canonical
-        visit order — the identical computation ``_knn_routed`` performs —
-        so full-coverage runs are bit-identical to :meth:`knn` down to the
-        distance ulps.
+        The running top-k is kept from the scores each visit already
+        produced — a visit whose best record lies beyond the current k-th
+        neighbour touches nothing — and is exact over the records seen so
+        far.  The final update is :meth:`_RoutedWalk.finish`'s selection
+        over those same scores: with stopping off it is what
+        :meth:`_knn_routed` returns for the same plan, bit for bit; after
+        an early stop it equals the last running top-k.
         """
-        sim = ClusterSimulator(self.model)
-        cfg = self.config
-        if probe is not None:
-            t_mark = time.perf_counter()
-        if primary is None:
-            primary = self.select_primary(candidates)
-
-        sim.run_driver_step(
-            "query/route",
-            TaskCost(
-                cpu_ops=int(
-                    ops_signature(cfg.n_pivots, cfg.word_length, cfg.prefix_length)
-                    + self.n_groups * cfg.prefix_length * 8
-                )
-            ),
-        )
-
-        selected = self._select_nodes(
-            variant, primary, candidates, k, adaptive_factor
-        )
-        to_load = self._plan_partition_reads(selected)
-
-        # The routed plan as physical partitions, in exactly the order
-        # _knn_routed's read loop visits them: sorted base names, each
-        # base (when present) before its delta partitions.
-        plan: list[tuple[str, str]] = []
-        for pname in sorted(to_load):
-            physical = ([pname] if self.dfs.has_partition(pname) else [])
-            physical += self._delta_names(pname)
-            for actual in physical:
-                plan.append((pname, actual))
-        n_planned = len(plan)
-
-        if probe is not None:
-            now = time.perf_counter()
-            probe.add_stage("select", now - t_mark)
-            counters_before = getattr(self.dfs, "counters", None)
-
-        reads = _PartitionReads(self, on_failure)
-        run_ids = np.empty(0, dtype=np.int64)
-        run_dists = np.empty(0, dtype=np.float64)
+        k = walk.k
+        query_sq = walk.query_sq
+        n_planned = len(walk.plan)
+        top_ids = np.empty(0, dtype=np.int64)
+        top_scores = top_dists = np.empty(0, dtype=np.float64)
+        kth = float("inf")
         stable = 0
-        visited = 0
         stopped = False
 
-        for pname, actual in plan:
-            if probe is not None:
-                t_read = time.perf_counter()
-            run = reads.visit(actual, set(to_load[pname]))
-            if probe is not None:
-                probe.add_stage("read", time.perf_counter() - t_read)
-            visited += 1
-
-            prev_kth = (
-                float(run_dists[k - 1])
-                if run_dists.shape[0] >= k else float("inf")
-            )
+        while walk.visited < n_planned:
+            scored = walk.visit()
+            prev_kth = kth
             new_neighbors = 0
-            changed = False
-            if run is not None and run[0].shape[0]:
-                part_ids, part_d = knn_bruteforce(query, run[1], run[0], k)
-                new_ids, new_d = knn_merge(
-                    [(run_ids, run_dists), (part_ids, part_d)], k
+            if scored is not None and (
+                np.sqrt(max(scored[1].min() + query_sq, 0.0)) <= kth
+            ):
+                cand_ids = np.concatenate((top_ids, scored[0]))
+                cand_scores = np.concatenate((top_scores, scored[1]))
+                chosen, top_dists = knn_select(cand_scores, cand_ids, k, query_sq)
+                new_neighbors = int(
+                    np.count_nonzero(chosen >= top_ids.shape[0])
                 )
-                entered = np.isin(new_ids, run_ids, invert=True)
-                new_neighbors = int(np.count_nonzero(entered))
-                changed = not (
-                    new_ids.shape[0] == run_ids.shape[0]
-                    and np.array_equal(new_ids, run_ids)
-                )
-                run_ids, run_dists = new_ids, new_d
-            kth = (
-                float(run_dists[k - 1])
-                if run_dists.shape[0] >= k else float("inf")
-            )
-            # A failed (skipped) partition cannot improve the answer, so
-            # it counts toward the stable streak like an unchanged read.
-            stable = 0 if changed else stable + 1
+                top_ids = cand_ids[chosen]
+                top_scores = cand_scores[chosen]
+                if top_ids.shape[0] >= k:
+                    kth = float(top_dists[k - 1])
+            # A visit that let no record in — an unreadable (skipped)
+            # partition included — extends the stable streak.
+            stable = 0 if new_neighbors else stable + 1
             if np.isfinite(prev_kth) and prev_kth > 0 and kth < prev_kth:
                 improvement = (prev_kth - kth) / prev_kth
             else:
                 improvement = 0.0
 
             yield ProgressiveUpdate(
-                ids=run_ids,
-                distances=run_dists,
+                ids=top_ids,
+                distances=top_dists,
                 k=k,
-                partitions_visited=visited,
+                partitions_visited=walk.visited,
                 partitions_planned=n_planned,
                 new_neighbors=new_neighbors,
                 kth_distance=kth,
                 improvement=improvement,
                 stable_steps=stable,
-                stability=stable / visited,
+                stability=stable / walk.visited,
                 done=False,
             )
             if rule is not None and rule.should_stop(
-                run_ids.shape[0] >= k, visited, stable
+                top_ids.shape[0] >= k, walk.visited, stable
             ):
                 # A rule firing on the last planned partition forgoes
                 # nothing — that is a full-coverage answer, not an early
                 # stop, so the flag (and the early_stops counter) stays
                 # down.
-                stopped = visited < n_planned
+                stopped = walk.visited < n_planned
                 break
 
-        forgone = tuple(actual for _, actual in plan[visited:])
-
-        # Within-partition expansion, exactly as _knn_routed applies it.
         # The stop rule requires k answers in hand, and fewer than k
-        # targeted records means fewer than k in hand, so an early-stopped
-        # walk can never reach this with a truthy trigger — the expansion
-        # only ever runs at full coverage, where it must mirror knn.
-        if probe is not None:
-            t_read = time.perf_counter()
-        expanded = reads.expand_within_partitions(k)
-        if expanded and probe is not None:
-            probe.add_stage("read", time.perf_counter() - t_read)
-
-        if probe is not None:
-            if counters_before is not None:
-                counters_after = self.dfs.counters
-                probe.add_count(
-                    "cache_hits",
-                    counters_after.cache_hits - counters_before.cache_hits,
-                )
-                probe.add_count(
-                    "cache_misses",
-                    counters_after.cache_misses - counters_before.cache_misses,
-                )
-            t_mark = time.perf_counter()
-
-        # Final answer: the canonical concatenated refinement — the same
-        # arrays in the same order _knn_routed concatenates, so the
-        # distances match knn's to the bit (BLAS reduction order and all).
-        ids, dists, examined = reads.refine(query, k)
-
-        if probe is not None:
-            probe.add_stage("refine", time.perf_counter() - t_mark)
-            probe.add_count("candidates_scored", examined)
-
-        sim.run_stage("query/scan", reads.scan_costs)
-        report = sim.fresh_report()
-        stats = QueryStats(
-            variant=variant,
-            k=k,
-            best_od=primary.od,
-            group_ids=tuple(c.entry.group_id for c in candidates),
-            path_len=primary.path_len,
-            gn_size=primary.gn.count,
-            n_selected_nodes=len(selected),
-            partitions_loaded=tuple(reads.loaded),
-            data_bytes=reads.data_bytes,
-            records_examined=examined,
-            expanded_within_partition=expanded,
-            sim_seconds=report.total_seconds,
-            wall_seconds=time.perf_counter() - t0,
-            partitions_failed=tuple(reads.failed),
-            partitions_forgone=forgone,
-        )
-        tel = self._tel
-        if tel.enabled:
-            tel.record_query(stats, probe)
-            tel.record_progressive(stats, visited, n_planned, stopped)
+        # targeted records means fewer than k in hand, so the walk's
+        # within-partition expansion only ever runs at full coverage.
+        result = walk.finish(t0)
+        stats = result.stats
+        visited = walk.visited
+        if self._tel.enabled:
+            self._tel.record_progressive(stats, visited, n_planned, stopped)
         yield ProgressiveUpdate(
-            ids=ids,
-            distances=dists,
+            ids=result.ids,
+            distances=result.distances,
             k=k,
             partitions_visited=visited,
             partitions_planned=n_planned,
             new_neighbors=0,
             kth_distance=(
-                float(dists[k - 1]) if dists.shape[0] >= k else float("inf")
+                float(result.distances[k - 1])
+                if result.distances.shape[0] >= k else float("inf")
             ),
             improvement=0.0,
             stable_steps=stable,
             stability=stable / visited if visited else 1.0,
             done=True,
             stopped_early=stopped,
-            partitions_forgone=forgone,
+            partitions_forgone=stats.partitions_forgone,
             stats=stats,
         )
 
     # -- observability surface ---------------------------------------------------------
 
     @staticmethod
-    def _explain_entry(result: QueryResult, probe: QueryProbe) -> dict:
-        """One query's structured breakdown (explain_query response body)."""
+    def _explain_entry(
+        result: QueryResult | ProgressiveUpdate, probe: QueryProbe
+    ) -> dict:
+        """One query's structured breakdown (explain_query response body);
+        ``result`` is a :class:`QueryResult` or a final progressive update."""
         stats = result.stats
         return {
             "variant": stats.variant,
@@ -1733,69 +1617,49 @@ class ClimberIndex:
         is a probed query, not a dry run.  Batch rows execute serially so
         each row's cache delta is attributed exactly.
         """
-        arr = np.asarray(query, dtype=np.float64)
+        arr = np.asarray(query)
         run_progressive = progressive or early_stop is not None
-        if arr.ndim == 1:
-            probe = QueryProbe()
-            if run_progressive:
+        mode = "knn" if arr.ndim == 1 else "knn_batch"
+        shared_stages: list[str] = []
+        if run_progressive:
+            mode += "_progressive"
+            entries = []
+            for row in self.check_queries(arr):
+                # Per-row walks compute their own signatures/routes, so
+                # nothing is amortised across rows here.
+                probe = QueryProbe()
                 updates = list(self.knn_progressive(
-                    arr, k, variant, adaptive_factor,
+                    row, k, variant, adaptive_factor,
                     on_partition_failure=on_partition_failure,
                     early_stop=early_stop, confidence=confidence,
                     _probe=probe,
                 ))
-                final = updates[-1]
-                result = QueryResult(final.ids, final.distances, final.stats)
-                entry = self._explain_entry(result, probe)
-                entry["schema"] = OBS_SCHEMA
-                entry["mode"] = "knn_progressive"
+                entry = self._explain_entry(updates[-1], probe)
                 entry["progressive"] = self._explain_progressive(updates)
-                return entry
+                entries.append(entry)
+        elif arr.ndim == 1:
+            probe = QueryProbe()
             result = self.knn(arr, k, variant, adaptive_factor,
                               on_partition_failure=on_partition_failure,
                               _probe=probe)
-            entry = self._explain_entry(result, probe)
-            entry["schema"] = OBS_SCHEMA
-            entry["mode"] = "knn"
-            return entry
-        if run_progressive:
-            entries = []
-            for i in range(arr.shape[0]):
-                probe = QueryProbe()
-                updates = list(self.knn_progressive(
-                    arr[i], k, variant, adaptive_factor,
-                    on_partition_failure=on_partition_failure,
-                    early_stop=early_stop, confidence=confidence,
-                    _probe=probe,
-                ))
-                final = updates[-1]
-                result = QueryResult(final.ids, final.distances, final.stats)
-                entry = self._explain_entry(result, probe)
-                entry["progressive"] = self._explain_progressive(updates)
-                entries.append(entry)
-            return {
-                "schema": OBS_SCHEMA,
-                "mode": "knn_batch_progressive",
-                "batch_size": len(entries),
-                # Per-row walks compute their own signatures/routes, so
-                # nothing is amortised across rows here.
-                "shared_stages": [],
-                "queries": entries,
-                "totals": self._explain_totals(entries),
-            }
-        probes = [QueryProbe() for _ in range(arr.shape[0])]
-        results = self.knn_batch(arr, k, variant, adaptive_factor,
-                                 on_partition_failure=on_partition_failure,
-                                 _probes=probes)
-        entries = [
-            self._explain_entry(result, probe)
-            for result, probe in zip(results, probes)
-        ]
+            entries = [self._explain_entry(result, probe)]
+        else:
+            shared_stages = ["signature", "route"]
+            probes = [QueryProbe() for _ in range(arr.shape[0])]
+            results = self.knn_batch(arr, k, variant, adaptive_factor,
+                                     on_partition_failure=on_partition_failure,
+                                     _probes=probes)
+            entries = [
+                self._explain_entry(result, probe)
+                for result, probe in zip(results, probes)
+            ]
+        if arr.ndim == 1:
+            return {**entries[0], "schema": OBS_SCHEMA, "mode": mode}
         return {
             "schema": OBS_SCHEMA,
-            "mode": "knn_batch",
+            "mode": mode,
             "batch_size": len(entries),
-            "shared_stages": ["signature", "route"],
+            "shared_stages": shared_stages,
             "queries": entries,
             "totals": self._explain_totals(entries),
         }

@@ -19,6 +19,8 @@ __all__ = [
     "euclidean",
     "squared_euclidean",
     "pairwise_euclidean",
+    "block_scores",
+    "knn_select",
     "knn_bruteforce",
     "knn_merge",
 ]
@@ -64,43 +66,33 @@ def pairwise_euclidean(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
     return np.sqrt(squared_euclidean(queries, data))
 
 
-# Candidate sets at or below this row count skip the einsum/GEMM batch
-# machinery of squared_euclidean: profile shows its fixed setup cost
-# dominating the actual arithmetic for the small per-partition candidate
-# sets the CLIMBER query path produces.
-SMALL_SCAN_THRESHOLD = 64
+def block_scores(block: np.ndarray, neg2q: np.ndarray) -> np.ndarray:
+    """Scoring step: ``‖v‖² − 2 v·q`` for every row ``v`` of ``block``.
 
-
-def knn_bruteforce(
-    query: np.ndarray,
-    data: np.ndarray,
-    ids: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k nearest neighbours of ``query`` among the rows of ``data``.
-
-    Returns
-    -------
-    (ids, distances)
-        Both sorted ascending by distance, ties broken by id so results are
-        deterministic.  Fewer than ``k`` rows simply yields all of them.
+    That is the squared distance to ``q`` less ``‖q‖²``, a constant
+    :func:`knn_select` adds once per query rather than once per block.
+    ``block`` is a C-contiguous ``(d, n)`` float64 matrix, read as it
+    lies — a read-only view of a mapped partition is scored without a
+    copy — and ``neg2q`` is ``-2 * q``.
     """
-    d = as_matrix(data)
-    if d.shape[0] <= SMALL_SCAN_THRESHOLD:
-        q = as_matrix(query)
-        if q.shape[1] != d.shape[1]:
-            raise ValueError(
-                f"length mismatch: queries have n={q.shape[1]}, "
-                f"data n={d.shape[1]}"
-            )
-        qv = q[0]
-        # Same ||a-b||^2 expansion as squared_euclidean, via direct dot
-        # products instead of the (1, n) matrix temporaries.
-        d2 = np.dot(qv, qv) + (d * d).sum(axis=1) - 2.0 * np.dot(d, qv)
-        np.maximum(d2, 0.0, out=d2)
-    else:
-        d2 = squared_euclidean(query, d)[0]
-    ids = np.asarray(ids, dtype=np.int64)
+    scores = np.einsum("ij,ij->i", block, block)
+    scores += np.dot(block, neg2q)
+    return scores
+
+
+def knn_select(
+    scores: np.ndarray, ids: np.ndarray, k: int, query_sq: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Selection step: the ``k`` smallest ``(d², id)`` among scored rows.
+
+    ``scores`` are :func:`block_scores` values (of one block or of several,
+    concatenated) and ``d² = max(scores + query_sq, 0)``, the clip
+    absorbing floating-point cancellation.  Returns ``(positions,
+    distances)``: where the chosen rows sit in ``scores``, ascending by
+    ``(d², id)``, and their Euclidean distances.
+    """
+    d2 = scores + query_sq
+    np.maximum(d2, 0.0, out=d2)
     k_eff = min(k, d2.shape[0])
     # argpartition first: the candidate set is usually much larger than k.
     # Ties at the k-th distance would make the partition's choice arbitrary,
@@ -111,7 +103,37 @@ def knn_bruteforce(
     pool = np.flatnonzero(d2 <= boundary)
     order = np.lexsort((ids[pool], d2[pool]))[:k_eff]
     chosen = pool[order]
-    return ids[chosen], np.sqrt(d2[chosen])
+    return chosen, np.sqrt(d2[chosen])
+
+
+def knn_bruteforce(
+    query: np.ndarray,
+    data: np.ndarray,
+    ids: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest neighbours of ``query`` among the rows of ``data``.
+
+    :func:`knn_select` over :func:`block_scores` of the one block.
+
+    Returns
+    -------
+    (ids, distances)
+        Both sorted ascending by distance, ties broken by id so results are
+        deterministic.  Fewer than ``k`` rows simply yields all of them.
+    """
+    d = as_matrix(data)
+    q = as_matrix(query)
+    if q.shape[1] != d.shape[1]:
+        raise ValueError(
+            f"length mismatch: queries have n={q.shape[1]}, data n={d.shape[1]}"
+        )
+    qv = q[0]
+    ids = np.asarray(ids, dtype=np.int64)
+    chosen, dists = knn_select(
+        block_scores(d, -2.0 * qv), ids, k, np.dot(qv, qv)
+    )
+    return ids[chosen], dists
 
 
 def knn_merge(

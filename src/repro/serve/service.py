@@ -333,8 +333,9 @@ class QueryService:
         ServiceClosedError
             The service is not running, or stopped before this request
             could be dispatched.
-        DimensionalityError, NonFiniteValueError
-            ``query`` is not one finite series of the indexed length.
+        ConfigurationError, DimensionalityError, NonFiniteValueError
+            ``k`` is not an integer >= 1, ``variant`` is unknown, or
+            ``query`` is not one finite real series of the indexed length.
             Refused here, before admission, so a malformed request fails
             alone and never takes its micro-batch down with it.
         """
@@ -342,6 +343,7 @@ class QueryService:
             raise ServiceClosedError("service is not running")
         self._c_requests.inc()
         try:
+            ClimberIndex.check_query_args(k, variant)
             query = self.index.check_query(query)
         except ReproError:
             self._c_failures.inc()

@@ -3,8 +3,12 @@
 A NaN or infinite query, a batch handed to the single-query call and a
 query of the wrong length used to be *answered* (empty, ``inf`` distances
 plus a NumPy warning, a flattened 2n-long "query") or to fail with a bare
-``ValueError`` only after partitions had been read.  Every entry point
-now validates once, before any routing or DFS read.
+``ValueError`` only after partitions had been read.  A complex, boolean,
+string or object array used to be cast (imaginary part dropped under a
+``ComplexWarning``, digits parsed, a mask read as 0/1), and a fractional
+or boolean ``k`` to be truncated, read as 1, or to die in
+``np.argpartition`` after the reads.  Every entry point now validates
+once, before any routing or DFS read.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import pytest
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
 from repro.exceptions import (
+    ConfigurationError,
     DimensionalityError,
     NonFiniteValueError,
     ReproError,
@@ -58,7 +63,16 @@ def hostile_cases():
         ("too-long", np.concatenate([good(), good()]), DimensionalityError),
         ("3-d", np.zeros((1, 1, LENGTH)), DimensionalityError),
         ("not-numeric", ["a", "b"], DimensionalityError),
+        ("complex", good() + 1j, DimensionalityError),
+        ("digit-strings", good().round().astype(str), DimensionalityError),
+        ("object", good().astype(object), DimensionalityError),
+        ("bool-mask", good() > 0, DimensionalityError),
     ]
+
+
+DTYPE_CASES = ["complex", "digit-strings", "object", "bool-mask"]
+BAD_K = [2.5, np.float64(3.0), True, np.True_, "5", None, 0, -1]
+BAD_K_IDS = [repr(k) for k in BAD_K]
 
 
 CASES = hostile_cases()
@@ -118,6 +132,50 @@ def test_batch_calls_name_the_bad_row(index, entry, name, query, error):
 
 
 @pytest.mark.parametrize("entry", ["knn_batch", "knn_batch_progressive"])
+@pytest.mark.parametrize("name", DTYPE_CASES)
+def test_batch_calls_refuse_non_real_dtypes(index, entry, name):
+    query = CASES[IDS.index(name)][1]
+    batch = np.stack([query, query])
+    before = index.dfs.counters
+    with pytest.raises(DimensionalityError, match=str(batch.dtype)):
+        getattr(index, entry)(batch, 5)
+    assert index.dfs.counters == before
+
+
+@pytest.mark.parametrize("dtype", ["float16", "float32", "int8", "uint16"])
+def test_real_dtypes_are_cast_not_refused(index, dtype):
+    q = (good(6) * 4).astype(dtype)
+    want = index.knn(q.astype(np.float64), 5)
+    got = index.knn(q, 5)
+    np.testing.assert_array_equal(got.ids, want.ids)
+    np.testing.assert_array_equal(got.distances, want.distances)
+    row = index.knn_batch(np.stack([q, q]), 5)[1]
+    np.testing.assert_array_equal(row.ids, want.ids)
+
+
+@pytest.mark.parametrize("entry", ["knn", "knn_progressive", "knn_batch",
+                                   "knn_batch_progressive"])
+@pytest.mark.parametrize("k", BAD_K, ids=BAD_K_IDS)
+def test_k_must_be_a_positive_integer(index, entry, k):
+    query = good(7) if not entry.startswith("knn_batch") else np.stack(
+        [good(7), good(8)]
+    )
+    before = index.dfs.counters
+    rng_state = index._rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match="k must be an integer"):
+        getattr(index, entry)(query, k)
+    assert index.dfs.counters == before
+    assert index._rng.bit_generator.state == rng_state
+
+
+def test_numpy_integer_k_is_an_integer(index):
+    want = index.knn(good(9), 5)
+    got = index.knn(good(9), np.int64(5))
+    np.testing.assert_array_equal(got.ids, want.ids)
+    assert got.stats.k == 5
+
+
+@pytest.mark.parametrize("entry", ["knn_batch", "knn_batch_progressive"])
 def test_batch_calls_refuse_wrong_shapes(index, entry):
     call = getattr(index, entry)
     with pytest.raises(DimensionalityError, match="length"):
@@ -141,7 +199,9 @@ def test_service_fails_the_bad_request_alone():
     served, twin = build_index(), build_index()
     queries = [good(i) for i in range(6)]
     expected = [twin.knn(q, 5) for q in queries]
-    bad = [np.full(LENGTH, np.nan), good()[:-3], np.stack([good(), good()])]
+    bad = [np.full(LENGTH, np.nan), good()[:-3], np.stack([good(), good()]),
+           good() + 1j]
+    bad_k = [2.5, True]
 
     async def drive():
         config = ServeConfig(max_batch=16, max_delay_s=0.02)
@@ -150,20 +210,23 @@ def test_service_fails_the_bad_request_alone():
             mixed = queries[:3] + bad + queries[3:]
             results = await asyncio.gather(
                 *(service.submit(q, 5) for q in mixed),
+                *(service.submit(queries[0], k) for k in bad_k),
                 return_exceptions=True,
             )
             return results, service.stats()
 
     results, stats = asyncio.run(drive())
-    errors = results[3:6]
+    errors = results[3:7]
     assert isinstance(errors[0], NonFiniteValueError)
     assert isinstance(errors[1], DimensionalityError)
     assert isinstance(errors[2], DimensionalityError)
-    answers = results[:3] + results[6:]
+    assert isinstance(errors[3], DimensionalityError)
+    assert all(isinstance(e, ConfigurationError) for e in results[-2:])
+    answers = results[:3] + results[7:-2]
     for got, want in zip(answers, expected):
         np.testing.assert_array_equal(got.ids, want.ids)
         np.testing.assert_array_equal(got.distances, want.distances)
     counters = stats["metrics"]["counters"]
-    assert counters["serve.requests"] == 9
+    assert counters["serve.requests"] == 12
     assert counters["serve.responses"] == 6
-    assert counters["serve.failures"] == 3
+    assert counters["serve.failures"] == 6

@@ -209,13 +209,13 @@ class TestAliasing:
         ds, index = disk_index
         dfs = index.dfs
         seen = []
-        kernel = index_module.knn_bruteforce
+        scoring = index_module.block_scores
 
-        def spy(query, data, ids, k):
-            seen.append((data, ids))
-            return kernel(query, data, ids, k)
+        def spy(block, neg2q):
+            seen.append(block)
+            return scoring(block, neg2q)
 
-        monkeypatch.setattr(index_module, "knn_bruteforce", spy)
+        monkeypatch.setattr(index_module, "block_scores", spy)
         in_place = 0
         results = []
         for query in ds.values[:40]:
@@ -224,7 +224,7 @@ class TestAliasing:
             results.append(result)
             if len(result.stats.partitions_loaded) != 1 or len(seen) != 1:
                 continue
-            data, ids = seen[0]
+            data = seen[0]
             name = dfs.engine.blob_name(result.stats.partitions_loaded[0])
             blob = np.frombuffer(
                 dfs.engine.backend.read_range(
@@ -234,11 +234,10 @@ class TestAliasing:
             )
             if np.shares_memory(data, blob):
                 in_place += 1
-                assert np.shares_memory(ids, blob)
                 assert not data.flags.writeable
                 assert not np.shares_memory(result.ids, blob)
                 assert not np.shares_memory(result.distances, blob)
-            del data, ids, blob
+            del data, blob
         # Single-partition, single-run walks are the common case here; the
         # kernel must have seen the mapping itself in them, not a copy.
         assert in_place >= 10

@@ -15,6 +15,7 @@ from repro.series import (
     pairwise_euclidean,
     squared_euclidean,
 )
+from repro.series.distance import block_scores, knn_select
 
 
 class TestEuclidean:
@@ -95,11 +96,10 @@ class TestKnnBruteforce:
         assert list(ids) == [1, 3, 5]
 
     def test_small_set_fast_path_matches_general(self, rng):
-        """Candidate sets at/below the threshold take the direct-dot path;
-        it must pick the same neighbours as the einsum batch path."""
-        from repro.series.distance import SMALL_SCAN_THRESHOLD
-
-        for n in (1, 2, SMALL_SCAN_THRESHOLD, SMALL_SCAN_THRESHOLD + 1, 200):
+        """One scoring step serves every block size (the former small-set
+        branch ended at 64 rows); it must pick the same neighbours as the
+        batch ``squared_euclidean``."""
+        for n in (1, 2, 64, 65, 200):
             data = rng.normal(size=(n, 12))
             q = rng.normal(size=12)
             k = min(5, n)
@@ -120,6 +120,32 @@ class TestKnnBruteforce:
     def test_small_set_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             knn_bruteforce(np.zeros(4), np.zeros((3, 5)), np.arange(3), 2)
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 2000])
+    def test_is_selection_over_scoring(self, rng, n):
+        data = rng.normal(size=(n, 24))
+        q = rng.normal(size=24)
+        ids = rng.permutation(n) + 7
+        chosen, dists = knn_select(
+            block_scores(data, -2.0 * q), ids, 10, np.dot(q, q)
+        )
+        got_ids, got_dists = knn_bruteforce(q, data, ids, 10)
+        np.testing.assert_array_equal(got_ids, ids[chosen])
+        np.testing.assert_array_equal(got_dists, dists)
+
+    def test_scoring_a_mapped_view_equals_scoring_its_copy(self, rng):
+        """A run is scored as the storage engine mapped it: a read-only
+        view into a blob at an offset that is 8- but not 64-byte aligned,
+        which neither owns its memory nor is copied to be scored."""
+        n, length = 333, 128
+        blob = bytes(24) + rng.normal(size=(n, length)).tobytes() + bytes(8)
+        view = np.frombuffer(blob, dtype=np.float64, count=n * length,
+                             offset=24).reshape(n, length)
+        assert not view.flags.writeable and not view.flags.owndata
+        neg2q = -2.0 * rng.normal(size=length)
+        np.testing.assert_array_equal(
+            block_scores(view, neg2q), block_scores(view.copy(), neg2q)
+        )
 
     def test_custom_ids_returned(self, rng):
         data = rng.normal(size=(10, 6))
