@@ -45,7 +45,7 @@ from repro.core.builder import build_index_artifacts
 from repro.core.index import _QUERY_SHARD_ROWS
 from repro.core.skeleton import SkeletonWithPivots
 from repro.datasets import make_dataset, sample_queries
-from repro.storage import SimulatedDFS
+from repro.storage import SimulatedDFS, StorageEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_parallel_scaling.json"
@@ -54,8 +54,8 @@ WORKER_COUNTS = (1, 2, 4, 8)
 
 
 def make_config(n, n_workers):
-    # bench_conversion's scaled paper geometry (r=96, m=6, two-word
-    # bitsets, a couple hundred groups).
+    # Scaled paper geometry (r=96, m=6, two-word bitsets, a couple
+    # hundred groups).
     return ClimberConfig(
         word_length=8, n_pivots=96, prefix_length=6,
         capacity=max(200, n // 250), sample_fraction=0.02,
@@ -65,8 +65,7 @@ def make_config(n, n_workers):
 
 
 def build_once(dataset, config):
-    dfs = SimulatedDFS(partition_format=config.partition_format)
-    return build_index_artifacts(dataset, config, dfs=dfs)
+    return build_index_artifacts(dataset, config, dfs=SimulatedDFS())
 
 
 # -- parity gate -----------------------------------------------------------------
@@ -143,14 +142,15 @@ def profile_serial_build(dataset, config):
     """One serial build, with per-task durations of the parallel stages.
 
     Wraps the exact task units the executors run — ``_convert_block``
-    calls and per-partition encode+writes — so the modeled schedule uses
-    the real task decomposition (fixed by block/shard size, identical at
-    every worker count).
+    calls and per-partition encodes — so the modeled schedule uses the
+    real task decomposition (fixed by block/shard size, identical at
+    every worker count).  The stores that follow each encode stay on the
+    caller's thread at every worker count, so they count as serial.
     """
     block_times: list[float] = []
-    write_times: list[float] = []
+    encode_times: list[float] = []
     real_block = builder_mod._convert_block
-    real_write = SimulatedDFS.write_partition_arrays
+    real_encode = StorageEngine.encode_arrays
 
     def timed_block(task):
         t = time.perf_counter()
@@ -158,21 +158,21 @@ def profile_serial_build(dataset, config):
         block_times.append(time.perf_counter() - t)
         return out
 
-    def timed_write(self, *args, **kwargs):
+    def timed_encode(self, *args, **kwargs):
         t = time.perf_counter()
-        out = real_write(self, *args, **kwargs)
-        write_times.append(time.perf_counter() - t)
+        out = real_encode(self, *args, **kwargs)
+        encode_times.append(time.perf_counter() - t)
         return out
 
     builder_mod._convert_block = timed_block
-    SimulatedDFS.write_partition_arrays = timed_write
+    StorageEngine.encode_arrays = timed_encode
     try:
         t0 = time.perf_counter()
         art = build_once(dataset, config)
         wall = time.perf_counter() - t0
     finally:
         builder_mod._convert_block = real_block
-        SimulatedDFS.write_partition_arrays = real_write
+        StorageEngine.encode_arrays = real_encode
 
     convert_wall = art.wall_phase_seconds["convert"]
     redist_wall = art.wall_phase_seconds["redistribute"]
@@ -182,12 +182,12 @@ def profile_serial_build(dataset, config):
         "convert_wall": convert_wall,
         "redistribute_wall": redist_wall,
         "block_times": block_times,
-        "encode_times": write_times,
+        "encode_times": encode_times,
         # Serial remainders: whatever each phase spends outside its tasks
         # (RNG tail + copies for conversion; route/sort/registration for
         # redistribution), plus everything before Step 4.
         "convert_serial": max(0.0, convert_wall - sum(block_times)),
-        "redist_serial": max(0.0, redist_wall - sum(write_times)),
+        "redist_serial": max(0.0, redist_wall - sum(encode_times)),
         "other_serial": max(0.0, wall - convert_wall - redist_wall),
     }
 

@@ -4,7 +4,7 @@ The PR-10 acceptance suite, in one artifact:
 
 * **Parity gate** — a progressive walk with stopping disabled must land
   on the bit-identical answer :meth:`~repro.core.ClimberIndex.knn`
-  returns, across partition formats (v1/v2) and worker counts (1/2/4).
+  returns, across worker counts (1/2/4).
   Any divergence refuses the artifact (``SystemExit``) — the curve below
   is only meaningful if "run to completion" is exact.
 * **Recall-vs-partitions-visited curve** — replay the full progressive
@@ -48,7 +48,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_progressive.json"
 
 RECALL_FLOOR = 0.40         # recall@10 reachable before full coverage
-PARITY_FORMATS = ("v1", "v2")
 PARITY_WORKERS = (1, 2, 4)
 STOP_SPECS = ("streak:1", "streak:2", "confidence:0.9")
 DRAIN_OVERHEAD_CEILING = 1.5  # drained progressive wall / exhaustive knn wall
@@ -103,50 +102,43 @@ def check_parity(dataset, config_kwargs, queries, k) -> dict:
     cell: differing ids/distance bits, stats, or logical DFS charges.
     """
     cells = []
-    for fmt in PARITY_FORMATS:
-        for workers in PARITY_WORKERS:
-            cfg = ClimberConfig(
-                partition_format=fmt, n_workers=workers, **config_kwargs
-            )
-            reference = ClimberIndex.build(dataset, cfg)
-            progressive = ClimberIndex.build(dataset, cfg)
-            for i, q in enumerate(queries.values):
-                ref = reference.knn(q, k)
-                got = _final(progressive, q, k, early_stop="off")
-                if _fingerprint(ref.ids, ref.distances) != _fingerprint(
-                    got.ids, got.distances
-                ) or got.stopped_early:
-                    raise SystemExit(
-                        f"parity gate failed: progressive(off) diverged "
-                        f"from knn on query {i} "
-                        f"(format={fmt}, n_workers={workers}); "
-                        f"results not written"
-                    )
-                if (ref.stats.partitions_loaded
-                        != got.stats.partitions_loaded
-                        or ref.stats.records_examined
-                        != got.stats.records_examined):
-                    raise SystemExit(
-                        f"parity gate failed: progressive(off) charged "
-                        f"different work than knn on query {i} "
-                        f"(format={fmt}, n_workers={workers}); "
-                        f"results not written"
-                    )
-            if (reference.dfs.counters.partitions_read
-                    != progressive.dfs.counters.partitions_read
-                    or reference.dfs.counters.bytes_read
-                    != progressive.dfs.counters.bytes_read):
+    for workers in PARITY_WORKERS:
+        cfg = ClimberConfig(n_workers=workers, **config_kwargs)
+        reference = ClimberIndex.build(dataset, cfg)
+        progressive = ClimberIndex.build(dataset, cfg)
+        for i, q in enumerate(queries.values):
+            ref = reference.knn(q, k)
+            got = _final(progressive, q, k, early_stop="off")
+            if _fingerprint(ref.ids, ref.distances) != _fingerprint(
+                got.ids, got.distances
+            ) or got.stopped_early:
                 raise SystemExit(
-                    f"parity gate failed: DFS counters diverged "
-                    f"(format={fmt}, n_workers={workers}); "
+                    f"parity gate failed: progressive(off) diverged "
+                    f"from knn on query {i} (n_workers={workers}); "
                     f"results not written"
                 )
-            cells.append({
-                "partition_format": fmt,
-                "n_workers": workers,
-                "n_queries": int(queries.count),
-                "identical": True,
-            })
+            if (ref.stats.partitions_loaded
+                    != got.stats.partitions_loaded
+                    or ref.stats.records_examined
+                    != got.stats.records_examined):
+                raise SystemExit(
+                    f"parity gate failed: progressive(off) charged "
+                    f"different work than knn on query {i} "
+                    f"(n_workers={workers}); results not written"
+                )
+        if (reference.dfs.counters.partitions_read
+                != progressive.dfs.counters.partitions_read
+                or reference.dfs.counters.bytes_read
+                != progressive.dfs.counters.bytes_read):
+            raise SystemExit(
+                f"parity gate failed: DFS counters diverged "
+                f"(n_workers={workers}); results not written"
+            )
+        cells.append({
+            "n_workers": workers,
+            "n_queries": int(queries.count),
+            "identical": True,
+        })
     return {"cells": cells, "ok": True}
 
 
@@ -274,8 +266,8 @@ def main() -> None:
                                   seed=1)
     parity_queries = sample_queries(parity_dataset, max(8, n_queries // 2),
                                     seed=99)
-    print(f"parity gate ({len(PARITY_FORMATS) * len(PARITY_WORKERS)} "
-          f"cells, {parity_queries.count} queries each):")
+    print(f"parity gate ({len(PARITY_WORKERS)} worker counts, "
+          f"{parity_queries.count} queries each):")
     parity = check_parity(parity_dataset, config_kwargs, parity_queries,
                           args.k)
     print("  progressive(off) == knn in every cell")

@@ -16,7 +16,7 @@ Two implementations share one head (packing + the OD matrix):
   WD ties of the whole batch;
 * :meth:`GroupAssigner.assign_reference` — the retained seed loop
   (per-row ``flatnonzero`` + ``rng.choice``), kept as the parity oracle
-  for ``tests/test_conversion_parity.py`` and the conversion benchmark.
+  for ``tests/test_conversion_parity.py``.
 
 The two are **bit-identical** — same group indices, same tie counters,
 and the same RNG stream consumption: ``rng.choice(c)`` draws exactly
@@ -366,8 +366,8 @@ class GroupAssigner:
         seed kernels makes the parity suite adversarial: two independent
         implementations must agree bit for bit.
         Bit-identical to :meth:`assign` in group indices, tie counters and
-        RNG stream consumption; kept as the parity oracle and the
-        conversion-benchmark baseline.
+        RNG stream consumption; kept as the parity oracle only tests call
+        (DESIGN.md D4).
         """
         ranked = np.asarray(ranked, dtype=np.int64)
         if ranked.ndim != 2 or ranked.shape[1] != self.prefix_length:

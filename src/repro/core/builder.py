@@ -35,17 +35,11 @@ from repro.core.assignment import GroupAssigner
 from repro.core.centroids import compute_centroids
 from repro.core.config import ClimberConfig
 from repro.core.packing import first_fit_decreasing
-from repro.core.parallel import (
-    Executor,
-    make_executor,
-    record_parallel_fallback,
-    split_ranges,
-)
+from repro.core.parallel import Executor, make_executor, split_ranges
 from repro.core.skeleton import (
     GroupEntry,
     IndexSkeleton,
     SkeletonWithPivots,
-    cluster_key,
     partition_name,
 )
 from repro.core.trie import build_group_trie
@@ -53,8 +47,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.pivots import decay_weights, permutation_prefixes, select_random_pivots
 from repro.series import SeriesDataset, paa_transform
-from repro.storage import PartitionFile, SimulatedDFS
-from repro.storage.engine.format import encode_partition_v2_arrays
+from repro.storage import SimulatedDFS, encode_partition_v2_arrays
 
 __all__ = ["BuildArtifacts", "build_index_artifacts"]
 
@@ -73,8 +66,7 @@ class BuildArtifacts:
     wall_phase_seconds: dict[str, float] = field(default_factory=dict)
     """Real (not simulated) wall time of the Step-4 sub-phases:
     ``convert`` (PAA + signatures + group assignment) and ``redistribute``
-    (trie routing, grouping and partition writes) — the before/after axis
-    of ``benchmarks/bench_index_build.py``."""
+    (trie routing, grouping and partition writes)."""
 
     telemetry: Telemetry = field(default_factory=lambda: NULL_TELEMETRY)
     """The telemetry the build recorded into (``build.*`` histograms and
@@ -96,31 +88,17 @@ def build_index_artifacts(
     config: ClimberConfig,
     dfs: SimulatedDFS | None = None,
     model: CostModel | None = None,
-    redistribution: str = "flat",
-    conversion: str = "fused",
     telemetry: Telemetry | None = None,
 ) -> BuildArtifacts:
     """Run the full four-step construction workflow.
 
+    Step 4 streams the dataset through PAA -> ``permutation_prefixes`` ->
+    vectorised ``assign`` in row blocks, routes every record through the
+    CSR-compiled :class:`~repro.core.trie_flat.FlatTrieRouter` in bulk and
+    writes each partition straight from the sorted arrays.
+
     Parameters
     ----------
-    redistribution:
-        Step-4 implementation: ``"flat"`` (default) routes every record
-        through the CSR-compiled :class:`~repro.core.trie_flat.FlatTrieRouter`
-        in bulk and writes partitions directly from sorted arrays;
-        ``"legacy"`` is the original per-record descend loop, kept as the
-        parity reference and benchmark baseline.  Both produce
-        byte-identical partitions and identical simulated stage costs.
-    conversion:
-        Step-4 signature conversion: ``"fused"`` (default) streams the
-        dataset through PAA -> ``permutation_prefixes`` -> vectorised
-        ``assign`` in large row blocks written into preallocated output
-        arrays; ``"legacy"`` is the original per-input-chunk loop over the
-        retained reference assigner (per-row WD tie-break), kept as the
-        parity reference and the baseline of
-        ``benchmarks/bench_conversion.py``.  Both produce bit-identical
-        signatures, group indices and RNG stream positions, so the
-        partitions they feed are byte-identical too.
     telemetry:
         :class:`~repro.obs.Telemetry` the build records per-stage spans
         into (``build.skeleton_s``/``convert_s``/``redistribute_s``
@@ -132,12 +110,6 @@ def build_index_artifacts(
     """
     import time
 
-    if redistribution not in ("flat", "legacy"):
-        raise ConfigurationError(
-            f"unknown redistribution mode {redistribution!r}"
-        )
-    if conversion not in ("fused", "legacy"):
-        raise ConfigurationError(f"unknown conversion mode {conversion!r}")
     tel = telemetry if telemetry is not None else (
         Telemetry(enabled=True, sample_every=config.telemetry_sample_every)
         if config.telemetry else NULL_TELEMETRY
@@ -149,7 +121,6 @@ def build_index_artifacts(
         )
     dfs = dfs if dfs is not None else SimulatedDFS(
         cache_bytes=config.dfs_cache_bytes,
-        partition_format=config.partition_format,
         checksums=config.partition_checksums,
         verify=config.verify_checksums,
         fault_plan=config.effective_fault_plan,
@@ -303,39 +274,27 @@ def build_index_artifacts(
         min_tasks=len(chunks),
     )
 
-    # Full-data signature conversion + group assignment.  Both modes
-    # consume the RNG stream identically: tie-break draws depend only on
-    # the global row order, never on how rows are blocked into assign
-    # calls, so the fused path is free to use larger blocks than the
-    # input chunking.  The fused/flat pipeline runs its block conversion,
-    # trie compiles and partition encodes on the configured executor
-    # (serial for n_workers=1 — bit-identical results either way); the
-    # legacy modes are the parity baselines and always run serially.
+    # Full-data signature conversion + group assignment.  Tie-break draws
+    # depend only on the global row order, never on how rows are blocked
+    # into assign calls, so the conversion is free to use larger blocks
+    # than the input chunking.  Block conversion, trie compiles and
+    # partition encodes run on the configured executor (serial for
+    # n_workers=1 — bit-identical results either way).
     executor = make_executor(config.executor, config.effective_n_workers)
     try:
         t_convert = time.perf_counter()
-        if conversion == "fused":
-            ranked_all, gids_all = _convert_fused(
-                dataset, pivots, assigner, w, m, executor=executor,
-                telemetry=tel,
-            )
-        else:
-            ranked_all, gids_all = _convert_legacy(
-                chunks, pivots, assigner, w, m
-            )
+        ranked_all, gids_all = _convert_fused(
+            dataset, pivots, assigner, w, m, executor=executor,
+            telemetry=tel,
+        )
         wall_convert = time.perf_counter() - t_convert
 
         # Re-distribution of every record into its physical partition.
         t_redist = time.perf_counter()
-        if redistribution == "flat":
-            written_bytes, n_written = _redistribute_flat(
-                dataset, skeleton, ranked_all, gids_all, dfs,
-                executor=executor, telemetry=tel,
-            )
-        else:
-            written_bytes, n_written = _redistribute_legacy(
-                dataset, groups, ranked_all, gids_all, dfs
-            )
+        written_bytes, n_written = _redistribute_flat(
+            dataset, skeleton, ranked_all, gids_all, dfs,
+            executor=executor, telemetry=tel,
+        )
         wall_redistribute = time.perf_counter() - t_redist
     finally:
         executor.close()
@@ -445,36 +404,6 @@ def _convert_fused(
     return ranked_all, gids_all
 
 
-def _convert_legacy(
-    chunks,
-    pivots: np.ndarray,
-    assigner: GroupAssigner,
-    word_length: int,
-    prefix_length: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The retained per-input-chunk conversion loop (parity reference).
-
-    One pass per input chunk through the reference assigner (per-row WD
-    tie-break), accumulating per-chunk arrays that are concatenated at the
-    end — the seed implementation, kept as the conversion baseline.
-    """
-    ranked_parts: list[np.ndarray] = []
-    gid_parts: list[np.ndarray] = []
-    for chunk in chunks:
-        paa = paa_transform(chunk.values, word_length)
-        ranked = permutation_prefixes(paa, pivots, prefix_length)
-        ranked_parts.append(ranked)
-        gid_parts.append(assigner.assign_reference(ranked).group_indices)
-    ranked_all = (
-        ranked_parts[0] if len(ranked_parts) == 1
-        else np.concatenate(ranked_parts, axis=0)
-    )
-    gids_all = (
-        gid_parts[0] if len(gid_parts) == 1 else np.concatenate(gid_parts)
-    )
-    return ranked_all, gids_all
-
-
 def _redistribute_flat(
     dataset: SeriesDataset,
     skeleton: IndexSkeleton,
@@ -491,86 +420,67 @@ def _redistribute_flat(
     stable argsort over the precomputed ``(partition, cluster key)`` ranks
     groups the records into the exact layout
     :meth:`PartitionFile.from_clusters` would build, and each partition is
-    gathered straight from the dataset arrays into its format-v2 payload
-    buffer — no per-record Python, no intermediate v1 partition objects,
-    no sorted copy of the dataset.
+    gathered straight from the dataset arrays into its payload buffer — no
+    per-record Python, no intermediate partition objects, no sorted copy
+    of the dataset.
 
-    With any pooled ``executor``, the per-partition payload encodes fan
-    out (pure functions of the record arrays); stores and their counters
-    run on this thread in partition order, so the stored bytes and every
-    counter are identical to the serial path.  Shared-memory pools encode
-    through the live engine handle zero-copy; process pools receive a
-    plain-data, picklable spec per partition — the records pre-gathered
-    into fresh arrays plus the format/checksum flags — and encode through
-    the module-level :func:`_encode_partition_task` (the PR-6 "engine
-    handles aren't picklable" serial fallback is gone).  The per-group
-    trie compiles still need the caller's address space, so process pools
-    compile serially; the only remaining encode fallback is the v1
-    in-memory object store (live ``PartitionFile`` objects, nothing to
-    encode), which stays *visible*: a RuntimeWarning plus the
-    process-lifetime ``parallel.fallbacks`` counter.
+    Every build is *encode, then store*: the per-partition payload encodes
+    are pure functions of the record arrays and run on ``executor``; stores
+    and their counters run on this thread in partition order, so the
+    stored bytes and every counter are identical for any worker count.
+    Shared-memory executors encode through the live engine handle
+    zero-copy; process pools receive a plain-data, picklable spec per
+    partition — the records pre-gathered into fresh arrays plus the
+    checksum flag — and encode through the module-level
+    :func:`_encode_partition_task`.  The per-group trie compiles need the
+    caller's address space, so process pools compile serially.
     """
     pooled = executor is not None and executor.n_workers > 1
-    shared = pooled and executor.shares_memory
+    shared = not pooled or executor.shares_memory
     with telemetry.trace("build.redistribute.compile"):
         router = skeleton.flat_router(executor=executor if shared else None)
     with telemetry.trace("build.redistribute.route"):
         kid_of = router.route(ranked_all, gids_all)
         order, parts = router.partition_layout(kid_of)
+    engine = dfs.engine
+    series_length = int(dataset.values.shape[1])
     written_bytes = 0
-    if pooled and not dfs.stores_encoded:
-        record_parallel_fallback(
-            "v1 in-memory object store holds live PartitionFile objects "
-            "(no encoded payloads to fan out); writing serially"
-        )
     with telemetry.trace("build.redistribute.write"):
-        if pooled and dfs.stores_encoded:
-            engine = dfs.engine
-            series_length = int(dataset.values.shape[1])
-            if shared:
-                # Zero-copy encode task: workers share the caller's
-                # address space, so each task gathers its rows straight
-                # from the dataset arrays through the live engine handle.
-                def encode(item):
-                    pid, start, end, header = item
-                    return engine.encode_arrays(
-                        partition_name(pid), dataset.ids, dataset.values,
-                        header, rows=order[start:end],
-                    )
+        if shared:
+            # Workers share the caller's address space, so each task
+            # gathers its rows straight from the dataset arrays.
+            def encode_shared(item):
+                pid, start, end, header = item
+                return engine.encode_arrays(
+                    partition_name(pid), dataset.ids, dataset.values,
+                    header, rows=order[start:end],
+                )
 
-                # Per-task telemetry only on shared-memory pools: the
-                # wrapper closes over registry locks and must not cross a
-                # pickle boundary.
-                payloads = executor.map(
-                    telemetry.wrap_tasks("build.redistribute.encode",
-                                         encode),
-                    parts,
-                )
-            else:
-                specs = [
-                    (partition_name(pid),
-                     dataset.ids[order[start:end]],
-                     dataset.values[order[start:end]],
-                     header, engine.partition_format, engine.checksums)
-                    for pid, start, end, header in parts
-                ]
-                payloads = executor.map(_encode_partition_task, specs)
-            for (pid, start, end, header), payload in zip(parts, payloads):
-                written_bytes += dfs.write_encoded_partition(
-                    partition_name(pid), payload,
-                    record_count=end - start,
-                    series_length=series_length,
-                    header=header,
-                )
+            # Per-task telemetry only here: the wrapper closes over
+            # registry locks and must not cross a pickle boundary.
+            encode = telemetry.wrap_tasks("build.redistribute.encode",
+                                          encode_shared)
+            tasks = parts
         else:
-            for pid, start, end, header in parts:
-                written_bytes += dfs.write_partition_arrays(
-                    partition_name(pid),
-                    dataset.ids,
-                    dataset.values,
-                    header,
-                    rows=order[start:end],
-                )
+            encode = _encode_partition_task
+            tasks = [
+                (partition_name(pid),
+                 dataset.ids[order[start:end]],
+                 dataset.values[order[start:end]],
+                 header, engine.checksums)
+                for pid, start, end, header in parts
+            ]
+        # A serial build streams: each payload is stored and dropped
+        # before the next is encoded, so peak memory stays one partition
+        # above the dataset instead of a second copy of it.
+        payloads = executor.map(encode, tasks) if pooled else map(encode, tasks)
+        for (pid, start, end, header), payload in zip(parts, payloads):
+            written_bytes += dfs.write_encoded_partition(
+                partition_name(pid), payload,
+                record_count=end - start,
+                series_length=series_length,
+                header=header,
+            )
     return written_bytes, len(parts)
 
 
@@ -580,46 +490,10 @@ def _encode_partition_task(spec):
     A module-level pure function of picklable inputs — the process-pool
     counterpart of the shared-memory encode closure above.  The spec
     carries the partition's records as freshly-gathered arrays plus the
-    format/checksum flags, so no live engine or DFS handle crosses the
-    pickle boundary, and the returned bytes are identical to
+    checksum flag, so no live engine or DFS handle crosses the pickle
+    boundary, and the returned bytes are identical to
     :meth:`StorageEngine.encode_arrays` over the same records.
     """
-    pid, ids, values, header, fmt, checksums = spec
-    if fmt == "v2":
-        return encode_partition_v2_arrays(pid, ids, values, header,
-                                          checksums=checksums)
-    return PartitionFile.from_arrays(pid, ids, values, header).to_bytes()
-
-
-def _redistribute_legacy(
-    dataset: SeriesDataset,
-    groups: list[GroupEntry],
-    ranked_all: np.ndarray,
-    gids_all: np.ndarray,
-    dfs: SimulatedDFS,
-) -> tuple[int, int]:
-    """The seed per-record redistribution loop (parity reference/baseline)."""
-    clusters: dict[int, dict[str, list[int]]] = {}
-    for row in range(ranked_all.shape[0]):
-        gid = int(gids_all[row])
-        entry = groups[gid]
-        node = entry.trie.descend(ranked_all[row])
-        if node.is_leaf:
-            pid = next(iter(node.partition_ids))
-            key = cluster_key(gid, node.path)
-        else:
-            pid = entry.default_partition
-            key = cluster_key(gid, None)
-        clusters.setdefault(pid, {}).setdefault(key, []).append(row)
-
-    written_bytes = 0
-    for pid in sorted(clusters):
-        mapping = {
-            key: (dataset.ids[rows], dataset.values[rows])
-            for key, rows in clusters[pid].items()
-            for rows in [np.asarray(rows, dtype=np.int64)]
-        }
-        part = PartitionFile.from_clusters(partition_name(pid), mapping)
-        dfs.write_partition(part)
-        written_bytes += part.nbytes
-    return written_bytes, len(clusters)
+    pid, ids, values, header, checksums = spec
+    return encode_partition_v2_arrays(pid, ids, values, header,
+                                      checksums=checksums)

@@ -94,12 +94,6 @@ class ClimberConfig:
         disables caching.  The cache is purely physical: simulated cost
         accounting and the DFS's logical read counters are identical with
         it on or off.
-    partition_format:
-        Physical partition format the builder-created DFS writes: ``"v2"``
-        (default, the zero-copy columnar format served as mmap/frombuffer
-        views) or ``"v1"`` (the legacy blob stream).  Purely physical, like
-        the cache: query results, logical read counters, and simulated
-        cost accounting are byte-identical across formats.
     n_workers:
         Worker count of the parallel execution layer
         (:mod:`repro.core.parallel`): build conversion blocks, trie
@@ -129,7 +123,7 @@ class ClimberConfig:
         Sampled-out queries still return exact answers/stats; only the
         per-query stage histograms subsample.
     partition_checksums:
-        Whether builder-created DFS instances write v2 partitions with
+        Whether builder-created DFS instances write partitions with
         per-section CRC32 checksums (header version 3; the default).
         Purely physical: answers, logical counters and simulated costs
         are identical with checksums on or off, and either generation of
@@ -187,7 +181,6 @@ class ClimberConfig:
     cost_scale: float = 1.0
     sim_partition_bytes: int | None = None
     dfs_cache_bytes: int = 0
-    partition_format: str = "v2"
     n_workers: int | None = None
     executor: str = "thread"
     telemetry: bool = False
@@ -231,11 +224,6 @@ class ClimberConfig:
             raise ConfigurationError("sim_partition_bytes must be >= 1024")
         if self.dfs_cache_bytes < 0:
             raise ConfigurationError("dfs_cache_bytes must be >= 0")
-        if self.partition_format not in ("v1", "v2"):
-            raise ConfigurationError(
-                f"partition_format must be 'v1' or 'v2', "
-                f"got {self.partition_format!r}"
-            )
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1 when given")
         if self.executor not in ("serial", "thread", "process"):

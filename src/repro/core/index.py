@@ -234,7 +234,7 @@ class _RoutedWalk:
             wanted = set(to_load[pname])
             if index.dfs.has_partition(pname):
                 self.plan.append((pname, wanted))
-            for delta in index._delta_names(pname):
+            for delta in index.dfs.delta_partitions(pname):
                 self.plan.append((delta, wanted))
         self.visited = 0
         self._neg2q = -2.0 * query
@@ -247,7 +247,7 @@ class _RoutedWalk:
         self._fallback_pool: list[tuple] = []
         if probe is not None:
             self._charge("select")
-            self._counters_before = getattr(index.dfs, "counters", None)
+            self._counters_before = index.dfs.counters
 
     # Probed walks charge wall time to stages between marks; a walk may be
     # suspended between visits, so every entry point sets its own mark.
@@ -293,10 +293,9 @@ class _RoutedWalk:
             other: list[str] = []
             for key in part.cluster_keys():
                 (present if key in wanted else other).append(key)
-            # One cluster-range read per partition: with format v2 the
-            # handle maps the payload once and slices the runs these keys
-            # cover (adjacent clusters coalesce).  Lazy checksum
-            # verification fires here.
+            # One cluster-range read per partition: the view maps the
+            # payload once and slices the runs these keys cover (adjacent
+            # clusters coalesce).  Lazy checksum verification fires here.
             run = part.read_clusters(present) if present else None
         except StorageError as err:
             if not self._skip_failures or isinstance(err, PartitionNotFoundError):
@@ -357,7 +356,7 @@ class _RoutedWalk:
         self._mark()
         expanded = self._expand_within_partitions()
         self._charge("read")
-        if probe is not None and self._counters_before is not None:
+        if probe is not None:
             before, after = self._counters_before, index.dfs.counters
             probe.add_count("cache_hits", after.cache_hits - before.cache_hits)
             probe.add_count(
@@ -409,12 +408,9 @@ class _RoutedWalk:
 
 
 def _partition_record_counts(dfs) -> list[int]:
-    """Records per stored partition: DFS header metadata when it keeps
-    any (no payload read), else one partition open each."""
-    count = getattr(dfs, "record_count", None)
-    if count is None:
-        return [dfs.read_partition(p).record_count for p in dfs.list_partitions()]
-    return [count(p) for p in dfs.list_partitions()]
+    """Records per stored partition, from DFS header metadata (no payload
+    read)."""
+    return [dfs.record_count(p) for p in dfs.list_partitions()]
 
 
 class ClimberIndex:
@@ -478,43 +474,22 @@ class ClimberIndex:
         config: ClimberConfig | None = None,
         dfs=None,
         model: CostModel | None = None,
-        conversion: str = "fused",
         telemetry: Telemetry | None = None,
     ) -> "ClimberIndex":
         """Build the index (paper Fig. 6); see :class:`ClimberConfig`.
 
-        ``conversion`` selects the Step-4 signature-conversion pipeline
-        (``"fused"`` streamed blocks / ``"legacy"`` per-chunk reference);
-        both yield bit-identical indexes — see
-        :func:`~repro.core.builder.build_index_artifacts`.  ``telemetry``
-        overrides the :class:`~repro.obs.Telemetry` the build and the
-        returned index record into (default: created from
+        ``telemetry`` overrides the :class:`~repro.obs.Telemetry` the build
+        and the returned index record into (default: created from
         ``config.telemetry``).
         """
         config = config or ClimberConfig()
         model = model or CostModel()
         artifacts = build_index_artifacts(
-            dataset, config, dfs=dfs, model=model, conversion=conversion,
-            telemetry=telemetry,
+            dataset, config, dfs=dfs, model=model, telemetry=telemetry,
         )
         return cls(artifacts, config, model)
 
     # -- incremental maintenance ------------------------------------------------
-
-    def _delta_names(self, base_name: str) -> list[str]:
-        """Delta partitions of ``base_name``, discovered by naming convention.
-
-        Appends write ``<base>.d0``, ``<base>.d1``, ... so no registry has
-        to be persisted: a reopened index finds deltas by listing the DFS.
-        A DFS exposing ``delta_partitions`` (the :class:`SimulatedDFS`
-        registry cache) answers from its index instead of rescanning the
-        full partition list on every query.
-        """
-        delta_partitions = getattr(self.dfs, "delta_partitions", None)
-        if delta_partitions is not None:
-            return delta_partitions(base_name)
-        prefix = f"{base_name}.d"
-        return [p for p in self.dfs.list_partitions() if p.startswith(prefix)]
 
     def append(self, dataset: SeriesDataset) -> dict[str, object]:
         """Route new records into the existing index (incremental append).
@@ -561,7 +536,10 @@ class ClimberIndex:
         written_bytes = 0
         for pid, start, end, header in parts:
             base = partition_name(pid)
-            seq = len(self._delta_names(base))
+            # Appends write ``<base>.d0``, ``<base>.d1``, ...: no registry
+            # is persisted, a reopened DFS rebuilds its delta index from
+            # the names it attaches.
+            seq = len(self.dfs.delta_partitions(base))
             delta_id = f"{base}.d{seq}"
             written_bytes += self.dfs.write_partition_arrays(
                 delta_id, dataset.ids, dataset.values, header,
@@ -690,19 +668,13 @@ class ClimberIndex:
     def series_length(self) -> int | None:
         """Length of the indexed series; ``None`` while the store is empty.
 
-        Header metadata when the DFS maintains it (no payload read, no
-        logical read charge for a mere length check), resolved once.
+        DFS header metadata (no payload read, no logical read charge for a
+        mere length check), resolved once.
         """
         if self._series_length is None:
             existing = self.dfs.list_partitions()
             if existing:
-                series_length = getattr(self.dfs, "series_length", None)
-                if series_length is not None:
-                    self._series_length = series_length(existing[0])
-                else:
-                    self._series_length = self.dfs.read_partition(
-                        existing[0]
-                    ).series_length
+                self._series_length = self.dfs.series_length(existing[0])
         return self._series_length
 
     @property
@@ -1673,13 +1645,8 @@ class ClimberIndex:
         logical counters (+ cache occupancy), and the ``process`` global
         registry (cross-cutting counters like ``parallel.fallbacks``).
         """
-        dfs_counters = getattr(self.dfs, "counters", None)
-        dfs_section: dict[str, object] = {}
-        if dataclasses.is_dataclass(dfs_counters):
-            dfs_section = dataclasses.asdict(dfs_counters)
-        cache_used = getattr(self.dfs, "cache_used_bytes", None)
-        if cache_used is not None:
-            dfs_section["cache_used_bytes"] = cache_used
+        dfs_section: dict[str, object] = dataclasses.asdict(self.dfs.counters)
+        dfs_section["cache_used_bytes"] = self.dfs.cache_used_bytes
         return {
             "schema": OBS_SCHEMA,
             "telemetry_enabled": self._tel.enabled,

@@ -424,7 +424,7 @@ class FlatTrieRouter:
         final storage order (ascending partition id, clusters in sorted key
         order within each partition, arrival order within each cluster —
         one stable integer argsort over the precomputed ``kid_rank``
-        reproduces the legacy per-record grouping byte for byte), and
+        reproduces a per-record dict-of-lists grouping byte for byte), and
         ``parts`` lists ``(pid, start, end, header)`` per partition, with
         ``header`` mapping cluster keys to partition-relative
         ``(offset, count)``.

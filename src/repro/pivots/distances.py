@@ -116,13 +116,11 @@ def overlap_distance_matrix(
 def overlap_distance_matrix_reference(
     packed_objects: np.ndarray, packed_centroids: np.ndarray, prefix_length: int
 ) -> np.ndarray:
-    """The seed batch-OD kernel, retained as the parity oracle/baseline.
+    """The seed batch-OD kernel, a reference only tests call (DESIGN.md D4).
 
     One ``(d, k, words)`` 3-D broadcast AND + popcount + word-axis sum —
     bit-identical to the word-sliced :func:`overlap_distance_matrix` (the
-    randomized kernel-parity suite proves it).  The conversion benchmark's
-    ``legacy`` path runs on this kernel, so before/after numbers measure
-    the whole seed pipeline.
+    randomized kernel-parity suite proves it).
     """
     a = np.asarray(packed_objects, dtype=np.uint64)
     b = np.asarray(packed_centroids, dtype=np.uint64)
@@ -263,14 +261,12 @@ def weight_distance_matrix_reference(
     n_pivots: int,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """The seed batch-WD kernel, retained as the parity oracle/baseline.
+    """The seed batch-WD kernel, a reference only tests call (DESIGN.md D4).
 
     Chunked uint64 shift/popcount extraction with rank-sequential
     accumulation — bit-identical to :func:`weight_distance_matrix` (the
     randomized kernel-parity suite proves it) and to the scalar
-    :func:`weight_distance`.  The conversion benchmark's ``legacy`` path
-    runs on this kernel, so before/after numbers measure the whole seed
-    pipeline.
+    :func:`weight_distance`.
     """
     arr = np.asarray(ranked, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)

@@ -2,15 +2,14 @@
 
 A facade over the :mod:`repro.storage.engine` subsystem: partitions are
 stored through a :class:`~repro.storage.engine.StorageEngine` — in-memory
-or mmap-backed on disk, in binary format v2 (default) or the legacy v1
-blob stream — while this class keeps everything *simulated* about the DFS:
+or mmap-backed on disk, in the one binary partition format — while this
+class keeps everything *simulated* about the DFS:
 
 * byte-level read/write counters (the "additional data access" metric of
-  Fig. 11(b)).  Counters are **logical** and format-independent: every
-  partition touch charges the partition's logical size (records plus JSON
-  header length, the v1 accounting) no matter which physical format or
-  cache served the bytes, so the paper's access-volume metrics are
-  byte-identical across storage configurations;
+  Fig. 11(b)).  Counters are **logical**: every partition touch charges
+  the partition's logical size (records plus JSON header length) no
+  matter which backend or cache served the bytes, so the paper's
+  access-volume metrics are byte-identical across storage configurations;
 * the capacity constraint ``c`` of Def. 12 (``block_records``);
 * an opt-in byte-bounded LRU **read cache** over opened partition handles
   (``cache_bytes``), tracked physically by ``cache_hits``/``cache_misses``;
@@ -41,12 +40,8 @@ blob stream — while this class keeps everything *simulated* about the DFS:
   maintained at write/attach time so reopening an index, or validating an
   append, never reads partition payloads.
 
-With ``partition_format="v2"`` a read returns a lazy
-:class:`~repro.storage.engine.PartitionV2View` whose cluster reads map
-only the requested byte ranges; ``partition_format="v1"`` preserves the
-seed behaviour exactly (in-memory: the original
-:class:`~repro.storage.partition.PartitionFile` objects, zero
-serialisation; on disk: full-blob deserialisation per read).
+A read returns a lazy :class:`~repro.storage.engine.PartitionV2View`
+whose cluster reads map only the requested byte ranges.
 """
 
 from __future__ import annotations
@@ -67,8 +62,12 @@ from repro.exceptions import (
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, RetryPolicy
 from repro.series import series_nbytes
-from repro.storage.engine import LocalDiskBackend, MemoryBackend, StorageEngine
-from repro.storage.engine.engine import PartitionHandle
+from repro.storage.engine import (
+    LocalDiskBackend,
+    MemoryBackend,
+    PartitionV2View,
+    StorageEngine,
+)
 from repro.storage.partition import PartitionFile, logical_partition_nbytes
 
 __all__ = ["SimulatedDFS", "DfsCounters"]
@@ -137,11 +136,6 @@ class SimulatedDFS:
         Byte budget of the LRU read cache over opened partition handles;
         0 (the default) disables caching.  Logical read counters are
         unaffected either way.
-    partition_format:
-        Physical format for newly written partitions: ``"v2"`` (default,
-        the zero-copy columnar format) or ``"v1"`` (the legacy blob
-        stream).  Reads sniff the stored format, so mixed directories and
-        old payloads stay readable regardless of this setting.
     registry:
         :class:`~repro.obs.MetricsRegistry` the I/O counters live on as
         ``dfs.*`` counters (PR 7 re-homed them there so DFS accounting
@@ -150,7 +144,7 @@ class SimulatedDFS:
         a :class:`DfsCounters` snapshot with the exact same logical
         semantics the parity suites pin down.
     checksums:
-        Whether newly written v2 partitions carry per-section CRC32
+        Whether newly written partitions carry per-section CRC32
         checksums (header version 3; the default).  Purely physical —
         logical counters, query answers and simulated costs are
         byte-identical with checksums on or off.
@@ -180,7 +174,6 @@ class SimulatedDFS:
         block_bytes: int = _DEFAULT_BLOCK_BYTES,
         backing_dir: str | Path | None = None,
         cache_bytes: int = 0,
-        partition_format: str = "v2",
         registry: MetricsRegistry | None = None,
         checksums: bool = True,
         verify: str = "lazy",
@@ -207,20 +200,15 @@ class SimulatedDFS:
         )
         self._engine = StorageEngine(
             backend,
-            partition_format=partition_format,
             checksums=checksums,
             verify=verify,
             corruption_cb=self._on_corruption,
         )
-        # v1 + in-memory keeps the seed's object store: partitions held as
-        # live PartitionFile objects with zero serialisation cost.  Every
-        # other configuration stores encoded bytes in the engine.
-        self._partitions: dict[str, PartitionFile] = {}
         self._sizes: dict[str, int] = {}
         self._record_counts: dict[str, int] = {}
         self._series_lengths: dict[str, int] = {}
         self._deltas: dict[str, list[str]] = {}
-        self._cache: OrderedDict[str, PartitionHandle] = OrderedDict()
+        self._cache: OrderedDict[str, PartitionV2View] = OrderedDict()
         self._cache_used = 0
         # The narrow lock: registry, cache and counter mutations only.
         # Nothing that can block — backend opens, retry sleeps, injected
@@ -260,24 +248,16 @@ class SimulatedDFS:
         Snapshotted under the DFS lock, so the fields are mutually
         consistent even while readers/writers run concurrently.  The
         semantics are unchanged from the pre-registry implementation:
-        logical, format- and cache-independent reads/writes; physical
-        cache hit/miss tallies.
+        logical, cache-independent reads/writes; physical cache hit/miss
+        tallies.
         """
         with self._lock:
             return DfsCounters(*(h.value for h in self._metric_handles))
 
     @property
-    def partition_format(self) -> str:
-        """Format newly written partitions are encoded in."""
-        return self._engine.partition_format
-
-    @property
     def engine(self) -> StorageEngine:
         """The underlying storage engine (format/backends/raw access)."""
         return self._engine
-
-    def _object_store(self) -> bool:
-        return self.partition_format == "v1" and not self.backing_dir
 
     # -- capacity ---------------------------------------------------------------
 
@@ -291,10 +271,10 @@ class SimulatedDFS:
         """Register the partitions already present in the backing directory.
 
         Lets a fresh process reopen a disk-persisted index: the engine
-        lists the stored partitions and reads only their headers (v2
-        header + directory, or the v1 meta blob; legacy v1 files lacking
-        size metadata fall back to a full read).  Returns the number of
-        partitions attached.
+        lists the stored partitions and reads only their headers (fixed
+        header, meta blob and directory).  A ``.part`` file that is not a
+        partition in the engine's format raises :class:`StorageError`.
+        Returns the number of partitions attached.
         """
         if not self.backing_dir:
             raise StorageError("attach() requires a backing_dir")
@@ -320,23 +300,9 @@ class SimulatedDFS:
             insort(self._deltas.setdefault(base, []), pid)
 
     def write_partition(self, partition: PartitionFile) -> None:
-        pid = partition.partition_id
-        with self._lock:
-            if pid in self._sizes:
-                raise StorageError(f"partition {pid!r} already exists")
-            nbytes = partition.nbytes
-            if self._object_store():
-                self._partitions[pid] = partition
-            else:
-                self._engine.write_partition(partition)
-            # Defensive invalidation: duplicate ids are rejected above, so a
-            # cached entry can never be stale today — but any future overwrite
-            # path must evict here, and the cost is one dict lookup.
-            self._cache_evict(pid)
-            self._register(pid, nbytes, partition.record_count,
-                           partition.series_length)
-            self._c_bytes_written.inc(nbytes)
-            self._c_partitions_written.inc()
+        """Store one assembled partition (baselines and tests build these)."""
+        self.write_partition_arrays(partition.partition_id, partition.ids,
+                                    partition.values, partition.header)
 
     def write_partition_arrays(
         self,
@@ -350,44 +316,24 @@ class SimulatedDFS:
 
         The flat-trie build pipeline routes and sorts every record in bulk,
         then writes each partition straight from the dataset arrays (with a
-        ready cluster directory) through here — into the configured
-        physical format, with no intermediate :class:`PartitionFile` on the
-        v2 path.  With ``rows`` given, ``ids``/``values`` are source arrays
-        and the stored records are ``ids[rows]``/``values[rows]``, gathered
-        directly into the payload buffer.  Registration, logical counters
-        and cache invalidation behave exactly like :meth:`write_partition`;
-        the stored bytes are identical to writing
+        ready cluster directory) through here, with no intermediate
+        :class:`PartitionFile`.  With ``rows`` given, ``ids``/``values`` are
+        source arrays and the stored records are ``ids[rows]``/
+        ``values[rows]``, gathered directly into the payload buffer.  The
+        stored bytes are identical to writing
         ``PartitionFile.from_clusters`` over the same records.  Returns the
         partition's logical size in bytes.
         """
-        record_count = int(rows.shape[0] if rows is not None else ids.shape[0])
-        series_length = int(values.shape[1])
-        nbytes = logical_partition_nbytes(record_count, series_length, header)
-        with self._lock:
-            if partition_id in self._sizes:
-                raise StorageError(f"partition {partition_id!r} already exists")
-            if self._object_store():
-                self._partitions[partition_id] = PartitionFile.from_arrays(
-                    partition_id,
-                    ids[rows] if rows is not None else ids,
-                    values[rows] if rows is not None else values,
-                    header,
-                )
-            else:
-                self._engine.write_arrays(partition_id, ids, values, header,
-                                          rows=rows)
-            self._cache_evict(partition_id)
-            self._register(partition_id, nbytes, record_count, series_length)
-            self._c_bytes_written.inc(nbytes)
-            self._c_partitions_written.inc()
-        return nbytes
-
-    @property
-    def stores_encoded(self) -> bool:
-        """True when partitions live as encoded bytes in the engine — the
-        precondition for :meth:`write_encoded_partition` (everything except
-        the v1 in-memory object store)."""
-        return not self._object_store()
+        return self.write_encoded_partition(
+            partition_id,
+            self._engine.encode_arrays(partition_id, ids, values, header,
+                                       rows=rows),
+            record_count=int(
+                rows.shape[0] if rows is not None else ids.shape[0]
+            ),
+            series_length=int(values.shape[1]),
+            header=header,
+        )
 
     def write_encoded_partition(
         self,
@@ -399,34 +345,31 @@ class SimulatedDFS:
     ) -> int:
         """Store a payload pre-encoded by :meth:`StorageEngine.encode_arrays`.
 
-        The store half of :meth:`write_partition_arrays`, for the parallel
-        builder: workers encode payloads concurrently (a pure function of
-        the record arrays), the caller stores them through here serially in
-        partition order.  Registration, logical counters and cache
-        invalidation are identical to :meth:`write_partition_arrays` over
-        the same records, so the build is bit-identical either way.
+        The one registration path; every write ends here.  The builder's
+        workers encode payloads concurrently (a pure function of the record
+        arrays) and the caller stores them through here serially in
+        partition order, so the stored bytes and every counter are the
+        same for any worker count.  Returns the partition's logical size
+        in bytes.
         """
-        if self._object_store():
-            raise StorageError(
-                "write_encoded_partition requires an encoded store "
-                "(v1 in-memory keeps live PartitionFile objects)"
-            )
         nbytes = logical_partition_nbytes(record_count, series_length, header)
         with self._lock:
             if partition_id in self._sizes:
                 raise StorageError(f"partition {partition_id!r} already exists")
             self._engine.write_payload(partition_id, payload)
+            # Defensive invalidation: duplicate ids are rejected above, so a
+            # cached entry can never be stale today — but any future overwrite
+            # path must evict here, and the cost is one dict lookup.
             self._cache_evict(partition_id)
             self._register(partition_id, nbytes, record_count, series_length)
             self._c_bytes_written.inc(nbytes)
             self._c_partitions_written.inc()
         return nbytes
 
-    def read_partition(self, partition_id: str) -> PartitionHandle:
-        """One partition, as a :class:`PartitionFile` (v1) or lazy v2 view.
+    def read_partition(self, partition_id: str) -> PartitionV2View:
+        """One partition, as a lazy view.
 
-        Both handle types expose the same access interface; with format v2
-        nothing beyond the header and cluster directory is materialised
+        Nothing beyond the header and cluster directory is materialised
         until cluster ranges are actually read.
 
         Recoverable failures — :class:`TransientReadError`, detected
@@ -480,7 +423,7 @@ class SimulatedDFS:
                     self._cache_insert(partition_id, part)
             return part
 
-    def _cached_read(self, partition_id: str) -> PartitionHandle | None:
+    def _cached_read(self, partition_id: str) -> PartitionV2View | None:
         """Serve one read from the cache, or return ``None`` on a miss.
 
         On a hit the logical counters and the hit tally are charged and
@@ -502,7 +445,7 @@ class SimulatedDFS:
             self._cache.move_to_end(partition_id)
             return cached
 
-    def _open_with_retry(self, partition_id: str) -> PartitionHandle:
+    def _open_with_retry(self, partition_id: str) -> PartitionV2View:
         """Open one partition under the retry policy.
 
         The caller holds the partition's single-flight guard but **not**
@@ -511,9 +454,6 @@ class SimulatedDFS:
         narrow lock so the :attr:`counters` snapshot stays mutually
         consistent.
         """
-        if self._object_store():
-            # Live PartitionFile objects: no physical read to fail.
-            return self._partitions[partition_id]
         policy = self.retry_policy
         injector = self.fault_injector
         name = self._engine.blob_name(partition_id)
@@ -555,7 +495,7 @@ class SimulatedDFS:
 
     # -- read cache --------------------------------------------------------------
 
-    def _cache_insert(self, pid: str, part: PartitionHandle) -> None:
+    def _cache_insert(self, pid: str, part: PartitionV2View) -> None:
         # Caller holds self._lock.  Idempotent on purpose: a pid already
         # cached (possible when an eviction races a re-read in caller code
         # built on snapshots) must not double-count _cache_used.

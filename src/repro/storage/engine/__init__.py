@@ -1,19 +1,19 @@
-"""Zero-copy storage engine: columnar partition format v2 over pluggable backends.
+"""Zero-copy storage engine: the columnar partition format over pluggable backends.
 
 The engine decomposes physical partition storage into three layers:
 
 * :mod:`repro.storage.engine.format` — the versioned binary partition
-  format v2: fixed-width struct header, packed cluster directory and
+  format: fixed-width struct header, packed cluster directory and
   64-byte-aligned raw C-order payloads, served as zero-copy NumPy views;
 * :mod:`repro.storage.engine.backend` — the :class:`StorageBackend`
   byte-range protocol with in-memory and mmap-backed local-disk
   implementations;
 * :mod:`repro.storage.engine.engine` — the :class:`StorageEngine` facade
-  that writes either format, opens partitions lazily, and answers
+  that encodes on write, opens partitions lazily, and answers
   cluster-range reads by mapping only the requested byte slices.
 
 :class:`~repro.storage.SimulatedDFS` fronts this package; its logical
-read/write counters are format-independent by construction.
+read/write counters charge logical sizes, never stored ones.
 """
 
 from repro.storage.engine.backend import (
@@ -31,7 +31,6 @@ from repro.storage.engine.format import (
     decode_v2_header,
     encode_partition_v2,
     encode_partition_v2_arrays,
-    is_v2_payload,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",
-    "is_v2_payload",
 ]

@@ -1,11 +1,11 @@
-"""Binary partition format v2: mmap-friendly columnar layout.
+"""The binary partition format: mmap-friendly columnar layout.
 
-Format v1 (:meth:`repro.storage.partition.PartitionFile.to_bytes`) stores a
-JSON header followed by two self-describing array blobs; reading *anything*
-from a v1 payload deserialises the whole partition — JSON parse plus full
-copies of ``ids`` and ``values``.  Format v2 keeps the same logical model
-(contiguous trie-node clusters indexed by an offset directory, paper §VI)
-but lays the bytes out so that a reader touches only the ranges it needs:
+The one encoding of the paper's partition model (contiguous trie-node
+clusters indexed by an offset directory, §VI), laid out so that a reader
+touches only the byte ranges it needs.  Its magic and symbol names say
+"v2" because a blob-stream encoding preceded it; that encoding is gone
+(DESIGN.md D4) and a blob that does not start with the magic is refused
+by :func:`decode_v2_header`.
 
 .. code-block:: text
 
@@ -19,9 +19,9 @@ but lays the bytes out so that a reader touches only the ranges it needs:
     [ids_offset, ...)    raw C-order int64 ids payload, 64-byte aligned
     [values_offset, ...) raw C-order float64 values payload, 64-byte aligned
 
-Offsets/counts are *record* indices (identical to the v1 header tuples);
-byte ranges are derived by multiplying with the fixed item sizes.  Because
-the payloads are aligned raw C-order buffers, a reader backed by
+Offsets/counts are *record* indices (the :class:`PartitionFile` header
+tuples); byte ranges are derived by multiplying with the fixed item sizes.
+Because the payloads are aligned raw C-order buffers, a reader backed by
 ``mmap``/``bytes`` serves any cluster as an ``np.frombuffer`` view with
 zero deserialisation cost — exactly the asymmetry CLIMBER's query
 algorithms assume ("reading one cluster touches only its slice").
@@ -69,7 +69,6 @@ __all__ = [
     "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",
-    "is_v2_payload",
     "PartitionV2View",
 ]
 
@@ -92,15 +91,13 @@ HEADER_SIZE = _HEADER.size
 _CRC_BLOCK = struct.Struct("<4I")
 CRC_BLOCK_SIZE = _CRC_BLOCK.size
 
-#: Leading bytes a reader fetches in one range: enough for the format
-#: sniff, the fixed header and (version 3) the CRC block.
+#: Leading bytes a reader fetches in one range: the fixed header and
+#: (version 3) the CRC block.
 HEAD_PROBE_SIZE = HEADER_SIZE + CRC_BLOCK_SIZE
 
 _IDS_ITEMSIZE = 8     # int64
 _VALUES_ITEMSIZE = 8  # float64
 
-# v1 payloads start with the little-endian length of their JSON meta blob —
-# a small integer, so the first eight bytes can never equal the magic.
 assert HEADER_SIZE == 80
 assert CRC_BLOCK_SIZE == 16
 
@@ -137,11 +134,6 @@ class V2Header:
     def header_size(self) -> int:
         """Bytes before the meta blob (base header + optional CRC block)."""
         return HEADER_SIZE + (CRC_BLOCK_SIZE if self.crcs is not None else 0)
-
-
-def is_v2_payload(prefix: bytes | bytearray | memoryview) -> bool:
-    """True if the payload's leading bytes carry the v2 magic."""
-    return bytes(prefix[:8]) == FORMAT_V2_MAGIC
 
 
 def encode_partition_v2_arrays(
@@ -219,8 +211,7 @@ def encode_partition_v2_arrays(
                               offset=dir_offset)
     directory[:n_clusters] = [header[k][0] for k in keys]
     directory[n_clusters:] = [header[k][1] for k in keys]
-    # Same directory validation the v1 path applies at construction time:
-    # a bad cluster range must fail here, not at some later read.
+    # A bad cluster range must fail here, not at some later read.
     if not (
         np.all(directory >= 0)
         and np.all(directory[:n_clusters] + directory[n_clusters:] <= n_records)
@@ -259,7 +250,7 @@ def encode_partition_v2(part: PartitionFile, checksums: bool = True) -> bytes:
 
     Cluster order follows the partition header (sorted key order from
     :meth:`PartitionFile.from_clusters`), so the directory describes the
-    same contiguous layout as the v1 header.  ``checksums`` selects
+    same contiguous layout as that header.  ``checksums`` selects
     header version 3 (CRC block) vs the legacy version-2 bytes.
     """
     return encode_partition_v2_arrays(
@@ -361,9 +352,6 @@ class PartitionV2View:
         Zero-argument callable invoked once per detected corruption
         (before the raise) — the DFS hooks its
         ``dfs.corruption_detected`` counter here.
-    head:
-        The blob's first :data:`HEAD_PROBE_SIZE` bytes, when the caller
-        already fetched them to sniff the format; read here otherwise.
     logical_nbytes:
         The partition's logical size, when the caller tracks it (the DFS
         registry does); derived from the directory on first use otherwise.
@@ -384,7 +372,6 @@ class PartitionV2View:
         physical_size: int | None = None,
         verify: str = "lazy",
         corruption_cb: Callable[[], None] | None = None,
-        head: bytes | memoryview | None = None,
         logical_nbytes: int | None = None,
     ) -> None:
         if verify not in VERIFY_MODES:
@@ -395,11 +382,10 @@ class PartitionV2View:
         self._read = read_range
         self._corruption_cb = corruption_cb
         self._logical_nbytes = logical_nbytes
-        if head is None:
-            head = read_range(
-                0, HEAD_PROBE_SIZE if physical_size is None
-                else min(physical_size, HEAD_PROBE_SIZE)
-            )
+        head = read_range(
+            0, HEAD_PROBE_SIZE if physical_size is None
+            else min(physical_size, HEAD_PROBE_SIZE)
+        )
         self.v2_header = decode_v2_header(head, physical_size)
         h = self.v2_header
         checked = verify != "off" and h.crcs is not None
@@ -426,10 +412,13 @@ class PartitionV2View:
             meta = json_from_bytes(meta_bytes)
         except Exception:
             meta = None
-        if not isinstance(meta, dict) or "partition_id" not in meta \
-                or "keys" not in meta:
+        keys = meta.get("keys") if isinstance(meta, dict) else None
+        if (
+            not isinstance(keys, list)
+            or not all(isinstance(key, str) for key in keys)
+            or "partition_id" not in meta
+        ):
             raise StorageError("corrupt v2 partition: malformed meta blob")
-        keys = list(meta["keys"])
         if len(keys) != n:
             raise StorageError(
                 f"corrupt v2 partition: {len(keys)} keys for "
@@ -472,13 +461,13 @@ class PartitionV2View:
 
     @property
     def nbytes(self) -> int:
-        """*Logical* partition size — identical to the v1 accounting.
+        """*Logical* partition size, not the stored one.
 
         The shared :func:`logical_partition_nbytes` figure (records with
-        per-record overhead plus the JSON header length), so DFS counters
-        and simulated costs are byte-identical whichever physical format
-        serves the partition.  Views opened through the DFS are handed the
-        registry's figure; a standalone view derives it when first asked.
+        per-record overhead plus the JSON header length), which is what
+        DFS counters and simulated costs charge.  Views opened through the
+        DFS are handed the registry's figure; a standalone view derives it
+        when first asked.
         """
         if self._logical_nbytes is None:
             self._logical_nbytes = logical_partition_nbytes(
@@ -594,15 +583,3 @@ class PartitionV2View:
     @property
     def values(self) -> np.ndarray:
         return self.read_all()[1]
-
-    # -- migration --------------------------------------------------------------
-
-    def to_partition_file(self) -> PartitionFile:
-        """Materialise a fully-deserialised v1 :class:`PartitionFile`."""
-        ids, values = self.read_all()
-        return PartitionFile(
-            partition_id=self.partition_id,
-            ids=ids.copy(),
-            values=values.copy(),
-            header=dict(self.header),
-        )

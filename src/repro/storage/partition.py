@@ -1,4 +1,4 @@
-"""Physical partition files.
+"""The partition model: trie-node clusters laid out contiguously.
 
 Section VI ("Localized Record-Level Similarity within Identified
 Partitions") specifies the layout CLIMBER relies on at query time:
@@ -8,16 +8,16 @@ Partitions") specifies the layout CLIMBER relies on at query time:
      contiguously next to each other.  The start offset of each trie node
      cluster is maintained in a header section within the partition."
 
-A :class:`PartitionFile` implements exactly that: records grouped into
+A :class:`PartitionFile` is that layout in memory: records grouped into
 *clusters* (keyed by the trie-node path string), stored contiguously, with
-a header mapping each cluster key to its (offset, count).  Reading one
-cluster touches only its slice; reading the partition touches everything —
-the difference the paper's query algorithms exploit.
+a header mapping each cluster key to its (offset, count).  Baselines and
+tests assemble partitions with it; the bytes a store holds are the one
+binary format of :mod:`repro.storage.engine.format`, which encodes this
+layout and serves it back as a lazy view with the same access interface.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -25,14 +25,7 @@ import numpy as np
 
 from repro.exceptions import StorageError
 from repro.series import series_nbytes
-from repro.storage.serialization import (
-    array_from_bytes,
-    array_to_bytes,
-    json_from_bytes,
-    json_to_bytes,
-    read_blob,
-    write_blob,
-)
+from repro.storage.serialization import json_to_bytes
 
 __all__ = ["PartitionFile", "logical_partition_nbytes"]
 
@@ -47,9 +40,9 @@ def logical_partition_nbytes(
     Records (with per-record overhead) plus the serialised JSON header —
     the quantity the DFS counters charge per read and the cost model bills
     for I/O.  This is the single definition of that accounting: every
-    physical format (v1 blobs, v2 columnar) and every registration path
-    (write-time, attach-time) must report sizes through it so the
-    Fig. 11(b) access-volume metrics stay format-independent.
+    registration path (write-time, attach-time) reports sizes through it,
+    so the Fig. 11(b) access-volume metrics do not depend on alignment
+    padding, checksums or which cache served the bytes.
     """
     records = record_count * series_nbytes(series_length)
     return records + len(
@@ -59,7 +52,7 @@ def logical_partition_nbytes(
 
 @dataclass
 class PartitionFile:
-    """One physical storage partition.
+    """One partition, assembled in memory.
 
     Build with :meth:`from_clusters`; the constructor trusts its inputs.
     """
@@ -109,41 +102,6 @@ class PartitionFile:
             values=np.vstack(val_parts),
             header=header,
         )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        partition_id: str,
-        ids: np.ndarray,
-        values: np.ndarray,
-        header: Mapping[str, tuple[int, int]],
-    ) -> "PartitionFile":
-        """Wrap records already laid out in final cluster order.
-
-        The bulk-write counterpart of :meth:`from_clusters`: the caller
-        (the flat-trie build pipeline) has sorted the records so each
-        cluster is a contiguous run and supplies the directory directly —
-        no per-cluster concatenation happens here.  ``header`` insertion
-        order defines cluster order and must be key-sorted to match the
-        :meth:`from_clusters` layout contract.
-        """
-        if not header:
-            raise StorageError(f"partition {partition_id!r} needs >= 1 cluster")
-        ids = np.asarray(ids, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or ids.ndim != 1 or ids.shape[0] != values.shape[0]:
-            raise StorageError(
-                f"partition {partition_id!r}: ids/values shape mismatch"
-            )
-        out_header: dict[str, tuple[int, int]] = {}
-        for key, (offset, count) in header.items():
-            offset, count = int(offset), int(count)
-            if offset < 0 or count < 0 or offset + count > ids.shape[0]:
-                raise StorageError(
-                    f"cluster {key!r} range outside partition payload"
-                )
-            out_header[key] = (offset, count)
-        return cls(partition_id, ids, values, out_header)
 
     # -- access ------------------------------------------------------------------
 
@@ -200,44 +158,3 @@ class PartitionFile:
 
     def cluster_sizes(self) -> dict[str, int]:
         return {k: count for k, (_, count) in self.header.items()}
-
-    # -- serialisation -------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        write_blob(buf, json_to_bytes(
-            {"partition_id": self.partition_id,
-             "header": {k: list(v) for k, v in self.header.items()},
-             "record_count": self.record_count,
-             "series_length": self.series_length}
-        ))
-        write_blob(buf, array_to_bytes(self.ids))
-        write_blob(buf, array_to_bytes(self.values))
-        return buf.getvalue()
-
-    @staticmethod
-    def stored_size_from_meta(meta: Mapping) -> tuple[int, int] | None:
-        """``(nbytes, record_count)`` from a partition's first header blob.
-
-        Lets the DFS register a persisted partition without deserialising
-        its payload (reopen is O(partitions), not O(bytes)).  Returns
-        ``None`` for legacy payloads written before the size metadata was
-        added to the header.
-        """
-        if "record_count" not in meta or "series_length" not in meta:
-            return None
-        records = int(meta["record_count"])
-        nbytes = logical_partition_nbytes(
-            records, int(meta["series_length"]),
-            {k: tuple(v) for k, v in meta["header"].items()},
-        )
-        return nbytes, records
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PartitionFile":
-        buf = io.BytesIO(data)
-        meta = json_from_bytes(read_blob(buf))
-        ids = array_from_bytes(read_blob(buf))
-        values = array_from_bytes(read_blob(buf))
-        header = {k: (int(v[0]), int(v[1])) for k, v in meta["header"].items()}
-        return cls(meta["partition_id"], ids, values, header)

@@ -7,8 +7,6 @@ live under ``benchmarks/``.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -30,17 +28,14 @@ STD_INDEX_CONFIG = ClimberConfig(
 )
 
 
-def expect_degraded(expected: bool = True, match: str = ""):
+def expect_degraded(match: str = ""):
     """Context for code that *should* emit the ``parallel execution
     degraded`` RuntimeWarning.
 
     CI runs the plain tier-1 suite with ``-W error::RuntimeWarning`` so a
     stray NumPy "invalid value" cannot pass silently; the intentional
-    degradation notices are asserted here instead.  ``expected=False``
-    is a no-op, for parametrised cells that do not degrade.
+    degradation notices are asserted here instead.
     """
-    if not expected:
-        return contextlib.nullcontext()
     return pytest.warns(
         RuntimeWarning, match=f"parallel execution degraded.*{match}"
     )

@@ -13,8 +13,8 @@ Three layers of guarantees pinned down here:
 * **The zero-fault parity oracle** — a zero-rate
   :class:`~repro.resilience.FaultPlan` (the full injector + retry + CRC
   machinery armed, no fault ever fired) is bit-transparent: answers and
-  logical counters identical to a plain build, across storage formats
-  and worker counts.  Plus: same chaos seed, same results — twice.
+  logical counters identical to a plain build, across worker counts.
+  Plus: same chaos seed, same results — twice.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import expect_degraded
 
 from repro.core.config import ON_PARTITION_FAILURE_ENV, ClimberConfig
 from repro.core.index import ClimberIndex
@@ -338,26 +337,20 @@ class TestDegradedQueries:
 
 
 class TestZeroFaultParity:
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_armed_resilience_is_bit_transparent(self, fmt, n_workers):
+    def test_armed_resilience_is_bit_transparent(self, n_workers):
         dataset = _dataset()
         queries = _queries(12)
-        reference = ClimberIndex.build(
-            dataset, _config(partition_format=fmt)
+        reference = ClimberIndex.build(dataset, _config())
+        armed = ClimberIndex.build(
+            dataset,
+            _config(
+                n_workers=n_workers,
+                fault_plan=FaultPlan(seed=999),  # rates 0: armed, silent
+                verify_checksums="eager",
+                on_partition_failure="skip",
+            ),
         )
-        with expect_degraded(fmt == "v1" and n_workers > 1,
-                             match="v1 in-memory object store"):
-            armed = ClimberIndex.build(
-                dataset,
-                _config(
-                    partition_format=fmt,
-                    n_workers=n_workers,
-                    fault_plan=FaultPlan(seed=999),  # rates 0: armed, silent
-                    verify_checksums="eager",
-                    on_partition_failure="skip",
-                ),
-            )
         assert armed.dfs.fault_injector is not None
         assert _answers(reference, queries) == _answers(armed, queries)
         ref_c = dataclasses.asdict(reference.dfs.counters)

@@ -11,9 +11,10 @@ so that agreement is adversarial evidence, not self-comparison:
   fall-back-only / all-tied edge cases;
 * ``compute_centroids`` (packed bitset scan) vs
   ``compute_centroids_reference`` (tuple-wise scan) — identical selected
-  centroids in identical order;
-* the builder's fused streamed conversion vs the legacy per-chunk loop —
-  byte-identical skeletons and partitions, independent of block size.
+  centroids in identical order.
+
+What the conversion feeds — where every record of a whole build ends up —
+is checked by the placement oracle in ``tests/test_builder_parity.py``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ClimberConfig, compute_centroids, compute_centroids_reference
+from repro.core import compute_centroids, compute_centroids_reference
 from repro.core.assignment import GroupAssigner
-from repro.core.builder import build_index_artifacts
-from repro.datasets import make_dataset
 from repro.pivots import (
     decay_weights,
     overlap_distance_matrix,
@@ -33,7 +32,6 @@ from repro.pivots import (
     weight_distance_matrix,
     weight_distance_matrix_reference,
 )
-from repro.storage import SimulatedDFS
 
 
 def random_assigner(rng: np.random.Generator, r: int, m: int, k: int,
@@ -190,54 +188,3 @@ class TestCentroidParity:
         kwargs = dict(sample_fraction=1.0, capacity=1, epsilon=1)
         assert (compute_centroids(sigs, freqs, **kwargs)
                 == compute_centroids(sigs, freqs, n_pivots=32, **kwargs))
-
-
-class TestBuilderConversionParity:
-    """fused vs legacy conversion through the whole builder."""
-
-    CONFIG = dict(word_length=8, n_pivots=48, prefix_length=6, capacity=150,
-                  sample_fraction=0.2, n_input_partitions=32, seed=9)
-
-    @pytest.fixture(scope="class")
-    def pair(self):
-        dataset = make_dataset("RandomWalk", 3000, length=48, seed=5)
-        out = {}
-        for mode in ("legacy", "fused"):
-            dfs = SimulatedDFS()
-            out[mode] = build_index_artifacts(
-                dataset, ClimberConfig(**self.CONFIG), dfs=dfs,
-                conversion=mode,
-            )
-        return out["legacy"], out["fused"]
-
-    def test_skeletons_identical(self, pair):
-        legacy, fused = pair
-        assert legacy.skeleton.to_bytes() == fused.skeleton.to_bytes()
-
-    def test_partitions_byte_identical(self, pair):
-        legacy, fused = pair
-        assert legacy.dfs.list_partitions() == fused.dfs.list_partitions()
-        assert len(legacy.dfs.list_partitions()) > 5
-        for pid in legacy.dfs.list_partitions():
-            ea, eb = legacy.dfs.engine, fused.dfs.engine
-            na, nb = ea._name(pid), eb._name(pid)
-            assert (bytes(ea.backend.read_range(na, 0, ea.backend.size(na)))
-                    == bytes(eb.backend.read_range(nb, 0, eb.backend.size(nb))))
-
-    def test_sim_stage_costs_identical(self, pair):
-        legacy, fused = pair
-        sa, sb = legacy.sim_report.stages, fused.sim_report.stages
-        assert [s.name for s in sa] == [s.name for s in sb]
-        for x, y in zip(sa, sb):
-            assert (x.n_tasks, x.total_cost, x.sim_seconds) == (
-                y.n_tasks, y.total_cost, y.sim_seconds
-            )
-
-    def test_unknown_conversion_mode_rejected(self):
-        from repro.exceptions import ConfigurationError
-
-        dataset = make_dataset("RandomWalk", 300, length=32, seed=1)
-        with pytest.raises(ConfigurationError):
-            build_index_artifacts(
-                dataset, ClimberConfig(**self.CONFIG), conversion="spark"
-            )

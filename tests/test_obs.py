@@ -304,7 +304,7 @@ class TestEnabledDisabledParity:
         bytes and skeleton with the flag on and off."""
         blobs = {}
         for enabled in (False, True):
-            dfs = SimulatedDFS(partition_format="v2")
+            dfs = SimulatedDFS()
             index = ClimberIndex.build(
                 obs_dataset, _config(telemetry=enabled), dfs=dfs
             )
@@ -509,18 +509,6 @@ class TestFallbackVisibility:
             warnings.simplefilter("error", RuntimeWarning)
             ClimberIndex.build(tiny_dataset, config)
         assert _fallback_count() == before
-
-    def test_v1_object_store_parallel_write_warns(self, tiny_dataset):
-        config = _config(
-            capacity=32, n_input_partitions=4, partition_format="v1",
-            executor="thread", n_workers=2,
-        )
-        before = _fallback_count()
-        with pytest.warns(RuntimeWarning, match="writing serially"):
-            ClimberIndex.build(tiny_dataset, config, dfs=SimulatedDFS(
-                partition_format="v1"
-            ))
-        assert _fallback_count() == before + 1
 
 
 # ---------------------------------------------------------------------------

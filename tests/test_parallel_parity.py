@@ -44,7 +44,7 @@ def _dataset(n=3000, length=64, seed=11):
     return SeriesDataset(values)
 
 
-def _config(n_workers, executor="thread", conversion_format="v2", seed=5):
+def _config(n_workers, executor="thread", seed=5):
     return ClimberConfig(
         word_length=8,
         n_pivots=24,
@@ -53,7 +53,6 @@ def _config(n_workers, executor="thread", conversion_format="v2", seed=5):
         sample_fraction=0.5,
         seed=seed,
         n_input_partitions=8,
-        partition_format=conversion_format,
         n_workers=n_workers,
         executor=executor,
     )
@@ -159,28 +158,30 @@ def test_config_effective_n_workers(monkeypatch):
 
 
 class TestBuildParity:
-    @pytest.mark.parametrize("conversion", ["fused", "legacy"])
-    def test_build_bit_identical_across_worker_counts(self, conversion):
+    def test_build_bit_identical_across_worker_counts(self):
         dataset = _dataset()
-        reference = build_index_artifacts(
-            dataset, _config(1), conversion=conversion
-        )
+        reference = build_index_artifacts(dataset, _config(1))
         ref_payloads = _partition_payloads(reference.dfs)
-        ref_counters = reference.dfs.counters
+        assert len(ref_payloads) > 5
         for n_workers in (2, 4):
-            art = build_index_artifacts(
-                dataset, _config(n_workers), conversion=conversion
-            )
+            art = build_index_artifacts(dataset, _config(n_workers))
             assert _partition_payloads(art.dfs) == ref_payloads
-            assert art.dfs.counters.bytes_written == ref_counters.bytes_written
-            assert (art.dfs.counters.partitions_written
-                    == ref_counters.partitions_written)
+            assert art.dfs.counters == reference.dfs.counters
             # The broadcast structure (skeleton + pivots) must agree too.
             assert SkeletonWithPivots(
                 art.skeleton, art.pivots
             ).to_bytes() == SkeletonWithPivots(
                 reference.skeleton, reference.pivots
             ).to_bytes()
+            # And the simulated build: same stages, task counts, costs
+            # and seconds, to the bit.
+            assert [
+                (s.name, s.n_tasks, s.total_cost, s.sim_seconds)
+                for s in art.sim_report.stages
+            ] == [
+                (s.name, s.n_tasks, s.total_cost, s.sim_seconds)
+                for s in reference.sim_report.stages
+            ]
 
     def test_build_process_executor_parity(self):
         dataset = _dataset(n=1500)
@@ -196,7 +197,7 @@ class TestBuildParity:
         # Regression (PR-6 remaining item): redistribution encodes used to
         # fall back to serial on process pools because the encode task
         # closed over live engine handles.  The encode spec is plain data
-        # now, so a v2 process build must not record any fallback — the
+        # now, so a process build must not record any fallback — the
         # only pooled stage that still degrades is the shared-memory trie
         # compile, which warns through make_executor, not the builder.
         import warnings
@@ -217,7 +218,7 @@ class TestBuildParity:
 
     def test_encode_partition_task_matches_engine_encode(self):
         # The picklable spec path and the live-engine path must produce
-        # identical payload bytes for both formats.
+        # identical payload bytes, with and without the CRC block.
         from repro.core.builder import _encode_partition_task
         from repro.storage.engine import MemoryBackend, StorageEngine
 
@@ -225,30 +226,13 @@ class TestBuildParity:
         ids = np.arange(40, dtype=np.int64)
         values = rng.standard_normal((40, 16))
         header = {"g0/a": (0, 25), "g0/b": (25, 15)}
-        for fmt in ("v2", "v1"):
-            engine = StorageEngine(MemoryBackend(), partition_format=fmt)
+        for checksums in (True, False):
+            engine = StorageEngine(MemoryBackend(), checksums=checksums)
             expected = engine.encode_arrays("part-x", ids, values, header)
             got = _encode_partition_task(
-                ("part-x", ids, values, header, fmt, engine.checksums)
+                ("part-x", ids, values, header, checksums)
             )
             assert got == expected
-
-    def test_build_v1_object_store_parity(self):
-        # The v1 in-memory object store has no encoded-write path; the
-        # redistribution falls back to the serial write loop but must stay
-        # record-identical.
-        dataset = _dataset(n=1500)
-        ref = build_index_artifacts(dataset, _config(1, conversion_format="v1"))
-        with expect_degraded(match="v1 in-memory object store"):
-            par = build_index_artifacts(
-                dataset, _config(4, conversion_format="v1")
-            )
-        assert ref.dfs.list_partitions() == par.dfs.list_partitions()
-        for pid in ref.dfs.list_partitions():
-            a_ids, a_vals = ref.dfs.read_partition(pid).read_all()
-            b_ids, b_vals = par.dfs.read_partition(pid).read_all()
-            assert np.array_equal(a_ids, b_ids)
-            assert np.array_equal(a_vals, b_vals)
 
 
 # -- query parity ----------------------------------------------------------------

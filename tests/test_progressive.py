@@ -5,8 +5,8 @@ The contracts under test (see :mod:`repro.core.progressive`):
 * **Parity oracle** — a progressive run with stopping disabled is
   bit-identical to :meth:`~repro.core.ClimberIndex.knn` in its final
   update: same ids, same distance bits, same stats fields (bar
-  ``wall_seconds``) and same logical DFS counters, across partition
-  formats and worker counts.
+  ``wall_seconds``) and same logical DFS counters, across worker
+  counts.
 * **Early stopping is safe** — the rule never fires before ``k`` answers
   are in hand, forgone coverage is recorded honestly, and a stopped
   answer is still a complete (ordered, deduplicated) answer set.
@@ -24,7 +24,6 @@ import json
 
 import numpy as np
 import pytest
-from conftest import expect_degraded
 
 from repro.core import (
     ClimberConfig,
@@ -172,16 +171,13 @@ class TestKnobGrammar:
 # ---------------------------------------------------------------------------
 
 class TestParityOracle:
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_progressive_off_matches_knn(self, fmt, n_workers):
+    def test_progressive_off_matches_knn(self, n_workers):
         dataset = _dataset()
         queries = _queries()
-        cfg = _config(partition_format=fmt, n_workers=n_workers)
-        with expect_degraded(fmt == "v1" and n_workers > 1,
-                             match="v1 in-memory object store"):
-            reference = ClimberIndex.build(dataset, cfg)
-            progressive = ClimberIndex.build(dataset, cfg)
+        cfg = _config(n_workers=n_workers)
+        reference = ClimberIndex.build(dataset, cfg)
+        progressive = ClimberIndex.build(dataset, cfg)
         for variant in ("knn", "adaptive", "od-smallest"):
             for q in queries:
                 ref = reference.knn(q, 10, variant=variant)
@@ -195,16 +191,13 @@ class TestParityOracle:
                     "bytes_written"):
             assert ref_c[key] == prog_c[key], key
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_batch_progressive_off_matches_knn_batch(self, fmt, n_workers):
+    def test_batch_progressive_off_matches_knn_batch(self, n_workers):
         dataset = _dataset()
         queries = _queries(16)
-        cfg = _config(partition_format=fmt, n_workers=n_workers)
-        with expect_degraded(fmt == "v1" and n_workers > 1,
-                             match="v1 in-memory object store"):
-            reference = ClimberIndex.build(dataset, cfg)
-            progressive = ClimberIndex.build(dataset, cfg)
+        cfg = _config(n_workers=n_workers)
+        reference = ClimberIndex.build(dataset, cfg)
+        progressive = ClimberIndex.build(dataset, cfg)
         refs = reference.knn_batch(queries, 10)
         finals = progressive.knn_batch_progressive(
             queries, 10, early_stop="off"

@@ -4,9 +4,7 @@ The evaluation harness has always *measured* recall against exact ground
 truth (``repro.evaluation.groundtruth``) but never *enforced* it, so a
 perf refactor of the conversion/assignment path had no quality safety
 net.  This test is that net: a small seeded random-walk index must reach
-a recorded average recall@10 floor — for both the legacy and the fused
-conversion pipelines, which must also agree on every answer (identical
-group assignments make the two indexes byte-identical on disk).
+a recorded average recall@10 floor, for both query variants.
 
 The floor (0.40) is the value measured at the recorded seeds when the
 gate was introduced; CLIMBER-kNN on this workload is deterministic given
@@ -39,12 +37,9 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def indexes(workload):
+def index(workload):
     dataset, _, _ = workload
-    return {
-        mode: ClimberIndex.build(dataset, CFG, conversion=mode)
-        for mode in ("legacy", "fused")
-    }
+    return ClimberIndex.build(dataset, CFG)
 
 
 def mean_recall(index, queries, truth, variant):
@@ -56,34 +51,14 @@ def mean_recall(index, queries, truth, variant):
 
 
 class TestRecallRegression:
-    @pytest.mark.parametrize("mode", ["legacy", "fused"])
     @pytest.mark.parametrize("variant", ["knn", "adaptive"])
-    def test_recall_floor(self, indexes, workload, mode, variant):
+    def test_recall_floor(self, index, workload, variant):
         _, queries, truth = workload
-        recall = mean_recall(indexes[mode], queries, truth, variant)
+        recall = mean_recall(index, queries, truth, variant)
         assert recall >= RECALL_FLOOR, (
-            f"avg recall@{K} {recall:.3f} of conversion={mode!r} "
-            f"variant={variant!r} fell below the recorded {RECALL_FLOOR} floor"
+            f"avg recall@{K} {recall:.3f} of variant={variant!r} "
+            f"fell below the recorded {RECALL_FLOOR} floor"
         )
-
-    def test_conversion_modes_agree_on_every_answer(self, indexes, workload):
-        """Identical group assignments -> identical answers per query."""
-        _, queries, _ = workload
-        legacy, fused = indexes["legacy"], indexes["fused"]
-        for ra, rb in zip(legacy.knn_batch(queries.values, K),
-                          fused.knn_batch(queries.values, K)):
-            np.testing.assert_array_equal(ra.ids, rb.ids)
-            np.testing.assert_array_equal(ra.distances, rb.distances)
-
-    def test_conversion_modes_build_identical_partitions(self, indexes):
-        legacy, fused = indexes["legacy"], indexes["fused"]
-        assert (legacy.skeleton.to_bytes() == fused.skeleton.to_bytes())
-        assert legacy.dfs.list_partitions() == fused.dfs.list_partitions()
-        for pid in legacy.dfs.list_partitions():
-            ea, eb = legacy.dfs.engine, fused.dfs.engine
-            na, nb = ea._name(pid), eb._name(pid)
-            assert (bytes(ea.backend.read_range(na, 0, ea.backend.size(na)))
-                    == bytes(eb.backend.read_range(nb, 0, eb.backend.size(nb))))
 
     def test_exact_ground_truth_self_consistency(self, workload):
         """Queries drawn from the dataset contain themselves in the truth."""

@@ -173,9 +173,6 @@ class TestRecordCountMetadata:
             assert fresh.record_count(p.partition_id) == p.record_count
             assert fresh.partition_nbytes(p.partition_id) == p.nbytes
 
-    def test_stored_size_from_meta_legacy_payload(self):
-        assert PartitionFile.stored_size_from_meta({"header": {}}) is None
-
 
 class TestReopenUsesMetadata:
     CFG = ClimberConfig(word_length=8, n_pivots=24, prefix_length=5,
@@ -237,8 +234,7 @@ class TestCacheThreadSafety:
 
         parts = [make_partition(f"p{i}", seed=i) for i in range(12)]
         # Budget fits only ~3 partitions, forcing constant eviction churn.
-        dfs = SimulatedDFS(cache_bytes=3 * parts[0].nbytes + 1,
-                           partition_format="v2")
+        dfs = SimulatedDFS(cache_bytes=3 * parts[0].nbytes + 1)
         for part in parts:
             dfs.write_partition(part)
 
@@ -293,7 +289,7 @@ class TestCacheThreadSafety:
         parts = [make_partition(f"p{i}", seed=i) for i in range(12)]
         plan = FaultPlan(seed=29, straggler_rate=0.5, straggler_delay_s=0.001)
         dfs = SimulatedDFS(cache_bytes=3 * parts[0].nbytes + 1,
-                           partition_format="v2", fault_plan=plan)
+                           fault_plan=plan)
         for part in parts:
             dfs.write_partition(part)
 
@@ -348,7 +344,7 @@ class TestCacheThreadSafety:
         # Regression for the pre-lock accounting: re-inserting an already
         # cached partition must not double-count cache_used_bytes.
         part = make_partition("a")
-        dfs = SimulatedDFS(cache_bytes=1 << 20, partition_format="v2")
+        dfs = SimulatedDFS(cache_bytes=1 << 20)
         dfs.write_partition(part)
         handle = dfs.read_partition("a")
         before = dfs.cache_used_bytes

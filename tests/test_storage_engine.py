@@ -1,19 +1,22 @@
-"""Tests for the zero-copy storage engine: format v2, backends, engine.
+"""Tests for the zero-copy storage engine: the format, backends, engine.
 
-Covers the v1<->v2 format round-trip, legacy-payload migration (v1 headers
-without size metadata), truncated/corrupt-header error paths, and the
-zero-copy properties the benchmark relies on.
+Covers the encode/view round-trip, truncated/corrupt-header error paths,
+the zero-copy properties the benchmark relies on, and the store boundary
+on hostile bytes (anything that is not a partition is a ``StorageError``).
 """
 
 from __future__ import annotations
 
-import io
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import PartitionNotFoundError, StorageError
+from repro.resilience import RetryPolicy
 from repro.storage import PartitionFile, SimulatedDFS
 from repro.storage.engine import (
     FORMAT_V2_MAGIC,
@@ -24,14 +27,8 @@ from repro.storage.engine import (
     StorageEngine,
     decode_v2_header,
     encode_partition_v2,
-    is_v2_payload,
 )
 from repro.storage.engine.format import HEADER_SIZE, PAYLOAD_ALIGNMENT
-from repro.storage.serialization import (
-    array_to_bytes,
-    json_to_bytes,
-    write_blob,
-)
 
 
 def make_partition(pid="p0", n_clusters=3, per_cluster=5, length=8, seed=0):
@@ -54,18 +51,6 @@ def memory_view(part: PartitionFile) -> tuple[PartitionV2View, bytes]:
         physical_size=len(payload),
     )
     return view, payload
-
-
-def legacy_v1_payload(part: PartitionFile) -> bytes:
-    """A v1 payload as written *before* size metadata existed."""
-    buf = io.BytesIO()
-    write_blob(buf, json_to_bytes(
-        {"partition_id": part.partition_id,
-         "header": {k: list(v) for k, v in part.header.items()}}
-    ))
-    write_blob(buf, array_to_bytes(part.ids))
-    write_blob(buf, array_to_bytes(part.values))
-    return buf.getvalue()
 
 
 class TestFormatV2:
@@ -149,23 +134,6 @@ class TestFormatV2:
         with pytest.raises(StorageError):
             view.read_clusters([])
 
-    def test_to_partition_file_roundtrip(self):
-        part = make_partition(seed=7)
-        view, _ = memory_view(part)
-        back = view.to_partition_file()
-        assert back.header == part.header
-        np.testing.assert_array_equal(back.ids, part.ids)
-        np.testing.assert_array_equal(back.values, part.values)
-        back.values[0, 0] = 42.0  # materialised copy is writable
-        restored = PartitionFile.from_bytes(back.to_bytes())
-        assert restored.partition_id == part.partition_id
-
-    def test_is_v2_payload_discriminates_formats(self):
-        part = make_partition()
-        assert is_v2_payload(encode_partition_v2(part))
-        assert not is_v2_payload(part.to_bytes())
-        assert not is_v2_payload(b"")
-
 
 class TestFormatV2Corruption:
     def _reader(self, payload: bytes):
@@ -219,6 +187,16 @@ class TestFormatV2Corruption:
         # so widen via a fresh consistency failure or a key-count error.
         with pytest.raises(StorageError):
             PartitionV2View(self._reader(bytes(payload)))
+
+    @pytest.mark.parametrize("keys", [b"7       ", b'[["g0"]]', b"null    "])
+    def test_meta_keys_must_be_a_list_of_strings(self, keys):
+        # Without a CRC block nothing else stands between a rewritten meta
+        # blob and the directory zip.
+        part = make_partition(n_clusters=1)
+        payload = encode_partition_v2(part, checksums=False)
+        assert payload.count(b'["g0/0"]') == 1 and len(keys) == 8
+        with pytest.raises(StorageError, match="meta blob"):
+            PartitionV2View(self._reader(payload.replace(b'["g0/0"]', keys)))
 
     def test_truncated_payload_detected_via_backend_bounds(self):
         payload = encode_partition_v2(make_partition())
@@ -313,13 +291,8 @@ class TestBackends:
 
 
 class TestStorageEngine:
-    def test_rejects_unknown_format(self):
-        with pytest.raises(StorageError):
-            StorageEngine(MemoryBackend(), partition_format="v3")
-
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_write_open_roundtrip(self, fmt, tmp_path):
-        engine = StorageEngine(LocalDiskBackend(tmp_path), partition_format=fmt)
+    def test_write_open_roundtrip(self, tmp_path):
+        engine = StorageEngine(LocalDiskBackend(tmp_path))
         part = make_partition("alpha", seed=2)
         engine.write_partition(part)
         handle = engine.open_partition("alpha")
@@ -330,24 +303,8 @@ class TestStorageEngine:
         assert engine.has_partition("alpha")
         engine.close()
 
-    def test_v2_engine_reads_v1_payloads_and_vice_versa(self, tmp_path):
-        part = make_partition("mixed", seed=6)
-        v1 = StorageEngine(LocalDiskBackend(tmp_path / "a"), "v1")
-        v1.write_partition(part)
-        v2_reader = StorageEngine(LocalDiskBackend(tmp_path / "a"), "v2")
-        got = v2_reader.open_partition("mixed")
-        assert isinstance(got, PartitionFile)
-        np.testing.assert_array_equal(got.values, part.values)
-
-        v2 = StorageEngine(LocalDiskBackend(tmp_path / "b"), "v2")
-        v2.write_partition(part)
-        v1_reader = StorageEngine(LocalDiskBackend(tmp_path / "b"), "v1")
-        got = v1_reader.open_partition("mixed")
-        assert isinstance(got, PartitionV2View)
-        np.testing.assert_array_equal(got.values, part.values)
-
     def test_read_cluster_ranges(self):
-        engine = StorageEngine(MemoryBackend(), "v2")
+        engine = StorageEngine(MemoryBackend())
         part = make_partition("p", n_clusters=4, per_cluster=3, seed=8)
         engine.write_partition(part)
         keys = part.cluster_keys()[1:3]
@@ -356,33 +313,14 @@ class TestStorageEngine:
         np.testing.assert_array_equal(ids, eids)
         np.testing.assert_array_equal(values, evals)
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_partition_meta_without_payload(self, fmt):
-        engine = StorageEngine(MemoryBackend(), partition_format=fmt)
+    def test_partition_meta_without_payload(self):
+        engine = StorageEngine(MemoryBackend())
         part = make_partition("p", n_clusters=2, per_cluster=6, length=12)
         engine.write_partition(part)
         meta = engine.partition_meta("p")
         assert meta.logical_nbytes == part.nbytes
         assert meta.record_count == 12
         assert meta.series_length == 12
-
-    def test_partition_meta_legacy_payload_full_read_fallback(self):
-        part = make_partition("old", seed=4)
-        backend = MemoryBackend()
-        backend.write("old.part", legacy_v1_payload(part))
-        engine = StorageEngine(backend, "v2")
-        meta = engine.partition_meta("old")
-        assert meta.logical_nbytes == part.nbytes
-        assert meta.record_count == part.record_count
-        assert meta.series_length == part.series_length
-        # The legacy payload is also fully openable through the shim.
-        got = engine.open_partition("old")
-        np.testing.assert_array_equal(got.values, part.values)
-
-    def test_stored_size_from_meta_none_for_legacy(self):
-        assert PartitionFile.stored_size_from_meta(
-            {"partition_id": "x", "header": {}}
-        ) is None
 
     def test_missing_partition(self):
         engine = StorageEngine(MemoryBackend())
@@ -397,50 +335,30 @@ class TestStorageEngine:
         engine.delete_partition("p")
         assert not engine.has_partition("p")
 
-    def test_v2_physical_no_larger_than_v1(self):
-        """Alignment padding stays within the v1 framing overhead it drops."""
-        part = make_partition(n_clusters=8, per_cluster=16, length=64)
-        assert len(encode_partition_v2(part)) <= len(part.to_bytes())
-
 
 class TestDfsEngineFacade:
-    def test_default_format_is_v2(self):
-        assert SimulatedDFS().partition_format == "v2"
-
-    def test_rejects_unknown_format(self):
-        with pytest.raises(StorageError):
-            SimulatedDFS(partition_format="v7")
-
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_series_length_metadata(self, fmt):
-        dfs = SimulatedDFS(partition_format=fmt)
+    def test_series_length_metadata(self):
+        dfs = SimulatedDFS()
         dfs.write_partition(make_partition("a", length=24))
         assert dfs.series_length("a") == 24
         with pytest.raises(PartitionNotFoundError):
             dfs.series_length("ghost")
 
     def test_attach_mixed_format_directory(self, tmp_path):
-        old = SimulatedDFS(backing_dir=tmp_path, partition_format="v1")
-        old.write_partition(make_partition("legacy", seed=1))
-        new = SimulatedDFS(backing_dir=tmp_path, partition_format="v2")
-        new.write_partition(make_partition("modern", seed=2))
+        """Format versions 2 (no CRC block) and 3 share a directory."""
+        old = SimulatedDFS(backing_dir=tmp_path, checksums=False)
+        old.write_partition(make_partition("plain", seed=1))
+        new = SimulatedDFS(backing_dir=tmp_path)
+        new.write_partition(make_partition("checked", seed=2))
         fresh = SimulatedDFS(backing_dir=tmp_path)
         assert fresh.attach() == 2
-        for pid, seed in (("legacy", 1), ("modern", 2)):
+        for pid, seed in (("plain", 1), ("checked", 2)):
             expected = make_partition(pid, seed=seed)
             assert fresh.partition_nbytes(pid) == expected.nbytes
             assert fresh.record_count(pid) == expected.record_count
             assert fresh.series_length(pid) == expected.series_length
             got = fresh.read_partition(pid)
             np.testing.assert_array_equal(got.values, expected.values)
-
-    def test_attach_legacy_payload(self, tmp_path):
-        part = make_partition("old", seed=9)
-        (tmp_path / "old.part").write_bytes(legacy_v1_payload(part))
-        dfs = SimulatedDFS(backing_dir=tmp_path)
-        assert dfs.attach() == 1
-        assert dfs.partition_nbytes("old") == part.nbytes
-        assert dfs.record_count("old") == part.record_count
 
     def test_cluster_range_read_counts_one_logical_touch(self):
         dfs = SimulatedDFS()
@@ -454,9 +372,8 @@ class TestDfsEngineFacade:
         assert dfs.counters.partitions_read == 1
         assert dfs.counters.bytes_read == part.nbytes
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_logical_counters_format_independent(self, fmt, tmp_path):
-        dfs = SimulatedDFS(backing_dir=tmp_path / fmt, partition_format=fmt)
+    def test_logical_counters_charge_logical_size(self, tmp_path):
+        dfs = SimulatedDFS(backing_dir=tmp_path)
         part = make_partition("a", seed=3)
         dfs.write_partition(part)
         dfs.read_partition("a")
@@ -465,9 +382,48 @@ class TestDfsEngineFacade:
         assert dfs.counters.partitions_read == 1
 
 
+class TestHostileBytes:
+    """Bytes that are not a partition are a ``StorageError`` at every way
+    into the store, and nothing else — not a ``JSONDecodeError``, not a
+    ``struct.error``, not a NumPy reshape failure."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(junk=st.binary(max_size=256).filter(
+        lambda b: not b.startswith(FORMAT_V2_MAGIC)
+    ))
+    # A length-prefixed blob stream, as the retired encoding began: eight
+    # bytes of little-endian length, then that many bytes that are not JSON.
+    @example(junk=struct.pack("<Q", 10) + b"not json!!" + bytes(110))
+    def test_only_storage_errors_escape(self, junk):
+        with tempfile.TemporaryDirectory() as root:
+            disk = LocalDiskBackend(root)
+            for backend in (MemoryBackend(), disk):
+                backend.write("junk.part", junk)
+                engine = StorageEngine(backend)
+                with pytest.raises(StorageError):
+                    engine.partition_meta("junk")
+                with pytest.raises(StorageError):
+                    engine.open_partition("junk")
+            disk.close()
+            with pytest.raises(StorageError):
+                SimulatedDFS(backing_dir=root).attach()
+
+        # A registered partition whose blob is overwritten afterwards: the
+        # read fails for good and is counted as one failed logical read.
+        dfs = SimulatedDFS(
+            retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0)
+        )
+        dfs.write_partition(make_partition("p"))
+        dfs.engine.backend.write("p.part", junk)
+        with pytest.raises(StorageError):
+            dfs.read_partition("p")
+        assert dfs.counters.read_failures == 1
+        assert dfs.counters.partitions_read == 0
+
+
 class TestWriteArraysValidation:
     def test_v2_rejects_directory_outside_payload(self):
-        """The bulk array writer validates cluster ranges like the v1 path."""
+        """The bulk array writer validates cluster ranges at encode time."""
         import numpy as np
 
         from repro.storage import encode_partition_v2_arrays

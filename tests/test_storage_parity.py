@@ -1,11 +1,12 @@
-"""v1/v2 storage parity: query results and logical counters byte-identical.
+"""Storage parity: one format, identical answers however it is served.
 
-The acceptance contract of the zero-copy engine: an index served by the
-columnar v2 format must produce *exactly* the answers and the access-volume
-accounting of the v1 blob format — same ids, same distances, same
-``sim_seconds``, same logical DFS counters — because everything that
-changed is physical.  Also covers the ``knn_batch`` signature
-deduplication satellite (repeated queries in a batch route once).
+Everything about where partition bytes live is physical: an index over an
+in-memory store, over a ``backing_dir``, over a directory attached and
+reopened by a fresh process, and over a store with the read cache on must
+produce *exactly* the same answers and the same access-volume accounting —
+same ids, same distance bits, same ``sim_seconds``, same logical DFS
+counters.  Also covers the ``knn_batch`` signature deduplication
+satellite (repeated queries in a batch route once).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset, sample_queries
+from repro.storage import SimulatedDFS
 
 CFG = ClimberConfig(
     word_length=8, n_pivots=32, prefix_length=6, capacity=100,
@@ -32,14 +34,17 @@ def queries(dataset):
     return sample_queries(dataset, 12, seed=77).values
 
 
-def build(dataset, fmt, tmp_path=None):
-    from repro.storage import SimulatedDFS
+def build(dataset, backing_dir=None):
+    dfs = SimulatedDFS(backing_dir=backing_dir)
+    return ClimberIndex.build(dataset, CFG, dfs=dfs), dfs
 
-    dfs = SimulatedDFS(
-        backing_dir=tmp_path, partition_format=fmt
-    ) if tmp_path else SimulatedDFS(partition_format=fmt)
-    cfg = ClimberConfig(**{**CFG.__dict__, "partition_format": fmt})
-    return ClimberIndex.build(dataset, cfg, dfs=dfs), dfs
+
+def reopen(index, backing_dir, **dfs_kwargs):
+    """What a fresh process sees: the directory attached, the index
+    rebuilt from its persisted global structure."""
+    dfs = SimulatedDFS(backing_dir=backing_dir, **dfs_kwargs)
+    dfs.attach()
+    return ClimberIndex.reopen(index.save_global_index(), dfs, CFG), dfs
 
 
 def assert_results_identical(a, b):
@@ -53,81 +58,97 @@ def assert_results_identical(a, b):
         assert ra.stats.records_examined == rb.stats.records_examined
 
 
+def assert_logical_io_identical(a: SimulatedDFS, b: SimulatedDFS, fields):
+    for field in fields:
+        assert getattr(a.counters, field) == getattr(b.counters, field), field
+
+
 class TestFormatParity:
+    """The in-memory build is the reference every other way of serving
+    the same partitions is held to."""
+
     @pytest.mark.parametrize("variant", ["knn", "adaptive", "od-smallest"])
     def test_knn_results_and_counters_identical(self, dataset, queries,
                                                 variant, tmp_path):
-        v1_idx, v1_dfs = build(dataset, "v1", tmp_path / "v1")
-        v2_idx, v2_dfs = build(dataset, "v2", tmp_path / "v2")
-        v1_res = [v1_idx.knn(q, 10, variant=variant) for q in queries]
-        v2_res = [v2_idx.knn(q, 10, variant=variant) for q in queries]
-        assert_results_identical(v1_res, v2_res)
-        assert v1_dfs.counters.bytes_read == v2_dfs.counters.bytes_read
-        assert (v1_dfs.counters.partitions_read
-                == v2_dfs.counters.partitions_read)
-        assert v1_dfs.counters.bytes_written == v2_dfs.counters.bytes_written
-
-    def test_knn_batch_parity_in_memory(self, dataset, queries):
-        v1_idx, v1_dfs = build(dataset, "v1")
-        v2_idx, v2_dfs = build(dataset, "v2")
+        mem_idx, mem_dfs = build(dataset)
+        disk_idx, disk_dfs = build(dataset, tmp_path)
         assert_results_identical(
-            v1_idx.knn_batch(queries, 8), v2_idx.knn_batch(queries, 8)
+            [mem_idx.knn(q, 10, variant=variant) for q in queries],
+            [disk_idx.knn(q, 10, variant=variant) for q in queries],
         )
-        assert v1_dfs.counters.bytes_read == v2_dfs.counters.bytes_read
-        assert (v1_dfs.counters.partitions_read
-                == v2_dfs.counters.partitions_read)
+        assert_logical_io_identical(
+            mem_dfs, disk_dfs,
+            ("bytes_read", "partitions_read", "bytes_written"),
+        )
 
-    def test_v2_reopen_from_disk_matches_v1(self, dataset, queries, tmp_path):
-        from repro.storage import SimulatedDFS
-
-        v1_idx, _ = build(dataset, "v1", tmp_path / "v1")
-        v2_idx, _ = build(dataset, "v2", tmp_path / "v2")
-        blob = v2_idx.save_global_index()
-        fresh = SimulatedDFS(backing_dir=tmp_path / "v2")
-        fresh.attach()
-        reopened = ClimberIndex.reopen(blob, fresh, v2_idx.config)
+    def test_knn_batch_parity_in_memory(self, dataset, queries, tmp_path):
+        mem_idx, mem_dfs = build(dataset)
+        disk_idx, disk_dfs = build(dataset, tmp_path)
         assert_results_identical(
-            [v1_idx.knn(q, 10) for q in queries],
+            mem_idx.knn_batch(queries, 8), disk_idx.knn_batch(queries, 8)
+        )
+        assert_logical_io_identical(
+            mem_dfs, disk_dfs, ("bytes_read", "partitions_read")
+        )
+
+    def test_reopen_from_disk_matches_memory(self, dataset, queries, tmp_path):
+        mem_idx, mem_dfs = build(dataset)
+        disk_idx, _ = build(dataset, tmp_path)
+        reopened, fresh = reopen(disk_idx, tmp_path)
+        assert_results_identical(
+            [mem_idx.knn(q, 10) for q in queries],
             [reopened.knn(q, 10) for q in queries],
         )
+        assert_logical_io_identical(
+            mem_dfs, fresh, ("bytes_read", "partitions_read")
+        )
 
-    def test_v2_with_cache_matches_v1_without(self, dataset, queries, tmp_path):
-        from repro.storage import SimulatedDFS
-
-        v2_idx, _ = build(dataset, "v2", tmp_path / "v2")
-        blob = v2_idx.save_global_index()
-        cached = SimulatedDFS(backing_dir=tmp_path / "v2",
-                              cache_bytes=1 << 26)
-        cached.attach()
-        warm_idx = ClimberIndex.reopen(blob, cached, v2_idx.config)
-        v1_idx, v1_dfs = build(dataset, "v1", tmp_path / "v1")
-        warm = [warm_idx.knn(q, 10) for q in queries]
-        cold = [v1_idx.knn(q, 10) for q in queries]
-        assert_results_identical(cold, warm)
-        assert cached.counters.bytes_read == v1_dfs.counters.bytes_read
+    def test_cached_reopen_matches_memory(self, dataset, queries, tmp_path):
+        mem_idx, mem_dfs = build(dataset)
+        disk_idx, _ = build(dataset, tmp_path)
+        warm_idx, cached = reopen(disk_idx, tmp_path, cache_bytes=1 << 26)
+        assert_results_identical(
+            [mem_idx.knn(q, 10) for q in queries],
+            [warm_idx.knn(q, 10) for q in queries],
+        )
+        assert_logical_io_identical(
+            mem_dfs, cached, ("bytes_read", "partitions_read")
+        )
         assert cached.counters.cache_hits > 0
 
     def test_append_parity(self, dataset, tmp_path):
         extra = random_walk_dataset(200, 48, seed=31)
         probe = extra.values[:6]
-        outcomes = {}
-        for fmt in ("v1", "v2"):
-            idx, dfs = build(dataset, fmt, tmp_path / f"append-{fmt}")
+        outcomes = []
+        for backing_dir in (None, tmp_path):
+            idx, dfs = build(dataset, backing_dir)
             summary = idx.append(extra)
-            outcomes[fmt] = (
+            outcomes.append((
                 summary["delta_partitions"],
                 [idx.knn(q, 10) for q in probe],
-                dfs.counters.bytes_read,
-            )
-        assert outcomes["v1"][0] == outcomes["v2"][0]
-        assert_results_identical(outcomes["v1"][1], outcomes["v2"][1])
-        assert outcomes["v1"][2] == outcomes["v2"][2]
+                dfs,
+            ))
+        (mem_deltas, mem_res, mem_dfs), (disk_deltas, disk_res, disk_dfs) = \
+            outcomes
+        assert mem_deltas == disk_deltas
+        assert_results_identical(mem_res, disk_res)
+        assert_logical_io_identical(
+            mem_dfs, disk_dfs,
+            ("bytes_read", "partitions_read", "bytes_written"),
+        )
+        # Deltas appended before a restart are served after it.
+        idx, _ = build(dataset, tmp_path / "restart")
+        idx.append(extra)
+        reopened, _ = reopen(idx, tmp_path / "restart")
+        assert_results_identical(
+            mem_res, [reopened.knn(q, 10) for q in probe]
+        )
 
 
 class TestBatchSignatureDedup:
     def test_repeated_queries_route_once(self, dataset, queries, monkeypatch):
         """A batch of duplicates computes the OD matrix on unique rows."""
-        idx, _ = build(dataset, "v2")
+        idx, _ = build(dataset)
         batch = np.repeat(queries[:3], 4, axis=0)  # 12 rows, 3 distinct
         seen_rows = []
         original = type(idx.routing).od_matrix
@@ -144,23 +165,23 @@ class TestBatchSignatureDedup:
     def test_repeated_queries_match_per_query_knn(self, dataset, queries):
         # Two identically-built indexes so both runs see the same RNG
         # stream position at every tie-break.
-        batch_idx, _ = build(dataset, "v2")
-        solo_idx, _ = build(dataset, "v2")
+        batch_idx, _ = build(dataset)
+        solo_idx, _ = build(dataset)
         batch = np.repeat(queries[:3], 4, axis=0)
         batch_res = batch_idx.knn_batch(batch, 8)
         solo_res = [solo_idx.knn(q, 8) for q in batch]
         assert_results_identical(solo_res, batch_res)
 
     def test_duplicates_share_answers(self, dataset, queries):
-        idx, _ = build(dataset, "v2")
+        idx, _ = build(dataset)
         batch = np.vstack([queries[0], queries[1], queries[0]])
         res = idx.knn_batch(batch, 5)
         np.testing.assert_array_equal(res[0].ids, res[2].ids)
         np.testing.assert_array_equal(res[0].distances, res[2].distances)
 
     def test_unique_batch_unchanged(self, dataset, queries):
-        batch_idx, _ = build(dataset, "v2")
-        solo_idx, _ = build(dataset, "v2")
+        batch_idx, _ = build(dataset)
+        solo_idx, _ = build(dataset)
         batch_res = batch_idx.knn_batch(queries, 8)
         solo_res = [solo_idx.knn(q, 8) for q in queries]
         assert_results_identical(solo_res, batch_res)
