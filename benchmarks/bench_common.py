@@ -248,25 +248,20 @@ def best_of(fn, rounds: int, name: str | None = None) -> float:
 # Environment stamp
 # ---------------------------------------------------------------------------
 
-def bench_environment(n_workers: int | None = None,
-                      executor: str = "thread") -> dict:
+def bench_environment(n_workers: int = 1) -> dict:
     """Execution-environment stamp recorded in every BENCH artifact.
 
     Wall-clock numbers are only interpretable next to the host's core
-    count and the worker configuration they ran under, so every benchmark
-    embeds this dict in its JSON payload — together with two
-    ``repro.obs/v1`` metric snapshots: ``bench_metrics`` (every
+    count and the worker count they ran under, so every benchmark embeds
+    this dict in its JSON payload — together with two ``repro.obs/v1``
+    metric snapshots: ``bench_metrics`` (every
     ``timed()``/``best_of()``/``record_rounds()`` observation this
     process made) and ``process_metrics`` (the global registry, e.g.
     ``parallel.fallbacks`` — a nonzero value flags a degraded run).
     """
-    from repro.core.parallel import N_WORKERS_ENV, resolve_n_workers
-
     return {
         "host_cpus": os.cpu_count() or 1,
-        "n_workers_env": os.environ.get(N_WORKERS_ENV) or None,
-        "resolved_n_workers": resolve_n_workers(n_workers),
-        "executor": executor,
+        "n_workers": n_workers,
         "bench_metrics": _BENCH_REGISTRY.snapshot(),
         "process_metrics": global_registry().snapshot(),
     }

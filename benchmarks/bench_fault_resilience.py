@@ -161,13 +161,11 @@ def measure_degradation_curve(dataset, config_kwargs, queries, k) -> list[dict]:
     truth = exact_ground_truth(dataset, queries, k)
     curve = []
     for rate in LOSS_RATES:
-        config = ClimberConfig(
-            **config_kwargs,
+        config = ClimberConfig(**config_kwargs, on_partition_failure="skip")
+        index = ClimberIndex.build(dataset, config, dfs=SimulatedDFS(
             fault_plan=FaultPlan(seed=CHAOS_SEED, loss_rate=rate),
             retry_policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
-            on_partition_failure="skip",
-        )
-        index = ClimberIndex.build(dataset, config)
+        ))
         results = index.knn_batch(queries.values, k)
         recalls, coverages = [], []
         degraded = 0
@@ -207,12 +205,14 @@ def measure_retry_recovery(dataset, config_kwargs, queries, k) -> dict:
     _answers(reference, queries.values, k)
     clean_wall = time.perf_counter() - t0
 
-    chaotic = ClimberIndex.build(dataset, ClimberConfig(
-        **config_kwargs,
-        fault_plan=FaultPlan(seed=CHAOS_SEED, transient_rate=0.1),
-        retry_policy=RetryPolicy(max_attempts=6, backoff_base_s=0.0005,
-                                 jitter=0.5, seed=CHAOS_SEED),
-    ))
+    chaotic = ClimberIndex.build(
+        dataset, ClimberConfig(**config_kwargs),
+        dfs=SimulatedDFS(
+            fault_plan=FaultPlan(seed=CHAOS_SEED, transient_rate=0.1),
+            retry_policy=RetryPolicy(max_attempts=6, backoff_base_s=0.0005,
+                                     jitter=0.5, seed=CHAOS_SEED),
+        ),
+    )
     t0 = time.perf_counter()
     chaos_answers = _answers(chaotic, queries.values, k)
     chaos_wall = time.perf_counter() - t0
@@ -244,12 +244,12 @@ def measure_retry_recovery(dataset, config_kwargs, queries, k) -> dict:
 def check_zero_fault_parity(dataset, config_kwargs, queries, k) -> dict:
     """A zero-rate plan + eager verification must be bit-transparent."""
     plain = ClimberIndex.build(dataset, ClimberConfig(**config_kwargs))
-    armed = ClimberIndex.build(dataset, ClimberConfig(
-        **config_kwargs,
-        fault_plan=FaultPlan(seed=CHAOS_SEED),
-        verify_checksums="eager",
-        on_partition_failure="skip",
-    ))
+    armed = ClimberIndex.build(
+        dataset,
+        ClimberConfig(**config_kwargs, on_partition_failure="skip"),
+        dfs=SimulatedDFS(fault_plan=FaultPlan(seed=CHAOS_SEED),
+                         verify="eager"),
+    )
     ok = (
         _answers(plain, queries.values, k) == _answers(armed, queries.values, k)
         and dataclasses.asdict(plain.dfs.counters)
@@ -267,13 +267,15 @@ def check_chaos_determinism(dataset, config_kwargs, queries, k) -> dict:
     """The same chaos seed must reproduce the run bit-for-bit, twice."""
     runs = []
     for _ in range(2):
-        index = ClimberIndex.build(dataset, ClimberConfig(
-            **config_kwargs,
-            fault_plan=FaultPlan(seed=CHAOS_SEED, transient_rate=0.1,
-                                 loss_rate=0.1),
-            retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
-            on_partition_failure="skip",
-        ))
+        index = ClimberIndex.build(
+            dataset,
+            ClimberConfig(**config_kwargs, on_partition_failure="skip"),
+            dfs=SimulatedDFS(
+                fault_plan=FaultPlan(seed=CHAOS_SEED, transient_rate=0.1,
+                                     loss_rate=0.1),
+                retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
+            ),
+        )
         answers = _answers(index, queries.values, k)
         failed = [
             tuple(r.stats.partitions_failed)

@@ -60,7 +60,7 @@ def make_config(n, n_workers):
         word_length=8, n_pivots=96, prefix_length=6,
         capacity=max(200, n // 250), sample_fraction=0.02,
         n_input_partitions=64, seed=9,
-        n_workers=n_workers, executor="thread",
+        n_workers=n_workers,
     )
 
 

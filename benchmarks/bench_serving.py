@@ -223,8 +223,7 @@ def measure_overlap(dataset, config_kwargs, queries, k) -> dict:
     (sleeps serialised); the narrowed lock must keep it under
     ``OVERLAP_GATE``.
     """
-    config = ClimberConfig(**{**config_kwargs, "n_workers": 4,
-                              "executor": "thread"})
+    config = ClimberConfig(**{**config_kwargs, "n_workers": 4})
     with tempfile.TemporaryDirectory() as tmp:
         dfs_dir = Path(tmp) / "dfs"
         build_dfs = SimulatedDFS(backing_dir=dfs_dir)

@@ -157,17 +157,6 @@ class GroupAssigner:
         # repeated appends) never accumulate dead buffers.
         self._tls = threading.local()
 
-    def __getstate__(self) -> dict:
-        # Thread-local workspaces are address-space-bound scratch; a
-        # process-pool worker re-creates its own on first use.
-        state = self.__dict__.copy()
-        state["_tls"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._tls = threading.local()
-
     def _buffer(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         workspace = getattr(self._tls, "buffers", None)
         if workspace is None:

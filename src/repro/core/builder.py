@@ -47,7 +47,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.pivots import decay_weights, permutation_prefixes, select_random_pivots
 from repro.series import SeriesDataset, paa_transform
-from repro.storage import SimulatedDFS, encode_partition_v2_arrays
+from repro.storage import SimulatedDFS
 
 __all__ = ["BuildArtifacts", "build_index_artifacts"]
 
@@ -119,13 +119,7 @@ def build_index_artifacts(
         raise ConfigurationError(
             f"series length {dataset.length} < word length {config.word_length}"
         )
-    dfs = dfs if dfs is not None else SimulatedDFS(
-        cache_bytes=config.dfs_cache_bytes,
-        checksums=config.partition_checksums,
-        verify=config.verify_checksums,
-        fault_plan=config.effective_fault_plan,
-        retry_policy=config.retry_policy,
-    )
+    dfs = dfs if dfs is not None else SimulatedDFS()
     sim = ClusterSimulator(model or CostModel())
     rng = np.random.default_rng(config.seed)
     scale = config.cost_scale
@@ -280,7 +274,7 @@ def build_index_artifacts(
     # than the input chunking.  Block conversion, trie compiles and
     # partition encodes run on the configured executor (serial for
     # n_workers=1 — bit-identical results either way).
-    executor = make_executor(config.executor, config.effective_n_workers)
+    executor = make_executor(config.n_workers)
     try:
         t_convert = time.perf_counter()
         ranked_all, gids_all = _convert_fused(
@@ -337,12 +331,11 @@ def build_index_artifacts(
 def _convert_block(task):
     """One conversion block: PAA -> signatures -> deferred assignment.
 
-    A module-level pure function of its task tuple — picklable, so it runs
-    on any executor kind.  The RNG-dependent tie resolution is *not* done
-    here: :meth:`GroupAssigner.assign_deferred` returns the pending draws
-    and the caller resolves them serially in block order, which is what
-    keeps every worker count on the exact RNG stream of a sequential
-    sweep.
+    A pure function of its task tuple.  The RNG-dependent tie resolution
+    is *not* done here: :meth:`GroupAssigner.assign_deferred` returns the
+    pending draws and the caller resolves them serially in block order,
+    which is what keeps every worker count on the exact RNG stream of a
+    sequential sweep.
     """
     values, pivots, assigner, word_length, prefix_length = task
     paa = paa_transform(values, word_length)
@@ -357,7 +350,7 @@ def _convert_fused(
     assigner: GroupAssigner,
     word_length: int,
     prefix_length: int,
-    executor: Executor | None = None,
+    executor: Executor,
     block_rows: int = 4096,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -370,8 +363,8 @@ def _convert_fused(
     optimum at a few thousand rows, with >2x degradation by 64k rows once
     the ``(d, k)`` matrices spill.
 
-    The blocks are independent tasks on ``executor`` (serial when omitted).
-    Blocking is fixed by ``block_rows`` — never by the worker count — and
+    The blocks are independent tasks on ``executor``.  Blocking is fixed
+    by ``block_rows`` — never by the worker count — and
     the RNG tail (:meth:`GroupAssigner.resolve_ties`) runs on this thread
     in block order after the map, so signatures, group indices and the RNG
     stream are bit-identical for every worker count, and to the pre-split
@@ -386,16 +379,10 @@ def _convert_fused(
          prefix_length)
         for start, end in spans
     ]
-    # Per-block task timing (build.convert.block_s + per-worker counters)
-    # only on shared-memory executors: the wrapper closes over registry
-    # locks and must not cross a pickle boundary into a process pool.
-    block_fn = _convert_block
-    if executor is None or executor.shares_memory:
-        block_fn = telemetry.wrap_tasks("build.convert.block", _convert_block)
-    if executor is None:
-        results = map(block_fn, tasks)
-    else:
-        results = executor.map(block_fn, tasks)
+    # Per-block task timing: build.convert.block_s + per-worker counters.
+    results = executor.map(
+        telemetry.wrap_tasks("build.convert.block", _convert_block), tasks
+    )
     for (start, end), (ranked, gids, pending) in zip(spans, results):
         ranked_all[start:end] = ranked
         block = gids_all[start:end]
@@ -410,7 +397,7 @@ def _redistribute_flat(
     ranked_all: np.ndarray,
     gids_all: np.ndarray,
     dfs: SimulatedDFS,
-    executor: Executor | None = None,
+    executor: Executor,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> tuple[int, int]:
     """Bulk Step-4 redistribution over the CSR-compiled tries.
@@ -425,20 +412,14 @@ def _redistribute_flat(
     of the dataset.
 
     Every build is *encode, then store*: the per-partition payload encodes
-    are pure functions of the record arrays and run on ``executor``; stores
-    and their counters run on this thread in partition order, so the
-    stored bytes and every counter are identical for any worker count.
-    Shared-memory executors encode through the live engine handle
-    zero-copy; process pools receive a plain-data, picklable spec per
-    partition — the records pre-gathered into fresh arrays plus the
-    checksum flag — and encode through the module-level
-    :func:`_encode_partition_task`.  The per-group trie compiles need the
-    caller's address space, so process pools compile serially.
+    are pure functions of the record arrays and run on ``executor``, each
+    task gathering its rows straight from the dataset arrays through the
+    live engine handle; stores and their counters run on this thread in
+    partition order, so the stored bytes and every counter are identical
+    for any worker count.
     """
-    pooled = executor is not None and executor.n_workers > 1
-    shared = not pooled or executor.shares_memory
     with telemetry.trace("build.redistribute.compile"):
-        router = skeleton.flat_router(executor=executor if shared else None)
+        router = skeleton.flat_router(executor=executor)
     with telemetry.trace("build.redistribute.route"):
         kid_of = router.route(ranked_all, gids_all)
         order, parts = router.partition_layout(kid_of)
@@ -446,34 +427,19 @@ def _redistribute_flat(
     series_length = int(dataset.values.shape[1])
     written_bytes = 0
     with telemetry.trace("build.redistribute.write"):
-        if shared:
-            # Workers share the caller's address space, so each task
-            # gathers its rows straight from the dataset arrays.
-            def encode_shared(item):
-                pid, start, end, header = item
-                return engine.encode_arrays(
-                    partition_name(pid), dataset.ids, dataset.values,
-                    header, rows=order[start:end],
-                )
+        def encode_one(item):
+            pid, start, end, header = item
+            return engine.encode_arrays(
+                partition_name(pid), dataset.ids, dataset.values,
+                header, rows=order[start:end],
+            )
 
-            # Per-task telemetry only here: the wrapper closes over
-            # registry locks and must not cross a pickle boundary.
-            encode = telemetry.wrap_tasks("build.redistribute.encode",
-                                          encode_shared)
-            tasks = parts
-        else:
-            encode = _encode_partition_task
-            tasks = [
-                (partition_name(pid),
-                 dataset.ids[order[start:end]],
-                 dataset.values[order[start:end]],
-                 header, engine.checksums)
-                for pid, start, end, header in parts
-            ]
+        encode = telemetry.wrap_tasks("build.redistribute.encode", encode_one)
         # A serial build streams: each payload is stored and dropped
         # before the next is encoded, so peak memory stays one partition
         # above the dataset instead of a second copy of it.
-        payloads = executor.map(encode, tasks) if pooled else map(encode, tasks)
+        run = executor.map if executor.n_workers > 1 else map
+        payloads = run(encode, parts)
         for (pid, start, end, header), payload in zip(parts, payloads):
             written_bytes += dfs.write_encoded_partition(
                 partition_name(pid), payload,
@@ -482,18 +448,3 @@ def _redistribute_flat(
                 header=header,
             )
     return written_bytes, len(parts)
-
-
-def _encode_partition_task(spec):
-    """Encode one partition payload from a plain-data spec.
-
-    A module-level pure function of picklable inputs — the process-pool
-    counterpart of the shared-memory encode closure above.  The spec
-    carries the partition's records as freshly-gathered arrays plus the
-    checksum flag, so no live engine or DFS handle crosses the pickle
-    boundary, and the returned bytes are identical to
-    :meth:`StorageEngine.encode_arrays` over the same records.
-    """
-    pid, ids, values, header, checksums = spec
-    return encode_partition_v2_arrays(pid, ids, values, header,
-                                      checksums=checksums)

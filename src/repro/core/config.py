@@ -8,36 +8,27 @@ benchmarks are set per call site; this class only validates consistency.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.core.progressive import parse_early_stop
 from repro.exceptions import ConfigurationError
 from repro.pivots.distances import DecayKind
-from repro.resilience import FaultPlan, RetryPolicy
 
-__all__ = [
-    "ClimberConfig",
-    "PAPER_DEFAULTS",
-    "ON_PARTITION_FAILURE_ENV",
-    "EARLY_STOP_ENV",
-]
-
-#: Environment fallback for ``ClimberConfig.on_partition_failure`` — lets
-#: the CI chaos smoke run the whole suite in degraded-query mode without
-#: touching call sites.
-ON_PARTITION_FAILURE_ENV = "CLIMBER_ON_PARTITION_FAILURE"
-
-#: Environment fallback for ``ClimberConfig.early_stop`` — lets CI arm
-#: the progressive stopping rule over a whole tier-1 run without touching
-#: call sites (only ``knn_progressive``/``knn_batch_progressive`` consult
-#: it; the exact ``knn``/``knn_batch`` paths never stop early).
-EARLY_STOP_ENV = "CLIMBER_EARLY_STOP"
+__all__ = ["ClimberConfig", "PAPER_DEFAULTS"]
 
 
 @dataclass(frozen=True)
 class ClimberConfig:
     """Parameters of CLIMBER-FX, CLIMBER-INX, and the query algorithms.
+
+    Every field holds a concrete value, and precedence is the same
+    everywhere: a per-call argument if the call takes one and it is given,
+    else the field here.  Nothing is read from the process environment
+    (DESIGN.md D5).  Storage knobs — read cache, checksums, verification
+    mode, fault plan, retry policy — are not here: they live on the
+    :class:`~repro.storage.SimulatedDFS` the caller passes to
+    ``ClimberIndex.build`` / ``reopen`` (a build without ``dfs=`` gets
+    ``SimulatedDFS()``).
 
     Parameters
     ----------
@@ -87,27 +78,14 @@ class ClimberConfig:
         per-block volume simultaneously; queries are block-granular in the
         paper, so benches set this to 64 MB.  ``None`` keeps honest scaled
         accounting.
-    dfs_cache_bytes:
-        Byte budget of the DFS partition read-cache used when the builder
-        creates its own :class:`~repro.storage.SimulatedDFS` (callers
-        passing a DFS configure caching on it directly).  0 (the default)
-        disables caching.  The cache is purely physical: simulated cost
-        accounting and the DFS's logical read counters are identical with
-        it on or off.
     n_workers:
         Worker count of the parallel execution layer
         (:mod:`repro.core.parallel`): build conversion blocks, trie
         compiles, partition encodes and ``knn_batch`` query shards all run
-        on this many workers.  ``None`` (the default) resolves through the
-        ``CLIMBER_N_WORKERS`` environment variable, else 1.  Purely
-        physical: any worker count produces **bit-identical** results —
-        same partition bytes, counters and kNN answers as ``n_workers=1``
-        (the parity suite proves it).
-    executor:
-        Executor kind behind ``n_workers``: ``"thread"`` (default — the
-        hot numpy kernels release the GIL, and thread pools share the
-        index's object graph), ``"process"`` (pickle-friendly stages only;
-        shared-structure stages fall back to threads), or ``"serial"``.
+        on this many workers — 1 (the default) is serial, more are a
+        thread pool.  Purely physical: any worker count produces
+        **bit-identical** results — same partition bytes, counters and kNN
+        answers as ``n_workers=1`` (the parity suite proves it).
     telemetry:
         Enable the observability layer (:mod:`repro.obs`): per-stage build
         spans, per-query latency histograms and ``explain_query`` probes.
@@ -122,48 +100,20 @@ class ClimberConfig:
         sampling mode (enabled-mode overhead drops to ~disabled level).
         Sampled-out queries still return exact answers/stats; only the
         per-query stage histograms subsample.
-    partition_checksums:
-        Whether builder-created DFS instances write partitions with
-        per-section CRC32 checksums (header version 3; the default).
-        Purely physical: answers, logical counters and simulated costs
-        are identical with checksums on or off, and either generation of
-        stored payload stays readable.
-    verify_checksums:
-        Read-side verification mode: ``"off"``, ``"lazy"`` (default) or
-        ``"eager"`` (see :class:`~repro.storage.engine.PartitionV2View`).
-        Corruption raises
-        :class:`~repro.exceptions.PartitionCorruptError`.
-    fault_plan:
-        Optional :class:`~repro.resilience.FaultPlan` injected under the
-        builder-created DFS.  ``None`` consults the ``CLIMBER_FAULT_*``
-        environment knobs (:meth:`FaultPlan.from_env`); the resolved plan
-        is exposed as :attr:`effective_fault_plan`.
-    retry_policy:
-        :class:`~repro.resilience.RetryPolicy` of the DFS read path;
-        ``None`` uses the DFS default (3 attempts, seeded-jitter
-        exponential backoff).
     on_partition_failure:
-        Default degraded-query mode for ``knn``/``knn_batch``:
-        ``"raise"`` propagates storage failures, ``"skip"`` drops the
-        failed partition from the candidate read set and answers from
-        the rest (stats record ``partitions_failed``/``coverage``).
-        ``None`` (default) resolves through the
-        ``CLIMBER_ON_PARTITION_FAILURE`` environment variable, else
-        ``"raise"``.
+        Degraded-query mode of every query call that does not pass its
+        own: ``"raise"`` (the default) propagates storage failures,
+        ``"skip"`` drops the failed partition from the candidate read set
+        and answers from the rest (stats record
+        ``partitions_failed``/``coverage``).
     early_stop:
-        Default stopping knob of the *progressive* query path
+        Stopping knob of the *progressive* query path
         (``knn_progressive``/``knn_batch_progressive``; the exact
-        ``knn``/``knn_batch`` paths never stop early): ``"off"``,
-        ``"confidence"`` (calibrated streak at
-        :attr:`early_stop_confidence`), ``"confidence:0.95"`` or
-        ``"streak:3"`` — see :func:`repro.core.progressive.parse_early_stop`.
-        ``None`` (default) resolves through the ``CLIMBER_EARLY_STOP``
-        environment variable, else ``"off"``.
-    early_stop_confidence:
-        Confidence level used when :attr:`early_stop` resolves to plain
-        ``"confidence"`` (default 0.9): the calibrated fraction of
-        queries whose early answer must already equal the full-budget
-        answer.
+        ``knn``/``knn_batch`` paths never stop early) for calls that do
+        not pass their own: ``"off"`` (the default), ``"confidence:0.95"``
+        (calibrated streak; a bare ``"confidence"`` means
+        ``"confidence:0.9"``) or ``"streak:3"`` — see
+        :func:`repro.core.progressive.parse_early_stop`.
     """
 
     word_length: int = 16
@@ -180,18 +130,11 @@ class ClimberConfig:
     n_input_partitions: int = 32
     cost_scale: float = 1.0
     sim_partition_bytes: int | None = None
-    dfs_cache_bytes: int = 0
-    n_workers: int | None = None
-    executor: str = "thread"
+    n_workers: int = 1
     telemetry: bool = False
     telemetry_sample_every: int = 1
-    partition_checksums: bool = True
-    verify_checksums: str = "lazy"
-    fault_plan: FaultPlan | None = None
-    retry_policy: RetryPolicy | None = None
-    on_partition_failure: str | None = None
-    early_stop: str | None = None
-    early_stop_confidence: float = 0.9
+    on_partition_failure: str = "raise"
+    early_stop: str = "off"
 
     def __post_init__(self) -> None:
         if self.word_length < 1:
@@ -222,73 +165,16 @@ class ClimberConfig:
             raise ConfigurationError("cost_scale must be positive")
         if self.sim_partition_bytes is not None and self.sim_partition_bytes < 1024:
             raise ConfigurationError("sim_partition_bytes must be >= 1024")
-        if self.dfs_cache_bytes < 0:
-            raise ConfigurationError("dfs_cache_bytes must be >= 0")
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigurationError("n_workers must be >= 1 when given")
-        if self.executor not in ("serial", "thread", "process"):
-            raise ConfigurationError(
-                f"executor must be 'serial', 'thread' or 'process', "
-                f"got {self.executor!r}"
-            )
+        if self.n_workers is None or self.n_workers < 1:
+            raise ConfigurationError("n_workers must be an integer >= 1")
         if self.telemetry_sample_every < 1:
             raise ConfigurationError("telemetry_sample_every must be >= 1")
-        if self.verify_checksums not in ("off", "lazy", "eager"):
-            raise ConfigurationError(
-                f"verify_checksums must be 'off', 'lazy' or 'eager', "
-                f"got {self.verify_checksums!r}"
-            )
-        if self.on_partition_failure not in (None, "raise", "skip"):
+        if self.on_partition_failure not in ("raise", "skip"):
             raise ConfigurationError(
                 f"on_partition_failure must be 'raise' or 'skip', "
                 f"got {self.on_partition_failure!r}"
             )
-        if self.early_stop is not None:
-            parse_early_stop(self.early_stop)  # raises on a bad spec
-        if not 0.0 < self.early_stop_confidence < 1.0:
-            raise ConfigurationError(
-                f"early_stop_confidence must be in (0, 1), "
-                f"got {self.early_stop_confidence!r}"
-            )
-
-    @property
-    def effective_fault_plan(self) -> FaultPlan | None:
-        """Explicit :attr:`fault_plan`, else the ``CLIMBER_FAULT_*`` env plan."""
-        if self.fault_plan is not None:
-            return self.fault_plan
-        return FaultPlan.from_env()
-
-    @property
-    def effective_on_partition_failure(self) -> str:
-        """Resolved degraded-query mode: explicit → env → ``"raise"``."""
-        if self.on_partition_failure is not None:
-            return self.on_partition_failure
-        raw = os.environ.get(ON_PARTITION_FAILURE_ENV, "").strip()
-        if not raw:
-            return "raise"
-        if raw not in ("raise", "skip"):
-            raise ConfigurationError(
-                f"{ON_PARTITION_FAILURE_ENV}={raw!r} must be 'raise' or 'skip'"
-            )
-        return raw
-
-    @property
-    def effective_early_stop(self) -> str:
-        """Resolved progressive stopping knob: explicit → env → ``"off"``."""
-        if self.early_stop is not None:
-            return self.early_stop
-        raw = os.environ.get(EARLY_STOP_ENV, "").strip()
-        if not raw:
-            return "off"
-        parse_early_stop(raw)  # raises on a bad env spec
-        return raw
-
-    @property
-    def effective_n_workers(self) -> int:
-        """Resolved worker count: ``n_workers`` → ``CLIMBER_N_WORKERS`` → 1."""
-        from repro.core.parallel import resolve_n_workers
-
-        return resolve_n_workers(self.n_workers)
+        parse_early_stop(self.early_stop)  # raises on a bad spec
 
     @property
     def epsilon(self) -> int:

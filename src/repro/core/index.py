@@ -610,9 +610,21 @@ class ClimberIndex:
         model = model or CostModel()
         loaded = SkeletonWithPivots.from_bytes(global_index)
         skeleton = loaded.skeleton
-        if skeleton.prefix_length != config.prefix_length:
+        persisted = {
+            "prefix_length": skeleton.prefix_length,
+            "n_pivots": skeleton.n_pivots,
+            "word_length": skeleton.word_length,
+        }
+        for name, value in persisted.items():
+            if value != getattr(config, name):
+                raise ConfigurationError(
+                    f"persisted skeleton has {name}={value}, "
+                    f"config has {name}={getattr(config, name)}"
+                )
+        if loaded.pivots.shape != (config.n_pivots, config.word_length):
             raise ConfigurationError(
-                "persisted skeleton prefix length does not match the config"
+                f"persisted pivot matrix has shape {loaded.pivots.shape}, "
+                f"config implies {(config.n_pivots, config.word_length)}"
             )
         assigner = GroupAssigner(
             skeleton.centroids,
@@ -987,9 +999,9 @@ class ClimberIndex:
         return arr[0]
 
     def _resolve_on_failure(self, on_partition_failure: str | None) -> str:
-        """Degraded-query mode: explicit argument → config → ``"raise"``."""
+        """Degraded-query mode: the call's argument, else the config's."""
         if on_partition_failure is None:
-            return self.config.effective_on_partition_failure
+            return self.config.on_partition_failure
         if on_partition_failure not in ("raise", "skip"):
             raise ConfigurationError(
                 f"on_partition_failure must be 'raise' or 'skip', "
@@ -1025,7 +1037,7 @@ class ClimberIndex:
             from the remainder, recording them in
             ``stats.partitions_failed`` (``stats.degraded`` /
             ``stats.coverage``).  ``None`` defers to
-            ``config.effective_on_partition_failure``.  A partition the
+            ``config.on_partition_failure``.  A partition the
             index references but the store has never held
             (:class:`~repro.exceptions.PartitionNotFoundError`) always
             raises — that is index/store inconsistency, not a fault.
@@ -1097,9 +1109,8 @@ class ClimberIndex:
         shared-work split.
 
         With ``config.n_workers > 1`` the per-row node selection and
-        record scans run as row shards on a thread pool (the index's
-        object graph is shared, so a ``"process"`` executor degrades to
-        threads here).  The split keeps answers bit-identical to the
+        record scans run as row shards on a thread pool.  The split keeps
+        answers bit-identical to the
         serial sweep for any worker count: the shared OD matrix is
         computed once up front; the only RNG consumer
         (:meth:`select_primary`) runs on this thread in row order before
@@ -1151,10 +1162,8 @@ class ClimberIndex:
                 answers.append(drive(walk, t0))
             return answers
 
-        cfg = self.config
         executor = make_executor(
-            "serial" if probes is not None else cfg.executor,
-            cfg.effective_n_workers, require_shared_memory=True,
+            1 if probes is not None else self.config.n_workers
         )
         with executor:
             shards = executor.map(
@@ -1269,21 +1278,11 @@ class ClimberIndex:
             self.calibration = ProgressiveCalibration.load(calibration)
         return self.calibration
 
-    def _resolve_stop_rule(
-        self, early_stop: object, confidence: float | None
-    ) -> StopRule | None:
-        """Knob resolution: explicit arg → config → env → ``"off"``."""
+    def _resolve_stop_rule(self, early_stop: object) -> StopRule | None:
+        """Stopping rule: the call's argument, else the config's."""
         if early_stop is None:
-            early_stop = self.config.effective_early_stop
-        if confidence is not None and not 0.0 < confidence < 1.0:
-            raise ConfigurationError(
-                f"confidence must be in (0, 1), got {confidence!r}"
-            )
-        conf = (
-            confidence if confidence is not None
-            else self.config.early_stop_confidence
-        )
-        return resolve_stop_rule(early_stop, conf, self.calibration)
+            early_stop = self.config.early_stop
+        return resolve_stop_rule(early_stop, self.calibration)
 
     def knn_progressive(
         self,
@@ -1293,7 +1292,6 @@ class ClimberIndex:
         adaptive_factor: int | None = None,
         on_partition_failure: str | None = None,
         early_stop: str | int | None = None,
-        confidence: float | None = None,
         _probe: QueryProbe | None = None,
     ) -> Iterator[ProgressiveUpdate]:
         """Progressive kNN: stream improving answers partition by partition.
@@ -1313,23 +1311,20 @@ class ClimberIndex:
         Parameters beyond :meth:`knn`'s
         ------------------------------
         early_stop:
-            ``"off"`` | ``"confidence"`` | ``"confidence:0.95"`` |
-            ``"streak:3"`` | bare int.  ``None`` defers to
-            ``config.early_stop`` and then the ``CLIMBER_EARLY_STOP``
-            environment variable.  Confidence mode maps the confidence to
-            a stable-streak threshold via the attached calibration (see
-            :meth:`attach_calibration`) or the built-in prior.  The rule
-            never fires before ``k`` answers are in hand, so an index
-            holding fewer than ``k`` records always runs to full coverage.
-        confidence:
-            Confidence level for ``early_stop="confidence"``; defaults to
-            ``config.early_stop_confidence``.
+            ``"off"`` | ``"confidence:0.95"`` (a bare ``"confidence"``
+            means ``"confidence:0.9"``) | ``"streak:3"`` | bare int.
+            ``None`` defers to ``config.early_stop``.  Confidence mode maps
+            the confidence to a stable-streak threshold via the attached
+            calibration (see :meth:`attach_calibration`) or the built-in
+            prior.  The rule never fires before ``k`` answers are in hand,
+            so an index holding fewer than ``k`` records always runs to
+            full coverage.
 
         Note: validation, signature and routing run eagerly at call time
         (consuming the index RNG stream exactly like :meth:`knn`); only
         the partition visits are lazy.
         """
-        rule = self._resolve_stop_rule(early_stop, confidence)
+        rule = self._resolve_stop_rule(early_stop)
         walk, t0 = self._start_walk(
             query, k, variant, adaptive_factor, on_partition_failure, _probe
         )
@@ -1343,7 +1338,6 @@ class ClimberIndex:
         adaptive_factor: int | None = None,
         on_partition_failure: str | None = None,
         early_stop: str | int | None = None,
-        confidence: float | None = None,
         _probes: list[QueryProbe] | None = None,
     ) -> list[ProgressiveUpdate]:
         """Progressive kNN over a batch: one *final* update per row.
@@ -1358,7 +1352,7 @@ class ClimberIndex:
         the answer, its stats and the forgone coverage.  With stopping
         disabled every row is bit-identical to :meth:`knn_batch`.
         """
-        rule = self._resolve_stop_rule(early_stop, confidence)
+        rule = self._resolve_stop_rule(early_stop)
 
         def drain(walk, t0):
             final = None
@@ -1564,7 +1558,6 @@ class ClimberIndex:
         on_partition_failure: str | None = None,
         progressive: bool = False,
         early_stop: str | int | None = None,
-        confidence: float | None = None,
     ) -> dict:
         """Run a query and return its structured per-stage breakdown.
 
@@ -1603,8 +1596,7 @@ class ClimberIndex:
                 updates = list(self.knn_progressive(
                     row, k, variant, adaptive_factor,
                     on_partition_failure=on_partition_failure,
-                    early_stop=early_stop, confidence=confidence,
-                    _probe=probe,
+                    early_stop=early_stop, _probe=probe,
                 ))
                 entry = self._explain_entry(updates[-1], probe)
                 entry["progressive"] = self._explain_progressive(updates)

@@ -1,13 +1,12 @@
-"""Parallel execution layer: serial / thread-pool / process-pool executors.
+"""Parallel execution layer: one worker is serial, more are a thread pool.
 
 Everything hot in this repository is vectorised numpy (PRs 1-4), and the
 numpy kernels that dominate the build — ``cdist``, the popcount sweeps,
-the payload gathers — release the GIL, so a *thread* pool is the default
-way to use more cores: no pickling, shared address space (the flat-trie
-compile and the query planner hand ``TrieNode`` objects across stages by
-identity, which only works in one process).  A process pool is available
-for conversion-style tasks whose inputs and outputs pickle cheaply; the
-ParIS+/MESSI line of data-series indexing work shows both shapes.
+the payload gathers — release the GIL, so a *thread* pool is the way to
+use more cores: no pickling, shared address space (the flat-trie compile
+and the query planner hand ``TrieNode`` objects across stages by
+identity, which only works in one process) — the shape the ParIS+/MESSI
+line of data-series indexing work uses.
 
 Determinism contract
 --------------------
@@ -39,9 +38,8 @@ recovered result is bit-identical to a first-try success.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.exceptions import ConfigurationError
@@ -51,9 +49,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
-    "EXECUTOR_KINDS",
-    "resolve_n_workers",
     "make_executor",
     "record_parallel_fallback",
     "split_ranges",
@@ -62,44 +57,15 @@ __all__ = [
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
-
-#: Environment override consumed when ``ClimberConfig.n_workers`` is left
-#: unset — lets CI (and operators) turn parallelism on for an existing
-#: workload without touching call sites: ``CLIMBER_N_WORKERS=2 pytest``.
-N_WORKERS_ENV = "CLIMBER_N_WORKERS"
-
-
-def resolve_n_workers(n_workers: int | None) -> int:
-    """Effective worker count: explicit value, else env, else 1."""
-    if n_workers is None:
-        raw = os.environ.get(N_WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            n_workers = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{N_WORKERS_ENV}={raw!r} is not an integer"
-            ) from None
-    if n_workers < 1:
-        raise ConfigurationError("n_workers must be >= 1")
-    return int(n_workers)
-
-
 class Executor:
     """Minimal ordered-map executor interface.
 
     ``map`` applies ``fn`` to every item and returns the results *in item
     order*; a raised worker exception propagates to the caller.  ``close``
     releases pool resources (idempotent).  Executors are context managers.
+    Workers share the caller's address space: tasks may write disjoint
+    slices of caller-owned arrays and return structure-shared objects.
     """
-
-    #: True when workers share the caller's address space, i.e. tasks may
-    #: mutate caller-owned arrays/objects (disjoint slices) and return
-    #: structure-shared objects.  Process pools must not be used for such
-    #: tasks; call sites gate on this flag.
-    shares_memory: bool = True
 
     n_workers: int = 1
 
@@ -165,8 +131,8 @@ def _map_with_task_retry(pool, fn: Callable[[_T], _R],
 
 
 class ThreadExecutor(Executor):
-    """Thread-pool executor (the default): GIL-releasing numpy kernels
-    scale across cores with zero serialisation cost."""
+    """Thread-pool executor: GIL-releasing numpy kernels scale across
+    cores with zero serialisation cost."""
 
     def __init__(self, n_workers: int) -> None:
         if n_workers < 2:
@@ -175,31 +141,6 @@ class ThreadExecutor(Executor):
         self._pool = ThreadPoolExecutor(
             max_workers=self.n_workers, thread_name_prefix="climber"
         )
-
-    def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-        return _map_with_task_retry(self._pool, fn, items)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-
-class ProcessExecutor(Executor):
-    """Process-pool executor for pickle-friendly tasks.
-
-    No shared memory: tasks must be pure functions of picklable items and
-    return picklable results.  Call sites that hand out live object graphs
-    (trie compiles, query shards) check :attr:`shares_memory` and fall
-    back to threads.  The serial-rerun leg of the task retry runs ``fn``
-    in the caller's process — equivalent by the same purity argument.
-    """
-
-    shares_memory = False
-
-    def __init__(self, n_workers: int) -> None:
-        if n_workers < 2:
-            raise ConfigurationError("ProcessExecutor needs n_workers >= 2")
-        self.n_workers = int(n_workers)
-        self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         return _map_with_task_retry(self._pool, fn, items)
@@ -224,37 +165,15 @@ def record_parallel_fallback(reason: str) -> None:
     )
 
 
-def make_executor(
-    kind: str = "thread",
-    n_workers: int | None = None,
-    require_shared_memory: bool = False,
-) -> Executor:
-    """Build an executor for ``n_workers`` effective workers.
-
-    ``n_workers`` resolves through :func:`resolve_n_workers` (explicit →
-    ``CLIMBER_N_WORKERS`` → 1); one worker always yields the
-    :class:`SerialExecutor`, so a single code path serves both modes.
-    With ``require_shared_memory`` a ``"process"`` request degrades to
-    threads — used by call sites whose tasks share live object graphs.
-    The degrade is recorded via :func:`record_parallel_fallback` (warning
-    + ``parallel.fallbacks`` counter) so it is never silent.
-    """
-    if kind not in EXECUTOR_KINDS:
-        raise ConfigurationError(
-            f"unknown executor kind {kind!r} (expected one of {EXECUTOR_KINDS})"
-        )
-    n = resolve_n_workers(n_workers)
-    if n == 1 or kind == "serial":
+def make_executor(n_workers: int) -> Executor:
+    """The executor for ``n_workers`` workers: one worker is the
+    :class:`SerialExecutor`, more are a :class:`ThreadExecutor`, so a
+    single code path serves both modes."""
+    if n_workers < 1:
+        raise ConfigurationError("n_workers must be >= 1")
+    if n_workers == 1:
         return SerialExecutor()
-    if kind == "process" and require_shared_memory:
-        record_parallel_fallback(
-            "process executor requested for a shared-memory stage "
-            "(tasks hand live object graphs across workers); using threads"
-        )
-        kind = "thread"
-    if kind == "thread":
-        return ThreadExecutor(n)
-    return ProcessExecutor(n)
+    return ThreadExecutor(n_workers)
 
 
 def split_ranges(n: int, chunk: int) -> list[tuple[int, int]]:

@@ -23,11 +23,10 @@ This module holds the query-path-independent pieces:
   achieving fraction >= ``c``.  The artifact is JSON, persisted next to
   the index (see ``evaluation/calibration.py`` and the README workflow).
 * :func:`parse_early_stop` / :func:`resolve_stop_rule` — the shared knob
-  grammar: ``"off"``, ``"confidence"``, ``"confidence:0.95"``,
-  ``"streak:3"`` (or a bare int), threaded through
-  :class:`~repro.core.config.ClimberConfig`, the ``CLIMBER_EARLY_STOP``
-  environment fallback, ``knn_progressive`` arguments and
-  ``QueryService.submit``.
+  grammar: ``"off"``, ``"confidence:0.95"`` (a bare ``"confidence"``
+  means ``"confidence:0.9"``), ``"streak:3"`` (or a bare int), threaded
+  through :class:`~repro.core.config.ClimberConfig`, ``knn_progressive``
+  arguments and ``QueryService.submit``.
 
 The stopping rule never fires before ``k`` neighbours are in hand, so an
 early-stopped answer is always a *complete* (if possibly improvable)
@@ -257,14 +256,13 @@ class ProgressiveCalibration:
 def parse_early_stop(spec: object) -> tuple[str, float | int | None]:
     """Parse an early-stop knob into ``(kind, value)``.
 
-    Grammar (shared by :class:`~repro.core.config.ClimberConfig`, the
-    ``CLIMBER_EARLY_STOP`` environment variable, ``knn_progressive``
-    arguments and ``QueryService.submit``):
+    Grammar (shared by :class:`~repro.core.config.ClimberConfig`,
+    ``knn_progressive`` arguments and ``QueryService.submit``):
 
     * ``"off"`` — never stop early -> ``("off", None)``
-    * ``"confidence"`` — calibrated stop at the caller's confidence
-      -> ``("confidence", None)``
-    * ``"confidence:0.95"`` -> ``("confidence", 0.95)``
+    * ``"confidence:0.95"`` — calibrated stop -> ``("confidence", 0.95)``
+    * ``"confidence"`` — short for ``"confidence:0.9"``
+      -> ``("confidence", 0.9)``
     * ``"streak:3"`` or a bare ``int`` — raw streak threshold
       -> ``("streak", 3)``
     """
@@ -280,7 +278,7 @@ def parse_early_stop(spec: object) -> tuple[str, float | int | None]:
     if text == "off":
         return ("off", None)
     if text == "confidence":
-        return ("confidence", None)
+        return ("confidence", 0.9)
     if text.startswith("confidence:"):
         try:
             value = float(text.split(":", 1)[1])
@@ -311,7 +309,6 @@ def parse_early_stop(spec: object) -> tuple[str, float | int | None]:
 
 def resolve_stop_rule(
     spec: object,
-    default_confidence: float,
     calibration: ProgressiveCalibration | None,
 ) -> StopRule | None:
     """Resolve a knob value into a :class:`StopRule` (or ``None`` = off).
@@ -326,7 +323,7 @@ def resolve_stop_rule(
         return None
     if kind == "streak":
         return StopRule(streak=int(value), kind="streak")
-    confidence = float(value) if value is not None else default_confidence
+    confidence = float(value)
     cal = calibration if calibration is not None else ProgressiveCalibration.prior()
     return StopRule(
         streak=cal.threshold_for(confidence),

@@ -279,12 +279,7 @@ class FlatTrieRouter:
             # each FlatTrie depends only on its own group, so the result is
             # identical to the serial loop.  Compiled tries are keyed by
             # TrieNode identity (``_node_index``) and structure-share the
-            # skeleton's nodes — shared memory is required, never a process
-            # pool (make_executor's require_shared_memory gate).
-            if not executor.shares_memory:
-                raise ConfigurationError(
-                    "FlatTrieRouter compile requires a shared-memory executor"
-                )
+            # skeleton's nodes, which the workers' shared memory allows.
             self.tries = executor.map(
                 lambda g: FlatTrie(g.trie, g.group_id, skeleton.n_pivots),
                 skeleton.groups,

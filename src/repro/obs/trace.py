@@ -14,9 +14,9 @@ The gating contract — what "zero overhead when disabled" means here:
   that parity tests and BENCH artifacts depend on; they always record.
   Only latency spans, histograms and per-query probes honour
   ``enabled``.
-* Telemetry objects hold locks and must not cross process boundaries.
-  :meth:`Telemetry.wrap_tasks` is therefore only applied by callers when
-  the executor shares memory (see ``core/builder.py``).
+* Telemetry objects hold locks and must not cross process boundaries;
+  the ``core/parallel.py`` executors are in-process (serial or threads),
+  so :meth:`Telemetry.wrap_tasks` applies to every task they run.
 """
 
 from __future__ import annotations
@@ -177,8 +177,7 @@ class Telemetry:
         ``parallel.worker.<thread>.tasks`` / ``...busy_s`` counters keyed
         by the executing thread, surfacing per-worker load from the
         ``core/parallel.py`` executors.  Returns ``fn`` unchanged when
-        disabled.  Only safe for shared-memory executors (the wrapper
-        closes over locks and is not picklable for process pools).
+        disabled.  The wrapper closes over locks, so it is not picklable.
         """
         if not self.enabled:
             return fn

@@ -22,11 +22,6 @@ parity oracle in ``tests/test_chaos.py`` pins this down).
 """
 
 from repro.resilience.faults import (
-    FAULT_ENV_BITFLIP_RATE,
-    FAULT_ENV_LOSS_RATE,
-    FAULT_ENV_RATE,
-    FAULT_ENV_SEED,
-    FAULT_ENV_STRAGGLER_RATE,
     FaultDecision,
     FaultInjector,
     FaultPlan,
@@ -34,11 +29,6 @@ from repro.resilience.faults import (
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
-    "FAULT_ENV_SEED",
-    "FAULT_ENV_RATE",
-    "FAULT_ENV_LOSS_RATE",
-    "FAULT_ENV_BITFLIP_RATE",
-    "FAULT_ENV_STRAGGLER_RATE",
     "FaultDecision",
     "FaultInjector",
     "FaultPlan",

@@ -21,7 +21,6 @@ tests and benchmarks rely on:
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -33,26 +32,11 @@ from repro.exceptions import (
 )
 
 __all__ = [
-    "FAULT_ENV_SEED",
-    "FAULT_ENV_RATE",
-    "FAULT_ENV_LOSS_RATE",
-    "FAULT_ENV_BITFLIP_RATE",
-    "FAULT_ENV_STRAGGLER_RATE",
     "FaultDecision",
     "FaultInjector",
     "FaultPlan",
     "stable_uniform",
 ]
-
-#: Environment knobs for switching chaos on without touching call sites
-#: (the CI chaos smoke runs the whole tier-1 suite under these).  The
-#: seed knob activates injection; the rate knobs default as documented on
-#: :meth:`FaultPlan.from_env`.
-FAULT_ENV_SEED = "CLIMBER_FAULT_SEED"
-FAULT_ENV_RATE = "CLIMBER_FAULT_RATE"
-FAULT_ENV_LOSS_RATE = "CLIMBER_FAULT_LOSS_RATE"
-FAULT_ENV_BITFLIP_RATE = "CLIMBER_FAULT_BITFLIP_RATE"
-FAULT_ENV_STRAGGLER_RATE = "CLIMBER_FAULT_STRAGGLER_RATE"
 
 
 def stable_uniform(seed: int, name: str, attempt: int, salt: str) -> float:
@@ -168,45 +152,6 @@ class FaultPlan:
         return FaultDecision(
             transient=transient, flip_byte=flip_byte, flip_bit=flip_bit,
             straggle_s=straggle_s,
-        )
-
-    @classmethod
-    def from_env(cls, environ=None) -> "FaultPlan | None":
-        """The environment-configured plan, or ``None`` when unset.
-
-        ``CLIMBER_FAULT_SEED`` activates injection.  ``CLIMBER_FAULT_RATE``
-        sets the transient-error rate (default 0.02 when the seed is set);
-        ``CLIMBER_FAULT_LOSS_RATE`` / ``CLIMBER_FAULT_BITFLIP_RATE`` /
-        ``CLIMBER_FAULT_STRAGGLER_RATE`` default to 0.
-        """
-        env = os.environ if environ is None else environ
-        raw_seed = str(env.get(FAULT_ENV_SEED, "")).strip()
-        if not raw_seed:
-            return None
-        try:
-            seed = int(raw_seed)
-        except ValueError:
-            raise ConfigurationError(
-                f"{FAULT_ENV_SEED}={raw_seed!r} is not an integer"
-            ) from None
-
-        def rate(key: str, default: float) -> float:
-            raw = str(env.get(key, "")).strip()
-            if not raw:
-                return default
-            try:
-                return float(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{key}={raw!r} is not a number"
-                ) from None
-
-        return cls(
-            seed=seed,
-            transient_rate=rate(FAULT_ENV_RATE, 0.02),
-            loss_rate=rate(FAULT_ENV_LOSS_RATE, 0.0),
-            bit_flip_rate=rate(FAULT_ENV_BITFLIP_RATE, 0.0),
-            straggler_rate=rate(FAULT_ENV_STRAGGLER_RATE, 0.0),
         )
 
 

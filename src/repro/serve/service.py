@@ -177,7 +177,7 @@ class QueryService:
 
     ``submit`` may be awaited from any number of concurrent coroutines;
     requests sharing ``(k, variant, adaptive_factor, on_partition_failure,
-    early_stop, confidence)`` coalesce into shared ``knn_batch`` (or
+    early_stop)`` coalesce into shared ``knn_batch`` (or
     ``knn_batch_progressive``) dispatches.  The event loop is
     never blocked by index work: dispatches run on a private thread pool
     (``config.worker_threads`` wide), and the index's own ``n_workers``
@@ -308,7 +308,6 @@ class QueryService:
         adaptive_factor: int | None = None,
         on_partition_failure: str | None = None,
         early_stop: str | int | None = None,
-        confidence: float | None = None,
     ) -> QueryResponse:
         """Admit one kNN query and await its response.
 
@@ -316,8 +315,7 @@ class QueryService:
         with equal argument tuples may share a ``knn_batch`` dispatch
         (answers are unaffected — batching is bit-transparent).
 
-        ``early_stop`` (and its optional ``confidence``) switches the
-        request onto the progressive path
+        ``early_stop`` switches the request onto the progressive path
         (:meth:`~repro.core.ClimberIndex.knn_batch_progressive`): the
         response is served as soon as the stopping rule fires, with
         ``stopped_early`` set and the forgone partitions recorded in
@@ -371,7 +369,7 @@ class QueryService:
         req = _Request(
             query,
             (int(k), variant, adaptive_factor, on_partition_failure,
-             early_stop, confidence),
+             early_stop),
             future,
             time.perf_counter(),
         )
@@ -463,15 +461,14 @@ class QueryService:
         for req in batch:
             groups.setdefault(req.key, []).append(req)
         for key, group in groups.items():
-            k, variant, adaptive_factor, on_failure, early_stop, conf = key
+            k, variant, adaptive_factor, on_failure, early_stop = key
 
             try:
                 queries = np.stack([req.query for req in group])
 
                 def run(queries=queries, k=k, variant=variant,
                         adaptive_factor=adaptive_factor,
-                        on_failure=on_failure, early_stop=early_stop,
-                        conf=conf):
+                        on_failure=on_failure, early_stop=early_stop):
                     if early_stop is None:
                         return self.index.knn_batch(
                             queries, k, variant=variant,
@@ -483,7 +480,6 @@ class QueryService:
                         adaptive_factor=adaptive_factor,
                         on_partition_failure=on_failure,
                         early_stop=early_stop,
-                        confidence=conf,
                     )
 
                 results = await self._loop.run_in_executor(self._pool, run)

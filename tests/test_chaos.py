@@ -24,7 +24,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.config import ON_PARTITION_FAILURE_ENV, ClimberConfig
+from repro.core.config import ClimberConfig
 from repro.core.index import ClimberIndex
 from repro.exceptions import (
     ConfigurationError,
@@ -32,45 +32,10 @@ from repro.exceptions import (
     PartitionLostError,
 )
 from repro.obs import Telemetry
-from repro.resilience import (
-    FAULT_ENV_BITFLIP_RATE,
-    FAULT_ENV_LOSS_RATE,
-    FAULT_ENV_RATE,
-    FAULT_ENV_SEED,
-    FAULT_ENV_STRAGGLER_RATE,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.series import SeriesDataset
 from repro.storage import PartitionFile, SimulatedDFS
 from repro.storage.engine import decode_v2_header
-
-#: This module pins down explicit, seeded fault plans against fault-free
-#: references, so ambient chaos (the CI smoke exports CLIMBER_FAULT_* over
-#: the whole tier-1 suite) is scrubbed here — otherwise the "plain"
-#: reference builds would themselves run faulted and the parity oracles
-#: would compare two different chaos schedules.
-CHAOS_ENV = (
-    FAULT_ENV_SEED, FAULT_ENV_RATE, FAULT_ENV_LOSS_RATE,
-    FAULT_ENV_BITFLIP_RATE, FAULT_ENV_STRAGGLER_RATE,
-    ON_PARTITION_FAILURE_ENV,
-)
-
-
-@pytest.fixture(autouse=True)
-def _scrub_chaos_env(monkeypatch):
-    for var in CHAOS_ENV:
-        monkeypatch.delenv(var, raising=False)
-
-
-@pytest.fixture(scope="class", autouse=True)
-def _scrub_chaos_env_for_class_fixtures():
-    # Class-scoped builds (lossy_setup) run before the function-scoped
-    # scrub above, so the env must already be clean at class setup.
-    with pytest.MonkeyPatch.context() as mp:
-        for var in CHAOS_ENV:
-            mp.delenv(var, raising=False)
-        yield
 
 
 def _dataset(n=2000, length=64, seed=17):
@@ -239,10 +204,10 @@ class TestDegradedQueries:
         """An index over a store where ~30% of partitions are lost."""
         dataset = _dataset()
         plan = FaultPlan(seed=1234, loss_rate=0.3)
-        config = _config(fault_plan=plan,
-                         retry_policy=RetryPolicy(max_attempts=2,
-                                                  backoff_base_s=0.0))
-        index = ClimberIndex.build(dataset, config)
+        dfs = SimulatedDFS(fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=2,
+                                                    backoff_base_s=0.0))
+        index = ClimberIndex.build(dataset, _config(), dfs=dfs)
         lost = [
             p for p in index.dfs.list_partitions()
             if plan.lost(index.dfs.engine.blob_name(p))
@@ -301,15 +266,18 @@ class TestDegradedQueries:
             assert entry["coverage"] <= 1.0
             assert entry["degraded"] == bool(entry["partitions_failed"])
 
-    def test_env_variable_sets_default_mode(self, lossy_setup, monkeypatch):
+    def test_config_field_sets_default_mode(self, lossy_setup):
         index, _, _ = lossy_setup
         queries = _queries(30)
-        monkeypatch.setenv(ON_PARTITION_FAILURE_ENV, "skip")
-        results = index.knn_batch(queries, k=5)
+        skipping = ClimberIndex.reopen(
+            index.save_global_index(), index.dfs,
+            _config(on_partition_failure="skip"),
+        )
+        results = skipping.knn_batch(queries, k=5)
         assert any(r.stats.degraded for r in results)
-        monkeypatch.setenv(ON_PARTITION_FAILURE_ENV, "sideways")
-        with pytest.raises(ConfigurationError):
-            index.knn(queries[0], k=5)
+        # The call's argument wins over the field.
+        with pytest.raises(PartitionLostError):
+            skipping.knn_batch(queries, k=5, on_partition_failure="raise")
 
     def test_invalid_mode_rejected(self, lossy_setup):
         index, _, _ = lossy_setup
@@ -344,11 +312,10 @@ class TestZeroFaultParity:
         reference = ClimberIndex.build(dataset, _config())
         armed = ClimberIndex.build(
             dataset,
-            _config(
-                n_workers=n_workers,
+            _config(n_workers=n_workers, on_partition_failure="skip"),
+            dfs=SimulatedDFS(
                 fault_plan=FaultPlan(seed=999),  # rates 0: armed, silent
-                verify_checksums="eager",
-                on_partition_failure="skip",
+                verify="eager",
             ),
         )
         assert armed.dfs.fault_injector is not None
@@ -366,8 +333,10 @@ class TestZeroFaultParity:
     def test_checksums_off_matches_checksums_on_logically(self):
         dataset = _dataset()
         queries = _queries(8)
-        on = ClimberIndex.build(dataset, _config(partition_checksums=True))
-        off = ClimberIndex.build(dataset, _config(partition_checksums=False))
+        on = ClimberIndex.build(dataset, _config(),
+                                dfs=SimulatedDFS(checksums=True))
+        off = ClimberIndex.build(dataset, _config(),
+                                 dfs=SimulatedDFS(checksums=False))
         assert _answers(on, queries) == _answers(off, queries)
         assert dataclasses.asdict(on.dfs.counters) \
             == dataclasses.asdict(off.dfs.counters)
@@ -379,10 +348,12 @@ class TestZeroFaultParity:
         runs = []
         for _ in range(2):
             index = ClimberIndex.build(
-                dataset,
-                _config(fault_plan=plan,
-                        retry_policy=RetryPolicy(max_attempts=3,
-                                                 backoff_base_s=0.0)),
+                dataset, _config(),
+                dfs=SimulatedDFS(
+                    fault_plan=plan,
+                    retry_policy=RetryPolicy(max_attempts=3,
+                                             backoff_base_s=0.0),
+                ),
             )
             answers = _answers(index, queries,
                                on_partition_failure="skip")
@@ -403,10 +374,11 @@ class TestZeroFaultParity:
         queries = _queries(12)
         reference = ClimberIndex.build(dataset, _config())
         chaotic = ClimberIndex.build(
-            dataset,
-            _config(fault_plan=FaultPlan(seed=4242, transient_rate=0.2),
-                    retry_policy=RetryPolicy(max_attempts=6,
-                                             backoff_base_s=0.0)),
+            dataset, _config(),
+            dfs=SimulatedDFS(
+                fault_plan=FaultPlan(seed=4242, transient_rate=0.2),
+                retry_policy=RetryPolicy(max_attempts=6, backoff_base_s=0.0),
+            ),
         )
         assert _answers(reference, queries) == _answers(chaotic, queries)
         c = chaotic.dfs.counters

@@ -16,17 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core import ClimberConfig, ClimberIndex
-from repro.core.config import EARLY_STOP_ENV, ON_PARTITION_FAILURE_ENV
 from repro.datasets import random_walk_dataset
-from repro.resilience import (
-    FAULT_ENV_BITFLIP_RATE,
-    FAULT_ENV_LOSS_RATE,
-    FAULT_ENV_RATE,
-    FAULT_ENV_SEED,
-    FAULT_ENV_STRAGGLER_RATE,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.resilience import FaultPlan, RetryPolicy
+from repro.storage import SimulatedDFS
 
 N_RECORDS, LENGTH = 1500, 32
 VARIANTS = ("knn", "adaptive", "od-smallest")
@@ -34,14 +26,6 @@ VARIANTS = ("knn", "adaptive", "od-smallest")
 #: forces the within-partition expansion).
 KS = (1, 10, N_RECORDS + 1)
 MODES = ("knn", "knn_batch", "drained", "streak:1", "skip")
-
-
-@pytest.fixture(autouse=True)
-def _scrub_env(monkeypatch):
-    for var in (FAULT_ENV_SEED, FAULT_ENV_RATE, FAULT_ENV_LOSS_RATE,
-                FAULT_ENV_BITFLIP_RATE, FAULT_ENV_STRAGGLER_RATE,
-                ON_PARTITION_FAILURE_ENV, EARLY_STOP_ENV):
-        monkeypatch.delenv(var, raising=False)
 
 
 class ReadLog:
@@ -79,13 +63,13 @@ class ReadLog:
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def _build(**overrides):
+def _build(dfs=None, **overrides):
     ds = random_walk_dataset(N_RECORDS, LENGTH, seed=31)
     cfg = ClimberConfig(word_length=8, n_pivots=24, prefix_length=4,
                         capacity=90, sample_fraction=0.3,
                         n_input_partitions=4, seed=6, n_workers=1,
                         **overrides)
-    return ds, ClimberIndex.build(ds, cfg)
+    return ds, ClimberIndex.build(ds, cfg, dfs=dfs)
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +80,10 @@ def healthy():
 @pytest.fixture(scope="module")
 def lossy():
     return _build(
-        fault_plan=FaultPlan(seed=1234, loss_rate=0.3),
-        retry_policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+        dfs=SimulatedDFS(
+            fault_plan=FaultPlan(seed=1234, loss_rate=0.3),
+            retry_policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+        ),
         on_partition_failure="skip",
     )
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import ClimberConfig, ClimberIndex
+from repro.core.skeleton import SkeletonWithPivots
 from repro.datasets import random_walk_dataset
 from repro.exceptions import ConfigurationError
 from repro.storage import SimulatedDFS
@@ -59,6 +62,29 @@ class TestPersistence:
                             capacity=120, sample_fraction=0.25)
         with pytest.raises(ConfigurationError):
             ClimberIndex.reopen(index.save_global_index(), dfs, bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_pivots", 32),
+        ("word_length", 6),
+    ])
+    def test_reopen_rejects_mismatched_pivot_geometry(self, built, field,
+                                                      value):
+        """A config that disagrees with the persisted pivot count or word
+        length is refused by ``reopen`` itself, before any query."""
+        _, dfs, index = built
+        bad = dataclasses.replace(CFG, **{field: value})
+        before = dfs.counters
+        with pytest.raises(ConfigurationError, match=field):
+            ClimberIndex.reopen(index.save_global_index(), dfs, bad)
+        assert dfs.counters == before
+
+    def test_reopen_rejects_pivot_matrix_of_another_shape(self, built):
+        """The pivot matrix itself is checked, not only the skeleton's
+        record of it: the signature kernel reads the matrix."""
+        _, dfs, index = built
+        narrower = SkeletonWithPivots(index.skeleton, index.pivots[:, :6])
+        with pytest.raises(ConfigurationError, match="pivot matrix"):
+            ClimberIndex.reopen(narrower.to_bytes(), dfs, CFG)
 
     def test_disk_backed_end_to_end(self, tmp_path):
         """Build on a disk-backed DFS, reopen, query — fully persistent."""

@@ -18,7 +18,6 @@ The contracts under test (see :mod:`repro.obs`):
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -485,30 +484,23 @@ def _fallback_count() -> int:
 
 
 class TestFallbackVisibility:
-    def test_make_executor_degrade_warns_and_counts(self):
-        before = _fallback_count()
-        with pytest.warns(RuntimeWarning, match="degraded"):
-            executor = make_executor("process", 2, require_shared_memory=True)
-        try:
-            assert isinstance(executor, ThreadExecutor)
-        finally:
-            executor.close()
-        assert _fallback_count() == before + 1
+    def test_task_failed_twice_warns_and_counts(self):
+        # A pooled task that fails twice is re-run on the caller's
+        # thread; that degrade must warn and count.
+        attempts = []
 
-    def test_process_build_redistribution_does_not_fall_back(self,
-                                                             tiny_dataset):
-        # Historically process pools fell back to serial encodes (engine
-        # handles aren't picklable) with a "encoding serially" warning;
-        # encode specs are now plain picklable data, so a process build
-        # must complete without any fallback warning or counter bump.
-        config = _config(
-            capacity=32, n_input_partitions=4, executor="process", n_workers=2
-        )
+        def flaky(item):
+            attempts.append(item)
+            if len(attempts) < 3:
+                raise RuntimeError("pool-side failure")
+            return item
+
         before = _fallback_count()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            ClimberIndex.build(tiny_dataset, config)
-        assert _fallback_count() == before
+        with make_executor(2) as executor:
+            with pytest.warns(RuntimeWarning, match="degraded.*failed twice"):
+                assert executor.map(flaky, [7]) == [7]
+        assert len(attempts) == 3
+        assert _fallback_count() == before + 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ results; a worker exception must surface on the caller, not hang.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from conftest import expect_degraded
@@ -21,13 +19,9 @@ from repro.core.builder import build_index_artifacts
 from repro.core.config import ClimberConfig
 from repro.core.index import ClimberIndex
 from repro.core.parallel import (
-    EXECUTOR_KINDS,
-    N_WORKERS_ENV,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     make_executor,
-    resolve_n_workers,
     split_ranges,
 )
 from repro.core.skeleton import SkeletonWithPivots
@@ -44,7 +38,7 @@ def _dataset(n=3000, length=64, seed=11):
     return SeriesDataset(values)
 
 
-def _config(n_workers, executor="thread", seed=5):
+def _config(n_workers, seed=5):
     return ClimberConfig(
         word_length=8,
         n_pivots=24,
@@ -54,7 +48,6 @@ def _config(n_workers, executor="thread", seed=5):
         seed=seed,
         n_input_partitions=8,
         n_workers=n_workers,
-        executor=executor,
     )
 
 
@@ -74,57 +67,24 @@ def _partition_payloads(dfs):
 
 
 class TestExecutors:
-    def test_resolve_explicit(self):
-        assert resolve_n_workers(3) == 3
-
-    def test_resolve_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(N_WORKERS_ENV, raising=False)
-        assert resolve_n_workers(None) == 1
-
-    def test_resolve_env(self, monkeypatch):
-        monkeypatch.setenv(N_WORKERS_ENV, "4")
-        assert resolve_n_workers(None) == 4
-
-    def test_resolve_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(N_WORKERS_ENV, "two")
-        with pytest.raises(ConfigurationError):
-            resolve_n_workers(None)
-
-    def test_resolve_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            resolve_n_workers(0)
-
     def test_make_executor_serial_for_one_worker(self):
-        for kind in EXECUTOR_KINDS:
-            assert isinstance(make_executor(kind, 1), SerialExecutor)
+        assert isinstance(make_executor(1), SerialExecutor)
 
     def test_make_executor_kinds(self):
-        with make_executor("thread", 2) as ex:
+        # One worker is serial, more are a thread pool; the worker count
+        # is the only argument.
+        with make_executor(2) as ex:
             assert isinstance(ex, ThreadExecutor)
-        with make_executor("process", 2) as ex:
-            assert isinstance(ex, ProcessExecutor)
-            assert not ex.shares_memory
-        assert isinstance(make_executor("serial", 8), SerialExecutor)
-
-    def test_make_executor_unknown_kind(self):
+            assert ex.n_workers == 2
         with pytest.raises(ConfigurationError):
-            make_executor("gpu", 2)
-
-    def test_shared_memory_gate_degrades_process_to_threads(self):
-        with expect_degraded(match="shared-memory stage"):
-            ex = make_executor("process", 2, require_shared_memory=True)
-        with ex:
-            assert isinstance(ex, ThreadExecutor)
-            assert ex.shares_memory
+            make_executor(0)
+        with pytest.raises(TypeError):
+            make_executor("thread", 2)
 
     def test_map_preserves_order(self):
         items = list(range(50))
-        with make_executor("thread", 4) as ex:
+        with make_executor(4) as ex:
             assert ex.map(lambda x: x * x, items) == [x * x for x in items]
-
-    def test_process_map_runs(self):
-        with make_executor("process", 2) as ex:
-            assert ex.map(abs, [-1, -2, 3]) == [1, 2, 3]
 
     def test_thread_exception_propagates(self):
         def boom(x):
@@ -132,7 +92,7 @@ class TestExecutors:
                 raise ValueError("worker failed")
             return x
 
-        with make_executor("thread", 2) as ex:
+        with make_executor(2) as ex:
             with pytest.raises(ValueError, match="worker failed"), \
                     expect_degraded(match="failed twice"):
                 ex.map(boom, range(8))
@@ -142,16 +102,6 @@ class TestExecutors:
         assert split_ranges(0, 4) == []
         with pytest.raises(ConfigurationError):
             split_ranges(10, 0)
-
-
-def test_config_effective_n_workers(monkeypatch):
-    monkeypatch.setenv(N_WORKERS_ENV, "3")
-    assert ClimberConfig(n_workers=None).effective_n_workers == 3
-    assert ClimberConfig(n_workers=2).effective_n_workers == 2
-    with pytest.raises(ConfigurationError):
-        ClimberConfig(n_workers=0)
-    with pytest.raises(ConfigurationError):
-        ClimberConfig(executor="fiber")
 
 
 # -- build parity ----------------------------------------------------------------
@@ -182,57 +132,6 @@ class TestBuildParity:
                 (s.name, s.n_tasks, s.total_cost, s.sim_seconds)
                 for s in reference.sim_report.stages
             ]
-
-    def test_build_process_executor_parity(self):
-        dataset = _dataset(n=1500)
-        reference = build_index_artifacts(dataset, _config(1))
-        art = build_index_artifacts(
-            dataset, _config(2, executor="process")
-        )
-        assert _partition_payloads(art.dfs) == _partition_payloads(
-            reference.dfs
-        )
-
-    def test_process_executor_encodes_without_fallback(self):
-        # Regression (PR-6 remaining item): redistribution encodes used to
-        # fall back to serial on process pools because the encode task
-        # closed over live engine handles.  The encode spec is plain data
-        # now, so a process build must not record any fallback — the
-        # only pooled stage that still degrades is the shared-memory trie
-        # compile, which warns through make_executor, not the builder.
-        import warnings
-
-        from repro.obs import global_registry
-
-        dataset = _dataset(n=1500)
-        before = global_registry().counter("parallel.fallbacks").value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            art = build_index_artifacts(
-                dataset, _config(2, executor="process")
-            )
-        assert global_registry().counter("parallel.fallbacks").value == before
-        assert _partition_payloads(art.dfs) == _partition_payloads(
-            build_index_artifacts(dataset, _config(1)).dfs
-        )
-
-    def test_encode_partition_task_matches_engine_encode(self):
-        # The picklable spec path and the live-engine path must produce
-        # identical payload bytes, with and without the CRC block.
-        from repro.core.builder import _encode_partition_task
-        from repro.storage.engine import MemoryBackend, StorageEngine
-
-        rng = np.random.default_rng(7)
-        ids = np.arange(40, dtype=np.int64)
-        values = rng.standard_normal((40, 16))
-        header = {"g0/a": (0, 25), "g0/b": (25, 15)}
-        for checksums in (True, False):
-            engine = StorageEngine(MemoryBackend(), checksums=checksums)
-            expected = engine.encode_arrays("part-x", ids, values, header)
-            got = _encode_partition_task(
-                ("part-x", ids, values, header, checksums)
-            )
-            assert got == expected
 
 
 # -- query parity ----------------------------------------------------------------
@@ -348,14 +247,3 @@ class TestFailurePropagation:
         with pytest.warns(RuntimeWarning, match="failed twice"):
             with pytest.raises(RuntimeError, match="injected shard failure"):
                 index.knn_batch(queries, k=3)
-
-
-def test_env_var_drives_build(monkeypatch):
-    # CLIMBER_N_WORKERS alone (config untouched) must route the build
-    # through the thread pool and still produce the serial bytes.
-    dataset = _dataset(n=1200)
-    monkeypatch.delenv(N_WORKERS_ENV, raising=False)
-    reference = build_index_artifacts(dataset, _config(None))
-    monkeypatch.setenv(N_WORKERS_ENV, "2")
-    art = build_index_artifacts(dataset, _config(None))
-    assert _partition_payloads(art.dfs) == _partition_payloads(reference.dfs)

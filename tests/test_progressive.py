@@ -13,8 +13,8 @@ The contracts under test (see :mod:`repro.core.progressive`):
 * **Calibration** — the offline curve is monotone, persists as JSON,
   round-trips through :meth:`~repro.core.ClimberIndex.attach_calibration`,
   and drives ``early_stop="confidence"``.
-* **Knob grammar** — explicit arg → config → ``CLIMBER_EARLY_STOP`` env →
-  off, with malformed specs rejected eagerly.
+* **Knob grammar** — the call's argument, else the config field (default
+  off), with malformed specs rejected eagerly.
 """
 
 from __future__ import annotations
@@ -33,28 +33,12 @@ from repro.core import (
     parse_early_stop,
     resolve_stop_rule,
 )
-from repro.core.config import EARLY_STOP_ENV, ON_PARTITION_FAILURE_ENV
 from repro.core.index import QueryStats
 from repro.evaluation import calibrate_early_stop
 from repro.exceptions import ConfigurationError
-from repro.resilience import (
-    FAULT_ENV_BITFLIP_RATE,
-    FAULT_ENV_LOSS_RATE,
-    FAULT_ENV_RATE,
-    FAULT_ENV_SEED,
-    FAULT_ENV_STRAGGLER_RATE,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.series import SeriesDataset
-
-#: Oracles compare explicit twin builds, so ambient CI chaos and the
-#: CI-armed ``CLIMBER_EARLY_STOP`` are both scrubbed.
-_SCRUB_ENV = (
-    FAULT_ENV_SEED, FAULT_ENV_RATE, FAULT_ENV_LOSS_RATE,
-    FAULT_ENV_BITFLIP_RATE, FAULT_ENV_STRAGGLER_RATE,
-    ON_PARTITION_FAILURE_ENV, EARLY_STOP_ENV,
-)
+from repro.storage import SimulatedDFS
 
 #: QueryStats fields the parity oracle pins exactly (everything except
 #: the wall clock).
@@ -64,12 +48,6 @@ _PINNED_FIELDS = (
     "records_examined", "expanded_within_partition", "sim_seconds",
     "partitions_failed", "partitions_forgone",
 )
-
-
-@pytest.fixture(autouse=True)
-def _scrub_env(monkeypatch):
-    for var in _SCRUB_ENV:
-        monkeypatch.delenv(var, raising=False)
 
 
 def _dataset(n=800, length=32, seed=17):
@@ -113,7 +91,7 @@ class TestKnobGrammar:
     @pytest.mark.parametrize("spec,expected", [
         ("off", ("off", None)),
         ("OFF", ("off", None)),
-        ("confidence", ("confidence", None)),
+        ("confidence", ("confidence", 0.9)),
         ("confidence:0.95", ("confidence", 0.95)),
         ("streak:3", ("streak", 3)),
         (4, ("streak", 4)),
@@ -133,31 +111,20 @@ class TestKnobGrammar:
         with pytest.raises(ConfigurationError):
             _config(early_stop="bogus")
         with pytest.raises(ConfigurationError):
-            _config(early_stop_confidence=1.5)
+            _config(early_stop="confidence:1.5")
         assert _config(early_stop="streak:2").early_stop == "streak:2"
-
-    def test_resolution_chain(self, monkeypatch):
-        # off everywhere -> off
-        assert _config().effective_early_stop == "off"
-        # env fallback
-        monkeypatch.setenv(EARLY_STOP_ENV, "streak:3")
-        assert _config().effective_early_stop == "streak:3"
-        # explicit config wins over env
-        assert _config(early_stop="off").effective_early_stop == "off"
-        # malformed env rejected at resolution time
-        monkeypatch.setenv(EARLY_STOP_ENV, "nonsense")
-        with pytest.raises(ConfigurationError):
-            _config().effective_early_stop
+        assert _config().early_stop == "off"
 
     def test_resolve_stop_rule_modes(self):
-        assert resolve_stop_rule("off", 0.9, None) is None
-        rule = resolve_stop_rule("streak:2", 0.9, None)
+        assert resolve_stop_rule("off", None) is None
+        rule = resolve_stop_rule("streak:2", None)
         assert rule == StopRule(streak=2, kind="streak")
         # confidence without calibration uses the conservative prior:
-        # 1 - 0.5**s >= 0.9 first at s=4.
-        rule = resolve_stop_rule("confidence", 0.9, None)
+        # 1 - 0.5**s >= 0.9 first at s=4; a bare "confidence" is 0.9.
+        rule = resolve_stop_rule("confidence", None)
         assert rule.kind == "confidence" and rule.streak == 4
-        rule = resolve_stop_rule("confidence:0.99", 0.9, None)
+        assert rule == resolve_stop_rule("confidence:0.9", None)
+        rule = resolve_stop_rule("confidence:0.99", None)
         assert rule.streak == 7
 
     def test_stop_rule_requires_k_in_hand(self):
@@ -394,24 +361,27 @@ class TestEarlyStopping:
         assert final.ids.shape[0] == min(12, final.stats.records_examined)
         assert final.stats.coverage == 1.0
 
-    def test_env_fallback_arms_stopping(self, monkeypatch, index):
-        monkeypatch.setenv(EARLY_STOP_ENV, "streak:1")
+    @pytest.fixture(scope="class")
+    def armed(self, index):
+        """The same store behind a config whose field arms the rule."""
+        return ClimberIndex.reopen(index.save_global_index(), index.dfs,
+                                   _config(early_stop="streak:1"))
+
+    def test_config_field_arms_stopping(self, index, armed):
         finals = [
-            list(index.knn_progressive(q, 10, variant="od-smallest"))[-1]
+            list(armed.knn_progressive(q, 10, variant="od-smallest"))[-1]
             for q in _queries(16, seed=41)
         ]
         assert any(f.stopped_early for f in finals)
-        monkeypatch.delenv(EARLY_STOP_ENV)
         finals = [
             list(index.knn_progressive(q, 10, variant="od-smallest"))[-1]
             for q in _queries(16, seed=41)
         ]
         assert not any(f.stopped_early for f in finals)
 
-    def test_explicit_off_beats_env(self, monkeypatch, index):
-        monkeypatch.setenv(EARLY_STOP_ENV, "streak:1")
+    def test_explicit_off_beats_config(self, armed):
         for q in _queries(6, seed=41):
-            final = list(index.knn_progressive(
+            final = list(armed.knn_progressive(
                 q, 10, variant="od-smallest", early_stop="off"
             ))[-1]
             assert not final.stopped_early
@@ -421,18 +391,21 @@ class TestEarlyStopping:
 # Degraded-mode composition
 # ---------------------------------------------------------------------------
 
+def _lossy_dfs(plan):
+    return SimulatedDFS(
+        fault_plan=plan,
+        retry_policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+    )
+
+
 class TestDegradedProgressive:
     def test_skip_mode_parity_with_knn_under_loss(self):
         dataset = _dataset()
         queries = _queries(10)
         plan = FaultPlan(seed=1234, loss_rate=0.3)
-        cfg = _config(
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
-            on_partition_failure="skip",
-        )
-        reference = ClimberIndex.build(dataset, cfg)
-        progressive = ClimberIndex.build(dataset, cfg)
+        cfg = _config(on_partition_failure="skip")
+        reference = ClimberIndex.build(dataset, cfg, dfs=_lossy_dfs(plan))
+        progressive = ClimberIndex.build(dataset, cfg, dfs=_lossy_dfs(plan))
         degraded = 0
         for q in queries:
             ref = reference.knn(q, 10, variant="od-smallest")
@@ -446,11 +419,10 @@ class TestDegradedProgressive:
     def test_failed_partition_counts_as_stable_step(self):
         dataset = _dataset()
         plan = FaultPlan(seed=1234, loss_rate=0.3)
-        index = ClimberIndex.build(dataset, _config(
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
-            on_partition_failure="skip",
-        ))
+        index = ClimberIndex.build(
+            dataset, _config(on_partition_failure="skip"),
+            dfs=_lossy_dfs(plan),
+        )
         for q in _queries(10):
             updates = list(index.knn_progressive(
                 q, 10, variant="od-smallest", early_stop="off"
@@ -503,7 +475,7 @@ class TestCalibration:
         index.attach_calibration(path)
         assert index.calibration == cal
         # The resolved streak comes from the measured curve.
-        rule = resolve_stop_rule("confidence:0.9", 0.9, index.calibration)
+        rule = resolve_stop_rule("confidence:0.9", index.calibration)
         assert rule.streak == cal.threshold_for(0.9)
         finals = [
             list(index.knn_progressive(
@@ -621,8 +593,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             index.knn_progressive(q, 5, early_stop="bogus")
         with pytest.raises(ConfigurationError):
+            index.knn_progressive(q, 5, early_stop="confidence:1.5")
+        with pytest.raises(TypeError):
             index.knn_progressive(q, 5, early_stop="confidence",
-                                  confidence=1.5)
+                                  confidence=0.9)
 
     def test_empty_batch(self, index):
         assert index.knn_batch_progressive(

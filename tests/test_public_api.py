@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -54,13 +58,76 @@ class TestLazyExports:
             assert name in repro.__all__
 
     def test_chaos_config_knobs(self):
-        cfg = repro.ClimberConfig(
+        # Storage knobs live on the DFS the caller passes; the degraded-
+        # query mode and telemetry sampling on the config.
+        from repro.storage import SimulatedDFS
+
+        dfs = SimulatedDFS(
             fault_plan=repro.FaultPlan(seed=3),
             retry_policy=repro.RetryPolicy(max_attempts=2),
+            verify="eager",
+            checksums=True,
+        )
+        cfg = repro.ClimberConfig(
+            word_length=8, n_pivots=16, prefix_length=4, capacity=100,
+            sample_fraction=0.3, n_input_partitions=8,
             on_partition_failure="skip",
-            verify_checksums="eager",
-            partition_checksums=True,
             telemetry_sample_every=8,
         )
-        assert cfg.effective_on_partition_failure == "skip"
-        assert cfg.effective_fault_plan.seed == 3
+        index = repro.ClimberIndex.build(
+            repro.random_walk_dataset(500, 32, seed=2), cfg, dfs=dfs
+        )
+        assert index.dfs is dfs
+        assert dfs.fault_injector.plan.seed == 3
+        assert dfs.retry_policy.max_attempts == 2
+        assert (dfs.engine.verify, dfs.engine.checksums) == ("eager", True)
+        assert index.config.on_partition_failure == "skip"
+
+
+#: The whole of ``ClimberConfig``.  A 20th field is a reviewed decision
+#: (DESIGN.md D5), not a side effect of a feature.
+CONFIG_FIELDS = {
+    "word_length", "n_pivots", "prefix_length", "capacity",
+    "sample_fraction", "min_centroid_separation", "max_centroids", "decay",
+    "decay_rate", "adaptive_factor", "seed", "n_input_partitions",
+    "cost_scale", "sim_partition_bytes", "n_workers", "telemetry",
+    "telemetry_sample_every", "on_partition_failure", "early_stop",
+}
+
+
+def test_config_surface():
+    fields = dataclasses.fields(repro.ClimberConfig)
+    assert {f.name for f in fields} == CONFIG_FIELDS
+    # Every knob a query or build resolves against holds a concrete value.
+    cfg = repro.ClimberConfig()
+    assert (cfg.n_workers, cfg.on_partition_failure, cfg.early_stop) \
+        == (1, "raise", "off")
+    for n_workers in (None, 0):
+        with pytest.raises(repro.ConfigurationError):
+            repro.ClimberConfig(n_workers=n_workers)
+    # The retired routes are gone, not deprecated.
+    for retired in ({"fault_plan": repro.FaultPlan(seed=3)},
+                    {"executor": "thread"}):
+        with pytest.raises(TypeError):
+            repro.ClimberConfig(**retired)
+
+
+def test_library_reads_no_environment():
+    """A run is a function of its stated parameters: nothing under
+    ``src/repro`` looks at the process environment."""
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                hit = (isinstance(node.value, ast.Name)
+                       and node.value.id == "os" and node.attr in banned)
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "os" and any(
+                    alias.name in banned for alias in node.names
+                )
+            else:
+                continue
+            if hit:
+                offenders.append(f"{path}:{node.lineno}")
+    assert offenders == []

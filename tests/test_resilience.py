@@ -96,30 +96,6 @@ class TestFaultPlan:
         for i in range(32):
             assert plan.decide(f"b{i}.part", 0, 1000) == FaultDecision.CLEAN
 
-    def test_from_env(self):
-        assert FaultPlan.from_env({}) is None
-        plan = FaultPlan.from_env({"CLIMBER_FAULT_SEED": "42"})
-        assert plan is not None
-        assert plan.seed == 42
-        assert plan.transient_rate == pytest.approx(0.02)
-        assert plan.loss_rate == 0.0
-        plan = FaultPlan.from_env({
-            "CLIMBER_FAULT_SEED": "1",
-            "CLIMBER_FAULT_RATE": "0.5",
-            "CLIMBER_FAULT_LOSS_RATE": "0.25",
-            "CLIMBER_FAULT_BITFLIP_RATE": "0.125",
-            "CLIMBER_FAULT_STRAGGLER_RATE": "0.0625",
-        })
-        assert plan.transient_rate == pytest.approx(0.5)
-        assert plan.loss_rate == pytest.approx(0.25)
-        assert plan.bit_flip_rate == pytest.approx(0.125)
-        assert plan.straggler_rate == pytest.approx(0.0625)
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_env({"CLIMBER_FAULT_SEED": "nope"})
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_env({"CLIMBER_FAULT_SEED": "1",
-                                "CLIMBER_FAULT_RATE": "many"})
-
 
 class TestFaultInjector:
     def _store(self, plan, payload=b"x" * 256, name="b.part"):

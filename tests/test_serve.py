@@ -23,51 +23,17 @@ import numpy as np
 import pytest
 
 from repro.core import ClimberIndex
-from repro.core.config import (
-    EARLY_STOP_ENV,
-    ON_PARTITION_FAILURE_ENV,
-    ClimberConfig,
-)
+from repro.core.config import ClimberConfig
 from repro.exceptions import (
     ConfigurationError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
 from repro.obs import MetricsRegistry
-from repro.resilience import (
-    FAULT_ENV_BITFLIP_RATE,
-    FAULT_ENV_LOSS_RATE,
-    FAULT_ENV_RATE,
-    FAULT_ENV_SEED,
-    FAULT_ENV_STRAGGLER_RATE,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.serve import QueryResponse, QueryService, ServeConfig
 from repro.series import SeriesDataset
-
-#: Parity oracles compare explicit builds, so ambient CI chaos
-#: (CLIMBER_FAULT_* exported over the whole tier-1 run) and the CI-armed
-#: CLIMBER_EARLY_STOP are scrubbed, as in tests/test_chaos.py.
-CHAOS_ENV = (
-    FAULT_ENV_SEED, FAULT_ENV_RATE, FAULT_ENV_LOSS_RATE,
-    FAULT_ENV_BITFLIP_RATE, FAULT_ENV_STRAGGLER_RATE,
-    ON_PARTITION_FAILURE_ENV, EARLY_STOP_ENV,
-)
-
-
-@pytest.fixture(autouse=True)
-def _scrub_chaos_env(monkeypatch):
-    for var in CHAOS_ENV:
-        monkeypatch.delenv(var, raising=False)
-
-
-@pytest.fixture(scope="class", autouse=True)
-def _scrub_chaos_env_for_class_fixtures():
-    with pytest.MonkeyPatch.context() as mp:
-        for var in CHAOS_ENV:
-            mp.delenv(var, raising=False)
-        yield
+from repro.storage import SimulatedDFS
 
 
 def _dataset(n=800, length=32, seed=17):
@@ -364,13 +330,18 @@ class TestServingUnderChaos:
     def lossy_pair(self):
         dataset = _dataset(n=2000, length=64)
         plan = FaultPlan(seed=1234, loss_rate=0.3)
-        kwargs = dict(
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
-            n_input_partitions=8,
-        )
-        served = ClimberIndex.build(dataset, _config(**kwargs))
-        oracle = ClimberIndex.build(dataset, _config(**kwargs))
+
+        def build():
+            return ClimberIndex.build(
+                dataset, _config(n_input_partitions=8),
+                dfs=SimulatedDFS(
+                    fault_plan=plan,
+                    retry_policy=RetryPolicy(max_attempts=2,
+                                             backoff_base_s=0.0),
+                ),
+            )
+
+        served, oracle = build(), build()
         lost = [
             p for p in served.dfs.list_partitions()
             if plan.lost(served.dfs.engine.blob_name(p))

@@ -11,11 +11,14 @@ satellite (repeated queries in a batch route once).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset, sample_queries
+from repro.resilience import FaultPlan
 from repro.storage import SimulatedDFS
 
 CFG = ClimberConfig(
@@ -115,6 +118,37 @@ class TestFormatParity:
             mem_dfs, cached, ("bytes_read", "partitions_read")
         )
         assert cached.counters.cache_hits > 0
+
+    @pytest.mark.parametrize("config_overrides, dfs_kwargs", [
+        pytest.param({"n_workers": 2}, {}, id="n_workers=2"),
+        # Recovered within the default RetryPolicy, so nothing fails.
+        pytest.param({}, {"fault_plan": FaultPlan(seed=20240808,
+                                                  transient_rate=0.02)},
+                     id="transient-faults"),
+        pytest.param({}, {"verify": "eager"}, id="verify=eager"),
+        pytest.param({}, {"checksums": False}, id="checksums=False"),
+        # Armed for the progressive calls only; the exact ones never stop.
+        pytest.param({"early_stop": "streak:2"}, {}, id="early_stop=streak:2"),
+    ])
+    def test_physical_knobs_are_invisible(self, dataset, config_overrides,
+                                          dfs_kwargs):
+        # ~100 partition reads: enough for the 2 % plan to fire (5 retries).
+        queries = sample_queries(dataset, 48, seed=77).values
+        mem_idx, mem_dfs = build(dataset)
+        dfs = SimulatedDFS(**dfs_kwargs)
+        idx = ClimberIndex.build(
+            dataset, dataclasses.replace(CFG, **config_overrides), dfs=dfs
+        )
+        assert_results_identical(
+            [mem_idx.knn(q, 10) for q in queries]
+            + mem_idx.knn_batch(queries, 8),
+            [idx.knn(q, 10) for q in queries] + idx.knn_batch(queries, 8),
+        )
+        assert_logical_io_identical(
+            mem_dfs, dfs, ("bytes_read", "partitions_read")
+        )
+        assert (dfs.counters.retries > 0) == ("fault_plan" in dfs_kwargs)
+        assert dfs.counters.read_failures == 0
 
     def test_append_parity(self, dataset, tmp_path):
         extra = random_walk_dataset(200, 48, seed=31)
