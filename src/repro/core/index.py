@@ -506,6 +506,12 @@ class ClimberIndex:
         their group's default partition.  Periodic full rebuilds remain the
         answer to heavy drift.
 
+        A batch is refused whole, before anything is stored or counted:
+        :class:`ConfigurationError` for a series length other than the
+        indexed one or ids repeated within the batch,
+        :class:`NonFiniteValueError` (naming the first offending row) for
+        NaN or infinite values.
+
         Returns a summary dict (records appended, partitions written,
         simulated seconds).
         """
@@ -514,6 +520,16 @@ class ClimberIndex:
             raise ConfigurationError(
                 f"appended series length {dataset.length} != indexed "
                 f"length {base_length}"
+            )
+        finite = np.isfinite(dataset.values).all(axis=1)
+        if not finite.all():
+            raise NonFiniteValueError(
+                f"appended row {int(np.flatnonzero(~finite)[0])} holds NaN "
+                f"or infinite values"
+            )
+        if np.unique(dataset.ids).shape[0] != dataset.count:
+            raise ConfigurationError(
+                "appended ids repeat within the batch"
             )
         cfg = self.config
         sim = ClusterSimulator(self.model)
@@ -525,27 +541,31 @@ class ClimberIndex:
         # Batch route through the frozen skeleton's CSR-compiled tries —
         # the same bulk pipeline construction Step 4 uses: one descend
         # sweep per group present in the batch, one stable lexsort into
-        # final cluster layout, partitions written straight from array
+        # final cluster layout, partitions encoded straight from array
         # slices.  Records whose walk stalls (or reaches an unpacked leaf)
         # land in their group's default partition, as before.
         router = self._art.skeleton.flat_router()
         kid_of = router.route(ranked, gids)
         order, parts = router.partition_layout(kid_of)
 
-        written = []
-        written_bytes = 0
+        dfs = self.dfs
+        encoded = []
         for pid, start, end, header in parts:
             base = partition_name(pid)
             # Appends write ``<base>.d0``, ``<base>.d1``, ...: no registry
             # is persisted, a reopened DFS rebuilds its delta index from
             # the names it attaches.
-            seq = len(self.dfs.delta_partitions(base))
-            delta_id = f"{base}.d{seq}"
-            written_bytes += self.dfs.write_partition_arrays(
-                delta_id, dataset.ids, dataset.values, header,
-                rows=order[start:end],
-            )
-            written.append(delta_id)
+            delta_id = f"{base}.d{len(dfs.delta_partitions(base))}"
+            encoded.append((
+                delta_id,
+                dfs.engine.encode_arrays(delta_id, dataset.ids, dataset.values,
+                                         header, rows=order[start:end]),
+                end - start, dataset.length, header,
+            ))
+        # One store call for the whole append: the deltas land together or
+        # not at all, and on disk as one file (DESIGN.md D6).
+        written_bytes = dfs.write_encoded_partitions(encoded)
+        written = [delta_id for delta_id, *_ in encoded]
 
         sig_ops = ops_paa(dataset.length) + ops_signature(
             cfg.n_pivots, cfg.word_length, cfg.prefix_length

@@ -210,6 +210,9 @@ class FaultInjector:
     def write(self, name: str, payload: bytes) -> None:
         self.inner.write(name, payload)
 
+    def write_many(self, blobs) -> None:
+        self.inner.write_many(blobs)
+
     def read_range(self, name: str, offset: int, length: int):
         decision = self._decision(name)
         if decision.lost:

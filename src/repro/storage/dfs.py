@@ -36,6 +36,10 @@ class keeps everything *simulated* about the DFS:
      same per-partition order, so answers and counters are unchanged;
 * a **delta-name registry** — ``delta_partitions(base)`` answers the
   ``<base>.d<seq>`` naming-convention lookup from an in-memory index;
+* **batch registration** — ``write_encoded_partitions`` stores all the
+  delta partitions of one append through a single backend call (one file
+  on disk, there whole or not at all) and registers each under its own
+  name, so nothing above can tell a packed partition from a loose one;
 * **header metadata** — ``record_count(pid)`` / ``series_length(pid)``
   maintained at write/attach time so reopening an index, or validating an
   append, never reads partition payloads.
@@ -52,6 +56,7 @@ from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from repro.exceptions import (
     PartitionLostError,
@@ -345,8 +350,8 @@ class SimulatedDFS:
     ) -> int:
         """Store a payload pre-encoded by :meth:`StorageEngine.encode_arrays`.
 
-        The one registration path; every write ends here.  The builder's
-        workers encode payloads concurrently (a pure function of the record
+        Every single-partition write ends here.  The builder's workers
+        encode payloads concurrently (a pure function of the record
         arrays) and the caller stores them through here serially in
         partition order, so the stored bytes and every counter are the
         same for any worker count.  Returns the partition's logical size
@@ -357,14 +362,58 @@ class SimulatedDFS:
             if partition_id in self._sizes:
                 raise StorageError(f"partition {partition_id!r} already exists")
             self._engine.write_payload(partition_id, payload)
-            # Defensive invalidation: duplicate ids are rejected above, so a
-            # cached entry can never be stale today — but any future overwrite
-            # path must evict here, and the cost is one dict lookup.
-            self._cache_evict(partition_id)
-            self._register(partition_id, nbytes, record_count, series_length)
-            self._c_bytes_written.inc(nbytes)
-            self._c_partitions_written.inc()
+            self._register_written(partition_id, nbytes, record_count,
+                                   series_length)
         return nbytes
+
+    def write_encoded_partitions(
+        self,
+        partitions: Sequence[
+            tuple[str, bytes, int, int, dict[str, tuple[int, int]]]
+        ],
+    ) -> int:
+        """Store a batch of pre-encoded partitions in one backend call.
+
+        Each item is the argument list of :meth:`write_encoded_partition`:
+        ``(partition_id, payload, record_count, series_length, header)``.
+        The batch is stored whole or not at all — a duplicate id is
+        refused before a byte is written, and a disk backend makes one
+        file of it (DESIGN.md D6) — and is then registered and counted
+        partition by partition, exactly as the same partitions written one
+        at a time would be.  This is how ``ClimberIndex.append`` stores
+        its delta partitions.  Returns the summed logical size in bytes.
+        """
+        sizes = [
+            logical_partition_nbytes(record_count, series_length, header)
+            for _, _, record_count, series_length, header in partitions
+        ]
+        with self._lock:
+            batch = set()
+            for pid, *_ in partitions:
+                if pid in self._sizes or pid in batch:
+                    raise StorageError(f"partition {pid!r} already exists")
+                batch.add(pid)
+            self._engine.write_payloads(
+                (pid, payload) for pid, payload, *_ in partitions
+            )
+            for (pid, _, record_count, series_length, _), nbytes in zip(
+                partitions, sizes
+            ):
+                self._register_written(pid, nbytes, record_count,
+                                       series_length)
+        return sum(sizes)
+
+    def _register_written(self, pid: str, nbytes: int, record_count: int,
+                          series_length: int) -> None:
+        # Caller holds self._lock and has just stored the payload.
+        # Defensive invalidation: duplicate ids are rejected before the
+        # store, so a cached entry can never be stale today — but any
+        # future overwrite path must evict here, and the cost is one dict
+        # lookup.
+        self._cache_evict(pid)
+        self._register(pid, nbytes, record_count, series_length)
+        self._c_bytes_written.inc(nbytes)
+        self._c_partitions_written.inc()
 
     def read_partition(self, partition_id: str) -> PartitionV2View:
         """One partition, as a lazy view.

@@ -2,14 +2,20 @@
 
 A :class:`StorageBackend` stores immutable named blobs and serves arbitrary
 byte ranges from them.  The contract is deliberately tiny — ``write``,
-``read_range``, ``size``, ``delete`` — so a partition format that knows its
-own offsets (format v2) can be served zero-copy from any medium:
+``write_many``, ``read_range``, ``size``, ``delete`` — so a partition format
+that knows its own offsets (format v2) can be served zero-copy from any
+medium:
 
 * :class:`MemoryBackend` — blobs in a dict; ranges are memoryviews over
   the stored bytes.
-* :class:`LocalDiskBackend` — one file per blob under a root directory;
-  ranges are memoryviews over lazily-opened read-only ``mmap`` handles, so
-  the OS pages in only the bytes actually touched.
+* :class:`LocalDiskBackend` — one file per ``write`` and one *segment*
+  file per ``write_many`` under a root directory; ranges are memoryviews
+  over lazily-opened read-only ``mmap`` handles, so the OS pages in only
+  the bytes actually touched.
+
+Where a blob's bytes sit is the backend's business alone: a blob packed
+into a segment is read, sized and listed under the name it was written
+with, exactly like one that has a file to itself (DESIGN.md D6).
 
 Every ``read_range`` is bounds-checked: a request past the end of the blob
 raises :class:`StorageError` rather than silently returning a short view,
@@ -20,12 +26,20 @@ from __future__ import annotations
 
 import mmap
 import os
+import re
+import struct
 import threading
+import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.exceptions import PartitionNotFoundError, StorageError
+from repro.exceptions import (
+    PartitionCorruptError,
+    PartitionNotFoundError,
+    StorageError,
+)
+from repro.storage.serialization import json_from_bytes, json_to_bytes
 
 __all__ = ["StorageBackend", "MemoryBackend", "LocalDiskBackend"]
 
@@ -36,6 +50,12 @@ class StorageBackend(Protocol):
 
     def write(self, name: str, data: bytes) -> None:
         """Store ``data`` under ``name`` (replacing any previous blob)."""
+
+    def write_many(self, blobs: Sequence[tuple[str, bytes]]) -> None:
+        """Store a batch of ``(name, data)`` blobs, all of them or none.
+
+        Each blob is afterwards read, sized and listed under its own name;
+        how many files the batch became is the backend's business."""
 
     def read_range(self, name: str, offset: int, length: int) -> memoryview:
         """A zero-copy view of ``length`` bytes starting at ``offset``."""
@@ -77,6 +97,9 @@ class MemoryBackend:
     def write(self, name: str, data: bytes) -> None:
         self._blobs[name] = bytes(data)
 
+    def write_many(self, blobs: Sequence[tuple[str, bytes]]) -> None:
+        self._blobs.update((name, bytes(data)) for name, data in blobs)
+
     def _blob(self, name: str) -> bytes:
         blob = self._blobs.get(name)
         if blob is None:
@@ -108,10 +131,107 @@ class MemoryBackend:
         return len(self._blobs)
 
 
-class LocalDiskBackend:
-    """One file per blob under ``root``, read through cached mmap handles.
+# A segment is the one file a ``write_many`` batch becomes: the blobs at
+# 64-byte-aligned offsets (so the aligned payload sections of a packed
+# partition stay aligned in the mapping), then a JSON directory of
+# ``[name, offset, length]`` rows, then this fixed-size footer.  A reader
+# starts from the last bytes of the file, so a truncated segment has no
+# footer where one must be and cannot parse.
+_SEGMENT_NAME = re.compile(r"append-(\d{6,})\.seg")
+_SEGMENT_MAGIC = b"CLMBSEG1"
+_SEGMENT_VERSION = 1
+_SEGMENT_ALIGNMENT = 64
+# magic, version, directory CRC32, directory offset, directory length
+_SEGMENT_FOOTER = struct.Struct("<8sIIQQ")
 
-    Handles are opened lazily on the first range read of a blob, reused
+
+def _encode_segment(
+    blobs: Sequence[tuple[str, bytes]]
+) -> tuple[bytes, list[tuple[str, int, int]]]:
+    """One segment's bytes and its ``(name, offset, length)`` directory."""
+    pieces: list[bytes] = []
+    directory = []
+    offset = 0
+    for name, data in blobs:
+        padding = -offset % _SEGMENT_ALIGNMENT
+        pieces.append(bytes(padding))
+        offset += padding
+        pieces.append(data)
+        directory.append((name, offset, len(data)))
+        offset += len(data)
+    table = json_to_bytes(directory)
+    pieces.append(table)
+    pieces.append(_SEGMENT_FOOTER.pack(
+        _SEGMENT_MAGIC, _SEGMENT_VERSION, zlib.crc32(table), offset, len(table)
+    ))
+    return b"".join(pieces), directory
+
+
+def _read_segment_directory(path: Path) -> list[tuple[str, int, int]]:
+    """The checked directory of one stored segment.
+
+    Reads the footer and the directory only, never a blob: what a blob
+    holds is verified by whoever opens it (the partition format's own
+    per-section CRCs), on every open.
+    """
+    with path.open("rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size < _SEGMENT_FOOTER.size:
+            raise StorageError(
+                f"truncated segment {path.name!r}: {size} bytes hold no footer"
+            )
+        fh.seek(size - _SEGMENT_FOOTER.size)
+        magic, version, crc, dir_offset, dir_length = _SEGMENT_FOOTER.unpack(
+            fh.read(_SEGMENT_FOOTER.size)
+        )
+        if (
+            magic != _SEGMENT_MAGIC
+            or version != _SEGMENT_VERSION
+            or dir_offset + dir_length + _SEGMENT_FOOTER.size != size
+        ):
+            raise StorageError(
+                f"segment {path.name!r} does not end in a valid footer "
+                f"(truncated, or not a segment)"
+            )
+        fh.seek(dir_offset)
+        table = fh.read(dir_length)
+    if zlib.crc32(table) != crc:
+        raise PartitionCorruptError(
+            f"corrupt segment {path.name!r}: directory checksum mismatch"
+        )
+    try:
+        directory = [tuple(row) for row in json_from_bytes(table)]
+        well_formed = all(
+            isinstance(name, str)
+            and isinstance(offset, int) and isinstance(length, int)
+            and 0 <= offset and 0 <= length and offset + length <= dir_offset
+            for name, offset, length in directory
+        )
+    except (ValueError, TypeError):
+        well_formed = False
+    if not well_formed:
+        raise StorageError(
+            f"corrupt segment {path.name!r}: malformed directory"
+        )
+    return directory
+
+
+class LocalDiskBackend:
+    """Files under ``root``, read through cached mmap handles.
+
+    A ``write`` makes one file named after its blob.  A ``write_many``
+    makes one *segment* file ``append-<seq>.seg`` holding the whole batch
+    (see ``_encode_segment``), written tmp + rename like any other, so a
+    crash leaves all of the batch or none of it.  From then on each packed
+    name resolves through an in-memory ``name -> (segment, offset,
+    length)`` map, loaded — every directory CRC-checked — when a backend
+    is constructed over an existing directory; ``read_range``, ``size``,
+    ``exists`` and ``list_names`` answer for a packed name as they do for
+    a loose one, and segments themselves are never listed.  Packed blobs
+    are immutable: ``write`` or ``delete`` of one raises
+    :class:`StorageError`.
+
+    Handles are opened lazily on the first range read of a file, reused
     LRU-style, and capped at ``max_open_handles`` so a store with many
     partitions cannot exhaust the process file-descriptor limit.  A handle
     whose buffer is still referenced by live NumPy views cannot be closed
@@ -120,12 +240,13 @@ class LocalDiskBackend:
     through an atomic rename, so views over a replaced blob keep reading
     the old inode instead of faulting.
 
-    The handle LRU is guarded by an internal lock: the DFS read path
-    opens partitions concurrently (its own lock covers only bookkeeping),
-    and lazy v2 views issue range reads long after the open, so the map
-    mutations here must be safe under concurrent readers.  Views are
-    sliced while the lock is held, so an eviction racing a read can never
-    close a mapping between lookup and export.
+    The handle LRU and the packed-name map are guarded by an internal
+    lock: the DFS read path opens partitions concurrently (its own lock
+    covers only bookkeeping), and lazy v2 views issue range reads long
+    after the open, so the map mutations here must be safe under
+    concurrent readers.  Views are sliced while the lock is held, so an
+    eviction racing a read can never close a mapping between lookup and
+    export.
     """
 
     def __init__(self, root: str | Path, max_open_handles: int = 256) -> None:
@@ -136,20 +257,79 @@ class LocalDiskBackend:
         self.max_open_handles = max_open_handles
         self._maps: "OrderedDict[str, mmap.mmap]" = OrderedDict()
         self._maps_lock = threading.Lock()
+        self._packed: dict[str, tuple[str, int, int]] = {}
+        self._next_segment = 0
+        # Serialises write_many: one batch at a time checks its names are
+        # new and takes the next sequence number, without holding up
+        # readers while it writes.
+        self._segment_lock = threading.Lock()
+        for entry in sorted(os.listdir(self.root)):
+            match = _SEGMENT_NAME.fullmatch(entry)
+            if match is None:
+                continue
+            for name, offset, length in _read_segment_directory(
+                self.root / entry
+            ):
+                if name in self._packed:
+                    raise StorageError(
+                        f"object {name!r} is packed in both "
+                        f"{self._packed[name][0]!r} and {entry!r}"
+                    )
+                self._packed[name] = (entry, offset, length)
+            self._next_segment = max(self._next_segment, int(match[1]) + 1)
 
     def _path(self, name: str) -> Path:
         if not name or "/" in name or "\\" in name or name.startswith("."):
             raise StorageError(f"invalid object name {name!r}")
         return self.root / name
 
-    def write(self, name: str, data: bytes) -> None:
+    def _mutable_path(self, name: str) -> Path:
+        """The file a write or delete of ``name`` may touch."""
         path = self._path(name)
+        with self._maps_lock:
+            packed = self._packed.get(name)
+        if packed is not None:
+            raise StorageError(
+                f"object {name!r} is packed in segment {packed[0]!r} "
+                f"and immutable"
+            )
+        if _SEGMENT_NAME.fullmatch(name):
+            raise StorageError(f"object name {name!r} is reserved for segments")
+        return path
+
+    def write(self, name: str, data: bytes) -> None:
+        path = self._mutable_path(name)
         self._drop_handle(name)
+        self._replace(path, data)
+
+    @staticmethod
+    def _replace(path: Path, data: bytes) -> None:
         # Write-then-rename: an overwrite swaps the directory entry while
         # any still-mapped previous version lives on under its old inode.
-        tmp = path.with_name(f".{name}.tmp")
+        tmp = path.with_name(f".{path.name}.tmp")
         tmp.write_bytes(data)
         os.replace(tmp, path)
+
+    def write_many(self, blobs: Sequence[tuple[str, bytes]]) -> None:
+        if not blobs:
+            return
+        data, directory = _encode_segment(blobs)
+        with self._segment_lock:
+            names = set()
+            for name, _ in blobs:
+                # Every name must be new: a packed blob shadowed by a
+                # loose file (or the reverse) would have two sets of bytes.
+                if name in names or self._mutable_path(name).exists():
+                    raise StorageError(f"object {name!r} is already stored")
+                names.add(name)
+            segment = f"append-{self._next_segment:06d}.seg"
+            self._replace(self.root / segment, data)
+            self._next_segment += 1
+            with self._maps_lock:
+                self._packed.update(
+                    (name, (segment, offset, length))
+                    for name, offset, length in directory
+                )
 
     def _map_locked(self, name: str) -> mmap.mmap:
         # Caller holds self._maps_lock.
@@ -172,12 +352,22 @@ class LocalDiskBackend:
 
     def read_range(self, name: str, offset: int, length: int) -> memoryview:
         with self._maps_lock:
-            handle = self._map_locked(name)
-            _check_range(name, offset, length, len(handle))
-            return memoryview(handle)[offset:offset + length]
+            packed = self._packed.get(name)
+            if packed is None:
+                handle = self._map_locked(name)
+                start, total = 0, len(handle)
+            else:
+                segment, start, total = packed
+                handle = self._map_locked(segment)
+            _check_range(name, offset, length, total)
+            start += offset
+            return memoryview(handle)[start:start + length]
 
     def size(self, name: str) -> int:
         with self._maps_lock:
+            packed = self._packed.get(name)
+            if packed is not None:
+                return packed[2]
             handle = self._maps.get(name)
             if handle is not None:
                 return len(handle)
@@ -188,7 +378,7 @@ class LocalDiskBackend:
             raise PartitionNotFoundError(f"no stored object {name!r}")
 
     def delete(self, name: str) -> None:
-        path = self._path(name)
+        path = self._mutable_path(name)
         self._drop_handle(name)
         try:
             path.unlink()
@@ -196,10 +386,21 @@ class LocalDiskBackend:
             raise PartitionNotFoundError(f"no stored object {name!r}")
 
     def exists(self, name: str) -> bool:
+        with self._maps_lock:
+            if name in self._packed:
+                return True
         return self._path(name).is_file()
 
     def list_names(self) -> list[str]:
-        return sorted(p.name for p in self.root.iterdir() if p.is_file())
+        # Dot-files are no object's name (see _path): they are the tmp
+        # files of writes in flight, or what a crash left of one.
+        loose = {
+            p.name for p in self.root.iterdir()
+            if p.is_file() and not p.name.startswith(".")
+            and _SEGMENT_NAME.fullmatch(p.name) is None
+        }
+        with self._maps_lock:
+            return sorted(loose.union(self._packed))
 
     def _drop_handle(self, name: str) -> None:
         with self._maps_lock:

@@ -125,6 +125,14 @@ class StorageEngine:
         self.backend.write(self._name(partition_id), payload)
         return len(payload)
 
+    def write_payloads(self, payloads: Iterable[tuple[str, bytes]]) -> None:
+        """Store a batch of ``(partition_id, payload)`` pairs encoded by
+        :meth:`encode_arrays` in one backend call — all of them or none,
+        and on disk one file for the lot (DESIGN.md D6)."""
+        self.backend.write_many(
+            [(self._name(pid), payload) for pid, payload in payloads]
+        )
+
     # -- read -------------------------------------------------------------------
 
     def has_partition(self, partition_id: str) -> bool:

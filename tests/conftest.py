@@ -7,6 +7,10 @@ live under ``benchmarks/``.
 
 from __future__ import annotations
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +43,32 @@ def expect_degraded(match: str = ""):
     return pytest.warns(
         RuntimeWarning, match=f"parallel execution degraded.*{match}"
     )
+
+
+#: The footer ending an ``append-*.seg`` file (DESIGN.md D6): magic,
+#: version, directory CRC32, directory offset, directory length.
+SEGMENT_FOOTER = struct.Struct("<8sIIQQ")
+
+
+def segment_directory(segment: Path) -> list[tuple[str, int, int]]:
+    """``(name, offset, length)`` of every blob in one segment file, read
+    from the documented layout with none of the backend's code."""
+    raw = segment.read_bytes()
+    magic, _, _, offset, length = SEGMENT_FOOTER.unpack(
+        raw[-SEGMENT_FOOTER.size:]
+    )
+    assert magic == b"CLMBSEG1"
+    return [tuple(row) for row in json.loads(raw[offset:offset + length])]
+
+
+def unpack_segment(segment: Path) -> None:
+    """Rewrite one append the way the commits before segments stored it:
+    every packed blob copied out to a loose file of its own name, the
+    segment removed."""
+    raw = segment.read_bytes()
+    for name, offset, length in segment_directory(segment):
+        (segment.parent / name).write_bytes(raw[offset:offset + length])
+    segment.unlink()
 
 
 @pytest.fixture

@@ -7,8 +7,9 @@ import pytest
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
-from repro.exceptions import ConfigurationError
-from repro.series import knn_bruteforce
+from repro.exceptions import ConfigurationError, NonFiniteValueError
+from repro.series import SeriesDataset, knn_bruteforce
+from repro.storage import SimulatedDFS
 
 
 CFG = ClimberConfig(word_length=8, n_pivots=24, prefix_length=5,
@@ -102,3 +103,58 @@ class TestAppend:
         )
         res = reopened.knn(extra.values[7], 3)
         assert extra.ids[7] in res.ids
+
+
+class TestAppendRefusesBadBatches:
+    """A batch is refused whole, before anything is written, registered
+    or added to ``n_records``."""
+
+    @pytest.fixture
+    def on_disk(self, tmp_path):
+        base = random_walk_dataset(1500, 48, seed=1)
+        dfs = SimulatedDFS(backing_dir=tmp_path)
+        index = ClimberIndex.build(base, CFG, dfs=dfs)
+        extra = random_walk_dataset(50, 48, seed=2)
+        return index, extra.values, np.arange(10_000, 10_050), tmp_path
+
+    @staticmethod
+    def state(index, store):
+        return (sorted(p.name for p in store.iterdir()), len(index.dfs),
+                index.dfs.counters, index.n_records)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, on_disk, bad):
+        index, values, ids, store = on_disk
+        before = self.state(index, store)
+        values = values.copy()
+        values[17, 5] = values[31, 0] = bad
+        with pytest.raises(NonFiniteValueError, match="row 17 "):
+            index.append(SeriesDataset(values, ids))
+        assert self.state(index, store) == before
+
+    def test_ids_repeated_within_the_batch(self, on_disk):
+        index, values, ids, store = on_disk
+        before = self.state(index, store)
+        ids = ids.copy()
+        ids[40] = ids[3]
+        with pytest.raises(ConfigurationError, match="repeat"):
+            index.append(SeriesDataset(values, ids))
+        assert self.state(index, store) == before
+
+    def test_wrong_length_leaves_the_store_alone(self, on_disk):
+        index, values, ids, store = on_disk
+        before = self.state(index, store)
+        with pytest.raises(ConfigurationError, match="length"):
+            index.append(SeriesDataset(values[:, :32], ids))
+        assert self.state(index, store) == before
+
+    def test_a_good_batch_still_lands_after_a_refusal(self, on_disk):
+        index, values, ids, store = on_disk
+        broken = values.copy()
+        broken[0, 0] = np.nan
+        with pytest.raises(NonFiniteValueError):
+            index.append(SeriesDataset(broken, ids))
+        summary = index.append(SeriesDataset(values, ids))
+        assert summary["records_appended"] == 50
+        assert all(p.endswith(".d0") for p in summary["delta_partitions"])
+        assert index.n_records == 1550

@@ -69,6 +69,9 @@ class CountingBackend:
     def write(self, name, data):
         self.inner.write(name, data)
 
+    def write_many(self, blobs):
+        self.inner.write_many(blobs)
+
     def delete(self, name):
         self.inner.delete(name)
 
@@ -154,6 +157,29 @@ class TestCallBudget:
             + n * 8 + n * LENGTH * 8
         )
         assert view.nbytes == part.nbytes == dfs.partition_nbytes("p0")
+        del ids, values
+        dfs.engine.close()
+
+    def test_a_packed_partition_costs_the_same_calls(self, tmp_path):
+        # Stored the way an append stores its deltas: one batch, one file.
+        dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0)
+        parts = [make_partition("other", seed=1), make_partition()]
+        dfs.write_encoded_partitions([
+            (part.partition_id,
+             dfs.engine.encode_arrays(part.partition_id, part.ids,
+                                      part.values, part.header),
+             part.record_count, LENGTH, part.header)
+            for part in parts
+        ])
+        assert [p.name for p in tmp_path.iterdir()] == ["append-000000.seg"]
+        backend = CountingBackend(dfs.engine.backend)
+        dfs.engine.backend = backend
+        view = dfs.read_partition("p0")
+        ids, values = view.read_clusters(view.cluster_keys())
+        assert backend.calls == {"size": 1, "read_range": 3}
+        np.testing.assert_array_equal(ids, parts[1].ids)
+        np.testing.assert_array_equal(values, parts[1].values)
+        assert values.ctypes.data % 64 == 0  # aligned in the segment too
         del ids, values
         dfs.engine.close()
 

@@ -12,13 +12,16 @@ satellite (repeated queries in a batch route once).
 from __future__ import annotations
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
+from conftest import unpack_segment
 
-from repro.core import ClimberConfig, ClimberIndex
+from repro.core import ClimberConfig, ClimberIndex, QueryStats
 from repro.datasets import random_walk_dataset, sample_queries
 from repro.resilience import FaultPlan
+from repro.series import SeriesDataset
 from repro.storage import SimulatedDFS
 
 CFG = ClimberConfig(
@@ -177,6 +180,112 @@ class TestFormatParity:
         assert_results_identical(
             mem_res, [reopened.knn(q, 10) for q in probe]
         )
+
+
+class TestPlacementIsInvisible:
+    """Where a delta partition's bytes sit — a dict, a segment file, a
+    loose file as the commits before DESIGN.md D6 wrote it, or some of
+    each — shows in nothing above the backend."""
+
+    VARIANTS = ("knn", "adaptive", "od-smallest")
+    STATS = [f.name for f in dataclasses.fields(QueryStats)
+             if f.name != "wall_seconds"]
+
+    @staticmethod
+    def grow(dataset, backing_dir):
+        """Build plus three appends; the deltas each append reported."""
+        index, dfs = build(dataset, backing_dir)
+        deltas = []
+        for number in range(3):
+            values = random_walk_dataset(120, 48, seed=40 + number).values
+            first = 5_000 + 500 * number
+            deltas.append(index.append(
+                SeriesDataset(values, ids=np.arange(first, first + 120))
+            )["delta_partitions"])
+        return index, dfs, deltas
+
+    def observe(self, index, dfs, probes):
+        before = dfs.counters
+        results = []
+        for variant in self.VARIANTS:
+            results += [index.knn(q, 10, variant=variant) for q in probes]
+            results += index.knn_batch(probes, 8, variant=variant)
+        after = dfs.counters
+        return {
+            "n_records": index.n_records,
+            "partitions": dfs.list_partitions(),
+            "deltas": {pid: dfs.delta_partitions(pid)
+                       for pid in dfs.list_partitions()},
+            "sizes": [dfs.partition_nbytes(pid)
+                      for pid in dfs.list_partitions()],
+            "ids": [r.ids.tobytes() for r in results],
+            "distance bits": [r.distances.tobytes() for r in results],
+            "stats": [[getattr(r.stats, name) for name in self.STATS]
+                      for r in results],
+            "bytes_read": after.bytes_read - before.bytes_read,
+            "partitions_read": after.partitions_read - before.partitions_read,
+        }
+
+    def test_memory_packed_loose_and_mixed_stores_agree(self, dataset,
+                                                        tmp_path):
+        packed, loose, mixed = (tmp_path / name
+                                for name in ("packed", "loose", "mixed"))
+        mem_idx, mem_dfs, mem_deltas = self.grow(dataset, None)
+        disk_idx, disk_dfs, disk_deltas = self.grow(dataset, packed)
+        assert mem_deltas == disk_deltas
+        assert_logical_io_identical(
+            mem_dfs, disk_dfs, ("bytes_written", "partitions_written")
+        )
+        assert disk_dfs.counters.partitions_written == len(disk_dfs)
+        disk_dfs.engine.close()
+        n_base = len(disk_dfs) - sum(map(len, disk_deltas))
+        # What a store written before segments looks like, and a store
+        # that was appended to on both sides of that change.
+        for root, rewritten in ((loose, slice(None)), (mixed, slice(1, 2))):
+            shutil.copytree(packed, root)
+            for segment in sorted(root.glob("append-*.seg"))[rewritten]:
+                unpack_segment(segment)
+        assert [len(list(root.iterdir())) for root in (packed, loose, mixed)] \
+            == [n_base + 3, len(disk_dfs), n_base + 2 + len(disk_deltas[1])]
+
+        blob = mem_idx.save_global_index()
+        assert blob == disk_idx.save_global_index()
+        readers = [(ClimberIndex.reopen(blob, mem_dfs, CFG), mem_dfs)]
+        readers += [reopen(disk_idx, root) for root in (packed, loose, mixed)]
+        probes = np.vstack([
+            sample_queries(dataset, 8, seed=77).values,
+            random_walk_dataset(120, 48, seed=41).values[:8],
+        ])
+        reference, *others = (
+            self.observe(index, dfs, probes) for index, dfs in readers
+        )
+        assert reference["n_records"] == 1_500 + 360
+        assert any(".d" in pid for stats in reference["stats"]
+                   for pid in stats[self.STATS.index("partitions_loaded")])
+        for observed in others:
+            for what, value in reference.items():
+                assert observed[what] == value, what
+
+    def test_appending_to_a_store_with_loose_deltas(self, dataset, tmp_path):
+        """A store the parent wrote keeps growing: the next append packs,
+        and its deltas continue each base's sequence."""
+        index, dfs, deltas = self.grow(dataset, tmp_path)
+        dfs.engine.close()
+        for segment in tmp_path.glob("append-*.seg"):
+            unpack_segment(segment)
+        reopened, fresh = reopen(index, tmp_path)
+        extra = SeriesDataset(random_walk_dataset(120, 48, seed=50).values,
+                              ids=np.arange(9_000, 9_120))
+        taken = {pid for batch in deltas for pid in batch}
+        written = reopened.append(extra)["delta_partitions"]
+        assert not taken & set(written)
+        for pid in written:
+            base, _, seq = pid.partition(".d")
+            assert fresh.delta_partitions(base).index(pid) == int(seq)
+        assert [p.name for p in tmp_path.glob("append-*.seg")] \
+            == ["append-000000.seg"]
+        assert reopened.n_records == 1_500 + 480
+        assert extra.ids[5] in reopened.knn(extra.values[5], 3).ids
 
 
 class TestBatchSignatureDedup:

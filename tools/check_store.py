@@ -1,0 +1,138 @@
+"""Offline consistency check of a CLIMBER backing directory.
+
+Opens a store the way a reader would, through the public storage API
+only, and looks at everything a query could ever touch:
+
+* every ``append-*.seg`` directory is loaded and CRC-checked (the disk
+  backend does that when it is constructed over the directory);
+* every partition, loose or packed, is opened with ``verify="eager"``,
+  so the meta blob, the cluster directory and both payload sections are
+  checked against their stored CRC32s;
+* every partition's stored id is the name it is stored under;
+* every base's delta partitions number ``d0..dN`` without a gap.
+
+Prints one JSON object — ``partitions``, ``segments``, ``records``,
+``stored_bytes``, ``problems`` — and exits non-zero when ``problems`` is
+not empty.
+
+Usage::
+
+    PYTHONPATH=src python tools/check_store.py DIR
+    PYTHONPATH=src python tools/check_store.py --selftest
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from repro.exceptions import StorageError
+from repro.storage import LocalDiskBackend, StorageEngine
+
+
+def check_store(root: Path) -> dict[str, object]:
+    """The report for one backing directory (see the module docstring)."""
+    files = [p for p in root.iterdir() if p.is_file()]
+    report: dict[str, object] = {
+        "partitions": 0,
+        "segments": sum(p.match("append-*.seg") for p in files),
+        "records": 0,
+        "stored_bytes": sum(p.stat().st_size for p in files),
+        "problems": [],
+    }
+    problems: list[str] = report["problems"]
+    try:
+        engine = StorageEngine(LocalDiskBackend(root), verify="eager")
+    except StorageError as err:
+        problems.append(str(err))
+        return report
+    deltas: dict[str, list[int]] = {}
+    for pid in engine.list_partitions():
+        report["partitions"] += 1
+        base, is_delta, seq = pid.partition(".d")
+        if is_delta and seq.isdigit():
+            deltas.setdefault(base, []).append(int(seq))
+        try:
+            view = engine.open_partition(pid)
+        except StorageError as err:
+            problems.append(f"{pid}: {err}")
+            continue
+        report["records"] += view.record_count
+        if view.partition_id != pid:
+            problems.append(
+                f"{pid}: stored under this name but holds partition "
+                f"{view.partition_id!r}"
+            )
+    for base, seqs in sorted(deltas.items()):
+        if sorted(seqs) != list(range(len(seqs))):
+            problems.append(
+                f"{base}: delta sequence {sorted(seqs)} is not "
+                f"d0..d{len(seqs) - 1}"
+            )
+    engine.close()
+    return report
+
+
+def selftest() -> int:
+    """A clean store must pass and one flipped byte must not."""
+    import numpy as np
+
+    from repro.core import ClimberConfig, ClimberIndex
+    from repro.datasets import random_walk_dataset
+    from repro.series import SeriesDataset
+    from repro.storage import SimulatedDFS
+
+    config = ClimberConfig(word_length=8, n_pivots=32, prefix_length=5,
+                           capacity=150, sample_fraction=0.25,
+                           n_input_partitions=8, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        dfs = SimulatedDFS(backing_dir=root)
+        index = ClimberIndex.build(random_walk_dataset(2_000, 64, seed=5),
+                                   config, dfs=dfs)
+        for number in (1, 2):
+            values = random_walk_dataset(200, 64, seed=5 + number).values
+            index.append(SeriesDataset(
+                values, ids=np.arange(10_000 * number, 10_000 * number + 200)
+            ))
+        dfs.engine.close()
+
+        if main([str(root)]) != 0:
+            print("selftest: the clean store did not check clean",
+                  file=sys.stderr)
+            return 1
+        # Byte 100 of a segment lies in the meta blob of its first packed
+        # partition (header and CRC block end at 96), which is checksummed.
+        segment = root / "append-000000.seg"
+        raw = bytearray(segment.read_bytes())
+        raw[100] ^= 0x01
+        segment.write_bytes(bytes(raw))
+        if main([str(root)]) != 1:
+            print("selftest: a flipped byte went unreported",
+                  file=sys.stderr)
+            return 1
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("directory", nargs="?", type=Path,
+                        help="the store's backing directory")
+    parser.add_argument("--selftest", action="store_true",
+                        help="check a store built (and then damaged) in a "
+                             "temporary directory")
+    args = parser.parse_args(argv)
+    if args.selftest:
+        return selftest()
+    if args.directory is None or not args.directory.is_dir():
+        parser.error("DIR must be an existing backing directory")
+    report = check_store(args.directory)
+    print(json.dumps(report))
+    return 1 if report["problems"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
