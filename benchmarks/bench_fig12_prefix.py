@@ -16,6 +16,8 @@ see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from bench_common import (
@@ -24,7 +26,7 @@ from bench_common import (
     emit,
     workload,
 )
-from repro.evaluation import evaluate_system
+from repro.evaluation import evaluate_system, modeled_query_seconds
 
 SIZE_GB = 200
 PREFIXES = (3, 4, 6, 9, 12, 16)      # scaled from 6..40, default 6 (paper 10)
@@ -49,7 +51,8 @@ def _run() -> list[dict]:
     for m in PREFIXES:
         index = build_climber(dataset, SIZE_GB, prefix_length=m)
         ev = evaluate_system("CLIMBER", lambda q, k: index.knn(q, k),
-                             queries, truth, K_DEFAULT)
+                             queries, truth, K_DEFAULT,
+                             modeled=partial(modeled_query_seconds, index))
         metrics[m] = {
             "index_bytes": index.global_index_nbytes,
             "build_s": index.build_sim_seconds,

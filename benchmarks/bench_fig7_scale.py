@@ -12,6 +12,8 @@ the quantity that actually dilutes routing — grows like the paper's.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from bench_common import (
@@ -23,7 +25,7 @@ from bench_common import (
     emit,
     workload,
 )
-from repro.evaluation import evaluate_system
+from repro.evaluation import evaluate_system, modeled_query_seconds
 
 SIZES_GB = (200, 400, 600, 800, 1000)
 
@@ -47,14 +49,18 @@ def _run() -> list[dict]:
     rows = []
     for size_gb in SIZES_GB:
         dataset, queries, truth = workload("RandomWalk", size_gb=size_gb)
+        climber = build_climber(dataset, size_gb)
+        # CLIMBER's stats carry no modelled clock; the baselines' do.
+        modeled = {"CLIMBER": partial(modeled_query_seconds, climber)}
         systems = {
-            "CLIMBER": build_climber(dataset, size_gb).knn,
+            "CLIMBER": climber.knn,
             "TARDIS": build_tardis(dataset, size_gb).knn,
             "DPiSAX": build_dpisax(dataset, size_gb).knn,
             "Dss": build_dss(dataset, size_gb).knn,
         }
         for system, knn in systems.items():
-            ev = evaluate_system(system, knn, queries, truth, K_DEFAULT)
+            ev = evaluate_system(system, knn, queries, truth, K_DEFAULT,
+                                 modeled=modeled.get(system))
             paper_t, paper_r = PAPER[size_gb][system]
             rows.append({
                 "size_gb": size_gb,

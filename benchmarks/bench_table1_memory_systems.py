@@ -15,6 +15,8 @@ cannot run because the data does not fit its memory.  Expected shape:
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from bench_common import (
@@ -25,7 +27,7 @@ from bench_common import (
     workload,
 )
 from repro.baselines import HnswConfig, HnswIndex, OdysseyConfig, OdysseyIndex
-from repro.evaluation import evaluate_system
+from repro.evaluation import evaluate_system, modeled_query_seconds
 from repro.exceptions import MemoryBudgetExceeded
 
 SIZES_GB = (200, 400, 600, 800, 1000, 1500)
@@ -59,7 +61,8 @@ def _run() -> list[dict]:
 
         climber = build_climber(dataset, size_gb)
         ev = evaluate_system("CLIMBER", lambda q, k: climber.knn(q, k),
-                             queries, truth, K_DEFAULT)
+                             queries, truth, K_DEFAULT,
+                             modeled=partial(modeled_query_seconds, climber))
         measured["CLIMBER"] = (climber.build_sim_seconds / 60,
                                ev.sim_seconds, ev.recall)
 

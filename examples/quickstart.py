@@ -14,10 +14,16 @@ Run:  python examples/quickstart.py
 """
 
 import json
+from functools import partial
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset, sample_queries
-from repro.evaluation import evaluate_system, exact_ground_truth, render_table
+from repro.evaluation import (
+    evaluate_system,
+    exact_ground_truth,
+    modeled_query_seconds,
+    render_table,
+)
 
 K = 20
 
@@ -54,6 +60,8 @@ def main() -> None:
             queries,
             truth,
             K,
+            # the table's query_sim_s column: the cost model, on demand
+            modeled=partial(modeled_query_seconds, index),
         )
         rows.append(ev.row())
     print()

@@ -10,10 +10,17 @@ seconds at 80%ish recall (Fig. 7(c,d) in miniature).
 Run:  python examples/scalability_study.py
 """
 
+from functools import partial
+
 from repro.baselines import DssScanner
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset, sample_queries
-from repro.evaluation import evaluate_system, exact_ground_truth, render_table
+from repro.evaluation import (
+    evaluate_system,
+    exact_ground_truth,
+    modeled_query_seconds,
+    render_table,
+)
 
 K = 20
 SCALED_COUNT = 6_000
@@ -39,7 +46,8 @@ def main() -> None:
         )
         dss = DssScanner.build(dataset, n_partitions=32, cost_scale=cost_scale)
         ev_climber = evaluate_system(
-            "CLIMBER", lambda q, k: index.knn(q, k), queries, truth, K
+            "CLIMBER", lambda q, k: index.knn(q, k), queries, truth, K,
+            modeled=partial(modeled_query_seconds, index),
         )
         ev_dss = evaluate_system("Dss", dss.knn, queries, truth, K)
         rows.append({

@@ -21,39 +21,7 @@ __all__ = [
     "BaselineStats",
     "BaselineResult",
     "simulate_distributed_build",
-    "partition_scan_cost",
 ]
-
-
-def partition_scan_cost(
-    part,
-    cost_scale: float,
-    sim_partition_bytes: int | None,
-) -> TaskCost:
-    """Declared cost of loading + ED-scanning one partition at paper scale.
-
-    Mirrors :meth:`repro.core.index.ClimberIndex._partition_scan_cost` so
-    every distributed system charges queries identically: one storage block
-    per partition touched when ``sim_partition_bytes`` is set, honest scaled
-    bytes otherwise.
-    """
-    from repro.cluster import ops_euclidean
-    from repro.series import series_nbytes
-
-    if sim_partition_bytes is not None:
-        block_records = max(
-            1, sim_partition_bytes // series_nbytes(part.series_length)
-        )
-        return TaskCost(
-            read_bytes=sim_partition_bytes,
-            cpu_ops=block_records * ops_euclidean(part.series_length),
-        )
-    return TaskCost(
-        read_bytes=int(part.nbytes * cost_scale),
-        cpu_ops=int(
-            part.record_count * ops_euclidean(part.series_length) * cost_scale
-        ),
-    )
 
 
 @dataclass(frozen=True)

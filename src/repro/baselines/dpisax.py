@@ -26,11 +26,16 @@ import numpy as np
 from repro.baselines.common import (
     BaselineResult,
     BaselineStats,
-    partition_scan_cost,
     simulate_distributed_build,
 )
 from repro.baselines.isax_tree import ISaxTree
-from repro.cluster import ClusterSimulator, CostModel, TaskCost, ops_paa
+from repro.cluster import (
+    ClusterSimulator,
+    CostModel,
+    TaskCost,
+    ops_paa,
+    partition_scan_cost,
+)
 from repro.exceptions import ConfigurationError
 from repro.series import ISaxSpace, ISaxWord, SeriesDataset, knn_bruteforce, paa_transform
 from repro.storage import PartitionFile, SimulatedDFS
@@ -273,7 +278,8 @@ class DpisaxIndex:
             "query/scan",
             [
                 partition_scan_cost(
-                    part, self.config.cost_scale, self.config.sim_partition_bytes
+                    part.nbytes, part.record_count, part.series_length,
+                    self.config.cost_scale, self.config.sim_partition_bytes,
                 )
             ],
         )

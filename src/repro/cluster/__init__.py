@@ -6,6 +6,7 @@ from repro.cluster.costmodel import (
     ops_euclidean,
     ops_paa,
     ops_signature,
+    partition_scan_cost,
 )
 from repro.cluster.simulator import ClusterSimulator, SimReport, StageReport
 
@@ -15,6 +16,7 @@ __all__ = [
     "ops_euclidean",
     "ops_paa",
     "ops_signature",
+    "partition_scan_cost",
     "ClusterSimulator",
     "SimReport",
     "StageReport",

@@ -19,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
+from repro.series import series_nbytes
 
-__all__ = ["CostModel", "TaskCost", "ops_euclidean", "ops_paa", "ops_signature"]
+__all__ = ["CostModel", "TaskCost", "ops_euclidean", "ops_paa", "ops_signature",
+           "partition_scan_cost"]
 
 _MB = 1024 * 1024
 
@@ -61,6 +63,33 @@ class TaskCost:
             self.shuffle_bytes + other.shuffle_bytes,
             self.cpu_ops + other.cpu_ops,
         )
+
+
+def partition_scan_cost(
+    nbytes: int,
+    record_count: int,
+    series_length: int,
+    cost_scale: float,
+    sim_partition_bytes: int | None,
+) -> TaskCost:
+    """Declared cost of loading + ED-scanning one partition at paper scale.
+
+    The one formula every distributed system (CLIMBER and the baselines)
+    charges a query with, from a partition's header numbers: one storage
+    block per partition touched when ``sim_partition_bytes`` is set (the
+    paper's query granularity), honest bytes scaled by ``cost_scale``
+    otherwise.
+    """
+    if sim_partition_bytes is not None:
+        block_records = max(1, sim_partition_bytes // series_nbytes(series_length))
+        return TaskCost(
+            read_bytes=sim_partition_bytes,
+            cpu_ops=block_records * ops_euclidean(series_length),
+        )
+    return TaskCost(
+        read_bytes=int(nbytes * cost_scale),
+        cpu_ops=int(record_count * ops_euclidean(series_length) * cost_scale),
+    )
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,6 @@ def build_index_artifacts(
                 load += leaf.count
             bin_loads.append(load)
             bin_pids.append(pid)
-        trie.finalize_partitions()
         default_pid = bin_pids[int(np.argmin(bin_loads))]
         groups.append(
             GroupEntry(

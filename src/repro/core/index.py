@@ -25,15 +25,19 @@ A query flows through four stages:
    :class:`~repro.core.routing.RoutingTable` (built once per index,
    rebuilt by :meth:`ClimberIndex.reopen`); one ``(q, groups)`` matrix
    serves a whole batch.
-3. **Node selection** — the per-variant trie-node expansion.
+3. **Planning** — the per-variant trie-node selection and the partitions
+   and clusters covering it (:meth:`RoutingTable.plan`, over flat node
+   ids); nothing is read yet.
 4. **Record scan** — the routed walk (:class:`_RoutedWalk`): partition
    loads (served from the DFS read cache when enabled), each run scored
    once where the storage engine mapped it, and a top-k selection over
    the scores.  ``knn``/``knn_batch`` run the walk to its end;
    ``knn_progressive`` drives the same walk one visit at a time.
 
-Simulated cost accounting charges *logical* partition touches, so the
-paper's access-volume metrics are independent of any caching.
+``QueryStats`` reports *logical* partition touches, so the paper's
+access-volume metrics are independent of any caching; what a query would
+cost on the paper's cluster is a model computed from those stats on
+demand (:func:`repro.evaluation.modeled_query_seconds`), never here.
 """
 
 from __future__ import annotations
@@ -46,15 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster import (
-    ClusterSimulator,
-    CostModel,
-    SimReport,
-    TaskCost,
-    ops_euclidean,
-    ops_paa,
-    ops_signature,
-)
+from repro.cluster import CostModel, SimReport
 from repro.core.assignment import GroupAssigner
 from repro.core.builder import BuildArtifacts, build_index_artifacts
 from repro.core.config import ClimberConfig
@@ -67,12 +63,7 @@ from repro.core.progressive import (
 )
 from repro.core.routing import GroupCandidate, RoutingTable
 from repro.core.routing import select_primary as _select_primary
-from repro.core.skeleton import (
-    GroupEntry,
-    SkeletonWithPivots,
-    partition_name,
-)
-from repro.core.trie import TrieNode
+from repro.core.skeleton import SkeletonWithPivots, partition_name
 from repro.exceptions import (
     ConfigurationError,
     DimensionalityError,
@@ -88,7 +79,7 @@ from repro.obs import (
     global_registry,
 )
 from repro.pivots import decay_weights, permutation_prefixes, wd_tie_tolerance
-from repro.series import SeriesDataset, paa_transform, series_nbytes
+from repro.series import SeriesDataset, paa_transform
 from repro.series.distance import block_scores, knn_select
 
 __all__ = [
@@ -122,7 +113,6 @@ class QueryStats:
     data_bytes: int
     records_examined: int
     expanded_within_partition: bool
-    sim_seconds: float
     wall_seconds: float
     partitions_failed: tuple[str, ...] = ()
     """Partitions the query *wanted* but could not read — non-empty only
@@ -191,8 +181,8 @@ class QueryResult:
 class _RoutedWalk:
     """One query's walk over its routed plan, from planning to its stats.
 
-    Plan → visit → expand → select → :class:`QueryStats` → telemetry →
-    simulated cost exist here once.  :meth:`ClimberIndex._knn_routed` runs
+    Plan → visit → expand → select → :class:`QueryStats` → telemetry
+    exist here once.  :meth:`ClimberIndex._knn_routed` runs
     the walk to its end; the progressive calls drive it one :meth:`visit`
     at a time and may :meth:`finish` it early.  Every record is scored
     once, when its run is read, on the run as the storage engine mapped
@@ -222,10 +212,10 @@ class _RoutedWalk:
         if primary is None:
             primary = index.select_primary(candidates)
         self._primary = primary
-        self._selected = index._select_nodes(
-            variant, primary, candidates, k, adaptive_factor
+        self._n_selected, to_load = index._routing.plan(
+            variant, primary, candidates, k,
+            adaptive_factor or index.config.adaptive_factor,
         )
-        to_load = index._plan_partition_reads(self._selected)
         #: The routed plan as ``(physical partition, wanted cluster keys)``
         #: in visit order: sorted base names, each base (when present)
         #: before the delta partitions appended to it later.
@@ -243,7 +233,6 @@ class _RoutedWalk:
         self._loaded: list[str] = []
         self._failed: list[str] = []
         self._data_bytes = 0
-        self._scan_costs: list[TaskCost] = []
         self._fallback_pool: list[tuple] = []
         if probe is not None:
             self._charge("select")
@@ -305,15 +294,11 @@ class _RoutedWalk:
             return None
         self._loaded.append(actual)
         self._data_bytes += part.nbytes
-        cost = self._index._partition_scan_cost(part)
         if other:
             # Remember the rest of the partition for the within-partition
             # expansion CLIMBER-kNN applies when the node is too small;
             # the records are only materialised if that happens.
-            self._fallback_pool.append(
-                (actual, part, other, cost, run is not None)
-            )
-        self._scan_costs.append(cost)
+            self._fallback_pool.append((actual, part, other, run is not None))
         self._charge("read")
         return None if run is None else self._score(run)
 
@@ -323,7 +308,7 @@ class _RoutedWalk:
         n_targeted = sum(ids.shape[0] for ids, _ in self._scored)
         if n_targeted >= self.k or not self._fallback_pool:
             return False
-        for actual, part, other, cost, contributed in self._fallback_pool:
+        for actual, part, other, contributed in self._fallback_pool:
             try:
                 run = part.read_clusters(other)
             except StorageError as err:
@@ -338,7 +323,6 @@ class _RoutedWalk:
                     self._loaded.remove(actual)
                     self._failed.append(actual)
                     self._data_bytes -= part.nbytes
-                    self._scan_costs.remove(cost)
                 continue
             self._charge("read")
             self._score(run)
@@ -378,9 +362,6 @@ class _RoutedWalk:
             self._charge("refine")
             probe.add_count("candidates_scored", examined)
 
-        scan = ClusterSimulator(index.model).run_stage(
-            "query/scan", self._scan_costs
-        )
         primary = self._primary
         stats = QueryStats(
             variant=self._variant,
@@ -388,13 +369,12 @@ class _RoutedWalk:
             best_od=primary.od,
             group_ids=tuple(c.entry.group_id for c in self._candidates),
             path_len=primary.path_len,
-            gn_size=primary.gn.count,
-            n_selected_nodes=len(self._selected),
+            gn_size=primary.gn_count,
+            n_selected_nodes=self._n_selected,
             partitions_loaded=tuple(self._loaded),
             data_bytes=self._data_bytes,
             records_examined=examined,
             expanded_within_partition=expanded,
-            sim_seconds=index._route_sim_seconds + scan.sim_seconds,
             wall_seconds=time.perf_counter() - t0,
             partitions_failed=tuple(self._failed),
             partitions_forgone=tuple(
@@ -426,16 +406,6 @@ class ClimberIndex:
             config.prefix_length, config.decay, config.decay_rate
         )
         self._routing = RoutingTable(artifacts.skeleton, self._weights)
-        # Simulated cost of a query's driver-side routing: the signature of
-        # one query object plus a linear scan of the group list.  Fixed per
-        # index (``append`` never changes the group list) and independent
-        # of the data volume, so it is *not* scaled by cost_scale (the
-        # group list grows only with the signature space, paper §VII-B).
-        self._route_sim_seconds = model.task_time(TaskCost(cpu_ops=int(
-            ops_signature(config.n_pivots, config.word_length,
-                          config.prefix_length)
-            + len(artifacts.skeleton.groups) * config.prefix_length * 8
-        )))
         #: Offline-calibrated early-stopping curve (progressive queries).
         #: ``None`` until :meth:`attach_calibration` loads one; confidence
         #: mode then falls back to the conservative built-in prior.
@@ -512,8 +482,7 @@ class ClimberIndex:
         :class:`NonFiniteValueError` (naming the first offending row) for
         NaN or infinite values.
 
-        Returns a summary dict (records appended, partitions written,
-        simulated seconds).
+        Returns a summary dict (records appended, partitions written).
         """
         base_length = self.series_length
         if base_length is not None and dataset.length != base_length:
@@ -532,8 +501,6 @@ class ClimberIndex:
                 "appended ids repeat within the batch"
             )
         cfg = self.config
-        sim = ClusterSimulator(self.model)
-        scale = cfg.cost_scale
         paa = paa_transform(dataset.values, cfg.word_length)
         ranked = permutation_prefixes(paa, self._art.pivots, cfg.prefix_length)
         gids = self._art.assigner.assign(ranked).group_indices
@@ -564,32 +531,11 @@ class ClimberIndex:
             ))
         # One store call for the whole append: the deltas land together or
         # not at all, and on disk as one file (DESIGN.md D6).
-        written_bytes = dfs.write_encoded_partitions(encoded)
-        written = [delta_id for delta_id, *_ in encoded]
-
-        sig_ops = ops_paa(dataset.length) + ops_signature(
-            cfg.n_pivots, cfg.word_length, cfg.prefix_length
-        )
-        sim.run_scaled_stage(
-            "append/convert",
-            TaskCost(
-                read_bytes=int(dataset.nbytes * scale),
-                cpu_ops=int(dataset.count * sig_ops * scale),
-            ),
-        )
-        sim.run_scaled_stage(
-            "append/write",
-            TaskCost(
-                shuffle_bytes=int(dataset.nbytes * scale),
-                write_bytes=int(written_bytes * scale),
-            ),
-        )
+        dfs.write_encoded_partitions(encoded)
         self._art.n_records += dataset.count
-        report = sim.fresh_report()
         return {
             "records_appended": dataset.count,
-            "delta_partitions": written,
-            "sim_seconds": report.total_seconds,
+            "delta_partitions": [delta_id for delta_id, *_ in encoded],
         }
 
     # -- persistence ---------------------------------------------------------------
@@ -792,169 +738,7 @@ class ClimberIndex:
             wd_tol=wd_tie_tolerance(self._routing.total_weight),
         )
 
-    # -- node selection per variant ----------------------------------------------------
-
-    def _expand_adaptive(
-        self,
-        primary: GroupCandidate,
-        candidates: list[GroupCandidate],
-        k: int,
-        factor: int,
-    ) -> list[tuple[GroupEntry, TrieNode]]:
-        """CLIMBER-kNN-Adaptive node expansion.
-
-        Starting from the primary GN, add memorised runner-up nodes (other
-        best-OD groups' GNs first, then ancestors, deepest first) until the
-        estimated record count covers k, keeping the partition budget at
-        ``factor`` times CLIMBER-kNN's partition count.
-        """
-        budget = factor * max(1, len(primary.gn.partition_ids))
-        selected: list[tuple[GroupEntry, TrieNode]] = [(primary.entry, primary.gn)]
-        selected_pids = set(
-            (primary.entry.group_id, pid) for pid in primary.gn.partition_ids
-        )
-        total = primary.gn.count
-
-        pool: list[tuple[int, float, int, GroupCandidate, TrieNode]] = []
-        for cand in candidates:
-            for node in reversed(cand.path):
-                pool.append((cand.od, cand.wd, -node.depth, cand, node))
-        pool.sort(key=lambda item: (item[0], item[1], item[2], item[3].entry.group_id))
-
-        for _, _, _, cand, node in pool:
-            if total >= k:
-                break
-            if self._covered(selected, cand.entry, node):
-                continue
-            new_pids = selected_pids | {
-                (cand.entry.group_id, pid) for pid in node.partition_ids
-            }
-            if len(new_pids) > budget:
-                continue
-            added = node.count - sum(
-                n.count
-                for e, n in selected
-                if e.group_id == cand.entry.group_id
-                and n.path[: node.depth] == node.path
-            )
-            selected = [
-                (e, n)
-                for e, n in selected
-                if not (
-                    e.group_id == cand.entry.group_id
-                    and n.path[: node.depth] == node.path
-                )
-            ]
-            selected.append((cand.entry, node))
-            selected_pids = new_pids
-            total += max(0.0, added)
-        return selected
-
-    @staticmethod
-    def _covered(
-        selected: list[tuple[GroupEntry, TrieNode]],
-        entry: GroupEntry,
-        node: TrieNode,
-    ) -> bool:
-        """True if ``node`` lies inside an already-selected subtree."""
-        for e, n in selected:
-            if e.group_id == entry.group_id and node.path[: n.depth] == n.path:
-                return True
-        return False
-
-    def _select_nodes(
-        self,
-        variant: str,
-        primary: GroupCandidate,
-        candidates: list[GroupCandidate],
-        k: int,
-        adaptive_factor: int | None,
-    ) -> list[tuple[GroupEntry, TrieNode]]:
-        """Stage 3: the per-variant trie-node selection."""
-        if variant == "od-smallest":
-            return [(c.entry, c.entry.trie) for c in candidates]
-        if variant == "adaptive":
-            factor = adaptive_factor or self.config.adaptive_factor
-            if primary.gn.count >= k:
-                return [(primary.entry, primary.gn)]
-            return self._expand_adaptive(primary, candidates, k, factor)
-        return [(primary.entry, primary.gn)]
-
-    def _plan_partition_reads(
-        self, selected: list[tuple[GroupEntry, TrieNode]]
-    ) -> dict[str, list[str]]:
-        """Partitions covering the selected nodes, with their target keys.
-
-        One batch ``covering_partitions`` call per involved group resolves
-        every selected subtree's partition set from the flat leaf tables.
-        Returns ``{base partition name: [cluster keys wanted]}``; readers
-        iterate it in sorted order — that iteration order *is* the routed
-        plan a progressive query streams through.
-        """
-        flat_tries = self._routing.flat.tries
-        by_group: dict[int, list[TrieNode]] = {}
-        for entry, node in selected:
-            by_group.setdefault(entry.group_id, []).append(node)
-        covering: dict[tuple[int, int], np.ndarray] = {}
-        for gid, group_nodes in by_group.items():
-            ft = flat_tries[gid]
-            nids = [ft.id_of(n) for n in group_nodes]
-            for node, pids in zip(group_nodes, ft.covering_partitions(nids)):
-                covering[(gid, id(node))] = pids
-        to_load: dict[str, list[str]] = {}
-        for entry, node in selected:
-            pids = set(
-                int(p) for p in covering[(entry.group_id, id(node))]
-            )
-            if not node.is_leaf or node.depth == 0:
-                pids.add(entry.default_partition)
-            keys = self._target_keys(entry, node)
-            for pid in sorted(pids):
-                to_load.setdefault(partition_name(pid), []).extend(keys)
-        return to_load
-
     # -- record-level search ------------------------------------------------------------
-
-    def _target_keys(self, entry: GroupEntry, node: TrieNode) -> list[str]:
-        """Header keys of the record clusters under a selected trie node.
-
-        An *internal* selection also covers the group's default cluster:
-        records whose signatures could not complete a root-to-leaf walk
-        stalled at some internal node — exactly like the query that
-        selected this node did — so they are candidates too.
-
-        Served from the flat trie's pre-rendered key table: a subtree's
-        leaves are one slice of the pre-order leaf array, so no tree walk
-        or string formatting happens per query.
-        """
-        ft = self._routing.flat.tries[entry.group_id]
-        keys = list(ft.subtree_keys(ft.id_of(node)))
-        if not node.is_leaf or node.depth == 0:
-            keys.append(ft.default_key)
-        return keys
-
-    def _partition_scan_cost(self, part) -> TaskCost:
-        """Declared cost of loading + ED-scanning one partition at paper scale.
-
-        With ``sim_partition_bytes`` set, a touched partition is one storage
-        block (the paper's query granularity); otherwise the scaled bytes
-        are multiplied by ``cost_scale``.
-        """
-        cfg = self.config
-        if cfg.sim_partition_bytes is not None:
-            block_records = max(
-                1, cfg.sim_partition_bytes // series_nbytes(part.series_length)
-            )
-            return TaskCost(
-                read_bytes=cfg.sim_partition_bytes,
-                cpu_ops=block_records * ops_euclidean(part.series_length),
-            )
-        return TaskCost(
-            read_bytes=int(part.nbytes * cfg.cost_scale),
-            cpu_ops=int(
-                part.record_count * ops_euclidean(part.series_length) * cfg.cost_scale
-            ),
-        )
 
     @staticmethod
     def check_query_args(k: int, variant: str) -> None:
@@ -1123,8 +907,7 @@ class ClimberIndex:
         *distinct* signatures (duplicate queries — common in periodic
         monitoring traffic — are routed once) serve the whole batch, and
         partition loads are shared through the DFS read cache when it is
-        enabled.  Results and per-query stats
-        (including simulated cost accounting) are identical to calling
+        enabled.  Results and per-query stats are identical to calling
         :meth:`knn` once per row; only ``wall_seconds`` reflects the
         shared-work split.
 
@@ -1511,7 +1294,6 @@ class ClimberIndex:
             "degraded": stats.degraded,
             "coverage": stats.coverage,
             "partitions_failed": list(stats.partitions_failed),
-            "sim_seconds": stats.sim_seconds,
             "wall_seconds": stats.wall_seconds,
             "ids": [int(i) for i in result.ids],
             "distances": [float(d) for d in result.distances],

@@ -3,10 +3,9 @@
 Everything hot in this repository is vectorised numpy (PRs 1-4), and the
 numpy kernels that dominate the build — ``cdist``, the popcount sweeps,
 the payload gathers — release the GIL, so a *thread* pool is the way to
-use more cores: no pickling, shared address space (the flat-trie compile
-and the query planner hand ``TrieNode`` objects across stages by
-identity, which only works in one process) — the shape the ParIS+/MESSI
-line of data-series indexing work uses.
+use more cores: no pickling, one address space in which every worker
+reads the same compiled tries and mapped partitions — the shape the
+ParIS+/MESSI line of data-series indexing work uses.
 
 Determinism contract
 --------------------

@@ -19,9 +19,15 @@ for the few groups at the best OD (:meth:`RoutingTable.candidates`).  The
 engine is *parity-exact* with the scalar path it replaced: identical OD/WD
 values bit-for-bit, identical candidate ordering (OD → WD → group id) and
 the same tie-break cascade (WD → path length → node size → seeded random,
-consuming the RNG stream identically).  The seed implementation is kept
-below as :func:`scalar_group_candidates` / :func:`scalar_select_primary`
-for property tests and before/after benchmarks.
+consuming the RNG stream identically).  The seed's per-group routing is
+kept below as :func:`scalar_group_candidates`, the reference the parity
+tests compare against.
+
+The table also owns the step after routing, :meth:`RoutingTable.plan`:
+which trie nodes a variant searches and which partitions and clusters
+cover them.  Candidates and plans trade in *flat node ids* of the
+CSR-compiled tries (:mod:`repro.core.trie_flat`) — ints and floats, no
+node objects — so planning is separable from reading and scoring.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.skeleton import GroupEntry, IndexSkeleton
-from repro.core.trie import TrieNode
+from repro.core.skeleton import GroupEntry, IndexSkeleton, partition_name
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
     overlap_distance,
@@ -48,7 +53,6 @@ __all__ = [
     "RoutingTable",
     "select_primary",
     "scalar_group_candidates",
-    "scalar_select_primary",
 ]
 
 
@@ -59,16 +63,20 @@ class GroupCandidate:
     entry: GroupEntry
     od: int
     wd: float
-    path: tuple[TrieNode, ...]
+    path: tuple[int, ...]
+    """Flat ids (pre-order, root = 0) of the nodes the query's walk of the
+    group's trie visits, root first: a node's depth is its position."""
+    gn_count: float
+    """Estimated record count under Node GN."""
 
     @property
-    def gn(self) -> TrieNode:
+    def gn(self) -> int:
         """The deepest trie node reached by the query (Node GN)."""
         return self.path[-1]
 
     @property
     def path_len(self) -> int:
-        return self.gn.depth
+        return len(self.path) - 1
 
 
 class RoutingTable:
@@ -84,9 +92,8 @@ class RoutingTable:
 
     def __init__(self, skeleton: IndexSkeleton, weights: np.ndarray) -> None:
         self.skeleton = skeleton
-        # CSR-compiled tries: trie walks during candidate construction (and
-        # the covering-partition lookups in the query pipeline) read flat
-        # arrays instead of chasing TrieNode children dicts.
+        # CSR-compiled tries: the walks of candidate construction and the
+        # subtree lookups of planning read flat tables, never TrieNodes.
         self.flat = skeleton.flat_router()
         m = skeleton.prefix_length
         self.prefix_length = m
@@ -208,11 +215,103 @@ class RoutingTable:
         out = []
         flat_tries = self.flat.tries
         for i, wd in zip(chosen, wds):
-            g = groups[i]
-            path = flat_tries[i].descend_path_nodes(sig)
-            out.append(GroupCandidate(g, int(od_row[i]), wd, path))
+            ft = flat_tries[i]
+            path = tuple(ft.descend_path_ids(sig))
+            out.append(GroupCandidate(
+                groups[i], int(od_row[i]), wd, path, ft.count[path[-1]]
+            ))
         out.sort(key=lambda c: (c.od, c.wd, c.entry.group_id))
         return out
+
+    # -- planning ----------------------------------------------------------------
+
+    def plan(
+        self,
+        variant: str,
+        primary: GroupCandidate,
+        candidates: list[GroupCandidate],
+        k: int,
+        factor: int,
+    ) -> tuple[int, dict[str, list[str]]]:
+        """The trie nodes a variant searches and the reads covering them.
+
+        Returns ``(n_selected_nodes, {base partition name: [cluster keys
+        wanted]})``.  CLIMBER-kNN searches Node GN of the primary group,
+        OD-Smallest the root of every candidate group, the adaptive
+        variant GN plus memorised runner-up nodes when GN holds fewer
+        than ``k`` records (``factor`` is its partition budget).  Nothing
+        is read: a plan is a pure function of its arguments and the
+        compiled tries.
+        """
+        if variant == "od-smallest":
+            selected = [(c.entry.group_id, 0) for c in candidates]
+        elif variant == "adaptive" and primary.gn_count < k:
+            selected = self._expand_adaptive(primary, candidates, k, factor)
+        else:
+            selected = [(primary.entry.group_id, primary.gn)]
+        to_load: dict[str, list[str]] = {}
+        for gid, node in selected:
+            ft = self.flat.tries[gid]
+            pids, keys = ft.subtree(node)
+            if node == 0 or not ft.is_leaf[node]:
+                # A root or internal selection also covers the group's
+                # default cluster: records whose signatures could not
+                # complete a root-to-leaf walk stalled at some internal
+                # node — exactly like the query that selected this one.
+                pids = sorted({*pids, self.skeleton.groups[gid].default_partition})
+                keys = keys + [ft.default_key]
+            for pid in pids:
+                to_load.setdefault(partition_name(pid), []).extend(keys)
+        return len(selected), to_load
+
+    def _expand_adaptive(
+        self,
+        primary: GroupCandidate,
+        candidates: list[GroupCandidate],
+        k: int,
+        factor: int,
+    ) -> list[tuple[int, int]]:
+        """CLIMBER-kNN-Adaptive node expansion, as ``(group id, node id)``.
+
+        Starting from the primary GN, add memorised runner-up nodes (other
+        best-OD groups' GNs first, then ancestors, deepest first) until the
+        estimated record count covers k, keeping the partition budget at
+        ``factor`` times CLIMBER-kNN's partition count.  Pre-order ids make
+        "inside subtree ``s``" the interval test ``s <= n < subtree_end[s]``.
+        """
+        tries = self.flat.tries
+        gid = primary.entry.group_id
+        primary_pids = tries[gid].subtree(primary.gn)[0]
+        budget = factor * max(1, len(primary_pids))
+        selected = [(gid, primary.gn)]
+        selected_pids = {(gid, pid) for pid in primary_pids}
+        total = primary.gn_count
+        # (group, depth) names a pool node, so the tuples sort strictly.
+        pool = sorted(
+            (c.od, c.wd, -depth, c.entry.group_id, node)
+            for c in candidates
+            for depth, node in enumerate(c.path)
+        )
+        for _, _, _, g, node in pool:
+            if total >= k:
+                break
+            ft = tries[g]
+            if any(sg == g and s <= node < ft.subtree_end[s]
+                   for sg, s in selected):
+                continue
+            new_pids = selected_pids | {(g, pid) for pid in ft.subtree(node)[0]}
+            if len(new_pids) > budget:
+                continue
+            # An ancestor replaces its selected descendants; only the
+            # difference is new.
+            end = ft.subtree_end[node]
+            inside = [(sg, s) for sg, s in selected if sg == g and node <= s < end]
+            added = ft.count[node] - sum(ft.count[s] for _, s in inside)
+            selected = [pair for pair in selected if pair not in inside]
+            selected.append((g, node))
+            selected_pids = new_pids
+            total += max(0.0, added)
+        return selected
 
 
 def select_primary(
@@ -247,22 +346,26 @@ def select_primary(
         longest = max(c.path_len for c in tied)
         tied = [c for c in tied if c.path_len == longest]
     if len(tied) > 1:
-        largest = max(c.gn.count for c in tied)
-        tied = [c for c in tied if c.gn.count == largest]
+        largest = max(c.gn_count for c in tied)
+        tied = [c for c in tied if c.gn_count == largest]
     if len(tied) > 1:
         return tied[int(rng.integers(0, len(tied)))]
     return tied[0]
 
 
 # ---------------------------------------------------------------------------
-# Scalar reference path (the seed implementation), kept for parity tests
-# and the before/after throughput benchmark.
+# Scalar reference path (the seed implementation), kept for parity tests.
 # ---------------------------------------------------------------------------
 
 def scalar_group_candidates(
     index, ranked_sig: np.ndarray, od_slack: int = 0
 ) -> list[GroupCandidate]:
-    """Per-group Python-set routing — the pre-vectorisation reference."""
+    """Per-group Python-set routing — the pre-vectorisation reference.
+
+    Walks the pointer tries and numbers the nodes it visits by its own
+    pre-order count (a child's id is its parent's, plus one, plus the
+    sizes of the siblings sorted before it), never from a flat table.
+    """
     sig = tuple(int(p) for p in ranked_sig)
     unranked = tuple(sorted(sig))
     m = index.config.prefix_length
@@ -288,13 +391,14 @@ def scalar_group_candidates(
             if g.centroid
             else float(np.sum(weights))
         )
-        path = tuple(g.trie.descend_path(sig))
-        out.append(GroupCandidate(g, od, wd, path))
+        nodes = g.trie.descend_path(sig)
+        ids = [0]
+        for parent, child in zip(nodes, nodes[1:]):
+            ids.append(ids[-1] + 1 + sum(
+                sibling.node_count()
+                for pivot, sibling in parent.children.items()
+                if pivot < child.pivot
+            ))
+        out.append(GroupCandidate(g, od, wd, tuple(ids), nodes[-1].count))
     out.sort(key=lambda c: (c.od, c.wd, c.entry.group_id))
     return out
-
-
-# The seed's tie-break cascade survives unchanged as the live
-# select_primary: it operates on the handful of candidates the matrices
-# produce, where list filtering already beats any array formulation.
-scalar_select_primary = select_primary

@@ -127,7 +127,7 @@ class IndexSkeleton:
     # -- serialisation ----------------------------------------------------------
     #
     # Tries serialise to nested lists: [pivot, count, partition_ids_if_leaf,
-    # [children...]].  Internal nodes recompute their id unions on load.
+    # [children...]].
 
     @staticmethod
     def _trie_to_obj(node: TrieNode) -> list:
@@ -156,12 +156,12 @@ class IndexSkeleton:
         stack = [(root, children)]
         while stack:
             node, child_objs = stack.pop()
-            for child_obj in child_objs:
-                c_pivot = int(child_obj[0])
-                child = TrieNode(c_pivot, node.path + (c_pivot,), child_obj[1])
-                child.partition_ids = set(int(p) for p in child_obj[2])
+            for c_pivot, c_count, c_pids, c_children in child_objs:
+                c_pivot = int(c_pivot)
+                child = TrieNode(c_pivot, node.path + (c_pivot,), c_count)
+                child.partition_ids = set(int(p) for p in c_pids)
                 node.children[c_pivot] = child
-                stack.append((child, child_obj[3]))
+                stack.append((child, c_children))
         return root
 
     def to_bytes(self) -> bytes:
@@ -187,30 +187,59 @@ class IndexSkeleton:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IndexSkeleton":
+        """Inverse of :meth:`to_bytes`; the bytes come from outside.
+
+        Raises :class:`StorageError` — never a ``KeyError`` or
+        ``ValueError`` — for a payload that is not a skeleton (missing
+        key, wrong arity, wrong type) and for one that parses but would
+        misroute: positional lookups (``groups[gid]``, the flat tries,
+        composite edge keys ``node * n_pivots + pivot``) trust what is
+        checked here.
+        """
         buf = io.BytesIO(data)
-        meta = json_from_bytes(read_blob(buf))
-        if not isinstance(meta, dict):
-            raise StorageError("malformed skeleton payload")
-        groups = []
-        for g in meta["groups"]:
-            trie = cls._trie_from_obj(g["trie"], ())
-            trie.finalize_partitions()
-            groups.append(
-                GroupEntry(
-                    group_id=int(g["id"]),
-                    centroid=tuple(int(p) for p in g["centroid"]),
-                    trie=trie,
-                    default_partition=int(g["default"]),
-                    est_size=float(g["est_size"]),
-                )
+        try:
+            meta = json_from_bytes(read_blob(buf))
+            skeleton = cls(
+                prefix_length=int(meta["prefix_length"]),
+                n_pivots=int(meta["n_pivots"]),
+                word_length=int(meta["word_length"]),
+                groups=[
+                    GroupEntry(
+                        group_id=int(g["id"]),
+                        centroid=tuple(int(p) for p in g["centroid"]),
+                        trie=cls._trie_from_obj(g["trie"], ()),
+                        default_partition=int(g["default"]),
+                        est_size=float(g["est_size"]),
+                    )
+                    for g in meta["groups"]
+                ],
+                n_partitions=int(meta["n_partitions"]),
             )
-        return cls(
-            prefix_length=int(meta["prefix_length"]),
-            n_pivots=int(meta["n_pivots"]),
-            word_length=int(meta["word_length"]),
-            groups=groups,
-            n_partitions=int(meta["n_partitions"]),
-        )
+        except (KeyError, IndexError, TypeError, ValueError,
+                ConfigurationError) as err:
+            raise StorageError(f"malformed skeleton payload: {err!r}") from None
+        skeleton._check_ranges()
+        return skeleton
+
+    def _check_ranges(self) -> None:
+        """Refuse ids a well-formed build cannot produce (see from_bytes)."""
+        def check(ok: bool, what: str) -> None:
+            if not ok:
+                raise StorageError(f"malformed skeleton payload: {what}")
+
+        for position, g in enumerate(self.groups):
+            check(g.group_id == position, "group ids are not 0..n-1 in order")
+            check(0 <= g.default_partition < self.n_partitions,
+                  f"group {position}: default partition out of range")
+            stack = [g.trie]
+            while stack:
+                node = stack.pop()
+                check(all(0 <= p < self.n_partitions
+                          for p in node.partition_ids),
+                      f"group {position}: leaf partition id out of range")
+                check(all(0 <= p < self.n_pivots for p in node.children),
+                      f"group {position}: edge pivot out of range")
+                stack.extend(node.children.values())
 
     @property
     def nbytes(self) -> int:

@@ -38,8 +38,9 @@ class TrieNode:
     children:
         ``pivot id -> TrieNode``; empty for leaves.
     partition_ids:
-        Physical partitions covering this subtree: a single id at leaves,
-        the union of the subtree at internal nodes (paper Fig. 5).
+        The physical partition a packed *leaf* lives in (a single id); empty
+        at internal nodes, whose covering set (paper Fig. 5) is the union
+        :meth:`subtree_partition_ids` computes.
     """
 
     __slots__ = ("pivot", "path", "count", "children", "partition_ids")
@@ -99,7 +100,7 @@ class TrieNode:
         return nodes
 
     def subtree_partition_ids(self) -> set[int]:
-        """Recompute the union of leaf partition ids (used after packing)."""
+        """Union of the subtree's leaf partition ids — its covering set."""
         out: set[int] = set()
         stack = [self]
         while stack:
@@ -109,25 +110,6 @@ class TrieNode:
             else:
                 stack.extend(node.children.values())
         return out
-
-    def finalize_partitions(self) -> None:
-        """Propagate leaf partition ids up to every internal node.
-
-        Bottom-up over an explicit post-order stack, so each internal node
-        unions its children's already-final sets exactly once.
-        """
-        post: list[TrieNode] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                post.append(node)
-                stack.extend(node.children.values())
-        for node in reversed(post):
-            ids: set[int] = set()
-            for child in node.children.values():
-                ids |= child.partition_ids
-            node.partition_ids = ids
 
     def node_count(self) -> int:
         total = 0

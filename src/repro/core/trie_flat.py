@@ -21,15 +21,17 @@ This module compiles each group's trie, once, into CSR-style arrays:
   id interval, so the leaves (and therefore the covering partitions) of any
   node are a slice — no recursion at query time.
 
-:class:`FlatTrie.descend_many` resolves thousands of signatures per call;
-:class:`FlatTrieRouter` stitches the per-group tries into the whole-index
-routing step used by the builder's bulk redistribution, by
-:meth:`ClimberIndex.append`, and by the query planner's path walks.
+A compiled :class:`FlatTrie` keeps no node object: flat node ids are what
+the query planner (:meth:`repro.core.routing.RoutingTable.plan`) trades
+in.  :class:`FlatTrieRouter` stitches the per-group tries into the
+whole-index batch walk used by the builder's bulk redistribution and by
+:meth:`ClimberIndex.append`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -51,21 +53,17 @@ class FlatTrie:
     Parameters
     ----------
     root:
-        The group's trie root (packed and finalised: leaves carry their
-        physical partition id).
+        The group's trie root (packed: leaves carry their physical
+        partition id).
     group_id:
         The owning group — baked into the pre-rendered cluster keys.
     n_pivots:
         Total pivot count ``r``; the stride of the composite edge keys.
         Any pivot id outside ``[0, n_pivots)`` misses by construction.
 
-    Attributes
-    ----------
-    nodes:
-        The original :class:`TrieNode` objects in pre-order (children in
-        sorted pivot order) — index ``i`` here is node id ``i`` in every
-        array below.  Mapping back lets the query pipeline keep its
-        node-object interface while the walks run on arrays.
+    Node id ``i`` is the ``i``-th node in pre-order (children in sorted
+    pivot order; the root is 0), so ``s``'s subtree is the id interval
+    ``[s, subtree_end[s])``.
     """
 
     def __init__(self, root: TrieNode, group_id: int, n_pivots: int) -> None:
@@ -83,46 +81,34 @@ class FlatTrie:
             for pivot in sorted(node.children, reverse=True):
                 stack.append(node.children[pivot])
         n = len(nodes)
-        self.nodes = nodes
+        self.n_nodes = n
         index_of = {id(node): i for i, node in enumerate(nodes)}
-        self._node_index = index_of
-        self.depth = np.fromiter((nd.depth for nd in nodes), np.int64, n)
-        self.count = np.fromiter((nd.count for nd in nodes), np.float64, n)
-        self.is_leaf = np.fromiter((nd.is_leaf for nd in nodes), bool, n)
-        self.leaf_pid = np.fromiter(
-            (
-                min(nd.partition_ids) if nd.is_leaf and nd.partition_ids else -1
-                for nd in nodes
-            ),
-            np.int64,
-            n,
-        )
-        if int(self.stride) <= int(max((p for nd in nodes for p in nd.children),
-                                       default=-1)):
+        if self.stride <= max((p for nd in nodes for p in nd.children),
+                              default=-1):
             raise ConfigurationError(
                 "n_pivots must exceed every pivot id used by the trie"
             )
+        # Per-node scalars the planner reads one at a time: plain lists.
+        self.count = [nd.count for nd in nodes]
+        self.is_leaf = [nd.is_leaf for nd in nodes]
 
         # Child-edge table (CSR): edges grouped by parent id (ascending),
         # pivots sorted within each parent -> edge_key globally sorted.
-        child_start = np.zeros(n + 1, dtype=np.int64)
         edge_key: list[int] = []
         edge_child: list[int] = []
         for i, node in enumerate(nodes):
             for pivot in sorted(node.children):
                 edge_key.append(i * self.stride + pivot)
                 edge_child.append(index_of[id(node.children[pivot])])
-            child_start[i + 1] = len(edge_key)
-        self.child_start = child_start
         self.edge_key = np.asarray(edge_key, dtype=np.int64)
         self.edge_child = np.asarray(edge_child, dtype=np.int64)
         self._edge_lookup = dict(zip(edge_key, edge_child))
-        self.max_depth = int(self.depth.max()) if n else 0
+        self.max_depth = max(nd.depth for nd in nodes)
 
         # Subtree ranges: with pre-order ids, node i's subtree is
         # [i, subtree_end[i]).  Computed leaf-to-root (reverse order): an
         # internal node ends where its last (largest-pivot) child ends.
-        subtree_end = np.empty(n, dtype=np.int64)
+        subtree_end = [0] * n
         for i in range(n - 1, -1, -1):
             node = nodes[i]
             if node.is_leaf:
@@ -132,73 +118,28 @@ class FlatTrie:
                 subtree_end[i] = subtree_end[index_of[id(last)]]
         self.subtree_end = subtree_end
 
+        # Leaf tables, in pre-order: a subtree's leaves are the slice
+        # [_leaves_before[s], _leaves_before[subtree_end[s]]) of each.
         self.leaf_positions = np.flatnonzero(self.is_leaf)
-        self.leaf_keys = [
-            cluster_key(self.group_id, nodes[i].path) for i in self.leaf_positions
+        leaves = [nodes[i] for i in self.leaf_positions]
+        self.leaf_pids = [
+            min(leaf.partition_ids) if leaf.partition_ids else -1
+            for leaf in leaves
         ]
+        self.leaf_keys = [cluster_key(self.group_id, leaf.path) for leaf in leaves]
+        self._leaves_before = [0, *accumulate(map(int, self.is_leaf))]
         self.default_key = cluster_key(self.group_id, None)
-
-    # -- geometry ----------------------------------------------------------------
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
 
     @property
     def n_edges(self) -> int:
         return int(self.edge_key.size)
 
-    def id_of(self, node: TrieNode) -> int:
-        """Flat id of one of this trie's nodes (identity-keyed)."""
-        try:
-            return self._node_index[id(node)]
-        except KeyError:
-            raise ConfigurationError("node does not belong to this trie") from None
-
-    # -- batch walks -------------------------------------------------------------
-
-    def descend_many(self, ranked: np.ndarray) -> np.ndarray:
-        """Deepest reachable node for every signature row, in one sweep.
-
-        The walk is lockstep: after ``t`` levels every still-active row sits
-        at depth ``t``, so level ``t`` consumes column ``t`` of ``ranked``.
-        Each level resolves all active (node, pivot) pairs with a single
-        ``searchsorted`` over the composite edge-key table.
-        :meth:`FlatTrieRouter.route` runs the same level kernel over the
-        fused multi-group table (plus a dense edge map) — change the walk
-        in both places.
-
-        Parity-exact with ``TrieNode.descend`` row by row.
-        """
-        arr = np.asarray(ranked, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ConfigurationError("ranked must be a (q, m) signature batch")
-        q = arr.shape[0]
-        node = np.zeros(q, dtype=np.int64)
-        if q == 0 or self.n_edges == 0:
-            return node
-        active = np.arange(q)
-        n_edges = self.edge_key.size
-        stride = self.stride
-        for level in range(min(arr.shape[1], self.max_depth)):
-            piv = arr[active, level]
-            valid = (piv >= 0) & (piv < stride)
-            key = node[active] * stride + np.where(valid, piv, 0)
-            pos = np.searchsorted(self.edge_key, key)
-            pos_c = np.minimum(pos, n_edges - 1)
-            hit = valid & (self.edge_key[pos_c] == key)
-            if not hit.any():
-                break
-            active = active[hit]
-            node[active] = self.edge_child[pos_c[hit]]
-        return node
-
     def descend_path_ids(self, ranked_sig: Sequence[int]) -> list[int]:
         """Node ids visited by one signature's walk, root first.
 
-        The single-query mirror of :meth:`descend_many`: a flat dict over
-        composite edge keys, no per-node object hops.  Matches
-        ``TrieNode.descend_path`` node for node.
+        A flat dict over composite edge keys, no per-node object hops; a
+        node's depth is its position.  Matches ``TrieNode.descend_path``
+        node for node.
         """
         lookup = self._edge_lookup
         stride = self.stride
@@ -212,41 +153,18 @@ class FlatTrie:
             out.append(node)
         return out
 
-    def descend_path_nodes(self, ranked_sig: Sequence[int]) -> tuple[TrieNode, ...]:
-        """The walk as :class:`TrieNode` objects (query-planner interface)."""
-        nodes = self.nodes
-        return tuple(nodes[i] for i in self.descend_path_ids(ranked_sig))
+    def subtree(self, node_id: int) -> tuple[list[int], list[str]]:
+        """Covering partition ids (sorted) and leaf cluster keys of a subtree.
 
-    # -- subtree queries ---------------------------------------------------------
-
-    def _leaf_range(self, node_id: int) -> tuple[int, int]:
-        lo = int(np.searchsorted(self.leaf_positions, node_id))
-        hi = int(np.searchsorted(self.leaf_positions, self.subtree_end[node_id]))
-        return lo, hi
-
-    def covering_partitions(self, node_ids: Iterable[int]) -> list[np.ndarray]:
-        """Sorted physical partition ids covering each node's subtree.
-
-        Batch form of ``TrieNode.partition_ids`` (the union of the
-        subtree's leaf partitions): each node's leaves are one slice of the
-        pre-order leaf table, so a covering set is ``np.unique`` of a
-        ``leaf_pid`` slice — no tree walk.
+        One slice of the leaf tables serves both: they equal
+        ``sorted(node.subtree_partition_ids())`` and
+        ``[cluster_key(gid, leaf.path) for leaf in node.leaves()]`` of the
+        pointer node — no tree walk, no string formatting per query.
         """
-        out = []
-        for nid in node_ids:
-            lo, hi = self._leaf_range(int(nid))
-            pids = self.leaf_pid[self.leaf_positions[lo:hi]]
-            out.append(np.unique(pids[pids >= 0]))
-        return out
-
-    def subtree_keys(self, node_id: int) -> list[str]:
-        """Cluster keys of the subtree's leaves, in sorted-pivot leaf order.
-
-        Pre-rendered at compile time; equals
-        ``[cluster_key(gid, leaf.path) for leaf in node.leaves()]``.
-        """
-        lo, hi = self._leaf_range(int(node_id))
-        return self.leaf_keys[lo:hi]
+        lo = self._leaves_before[node_id]
+        hi = self._leaves_before[self.subtree_end[node_id]]
+        pids = {pid for pid in self.leaf_pids[lo:hi] if pid >= 0}
+        return sorted(pids), self.leaf_keys[lo:hi]
 
 
 class FlatTrieRouter:
@@ -277,9 +195,7 @@ class FlatTrieRouter:
             # Per-group compiles are independent pure-Python traversals, so
             # a thread pool overlaps them; map preserves group order, and
             # each FlatTrie depends only on its own group, so the result is
-            # identical to the serial loop.  Compiled tries are keyed by
-            # TrieNode identity (``_node_index``) and structure-share the
-            # skeleton's nodes, which the workers' shared memory allows.
+            # identical to the serial loop.
             self.tries = executor.map(
                 lambda g: FlatTrie(g.trie, g.group_id, skeleton.n_pivots),
                 skeleton.groups,
@@ -303,11 +219,11 @@ class FlatTrieRouter:
             kid_keys.append(ft.default_key)
             kid_pid.append(int(entry.default_partition))
             kid = np.full(ft.n_nodes, default_kid, dtype=np.int64)
-            leaf_pids = ft.leaf_pid[ft.leaf_positions]
+            leaf_pids = np.asarray(ft.leaf_pids, dtype=np.int64)
             leaf_kids = np.arange(len(ft.leaf_keys), dtype=np.int64) \
                 + len(kid_keys)
             kid_keys.extend(ft.leaf_keys)
-            kid_pid.extend(int(p) for p in leaf_pids)
+            kid_pid.extend(ft.leaf_pids)
             # A record routes to the leaf's own cluster only when the leaf
             # is actually packed (has a partition id); an unpacked leaf
             # behaves like a stalled walk (append semantics).

@@ -2,7 +2,11 @@
 
 from repro.evaluation.calibration import calibrate_early_stop
 from repro.evaluation.groundtruth import GroundTruth, exact_ground_truth
-from repro.evaluation.harness import SystemEvaluation, evaluate_system
+from repro.evaluation.harness import (
+    SystemEvaluation,
+    evaluate_system,
+    modeled_query_seconds,
+)
 from repro.evaluation.reporting import fmt_duration, render_table, write_csv
 
 __all__ = [
@@ -10,6 +14,7 @@ __all__ = [
     "exact_ground_truth",
     "SystemEvaluation",
     "evaluate_system",
+    "modeled_query_seconds",
     "calibrate_early_stop",
     "render_table",
     "write_csv",

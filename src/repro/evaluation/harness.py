@@ -4,6 +4,11 @@ Runs a query workload through any system exposing ``knn(query, k)`` and
 aggregates the paper's metrics: recall, simulated query time, partitions
 touched, and data accessed.  Every benchmark file builds on this so its
 body reads like the experiment description in the paper.
+
+Simulated time is a *model*, labelled as one and kept off every measured
+path: a CLIMBER answer carries no modelled clock, and
+:func:`modeled_query_seconds` computes it from the answer's stats on
+demand.
 """
 
 from __future__ import annotations
@@ -13,12 +18,44 @@ from typing import Callable
 
 import numpy as np
 
+from repro.cluster import (
+    ClusterSimulator,
+    TaskCost,
+    ops_signature,
+    partition_scan_cost,
+)
 from repro.evaluation.groundtruth import GroundTruth
 from repro.series import SeriesDataset
 
-__all__ = ["SystemEvaluation", "evaluate_system"]
+__all__ = ["SystemEvaluation", "evaluate_system", "modeled_query_seconds"]
 
 KnnFn = Callable[[np.ndarray, int], object]
+
+
+def modeled_query_seconds(index, stats) -> float:
+    """Seconds the cost model gives one answered CLIMBER query at paper scale.
+
+    A pure function of ``stats.partitions_loaded``, the DFS header
+    metadata kept per partition name (no payload is read and no logical
+    counter charged), ``index.model`` and the config: the driver-side
+    routing — one query signature plus a linear scan of the group list,
+    independent of the data volume and so not scaled by ``cost_scale`` —
+    plus one ``query/scan`` stage over the partitions the query loaded.
+    """
+    cfg = index.config
+    dfs = index.dfs
+    route = index.model.task_time(TaskCost(cpu_ops=int(
+        ops_signature(cfg.n_pivots, cfg.word_length, cfg.prefix_length)
+        + index.n_groups * cfg.prefix_length * 8
+    )))
+    scan = ClusterSimulator(index.model).run_stage("query/scan", [
+        partition_scan_cost(
+            dfs.partition_nbytes(name), dfs.record_count(name),
+            dfs.series_length(name), cfg.cost_scale, cfg.sim_partition_bytes,
+        )
+        for name in stats.partitions_loaded
+    ])
+    return route + scan.sim_seconds
 
 
 @dataclass(frozen=True)
@@ -54,18 +91,26 @@ def evaluate_system(
     queries: SeriesDataset,
     truth: GroundTruth,
     k: int,
+    modeled: Callable[[object], float] | None = None,
 ) -> SystemEvaluation:
     """Run every query, compare to ground truth, average the metrics.
 
     ``knn_fn`` must return an object with ``ids`` and ``stats`` attributes
     (both :class:`~repro.core.index.QueryResult` and
-    :class:`~repro.baselines.common.BaselineResult` qualify).
+    :class:`~repro.baselines.common.BaselineResult` qualify).  ``modeled``
+    maps a result's ``stats`` to its modelled seconds, for a system whose
+    stats carry no ``sim_seconds`` — for a :class:`ClimberIndex`,
+    ``functools.partial(modeled_query_seconds, index)``; without either,
+    ``sim_seconds`` averages to NaN.
     """
     recalls, sims, walls, parts, recs, data = [], [], [], [], [], []
     for qi, q in enumerate(queries.values):
         res = knn_fn(q, k)
         recalls.append(truth.recall_of(qi, res.ids))
-        sims.append(res.stats.sim_seconds)
+        sims.append(
+            modeled(res.stats) if modeled is not None
+            else getattr(res.stats, "sim_seconds", float("nan"))
+        )
         walls.append(res.stats.wall_seconds)
         parts.append(res.stats.n_partitions)
         recs.append(res.stats.records_examined)

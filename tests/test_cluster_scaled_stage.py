@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.common import partition_scan_cost, simulate_distributed_build
-from repro.cluster import ClusterSimulator, CostModel, TaskCost
+from repro.baselines.common import simulate_distributed_build
+from repro.cluster import (
+    ClusterSimulator,
+    CostModel,
+    TaskCost,
+    partition_scan_cost,
+)
 from repro.datasets import random_walk_dataset
 from repro.storage import PartitionFile
 import numpy as np
@@ -118,12 +123,18 @@ class TestPartitionScanCost:
     def test_block_granular_mode(self):
         part = self._part()
         block = 64 * 1024 * 1024
-        cost = partition_scan_cost(part, cost_scale=1e6, sim_partition_bytes=block)
+        cost = partition_scan_cost(
+            part.nbytes, part.record_count, part.series_length,
+            cost_scale=1e6, sim_partition_bytes=block,
+        )
         assert cost.read_bytes == block
         # CPU charged for one block's worth of records, not the scaled count.
         assert cost.cpu_ops < 1e12
 
     def test_honest_mode_scales_bytes(self):
         part = self._part()
-        cost = partition_scan_cost(part, cost_scale=100.0, sim_partition_bytes=None)
+        cost = partition_scan_cost(
+            part.nbytes, part.record_count, part.series_length,
+            cost_scale=100.0, sim_partition_bytes=None,
+        )
         assert cost.read_bytes == part.nbytes * 100

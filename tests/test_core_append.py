@@ -91,10 +91,6 @@ class TestAppend:
         with pytest.raises(ConfigurationError):
             index.append(wrong)
 
-    def test_sim_seconds_positive(self, built):
-        _, extra, index = built
-        assert index.append(extra)["sim_seconds"] > 0
-
     def test_deltas_visible_after_reopen(self, built):
         _, extra, index = built
         index.append(extra)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset, sample_queries
+from repro.evaluation import modeled_query_seconds
 from repro.exceptions import ConfigurationError
 from repro.series import knn_bruteforce
 from repro.storage import SimulatedDFS
@@ -276,10 +277,10 @@ class TestQueryVariants:
         with pytest.raises(ConfigurationError):
             idx.knn(ds.values[0], 5, variant="magic")
 
-    def test_stats_sim_seconds_positive(self, built):
+    def test_stats_wall_and_modeled_seconds_positive(self, built):
         ds, idx = built
         res = idx.knn(ds.values[1], 5)
-        assert res.stats.sim_seconds > 0
+        assert modeled_query_seconds(idx, res.stats) > 0
         assert res.stats.wall_seconds > 0
         assert res.stats.records_examined >= len(res.ids)
 

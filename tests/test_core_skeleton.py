@@ -24,7 +24,6 @@ def make_skeleton() -> IndexSkeleton:
     )
     for i, leaf in enumerate(g1_trie.leaves()):
         leaf.partition_ids = {i + 1}
-    g1_trie.finalize_partitions()
     groups = [
         GroupEntry(0, (), fallback_trie, 0, 0.0),
         GroupEntry(1, (2, 4, 6), g1_trie, 1, 270.0),
@@ -104,10 +103,11 @@ class TestSerialisation:
     def test_roundtrip_partition_unions(self):
         sk = make_skeleton()
         out = IndexSkeleton.from_bytes(sk.to_bytes())
-        assert (
-            out.groups[1].trie.partition_ids
-            == sk.groups[1].trie.partition_ids
-        )
+        before, after = sk.groups[1].trie, out.groups[1].trie
+        assert after.subtree_partition_ids() == {1, 2, 3}
+        for pivot, child in before.children.items():
+            assert (after.children[pivot].subtree_partition_ids()
+                    == child.subtree_partition_ids())
 
     def test_nbytes_positive_and_grows(self):
         sk = make_skeleton()
@@ -154,12 +154,14 @@ class TestDeepTrieSerialisationObjects:
         )
         for leaf, pid in zip(root.leaves(), (0, 1)):
             leaf.partition_ids = {pid}
-        root.finalize_partitions()
         obj = IndexSkeleton._trie_to_obj(root)
         rebuilt = IndexSkeleton._trie_from_obj(obj, ())
-        rebuilt.finalize_partitions()
         assert rebuilt.node_count() == root.node_count()
         assert [l.path for l in rebuilt.leaves()] == [
             l.path for l in root.leaves()
         ]
-        assert rebuilt.partition_ids == {0, 1}
+        # A subtree's covering set survives serialisation, at any depth.
+        assert rebuilt.subtree_partition_ids() == {0, 1}
+        deepest = rebuilt.descend(shared)
+        assert deepest.depth == depth - 1
+        assert deepest.subtree_partition_ids() == {0, 1}

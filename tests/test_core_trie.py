@@ -111,10 +111,13 @@ class TestPartitionBookkeeping:
         root = paper_figure5_group()
         for i, leaf in enumerate(root.leaves()):
             leaf.partition_ids = {i % 2}
-        root.finalize_partitions()
-        assert root.partition_ids == {0, 1}
+        assert root.subtree_partition_ids() == {0, 1}
         six = root.children[6]
-        assert six.partition_ids == six.subtree_partition_ids()
+        assert six.subtree_partition_ids() == set().union(
+            *(leaf.partition_ids for leaf in six.leaves())
+        )
+        # Unions are computed on demand, never stored on internal nodes.
+        assert root.partition_ids == six.partition_ids == set()
 
     def test_node_count(self):
         root = paper_figure5_group()

@@ -157,7 +157,6 @@ class TestQueryParity:
                     r.distances.tolist(),
                     r.stats.partitions_loaded,
                     r.stats.records_examined,
-                    r.stats.sim_seconds,
                 )
                 for r in results
             ]

@@ -45,7 +45,7 @@ from repro.storage import SimulatedDFS
 _PINNED_FIELDS = (
     "variant", "k", "best_od", "group_ids", "path_len", "gn_size",
     "n_selected_nodes", "partitions_loaded", "data_bytes",
-    "records_examined", "expanded_within_partition", "sim_seconds",
+    "records_examined", "expanded_within_partition",
     "partitions_failed", "partitions_forgone",
 )
 
@@ -610,8 +610,7 @@ class TestValidation:
             variant="knn", k=3, best_od=0, group_ids=(), path_len=0,
             gn_size=0.0, n_selected_nodes=0, partitions_loaded=(),
             data_bytes=0, records_examined=0,
-            expanded_within_partition=False, sim_seconds=0.0,
-            wall_seconds=0.0,
+            expanded_within_partition=False, wall_seconds=0.0,
         )
         assert stats.coverage == 1.0
         assert stats.visit_coverage == 1.0
@@ -623,7 +622,7 @@ class TestValidation:
             gn_size=0.0, n_selected_nodes=1,
             partitions_loaded=("p0", "p1"), data_bytes=1,
             records_examined=1, expanded_within_partition=False,
-            sim_seconds=0.0, wall_seconds=0.0,
+            wall_seconds=0.0,
             partitions_forgone=("p2", "p3"),
         )
         assert stats.coverage == 1.0

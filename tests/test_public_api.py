@@ -112,6 +112,24 @@ def test_config_surface():
             repro.ClimberConfig(**retired)
 
 
+#: The whole of ``QueryStats``: what a query measured and counted.  No
+#: modelled clock — that is ``repro.evaluation.modeled_query_seconds``,
+#: computed from these on demand (DESIGN.md D7); a model creeping back
+#: into the answer is a reviewed decision.
+QUERY_STATS_FIELDS = {
+    "variant", "k", "best_od", "group_ids", "path_len", "gn_size",
+    "n_selected_nodes", "partitions_loaded", "data_bytes",
+    "records_examined", "expanded_within_partition", "wall_seconds",
+    "partitions_failed", "partitions_forgone",
+}
+
+
+def test_query_stats_surface():
+    from repro.core import QueryStats
+
+    assert {f.name for f in dataclasses.fields(QueryStats)} == QUERY_STATS_FIELDS
+
+
 def test_library_reads_no_environment():
     """A run is a function of its stated parameters: nothing under
     ``src/repro`` looks at the process environment."""

@@ -192,7 +192,8 @@ class TestReopenUsesMetadata:
 
 
 class TestAccountingParityWithCache:
-    """Acceptance: logical reads and sim_seconds identical, cache on or off."""
+    """Acceptance: logical reads and partitions loaded identical, cache on or
+    off."""
 
     def test_query_workload_counters_identical(self, tmp_path):
         ds = random_walk_dataset(1500, 48, seed=9)
@@ -209,12 +210,12 @@ class TestAccountingParityWithCache:
                                cache_bytes=cache_bytes)
             dfs.attach()
             idx = ClimberIndex.reopen(blob, dfs, cfg)
-            sims = []
+            loaded = []
             for i in range(0, 300, 13):
                 res = idx.knn(ds.values[i], 10, variant="adaptive")
-                sims.append(res.stats.sim_seconds)
+                loaded.append(res.stats.partitions_loaded)
             results[cache_bytes] = (dfs.counters.bytes_read,
-                                    dfs.counters.partitions_read, sims)
+                                    dfs.counters.partitions_read, loaded)
         cold = results[0]
         warm = results[1 << 26]
         assert warm[0] == cold[0]

@@ -1,11 +1,13 @@
 """Parity suite for the CSR flat-trie router (core/trie_flat.py).
 
 Every claim the flat subsystem makes is checked against the pointer-based
-:class:`TrieNode` reference on randomized tries: batch ``descend_many``
-against per-record ``descend``, ``descend_path_ids`` against
-``descend_path``, ``covering_partitions``/``subtree_keys`` against the
-recursive leaf walks, and the router's bulk ``route``/``partition_layout``
-against the legacy per-record redistribution grouping.
+:class:`TrieNode` reference on randomized tries: the batch walk
+(``FlatTrieRouter.route``) against per-record ``descend``,
+``descend_path_ids`` against ``descend_path``, ``subtree`` against the
+reference leaf walks, and the router's bulk ``route``/``partition_layout``
+against the legacy per-record redistribution grouping.  Flat ids are
+mapped to pointer nodes by the tests' own pre-order enumeration
+(``conftest.preorder``), never by a table the compile keeps.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import preorder
 from repro.core import (
     ClimberConfig,
     ClimberIndex,
@@ -33,8 +36,17 @@ N_PIVOTS = 24
 PREFIX = 6
 
 
+def lone_group_router(trie, n_pivots: int = N_PIVOTS, default_partition: int = 0):
+    """A router over a skeleton holding just ``trie`` (as group 0)."""
+    return FlatTrieRouter(IndexSkeleton(
+        prefix_length=PREFIX, n_pivots=n_pivots, word_length=8,
+        groups=[GroupEntry(0, (), trie, default_partition, trie.count)],
+        n_partitions=default_partition + 1,
+    ))
+
+
 def random_group_trie(rng: np.random.Generator, next_pid: int = 0):
-    """A packed, finalised group trie like builder Step 3 produces."""
+    """A packed group trie like builder Step 3 produces."""
     n_sigs = int(rng.integers(1, 120))
     sigs = set()
     while len(sigs) < n_sigs:
@@ -55,7 +67,6 @@ def random_group_trie(rng: np.random.Generator, next_pid: int = 0):
         for path in bin_paths:
             leaf_by_path[path].partition_ids = {pid}
         pids.append(pid)
-    trie.finalize_partitions()
     return trie, sigs, pids, next_pid
 
 
@@ -74,25 +85,27 @@ class TestFlatTrieParity:
     @pytest.mark.parametrize("seed", range(8))
     def test_descend_many_matches_descend(self, seed):
         rng = np.random.default_rng(seed)
-        trie, sigs, _, _ = random_group_trie(rng)
-        ft = FlatTrie(trie, group_id=0, n_pivots=N_PIVOTS)
+        trie, sigs, pids, _ = random_group_trie(rng)
+        router = lone_group_router(trie, default_partition=pids[0])
         queries = random_queries(rng, sigs, 200)
-        nids = ft.descend_many(queries)
-        for row, nid in zip(queries, nids):
-            assert ft.nodes[int(nid)] is trie.descend(row)
+        kids = router.route(queries, np.zeros(200, dtype=np.int64))
+        for row, kid in zip(queries, kids):
+            node = trie.descend(row)
+            assert router.cluster_keys[int(kid)] == cluster_key(
+                0, node.path if node.is_leaf else None
+            )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_descend_path_matches(self, seed):
         rng = np.random.default_rng(100 + seed)
         trie, sigs, _, _ = random_group_trie(rng)
         ft = FlatTrie(trie, group_id=3, n_pivots=N_PIVOTS)
+        nodes = list(preorder(trie))
         for row in random_queries(rng, sigs, 100):
             sig = tuple(int(p) for p in row)
             ref = trie.descend_path(sig)
-            got = [ft.nodes[i] for i in ft.descend_path_ids(sig)]
+            got = [nodes[i] for i in ft.descend_path_ids(sig)]
             assert [id(n) for n in got] == [id(n) for n in ref]
-            assert all(a is b for a, b in
-                       zip(ft.descend_path_nodes(sig), ref))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_covering_partitions_and_subtree_keys(self, seed):
@@ -100,46 +113,58 @@ class TestFlatTrieParity:
         trie, _, _, _ = random_group_trie(rng)
         gid = int(rng.integers(0, 9))
         ft = FlatTrie(trie, group_id=gid, n_pivots=N_PIVOTS)
-        nids = list(range(ft.n_nodes))
-        covers = ft.covering_partitions(nids)
-        for nid, pids in zip(nids, covers):
-            node = ft.nodes[nid]
-            assert sorted(node.partition_ids) == [int(p) for p in pids]
-            ref_keys = [
+        nodes = list(preorder(trie))
+        assert ft.n_nodes == len(nodes)
+        for nid, node in enumerate(nodes):
+            pids, keys = ft.subtree(nid)
+            assert pids == sorted(node.subtree_partition_ids())
+            assert keys == [
                 cluster_key(gid, leaf.path) for leaf in node.leaves()
             ]
-            assert list(ft.subtree_keys(nid)) == ref_keys
+            assert ft.subtree_end[nid] - nid == node.node_count()
+            assert ft.is_leaf[nid] == node.is_leaf
+            assert ft.count[nid] == node.count
 
     def test_single_leaf_group(self):
         trie = build_group_trie([(1, 2, 3)], [10.0], capacity=100.0)
         trie.partition_ids = {7}
         ft = FlatTrie(trie, group_id=2, n_pivots=8)
         assert ft.n_nodes == 1
-        assert ft.descend_many(np.array([[1, 2, 3]]))[0] == 0
-        assert ft.covering_partitions([0])[0].tolist() == [7]
-        assert ft.subtree_keys(0) == ["G2"]
+        assert ft.descend_path_ids((1, 2, 3)) == [0]
+        assert ft.subtree(0) == ([7], ["G2"])
+        router = lone_group_router(trie, n_pivots=8, default_partition=7)
+        kid = int(router.route(np.array([[1, 2, 3]]), np.array([0]))[0])
+        assert router.cluster_keys[kid] == "G0"  # the root leaf's own cluster
+        assert int(router.kid_pid[kid]) == 7
 
     def test_empty_group(self):
         trie = build_group_trie([], [], capacity=10.0)
         ft = FlatTrie(trie, group_id=0, n_pivots=8)
         assert ft.n_nodes == 1 and ft.n_edges == 0
-        assert ft.descend_many(np.zeros((4, 3), dtype=np.int64)).tolist() == [0] * 4
+        assert ft.subtree(0) == ([], ["G0"])
+        # An unpacked root leaf routes like a stalled walk: default cluster.
+        router = lone_group_router(trie, n_pivots=8)
+        kids = router.route(np.zeros((4, 3), dtype=np.int64),
+                            np.zeros(4, dtype=np.int64))
+        assert [router.cluster_keys[int(kid)] for kid in kids] == ["G0/~"] * 4
 
     def test_out_of_range_pivot_misses(self):
         trie = build_group_trie(
             [(0, 1), (1, 0)], [50.0, 50.0], capacity=60.0
         )
-        ft = FlatTrie(trie, group_id=0, n_pivots=2)
-        # pivot 5 exceeds the stride: the walk must stall at the root, not
-        # alias another node's composite key.
-        assert ft.descend_many(np.array([[5, 0]]))[0] == 0
-
-    def test_foreign_node_rejected(self):
-        t1 = build_group_trie([(0, 1)], [1.0], 10.0)
-        t2 = build_group_trie([(0, 1)], [1.0], 10.0)
-        ft = FlatTrie(t1, group_id=0, n_pivots=4)
-        with pytest.raises(ConfigurationError):
-            ft.id_of(t2)
+        for leaf in trie.leaves():
+            leaf.partition_ids = {1}
+        # pivot 5 exceeds the stride (and -1 precedes it): the walk must
+        # stall at the root, not alias another node's composite key.
+        for searchsorted in (False, True):
+            router = lone_group_router(trie, n_pivots=2, default_partition=1)
+            if searchsorted:
+                router.edge_map = None
+            kids = router.route(np.array([[5, 0], [-1, 0], [0, 1]]),
+                                np.zeros(3, dtype=np.int64))
+            assert [router.cluster_keys[int(kid)] for kid in kids] == [
+                "G0/~", "G0/~", "G0/0",
+            ]
 
 
 def build_random_skeleton(rng: np.random.Generator):
@@ -272,10 +297,11 @@ class TestQueryPathUsesFlat:
         assert flat is index.skeleton.flat_router()  # one shared compile
         sig = index.query_signature(dataset.values[0])
         for cand in index.group_candidates(sig):
-            ft = flat.tries[cand.entry.group_id]
+            nodes = list(preorder(cand.entry.trie))
             ref = cand.entry.trie.descend_path(
                 tuple(int(p) for p in sig)
             )
-            assert [id(n) for n in cand.path] == [id(n) for n in ref]
-            # candidate nodes are the flat compile's node objects
-            assert all(ft.id_of(n) >= 0 for n in cand.path)
+            # candidates carry flat ids, not node objects
+            assert all(type(n) is int for n in cand.path)
+            assert [id(nodes[n]) for n in cand.path] == [id(n) for n in ref]
+            assert cand.gn_count == ref[-1].count
