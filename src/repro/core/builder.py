@@ -43,13 +43,13 @@ from repro.core.skeleton import (
     partition_name,
 )
 from repro.core.trie import build_group_trie
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, NonFiniteValueError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.pivots import decay_weights, permutation_prefixes, select_random_pivots
 from repro.series import SeriesDataset, paa_transform
 from repro.storage import SimulatedDFS
 
-__all__ = ["BuildArtifacts", "build_index_artifacts"]
+__all__ = ["BuildArtifacts", "build_index_artifacts", "check_records"]
 
 
 @dataclass
@@ -81,6 +81,26 @@ class BuildArtifacts:
             "conversion": self.sim_report.seconds_for("build/convert"),
             "redistribution": self.sim_report.seconds_for("build/redistribute"),
         }
+
+
+def check_records(dataset: SeriesDataset, length: int | None = None) -> None:
+    """Refuse a batch whole, before a byte is stored (``build`` and
+    ``append`` both start here): :class:`ConfigurationError` for a series
+    length other than ``length`` (the indexed one, if any) or repeated ids,
+    :class:`NonFiniteValueError` naming the first NaN/inf row — stored, it
+    would sit under a meaningless signature where no query finds it."""
+    if length is not None and dataset.length != length:
+        raise ConfigurationError(
+            f"series length {dataset.length} != indexed length {length}"
+        )
+    values = dataset.values
+    # min/max see NaN and ±inf without a full-size boolean temporary.
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+        raise NonFiniteValueError(f"row {row} holds NaN or infinite values")
+    ids = np.sort(dataset.ids)  # a fraction of what np.unique costs
+    if (ids[1:] == ids[:-1]).any():
+        raise ConfigurationError("ids repeat within the batch")
 
 
 def build_index_artifacts(
@@ -115,6 +135,7 @@ def build_index_artifacts(
         if config.telemetry else NULL_TELEMETRY
     )
     t0 = time.perf_counter()
+    check_records(dataset)
     if dataset.length < config.word_length:
         raise ConfigurationError(
             f"series length {dataset.length} < word length {config.word_length}"

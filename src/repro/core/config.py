@@ -24,11 +24,11 @@ class ClimberConfig:
     Every field holds a concrete value, and precedence is the same
     everywhere: a per-call argument if the call takes one and it is given,
     else the field here.  Nothing is read from the process environment
-    (DESIGN.md D5).  Storage knobs — read cache, checksums, verification
-    mode, fault plan, retry policy — are not here: they live on the
+    (DESIGN.md D5).  Storage knobs — read cache, fault plan, retry
+    policy — are not here: they live on the
     :class:`~repro.storage.SimulatedDFS` the caller passes to
     ``ClimberIndex.build`` / ``reopen`` (a build without ``dfs=`` gets
-    ``SimulatedDFS()``).
+    ``SimulatedDFS()``).  Partition checksums are no knob (DESIGN.md D8).
 
     Parameters
     ----------

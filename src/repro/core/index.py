@@ -52,7 +52,11 @@ import numpy as np
 
 from repro.cluster import CostModel, SimReport
 from repro.core.assignment import GroupAssigner
-from repro.core.builder import BuildArtifacts, build_index_artifacts
+from repro.core.builder import (
+    BuildArtifacts,
+    build_index_artifacts,
+    check_records,
+)
 from repro.core.config import ClimberConfig
 from repro.core.parallel import make_executor, split_ranges
 from repro.core.progressive import (
@@ -282,9 +286,9 @@ class _RoutedWalk:
             other: list[str] = []
             for key in part.cluster_keys():
                 (present if key in wanted else other).append(key)
-            # One cluster-range read per partition: the view maps the
-            # payload once and slices the runs these keys cover (adjacent
-            # clusters coalesce).  Lazy checksum verification fires here.
+            # One cluster-range read per partition, served from the
+            # payload mapping the open already checksummed: it slices the
+            # runs these keys cover (adjacent clusters coalesce).
             run = part.read_clusters(present) if present else None
         except StorageError as err:
             if not self._skip_failures or isinstance(err, PartitionNotFoundError):
@@ -448,9 +452,10 @@ class ClimberIndex:
     ) -> "ClimberIndex":
         """Build the index (paper Fig. 6); see :class:`ClimberConfig`.
 
-        ``telemetry`` overrides the :class:`~repro.obs.Telemetry` the build
-        and the returned index record into (default: created from
-        ``config.telemetry``).
+        A dataset :meth:`append` would refuse is refused here too, before
+        anything is stored.  ``telemetry`` overrides the
+        :class:`~repro.obs.Telemetry` the build and the returned index
+        record into (default: created from ``config.telemetry``).
         """
         config = config or ClimberConfig()
         model = model or CostModel()
@@ -476,30 +481,12 @@ class ClimberIndex:
         their group's default partition.  Periodic full rebuilds remain the
         answer to heavy drift.
 
-        A batch is refused whole, before anything is stored or counted:
-        :class:`ConfigurationError` for a series length other than the
-        indexed one or ids repeated within the batch,
-        :class:`NonFiniteValueError` (naming the first offending row) for
-        NaN or infinite values.
+        A batch is refused whole, before anything is stored or counted, by
+        :func:`~repro.core.builder.check_records` (as :meth:`build` is).
 
         Returns a summary dict (records appended, partitions written).
         """
-        base_length = self.series_length
-        if base_length is not None and dataset.length != base_length:
-            raise ConfigurationError(
-                f"appended series length {dataset.length} != indexed "
-                f"length {base_length}"
-            )
-        finite = np.isfinite(dataset.values).all(axis=1)
-        if not finite.all():
-            raise NonFiniteValueError(
-                f"appended row {int(np.flatnonzero(~finite)[0])} holds NaN "
-                f"or infinite values"
-            )
-        if np.unique(dataset.ids).shape[0] != dataset.count:
-            raise ConfigurationError(
-                "appended ids repeat within the batch"
-            )
+        check_records(dataset, self.series_length)
         cfg = self.config
         paa = paa_transform(dataset.values, cfg.word_length)
         ranked = permutation_prefixes(paa, self._art.pivots, cfg.prefix_length)

@@ -172,8 +172,9 @@ class FaultInjector:
     Attempts are explicit: the DFS read loop calls :meth:`begin_attempt`
     before each open, which advances the blob's per-name attempt counter
     and fixes the decision every subsequent read of that blob consults —
-    including the lazy cluster reads a returned v2 view issues later.
-    Reads of blobs with no begun attempt (metadata scans) are clean.
+    the open, which checksums every section, and the later reads of the
+    view it returned.  Reads of blobs with no begun attempt (metadata
+    scans) are clean.
     """
 
     def __init__(self, inner, plan: FaultPlan) -> None:

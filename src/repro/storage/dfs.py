@@ -44,8 +44,8 @@ class keeps everything *simulated* about the DFS:
   maintained at write/attach time so reopening an index, or validating an
   append, never reads partition payloads.
 
-A read returns a lazy :class:`~repro.storage.engine.PartitionV2View`
-whose cluster reads map only the requested byte ranges.
+A read returns a :class:`~repro.storage.engine.PartitionV2View` whose four
+CRC32s were checked over the bytes of its open attempt (DESIGN.md D8).
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ class DfsCounters:
 class SimulatedDFS:
     """An in-memory (optionally disk-backed) partition store.
 
+    Every partition is written with four per-section CRC32s and every
+    open attempt checks them; a mismatch is retried like a transient error.
+
     Parameters
     ----------
     block_bytes:
@@ -148,19 +151,6 @@ class SimulatedDFS:
         a private registry.  The :attr:`counters` property still returns
         a :class:`DfsCounters` snapshot with the exact same logical
         semantics the parity suites pin down.
-    checksums:
-        Whether newly written partitions carry per-section CRC32
-        checksums (header version 3; the default).  Purely physical —
-        logical counters, query answers and simulated costs are
-        byte-identical with checksums on or off.
-    verify:
-        Checksum-verification mode on reads: ``"off"``, ``"lazy"``
-        (default — meta/directory at open, payload on first mapping) or
-        ``"eager"`` (everything at open; corrupted payloads then fail
-        *inside* the retry loop, so per-attempt bit-flips are
-        recoverable).  Detected corruption raises
-        :class:`~repro.exceptions.PartitionCorruptError` and bumps
-        ``dfs.corruption_detected``.
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan`; when given the
         backend is wrapped in a :class:`~repro.resilience.FaultInjector`
@@ -180,8 +170,6 @@ class SimulatedDFS:
         backing_dir: str | Path | None = None,
         cache_bytes: int = 0,
         registry: MetricsRegistry | None = None,
-        checksums: bool = True,
-        verify: str = "lazy",
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
@@ -203,12 +191,8 @@ class SimulatedDFS:
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
-        self._engine = StorageEngine(
-            backend,
-            checksums=checksums,
-            verify=verify,
-            corruption_cb=self._on_corruption,
-        )
+        self._engine = StorageEngine(backend,
+                                     corruption_cb=self._on_corruption)
         self._sizes: dict[str, int] = {}
         self._record_counts: dict[str, int] = {}
         self._series_lengths: dict[str, int] = {}
@@ -416,13 +400,11 @@ class SimulatedDFS:
         self._c_partitions_written.inc()
 
     def read_partition(self, partition_id: str) -> PartitionV2View:
-        """One partition, as a lazy view.
+        """One partition, as a view checked in full by the open.
 
-        Nothing beyond the header and cluster directory is materialised
-        until cluster ranges are actually read.
-
-        Recoverable failures — :class:`TransientReadError`, detected
-        corruption, blown deadlines — are retried per
+        Recoverable failures — :class:`TransientReadError`, a checksum
+        mismatch in any of the four sections, blown deadlines — are
+        retried per
         :attr:`retry_policy` (``dfs.retries`` counts the extra attempts);
         :class:`PartitionLostError` and :class:`PartitionNotFoundError`
         are not retried.  A logical read that fails for good bumps

@@ -2,14 +2,15 @@
 
 The engine decomposes physical partition storage into three layers:
 
-* :mod:`repro.storage.engine.format` — the versioned binary partition
-  format: fixed-width struct header, packed cluster directory and
-  64-byte-aligned raw C-order payloads, served as zero-copy NumPy views;
+* :mod:`repro.storage.engine.format` — the binary partition format:
+  fixed-width struct header with per-section CRC32s, packed cluster
+  directory and 64-byte-aligned raw C-order payloads, checked at every
+  open and served as zero-copy NumPy views;
 * :mod:`repro.storage.engine.backend` — the :class:`StorageBackend`
   byte-range protocol with in-memory and mmap-backed local-disk
   implementations;
 * :mod:`repro.storage.engine.engine` — the :class:`StorageEngine` facade
-  that encodes on write, opens partitions lazily, and answers
+  that encodes on write, opens partitions checked, and answers
   cluster-range reads by mapping only the requested byte slices.
 
 :class:`~repro.storage.SimulatedDFS` fronts this package; its logical
@@ -24,9 +25,7 @@ from repro.storage.engine.backend import (
 from repro.storage.engine.engine import PartitionMeta, StorageEngine
 from repro.storage.engine.format import (
     FORMAT_V2_MAGIC,
-    FORMAT_V2_VERSION,
     FORMAT_V3_VERSION,
-    VERIFY_MODES,
     PartitionV2View,
     decode_v2_header,
     encode_partition_v2,
@@ -41,9 +40,7 @@ __all__ = [
     "PartitionMeta",
     "PartitionV2View",
     "FORMAT_V2_MAGIC",
-    "FORMAT_V2_VERSION",
     "FORMAT_V3_VERSION",
-    "VERIFY_MODES",
     "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",

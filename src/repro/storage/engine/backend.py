@@ -242,11 +242,11 @@ class LocalDiskBackend:
 
     The handle LRU and the packed-name map are guarded by an internal
     lock: the DFS read path opens partitions concurrently (its own lock
-    covers only bookkeeping), and lazy v2 views issue range reads long
-    after the open, so the map mutations here must be safe under
-    concurrent readers.  Views are sliced while the lock is held, so an
-    eviction racing a read can never close a mapping between lookup and
-    export.
+    covers only bookkeeping), and a cached v2 view re-maps its payload on
+    every read after its first, long after the open, so the map mutations
+    here must be safe under concurrent readers.  Views are sliced while
+    the lock is held, so an eviction racing a read can never close a
+    mapping between lookup and export.
     """
 
     def __init__(self, root: str | Path, max_open_handles: int = 256) -> None:

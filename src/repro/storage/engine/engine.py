@@ -1,11 +1,13 @@
-"""The storage engine: lazy partition access over a pluggable backend.
+"""The storage engine: checked partition access over a pluggable backend.
 
 :class:`StorageEngine` owns the mapping from partition ids to stored blobs.
 Writes encode through
-:func:`~repro.storage.engine.format.encode_partition_v2_arrays`; reads open
-a :class:`~repro.storage.engine.format.PartitionV2View` that parses only
-header + directory and maps payload ranges on demand.  A stored blob in any
-other encoding is refused with :class:`StorageError` by the header decode.
+:func:`~repro.storage.engine.format.encode_partition_v2_arrays`, always with
+the four per-section CRC32s; an open returns a
+:class:`~repro.storage.engine.format.PartitionV2View` that has checked all
+four over the bytes of that open, and metadata scans read headers and
+directories only.  A stored blob in any other encoding or header version is
+refused with :class:`StorageError` by the header decode.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.exceptions import PartitionNotFoundError, StorageError
+from repro.exceptions import PartitionNotFoundError
 from repro.storage.engine.backend import StorageBackend
 from repro.storage.engine.format import (
-    VERIFY_MODES,
     PartitionV2View,
     encode_partition_v2_arrays,
+    read_partition_head,
 )
-from repro.storage.partition import PartitionFile
+from repro.storage.partition import PartitionFile, logical_partition_nbytes
 
 __all__ = ["StorageEngine", "PartitionMeta"]
 
@@ -40,20 +42,14 @@ class PartitionMeta:
 class StorageEngine:
     """Write/read partitions through a :class:`StorageBackend`.
 
+    Every partition is written with its four CRC32s and every open checks
+    all four over the bytes it read (DESIGN.md D8).
+
     Parameters
     ----------
     backend:
         The byte store (memory or mmap-backed local disk), possibly
         wrapped in a :class:`~repro.resilience.FaultInjector`.
-    checksums:
-        Whether newly written partitions carry the per-section CRC32
-        block (header version 3, the default).  ``False`` writes header
-        version 2, the same bytes without the block.  Stored payloads of
-        either version stay readable regardless.
-    verify:
-        Checksum-verification mode applied when opening partitions:
-        ``"off"``, ``"lazy"`` (default) or ``"eager"`` — see
-        :class:`~repro.storage.engine.format.PartitionV2View`.
     corruption_cb:
         Zero-argument callable invoked per detected corruption (the DFS
         counts ``dfs.corruption_detected`` through it).
@@ -61,21 +57,8 @@ class StorageEngine:
 
     SUFFIX = ".part"
 
-    def __init__(
-        self,
-        backend: StorageBackend,
-        checksums: bool = True,
-        verify: str = "lazy",
-        corruption_cb=None,
-    ) -> None:
-        if verify not in VERIFY_MODES:
-            raise StorageError(
-                f"unknown verify mode {verify!r} "
-                f"(expected one of {VERIFY_MODES})"
-            )
+    def __init__(self, backend: StorageBackend, corruption_cb=None) -> None:
         self.backend = backend
-        self.checksums = bool(checksums)
-        self.verify = verify
         self.corruption_cb = corruption_cb
 
     def _name(self, partition_id: str) -> str:
@@ -117,7 +100,7 @@ class StorageEngine:
         :meth:`write_payload`.
         """
         return encode_partition_v2_arrays(partition_id, ids, values, header,
-                                          rows=rows, checksums=self.checksums)
+                                          rows=rows)
 
     def write_payload(self, partition_id: str, payload: bytes) -> int:
         """Store an already-encoded partition payload (see
@@ -138,10 +121,9 @@ class StorageEngine:
     def has_partition(self, partition_id: str) -> bool:
         return self.backend.exists(self._name(partition_id))
 
-    def _open(self, partition_id: str, verify: str,
-              logical_nbytes: int | None = None) -> PartitionV2View:
-        """One ``size``, which doubles as the existence check and tells
-        the view how much there is to read."""
+    def _reader(self, partition_id: str):
+        """``(read_range, size)`` of a stored partition; the ``size`` is
+        the existence check too."""
         name = self._name(partition_id)
         try:
             size = self.backend.size(name)
@@ -149,24 +131,24 @@ class StorageEngine:
             raise PartitionNotFoundError(
                 f"no partition {partition_id!r}"
             ) from None
-        return PartitionV2View(
-            partial(self.backend.read_range, name),
-            physical_size=size,
-            verify=verify,
-            corruption_cb=self.corruption_cb,
-            logical_nbytes=logical_nbytes,
-        )
+        return partial(self.backend.read_range, name), size
 
     def open_partition(
         self, partition_id: str, logical_nbytes: int | None = None
     ) -> PartitionV2View:
-        """Open a stored partition as a lazy zero-copy view.
+        """Open a stored partition as a zero-copy view, all four CRCs
+        checked: a mismatch raises here, never on a later read.
 
-        Header + directory are parsed, payloads untouched.
         ``logical_nbytes`` is the partition's logical size when the caller
         tracks it (the DFS registry), sparing the view from deriving it.
         """
-        return self._open(partition_id, self.verify, logical_nbytes)
+        read_range, size = self._reader(partition_id)
+        return PartitionV2View(
+            read_range,
+            physical_size=size,
+            corruption_cb=self.corruption_cb,
+            logical_nbytes=logical_nbytes,
+        )
 
     def read_cluster_ranges(
         self, partition_id: str, keys: Iterable[str]
@@ -180,23 +162,20 @@ class StorageEngine:
     # -- metadata ---------------------------------------------------------------
 
     def partition_meta(self, partition_id: str) -> PartitionMeta:
-        """Logical size, record count and series length from headers alone."""
-        # Metadata scans never touch payload sections, so eager payload
-        # verification would be pure waste here; cap at lazy
-        # (meta/directory CRCs still checked at open).
-        view = self._open(
-            partition_id, "off" if self.verify == "off" else "lazy"
+        """Logical size, record count and series length from headers alone
+        (meta and directory CRCs checked, no payload byte read)."""
+        read_range, size = self._reader(partition_id)
+        h, _, directory = read_partition_head(read_range, size,
+                                              self.corruption_cb)
+        return PartitionMeta(
+            logical_partition_nbytes(h.n_records, h.series_length, directory),
+            h.n_records, h.series_length,
         )
-        return PartitionMeta(view.nbytes, view.record_count,
-                             view.series_length)
 
     def physical_nbytes(self, partition_id: str) -> int:
         """Stored payload size (padding and CRC block included, unlike the
         logical size)."""
-        name = self._name(partition_id)
-        if not self.backend.exists(name):
-            raise PartitionNotFoundError(f"no partition {partition_id!r}")
-        return self.backend.size(name)
+        return self._reader(partition_id)[1]
 
     # -- maintenance ------------------------------------------------------------
 

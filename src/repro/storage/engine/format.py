@@ -11,9 +11,9 @@ by :func:`decode_v2_header`.
 
     [0, 80)              fixed struct header (magic, version, geometry,
                          section offsets, total size)
-    [80, 96)             header version >= 3 only: four CRC32 checksums
-                         (meta blob, directory, ids payload, values payload)
-    [hdr, hdr+meta)      JSON meta blob: {"partition_id": ..., "keys": [...]}
+    [80, 96)             four CRC32 checksums (meta blob, directory,
+                         ids payload, values payload)
+    [96, 96+meta)        JSON meta blob: {"partition_id": ..., "keys": [...]}
     [dir_offset, ...)    cluster directory: int64 offsets[n_clusters]
                          followed by int64 counts[n_clusters]
     [ids_offset, ...)    raw C-order int64 ids payload, 64-byte aligned
@@ -26,24 +26,19 @@ Because the payloads are aligned raw C-order buffers, a reader backed by
 zero deserialisation cost — exactly the asymmetry CLIMBER's query
 algorithms assume ("reading one cluster touches only its slice").
 
-:class:`PartitionV2View` is the lazy reader: it parses header + directory
-on open (a few hundred bytes) and maps payload slices on demand, exposing
-the same access interface as :class:`~repro.storage.partition.PartitionFile`.
-
-Header **version 3** (PR 8) appends a 16-byte CRC32 block after the fixed
-header: per-section checksums over the meta blob, the directory and the
-two raw payloads (alignment padding is excluded — it is zeroed and never
-served).  The base header's field offsets are unchanged, the magic stays
-``CLMBPRT2`` and version-2 payloads (no checksums) remain fully readable,
-so a backing directory can mix generations.  Verification is configurable
-on the view: meta/directory checksums are checked at open (those bytes
-are read anyway), payload checksums either at open (``verify="eager"``)
-or on the first payload mapping (``"lazy"``, the default), or never
-(``"off"``).  The lazy check runs over the very buffer the first read is
-served from — one mapped range covers both payload sections, so what is
-verified is what is served.  A mismatch raises
-:class:`~repro.exceptions.PartitionCorruptError`; ``materialised_bytes``
-counts the runs served to the reader, never the bytes a check touched.
+One integrity rule holds (DESIGN.md D8).  Every partition is written as
+header **version 3**, with per-section CRC32s over the meta blob, the
+directory and the two raw payloads (alignment padding is excluded — it
+is zeroed and never served); a blob of any other version, such as the
+checksum-less version 2, is refused with :class:`StorageError`.  Every
+:class:`PartitionV2View` checks all four CRCs when it is opened, over the
+bytes read by that open, and serves its first read from the very payload
+mapping it checked: what is verified is what is served, and a mismatch
+raises :class:`~repro.exceptions.PartitionCorruptError` from the open,
+where the DFS retry loop sees it.  :func:`read_partition_head` is the
+metadata-only half — header, meta blob and directory, with their CRCs —
+for scans that never read a payload byte.  ``materialised_bytes`` counts
+the runs served to the reader, never the bytes a check touched.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -61,39 +56,31 @@ from repro.storage.serialization import json_from_bytes, json_to_bytes
 
 __all__ = [
     "FORMAT_V2_MAGIC",
-    "FORMAT_V2_VERSION",
     "FORMAT_V3_VERSION",
     "PAYLOAD_ALIGNMENT",
-    "VERIFY_MODES",
     "V2Header",
     "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",
+    "read_partition_head",
     "PartitionV2View",
 ]
 
 FORMAT_V2_MAGIC = b"CLMBPRT2"
-FORMAT_V2_VERSION = 2
-FORMAT_V3_VERSION = 3  # v2 layout + per-section CRC32 block
+FORMAT_V3_VERSION = 3  # the one header version: base header + CRC32 block
 PAYLOAD_ALIGNMENT = 64
-
-#: Checksum-verification modes accepted by :class:`PartitionV2View` (and
-#: plumbed through StorageEngine / SimulatedDFS / ClimberConfig).
-VERIFY_MODES = ("off", "lazy", "eager")
 
 # magic, version, flags, n_clusters, n_records, series_length, meta_size,
 # dir_offset, ids_offset, values_offset, total_size
 _HEADER = struct.Struct("<8sII8Q")
 HEADER_SIZE = _HEADER.size
 
-# Version >= 3: CRC32s of (meta, directory, ids, values), appended after
-# the base header so every base field keeps its byte offset.
+# CRC32s of (meta, directory, ids, values), right after the base header.
 _CRC_BLOCK = struct.Struct("<4I")
 CRC_BLOCK_SIZE = _CRC_BLOCK.size
 
-#: Leading bytes a reader fetches in one range: the fixed header and
-#: (version 3) the CRC block.
-HEAD_PROBE_SIZE = HEADER_SIZE + CRC_BLOCK_SIZE
+#: Bytes before the meta blob, fetched by a reader in one range.
+_HEAD_SIZE = HEADER_SIZE + CRC_BLOCK_SIZE
 
 _IDS_ITEMSIZE = 8     # int64
 _VALUES_ITEMSIZE = 8  # float64
@@ -108,12 +95,8 @@ def _align(offset: int, alignment: int) -> int:
 
 @dataclass(frozen=True)
 class V2Header:
-    """Decoded fixed-width v2 header (geometry + section offsets).
-
-    ``crcs`` carries the four per-section CRC32s of header version 3
-    (meta, directory, ids, values), or ``None`` for legacy version-2
-    payloads — readers skip verification when absent.
-    """
+    """Decoded fixed-width header: geometry, section offsets and the four
+    per-section CRC32s (meta, directory, ids, values)."""
 
     n_clusters: int
     n_records: int
@@ -123,17 +106,14 @@ class V2Header:
     ids_offset: int
     values_offset: int
     total_size: int
-    version: int = FORMAT_V2_VERSION
-    crcs: tuple[int, int, int, int] | None = None
+    crcs: tuple[int, int, int, int]
 
     @property
     def row_nbytes(self) -> int:
         return self.series_length * _VALUES_ITEMSIZE
 
-    @property
-    def header_size(self) -> int:
-        """Bytes before the meta blob (base header + optional CRC block)."""
-        return HEADER_SIZE + (CRC_BLOCK_SIZE if self.crcs is not None else 0)
+    #: Bytes before the meta blob (base header + CRC block).
+    header_size: ClassVar[int] = _HEAD_SIZE
 
 
 def encode_partition_v2_arrays(
@@ -142,7 +122,6 @@ def encode_partition_v2_arrays(
     values: np.ndarray,
     header: dict[str, tuple[int, int]],
     rows: np.ndarray | None = None,
-    checksums: bool = True,
 ) -> bytes:
     """Serialise pre-laid-out cluster arrays straight into format v2.
 
@@ -160,10 +139,6 @@ def encode_partition_v2_arrays(
     directly into the output buffer (``np.take(..., out=...)``), so the
     bulk build pays one scattered read instead of materialising a sorted
     copy of the dataset first.
-
-    ``checksums`` (default on) writes header version 3 with the CRC32
-    block; ``checksums=False`` produces the byte-identical legacy
-    version-2 payload.
     """
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -185,9 +160,7 @@ def encode_partition_v2_arrays(
         raise StorageError(f"partition {partition_id!r} needs >= 1 cluster")
     n_clusters = len(keys)
     meta = json_to_bytes({"partition_id": partition_id, "keys": keys})
-    version = FORMAT_V3_VERSION if checksums else FORMAT_V2_VERSION
-    hdr_size = HEADER_SIZE + (CRC_BLOCK_SIZE if checksums else 0)
-    dir_offset = _align(hdr_size + len(meta), 8)
+    dir_offset = _align(_HEAD_SIZE + len(meta), 8)
     dir_nbytes = 2 * 8 * n_clusters
     ids_nbytes = n_records * _IDS_ITEMSIZE
     values_nbytes = n_records * values.shape[1] * _VALUES_ITEMSIZE
@@ -198,11 +171,11 @@ def encode_partition_v2_arrays(
     out = bytearray(total_size)
     _HEADER.pack_into(
         out, 0,
-        FORMAT_V2_MAGIC, version, 0,
+        FORMAT_V2_MAGIC, FORMAT_V3_VERSION, 0,
         n_clusters, n_records, values.shape[1], len(meta),
         dir_offset, ids_offset, values_offset, total_size,
     )
-    out[hdr_size:hdr_size + len(meta)] = meta
+    out[_HEAD_SIZE:_HEAD_SIZE + len(meta)] = meta
     # Payload sections are filled through writable NumPy views over the
     # output buffer — one memcpy (or fused gather) per section, with no
     # intermediate ``tobytes`` bytes objects (at bulk-build volume those
@@ -231,47 +204,44 @@ def encode_partition_v2_arrays(
     else:
         np.take(ids, rows, out=ids_dst)
         np.take(values, rows, axis=0, out=values_dst)
-    if checksums:
-        # CRCs cover the exact logical section bytes (padding excluded:
-        # it is zeroed above and never served to a reader).
-        view = memoryview(out)
-        _CRC_BLOCK.pack_into(
-            out, HEADER_SIZE,
-            zlib.crc32(view[hdr_size:hdr_size + len(meta)]),
-            zlib.crc32(view[dir_offset:dir_offset + dir_nbytes]),
-            zlib.crc32(view[ids_offset:ids_offset + ids_nbytes]),
-            zlib.crc32(view[values_offset:values_offset + values_nbytes]),
-        )
+    # CRCs cover the exact logical section bytes (padding excluded: it is
+    # zeroed above and never served to a reader).
+    view = memoryview(out)
+    _CRC_BLOCK.pack_into(
+        out, HEADER_SIZE,
+        zlib.crc32(view[_HEAD_SIZE:_HEAD_SIZE + len(meta)]),
+        zlib.crc32(view[dir_offset:dir_offset + dir_nbytes]),
+        zlib.crc32(view[ids_offset:ids_offset + ids_nbytes]),
+        zlib.crc32(view[values_offset:values_offset + values_nbytes]),
+    )
     return bytes(out)
 
 
-def encode_partition_v2(part: PartitionFile, checksums: bool = True) -> bytes:
+def encode_partition_v2(part: PartitionFile) -> bytes:
     """Serialise a partition into format v2.
 
     Cluster order follows the partition header (sorted key order from
     :meth:`PartitionFile.from_clusters`), so the directory describes the
-    same contiguous layout as that header.  ``checksums`` selects
-    header version 3 (CRC block) vs the legacy version-2 bytes.
+    same contiguous layout as that header.
     """
     return encode_partition_v2_arrays(
-        part.partition_id, part.ids, part.values, part.header,
-        checksums=checksums,
+        part.partition_id, part.ids, part.values, part.header
     )
 
 
 def decode_v2_header(
     buf: bytes | bytearray | memoryview, physical_size: int | None = None
 ) -> V2Header:
-    """Parse and validate the fixed v2 header from a payload's first bytes.
+    """Parse and validate the fixed header and CRC block from a payload's
+    first bytes (``buf`` must hold both).
 
     ``physical_size``, when known, is checked against the header's declared
-    total so truncated files fail fast with a clear error.  Accepts header
-    versions 2 (legacy, no checksums) and 3 (CRC block follows the fixed
-    header; ``buf`` must include it).
+    total so truncated files fail fast with a clear error.  Only header
+    version 3 is read; any other version raises :class:`StorageError`.
     """
-    if len(buf) < HEADER_SIZE:
+    if len(buf) < _HEAD_SIZE:
         raise StorageError(
-            f"truncated v2 partition: {len(buf)} header bytes < {HEADER_SIZE}"
+            f"truncated v2 partition: {len(buf)} header bytes < {_HEAD_SIZE}"
         )
     (magic, version, flags, n_clusters, n_records, series_length, meta_size,
      dir_offset, ids_offset, values_offset, total_size) = _HEADER.unpack_from(
@@ -279,20 +249,10 @@ def decode_v2_header(
     )
     if magic != FORMAT_V2_MAGIC:
         raise StorageError(f"bad partition magic {magic!r}")
-    if version not in (FORMAT_V2_VERSION, FORMAT_V3_VERSION):
+    if version != FORMAT_V3_VERSION:
         raise StorageError(f"unsupported partition format version {version}")
     if flags != 0:
         raise StorageError(f"unknown partition format flags {flags:#x}")
-    crcs = None
-    if version == FORMAT_V3_VERSION:
-        if len(buf) < HEADER_SIZE + CRC_BLOCK_SIZE:
-            raise StorageError(
-                f"truncated v2 partition: {len(buf)} header bytes < "
-                f"{HEADER_SIZE + CRC_BLOCK_SIZE} (version 3)"
-            )
-        crcs = _CRC_BLOCK.unpack_from(
-            bytes(buf[HEADER_SIZE:HEADER_SIZE + CRC_BLOCK_SIZE])
-        )
     header = V2Header(
         n_clusters=n_clusters,
         n_records=n_records,
@@ -302,12 +262,11 @@ def decode_v2_header(
         ids_offset=ids_offset,
         values_offset=values_offset,
         total_size=total_size,
-        version=version,
-        crcs=crcs,
+        crcs=_CRC_BLOCK.unpack_from(bytes(buf[HEADER_SIZE:_HEAD_SIZE])),
     )
     dir_nbytes = 2 * 8 * n_clusters
     consistent = (
-        dir_offset >= header.header_size + meta_size
+        dir_offset >= _HEAD_SIZE + meta_size
         and ids_offset % PAYLOAD_ALIGNMENT == 0
         and values_offset % PAYLOAD_ALIGNMENT == 0
         and ids_offset >= dir_offset + dir_nbytes
@@ -324,8 +283,68 @@ def decode_v2_header(
     return header
 
 
+def _corrupt(corruption_cb: Callable[[], None] | None, reason: str) -> None:
+    if corruption_cb is not None:
+        corruption_cb()
+    raise PartitionCorruptError(f"corrupt v2 partition: {reason}")
+
+
+def read_partition_head(
+    read_range: Callable[[int, int], memoryview],
+    physical_size: int | None = None,
+    corruption_cb: Callable[[], None] | None = None,
+) -> tuple[V2Header, str, dict[str, tuple[int, int]]]:
+    """Header, partition id and cluster directory of one partition.
+
+    Two range reads — the head, then the adjacent meta blob and directory
+    — with their two CRCs checked over those bytes and no payload byte
+    read: a metadata scan, and the first half of every
+    :class:`PartitionV2View` open (whose arguments these are).
+    """
+    head = read_range(
+        0, _HEAD_SIZE if physical_size is None
+        else min(physical_size, _HEAD_SIZE)
+    )
+    h = decode_v2_header(head, physical_size)
+    n = h.n_clusters
+    dir_nbytes = 2 * 8 * n
+    dir_start = h.dir_offset - _HEAD_SIZE
+    front = read_range(_HEAD_SIZE, dir_start + dir_nbytes)
+    if len(front) != dir_start + dir_nbytes:
+        _corrupt(corruption_cb, "short meta blob / directory read")
+    meta_bytes = bytes(front[:h.meta_size])
+    if zlib.crc32(meta_bytes) != h.crcs[0]:
+        _corrupt(corruption_cb, "meta blob checksum mismatch")
+    try:
+        meta = json_from_bytes(meta_bytes)
+    except Exception:
+        meta = None
+    keys = meta.get("keys") if isinstance(meta, dict) else None
+    if (
+        not isinstance(keys, list)
+        or not all(isinstance(key, str) for key in keys)
+        or "partition_id" not in meta
+    ):
+        raise StorageError("corrupt v2 partition: malformed meta blob")
+    if len(keys) != n:
+        raise StorageError(
+            f"corrupt v2 partition: {len(keys)} keys for "
+            f"{n} directory entries"
+        )
+    if zlib.crc32(front[dir_start:]) != h.crcs[1]:
+        _corrupt(corruption_cb, "directory checksum mismatch")
+    entries = struct.unpack_from(f"<{2 * n}q", front, dir_start)
+    ranges = list(zip(entries[:n], entries[n:]))
+    for offset, count in ranges:
+        if offset < 0 or count < 0 or offset + count > h.n_records:
+            raise StorageError(
+                "corrupt v2 partition: directory range outside payload"
+            )
+    return h, str(meta["partition_id"]), dict(zip(keys, ranges))
+
+
 class PartitionV2View:
-    """Lazy zero-copy reader over one v2 partition.
+    """Zero-copy reader over one v2 partition, checked in full at open.
 
     Parameters
     ----------
@@ -336,18 +355,9 @@ class PartitionV2View:
         :class:`StorageError` on out-of-range requests.
     physical_size:
         Total stored bytes, when the caller knows it; validated against
-        the header's declared size.  When unknown, the view probes the
-        payload's last byte at open so a truncated blob fails fast with
-        :class:`StorageError` instead of a confusing short-read error on
-        some later cluster read.
-    verify:
-        Checksum verification mode for version-3 payloads (payloads
-        without checksums are never verified): ``"lazy"`` (default)
-        checks meta/directory CRCs at open and the payload CRCs on the
-        first payload mapping, over the buffer that mapping serves;
-        ``"eager"`` checks everything at open; ``"off"`` skips
-        verification.  A mismatch raises
-        :class:`~repro.exceptions.PartitionCorruptError`.
+        the header's declared size.  Either way the open maps the payload
+        up to the declared end, so a truncated blob fails at open with
+        :class:`StorageError`, not on some later cluster read.
     corruption_cb:
         Zero-argument callable invoked once per detected corruption
         (before the raise) — the DFS hooks its
@@ -356,93 +366,42 @@ class PartitionV2View:
         The partition's logical size, when the caller tracks it (the DFS
         registry does); derived from the directory on first use otherwise.
 
-    An open costs two range reads — the head, then meta blob and cluster
-    directory together (they are adjacent) — and each payload access one
-    more: ``[ids_offset, total_size)`` is mapped once and every cluster
-    run is a local slice of it.  The view exposes the
-    :class:`PartitionFile` access interface; returned arrays are
-    read-only views into the backing buffer.  ``materialised_bytes``
-    counts the bytes served *to the reader* (the benchmark's "bytes
-    materialised" metric), not those an integrity check touched.
+    An open costs three range reads — :func:`read_partition_head`'s two,
+    then the payload ``[ids_offset, total_size)`` in one mapping — and
+    checks all four CRCs over them (a mismatch raises
+    :class:`~repro.exceptions.PartitionCorruptError`).  The first read is
+    served from that checked mapping; the view then lets go of it and
+    each later read maps the payload again, so a cached view pins no
+    mapping.  The view exposes the :class:`PartitionFile` access
+    interface; returned arrays are read-only views into the backing
+    buffer.  ``materialised_bytes`` counts the bytes served *to the
+    reader* (the benchmark's "bytes materialised" metric), not those an
+    integrity check touched.
     """
 
     def __init__(
         self,
         read_range: Callable[[int, int], memoryview],
         physical_size: int | None = None,
-        verify: str = "lazy",
         corruption_cb: Callable[[], None] | None = None,
         logical_nbytes: int | None = None,
     ) -> None:
-        if verify not in VERIFY_MODES:
-            raise StorageError(
-                f"unknown verify mode {verify!r} (expected one of "
-                f"{VERIFY_MODES})"
-            )
         self._read = read_range
         self._corruption_cb = corruption_cb
         self._logical_nbytes = logical_nbytes
-        head = read_range(
-            0, HEAD_PROBE_SIZE if physical_size is None
-            else min(physical_size, HEAD_PROBE_SIZE)
+        self.v2_header, self.partition_id, self.header = read_partition_head(
+            read_range, physical_size, corruption_cb
         )
-        self.v2_header = decode_v2_header(head, physical_size)
         h = self.v2_header
-        checked = verify != "off" and h.crcs is not None
-        self._verify_payload_pending = checked
-        if physical_size is None and h.total_size > 0:
-            # Truncation probe: the declared extent must be addressable
-            # now, not when a directory entry happens to touch the tail.
-            tail = read_range(h.total_size - 1, 1)
-            if len(tail) != 1:
-                raise StorageError(
-                    f"truncated v2 partition: storage ends before the "
-                    f"declared {h.total_size} bytes"
-                )
-        n = h.n_clusters
-        dir_nbytes = 2 * 8 * n
-        dir_start = h.dir_offset - h.header_size
-        front = read_range(h.header_size, dir_start + dir_nbytes)
-        if len(front) != dir_start + dir_nbytes:
-            self._corrupt("short meta blob / directory read")
-        meta_bytes = bytes(front[:h.meta_size])
-        if checked and zlib.crc32(meta_bytes) != h.crcs[0]:
-            self._corrupt("meta blob checksum mismatch")
-        try:
-            meta = json_from_bytes(meta_bytes)
-        except Exception:
-            meta = None
-        keys = meta.get("keys") if isinstance(meta, dict) else None
-        if (
-            not isinstance(keys, list)
-            or not all(isinstance(key, str) for key in keys)
-            or "partition_id" not in meta
-        ):
-            raise StorageError("corrupt v2 partition: malformed meta blob")
-        if len(keys) != n:
-            raise StorageError(
-                f"corrupt v2 partition: {len(keys)} keys for "
-                f"{n} directory entries"
-            )
-        if checked and zlib.crc32(front[dir_start:]) != h.crcs[1]:
-            self._corrupt("directory checksum mismatch")
-        entries = struct.unpack_from(f"<{2 * n}q", front, dir_start)
-        ranges = list(zip(entries[:n], entries[n:]))
-        for offset, count in ranges:
-            if offset < 0 or count < 0 or offset + count > h.n_records:
-                raise StorageError(
-                    "corrupt v2 partition: directory range outside payload"
-                )
-        self.partition_id = str(meta["partition_id"])
-        self.header: dict[str, tuple[int, int]] = dict(zip(keys, ranges))
-        self.materialised_bytes = h.header_size + h.meta_size + dir_nbytes
-        if checked and verify == "eager":
-            self._map_payload()
-
-    def _corrupt(self, reason: str) -> None:
-        if self._corruption_cb is not None:
-            self._corruption_cb()
-        raise PartitionCorruptError(f"corrupt v2 partition: {reason}")
+        self.materialised_bytes = (
+            h.header_size + h.meta_size + 2 * 8 * h.n_clusters
+        )
+        payload = self._map_payload()
+        if zlib.crc32(payload[:h.n_records * _IDS_ITEMSIZE]) != h.crcs[2]:
+            _corrupt(self._corruption_cb, "ids payload checksum mismatch")
+        if zlib.crc32(payload[h.values_offset - h.ids_offset:]) != h.crcs[3]:
+            _corrupt(self._corruption_cb, "values payload checksum mismatch")
+        self._checked_payload: memoryview | None = payload
 
     # -- geometry ---------------------------------------------------------------
 
@@ -484,9 +443,7 @@ class PartitionV2View:
     # -- range mapping ----------------------------------------------------------
 
     def _map_payload(self) -> memoryview:
-        """Map ``[ids_offset, total_size)`` in one range read, checking the
-        pending payload CRCs (once per view) over sub-slices of that very
-        buffer: a reader is served exactly the bytes that passed."""
+        """Map ``[ids_offset, total_size)`` in one range read."""
         h = self.v2_header
         nbytes = h.total_size - h.ids_offset
         buf = self._read(h.ids_offset, nbytes)
@@ -494,24 +451,22 @@ class PartitionV2View:
         # custom read callbacks that silently return short slices, which
         # would otherwise surface as numpy reshape errors.
         if len(buf) != nbytes:
-            self._corrupt(
-                f"short payload read: {len(buf)} of {nbytes} bytes"
-            )
-        if self._verify_payload_pending:
-            ids_nbytes = h.n_records * _IDS_ITEMSIZE
-            if zlib.crc32(buf[:ids_nbytes]) != h.crcs[2]:
-                self._corrupt("ids payload checksum mismatch")
-            if zlib.crc32(buf[h.values_offset - h.ids_offset:]) != h.crcs[3]:
-                self._corrupt("values payload checksum mismatch")
-            self._verify_payload_pending = False
+            _corrupt(self._corruption_cb,
+                     f"short payload read: {len(buf)} of {nbytes} bytes")
         return buf
 
     def _map_runs(
         self, runs: list[tuple[int, int]]
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Contiguous record runs as (ids, values) views of one mapping."""
+        """Contiguous record runs as (ids, values) views of one mapping:
+        the one checked at open for the view's first read, a fresh one
+        after that."""
         h = self.v2_header
-        buf = self._map_payload()
+        # Unlocked on purpose: threads sharing a cached view may both take
+        # the checked mapping or one may map afresh — either is correct.
+        buf, self._checked_payload = self._checked_payload, None
+        if buf is None:
+            buf = self._map_payload()
         values_base = h.values_offset - h.ids_offset
         parts = []
         for start, count in runs:

@@ -13,7 +13,7 @@ A :class:`PartitionFile` is that layout in memory: records grouped into
 a header mapping each cluster key to its (offset, count).  Baselines and
 tests assemble partitions with it; the bytes a store holds are the one
 binary format of :mod:`repro.storage.engine.format`, which encodes this
-layout and serves it back as a lazy view with the same access interface.
+layout and serves it back as a zero-copy view with the same interface.
 """
 
 from __future__ import annotations

@@ -235,18 +235,24 @@ class TestDamagedSegment:
         header = decode_v2_header(raw[offset:offset + length], length)
         flip_byte(victim, offset + header.values_offset + 11)
         # The directory is intact, so the store attaches; the blob's own
-        # checksum catches the damage when — and only when — it is read.
-        dfs = attach(root)
+        # checksum catches the damage when — and only when — it is opened.
+        # The rot persists, so every attempt fails and the read is counted
+        # once as failed; the neighbours in the same file read clean.
+        retry = RetryPolicy(max_attempts=3, backoff_base_s=0.0)
+        dfs = attach(root, retry_policy=retry)
         assert dfs.counters.corruption_detected == 0
         suffix = len(dfs.engine.SUFFIX)
         with pytest.raises(PartitionCorruptError, match="values payload"):
-            dfs.read_partition(name[:-suffix]).read_all()
-        assert dfs.counters.corruption_detected == 1
+            dfs.read_partition(name[:-suffix])
+        c = dfs.counters
+        assert c.corruption_detected == retry.max_attempts
+        assert (c.read_failures, c.partitions_read) == (1, 0)
         for neighbour, _, _ in directory:
             if neighbour != name:
                 ids, values = dfs.read_partition(neighbour[:-suffix]).read_all()
                 assert ids.shape[0] == values.shape[0] > 0
-        assert dfs.counters.corruption_detected == 1
+        assert dfs.counters.corruption_detected == retry.max_attempts
+        assert dfs.counters.read_failures == 1
         dfs.engine.close()
 
 
@@ -380,9 +386,9 @@ class TestFaultScheduleIgnoresPlacement:
     RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.0)
 
     def sweep(self, root):
-        # Eager verification: a flipped bit fails inside the retry loop.
-        dfs = attach(root, fault_plan=self.PLAN, retry_policy=self.RETRY,
-                     verify="eager")
+        # Every open checks every section: a flipped bit fails inside the
+        # retry loop.
+        dfs = attach(root, fault_plan=self.PLAN, retry_policy=self.RETRY)
         deltas = [pid for pid in dfs.list_partitions() if ".d" in pid]
         outcomes = []
         for _ in range(3):

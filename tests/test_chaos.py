@@ -2,11 +2,11 @@
 
 Three layers of guarantees pinned down here:
 
-* **Integrity** — per-section CRC32 checksums (partition header v3)
-  catch bit flips in every checksummed section, in every verify mode
-  that covers the section, raising
-  :class:`~repro.exceptions.PartitionCorruptError` and bumping
-  ``dfs.corruption_detected``.
+* **Integrity** — per-section CRC32 checksums (partition header v3,
+  the only version read) catch a bit flip in every section at open,
+  raising :class:`~repro.exceptions.PartitionCorruptError` inside the
+  retry loop and bumping ``dfs.corruption_detected``; a read that fails
+  for good is one ``dfs.read_failures``.
 * **Degradation** — ``on_partition_failure="skip"`` answers queries from
   whatever partitions survive, surfacing ``degraded``/``coverage``/
   ``partitions_failed`` through stats, ``explain_query`` and telemetry.
@@ -20,6 +20,8 @@ Three layers of guarantees pinned down here:
 from __future__ import annotations
 
 import dataclasses
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.exceptions import (
     ConfigurationError,
     PartitionCorruptError,
     PartitionLostError,
+    StorageError,
 )
 from repro.obs import Telemetry
 from repro.resilience import FaultPlan, RetryPolicy
@@ -83,9 +86,14 @@ def make_partition(pid="p0", n_clusters=3, per_cluster=5, length=8, seed=0):
 
 
 class TestChecksumIntegrity:
-    def _dfs_with_flipped_byte(self, section, verify="lazy"):
+    """One rule: every partition carries four CRC32s and every open checks
+    all four over the bytes it read, inside the DFS retry loop."""
+
+    RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.0)
+
+    def _dfs_with_flipped_byte(self, section):
         """A DFS whose stored p0 has one bit flipped inside ``section``."""
-        dfs = SimulatedDFS(verify=verify)
+        dfs = SimulatedDFS(retry_policy=self.RETRY)
         dfs.write_partition(make_partition("p0"))
         backend = dfs.engine.backend
         name = "p0.part"
@@ -105,83 +113,102 @@ class TestChecksumIntegrity:
 
     @pytest.mark.parametrize("section", ["meta", "directory", "ids", "values"])
     def test_eager_verify_catches_every_section(self, section):
-        dfs = self._dfs_with_flipped_byte(section, verify="eager")
-        with pytest.raises(PartitionCorruptError):
+        # A flip in any section fails the open itself — payload sections
+        # included — so the rot is retried, then counted once as failed.
+        dfs = self._dfs_with_flipped_byte(section)
+        with pytest.raises(PartitionCorruptError, match=section):
             dfs.read_partition("p0")
         c = dfs.counters
-        assert c.corruption_detected >= 1
+        assert c.corruption_detected == self.RETRY.max_attempts
+        assert c.retries == self.RETRY.max_attempts - 1
         assert c.read_failures == 1
         assert c.partitions_read == 0
 
+    # The next two are named for the retired ``verify="lazy"`` mode; the
+    # guarantees they pinned under it still hold, now at the open.
+
     @pytest.mark.parametrize("section", ["meta", "directory"])
     def test_lazy_verify_catches_structural_sections_at_open(self, section):
-        dfs = self._dfs_with_flipped_byte(section, verify="lazy")
-        with pytest.raises(PartitionCorruptError):
+        dfs = self._dfs_with_flipped_byte(section)
+        with pytest.raises(PartitionCorruptError, match=section):
             dfs.read_partition("p0")
         assert dfs.counters.corruption_detected >= 1
 
     @pytest.mark.parametrize("section", ["ids", "values"])
     def test_lazy_verify_catches_payload_on_first_map(self, section):
-        dfs = self._dfs_with_flipped_byte(section, verify="lazy")
-        part = dfs.read_partition("p0")  # open succeeds: payload untouched
-        with pytest.raises(PartitionCorruptError):
-            part.read_cluster("g0/0")
+        # A payload flip is caught no later than the first cluster map —
+        # in fact by the open before it — so no corrupt cluster is served.
+        dfs = self._dfs_with_flipped_byte(section)
+        with pytest.raises(PartitionCorruptError, match=section):
+            dfs.read_partition("p0").read_cluster("g0/0")
         assert dfs.counters.corruption_detected >= 1
+        assert dfs.counters.partitions_read == 0
 
-    @pytest.mark.parametrize("section", ["ids", "values"])
-    def test_verify_off_serves_corrupt_payload(self, section):
-        # Documented trade-off: "off" skips CRC checks entirely, so the
-        # flip reads back as data — the mode exists for measuring checksum
-        # overhead, not for production use.
-        dfs = self._dfs_with_flipped_byte(section, verify="off")
-        part = dfs.read_partition("p0")
-        part.read_cluster("g0/0")
-        assert dfs.counters.corruption_detected == 0
-
-    def test_legacy_v2_payload_still_readable(self):
-        # checksums=False writes byte-exact legacy version-2 payloads; a
-        # default (verifying) DFS must read them without complaint.
-        writer = SimulatedDFS(checksums=False)
+    def test_version_2_blob_is_refused(self, tmp_path):
+        # Header version 2 — the same layout without the CRC block — is
+        # no longer read: a typed StorageError at open and at attach.
+        writer = SimulatedDFS(backing_dir=tmp_path)
         ref = make_partition("p0")
         writer.write_partition(ref)
-        name = "p0.part"
-        payload = bytes(writer.engine.backend.read_range(
-            name, 0, writer.engine.backend.size(name)
-        ))
-        assert decode_v2_header(payload).crcs is None
-        reader = SimulatedDFS(verify="eager")
-        reader.engine.backend.write(name, payload)
+        writer.engine.close()
+        path = tmp_path / "p0.part"
+        payload = bytearray(path.read_bytes())
+        struct.pack_into("<I", payload, 8, 2)  # the version field
+        path.write_bytes(bytes(payload))
+        with pytest.raises(StorageError, match="version 2"):
+            SimulatedDFS(backing_dir=tmp_path).attach()
+        reader = SimulatedDFS(backing_dir=tmp_path)
         reader._register("p0", ref.nbytes, ref.record_count,
                          ref.series_length)
-        part = reader.read_partition("p0")
-        np.testing.assert_array_equal(part.read_all()[1], ref.values)
+        with pytest.raises(StorageError, match="version 2"):
+            reader.read_partition("p0")
+        assert reader.counters.read_failures == 1
+        reader.engine.close()
 
     def test_checksummed_payload_carries_crc_block(self):
-        a, b = SimulatedDFS(checksums=True), SimulatedDFS(checksums=False)
-        for dfs in (a, b):
-            dfs.write_partition(make_partition("p0"))
+        dfs = SimulatedDFS()
+        dfs.write_partition(make_partition("p0"))
+        backend = dfs.engine.backend
+        payload = bytes(backend.read_range("p0.part", 0,
+                                           backend.size("p0.part")))
+        h = decode_v2_header(payload)
+        # Each CRC covers its section's exact bytes, padding excluded.
+        ids_end = h.ids_offset + 8 * h.n_records
+        sections = (
+            payload[h.header_size:h.header_size + h.meta_size],
+            payload[h.dir_offset:h.dir_offset + 16 * h.n_clusters],
+            payload[h.ids_offset:ids_end],
+            payload[h.values_offset:],
+        )
+        assert h.crcs == tuple(zlib.crc32(s) for s in sections)
+        # The CRC block costs physical bytes and nothing logical.
+        assert dfs.partition_nbytes("p0") == make_partition("p0").nbytes
 
-        def header(dfs):
-            backend = dfs.engine.backend
-            return decode_v2_header(bytes(
-                backend.read_range("p0.part", 0, backend.size("p0.part"))
-            ))
-
-        ha, hb = header(a), header(b)
-        assert ha.crcs is not None and len(ha.crcs) == 4
-        assert hb.crcs is None
-        # The CRC block costs 16 header bytes (possibly padded out to the
-        # next 64-byte payload alignment boundary) and nothing logical.
-        assert a.engine.physical_nbytes("p0") \
-            > b.engine.physical_nbytes("p0")
-        assert a.partition_nbytes("p0") == b.partition_nbytes("p0")
+    def test_every_raised_query_is_a_counted_read_failure(self):
+        # No retries: each flip a CRC covers fails its query, and each
+        # such failure is one dfs.read_failures, never an uncounted raise.
+        index = ClimberIndex.build(
+            _dataset(), _config(),
+            dfs=SimulatedDFS(
+                fault_plan=FaultPlan(seed=20240808, bit_flip_rate=0.1),
+                retry_policy=RetryPolicy.none(),
+            ),
+        )
+        raised = 0
+        for q in _queries(60):
+            try:
+                index.knn(q, k=5, on_partition_failure="raise")
+            except StorageError:
+                raised += 1
+        c = index.dfs.counters
+        assert raised > 0
+        assert c.read_failures == raised
+        assert c.retries == 0
 
     def test_truncated_blob_raises_typed_storage_error(self):
         # A blob truncated mid-payload must surface as a typed
         # StorageError (never a bare struct/IndexError) and charge
         # read_failures.
-        from repro.exceptions import StorageError
-
         dfs = SimulatedDFS()
         dfs.write_partition(make_partition("p0"))
         backend = dfs.engine.backend
@@ -315,7 +342,6 @@ class TestZeroFaultParity:
             _config(n_workers=n_workers, on_partition_failure="skip"),
             dfs=SimulatedDFS(
                 fault_plan=FaultPlan(seed=999),  # rates 0: armed, silent
-                verify="eager",
             ),
         )
         assert armed.dfs.fault_injector is not None
@@ -329,17 +355,6 @@ class TestZeroFaultParity:
         assert not any(
             r.stats.degraded for r in armed.knn_batch(queries, k=5)
         )
-
-    def test_checksums_off_matches_checksums_on_logically(self):
-        dataset = _dataset()
-        queries = _queries(8)
-        on = ClimberIndex.build(dataset, _config(),
-                                dfs=SimulatedDFS(checksums=True))
-        off = ClimberIndex.build(dataset, _config(),
-                                 dfs=SimulatedDFS(checksums=False))
-        assert _answers(on, queries) == _answers(off, queries)
-        assert dataclasses.asdict(on.dfs.counters) \
-            == dataclasses.asdict(off.dfs.counters)
 
     def test_same_chaos_seed_same_everything(self):
         dataset = _dataset()

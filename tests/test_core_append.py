@@ -154,3 +154,36 @@ class TestAppendRefusesBadBatches:
         assert summary["records_appended"] == 50
         assert all(p.endswith(".d0") for p in summary["delta_partitions"])
         assert index.n_records == 1550
+
+
+def _hostile(kind):
+    """A 1 200-record dataset with one defect ``build`` must refuse."""
+    base = random_walk_dataset(1200, 32, seed=3)
+    values, ids = base.values.copy(), base.ids.copy()
+    if kind == "repeated id":
+        ids[900] = ids[7]
+    else:
+        values[7, 4] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return SeriesDataset(values, ids)
+
+
+class TestBuildRefusesBadDatasets:
+    """``build`` refuses what ``append`` refuses, before a byte is stored:
+    a NaN row would be stored where no query finds it again."""
+
+    @pytest.mark.parametrize("kind, error, match", [
+        pytest.param(kind, error, match, id=kind) for kind, error, match in (
+            ("nan", NonFiniteValueError, "row 7 "),
+            ("inf", NonFiniteValueError, "row 7 "),
+            ("-inf", NonFiniteValueError, "row 7 "),
+            ("repeated id", ConfigurationError, "repeat"),
+        )
+    ])
+    def test_refused_before_anything_is_stored(self, tmp_path, kind, error,
+                                               match):
+        dfs = SimulatedDFS(backing_dir=tmp_path)
+        with pytest.raises(error, match=match):
+            ClimberIndex.build(_hostile(kind), CFG, dfs=dfs)
+        assert len(dfs) == 0
+        assert dfs.counters.bytes_written == 0
+        assert list(tmp_path.iterdir()) == []

@@ -65,8 +65,6 @@ class TestLazyExports:
         dfs = SimulatedDFS(
             fault_plan=repro.FaultPlan(seed=3),
             retry_policy=repro.RetryPolicy(max_attempts=2),
-            verify="eager",
-            checksums=True,
         )
         cfg = repro.ClimberConfig(
             word_length=8, n_pivots=16, prefix_length=4, capacity=100,
@@ -80,7 +78,6 @@ class TestLazyExports:
         assert index.dfs is dfs
         assert dfs.fault_injector.plan.seed == 3
         assert dfs.retry_policy.max_attempts == 2
-        assert (dfs.engine.verify, dfs.engine.checksums) == ("eager", True)
         assert index.config.on_partition_failure == "skip"
 
 

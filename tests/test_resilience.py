@@ -294,7 +294,7 @@ class TestDfsRetryIntegration:
         assert dfs.counters.read_failures == 1
 
     def test_bit_flip_detected_retried_and_recovered(self):
-        # Eager verification checks every section inside the retry loop, so
+        # Every open checks every section inside the retry loop, so
         # a per-attempt flip in a checksummed section is caught and the
         # clean next attempt succeeds.  The seed scan targets the values
         # section: flips landing in alignment padding are (correctly)
@@ -315,8 +315,7 @@ class TestDfsRetryIntegration:
             raise AssertionError("no seed found")
         dfs = SimulatedDFS(fault_plan=plan,
                            retry_policy=RetryPolicy(max_attempts=3,
-                                                    backoff_base_s=0.0),
-                           verify="eager")
+                                                    backoff_base_s=0.0))
         ref = make_partition("p0")
         dfs.write_partition(ref)
         part = dfs.read_partition("p0")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -190,13 +191,18 @@ class TestFormatV2Corruption:
 
     @pytest.mark.parametrize("keys", [b"7       ", b'[["g0"]]', b"null    "])
     def test_meta_keys_must_be_a_list_of_strings(self, keys):
-        # Without a CRC block nothing else stands between a rewritten meta
-        # blob and the directory zip.
+        # The meta CRC is re-stamped over the rewritten blob, so the
+        # checksum passes and the JSON-shape checks behind it must refuse.
         part = make_partition(n_clusters=1)
-        payload = encode_partition_v2(part, checksums=False)
+        payload = encode_partition_v2(part)
         assert payload.count(b'["g0/0"]') == 1 and len(keys) == 8
-        with pytest.raises(StorageError, match="meta blob"):
-            PartitionV2View(self._reader(payload.replace(b'["g0/0"]', keys)))
+        tampered = bytearray(payload.replace(b'["g0/0"]', keys))
+        header = decode_v2_header(payload)
+        meta = tampered[header.header_size:
+                        header.header_size + header.meta_size]
+        struct.pack_into("<I", tampered, HEADER_SIZE, zlib.crc32(meta))
+        with pytest.raises(StorageError, match="malformed meta blob"):
+            PartitionV2View(self._reader(bytes(tampered)))
 
     def test_truncated_payload_detected_via_backend_bounds(self):
         payload = encode_partition_v2(make_partition())
@@ -345,20 +351,18 @@ class TestDfsEngineFacade:
             dfs.series_length("ghost")
 
     def test_attach_mixed_format_directory(self, tmp_path):
-        """Format versions 2 (no CRC block) and 3 share a directory."""
-        old = SimulatedDFS(backing_dir=tmp_path, checksums=False)
-        old.write_partition(make_partition("plain", seed=1))
-        new = SimulatedDFS(backing_dir=tmp_path)
-        new.write_partition(make_partition("checked", seed=2))
-        fresh = SimulatedDFS(backing_dir=tmp_path)
-        assert fresh.attach() == 2
+        """A directory that holds one header-version-2 partition (no CRC
+        block) beside version-3 ones does not attach."""
+        dfs = SimulatedDFS(backing_dir=tmp_path)
         for pid, seed in (("plain", 1), ("checked", 2)):
-            expected = make_partition(pid, seed=seed)
-            assert fresh.partition_nbytes(pid) == expected.nbytes
-            assert fresh.record_count(pid) == expected.record_count
-            assert fresh.series_length(pid) == expected.series_length
-            got = fresh.read_partition(pid)
-            np.testing.assert_array_equal(got.values, expected.values)
+            dfs.write_partition(make_partition(pid, seed=seed))
+        dfs.engine.close()
+        path = tmp_path / "plain.part"
+        payload = bytearray(path.read_bytes())
+        struct.pack_into("<I", payload, 8, 2)  # the version field
+        path.write_bytes(bytes(payload))
+        with pytest.raises(StorageError, match="version 2"):
+            SimulatedDFS(backing_dir=tmp_path).attach()
 
     def test_cluster_range_read_counts_one_logical_touch(self):
         dfs = SimulatedDFS()

@@ -127,8 +127,11 @@ class TestFormatParity:
         pytest.param({}, {"fault_plan": FaultPlan(seed=20240808,
                                                   transient_rate=0.02)},
                      id="transient-faults"),
-        pytest.param({}, {"verify": "eager"}, id="verify=eager"),
-        pytest.param({}, {"checksums": False}, id="checksums=False"),
+        # Every flip lands inside the open, is caught by a CRC and is
+        # recovered by the next attempt (4 retries).
+        pytest.param({}, {"fault_plan": FaultPlan(seed=20240808,
+                                                  bit_flip_rate=0.02)},
+                     id="bit-flip-faults"),
         # Armed for the progressive calls only; the exact ones never stop.
         pytest.param({"early_stop": "streak:2"}, {}, id="early_stop=streak:2"),
     ])
@@ -149,8 +152,11 @@ class TestFormatParity:
         assert_logical_io_identical(
             mem_dfs, dfs, ("bytes_read", "partitions_read")
         )
-        assert (dfs.counters.retries > 0) == ("fault_plan" in dfs_kwargs)
-        assert dfs.counters.read_failures == 0
+        c = dfs.counters
+        assert (c.retries > 0) == ("fault_plan" in dfs_kwargs)
+        assert c.read_failures == 0
+        flips = dfs_kwargs.get("fault_plan", FaultPlan()).bit_flip_rate > 0
+        assert c.corruption_detected == (c.retries if flips else 0)
 
     def test_append_parity(self, dataset, tmp_path):
         extra = random_walk_dataset(200, 48, seed=31)

@@ -5,9 +5,9 @@ only, and looks at everything a query could ever touch:
 
 * every ``append-*.seg`` directory is loaded and CRC-checked (the disk
   backend does that when it is constructed over the directory);
-* every partition, loose or packed, is opened with ``verify="eager"``,
-  so the meta blob, the cluster directory and both payload sections are
-  checked against their stored CRC32s;
+* every partition, loose or packed, is opened, and an open checks the
+  meta blob, the cluster directory and both payload sections against
+  their stored CRC32s;
 * every partition's stored id is the name it is stored under;
 * every base's delta partitions number ``d0..dN`` without a gap.
 
@@ -45,7 +45,7 @@ def check_store(root: Path) -> dict[str, object]:
     }
     problems: list[str] = report["problems"]
     try:
-        engine = StorageEngine(LocalDiskBackend(root), verify="eager")
+        engine = StorageEngine(LocalDiskBackend(root))
     except StorageError as err:
         problems.append(str(err))
         return report
