@@ -8,11 +8,7 @@ CLIMBER-kNN-Adaptive, OD-Smallest).
 
 from repro.core.assignment import AssignmentResult, GroupAssigner
 from repro.core.builder import BuildArtifacts, build_index_artifacts
-from repro.core.centroids import (
-    FALLBACK_CENTROID,
-    compute_centroids,
-    compute_centroids_reference,
-)
+from repro.core.centroids import FALLBACK_CENTROID, compute_centroids
 from repro.core.config import PAPER_DEFAULTS, ClimberConfig
 from repro.core.index import ClimberIndex, GroupCandidate, QueryResult, QueryStats
 from repro.core.packing import first_fit, first_fit_decreasing, one_per_bin
@@ -24,13 +20,13 @@ from repro.core.progressive import (
     resolve_stop_rule,
 )
 from repro.core.skeleton import (
+    DEFAULT_CLUSTER_SUFFIX,
     GroupEntry,
     IndexSkeleton,
     SkeletonWithPivots,
     cluster_key,
     partition_name,
 )
-from repro.core.trie import DEFAULT_CLUSTER_SUFFIX, TrieNode, build_group_trie
 from repro.core.trie_flat import FlatTrie, FlatTrieRouter
 
 __all__ = [
@@ -48,10 +44,7 @@ __all__ = [
     "GroupAssigner",
     "AssignmentResult",
     "compute_centroids",
-    "compute_centroids_reference",
     "FALLBACK_CENTROID",
-    "TrieNode",
-    "build_group_trie",
     "FlatTrie",
     "FlatTrieRouter",
     "DEFAULT_CLUSTER_SUFFIX",

@@ -8,18 +8,13 @@ G0.  The returned group indices follow the paper's convention:
 * index 0  — the fall-back group G0 (``<*,*,...>``),
 * index i>0 — the group anchored at ``centroids[i - 1]``.
 
-Two implementations share one head (packing + the OD matrix):
-
-* :meth:`GroupAssigner.assign` — the fully-array path: per-row argmin
-  over the WD matrix masked to the OD-tied centroids, vectorised
-  multiplicity counts, and **one** batched RNG draw for the residual
-  WD ties of the whole batch;
-* :meth:`GroupAssigner.assign_reference` — the retained seed loop
-  (per-row ``flatnonzero`` + ``rng.choice``), kept as the parity oracle
-  for ``tests/test_conversion_parity.py``.
-
-The two are **bit-identical** — same group indices, same tie counters,
-and the same RNG stream consumption: ``rng.choice(c)`` draws exactly
+:meth:`GroupAssigner.assign` is the fully-array path: per-row argmin
+over the WD matrix masked to the OD-tied centroids, vectorised
+multiplicity counts, and **one** batched RNG draw for the residual WD ties
+of the whole batch.  It is **bit-identical** to the retained seed loop
+(per-row ``flatnonzero`` + ``rng.choice``, kept in ``tests/oracles.py``)
+— same group indices, same tie counters, and the
+same RNG stream consumption: ``rng.choice(c)`` draws exactly
 ``rng.integers(0, len(c))``, and a broadcast ``rng.integers(0, counts)``
 consumes the bit stream like the equivalent sequence of scalar draws, so
 results do not depend on how a dataset is blocked into ``assign`` calls.
@@ -46,12 +41,9 @@ from repro.exceptions import ConfigurationError
 from repro.pivots import (
     centroid_membership,
     decay_weights,
-    overlap_distance_matrix_reference,
     pack_pivot_sets,
-    rank_insensitive,
     total_weight,
     wd_tie_tolerance,
-    weight_distance_matrix_reference,
 )
 
 __all__ = ["GroupAssigner", "AssignmentResult", "PendingTies"]
@@ -341,66 +333,6 @@ class GroupAssigner:
         draws = (rng or self.rng).integers(0, pending.n_tied)
         out[pending.rows] = pending.cand_cols[pending.cand_offsets + draws] + 1
         return int(pending.rows.size)
-
-    def assign_reference(self, ranked: np.ndarray) -> AssignmentResult:
-        """The retained seed implementation: per-row WD tie-break loop.
-
-        A faithful transcription of the pre-vectorisation ``assign`` —
-        rank-insensitive sort before packing, the seed 3-D broadcast OD
-        kernel (:func:`overlap_distance_matrix_reference`), the full-width
-        WD matrix through the seed
-        :func:`weight_distance_matrix_reference` kernel, and a Python loop
-        with per-row ``flatnonzero`` + ``rng.choice`` draws (only the WD
-        tie tolerance follows the relative-tolerance fix).  Keeping the
-        seed kernels makes the parity suite adversarial: two independent
-        implementations must agree bit for bit.
-        Bit-identical to :meth:`assign` in group indices, tie counters and
-        RNG stream consumption; kept as the parity oracle only tests call
-        (DESIGN.md D4).
-        """
-        ranked = np.asarray(ranked, dtype=np.int64)
-        if ranked.ndim != 2 or ranked.shape[1] != self.prefix_length:
-            raise ConfigurationError(
-                f"expected (d, {self.prefix_length}) ranked signatures"
-            )
-        m = self.prefix_length
-        unranked = rank_insensitive(ranked)
-        packed = pack_pivot_sets(unranked, self.n_pivots)
-        od = overlap_distance_matrix_reference(packed, self._packed_centroids, m)
-
-        best_od = od.min(axis=1)
-        out = np.zeros(ranked.shape[0], dtype=np.int64)
-
-        # Lines 3-5: zero overlap with every centroid -> fall-back group 0.
-        fallback = best_od == m
-        # Lines 6-7: unique smallest OD.
-        is_best = od == best_od[:, None]
-        n_best = is_best.sum(axis=1)
-        unique = (~fallback) & (n_best == 1)
-        out[unique] = od[unique].argmin(axis=1) + 1
-
-        # Lines 8-14: OD ties -> Weight Distance, then random.
-        tied = (~fallback) & (n_best > 1)
-        od_ties = int(tied.sum())
-        wd_ties = 0
-        if od_ties:
-            rows = np.flatnonzero(tied)
-            wd = weight_distance_matrix_reference(
-                ranked[rows], self._packed_centroids, self.n_pivots, self.weights
-            )
-            # Restrict to the OD-tied centroids per row.
-            wd = np.where(is_best[rows], wd, np.inf)
-            best_wd = wd.min(axis=1)
-            wd_best = wd <= best_wd[:, None] + self._wd_tol
-            n_wd_best = wd_best.sum(axis=1)
-            for local, row in enumerate(rows):
-                candidates = np.flatnonzero(wd_best[local])
-                if n_wd_best[local] == 1:
-                    out[row] = candidates[0] + 1
-                else:
-                    wd_ties += 1
-                    out[row] = int(self.rng.choice(candidates)) + 1
-        return AssignmentResult(out, od_ties, wd_ties)
 
     def assign_one(self, ranked_sig: Sequence[int]) -> int:
         """Assign a single signature (used for query routing)."""

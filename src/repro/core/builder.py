@@ -20,6 +20,7 @@ can be read back from the simulation report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -42,14 +43,14 @@ from repro.core.skeleton import (
     SkeletonWithPivots,
     partition_name,
 )
-from repro.core.trie import build_group_trie
 from repro.exceptions import ConfigurationError, NonFiniteValueError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.pivots import decay_weights, permutation_prefixes, select_random_pivots
 from repro.series import SeriesDataset, paa_transform
 from repro.storage import SimulatedDFS
 
-__all__ = ["BuildArtifacts", "build_index_artifacts", "check_records"]
+__all__ = ["BuildArtifacts", "build_index_artifacts", "check_records",
+           "split_group"]
 
 
 @dataclass
@@ -114,7 +115,7 @@ def build_index_artifacts(
 
     Step 4 streams the dataset through PAA -> ``permutation_prefixes`` ->
     vectorised ``assign`` in row blocks, routes every record through the
-    CSR-compiled :class:`~repro.core.trie_flat.FlatTrieRouter` in bulk and
+    skeleton's :class:`~repro.core.trie_flat.FlatTrieRouter` in bulk and
     writes each partition straight from the sorted arrays.
 
     Parameters
@@ -220,6 +221,8 @@ def build_index_artifacts(
     group_of_sig = assigner.assign(distinct_ranked).group_indices
 
     n_groups = len(centroids) + 1
+    # Each group's members in the lexicographic order of distinct_ranked:
+    # the order split_group's contiguous ranges need.
     members: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in range(n_groups)]
     for row, freq, gid in zip(
         distinct_ranked.tolist(), distinct_freqs.tolist(), group_of_sig.tolist()
@@ -227,44 +230,34 @@ def build_index_artifacts(
         members[gid].append((tuple(row), freq / alpha))
 
     groups: list[GroupEntry] = []
+    node_offset, node_pivot, node_count, subtree_end, leaf_pid = [0], [], [], [], []
     next_pid = 0
     for gid in range(n_groups):
-        sigs = [s for s, _ in members[gid]]
-        counts = [c for _, c in members[gid]]
-        trie = build_group_trie(sigs, counts, capacity)
-        leaves = list(trie.leaves())
-        bins = first_fit_decreasing(
-            [(leaf.path, leaf.count) for leaf in leaves], capacity
+        pivot, count, end, pid, default_pid = split_group(
+            [s for s, _ in members[gid]], [c for _, c in members[gid]],
+            capacity, next_pid,
         )
-        leaf_by_path = {leaf.path: leaf for leaf in leaves}
-        bin_loads: list[float] = []
-        bin_pids: list[int] = []
-        for bin_paths in bins:
-            pid = next_pid
-            next_pid += 1
-            load = 0.0
-            for path in bin_paths:
-                leaf = leaf_by_path[path]
-                leaf.partition_ids = {pid}
-                load += leaf.count
-            bin_loads.append(load)
-            bin_pids.append(pid)
-        default_pid = bin_pids[int(np.argmin(bin_loads))]
-        groups.append(
-            GroupEntry(
-                group_id=gid,
-                centroid=() if gid == 0 else centroids[gid - 1],
-                trie=trie,
-                default_partition=default_pid,
-                est_size=trie.count,
-            )
-        )
+        subtree_end += [e + node_offset[-1] for e in end]
+        node_offset.append(node_offset[-1] + len(pivot))
+        node_pivot += pivot
+        node_count += count
+        leaf_pid += pid
+        next_pid = max(pid) + 1
+        groups.append(GroupEntry(
+            gid, () if gid == 0 else centroids[gid - 1], default_pid
+        ))
     skeleton = IndexSkeleton(
         prefix_length=m,
         n_pivots=r,
         word_length=w,
+        series_length=n,
         groups=groups,
         n_partitions=next_pid,
+        node_offset=node_offset,
+        node_pivot=node_pivot,
+        node_count=node_count,
+        subtree_end=subtree_end,
+        leaf_pid=leaf_pid,
     )
     sim.run_driver_step(
         "build/skeleton/assemble",
@@ -291,9 +284,9 @@ def build_index_artifacts(
     # Full-data signature conversion + group assignment.  Tie-break draws
     # depend only on the global row order, never on how rows are blocked
     # into assign calls, so the conversion is free to use larger blocks
-    # than the input chunking.  Block conversion, trie compiles and
-    # partition encodes run on the configured executor (serial for
-    # n_workers=1 — bit-identical results either way).
+    # than the input chunking.  Block conversion and partition encodes
+    # run on the configured executor (serial for n_workers=1 —
+    # bit-identical results either way).
     executor = make_executor(config.n_workers)
     try:
         t_convert = time.perf_counter()
@@ -346,6 +339,69 @@ def build_index_artifacts(
         },
         telemetry=tel,
     )
+
+
+def split_group(
+    signatures: list[tuple[int, ...]],
+    counts: list[float],
+    capacity: float,
+    first_pid: int,
+) -> tuple[list[int], list[float], list[int], list[int], int]:
+    """Split one group into its partition trie (§IV-D, Fig. 5) and pack
+    the leaves First Fit Decreasing (Def. 13) into ``first_pid, ...``.
+
+    ``signatures`` are the group's distinct ranked signatures, sorted, and
+    ``counts`` their estimated full-scale records.  A node above
+    ``capacity`` splits while signature positions remain: its members are
+    a contiguous range, its children the runs of equal pivot at its depth,
+    its count Python ``sum`` over the range in order (counts decide ties).
+    Returns the pre-order arrays in local ids — edge pivot, count, subtree
+    end, leaf partition — and the least loaded partition, the default.
+    """
+    prefix_len = len(signatures[0]) if signatures else 0
+    pivot: list[int] = []
+    count: list[float] = []
+    end: list[int] = []
+    leaves: list[tuple[tuple[int, ...], int]] = []
+    # Work items: (first member, end member, depth, edge pivot, count), or
+    # a node id whose subtree ends once its children are emitted.
+    stack: list = [(0, len(signatures), 0, -1, float(sum(counts)))]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, int):
+            end[item] = len(pivot)
+            continue
+        lo, hi, depth, edge, total = item
+        node = len(pivot)
+        pivot.append(edge)
+        count.append(total)
+        end.append(node + 1)
+        if total <= capacity or depth >= prefix_len:
+            leaves.append((tuple(signatures[lo][:depth]) if depth else (), node))
+            continue
+        stack.append(node)
+        children = []
+        for p, run in groupby(range(lo, hi), lambda i: signatures[i][depth]):
+            first = next(run)
+            stop = first + 1 + sum(1 for _ in run)
+            children.append((first, stop, depth + 1, p,
+                             float(sum(counts[first:stop]))))
+        stack.extend(reversed(children))
+
+    # Leaves are keyed by path: FFD breaks size ties on str(key).
+    node_of = dict(leaves)
+    bins = first_fit_decreasing(
+        [(path, count[node]) for path, node in leaves], capacity
+    )
+    leaf_pid = [-1] * len(pivot)
+    loads = []
+    for pid, paths in enumerate(bins, start=first_pid):
+        load = 0.0
+        for path in paths:
+            leaf_pid[node_of[path]] = pid
+            load += count[node_of[path]]
+        loads.append(load)
+    return pivot, count, end, leaf_pid, first_pid + int(np.argmin(loads))
 
 
 def _convert_block(task):
@@ -420,10 +476,10 @@ def _redistribute_flat(
     executor: Executor,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> tuple[int, int]:
-    """Bulk Step-4 redistribution over the CSR-compiled tries.
+    """Bulk Step-4 redistribution over the skeleton's flat tries.
 
     One :meth:`FlatTrieRouter.route` resolves every record's cluster in
-    ``prefix_length`` ``searchsorted`` sweeps over the fused trie, one
+    ``prefix_length`` ``searchsorted`` sweeps over the global trie, one
     stable argsort over the precomputed ``(partition, cluster key)`` ranks
     groups the records into the exact layout
     :meth:`PartitionFile.from_clusters` would build, and each partition is
@@ -439,7 +495,7 @@ def _redistribute_flat(
     for any worker count.
     """
     with telemetry.trace("build.redistribute.compile"):
-        router = skeleton.flat_router(executor=executor)
+        router = skeleton.flat_router()
     with telemetry.trace("build.redistribute.route"):
         kid_of = router.route(ranked_all, gids_all)
         order, parts = router.partition_layout(kid_of)

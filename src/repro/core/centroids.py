@@ -15,8 +15,7 @@ The epsilon-separation scan runs on packed pivot bitsets: every candidate
 is packed once (:func:`repro.pivots.pack_pivot_sets`) and tested against
 the incrementally-extended selected set with one AND+popcount sweep,
 replacing the O(candidates x selected) tuple-wise ``overlap_distance``
-loop.  The tuple-wise implementation is retained as
-:func:`compute_centroids_reference` — the parity oracle of
+loop, which ``tests/oracles.py`` keeps as the parity oracle of
 ``tests/test_conversion_parity.py``.
 """
 
@@ -27,13 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.pivots import overlap_distance, pack_pivot_sets
+from repro.pivots import pack_pivot_sets
 
-__all__ = [
-    "compute_centroids",
-    "compute_centroids_reference",
-    "FALLBACK_CENTROID",
-]
+__all__ = ["compute_centroids", "FALLBACK_CENTROID"]
 
 FALLBACK_CENTROID: tuple[int, ...] = ()
 """The special ``<*,*,...>`` centroid of group G0 (Algorithm 2 line 17):
@@ -111,16 +106,9 @@ def compute_centroids(
         return []
     lengths = {len(s) for s in signatures}
     if len(lengths) != 1:
-        # Mixed prefix lengths cannot be packed into one matrix; the
-        # tuple-wise scan raises on the first cross-length comparison,
-        # exactly as Def. 7 demands.
-        return compute_centroids_reference(
-            signatures,
-            frequencies,
-            sample_fraction=sample_fraction,
-            capacity=capacity,
-            epsilon=epsilon,
-            max_centroids=max_centroids,
+        # Def. 7 compares signatures of one prefix length only.
+        raise ConfigurationError(
+            f"signatures must share one prefix length, got {sorted(lengths)}"
         )
     m = lengths.pop()
 
@@ -155,46 +143,6 @@ def compute_centroids(
         if size_est < size_threshold:
             break  # line 13: later candidates are rarer still
         selected_bits[len(selected)] = packed[i]
-        selected.append(sigs[i])  # line 14
-        selected_freq += freqs[i]
-    return selected
-
-
-def compute_centroids_reference(
-    signatures: Sequence[tuple[int, ...]],
-    frequencies: Sequence[int],
-    *,
-    sample_fraction: float,
-    capacity: int,
-    epsilon: int,
-    max_centroids: int | None = None,
-) -> list[tuple[int, ...]]:
-    """The retained tuple-wise Algorithm 2 (parity oracle / baseline).
-
-    Semantics-identical to :func:`compute_centroids`; the epsilon scan is
-    the original O(candidates x selected) ``overlap_distance`` loop.
-    """
-    _validate(signatures, frequencies, sample_fraction, capacity)
-    if not signatures:
-        return []
-    sigs, freqs, total_freq = _descending_order(signatures, frequencies)
-
-    selected: list[tuple[int, ...]] = [sigs[0]]  # line 3
-    selected_freq = freqs[0]
-    size_threshold = sample_fraction * capacity  # line 12: alpha * c
-
-    for i in range(1, len(sigs)):
-        if max_centroids is not None and len(selected) >= max_centroids:
-            break  # lines 15-16
-        # Lines 5-9: skip candidates too close to an existing centroid.
-        if any(overlap_distance(sigs[i], c) < epsilon for c in selected):
-            continue
-        # Lines 10-12: estimate the candidate group's size assuming the
-        # remaining (non-centroid) mass spreads uniformly over the groups.
-        remaining = total_freq - selected_freq - freqs[i]
-        size_est = freqs[i] + remaining / (len(selected) + 1)
-        if size_est < size_threshold:
-            break  # line 13: later candidates are rarer still
         selected.append(sigs[i])  # line 14
         selected_freq += freqs[i]
     return selected

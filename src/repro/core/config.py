@@ -80,8 +80,8 @@ class ClimberConfig:
         accounting.
     n_workers:
         Worker count of the parallel execution layer
-        (:mod:`repro.core.parallel`): build conversion blocks, trie
-        compiles, partition encodes and ``knn_batch`` query shards all run
+        (:mod:`repro.core.parallel`): build conversion blocks, partition
+        encodes and ``knn_batch`` query shards all run
         on this many workers — 1 (the default) is serial, more are a
         thread pool.  Purely physical: any worker count produces
         **bit-identical** results — same partition bytes, counters and kNN

@@ -414,7 +414,6 @@ class ClimberIndex:
         #: ``None`` until :meth:`attach_calibration` loads one; confidence
         #: mode then falls back to the conservative built-in prior.
         self.calibration: ProgressiveCalibration | None = None
-        self._series_length: int | None = None
         # Telemetry resolution: an explicit argument wins; else adopt the
         # build's telemetry (so build.* and query.* metrics share one
         # registry); else create one per index from config.telemetry —
@@ -492,7 +491,7 @@ class ClimberIndex:
         ranked = permutation_prefixes(paa, self._art.pivots, cfg.prefix_length)
         gids = self._art.assigner.assign(ranked).group_indices
 
-        # Batch route through the frozen skeleton's CSR-compiled tries —
+        # Batch route through the frozen skeleton's flat tries —
         # the same bulk pipeline construction Step 4 uses: one descend
         # sweep per group present in the batch, one stable lexsort into
         # final cluster layout, partitions encoded straight from array
@@ -630,22 +629,15 @@ class ClimberIndex:
         return self._art.n_records
 
     @property
-    def series_length(self) -> int | None:
-        """Length of the indexed series; ``None`` while the store is empty.
-
-        DFS header metadata (no payload read, no logical read charge for a
-        mere length check), resolved once.
-        """
-        if self._series_length is None:
-            existing = self.dfs.list_partitions()
-            if existing:
-                self._series_length = self.dfs.series_length(existing[0])
-        return self._series_length
+    def series_length(self) -> int:
+        """Length of the indexed series, as the skeleton records it."""
+        return self._art.skeleton.series_length
 
     @property
     def global_index_nbytes(self) -> int:
-        """Size of the broadcast structure (skeleton + pivots), Fig. 8(b)."""
-        return self._art.skeleton.nbytes + self._art.pivots.nbytes
+        """The paper's "global index size" (Figs. 8(b), 12): the bytes of
+        :meth:`save_global_index`."""
+        return len(self.save_global_index())
 
     @property
     def build_sim_seconds(self) -> float:
@@ -670,9 +662,7 @@ class ClimberIndex:
         """
         skeleton = self._art.skeleton
         partition_records = _partition_record_counts(self.dfs)
-        group_sizes = sorted(
-            (g.est_size for g in skeleton.groups), reverse=True
-        )
+        root_counts = skeleton.node_count[skeleton.node_offset[:-1]]
         return {
             "records": self.n_records,
             "groups": self.n_groups,
@@ -680,7 +670,7 @@ class ClimberIndex:
             "partitions_written": len(partition_records),
             "trie_nodes": skeleton.total_trie_nodes(),
             "global_index_bytes": self.global_index_nbytes,
-            "largest_group_est": group_sizes[0] if group_sizes else 0.0,
+            "largest_group_est": float(root_counts.max(initial=0.0)),
             "mean_partition_records": (
                 float(np.mean(partition_records)) if partition_records else 0.0
             ),
@@ -769,7 +759,7 @@ class ClimberIndex:
         if arr.shape[0] == 0:
             return arr
         n = self.series_length
-        if n is not None and arr.shape[1] != n:
+        if arr.shape[1] != n:
             raise DimensionalityError(
                 f"query length {arr.shape[1]} != indexed length {n}"
             )

@@ -4,7 +4,7 @@ Everything hot in this repository is vectorised numpy (PRs 1-4), and the
 numpy kernels that dominate the build — ``cdist``, the popcount sweeps,
 the payload gathers — release the GIL, so a *thread* pool is the way to
 use more cores: no pickling, one address space in which every worker
-reads the same compiled tries and mapped partitions — the shape the
+reads the same trie tables and mapped partitions — the shape the
 ParIS+/MESSI line of data-series indexing work uses.
 
 Determinism contract
@@ -13,8 +13,8 @@ Executors preserve *submission order* in their results (``map`` returns
 ``results[i] == fn(items[i])``), and every parallel call site in this
 repository is written so that worker scheduling cannot leak into results:
 
-* tasks are pure functions of their item (per-block conversion, per-group
-  trie compiles, per-partition payload encodes, per-shard query batches);
+* tasks are pure functions of their item (per-block conversion,
+  per-partition payload encodes, per-shard query batches);
 * anything stateful — the RNG stream behind Algorithm 1's tie-breaks, DFS
   write registration, simulated cost accounting — happens on the caller's
   thread, in item order, *after* the parallel map returns (see

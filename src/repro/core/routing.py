@@ -20,13 +20,13 @@ engine is *parity-exact* with the scalar path it replaced: identical OD/WD
 values bit-for-bit, identical candidate ordering (OD → WD → group id) and
 the same tie-break cascade (WD → path length → node size → seeded random,
 consuming the RNG stream identically).  The seed's per-group routing is
-kept below as :func:`scalar_group_candidates`, the reference the parity
-tests compare against.
+kept in ``tests/oracles.py`` as the reference the parity tests compare
+against.
 
 The table also owns the step after routing, :meth:`RoutingTable.plan`:
 which trie nodes a variant searches and which partitions and clusters
 cover them.  Candidates and plans trade in *flat node ids* of the
-CSR-compiled tries (:mod:`repro.core.trie_flat`) — ints and floats, no
+skeleton's tries (:mod:`repro.core.trie_flat`) — ints and floats, no
 node objects — so planning is separable from reading and scoring.
 """
 
@@ -39,21 +39,14 @@ import numpy as np
 from repro.core.skeleton import GroupEntry, IndexSkeleton, partition_name
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
-    overlap_distance,
     overlap_distance_matrix,
     pack_pivot_sets,
     total_weight,
     wd_tie_tolerance,
-    weight_distance,
     words_for,
 )
 
-__all__ = [
-    "GroupCandidate",
-    "RoutingTable",
-    "select_primary",
-    "scalar_group_candidates",
-]
+__all__ = ["GroupCandidate", "RoutingTable", "select_primary"]
 
 
 @dataclass(frozen=True)
@@ -92,8 +85,8 @@ class RoutingTable:
 
     def __init__(self, skeleton: IndexSkeleton, weights: np.ndarray) -> None:
         self.skeleton = skeleton
-        # CSR-compiled tries: the walks of candidate construction and the
-        # subtree lookups of planning read flat tables, never TrieNodes.
+        # The walks of candidate construction and the subtree lookups of
+        # planning read the flat tries' tables.
         self.flat = skeleton.flat_router()
         m = skeleton.prefix_length
         self.prefix_length = m
@@ -241,7 +234,7 @@ class RoutingTable:
         variant GN plus memorised runner-up nodes when GN holds fewer
         than ``k`` records (``factor`` is its partition budget).  Nothing
         is read: a plan is a pure function of its arguments and the
-        compiled tries.
+        flat tries.
         """
         if variant == "od-smallest":
             selected = [(c.entry.group_id, 0) for c in candidates]
@@ -351,54 +344,3 @@ def select_primary(
     if len(tied) > 1:
         return tied[int(rng.integers(0, len(tied)))]
     return tied[0]
-
-
-# ---------------------------------------------------------------------------
-# Scalar reference path (the seed implementation), kept for parity tests.
-# ---------------------------------------------------------------------------
-
-def scalar_group_candidates(
-    index, ranked_sig: np.ndarray, od_slack: int = 0
-) -> list[GroupCandidate]:
-    """Per-group Python-set routing — the pre-vectorisation reference.
-
-    Walks the pointer tries and numbers the nodes it visits by its own
-    pre-order count (a child's id is its parent's, plus one, plus the
-    sizes of the siblings sorted before it), never from a flat table.
-    """
-    sig = tuple(int(p) for p in ranked_sig)
-    unranked = tuple(sorted(sig))
-    m = index.config.prefix_length
-    skeleton = index.skeleton
-    weights = index.routing.weights
-    ods = [
-        overlap_distance(unranked, g.centroid) if not g.is_fallback else m
-        for g in skeleton.groups
-    ]
-    best = min(ods[1:]) if len(ods) > 1 else m
-    if best >= m:
-        chosen = [(skeleton.groups[0], m)]
-    else:
-        limit = min(best + od_slack, m - 1)
-        chosen = [
-            (g, od) for g, od in zip(skeleton.groups, ods)
-            if od <= limit and not g.is_fallback
-        ]
-    out = []
-    for g, od in chosen:
-        wd = (
-            weight_distance(sig, g.centroid, weights)
-            if g.centroid
-            else float(np.sum(weights))
-        )
-        nodes = g.trie.descend_path(sig)
-        ids = [0]
-        for parent, child in zip(nodes, nodes[1:]):
-            ids.append(ids[-1] + 1 + sum(
-                sibling.node_count()
-                for pivot, sibling in parent.children.items()
-                if pivot < child.pivot
-            ))
-        out.append(GroupCandidate(g, od, wd, tuple(ids), nodes[-1].count))
-    out.sort(key=lambda c: (c.od, c.wd, c.entry.group_id))
-    return out

@@ -5,16 +5,26 @@ construction Steps 1-3 and broadcast to every worker in Step 4: the list
 of groups (each with its rank-insensitive centroid, its partition trie and
 its default partition) plus the pivot matrix.  Its serialised size is the
 "global index size (MB)" metric of Figures 8 and 12.
+
+Every group's trie is held as pre-order arrays, index-wide: group ``g``'s
+nodes are ``[node_offset[g], node_offset[g + 1])``, its root first and
+children in ascending pivot order.  Per node there is the pivot on the
+edge from its parent (``-1`` at a root), its estimated record count, the
+end of its subtree (node ``i``'s subtree is ``[i, subtree_end[i])``, so
+``i`` is a leaf iff that is ``i + 1``) and, at a leaf, the physical
+partition it is packed into (``-1`` at internal nodes).  These arrays are
+what the builder emits, what is persisted and what the routers read
+(DESIGN.md D9).
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.trie import DEFAULT_CLUSTER_SUFFIX, TrieNode
 from repro.exceptions import ConfigurationError, StorageError
 from repro.storage.serialization import (
     array_from_bytes,
@@ -25,7 +35,41 @@ from repro.storage.serialization import (
     write_blob,
 )
 
-__all__ = ["GroupEntry", "IndexSkeleton", "partition_name", "cluster_key"]
+__all__ = [
+    "DEFAULT_CLUSTER_SUFFIX",
+    "GroupEntry",
+    "IndexSkeleton",
+    "SKELETON_VERSION",
+    "SkeletonWithPivots",
+    "cluster_key",
+    "partition_name",
+]
+
+DEFAULT_CLUSTER_SUFFIX = "~"
+"""Cluster-key suffix for records that cannot complete a root-to-leaf walk
+and therefore live in the group's default partition (§V Step 3)."""
+
+SKELETON_VERSION = 2
+"""Version of the persisted skeleton.  The nested-JSON trie layout before
+it carried no version and is refused, not converted (DESIGN.md D9)."""
+
+_STORED_ARRAYS = {
+    "centroids": np.int32,          # (n_groups - 1, prefix_length): G1, G2, ...
+    "default_partition": np.int32,  # one per group
+    "node_offset": np.int32,
+    "node_pivot": np.int32,
+    "node_count": np.float64,
+    "subtree_end": np.int32,
+    "leaf_pid": np.int32,
+}
+"""The persisted arrays and their dtypes, in stored order."""
+
+_TRIE_ARRAYS = list(_STORED_ARRAYS)[2:]
+
+
+def _check(ok, what: str) -> None:
+    if not ok:
+        raise StorageError(f"malformed skeleton payload: {what}")
 
 
 def partition_name(pid: int) -> str:
@@ -52,9 +96,7 @@ class GroupEntry:
 
     group_id: int
     centroid: tuple[int, ...]
-    trie: TrieNode
     default_partition: int
-    est_size: float
 
     @property
     def is_fallback(self) -> bool:
@@ -62,21 +104,28 @@ class GroupEntry:
         return not self.centroid
 
 
-@dataclass
+@dataclass(eq=False)
 class IndexSkeleton:
     """Groups + tries + partition directory; serialisable and broadcastable."""
 
     prefix_length: int
     n_pivots: int
     word_length: int
-    groups: list[GroupEntry] = field(default_factory=list)
-    n_partitions: int = 0
-    _flat_router: object = field(default=None, repr=False, compare=False)
+    series_length: int
+    groups: list[GroupEntry]
+    n_partitions: int
+    node_offset: np.ndarray
+    node_pivot: np.ndarray
+    node_count: np.ndarray
+    subtree_end: np.ndarray
+    leaf_pid: np.ndarray
+    _flat_router: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.groups:
-            return
-        if self.groups[0].centroid != ():
+        for name in _TRIE_ARRAYS:
+            setattr(self, name, np.asarray(getattr(self, name),
+                                           dtype=_STORED_ARRAYS[name]))
+        if self.groups and self.groups[0].centroid != ():
             raise ConfigurationError("group 0 must be the fall-back group")
 
     @property
@@ -90,23 +139,45 @@ class IndexSkeleton:
         return self.groups[group_id]
 
     def total_trie_nodes(self) -> int:
-        return sum(g.trie.node_count() for g in self.groups)
+        return int(self.node_pivot.size)
 
-    def flat_router(self, executor=None):
-        """The CSR-compiled trie router over this skeleton's groups.
+    @cached_property
+    def node_parent(self) -> np.ndarray:
+        """Each node's parent (``-1`` at a group root); derived, not stored.
 
-        Compiled lazily, once: the builder's bulk redistribution, the
+        One pass over the pre-order with a stack of open subtrees, which
+        also checks what every reader of the arrays trusts: a group's root
+        spans the group, and each subtree starts after its parent and ends
+        within the parent's subtree.  ``node_offset`` must already be
+        checked.
+        """
+        ends = self.subtree_end.tolist()
+        offsets = self.node_offset.tolist()
+        parent = [-1] * len(ends)
+        for lo, hi in zip(offsets, offsets[1:]):
+            _check(ends[lo] == hi, f"root {lo} does not span its group")
+            open_nodes = [lo]
+            for i in range(lo + 1, hi):
+                while ends[open_nodes[-1]] <= i:
+                    open_nodes.pop()
+                _check(i < ends[i] <= ends[open_nodes[-1]],
+                       f"subtree of node {i} is not nested in its parent's")
+                parent[i] = open_nodes[-1]
+                open_nodes.append(i)
+        return np.asarray(parent, dtype=np.int64)
+
+    def flat_router(self):
+        """The flat trie router over this skeleton's groups.
+
+        Derived lazily, once: the builder's bulk redistribution, the
         vectorised query routing table and :meth:`ClimberIndex.append` all
-        share the same compile.  The skeleton's tries are frozen after
-        construction (appends never rebalance), so the cache never goes
-        stale.  ``executor`` (a :class:`repro.core.parallel.Executor`)
-        parallelises the per-group compiles of a *first* call; a cached
-        router is returned as-is.
+        share it.  The skeleton is frozen after construction (appends
+        never rebalance), so the cache never goes stale.
         """
         if self._flat_router is None:
             from repro.core.trie_flat import FlatTrieRouter
 
-            self._flat_router = FlatTrieRouter(self, executor=executor)
+            self._flat_router = FlatTrieRouter(self)
         return self._flat_router
 
     def fallback_mask(self) -> np.ndarray:
@@ -126,63 +197,28 @@ class IndexSkeleton:
 
     # -- serialisation ----------------------------------------------------------
     #
-    # Tries serialise to nested lists: [pivot, count, partition_ids_if_leaf,
-    # [children...]].
-
-    @staticmethod
-    def _trie_to_obj(node: TrieNode) -> list:
-        # Iterative, like every trie traversal: our own frames never bound
-        # the representable depth (the JSON encoder's nesting limit is the
-        # remaining ceiling, far beyond any real prefix length).
-        def make(nd: TrieNode) -> list:
-            pids = sorted(nd.partition_ids) if nd.is_leaf else []
-            return [nd.pivot, round(nd.count, 3), pids, []]
-
-        root_obj = make(node)
-        stack = [(node, root_obj)]
-        while stack:
-            nd, obj = stack.pop()
-            for pivot in sorted(nd.children):
-                child_obj = make(nd.children[pivot])
-                obj[3].append(child_obj)
-                stack.append((nd.children[pivot], child_obj))
-        return root_obj
-
-    @staticmethod
-    def _trie_from_obj(obj: list, path: tuple[int, ...]) -> TrieNode:
-        pivot, count, pids, children = obj
-        root = TrieNode(pivot, path, count)
-        root.partition_ids = set(int(p) for p in pids)
-        stack = [(root, children)]
-        while stack:
-            node, child_objs = stack.pop()
-            for c_pivot, c_count, c_pids, c_children in child_objs:
-                c_pivot = int(c_pivot)
-                child = TrieNode(c_pivot, node.path + (c_pivot,), c_count)
-                child.partition_ids = set(int(p) for p in c_pids)
-                node.children[c_pivot] = child
-                stack.append((child, c_children))
-        return root
+    # One JSON blob of scalars (with the version), then one array blob per
+    # _STORED_ARRAYS entry, in its order.
 
     def to_bytes(self) -> bytes:
         buf = io.BytesIO()
-        meta = {
+        write_blob(buf, json_to_bytes({
+            "version": SKELETON_VERSION,
             "prefix_length": self.prefix_length,
             "n_pivots": self.n_pivots,
             "word_length": self.word_length,
+            "series_length": self.series_length,
             "n_partitions": self.n_partitions,
-            "groups": [
-                {
-                    "id": g.group_id,
-                    "centroid": list(g.centroid),
-                    "default": g.default_partition,
-                    "est_size": round(g.est_size, 3),
-                    "trie": self._trie_to_obj(g.trie),
-                }
-                for g in self.groups
-            ],
+        }))
+        arrays = {
+            "centroids": np.asarray(self.centroids, dtype=np.int32)
+                           .reshape(-1, self.prefix_length),
+            "default_partition": np.asarray(
+                [g.default_partition for g in self.groups], dtype=np.int32),
         }
-        write_blob(buf, json_to_bytes(meta))
+        for name in _STORED_ARRAYS:
+            arr = arrays[name] if name in arrays else getattr(self, name)
+            write_blob(buf, array_to_bytes(arr))
         return buf.getvalue()
 
     @classmethod
@@ -190,61 +226,87 @@ class IndexSkeleton:
         """Inverse of :meth:`to_bytes`; the bytes come from outside.
 
         Raises :class:`StorageError` — never a ``KeyError`` or
-        ``ValueError`` — for a payload that is not a skeleton (missing
-        key, wrong arity, wrong type) and for one that parses but would
-        misroute: positional lookups (``groups[gid]``, the flat tries,
-        composite edge keys ``node * n_pivots + pivot``) trust what is
-        checked here.
+        ``ValueError`` — for a payload that is not a version-2 skeleton
+        (the JSON-tree layout before it included) and for one that parses
+        but would misroute: positional lookups (``groups[gid]``, the flat
+        tries, composite edge keys ``node * n_pivots + pivot``) trust what
+        is checked here.
         """
         buf = io.BytesIO(data)
         try:
             meta = json_from_bytes(read_blob(buf))
+            if (not isinstance(meta, dict)
+                    or meta.get("version") != SKELETON_VERSION):
+                raise StorageError(
+                    f"not a version-{SKELETON_VERSION} global index (one "
+                    "written before must be rebuilt)"
+                )
+            arrays = {}
+            for name, dtype in _STORED_ARRAYS.items():
+                arrays[name] = arr = array_from_bytes(read_blob(buf))
+                _check(arr.dtype == dtype, f"{name} has dtype {arr.dtype}")
+            prefix_length = int(meta["prefix_length"])
+            centroids = arrays.pop("centroids")
+            defaults = arrays.pop("default_partition").tolist()
+            _check(centroids.shape == (len(defaults) - 1, prefix_length),
+                   f"centroids of shape {centroids.shape} for "
+                   f"{len(defaults)} groups")
             skeleton = cls(
-                prefix_length=int(meta["prefix_length"]),
+                prefix_length=prefix_length,
                 n_pivots=int(meta["n_pivots"]),
                 word_length=int(meta["word_length"]),
+                series_length=int(meta["series_length"]),
                 groups=[
-                    GroupEntry(
-                        group_id=int(g["id"]),
-                        centroid=tuple(int(p) for p in g["centroid"]),
-                        trie=cls._trie_from_obj(g["trie"], ()),
-                        default_partition=int(g["default"]),
-                        est_size=float(g["est_size"]),
+                    GroupEntry(gid, tuple(centroid), default)
+                    for gid, (centroid, default) in enumerate(
+                        zip([[]] + centroids.tolist(), defaults)
                     )
-                    for g in meta["groups"]
                 ],
                 n_partitions=int(meta["n_partitions"]),
+                **arrays,
             )
-        except (KeyError, IndexError, TypeError, ValueError,
-                ConfigurationError) as err:
+        except (KeyError, IndexError, TypeError, ValueError) as err:
             raise StorageError(f"malformed skeleton payload: {err!r}") from None
         skeleton._check_ranges()
         return skeleton
 
     def _check_ranges(self) -> None:
-        """Refuse ids a well-formed build cannot produce (see from_bytes)."""
-        def check(ok: bool, what: str) -> None:
-            if not ok:
-                raise StorageError(f"malformed skeleton payload: {what}")
-
-        for position, g in enumerate(self.groups):
-            check(g.group_id == position, "group ids are not 0..n-1 in order")
-            check(0 <= g.default_partition < self.n_partitions,
-                  f"group {position}: default partition out of range")
-            stack = [g.trie]
-            while stack:
-                node = stack.pop()
-                check(all(0 <= p < self.n_partitions
-                          for p in node.partition_ids),
-                      f"group {position}: leaf partition id out of range")
-                check(all(0 <= p < self.n_pivots for p in node.children),
-                      f"group {position}: edge pivot out of range")
-                stack.extend(node.children.values())
-
-    @property
-    def nbytes(self) -> int:
-        """Serialised size — the paper's "global index size" metric."""
-        return len(self.to_bytes())
+        """Refuse arrays a well-formed build cannot produce (see from_bytes)."""
+        n = self.node_pivot.size
+        offsets = self.node_offset
+        _check(all(getattr(self, name).ndim == 1 for name in _TRIE_ARRAYS)
+               and self.node_count.size == self.subtree_end.size
+               == self.leaf_pid.size == n,
+               "node arrays are not 1-D or differ in length")
+        _check(offsets.size == len(self.groups) + 1 and offsets[0] == 0
+               and offsets[-1] == n and (np.diff(offsets) > 0).all(),
+               "group node offsets do not increase from 0 to the node count")
+        _check(all(0 <= g.default_partition < self.n_partitions
+                   for g in self.groups),
+               "default partition out of range")
+        _check(all(0 <= p < self.n_pivots for g in self.groups
+                   for p in g.centroid),
+               "centroid pivot out of range")
+        count = self.node_count
+        _check(np.isfinite(count).all() and (count >= 0).all(),
+               "node count not finite and non-negative")
+        parent = self.node_parent
+        pivot = self.node_pivot
+        child = np.flatnonzero(parent >= 0)
+        _check((pivot[parent < 0] == -1).all()
+               and ((pivot[child] >= 0) & (pivot[child] < self.n_pivots)).all(),
+               "edge pivot out of range")
+        # Siblings sit in id order under their parent: pivots must ascend.
+        child = child[np.argsort(parent[child], kind="stable")]
+        sibling = parent[child[1:]] == parent[child[:-1]]
+        _check((pivot[child[1:]][sibling] > pivot[child[:-1]][sibling]).all(),
+               "sibling pivots do not ascend")
+        is_leaf = self.subtree_end == np.arange(1, n + 1)
+        leaf_pid = self.leaf_pid
+        _check(((leaf_pid[is_leaf] >= 0)
+                & (leaf_pid[is_leaf] < self.n_partitions)).all()
+               and (leaf_pid[~is_leaf] == -1).all(),
+               "leaf partition id out of range, or set at an internal node")
 
 
 @dataclass
@@ -266,6 +328,3 @@ class SkeletonWithPivots:
         skeleton = IndexSkeleton.from_bytes(read_blob(buf))
         pivots = array_from_bytes(read_blob(buf))
         return cls(skeleton, pivots)
-
-
-__all__.append("SkeletonWithPivots")

@@ -1,31 +1,22 @@
-"""Flattened CSR trie router: batch descend over numpy arrays.
+"""Flat trie routing over the skeleton's pre-order arrays.
 
-The pointer-based :class:`~repro.core.trie.TrieNode` tries are the right
-structure to *build* (§IV-D splits them incrementally), but walking them —
-``descend`` during index construction Step 4, ``descend_path`` during query
-routing — is per-record Python dict-chasing.  At build scale (every record
-of the dataset is redistributed through a trie walk) that loop dominates
-CLIMBER-INX construction, exactly the cost the parallel-indexing literature
-(ParIS/MESSI) identifies as the adoption barrier for data-series indexes.
-
-This module compiles each group's trie, once, into CSR-style arrays:
+The skeleton holds every group's partition trie as index-wide pre-order
+arrays (:mod:`repro.core.skeleton`).  This module derives, once per
+skeleton and with no per-node object, the lookup tables routing reads:
 
 * a sorted **child-edge table** — one global ``edge_key`` array where the
-  entry for edge ``parent --pivot--> child`` is ``parent * stride + pivot``.
-  Nodes are numbered in pre-order (children in sorted pivot order), so the
-  keys are globally sorted and one ``np.searchsorted`` resolves an entire
-  batch of (node, pivot) lookups per trie level;
-* per-node **leaf/partition metadata** (``is_leaf``, ``leaf_pid``, depth,
-  counts) and pre-rendered cluster-key strings;
+  entry for edge ``parent --pivot--> child`` is ``parent * stride + pivot``,
+  so one ``np.searchsorted`` (or one gather from a dense map) resolves an
+  entire batch of (node, pivot) lookups per trie level;
+* per-node **cluster ids** and pre-rendered cluster-key strings;
 * **subtree ranges**: pre-order numbering makes every subtree a contiguous
   id interval, so the leaves (and therefore the covering partitions) of any
   node are a slice — no recursion at query time.
 
-A compiled :class:`FlatTrie` keeps no node object: flat node ids are what
-the query planner (:meth:`repro.core.routing.RoutingTable.plan`) trades
-in.  :class:`FlatTrieRouter` stitches the per-group tries into the
-whole-index batch walk used by the builder's bulk redistribution and by
-:meth:`ClimberIndex.append`.
+A :class:`FlatTrie` is one group's slice in group-local ids, the currency
+of the query planner (:meth:`repro.core.routing.RoutingTable.plan`).
+:class:`FlatTrieRouter` holds them all plus the whole-index batch walk used
+by the builder's bulk redistribution and by :meth:`ClimberIndex.append`.
 """
 
 from __future__ import annotations
@@ -36,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.skeleton import IndexSkeleton, cluster_key
-from repro.core.trie import TrieNode
 from repro.exceptions import ConfigurationError
 
 __all__ = ["FlatTrie", "FlatTrieRouter"]
@@ -48,98 +38,43 @@ over the sorted CSR edge table."""
 
 
 class FlatTrie:
-    """CSR compile of one group's partition trie.
+    """One group's partition trie in local pre-order ids (the root is 0).
 
-    Parameters
-    ----------
-    root:
-        The group's trie root (packed: leaves carry their physical
-        partition id).
-    group_id:
-        The owning group — baked into the pre-rendered cluster keys.
-    n_pivots:
-        Total pivot count ``r``; the stride of the composite edge keys.
-        Any pivot id outside ``[0, n_pivots)`` misses by construction.
-
-    Node id ``i`` is the ``i``-th node in pre-order (children in sorted
-    pivot order; the root is 0), so ``s``'s subtree is the id interval
-    ``[s, subtree_end[s])``.
+    Node ``s``'s subtree is the id interval ``[s, subtree_end[s])``;
+    ``count``, ``subtree_end`` and ``is_leaf`` are per-node lists, and the
+    leaf tables (``leaf_pids``, ``leaf_keys``) list the leaves in
+    pre-order.  Built by :class:`FlatTrieRouter` from slices of its
+    index-wide tables.
     """
 
-    def __init__(self, root: TrieNode, group_id: int, n_pivots: int) -> None:
-        if n_pivots < 1:
-            raise ConfigurationError("n_pivots must be >= 1")
-        self.group_id = int(group_id)
-        self.stride = int(n_pivots)
-        # Pre-order traversal, children in sorted pivot order.  Parents
-        # precede children, and every subtree occupies a contiguous id range.
-        nodes: list[TrieNode] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            for pivot in sorted(node.children, reverse=True):
-                stack.append(node.children[pivot])
-        n = len(nodes)
-        self.n_nodes = n
-        index_of = {id(node): i for i, node in enumerate(nodes)}
-        if self.stride <= max((p for nd in nodes for p in nd.children),
-                              default=-1):
-            raise ConfigurationError(
-                "n_pivots must exceed every pivot id used by the trie"
-            )
-        # Per-node scalars the planner reads one at a time: plain lists.
-        self.count = [nd.count for nd in nodes]
-        self.is_leaf = [nd.is_leaf for nd in nodes]
-
-        # Child-edge table (CSR): edges grouped by parent id (ascending),
-        # pivots sorted within each parent -> edge_key globally sorted.
-        edge_key: list[int] = []
-        edge_child: list[int] = []
-        for i, node in enumerate(nodes):
-            for pivot in sorted(node.children):
-                edge_key.append(i * self.stride + pivot)
-                edge_child.append(index_of[id(node.children[pivot])])
-        self.edge_key = np.asarray(edge_key, dtype=np.int64)
-        self.edge_child = np.asarray(edge_child, dtype=np.int64)
-        self._edge_lookup = dict(zip(edge_key, edge_child))
-        self.max_depth = max(nd.depth for nd in nodes)
-
-        # Subtree ranges: with pre-order ids, node i's subtree is
-        # [i, subtree_end[i]).  Computed leaf-to-root (reverse order): an
-        # internal node ends where its last (largest-pivot) child ends.
-        subtree_end = [0] * n
-        for i in range(n - 1, -1, -1):
-            node = nodes[i]
-            if node.is_leaf:
-                subtree_end[i] = i + 1
-            else:
-                last = node.children[max(node.children)]
-                subtree_end[i] = subtree_end[index_of[id(last)]]
+    def __init__(
+        self,
+        group_id: int,
+        stride: int,
+        count: list[float],
+        subtree_end: list[int],
+        edges: dict[int, int],
+        leaf_pids: list[int],
+        leaf_keys: list[str],
+    ) -> None:
+        self.stride = stride
+        self.count = count
         self.subtree_end = subtree_end
-
-        # Leaf tables, in pre-order: a subtree's leaves are the slice
-        # [_leaves_before[s], _leaves_before[subtree_end[s]]) of each.
-        self.leaf_positions = np.flatnonzero(self.is_leaf)
-        leaves = [nodes[i] for i in self.leaf_positions]
-        self.leaf_pids = [
-            min(leaf.partition_ids) if leaf.partition_ids else -1
-            for leaf in leaves
-        ]
-        self.leaf_keys = [cluster_key(self.group_id, leaf.path) for leaf in leaves]
-        self._leaves_before = [0, *accumulate(map(int, self.is_leaf))]
-        self.default_key = cluster_key(self.group_id, None)
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.edge_key.size)
+        self.n_nodes = len(count)
+        self.is_leaf = [end == i + 1 for i, end in enumerate(subtree_end)]
+        self._edge_lookup = edges
+        self.leaf_pids = leaf_pids
+        self.leaf_keys = leaf_keys
+        # A subtree's leaves are the slice
+        # [_leaves_before[s], _leaves_before[subtree_end[s]]) of each table.
+        self._leaves_before = [0, *accumulate(self.is_leaf)]
+        self.default_key = cluster_key(group_id, None)
 
     def descend_path_ids(self, ranked_sig: Sequence[int]) -> list[int]:
         """Node ids visited by one signature's walk, root first.
 
         A flat dict over composite edge keys, no per-node object hops; a
-        node's depth is its position.  Matches ``TrieNode.descend_path``
-        node for node.
+        node's depth is its position.
         """
         lookup = self._edge_lookup
         stride = self.stride
@@ -156,31 +91,27 @@ class FlatTrie:
     def subtree(self, node_id: int) -> tuple[list[int], list[str]]:
         """Covering partition ids (sorted) and leaf cluster keys of a subtree.
 
-        One slice of the leaf tables serves both: they equal
-        ``sorted(node.subtree_partition_ids())`` and
-        ``[cluster_key(gid, leaf.path) for leaf in node.leaves()]`` of the
-        pointer node — no tree walk, no string formatting per query.
+        One slice of the leaf tables serves both — no tree walk, no string
+        formatting per query.
         """
         lo = self._leaves_before[node_id]
         hi = self._leaves_before[self.subtree_end[node_id]]
-        pids = {pid for pid in self.leaf_pids[lo:hi] if pid >= 0}
-        return sorted(pids), self.leaf_keys[lo:hi]
+        return sorted(set(self.leaf_pids[lo:hi])), self.leaf_keys[lo:hi]
 
 
 class FlatTrieRouter:
-    """All of a skeleton's tries compiled flat, plus whole-index routing.
+    """Every group's :class:`FlatTrie`, plus whole-index routing.
 
-    Per-group :class:`FlatTrie` compiles serve the query planner; for the
-    bulk build/append path the router additionally fuses every group into
-    **one global CSR trie**: node ids are offset per group (group ``g``'s
-    nodes occupy ``[offset[g], offset[g+1])``), the per-group edge tables
-    concatenate into a single sorted composite-key table, and a batch walk
-    starts each record at its group's root — so redistributing the whole
-    dataset is ``prefix_length`` ``searchsorted`` sweeps total, independent
-    of the group count.
+    The per-group tries serve the query planner; for the bulk build/append
+    path the router walks the skeleton's **global** node ids directly
+    (group ``g``'s nodes occupy ``[node_offset[g], node_offset[g+1])``):
+    one sorted composite-key edge table over all groups, and a batch walk
+    that starts each record at its group's root — so redistributing the
+    whole dataset is ``prefix_length`` ``searchsorted`` sweeps total,
+    independent of the group count.
 
     Every node maps to a *cluster id* (``kid``): the leaf's own cluster
-    when a completed walk reaches a packed leaf, else the group's default
+    when a completed walk reaches a leaf, else the group's default
     cluster ``G<gid>/~``.  Each kid belongs to exactly one physical
     partition (``kid_pid``), and ``kid_rank`` pre-orders kids by
     ``(partition id, cluster key string)`` — so one stable integer argsort
@@ -188,91 +119,86 @@ class FlatTrieRouter:
     :meth:`PartitionFile.from_clusters` builds from a key-sorted mapping.
     """
 
-    def __init__(self, skeleton: IndexSkeleton, executor=None) -> None:
+    def __init__(self, skeleton: IndexSkeleton) -> None:
         self.skeleton = skeleton
-        self.stride = int(skeleton.n_pivots)
-        if executor is not None and executor.n_workers > 1:
-            # Per-group compiles are independent pure-Python traversals, so
-            # a thread pool overlaps them; map preserves group order, and
-            # each FlatTrie depends only on its own group, so the result is
-            # identical to the serial loop.
-            self.tries = executor.map(
-                lambda g: FlatTrie(g.trie, g.group_id, skeleton.n_pivots),
-                skeleton.groups,
-            )
-        else:
-            self.tries = [
-                FlatTrie(g.trie, g.group_id, skeleton.n_pivots)
-                for g in skeleton.groups
-            ]
-        n_groups = len(self.tries)
-        offsets = np.zeros(n_groups + 1, dtype=np.int64)
-        kid_keys: list[str] = []
-        kid_pid: list[int] = []
-        node_kid_parts: list[np.ndarray] = []
-        edge_key_parts: list[np.ndarray] = []
-        edge_child_parts: list[np.ndarray] = []
-        for g, (entry, ft) in enumerate(zip(skeleton.groups, self.tries)):
-            off = offsets[g]
-            offsets[g + 1] = off + ft.n_nodes
-            default_kid = len(kid_keys)
-            kid_keys.append(ft.default_key)
-            kid_pid.append(int(entry.default_partition))
-            kid = np.full(ft.n_nodes, default_kid, dtype=np.int64)
-            leaf_pids = np.asarray(ft.leaf_pids, dtype=np.int64)
-            leaf_kids = np.arange(len(ft.leaf_keys), dtype=np.int64) \
-                + len(kid_keys)
-            kid_keys.extend(ft.leaf_keys)
-            kid_pid.extend(ft.leaf_pids)
-            # A record routes to the leaf's own cluster only when the leaf
-            # is actually packed (has a partition id); an unpacked leaf
-            # behaves like a stalled walk (append semantics).
-            routable = leaf_pids >= 0
-            kid[ft.leaf_positions[routable]] = leaf_kids[routable]
-            node_kid_parts.append(kid)
-            # Global edge keys: local key = local_node * stride + pivot,
-            # so offsetting the node id adds off * stride.  Group blocks
-            # are disjoint ascending ranges -> global table stays sorted.
-            edge_key_parts.append(ft.edge_key + off * self.stride)
-            edge_child_parts.append(ft.edge_child + off)
-        self.node_offset = offsets
+        stride = self.stride = int(skeleton.n_pivots)
+        offsets = skeleton.node_offset.astype(np.int64)
+        pivot = skeleton.node_pivot.astype(np.int64)
+        end = skeleton.subtree_end.astype(np.int64)
+        parent = skeleton.node_parent
+        n_nodes = end.size
+        n_groups = offsets.size - 1
         self.root_of = offsets[:-1]
-        self.node_kid = (
-            np.concatenate(node_kid_parts) if node_kid_parts
-            else np.zeros(0, dtype=np.int64)
-        )
-        self.edge_key = (
-            np.concatenate(edge_key_parts) if edge_key_parts
-            else np.zeros(0, dtype=np.int64)
-        )
-        self.edge_child = (
-            np.concatenate(edge_child_parts) if edge_child_parts
-            else np.zeros(0, dtype=np.int64)
-        )
-        self.max_depth = max((ft.max_depth for ft in self.tries), default=0)
+        group_of = np.repeat(np.arange(n_groups), np.diff(offsets))
+
+        # Child-edge table: one composite key per non-root node, sorted —
+        # grouped by parent (so by group), pivots ascending within.
+        child = np.flatnonzero(parent >= 0)
+        key = parent[child] * stride + pivot[child]
+        order = np.argsort(key)
+        self.edge_key = key[order]
+        self.edge_child = child[order]
+
+        # Cluster keys: a node's is its parent's plus "/<pivot>" — parents
+        # precede children in pre-order.
+        names: list[str] = []
+        for g, p, pv in zip(group_of.tolist(), parent.tolist(), pivot.tolist()):
+            names.append(f"G{g}" if p < 0 else f"{names[p]}/{pv}")
+
+        # Cluster ids, group by group: the default cluster, then the
+        # group's leaves in pre-order.
+        is_leaf = end == np.arange(1, n_nodes + 1)
+        leaves = np.flatnonzero(is_leaf)
+        leaves_before = np.concatenate(([0], np.cumsum(is_leaf)))
+        default_kid = leaves_before[offsets[:-1]] + np.arange(n_groups)
+        self.node_kid = default_kid[group_of]
+        self.node_kid[leaves] = np.arange(leaves.size) + group_of[leaves] + 1
+        leaf_pid = skeleton.leaf_pid[leaves].tolist()
+        leaf_keys = [names[i] for i in leaves.tolist()]
+
+        # Per-group tries in local ids and the per-kid tables, group by
+        # group: slices of the tables above.
+        count = skeleton.node_count.tolist()
+        ends = end.tolist()
+        bounds = offsets.tolist()
+        edge_bounds = np.searchsorted(self.edge_key, offsets * stride).tolist()
+        leaf_bounds = leaves_before[offsets].tolist()
+        self.tries, self.cluster_keys, kid_pid = [], [], []
+        for g, entry in enumerate(skeleton.groups):
+            lo, hi = bounds[g], bounds[g + 1]
+            e_lo, e_hi = edge_bounds[g], edge_bounds[g + 1]
+            l_lo, l_hi = leaf_bounds[g], leaf_bounds[g + 1]
+            self.tries.append(FlatTrie(
+                g, stride, count[lo:hi], [e - lo for e in ends[lo:hi]],
+                dict(zip((self.edge_key[e_lo:e_hi] - lo * stride).tolist(),
+                         (self.edge_child[e_lo:e_hi] - lo).tolist())),
+                leaf_pid[l_lo:l_hi], leaf_keys[l_lo:l_hi],
+            ))
+            self.cluster_keys += [cluster_key(g, None), *leaf_keys[l_lo:l_hi]]
+            kid_pid += [entry.default_partition, *leaf_pid[l_lo:l_hi]]
+        self.kid_pid = np.asarray(kid_pid, dtype=np.int64)
+        n_kids = len(kid_pid)
+
         # Dense O(1) edge lookup: the composite key space is
         # n_nodes * stride entries, tiny for real skeletons (a few hundred
         # KB), so the batch walk can replace per-level binary searches with
         # one flat gather.  Falls back to searchsorted past the cap.
-        n_nodes_total = int(offsets[-1])
-        self._dense_keys = n_nodes_total * self.stride
+        self._dense_keys = n_nodes * stride
         if 0 < self._dense_keys <= _DENSE_EDGE_MAP_CAP and self.edge_key.size:
             edge_map = np.full(self._dense_keys, -1, dtype=np.int32)
             edge_map[self.edge_key] = self.edge_child.astype(np.int32)
             self.edge_map: np.ndarray | None = edge_map
         else:
             self.edge_map = None
-        self.cluster_keys = kid_keys
-        self.kid_pid = np.asarray(kid_pid, dtype=np.int64)
         # Rank kids by (partition id, key string): records sorted by
         # kid_rank are grouped by ascending partition, clusters inside a
         # partition in lexicographic key order.
-        key_order = np.argsort(np.asarray(kid_keys))
-        key_rank = np.empty(len(kid_keys), dtype=np.int64)
-        key_rank[key_order] = np.arange(len(kid_keys))
+        key_order = np.argsort(np.asarray(self.cluster_keys))
+        key_rank = np.empty(n_kids, dtype=np.int64)
+        key_rank[key_order] = np.arange(n_kids)
         order = np.lexsort((key_rank, self.kid_pid))
-        rank = np.empty(len(kid_keys), dtype=np.int64)
-        rank[order] = np.arange(len(kid_keys))
+        rank = np.empty(n_kids, dtype=np.int64)
+        rank[order] = np.arange(n_kids)
         self.kid_rank = rank
 
     @property
@@ -284,12 +210,10 @@ class FlatTrieRouter:
     ) -> np.ndarray:
         """Resolve every record to its cluster id in one global batch walk.
 
-        The whole-dataset replacement for the per-record ``trie.descend``
-        loop of construction Step 4 / ``append``: records start at their
-        group's root in the fused trie and the lockstep level walk resolves
-        all still-active records with a single ``searchsorted`` per prefix
-        position.  Returns ``kid_of``; partitions follow as
-        ``kid_pid[kid_of]``.
+        Records start at their group's root and the lockstep level walk
+        resolves all still-active records with a single ``searchsorted``
+        (or dense-map gather) per prefix position.  Returns ``kid_of``;
+        partitions follow as ``kid_pid[kid_of]``.
         """
         arr = np.asarray(ranked, dtype=np.int64)
         gids = np.asarray(group_indices, dtype=np.int64)
@@ -305,7 +229,7 @@ class FlatTrieRouter:
         n_edges = self.edge_key.size
         stride = self.stride
         edge_map = self.edge_map
-        for level in range(min(arr.shape[1], self.max_depth)):
+        for level in range(arr.shape[1]):
             piv = arr[active, level]
             valid = (piv >= 0) & (piv < stride)
             key = node[active] * stride + np.where(valid, piv, 0)

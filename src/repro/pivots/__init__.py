@@ -7,13 +7,11 @@ from repro.pivots.distances import (
     kendall_tau,
     overlap_distance,
     overlap_distance_matrix,
-    overlap_distance_matrix_reference,
     spearman_footrule,
     total_weight,
     wd_tie_tolerance,
     weight_distance,
     weight_distance_matrix,
-    weight_distance_matrix_reference,
 )
 from repro.pivots.permutation import (
     full_permutations,
@@ -43,13 +41,11 @@ __all__ = [
     "words_for",
     "overlap_distance",
     "overlap_distance_matrix",
-    "overlap_distance_matrix_reference",
     "decay_weights",
     "centroid_membership",
     "total_weight",
     "weight_distance",
     "weight_distance_matrix",
-    "weight_distance_matrix_reference",
     "wd_tie_tolerance",
     "spearman_footrule",
     "kendall_tau",

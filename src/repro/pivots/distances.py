@@ -29,13 +29,11 @@ from repro.pivots.signatures import pack_pivot_sets, words_for
 __all__ = [
     "overlap_distance",
     "overlap_distance_matrix",
-    "overlap_distance_matrix_reference",
     "decay_weights",
     "total_weight",
     "centroid_membership",
     "weight_distance",
     "weight_distance_matrix",
-    "weight_distance_matrix_reference",
     "wd_tie_tolerance",
     "spearman_footrule",
     "kendall_tau",
@@ -96,7 +94,7 @@ def overlap_distance_matrix(
     # L2-resident instead of re-streaming a full (d, k) buffer from DRAM
     # on every word pass.  Exact integer arithmetic: tiling cannot change
     # a bit (the kernel-parity suite compares against the untiled seed
-    # kernel below).
+    # kernel in tests/oracles.py).
     d, k = a.shape[0], b.shape[0]
     inter = np.empty((d, k), dtype=np.uint16)
     tile = max(32, (1 << 18) // max(1, k * 8))
@@ -110,25 +108,6 @@ def overlap_distance_matrix(
             rows += np.bitwise_count(
                 a[start:end, word][:, None] & b[:, word][None, :]
             )
-    return (np.uint16(prefix_length) - inter).astype(np.uint16)
-
-
-def overlap_distance_matrix_reference(
-    packed_objects: np.ndarray, packed_centroids: np.ndarray, prefix_length: int
-) -> np.ndarray:
-    """The seed batch-OD kernel, a reference only tests call (DESIGN.md D4).
-
-    One ``(d, k, words)`` 3-D broadcast AND + popcount + word-axis sum —
-    bit-identical to the word-sliced :func:`overlap_distance_matrix` (the
-    randomized kernel-parity suite proves it).
-    """
-    a = np.asarray(packed_objects, dtype=np.uint64)
-    b = np.asarray(packed_centroids, dtype=np.uint64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ConfigurationError("packed signature word counts differ")
-    inter = np.bitwise_count(a[:, None, :] & b[None, :, :]).sum(
-        axis=2, dtype=np.uint16
-    )
     return (np.uint16(prefix_length) - inter).astype(np.uint16)
 
 
@@ -253,46 +232,6 @@ def centroid_membership(packed_centroids: np.ndarray, n_pivots: int) -> np.ndarr
     words = cs[:, pivot_ids >> 6]  # (k, n_pivots)
     bits = (words >> (pivot_ids & 63).astype(np.uint64)) & np.uint64(1)
     return bits.astype(np.float64).T
-
-
-def weight_distance_matrix_reference(
-    ranked: np.ndarray,
-    centroid_sets: np.ndarray,
-    n_pivots: int,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """The seed batch-WD kernel, a reference only tests call (DESIGN.md D4).
-
-    Chunked uint64 shift/popcount extraction with rank-sequential
-    accumulation — bit-identical to :func:`weight_distance_matrix` (the
-    randomized kernel-parity suite proves it) and to the scalar
-    :func:`weight_distance`.
-    """
-    arr = np.asarray(ranked, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != w.shape[0]:
-        raise ConfigurationError("ranked shape does not match weights length")
-    cs = np.asarray(centroid_sets)
-    if cs.dtype != np.uint64:
-        cs = pack_pivot_sets(cs, n_pivots)
-    if cs.shape[1] != words_for(n_pivots):
-        raise ConfigurationError("packed centroid width does not match n_pivots")
-    tw = total_weight(w)
-    d, m = arr.shape
-    k = cs.shape[0]
-    matched = np.zeros((d, k), dtype=np.float64)
-    one = np.uint64(1)
-    chunk = max(1, (1 << 22) // max(1, k * m))
-    for start in range(0, d, chunk):
-        rows = arr[start:start + chunk]
-        words = cs[:, rows >> 6]  # (k, chunk, m)
-        bits = (words >> (rows & 63).astype(np.uint64)) & one
-        contrib = bits.astype(np.float64) * w  # (k, chunk, m)
-        ranks = contrib.transpose(2, 1, 0)  # (m, chunk, k) view
-        out = matched[start:start + chunk]
-        for rank in range(m):
-            out += ranks[rank]
-    return tw - matched
 
 
 def wd_tie_tolerance(total: float) -> float:

@@ -54,9 +54,9 @@ def _topm_ranked(d2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     the boundary-ambiguity mask — rows where the (m+1)-th smallest
     distance ties the m-th, i.e. where argpartition's arbitrary boundary
     split must be repaired by a full sort.  Row results depend only on the
-    row's own distances, so any tile size produces identical output
-    (:func:`_topm_ranked_reference` is the one-shot oracle the parity
-    suite compares against).
+    row's own distances, so any tile size produces identical output (the
+    parity suite compares against the seed one-shot pass in
+    ``tests/oracles.py``).
     """
     d, r = d2.shape
     ranked = np.empty((d, m), dtype=np.int64)
@@ -80,22 +80,6 @@ def _topm_ranked(d2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         vb = np.take_along_axis(vals, order[:, m - 1:], axis=1)
         ambiguous[start:end] = vb[:, 1] <= vb[:, 0]
     return ranked, ambiguous
-
-
-def _topm_ranked_reference(d2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The seed one-shot top-m pass, retained as the parity oracle.
-
-    One full-width ``argpartition`` + gather + ``lexsort`` over the whole
-    matrix — bit-identical to the blocked :func:`_topm_ranked` (the
-    randomized kernel-parity suite proves it) and the baseline its tile
-    sizing was measured against.
-    """
-    part = np.argpartition(d2, m, axis=1)[:, : m + 1]
-    vals = np.take_along_axis(d2, part, axis=1)
-    order = np.lexsort((part, vals), axis=1)
-    ranked = np.take_along_axis(part, order, axis=1)[:, :m]
-    vboundary = np.take_along_axis(vals, order[:, m - 1:], axis=1)
-    return ranked, vboundary[:, 1] <= vboundary[:, 0]
 
 
 def pivot_distance_matrix(paa: np.ndarray, pivots: np.ndarray) -> np.ndarray:

@@ -71,15 +71,6 @@ def unpack_segment(segment: Path) -> None:
     segment.unlink()
 
 
-def preorder(node):
-    """A pointer trie's nodes in pre-order, children by ascending pivot:
-    position ``i`` is the node the flat compile must call ``i``.  Tests
-    map flat ids to nodes through this, never through a compiled table."""
-    yield node
-    for pivot in sorted(node.children):
-        yield from preorder(node.children[pivot])
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import pointer_trie
 from repro.core import ClimberConfig, ClimberIndex
 from repro.core.builder import build_index_artifacts
 from repro.core.skeleton import cluster_key, partition_name
@@ -109,7 +110,7 @@ class TestBuilderParity:
             homes = set()
             for gid in admissible:
                 entry = skeleton.group(gid)
-                node = entry.trie.descend(sig)
+                node = pointer_trie(skeleton, gid).descend(sig)
                 if node.is_leaf and node.partition_ids:
                     (pid,) = node.partition_ids
                     homes.add((partition_name(pid),
@@ -143,7 +144,7 @@ class TestAppendParity:
         for local in range(batch.count):
             gid = int(gids[local])
             entry = index.skeleton.group(gid)
-            node = entry.trie.descend(ranked[local])
+            node = pointer_trie(index.skeleton, gid).descend(ranked[local])
             if node.is_leaf and node.partition_ids:
                 pid = next(iter(node.partition_ids))
                 key = cluster_key(gid, node.path)

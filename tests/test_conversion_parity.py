@@ -5,7 +5,7 @@ the retained seed implementations, which deliberately keep independent
 kernels (3-D broadcast OD, chunked shift/popcount WD, per-row tie loops)
 so that agreement is adversarial evidence, not self-comparison:
 
-* ``GroupAssigner.assign`` vs ``assign_reference`` — identical group
+* ``GroupAssigner.assign`` vs ``oracles.assign_reference`` — identical group
   indices, identical OD/WD tie counters, and identical RNG stream
   consumption, across seeded sweeps of (r, m, d, centroid count) and the
   fall-back-only / all-tied edge cases;
@@ -22,16 +22,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import compute_centroids, compute_centroids_reference
+from oracles import (
+    _topm_ranked_reference,
+    assign_reference,
+    compute_centroids_reference,
+    overlap_distance_matrix_reference,
+    weight_distance_matrix_reference,
+)
+from repro.core import compute_centroids
 from repro.core.assignment import GroupAssigner
 from repro.pivots import (
     decay_weights,
     overlap_distance_matrix,
-    overlap_distance_matrix_reference,
     pack_pivot_sets,
     weight_distance_matrix,
-    weight_distance_matrix_reference,
 )
+from repro.pivots.permutation import _topm_ranked
 
 
 def random_assigner(rng: np.random.Generator, r: int, m: int, k: int,
@@ -70,7 +76,7 @@ class TestAssignParity:
         ranked = random_signatures(gen, d, r, m)
 
         fast = a.assign(ranked)
-        ref = b.assign_reference(ranked)
+        ref = assign_reference(b, ranked)
         np.testing.assert_array_equal(fast.group_indices, ref.group_indices)
         assert fast.od_ties_broken == ref.od_ties_broken
         assert fast.wd_ties_broken == ref.wd_ties_broken
@@ -85,7 +91,7 @@ class TestAssignParity:
         free = [p for p in range(40) if p not in used][:4]
         assert len(free) == 4
         ranked = np.tile(np.array(free), (50, 1))
-        fast, ref = a.assign(ranked), b.assign_reference(ranked)
+        fast, ref = a.assign(ranked), assign_reference(b, ranked)
         assert fast.group_indices.tolist() == [0] * 50
         np.testing.assert_array_equal(fast.group_indices, ref.group_indices)
         assert fast.od_ties_broken == ref.od_ties_broken == 0
@@ -105,7 +111,7 @@ class TestAssignParity:
         b = GroupAssigner(centroids, r, m, weights=weights,
                           rng=np.random.default_rng(3))
         ranked = np.tile(np.array([0, 1, 2]), (40, 1))
-        fast, ref = a.assign(ranked), b.assign_reference(ranked)
+        fast, ref = a.assign(ranked), assign_reference(b, ranked)
         np.testing.assert_array_equal(fast.group_indices, ref.group_indices)
         assert fast.od_ties_broken == ref.od_ties_broken == 40
         assert fast.wd_ties_broken == ref.wd_ties_broken == 40
@@ -158,6 +164,21 @@ class TestKernelParity:
         wd_ref = weight_distance_matrix_reference(objs, packed_cents, r, w)
         # Bit-identical, not merely close: identical accumulation order.
         assert wd_new.tobytes() == wd_ref.tobytes()
+
+    @pytest.mark.parametrize("seed,d,r,m", [
+        (0, 300, 17, 5),
+        (1, 5000, 96, 6),     # several row tiles
+        (2, 700, 40, 39),     # m = r - 1
+    ])
+    def test_topm_ranked(self, seed, d, r, m):
+        gen = np.random.default_rng(seed)
+        # Rounded distances: boundary ties (the ambiguity mask) do occur.
+        d2 = np.round(gen.uniform(0, 4, size=(d, r)), 1)
+        ranked, ambiguous = _topm_ranked(d2, m)
+        ref_ranked, ref_ambiguous = _topm_ranked_reference(d2, m)
+        np.testing.assert_array_equal(ranked, ref_ranked)
+        np.testing.assert_array_equal(ambiguous, ref_ambiguous)
+        assert ambiguous.any() and not ambiguous.all()
 
 
 class TestCentroidParity:

@@ -87,6 +87,13 @@ class TestComputeCentroids:
             compute_centroids([(1, 2)], [1, 2], sample_fraction=0.5,
                               capacity=10, epsilon=1)
 
+    def test_mixed_prefix_lengths_refused(self):
+        """Def. 7 compares signatures of one length: a mix is refused at
+        entry, even where no two of them would ever be compared."""
+        with pytest.raises(ConfigurationError, match="prefix length"):
+            compute_centroids([(1, 2, 3), (4, 5)], [5, 1], sample_fraction=1.0,
+                              capacity=1, epsilon=1, max_centroids=1)
+
     def test_invalid_fraction(self):
         with pytest.raises(ConfigurationError):
             compute_centroids([(1, 2)], [1], sample_fraction=0.0,

@@ -14,7 +14,13 @@ from repro.core.skeleton import SkeletonWithPivots
 from repro.datasets import random_walk_dataset
 from repro.exceptions import ConfigurationError, StorageError
 from repro.storage import SimulatedDFS
-from repro.storage.serialization import json_to_bytes, read_blob, write_blob
+from repro.storage.serialization import (
+    array_from_bytes,
+    array_to_bytes,
+    json_to_bytes,
+    read_blob,
+    write_blob,
+)
 
 
 CFG = ClimberConfig(word_length=8, n_pivots=24, prefix_length=5,
@@ -89,6 +95,22 @@ class TestPersistence:
         with pytest.raises(ConfigurationError, match="pivot matrix"):
             ClimberIndex.reopen(narrower.to_bytes(), dfs, CFG)
 
+    def test_reopened_skeleton_is_the_built_one_bit_for_bit(self, built):
+        """Counts are stored as float64, not rounded: the reopened trie
+        arrays are the built ones to the bit, so routing ties and the
+        adaptive budget read the same numbers."""
+        _, dfs, index = built
+        blob = index.save_global_index()
+        reopened = ClimberIndex.reopen(blob, dfs, CFG)
+        for name in SKELETON_ARRAYS[2:]:
+            before = getattr(index.skeleton, name)
+            after = getattr(reopened.skeleton, name)
+            assert after.dtype == before.dtype
+            assert after.tobytes() == before.tobytes()
+        assert reopened.series_length == index.series_length == 48
+        assert reopened.save_global_index() == blob
+        assert reopened.global_index_nbytes == len(blob)
+
     def test_disk_backed_end_to_end(self, tmp_path):
         """Build on a disk-backed DFS, reopen, query — fully persistent."""
         ds = random_walk_dataset(800, 32, seed=6)
@@ -112,79 +134,195 @@ class TestPersistence:
 
 # -- a malformed global index fails typed, at reopen --------------------------
 
+#: The skeleton's documented layout (DESIGN.md D9): one JSON blob of
+#: scalars, then one array blob per name, in this order.
+SKELETON_ARRAYS = ("centroids", "default_partition", "node_offset",
+                   "node_pivot", "node_count", "subtree_end", "leaf_pid")
+
 
 def with_skeleton(global_index: bytes, rewrite) -> bytes:
-    """``global_index`` with its skeleton JSON replaced by ``rewrite(meta)``,
-    framed exactly as ``save_global_index`` frames it."""
+    """``global_index`` with its skeleton replaced by what ``rewrite(meta,
+    arrays)`` returns, framed exactly as ``save_global_index`` frames it.
+    ``arrays`` maps names to arrays; a name ``rewrite`` deletes drops its
+    blob, and ``bytes`` in place of an array are stored as they are."""
     frames = io.BytesIO(global_index)
     skeleton, pivots = read_blob(frames), read_blob(frames)
-    meta = json.loads(read_blob(io.BytesIO(skeleton)))
+    blobs = io.BytesIO(skeleton)
+    meta = json.loads(read_blob(blobs))
+    arrays = {name: array_from_bytes(read_blob(blobs))
+              for name in SKELETON_ARRAYS}
+    meta = rewrite(meta, arrays)
     inner, outer = io.BytesIO(), io.BytesIO()
-    write_blob(inner, json_to_bytes(rewrite(meta)))
+    write_blob(inner, json_to_bytes(meta))
+    for name in SKELETON_ARRAYS:
+        if name in arrays:
+            value = arrays[name]
+            write_blob(inner, value if isinstance(value, bytes)
+                       else array_to_bytes(value))
     write_blob(outer, inner.getvalue())
     write_blob(outer, pivots)
     return outer.getvalue()
 
 
 def edited(edit):
-    """A rewrite that applies ``edit(meta)`` in place."""
-    def rewrite(meta):
-        edit(meta)
+    """A rewrite that applies ``edit(meta, arrays)`` in place."""
+    def rewrite(meta, arrays):
+        edit(meta, arrays)
         return meta
     return rewrite
 
 
-def split_trie(meta) -> list:
-    """The first group trie ``[pivot, count, pids, children]`` with children."""
-    return next(g["trie"] for g in meta["groups"] if g["trie"][3])
+def on_array(name, edit):
+    """A rewrite that applies ``edit(array, arrays)`` to one array in place."""
+    return edited(lambda meta, arrays: edit(arrays[name], arrays))
 
 
-def first_leaf(meta) -> list:
-    node = split_trie(meta)
-    while node[3]:
-        node = node[3][0]
-    return node
+def set_array(name, make):
+    """A rewrite that replaces one array by ``make(array)``."""
+    return edited(lambda meta, arrays: arrays.update({name: make(arrays[name])}))
 
 
-def swap_group_ids(meta):
-    meta["groups"][1]["id"], meta["groups"][2]["id"] = 2, 1
+def drop(*names):
+    return edited(lambda meta, arrays: [arrays.pop(n) for n in names])
+
+
+def parent_of(arrays, node: int) -> int:
+    """The nearest node before ``node`` whose subtree holds it."""
+    end = arrays["subtree_end"]
+    return max(i for i in range(node) if end[i] > node)
+
+
+def non_roots(arrays) -> list[tuple[int, int, int]]:
+    """``(node, parent, end of its group)`` for every non-root node."""
+    offsets = arrays["node_offset"].tolist()
+    return [(i, parent_of(arrays, i), hi)
+            for lo, hi in zip(offsets, offsets[1:]) for i in range(lo + 1, hi)]
+
+
+def first_leaf(arrays) -> int:
+    """A leaf below a group root."""
+    end = arrays["subtree_end"]
+    return next(i for i, _, _ in non_roots(arrays) if end[i] == i + 1)
+
+
+def first_internal(arrays) -> int:
+    """A node with children."""
+    end = arrays["subtree_end"]
+    return next(i for i in range(end.size) if end[i] > i + 1)
+
+
+def empty_subtree(_, arrays):
+    child = non_roots(arrays)[0][0]
+    arrays["subtree_end"][child] = child
+
+
+def subtree_not_nested(_, arrays):
+    end = arrays["subtree_end"]
+    child, parent = next((i, p) for i, p, hi in non_roots(arrays)
+                         if p != group_root(arrays, i) and end[p] < hi)
+    end[child] = end[parent] + 1
+
+
+def group_root(arrays, node: int) -> int:
+    """The root of ``node``'s group."""
+    offsets = arrays["node_offset"]
+    return int(offsets[np.searchsorted(offsets, node, side="right") - 1])
+
+
+def subtree_past_group(_, arrays):
+    hi = int(arrays["node_offset"][2])
+    arrays["subtree_end"][hi - 1] = hi + 1
+
+
+def repeated_sibling_pivot(_, arrays):
+    end, pivot = arrays["subtree_end"], arrays["node_pivot"]
+    node = next(i for i, p, _ in non_roots(arrays) if end[i] < end[p])
+    pivot[end[node]] = pivot[node]
+
+
+def swap_group_offsets(_, arrays):
+    offsets = arrays["node_offset"]
+    offsets[1], offsets[2] = offsets[2], offsets[1]
+
+
+def json_tree_skeleton(meta, arrays):
+    """The layout before version 2: one JSON blob of nested-list tries."""
+    groups = [
+        {"id": gid, "centroid": list(centroid), "default": int(default),
+         "est_size": 0.0, "trie": [None, 0.0, [int(default)], []]}
+        for gid, (centroid, default) in enumerate(zip(
+            [[]] + arrays["centroids"].tolist(), arrays["default_partition"]))
+    ]
+    arrays.clear()
+    return {key: meta[key] for key in (
+        "prefix_length", "n_pivots", "word_length", "n_partitions")} | {
+        "groups": groups}
 
 
 HOSTILE_SKELETONS = {
-    # structure: missing key, wrong arity, wrong type
-    "not-an-object": lambda meta: [meta],
-    "no-groups": edited(lambda meta: meta.pop("groups")),
-    "group-without-trie": edited(lambda meta: meta["groups"][1].pop("trie")),
+    # not this format
+    "pre-change-json-blob": json_tree_skeleton,
+    "version-from-the-future": edited(
+        lambda meta, arrays: meta.update(version=3)),
+    # structure: missing blob, wrong arity, wrong type
+    "not-an-object": lambda meta, arrays: [meta],
+    "no-groups": drop("centroids", "default_partition"),
+    "group-without-trie": drop("node_offset", "node_pivot", "node_count",
+                               "subtree_end", "leaf_pid"),
     "group-not-an-object": edited(
-        lambda meta: meta["groups"].__setitem__(1, 7)),
-    "root-of-arity-2": edited(
-        lambda meta: meta["groups"][1].update(trie=[None, 1.0])),
-    "child-of-arity-2": edited(
-        lambda meta: split_trie(meta)[3].append([3, 1.0])),
-    "children-not-a-list": edited(
-        lambda meta: split_trie(meta).__setitem__(3, 7)),
-    "pids-not-a-list": edited(lambda meta: first_leaf(meta).__setitem__(2, 7)),
-    "count-not-a-number": edited(
-        lambda meta: first_leaf(meta).__setitem__(1, "x")),
+        lambda meta, arrays: arrays.update(default_partition=b"7")),
+    "root-of-arity-2": on_array(
+        "node_pivot", lambda a, arrays: a.__setitem__(
+            int(arrays["node_offset"][1]), 3)),
+    "child-of-arity-2": edited(empty_subtree),
+    "children-not-a-list": edited(subtree_not_nested),
+    "subtree-past-its-group": edited(subtree_past_group),
+    "node-arrays-of-unequal-length": set_array("node_count", lambda a: a[:-1]),
+    "pids-not-a-list": set_array("leaf_pid", lambda a: a.astype(np.float64)),
+    "pivot-of-float-dtype": set_array(
+        "node_pivot", lambda a: a.astype(np.float64)),
+    "count-of-int-dtype": set_array("node_count", lambda a: a.astype(np.int64)),
+    "count-of-complex-dtype": set_array(
+        "node_count", lambda a: a.astype(np.complex128)),
+    "count-not-a-number": on_array(
+        "node_count", lambda a, arrays: a.__setitem__(first_leaf(arrays),
+                                                      np.nan)),
+    "count-infinite": on_array(
+        "node_count", lambda a, arrays: a.__setitem__(0, np.inf)),
+    "count-negative": on_array(
+        "node_count", lambda a, arrays: a.__setitem__(first_leaf(arrays),
+                                                      -1.0)),
     "n-partitions-not-a-number": edited(
-        lambda meta: meta.update(n_partitions="a")),
-    "group-0-with-a-centroid": edited(
-        lambda meta: meta["groups"][0].update(centroid=[1, 2, 3, 4, 5])),
+        lambda meta, arrays: meta.update(n_partitions="a")),
+    "series-length-not-a-number": edited(
+        lambda meta, arrays: meta.update(series_length=[48])),
+    "group-0-with-a-centroid": set_array(
+        "centroids", lambda a: np.vstack([a[:1], a])),
+    "centroid-pivot-out-of-range": on_array(
+        "centroids", lambda a, arrays: a.__setitem__((0, 0), CFG.n_pivots)),
     # well-formed, but positional lookups would trust a lie
-    "group-ids-swapped": edited(swap_group_ids),
-    "group-id-repeated": edited(lambda meta: meta["groups"][2].update(id=1)),
-    "negative-edge-pivot": edited(
-        lambda meta: split_trie(meta)[3][0].__setitem__(0, -1)),
-    "edge-pivot-at-n-pivots": edited(
-        lambda meta: split_trie(meta)[3][0].__setitem__(0, CFG.n_pivots)),
+    "group-ids-swapped": edited(swap_group_offsets),
+    "group-id-repeated": on_array(
+        "node_offset", lambda a, arrays: a.__setitem__(2, a[1])),
+    "group-offsets-past-the-nodes": on_array(
+        "node_offset", lambda a, arrays: a.__setitem__(-1, a[-1] + 1)),
+    "negative-edge-pivot": on_array(
+        "node_pivot", lambda a, arrays: a.__setitem__(first_leaf(arrays), -1)),
+    "edge-pivot-at-n-pivots": on_array(
+        "node_pivot", lambda a, arrays: a.__setitem__(first_leaf(arrays),
+                                                      CFG.n_pivots)),
+    "sibling-pivot-repeated": edited(repeated_sibling_pivot),
     "leaf-partition-beyond-range": edited(
-        lambda meta: first_leaf(meta).__setitem__(2, [meta["n_partitions"]])),
-    "leaf-partition-negative": edited(
-        lambda meta: first_leaf(meta).__setitem__(2, [-1])),
-    "default-partition-beyond-range": edited(
-        lambda meta: meta["groups"][1].update(default=10 ** 6)),
-    "default-partition-negative": edited(
-        lambda meta: meta["groups"][1].update(default=-1)),
+        lambda meta, arrays: arrays["leaf_pid"].__setitem__(
+            first_leaf(arrays), meta["n_partitions"])),
+    "leaf-partition-negative": on_array(
+        "leaf_pid", lambda a, arrays: a.__setitem__(first_leaf(arrays), -1)),
+    "internal-node-with-a-partition": on_array(
+        "leaf_pid", lambda a, arrays: a.__setitem__(first_internal(arrays), 0)),
+    "default-partition-beyond-range": on_array(
+        "default_partition", lambda a, arrays: a.__setitem__(1, 10 ** 6)),
+    "default-partition-negative": on_array(
+        "default_partition", lambda a, arrays: a.__setitem__(1, -1)),
 }
 
 
@@ -192,7 +330,7 @@ class TestHostileSkeleton:
     def test_untouched_blob_round_trips_byte_for_byte(self, built):
         _, dfs, index = built
         blob = index.save_global_index()
-        assert with_skeleton(blob, lambda meta: meta) == blob
+        assert with_skeleton(blob, lambda meta, arrays: meta) == blob
         assert ClimberIndex.reopen(blob, dfs, CFG).save_global_index() == blob
 
     @pytest.mark.parametrize("mutation", sorted(HOSTILE_SKELETONS))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import preorder
+from oracles import pointer_trie, preorder
 from repro.core import (
     ClimberConfig,
     ClimberIndex,
@@ -51,10 +51,12 @@ class TestGroupCandidatesSlack:
             assert primary.od == min(c.od for c in cands)
 
 
-def as_candidate(entry, path=(0,), od=1, wd=0.0) -> GroupCandidate:
-    """A hand-made candidate ending at flat node ``path[-1]`` of ``entry``."""
-    node = list(preorder(entry.trie))[path[-1]]
-    return GroupCandidate(entry, od, wd, tuple(path), node.count)
+def as_candidate(skeleton, gid, path=(0,), od=1, wd=0.0) -> GroupCandidate:
+    """A hand-made candidate ending at flat node ``path[-1]`` of group
+    ``gid``."""
+    node = list(preorder(pointer_trie(skeleton, gid)))[path[-1]]
+    return GroupCandidate(skeleton.groups[gid], od, wd, tuple(path),
+                          node.count)
 
 
 class TestCovered:
@@ -62,14 +64,12 @@ class TestCovered:
         """A node under an already-selected subtree is never selected again;
         its ancestor, selected later, replaces it."""
         _, idx = built
-        entry = idx.skeleton.groups[1]
-        root = entry.trie
-        if root.is_leaf:
+        if pointer_trie(idx.skeleton, 1).is_leaf:
             pytest.skip("group 1 trie has no children in this build")
         child_id = 1  # pre-order: the root's smallest-pivot child
-        down = as_candidate(entry, (0, child_id))
+        down = as_candidate(idx.skeleton, 1, (0, child_id))
         # Primary at the root: the child is inside it and adds nothing.
-        at_root = as_candidate(entry, (0,))
+        at_root = as_candidate(idx.skeleton, 1, (0,))
         assert idx.routing._expand_adaptive(
             at_root, [down], 10 ** 9, 10 ** 6
         ) == [(1, 0)]
@@ -81,8 +81,8 @@ class TestCovered:
     def test_different_groups_never_cover(self, built):
         """Node ids are per trie: group 2's root is not inside group 1's."""
         _, idx = built
-        a = as_candidate(idx.skeleton.groups[1])
-        b = as_candidate(idx.skeleton.groups[2], wd=1.0)
+        a = as_candidate(idx.skeleton, 1)
+        b = as_candidate(idx.skeleton, 2, wd=1.0)
         assert idx.routing._expand_adaptive(
             a, [a, b], 10 ** 9, 10 ** 6
         ) == [(1, 0), (2, 0)]
@@ -92,7 +92,7 @@ class TestTargetKeys:
     def test_root_selection_includes_default_cluster(self, built):
         _, idx = built
         entry = idx.skeleton.groups[1]
-        cand = as_candidate(entry)
+        cand = as_candidate(idx.skeleton, 1)
         _, reads = idx.routing.plan("od-smallest", cand, [cand], 5, 1)
         assert partition_name(entry.default_partition) in reads
         for keys in reads.values():
@@ -101,13 +101,14 @@ class TestTargetKeys:
     def test_leaf_selection_is_single_key(self, built):
         _, idx = built
         entry = idx.skeleton.groups[1]
-        nodes = list(preorder(entry.trie))
+        trie = pointer_trie(idx.skeleton, 1)
+        nodes = list(preorder(trie))
         leaf_id = next(i for i, node in enumerate(nodes) if node.is_leaf)
         if leaf_id == 0:
             pytest.skip("group 1 trie is a single leaf")
         leaf = nodes[leaf_id]
-        path = tuple(nodes.index(n) for n in entry.trie.descend_path(leaf.path))
-        cand = as_candidate(entry, path)
+        path = tuple(nodes.index(n) for n in trie.descend_path(leaf.path))
+        cand = as_candidate(idx.skeleton, 1, path)
         n_selected, reads = idx.routing.plan("knn", cand, [cand], 5, 1)
         assert n_selected == 1
         assert reads == {
@@ -118,9 +119,10 @@ class TestTargetKeys:
 
 # -- the planner against an oracle that shares no table with it --------------
 #
-# Everything below recomputes a plan from the pointer tries (`descend_path`,
-# `leaves`, `subtree_partition_ids`) and plain set algebra on centroids; the
-# only things taken from the planner are its answers.
+# Everything below recomputes a plan from pointer tries (`descend_path`,
+# `leaves`, `subtree_partition_ids`), which `oracles.pointer_trie` rebuilds
+# from the skeleton's stored arrays by its own walk, and plain set algebra
+# on centroids; the only things taken from the planner are its answers.
 
 DEEP_CONFIG = ClimberConfig(
     word_length=8, n_pivots=32, prefix_length=6, capacity=25,
@@ -134,7 +136,7 @@ def deep():
     ds = random_walk_dataset(2500, 64, seed=13)
     idx = ClimberIndex.build(ds, DEEP_CONFIG)
     assert max(n.depth for g in idx.skeleton.groups
-               for n in preorder(g.trie)) >= 4
+               for n in preorder(pointer_trie(idx.skeleton, g.group_id))) >= 4
     return ds, idx
 
 
@@ -170,6 +172,10 @@ def oracle_reads(selected) -> dict[str, set[str]]:
     return reads
 
 
+def trie_of(idx, cand: GroupCandidate):
+    return pointer_trie(idx.skeleton, cand.entry.group_id)
+
+
 def as_sets(reads: dict[str, list[str]]) -> dict[str, set[str]]:
     return {name: set(keys) for name, keys in reads.items()}
 
@@ -184,7 +190,7 @@ class TestPlannerOracle:
         idx, routed = planned
         internal = 0
         for sig, cands, primary in routed:
-            gn = primary.entry.trie.descend_path(sig)[-1]
+            gn = trie_of(idx, primary).descend_path(sig)[-1]
             internal += not gn.is_leaf
             n_selected, reads = idx.routing.plan("knn", primary, cands, 10, 4)
             assert n_selected == 1
@@ -209,7 +215,7 @@ class TestPlannerOracle:
             )
             assert n_selected == len(chosen)
             assert as_sets(reads) == oracle_reads(
-                [(g, g.trie) for g in chosen]
+                [(g, pointer_trie(idx.skeleton, g.group_id)) for g in chosen]
             )
 
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
@@ -218,7 +224,7 @@ class TestPlannerOracle:
         idx, routed = planned
         expanded = 0
         for sig, cands, primary in routed:
-            gn = primary.entry.trie.descend_path(sig)[-1]
+            gn = trie_of(idx, primary).descend_path(sig)[-1]
             n_selected, reads = idx.routing.plan(
                 "adaptive", primary, cands, k, factor
             )
@@ -228,7 +234,7 @@ class TestPlannerOracle:
                 continue
             selected = [
                 (idx.skeleton.groups[gid], list(preorder(
-                    idx.skeleton.groups[gid].trie))[node])
+                    pointer_trie(idx.skeleton, gid)))[node])
                 for gid, node in idx.routing._expand_adaptive(
                     primary, cands, k, factor)
             ]
@@ -252,10 +258,10 @@ class TestPlannerOracle:
                 assert pairs == gn_pairs  # no partition CLIMBER-kNN would not cover
             # Short of k only when nothing more could be added: every pool
             # node is inside a selected subtree or would break the budget.
-            # (One record of slack: counts are stored to three decimals.)
+            # (One record of slack for the float sums.)
             if sum(node.count for _, node in selected) < k - 1:
                 for cand in cands:
-                    for node in cand.entry.trie.descend_path(sig):
+                    for node in trie_of(idx, cand).descend_path(sig):
                         covered = any(
                             e is cand.entry and node.path[:n.depth] == n.path
                             for e, n in selected

@@ -12,12 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import scalar_group_candidates
 from repro.core import ClimberConfig, ClimberIndex
-from repro.core.routing import (
-    RoutingTable,
-    scalar_group_candidates,
-    select_primary,
-)
+from repro.core.routing import RoutingTable, select_primary
 from repro.datasets import random_walk_dataset
 
 

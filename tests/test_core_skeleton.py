@@ -5,18 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import build_group_trie, pack_leaves, pointer_trie, skeleton_of
 from repro.core import (
-    GroupEntry,
     IndexSkeleton,
     SkeletonWithPivots,
-    build_group_trie,
     cluster_key,
     partition_name,
 )
 from repro.exceptions import ConfigurationError
 
+TRIE_ARRAYS = ("node_offset", "node_pivot", "node_count", "subtree_end",
+               "leaf_pid")
 
-def make_skeleton() -> IndexSkeleton:
+
+def make_groups() -> list:
     fallback_trie = build_group_trie([], [], capacity=100.0)
     fallback_trie.partition_ids = {0}
     g1_trie = build_group_trie(
@@ -24,14 +26,12 @@ def make_skeleton() -> IndexSkeleton:
     )
     for i, leaf in enumerate(g1_trie.leaves()):
         leaf.partition_ids = {i + 1}
-    groups = [
-        GroupEntry(0, (), fallback_trie, 0, 0.0),
-        GroupEntry(1, (2, 4, 6), g1_trie, 1, 270.0),
-    ]
-    return IndexSkeleton(
-        prefix_length=3, n_pivots=16, word_length=8,
-        groups=groups, n_partitions=4,
-    )
+    return [((), fallback_trie, 0), ((2, 4, 6), g1_trie, 1)]
+
+
+def make_skeleton(groups=None, n_partitions: int = 4) -> IndexSkeleton:
+    return skeleton_of(groups or make_groups(), prefix_length=3, n_pivots=16,
+                       n_partitions=n_partitions)
 
 
 class TestNaming:
@@ -54,8 +54,9 @@ class TestNaming:
 class TestSkeleton:
     def test_requires_fallback_first(self):
         trie = build_group_trie([], [], capacity=10.0)
+        trie.partition_ids = {0}
         with pytest.raises(ConfigurationError):
-            IndexSkeleton(3, 16, 8, [GroupEntry(0, (1, 2, 3), trie, 0, 1.0)], 1)
+            skeleton_of([((1, 2, 3), trie, 0)], 3, 16, n_partitions=1)
 
     def test_centroids_exclude_fallback(self):
         sk = make_skeleton()
@@ -75,8 +76,21 @@ class TestSkeleton:
     def test_total_trie_nodes(self):
         sk = make_skeleton()
         assert sk.total_trie_nodes() == sum(
-            g.trie.node_count() for g in sk.groups
+            trie.node_count() for _, trie, _ in make_groups()
         )
+
+    def test_arrays_are_preorder(self):
+        """Each group's root, then children by ascending pivot, each
+        subtree a contiguous id range: G1 splits 6 -> 6/2 -> 6/2/1."""
+        sk = make_skeleton()
+        assert sk.node_offset.tolist() == [0, 1, 7]
+        assert sk.node_pivot.tolist() == [-1, -1, 4, 6, 2, 1, 7]
+        assert sk.subtree_end.tolist() == [1, 7, 3, 7, 6, 6, 7]
+        assert sk.leaf_pid.tolist() == [0, -1, 1, -1, -1, 2, 3]
+        assert sk.node_parent.tolist() == [-1, -1, 1, 1, 3, 4, 3]
+        assert sk.node_count.tolist() == [
+            0.0, 270.0, 60.0, 210.0, 120.0, 120.0, 90.0
+        ]
 
 
 class TestSerialisation:
@@ -86,36 +100,48 @@ class TestSerialisation:
         assert out.prefix_length == 3
         assert out.n_pivots == 16
         assert out.n_partitions == 4
+        assert out.series_length == sk.series_length
         assert len(out.groups) == 2
         assert out.groups[1].centroid == (2, 4, 6)
         assert out.groups[1].default_partition == 1
 
+    def test_roundtrip_arrays_bit_for_bit(self):
+        sk = make_skeleton()
+        blob = sk.to_bytes()
+        out = IndexSkeleton.from_bytes(blob)
+        for name in TRIE_ARRAYS:
+            before, after = getattr(sk, name), getattr(out, name)
+            assert after.dtype == before.dtype
+            assert after.tobytes() == before.tobytes()
+        assert out.to_bytes() == blob
+
     def test_roundtrip_trie_shape(self):
         sk = make_skeleton()
         out = IndexSkeleton.from_bytes(sk.to_bytes())
-        a = sk.groups[1].trie
-        b = out.groups[1].trie
+        a = pointer_trie(sk, 1)
+        b = pointer_trie(out, 1)
         assert sorted(l.path for l in a.leaves()) == sorted(
             l.path for l in b.leaves()
         )
-        assert b.count == pytest.approx(a.count)
+        assert b.count == a.count
 
     def test_roundtrip_partition_unions(self):
         sk = make_skeleton()
         out = IndexSkeleton.from_bytes(sk.to_bytes())
-        before, after = sk.groups[1].trie, out.groups[1].trie
+        before, after = pointer_trie(sk, 1), pointer_trie(out, 1)
         assert after.subtree_partition_ids() == {1, 2, 3}
         for pivot, child in before.children.items():
             assert (after.children[pivot].subtree_partition_ids()
                     == child.subtree_partition_ids())
 
     def test_nbytes_positive_and_grows(self):
-        sk = make_skeleton()
-        small = sk.nbytes
-        sk.groups.append(
-            GroupEntry(2, (1, 3, 5), build_group_trie([(1, 3, 5)], [10.0], 100.0), 3, 10.0)
-        )
-        assert sk.nbytes > small > 0
+        """The serialised size — the paper's global index size — counts
+        every group's trie."""
+        small = len(make_skeleton().to_bytes())
+        extra = build_group_trie([(1, 3, 5)], [10.0], 100.0)
+        pack_leaves(extra, 100.0, 4)
+        bigger = make_skeleton(make_groups() + [((1, 3, 5), extra, 4)], 5)
+        assert len(bigger.to_bytes()) > small > 0
 
     def test_skeleton_with_pivots_roundtrip(self):
         sk = make_skeleton()
@@ -126,25 +152,22 @@ class TestSerialisation:
         assert out.skeleton.n_partitions == 4
 
     def test_descend_after_roundtrip(self):
-        """A deserialised trie must route signatures identically."""
+        """A deserialised skeleton must route signatures identically."""
         sk = make_skeleton()
         out = IndexSkeleton.from_bytes(sk.to_bytes())
         for sig in [(6, 2, 1), (6, 7, 3), (4, 1, 2), (9, 9, 9)]:
-            assert (
-                out.groups[1].trie.descend(sig).path
-                == sk.groups[1].trie.descend(sig).path
-            )
+            assert (out.flat_router().tries[1].descend_path_ids(sig)
+                    == sk.flat_router().tries[1].descend_path_ids(sig))
+            assert (pointer_trie(out, 1).descend(sig).path
+                    == pointer_trie(sk, 1).descend(sig).path)
 
 
 class TestDeepTrieSerialisationObjects:
     def test_trie_obj_conversion_is_iterative(self):
-        """_trie_to_obj/_trie_from_obj must handle tries far deeper than
-        the recursion limit (the JSON encoder's nesting ceiling is the
-        only remaining bound on full to_bytes round-trips)."""
+        """A trie far deeper than the recursion limit round-trips through
+        the skeleton bytes and routes: checking, deriving parents and
+        flattening are all loops, and arrays have no nesting limit."""
         import sys
-
-        from repro.core import build_group_trie
-        from repro.core.skeleton import IndexSkeleton
 
         depth = sys.getrecursionlimit() + 500
         shared = tuple(range(depth - 1))
@@ -154,14 +177,16 @@ class TestDeepTrieSerialisationObjects:
         )
         for leaf, pid in zip(root.leaves(), (0, 1)):
             leaf.partition_ids = {pid}
-        obj = IndexSkeleton._trie_to_obj(root)
-        rebuilt = IndexSkeleton._trie_from_obj(obj, ())
-        assert rebuilt.node_count() == root.node_count()
-        assert [l.path for l in rebuilt.leaves()] == [
+        sk = skeleton_of([((), root, 0)], prefix_length=depth,
+                         n_pivots=depth + 2, n_partitions=2)
+        rebuilt = IndexSkeleton.from_bytes(sk.to_bytes())
+        assert rebuilt.total_trie_nodes() == root.node_count()
+        trie = pointer_trie(rebuilt, 0)
+        assert [l.path for l in trie.leaves()] == [
             l.path for l in root.leaves()
         ]
         # A subtree's covering set survives serialisation, at any depth.
-        assert rebuilt.subtree_partition_ids() == {0, 1}
-        deepest = rebuilt.descend(shared)
-        assert deepest.depth == depth - 1
-        assert deepest.subtree_partition_ids() == {0, 1}
+        ft = rebuilt.flat_router().tries[0]
+        path = ft.descend_path_ids(shared)
+        assert len(path) == depth
+        assert ft.subtree(path[-1])[0] == [0, 1]

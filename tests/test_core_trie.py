@@ -1,4 +1,5 @@
-"""Tests for the group partition trie (§IV-D, paper Fig. 5)."""
+"""The group partition trie (§IV-D, paper Fig. 5): the pointer oracle and
+the builder's flat split against it."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_group_trie
+from oracles import build_group_trie, pack_leaves, trie_arrays
+from repro.core.builder import split_group
 from repro.exceptions import ConfigurationError
 
 
@@ -178,3 +180,50 @@ class TestDeepTrieIteration:
         # Walks are iterative too.
         assert root.descend(sig_a).path == sig_a
         assert root.node_count() == depth + 2
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_builder_split_matches_pointer_trie(data):
+    """Construction Step 3's flat split against the pointer oracle on the
+    same group: the same nodes in the same pre-order, the same edge pivots
+    and subtree ends, counts equal bit for bit, and the same FFD partition
+    per leaf and default partition."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = data.draw(st.integers(1, 5))
+    r = data.draw(st.integers(m, 12))
+    n_sigs = data.draw(st.integers(0, 80))
+    # Estimated counts as the builder makes them: frequency / alpha.
+    alpha = data.draw(st.floats(0.01, 1.0))
+    capacity = data.draw(st.floats(0.5, 400.0))
+    first_pid = data.draw(st.integers(0, 50))
+    sigs = sorted({tuple(int(p) for p in rng.choice(r, size=m, replace=False))
+                   for _ in range(n_sigs)})
+    counts = [int(f) / alpha for f in rng.integers(1, 60, size=len(sigs))]
+
+    root = build_group_trie(sigs, counts, capacity)
+    default = pack_leaves(root, capacity, first_pid)
+    pivot, count, end, leaf_pid = trie_arrays(root)
+    got = split_group(sigs, counts, capacity, first_pid)
+    assert got[0] == pivot
+    assert np.array(got[1]).tobytes() == np.array(count).tobytes()
+    assert got[2] == end
+    assert got[3] == leaf_pid
+    assert got[4] == default
+
+
+def test_builder_split_beyond_recursion_limit():
+    """The builder's split is a loop too: a group as deep as a prefix far
+    beyond Python's recursion limit splits all the way down."""
+    import sys
+
+    depth = sys.getrecursionlimit() + 500
+    shared = tuple(range(depth - 1))
+    sigs = [shared + (depth,), shared + (depth + 1,)]
+    pivot, count, end, leaf_pid, default = split_group(
+        sigs, [60.0, 60.0], 100.0, 0
+    )
+    assert len(pivot) == depth + 2
+    assert pivot[:3] == [-1, 0, 1] and pivot[-2:] == [depth, depth + 1]
+    assert end[0] == len(pivot)
+    assert leaf_pid[-2:] == [0, 1] and default == 0

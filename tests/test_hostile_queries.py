@@ -230,3 +230,29 @@ def test_service_fails_the_bad_request_alone():
     assert counters["serve.requests"] == 12
     assert counters["serve.responses"] == 6
     assert counters["serve.failures"] == 6
+
+
+def test_empty_store_reopen_still_knows_the_series_length(index):
+    """The skeleton records the series length, so an index reopened over
+    a store with no partitions refuses a wrong-length query at every
+    entry point as any other index does — nothing to probe the store for."""
+    empty = SimulatedDFS()
+    reopened = ClimberIndex.reopen(index.save_global_index(), empty,
+                                   index.config)
+    assert reopened.series_length == LENGTH
+    short = good()[:-1]
+    with pytest.raises(DimensionalityError, match="length"):
+        reopened.knn(short, 5)
+    with pytest.raises(DimensionalityError, match="length"):
+        reopened.knn_batch(np.stack([short, short]), 5)
+    with pytest.raises(DimensionalityError, match="length"):
+        next(reopened.knn_progressive(short, 5))
+
+    async def submit():
+        async with QueryService(reopened, ServeConfig(),
+                                registry=MetricsRegistry()) as service:
+            return await service.submit(short, 5)
+
+    with pytest.raises(DimensionalityError, match="length"):
+        asyncio.run(submit())
+    assert empty.counters.partitions_read == 0

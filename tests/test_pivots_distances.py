@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import TrieNode, skeleton_of
 from repro.core.routing import RoutingTable
-from repro.core.skeleton import GroupEntry, IndexSkeleton
-from repro.core.trie import TrieNode
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
     decay_weights,
@@ -213,6 +212,13 @@ class TestRankMetrics:
             assert k <= f <= 2 * k or (k == 0 and f == 0)
 
 
+def leaf(count: float, pid: int) -> TrieNode:
+    """A root-only trie packed into partition ``pid``."""
+    root = TrieNode(None, (), count)
+    root.partition_ids = {pid}
+    return root
+
+
 class TestRoutingDistances:
     """Query-time OD + WD — ``RoutingTable.od_matrix`` and the Weight
     Distances ``candidates`` accumulates lazily for the chosen groups —
@@ -233,14 +239,12 @@ class TestRoutingDistances:
     @staticmethod
     def _table(centroids, weights, r=40):
         """Fall-back G0 plus one root-only group per centroid row."""
-        groups = [GroupEntry(0, (), TrieNode(None, (), 0.0), 0, 0.0)] + [
-            GroupEntry(j, tuple(cent.tolist()), TrieNode(None, (), 1.0), j, 1.0)
+        groups = [((), leaf(0.0, 0), 0)] + [
+            (tuple(cent.tolist()), leaf(1.0, j), j)
             for j, cent in enumerate(centroids, start=1)
         ]
-        skeleton = IndexSkeleton(
-            prefix_length=centroids.shape[1], n_pivots=r, word_length=8,
-            groups=groups, n_partitions=len(groups),
-        )
+        skeleton = skeleton_of(groups, prefix_length=centroids.shape[1],
+                               n_pivots=r, n_partitions=len(groups))
         return RoutingTable(skeleton, weights)
 
     @pytest.mark.parametrize("decay", ["exponential", "linear"])

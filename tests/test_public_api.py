@@ -146,3 +146,37 @@ def test_library_reads_no_environment():
             if hit:
                 offenders.append(f"{path}:{node.lineno}")
     assert offenders == []
+
+
+#: Names of the reference implementations ``tests/oracles.py`` keeps.
+ORACLE_NAMES = {"TrieNode", "build_group_trie", "scalar_group_candidates"}
+
+
+def test_references_live_in_tests_only():
+    """``src/repro`` ships no reference implementation and reaches none:
+    no module imports ``tests`` or ``oracles``, and no package exports a
+    ``*_reference`` or one of the pointer-trie oracles (DESIGN.md D4, D9)."""
+    import importlib
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("tests", "oracles", "conftest")
+                   for m in modules):
+                offenders.append(f"{path}:{node.lineno}")
+        if path.name == "__init__.py":
+            package = ".".join(
+                ("repro",) + path.parent.relative_to(root).parts
+            )
+            for name in getattr(importlib.import_module(package),
+                                "__all__", ()):
+                if name.endswith("_reference") or name in ORACLE_NAMES:
+                    offenders.append(f"{package}.{name}")
+    assert offenders == []

@@ -1,13 +1,13 @@
-"""Parity suite for the CSR flat-trie router (core/trie_flat.py).
+"""Parity suite for the flat trie router (core/trie_flat.py).
 
 Every claim the flat subsystem makes is checked against the pointer-based
-:class:`TrieNode` reference on randomized tries: the batch walk
+``oracles.TrieNode`` reference on randomized tries: the batch walk
 (``FlatTrieRouter.route``) against per-record ``descend``,
 ``descend_path_ids`` against ``descend_path``, ``subtree`` against the
 reference leaf walks, and the router's bulk ``route``/``partition_layout``
 against the legacy per-record redistribution grouping.  Flat ids are
 mapped to pointer nodes by the tests' own pre-order enumeration
-(``conftest.preorder``), never by a table the compile keeps.
+(``oracles.preorder``), never by a table the router keeps.
 """
 
 from __future__ import annotations
@@ -15,20 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import preorder
-from repro.core import (
-    ClimberConfig,
-    ClimberIndex,
-    FlatTrie,
-    FlatTrieRouter,
+from oracles import (
+    TrieNode,
     build_group_trie,
-    first_fit_decreasing,
+    pack_leaves,
+    pointer_trie,
+    preorder,
+    skeleton_of,
 )
-from repro.core.skeleton import (
-    GroupEntry,
-    IndexSkeleton,
-    cluster_key,
-)
+from repro.core import ClimberConfig, ClimberIndex, FlatTrieRouter
+from repro.core.skeleton import cluster_key
 from repro.datasets import make_dataset
 from repro.exceptions import ConfigurationError
 
@@ -38,11 +34,26 @@ PREFIX = 6
 
 def lone_group_router(trie, n_pivots: int = N_PIVOTS, default_partition: int = 0):
     """A router over a skeleton holding just ``trie`` (as group 0)."""
-    return FlatTrieRouter(IndexSkeleton(
-        prefix_length=PREFIX, n_pivots=n_pivots, word_length=8,
-        groups=[GroupEntry(0, (), trie, default_partition, trie.count)],
-        n_partitions=default_partition + 1,
+    n_partitions = max(trie.subtree_partition_ids() | {default_partition}) + 1
+    return FlatTrieRouter(skeleton_of(
+        [((), trie, default_partition)], PREFIX, n_pivots, n_partitions
     ))
+
+
+def flat_trie(trie, group_id: int, n_pivots: int = N_PIVOTS):
+    """``trie`` flattened as group ``group_id`` of a skeleton whose other
+    groups are single packed leaves."""
+    spare = max(trie.subtree_partition_ids(), default=-1) + 1
+    groups = []
+    for gid in range(group_id):
+        leaf = TrieNode(None, (), 0.0)
+        leaf.partition_ids = {spare}
+        groups.append(((gid,) if gid else (), leaf, spare))
+    groups.append(((group_id,) if group_id else (), trie, spare))
+    router = FlatTrieRouter(
+        skeleton_of(groups, PREFIX, n_pivots, n_partitions=spare + 1)
+    )
+    return router.tries[group_id]
 
 
 def random_group_trie(rng: np.random.Generator, next_pid: int = 0):
@@ -55,19 +66,9 @@ def random_group_trie(rng: np.random.Generator, next_pid: int = 0):
     counts = rng.uniform(1.0, 120.0, size=len(sigs)).tolist()
     capacity = float(rng.uniform(30.0, 400.0))
     trie = build_group_trie(sigs, counts, capacity)
-    leaves = list(trie.leaves())
-    bins = first_fit_decreasing(
-        [(leaf.path, leaf.count) for leaf in leaves], capacity
-    )
-    leaf_by_path = {leaf.path: leaf for leaf in leaves}
-    pids = []
-    for bin_paths in bins:
-        pid = next_pid
-        next_pid += 1
-        for path in bin_paths:
-            leaf_by_path[path].partition_ids = {pid}
-        pids.append(pid)
-    return trie, sigs, pids, next_pid
+    pack_leaves(trie, capacity, next_pid)
+    pids = sorted(trie.subtree_partition_ids())
+    return trie, sigs, pids, pids[-1] + 1
 
 
 def random_queries(rng: np.random.Generator, sigs, n: int) -> np.ndarray:
@@ -99,7 +100,7 @@ class TestFlatTrieParity:
     def test_descend_path_matches(self, seed):
         rng = np.random.default_rng(100 + seed)
         trie, sigs, _, _ = random_group_trie(rng)
-        ft = FlatTrie(trie, group_id=3, n_pivots=N_PIVOTS)
+        ft = flat_trie(trie, group_id=3)
         nodes = list(preorder(trie))
         for row in random_queries(rng, sigs, 100):
             sig = tuple(int(p) for p in row)
@@ -112,7 +113,7 @@ class TestFlatTrieParity:
         rng = np.random.default_rng(200 + seed)
         trie, _, _, _ = random_group_trie(rng)
         gid = int(rng.integers(0, 9))
-        ft = FlatTrie(trie, group_id=gid, n_pivots=N_PIVOTS)
+        ft = flat_trie(trie, group_id=gid)
         nodes = list(preorder(trie))
         assert ft.n_nodes == len(nodes)
         for nid, node in enumerate(nodes):
@@ -128,7 +129,7 @@ class TestFlatTrieParity:
     def test_single_leaf_group(self):
         trie = build_group_trie([(1, 2, 3)], [10.0], capacity=100.0)
         trie.partition_ids = {7}
-        ft = FlatTrie(trie, group_id=2, n_pivots=8)
+        ft = flat_trie(trie, group_id=2, n_pivots=8)
         assert ft.n_nodes == 1
         assert ft.descend_path_ids((1, 2, 3)) == [0]
         assert ft.subtree(0) == ([7], ["G2"])
@@ -138,15 +139,18 @@ class TestFlatTrieParity:
         assert int(router.kid_pid[kid]) == 7
 
     def test_empty_group(self):
+        """An empty group is one root leaf, packed like any leaf (Step 3
+        packs every leaf): records of the group land in its cluster."""
         trie = build_group_trie([], [], capacity=10.0)
-        ft = FlatTrie(trie, group_id=0, n_pivots=8)
-        assert ft.n_nodes == 1 and ft.n_edges == 0
-        assert ft.subtree(0) == ([], ["G0"])
-        # An unpacked root leaf routes like a stalled walk: default cluster.
+        assert pack_leaves(trie, 10.0, 0) == 0
+        ft = flat_trie(trie, group_id=0, n_pivots=8)
+        assert ft.n_nodes == 1 and ft.descend_path_ids((0, 1, 2)) == [0]
+        assert ft.subtree(0) == ([0], ["G0"])
         router = lone_group_router(trie, n_pivots=8)
         kids = router.route(np.zeros((4, 3), dtype=np.int64),
                             np.zeros(4, dtype=np.int64))
-        assert [router.cluster_keys[int(kid)] for kid in kids] == ["G0/~"] * 4
+        assert [router.cluster_keys[int(kid)] for kid in kids] == ["G0"] * 4
+        assert router.kid_pid[kids].tolist() == [0] * 4
 
     def test_out_of_range_pivot_misses(self):
         trie = build_group_trie(
@@ -168,38 +172,27 @@ class TestFlatTrieParity:
 
 
 def build_random_skeleton(rng: np.random.Generator):
-    """A multi-group skeleton with packed tries and default partitions."""
+    """A multi-group skeleton with packed tries and default partitions,
+    and the pointer tries it was made from."""
     n_groups = int(rng.integers(2, 6))
     groups = []
     next_pid = 0
     for gid in range(n_groups):
         trie, sigs, pids, next_pid = random_group_trie(rng, next_pid)
-        groups.append(
-            GroupEntry(
-                group_id=gid,
-                centroid=() if gid == 0 else tuple(
-                    sorted(int(p) for p in rng.permutation(N_PIVOTS)[:PREFIX])
-                ),
-                trie=trie,
-                default_partition=pids[int(rng.integers(0, len(pids)))],
-                est_size=trie.count,
-            )
+        centroid = () if gid == 0 else tuple(
+            sorted(int(p) for p in rng.permutation(N_PIVOTS)[:PREFIX])
         )
-    return IndexSkeleton(
-        prefix_length=PREFIX,
-        n_pivots=N_PIVOTS,
-        word_length=8,
-        groups=groups,
-        n_partitions=next_pid,
-    )
+        groups.append((centroid, trie, pids[int(rng.integers(0, len(pids)))]))
+    skeleton = skeleton_of(groups, PREFIX, N_PIVOTS, n_partitions=next_pid)
+    return skeleton, [trie for _, trie, _ in groups]
 
 
-def reference_route(skeleton, ranked, gids):
+def reference_route(skeleton, tries, ranked, gids):
     """The legacy per-record routing loop (builder Step 4 semantics)."""
     out = []
     for row, gid in zip(ranked, gids):
         entry = skeleton.groups[int(gid)]
-        node = entry.trie.descend(row)
+        node = tries[int(gid)].descend(row)
         if node.is_leaf and node.partition_ids:
             out.append((min(node.partition_ids),
                         cluster_key(entry.group_id, node.path)))
@@ -213,13 +206,13 @@ class TestFlatTrieRouter:
     @pytest.mark.parametrize("seed", range(6))
     def test_route_matches_per_record_walks(self, seed):
         rng = np.random.default_rng(300 + seed)
-        skeleton = build_random_skeleton(rng)
+        skeleton, tries = build_random_skeleton(rng)
         router = FlatTrieRouter(skeleton)
         n = 400
         ranked = random_queries(rng, [], n)
         gids = rng.integers(0, len(skeleton.groups), size=n)
         kid_of = router.route(ranked, gids)
-        ref = reference_route(skeleton, ranked, gids)
+        ref = reference_route(skeleton, tries, ranked, gids)
         for kid, (pid, key) in zip(kid_of, ref):
             assert int(router.kid_pid[int(kid)]) == pid
             assert router.cluster_keys[int(kid)] == key
@@ -228,7 +221,7 @@ class TestFlatTrieRouter:
     def test_partition_layout_matches_from_clusters_grouping(self, seed):
         """The sort-based grouping equals the legacy dict-of-lists layout."""
         rng = np.random.default_rng(400 + seed)
-        skeleton = build_random_skeleton(rng)
+        skeleton, tries = build_random_skeleton(rng)
         router = FlatTrieRouter(skeleton)
         n = 300
         ranked = random_queries(rng, [], n)
@@ -239,7 +232,7 @@ class TestFlatTrieRouter:
         # Legacy grouping: pid -> key -> arrival-ordered record rows.
         clusters: dict[int, dict[str, list[int]]] = {}
         for row, (pid, key) in enumerate(
-            reference_route(skeleton, ranked, gids)
+            reference_route(skeleton, tries, ranked, gids)
         ):
             clusters.setdefault(pid, {}).setdefault(key, []).append(row)
 
@@ -260,7 +253,7 @@ class TestFlatTrieRouter:
         import repro.core.trie_flat as tf
 
         rng = np.random.default_rng(77)
-        skeleton = build_random_skeleton(rng)
+        skeleton, _ = build_random_skeleton(rng)
         dense = FlatTrieRouter(skeleton)
         assert dense.edge_map is not None
         monkeypatch.setattr(tf, "_DENSE_EDGE_MAP_CAP", 0)
@@ -274,7 +267,7 @@ class TestFlatTrieRouter:
 
     def test_route_validates_inputs(self):
         rng = np.random.default_rng(5)
-        skeleton = build_random_skeleton(rng)
+        skeleton, _ = build_random_skeleton(rng)
         router = FlatTrieRouter(skeleton)
         with pytest.raises(ConfigurationError):
             router.route(np.zeros((3, PREFIX), dtype=np.int64),
@@ -294,13 +287,12 @@ class TestQueryPathUsesFlat:
                           n_input_partitions=8, seed=1),
         )
         flat = index.routing.flat
-        assert flat is index.skeleton.flat_router()  # one shared compile
+        assert flat is index.skeleton.flat_router()  # one shared router
         sig = index.query_signature(dataset.values[0])
         for cand in index.group_candidates(sig):
-            nodes = list(preorder(cand.entry.trie))
-            ref = cand.entry.trie.descend_path(
-                tuple(int(p) for p in sig)
-            )
+            trie = pointer_trie(index.skeleton, cand.entry.group_id)
+            nodes = list(preorder(trie))
+            ref = trie.descend_path(tuple(int(p) for p in sig))
             # candidates carry flat ids, not node objects
             assert all(type(n) is int for n in cand.path)
             assert [id(nodes[n]) for n in cand.path] == [id(n) for n in ref]
