@@ -35,6 +35,7 @@ from repro.datasets import make_dataset, sample_queries
 from repro.evaluation import (
     GroundTruth,
     exact_ground_truth,
+    modeled_build_seconds,
     render_table,
     write_csv,
 )
@@ -127,6 +128,15 @@ def climber_config(dataset: SeriesDataset, size_gb: float, **overrides) -> Climb
 
 def build_climber(dataset: SeriesDataset, size_gb: float, **overrides) -> ClimberIndex:
     return ClimberIndex.build(dataset, climber_config(dataset, size_gb, **overrides))
+
+
+def build_seconds(index) -> float:
+    """Modelled construction seconds of a built system (Figs. 8, 12, Table
+    I): a CLIMBER index's from :func:`modeled_build_seconds`, summed over
+    its phases; a baseline's from the clock its build carries."""
+    if isinstance(index, ClimberIndex):
+        return sum(modeled_build_seconds(index).values())
+    return index.build_sim_seconds
 
 
 def build_dpisax(dataset: SeriesDataset, size_gb: float, **overrides) -> DpisaxIndex:

@@ -23,7 +23,7 @@ from bench_common import (
     workload,
 )
 from repro.datasets import DATASET_NAMES
-from repro.evaluation import evaluate_system
+from repro.evaluation import evaluate_system, modeled_build_seconds
 
 PIVOT_VALUES = (24, 48, 96, 144, 192)   # scaled from 50..350 (default 96)
 PAPER_PIVOTS = (50, 125, 200, 275, 350)
@@ -37,7 +37,7 @@ def _run_phases() -> list[dict]:
     dataset, _, _ = workload("RandomWalk")
     for pi, r in enumerate(PIVOT_VALUES):
         index = build_climber(dataset, BASE_SIZE_GB, n_pivots=r)
-        phases = index.build_phase_seconds
+        phases = modeled_build_seconds(index)
         rows.append({
             "pivots": r,
             "paper_pivots": PAPER_PIVOTS[pi],

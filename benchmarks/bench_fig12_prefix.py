@@ -23,6 +23,7 @@ import pytest
 from bench_common import (
     K_DEFAULT,
     build_climber,
+    build_seconds,
     emit,
     workload,
 )
@@ -55,7 +56,7 @@ def _run() -> list[dict]:
                              modeled=partial(modeled_query_seconds, index))
         metrics[m] = {
             "index_bytes": index.global_index_nbytes,
-            "build_s": index.build_sim_seconds,
+            "build_s": build_seconds(index),
             "query_s": ev.sim_seconds,
             "recall": ev.recall,
         }

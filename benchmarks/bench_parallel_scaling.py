@@ -45,6 +45,7 @@ from repro.core.builder import build_index_artifacts
 from repro.core.index import _QUERY_SHARD_ROWS
 from repro.core.skeleton import SkeletonWithPivots
 from repro.datasets import make_dataset, sample_queries
+from repro.obs import Telemetry
 from repro.storage import SimulatedDFS, StorageEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -145,7 +146,9 @@ def profile_serial_build(dataset, config):
     calls and per-partition encodes — so the modeled schedule uses the
     real task decomposition (fixed by block/shard size, identical at
     every worker count).  The stores that follow each encode stay on the
-    caller's thread at every worker count, so they count as serial.
+    caller's thread at every worker count, so they count as serial.  The
+    phase walls are the build's own ``build.convert_s`` /
+    ``build.redistribute_s`` spans.
     """
     block_times: list[float] = []
     encode_times: list[float] = []
@@ -164,18 +167,20 @@ def profile_serial_build(dataset, config):
         encode_times.append(time.perf_counter() - t)
         return out
 
+    telemetry = Telemetry(enabled=True)
     builder_mod._convert_block = timed_block
     StorageEngine.encode_arrays = timed_encode
     try:
         t0 = time.perf_counter()
-        art = build_once(dataset, config)
+        art = build_index_artifacts(dataset, config, dfs=SimulatedDFS(),
+                                    telemetry=telemetry)
         wall = time.perf_counter() - t0
     finally:
         builder_mod._convert_block = real_block
         StorageEngine.encode_arrays = real_encode
 
-    convert_wall = art.wall_phase_seconds["convert"]
-    redist_wall = art.wall_phase_seconds["redistribute"]
+    convert_wall = telemetry.registry.histogram("build.convert_s").sum
+    redist_wall = telemetry.registry.histogram("build.redistribute_s").sum
     return {
         "artifacts": art,
         "wall": wall,
@@ -290,8 +295,9 @@ def main() -> None:
 
     profile = profile_serial_build(dataset, make_config(n, 1))
     build_modeled = modeled_build_walls(profile)
+    # Queries are profiled untraced, not on the build's telemetry.
     index = ClimberIndex(profile["artifacts"], make_config(n, 1),
-                         model=_model())
+                         model=_model(), telemetry=Telemetry())
     qprofile = profile_serial_queries(index, queries, k)
     query_modeled = modeled_query_walls(qprofile)
 

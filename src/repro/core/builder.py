@@ -1,7 +1,6 @@
 """CLIMBER-INX construction (paper Fig. 6).
 
-The four steps, executed for real on the input dataset while declaring
-paper-scale costs to the cluster simulator:
+The four steps, executed on the input dataset:
 
 1. partition-level sampling; PAA + pivot selection + rank-sensitive
    signatures of the sample;
@@ -12,37 +11,25 @@ paper-scale costs to the cluster simulator:
 4. broadcast of skeleton + pivots, full-data signature conversion, and
    re-distribution of every record into its physical partition.
 
-Phase naming matches Fig. 10(a): stages are prefixed ``build/skeleton``,
-``build/convert`` and ``build/redistribute`` so the per-phase breakdown
-can be read back from the simulation report.
+The build models nothing: what it would cost on the paper's cluster
+(Figs. 8, 10(a)) is :func:`repro.evaluation.modeled_build_seconds`, from
+the sample counts the skeleton keeps and the stored partitions.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
 
-from repro.cluster import (
-    ClusterSimulator,
-    CostModel,
-    SimReport,
-    TaskCost,
-    ops_paa,
-    ops_signature,
-)
 from repro.core.assignment import GroupAssigner
 from repro.core.centroids import compute_centroids
 from repro.core.config import ClimberConfig
 from repro.core.packing import first_fit_decreasing
 from repro.core.parallel import Executor, make_executor, split_ranges
-from repro.core.skeleton import (
-    GroupEntry,
-    IndexSkeleton,
-    SkeletonWithPivots,
-    partition_name,
-)
+from repro.core.skeleton import GroupEntry, IndexSkeleton, partition_name
 from repro.exceptions import ConfigurationError, NonFiniteValueError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.pivots import decay_weights, permutation_prefixes, select_random_pivots
@@ -61,27 +48,11 @@ class BuildArtifacts:
     pivots: np.ndarray
     dfs: SimulatedDFS
     assigner: GroupAssigner
-    sim_report: SimReport
-    wall_seconds: float
     n_records: int
-    wall_phase_seconds: dict[str, float] = field(default_factory=dict)
-    """Real (not simulated) wall time of the Step-4 sub-phases:
-    ``convert`` (PAA + signatures + group assignment) and ``redistribute``
-    (trie routing, grouping and partition writes)."""
-
     telemetry: Telemetry = field(default_factory=lambda: NULL_TELEMETRY)
     """The telemetry the build recorded into (``build.*`` histograms and
     span timings when enabled).  ``ClimberIndex.build`` adopts it so query
     metrics land on the same registry."""
-
-    @property
-    def phase_seconds(self) -> dict[str, float]:
-        """Construction-phase breakdown (paper Fig. 10(a))."""
-        return {
-            "skeleton": self.sim_report.seconds_for("build/skeleton"),
-            "conversion": self.sim_report.seconds_for("build/convert"),
-            "redistribution": self.sim_report.seconds_for("build/redistribute"),
-        }
 
 
 def check_records(dataset: SeriesDataset, length: int | None = None) -> None:
@@ -108,7 +79,6 @@ def build_index_artifacts(
     dataset: SeriesDataset,
     config: ClimberConfig,
     dfs: SimulatedDFS | None = None,
-    model: CostModel | None = None,
     telemetry: Telemetry | None = None,
 ) -> BuildArtifacts:
     """Run the full four-step construction workflow.
@@ -129,8 +99,6 @@ def build_index_artifacts(
         produced partitions, counters and RNG stream are bit-identical
         with telemetry on or off.
     """
-    import time
-
     tel = telemetry if telemetry is not None else (
         Telemetry(enabled=True, sample_every=config.telemetry_sample_every)
         if config.telemetry else NULL_TELEMETRY
@@ -142,32 +110,21 @@ def build_index_artifacts(
             f"series length {dataset.length} < word length {config.word_length}"
         )
     dfs = dfs if dfs is not None else SimulatedDFS()
-    sim = ClusterSimulator(model or CostModel())
     rng = np.random.default_rng(config.seed)
-    scale = config.cost_scale
     n = dataset.length
     w, r, m = config.word_length, config.n_pivots, config.prefix_length
     capacity = config.capacity or dfs.block_records(n)
-    sig_ops = ops_paa(n) + ops_signature(r, w, m)
 
     # ------------------------------------------------------------------ Step 1
+    # The input partitions are views of the dataset; only the sampled
+    # ones are gathered, and only until their PAA is taken.
     chunks = dataset.split_into_chunks(config.n_input_partitions)
     n_sampled = max(1, round(config.sample_fraction * len(chunks)))
     sample_idx = np.sort(rng.choice(len(chunks), size=n_sampled, replace=False))
-    sample_rows = np.concatenate(
-        [chunks[i].values for i in sample_idx], axis=0
+    sample_paa = paa_transform(
+        np.concatenate([chunks[i].values for i in sample_idx], axis=0), w
     )
-    alpha = sample_rows.shape[0] / dataset.count
-    sample_bytes = sum(chunks[i].nbytes for i in sample_idx)
-    sim.run_scaled_stage(
-        "build/skeleton/sample",
-        TaskCost(
-            read_bytes=int(sample_bytes * scale),
-            cpu_ops=int(sample_rows.shape[0] * sig_ops * scale),
-        ),
-        min_tasks=len(sample_idx),
-    )
-    sample_paa = paa_transform(sample_rows, w)
+    alpha = sample_paa.shape[0] / dataset.count
     if r > sample_paa.shape[0]:
         raise ConfigurationError(
             f"sample holds {sample_paa.shape[0]} series < n_pivots {r}; "
@@ -206,13 +163,6 @@ def build_index_artifacts(
         epsilon=config.epsilon,
         max_centroids=config.max_centroids,
         n_pivots=r,
-    )
-    # Driver-side work on the aggregated signature list: its size grows
-    # with the number of *distinct* signatures, not the data volume, so it
-    # is charged honestly (not multiplied by cost_scale).
-    sim.run_driver_step(
-        "build/skeleton/centroids",
-        TaskCost(cpu_ops=len(unranked_sigs) * max(1, len(centroids)) * m),
     )
 
     # ------------------------------------------------------------------ Step 3
@@ -258,10 +208,9 @@ def build_index_artifacts(
         node_count=node_count,
         subtree_end=subtree_end,
         leaf_pid=leaf_pid,
-    )
-    sim.run_driver_step(
-        "build/skeleton/assemble",
-        TaskCost(cpu_ops=len(distinct_ranked) * m * 8),
+        sample_records=sample_paa.shape[0],
+        sample_signatures=len(distinct_ranked),
+        sample_pivot_sets=len(unranked_sigs),
     )
     if tel.enabled:
         tel.registry.histogram("build.skeleton_s").observe(
@@ -269,74 +218,32 @@ def build_index_artifacts(
         )
 
     # ------------------------------------------------------------------ Step 4
-    broadcast_bytes = len(SkeletonWithPivots(skeleton, pivots).to_bytes())
-    sim.broadcast("build/redistribute/broadcast", broadcast_bytes)
-
-    sim.run_scaled_stage(
-        "build/convert",
-        TaskCost(
-            read_bytes=int(dataset.nbytes * scale),
-            cpu_ops=int(dataset.count * sig_ops * scale),
-        ),
-        min_tasks=len(chunks),
-    )
-
     # Full-data signature conversion + group assignment.  Tie-break draws
     # depend only on the global row order, never on how rows are blocked
     # into assign calls, so the conversion is free to use larger blocks
     # than the input chunking.  Block conversion and partition encodes
     # run on the configured executor (serial for n_workers=1 —
     # bit-identical results either way).
-    executor = make_executor(config.n_workers)
-    try:
-        t_convert = time.perf_counter()
-        ranked_all, gids_all = _convert_fused(
-            dataset, pivots, assigner, w, m, executor=executor,
-            telemetry=tel,
-        )
-        wall_convert = time.perf_counter() - t_convert
-
+    with make_executor(config.n_workers) as executor:
+        with tel.trace("build.convert"):
+            ranked_all, gids_all = _convert_fused(
+                dataset, pivots, assigner, w, m, executor=executor,
+                telemetry=tel,
+            )
         # Re-distribution of every record into its physical partition.
-        t_redist = time.perf_counter()
-        written_bytes, n_written = _redistribute_flat(
-            dataset, skeleton, ranked_all, gids_all, dfs,
-            executor=executor, telemetry=tel,
-        )
-        wall_redistribute = time.perf_counter() - t_redist
-    finally:
-        executor.close()
+        with tel.trace("build.redistribute"):
+            _redistribute_flat(
+                dataset, skeleton, ranked_all, gids_all, dfs,
+                executor=executor, telemetry=tel,
+            )
     if tel.enabled:
-        tel.registry.histogram("build.convert_s").observe(wall_convert)
-        tel.registry.histogram("build.redistribute_s").observe(
-            wall_redistribute
-        )
-
-    sim.run_scaled_stage(
-        "build/redistribute/shuffle",
-        TaskCost(shuffle_bytes=int(dataset.nbytes * scale)),
-        min_tasks=len(chunks),
-    )
-    sim.run_scaled_stage(
-        "build/redistribute/write",
-        TaskCost(write_bytes=int(written_bytes * scale)),
-        min_tasks=n_written,
-    )
-
-    wall_seconds = time.perf_counter() - t0
-    if tel.enabled:
-        tel.registry.histogram("build.wall_s").observe(wall_seconds)
+        tel.registry.histogram("build.wall_s").observe(time.perf_counter() - t0)
     return BuildArtifacts(
         skeleton=skeleton,
         pivots=pivots,
         dfs=dfs,
         assigner=assigner,
-        sim_report=sim.fresh_report(),
-        wall_seconds=wall_seconds,
         n_records=dataset.count,
-        wall_phase_seconds={
-            "convert": wall_convert,
-            "redistribute": wall_redistribute,
-        },
         telemetry=tel,
     )
 
@@ -475,7 +382,7 @@ def _redistribute_flat(
     dfs: SimulatedDFS,
     executor: Executor,
     telemetry: Telemetry = NULL_TELEMETRY,
-) -> tuple[int, int]:
+) -> None:
     """Bulk Step-4 redistribution over the skeleton's flat tries.
 
     One :meth:`FlatTrieRouter.route` resolves every record's cluster in
@@ -501,7 +408,6 @@ def _redistribute_flat(
         order, parts = router.partition_layout(kid_of)
     engine = dfs.engine
     series_length = int(dataset.values.shape[1])
-    written_bytes = 0
     with telemetry.trace("build.redistribute.write"):
         def encode_one(item):
             pid, start, end, header = item
@@ -517,10 +423,9 @@ def _redistribute_flat(
         run = executor.map if executor.n_workers > 1 else map
         payloads = run(encode, parts)
         for (pid, start, end, header), payload in zip(parts, payloads):
-            written_bytes += dfs.write_encoded_partition(
+            dfs.write_encoded_partition(
                 partition_name(pid), payload,
                 record_count=end - start,
                 series_length=series_length,
                 header=header,
             )
-    return written_bytes, len(parts)

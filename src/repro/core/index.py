@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster import CostModel, SimReport
+from repro.cluster import CostModel
 from repro.core.assignment import GroupAssigner
 from repro.core.builder import (
     BuildArtifacts,
@@ -455,11 +455,14 @@ class ClimberIndex:
         anything is stored.  ``telemetry`` overrides the
         :class:`~repro.obs.Telemetry` the build and the returned index
         record into (default: created from ``config.telemetry``).
+        ``model`` only rides on ``index.model`` for the evaluation
+        functions (``repro.evaluation.modeled_build_seconds`` /
+        ``modeled_query_seconds``); the build itself models nothing.
         """
         config = config or ClimberConfig()
         model = model or CostModel()
         artifacts = build_index_artifacts(
-            dataset, config, dfs=dfs, model=model, telemetry=telemetry,
+            dataset, config, dfs=dfs, telemetry=telemetry,
         )
         return cls(artifacts, config, model)
 
@@ -591,8 +594,6 @@ class ClimberIndex:
             pivots=loaded.pivots,
             dfs=dfs,
             assigner=assigner,
-            sim_report=SimReport(),
-            wall_seconds=0.0,
             n_records=sum(_partition_record_counts(dfs)),
         )
         return cls(artifacts, config, model)
@@ -638,20 +639,6 @@ class ClimberIndex:
         """The paper's "global index size" (Figs. 8(b), 12): the bytes of
         :meth:`save_global_index`."""
         return len(self.save_global_index())
-
-    @property
-    def build_sim_seconds(self) -> float:
-        """Simulated index construction time (Fig. 8(a),(c))."""
-        return self._art.sim_report.total_seconds
-
-    @property
-    def build_phase_seconds(self) -> dict[str, float]:
-        """Construction breakdown: skeleton/conversion/redistribution (Fig. 10(a))."""
-        return self._art.phase_seconds
-
-    @property
-    def build_wall_seconds(self) -> float:
-        return self._art.wall_seconds
 
     def describe(self) -> dict[str, object]:
         """Structural summary of the index (for logging and examples).

@@ -15,6 +15,12 @@ end of its subtree (node ``i``'s subtree is ``[i, subtree_end[i])``, so
 partition it is packed into (``-1`` at internal nodes).  These arrays are
 what the builder emits, what is persisted and what the routers read
 (DESIGN.md D9).
+
+Beside them the skeleton keeps three counts of the Step 1-3 sample that
+the store cannot give back — rows sampled, distinct ranked signatures,
+distinct rank-insensitive pivot sets — from which, with the stored
+partitions, :func:`repro.evaluation.modeled_build_seconds` models the
+build (DESIGN.md D10).  Counts, never seconds.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "DEFAULT_CLUSTER_SUFFIX",
     "GroupEntry",
     "IndexSkeleton",
+    "SAMPLE_COUNTS",
     "SKELETON_VERSION",
     "SkeletonWithPivots",
     "cluster_key",
@@ -49,9 +56,14 @@ DEFAULT_CLUSTER_SUFFIX = "~"
 """Cluster-key suffix for records that cannot complete a root-to-leaf walk
 and therefore live in the group's default partition (§V Step 3)."""
 
-SKELETON_VERSION = 2
-"""Version of the persisted skeleton.  The nested-JSON trie layout before
-it carried no version and is refused, not converted (DESIGN.md D9)."""
+SKELETON_VERSION = 3
+"""Version of the persisted skeleton.  Version 2 (no sample counts) and
+the unversioned nested-JSON trie layout before it are refused, not
+converted (DESIGN.md D9, D10)."""
+
+SAMPLE_COUNTS = ("sample_records", "sample_signatures", "sample_pivot_sets")
+"""The persisted sample counts; each a positive ``int``, in descending
+order."""
 
 _STORED_ARRAYS = {
     "centroids": np.int32,          # (n_groups - 1, prefix_length): G1, G2, ...
@@ -119,6 +131,9 @@ class IndexSkeleton:
     node_count: np.ndarray
     subtree_end: np.ndarray
     leaf_pid: np.ndarray
+    sample_records: int
+    sample_signatures: int
+    sample_pivot_sets: int
     _flat_router: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -197,8 +212,8 @@ class IndexSkeleton:
 
     # -- serialisation ----------------------------------------------------------
     #
-    # One JSON blob of scalars (with the version), then one array blob per
-    # _STORED_ARRAYS entry, in its order.
+    # One JSON blob of scalars (with the version and the sample counts),
+    # then one array blob per _STORED_ARRAYS entry, in its order.
 
     def to_bytes(self) -> bytes:
         buf = io.BytesIO()
@@ -209,6 +224,7 @@ class IndexSkeleton:
             "word_length": self.word_length,
             "series_length": self.series_length,
             "n_partitions": self.n_partitions,
+            **{name: getattr(self, name) for name in SAMPLE_COUNTS},
         }))
         arrays = {
             "centroids": np.asarray(self.centroids, dtype=np.int32)
@@ -226,11 +242,12 @@ class IndexSkeleton:
         """Inverse of :meth:`to_bytes`; the bytes come from outside.
 
         Raises :class:`StorageError` — never a ``KeyError`` or
-        ``ValueError`` — for a payload that is not a version-2 skeleton
-        (the JSON-tree layout before it included) and for one that parses
-        but would misroute: positional lookups (``groups[gid]``, the flat
-        tries, composite edge keys ``node * n_pivots + pivot``) trust what
-        is checked here.
+        ``ValueError`` — for a payload that is not a version-3 skeleton
+        (version 2 and the JSON-tree layout before it included), for sample
+        counts that are not ``int`` with records >= signatures >= pivot
+        sets >= 1, and for one that parses but would misroute: positional
+        lookups (``groups[gid]``, the flat tries, composite edge keys
+        ``node * n_pivots + pivot``) trust what is checked here.
         """
         buf = io.BytesIO(data)
         try:
@@ -241,6 +258,11 @@ class IndexSkeleton:
                     f"not a version-{SKELETON_VERSION} global index (one "
                     "written before must be rebuilt)"
                 )
+            counts = [meta.get(name) for name in SAMPLE_COUNTS]
+            _check(all(type(c) is int for c in counts)
+                   and counts[0] >= counts[1] >= counts[2] >= 1,
+                   f"sample counts {counts} are not integers with records "
+                   ">= signatures >= pivot sets >= 1")
             arrays = {}
             for name, dtype in _STORED_ARRAYS.items():
                 arrays[name] = arr = array_from_bytes(read_blob(buf))
@@ -264,6 +286,7 @@ class IndexSkeleton:
                 ],
                 n_partitions=int(meta["n_partitions"]),
                 **arrays,
+                **dict(zip(SAMPLE_COUNTS, counts)),
             )
         except (KeyError, IndexError, TypeError, ValueError) as err:
             raise StorageError(f"malformed skeleton payload: {err!r}") from None

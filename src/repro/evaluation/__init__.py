@@ -5,6 +5,7 @@ from repro.evaluation.groundtruth import GroundTruth, exact_ground_truth
 from repro.evaluation.harness import (
     SystemEvaluation,
     evaluate_system,
+    modeled_build_seconds,
     modeled_query_seconds,
 )
 from repro.evaluation.reporting import fmt_duration, render_table, write_csv
@@ -14,6 +15,7 @@ __all__ = [
     "exact_ground_truth",
     "SystemEvaluation",
     "evaluate_system",
+    "modeled_build_seconds",
     "modeled_query_seconds",
     "calibrate_early_stop",
     "render_table",

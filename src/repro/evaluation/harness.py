@@ -6,9 +6,9 @@ touched, and data accessed.  Every benchmark file builds on this so its
 body reads like the experiment description in the paper.
 
 Simulated time is a *model*, labelled as one and kept off every measured
-path: a CLIMBER answer carries no modelled clock, and
-:func:`modeled_query_seconds` computes it from the answer's stats on
-demand.
+path: neither a CLIMBER index nor its answers carry a modelled clock;
+:func:`modeled_build_seconds` and :func:`modeled_query_seconds` compute
+one from what the index and an answer's stats count, on demand.
 """
 
 from __future__ import annotations
@@ -21,13 +21,16 @@ import numpy as np
 from repro.cluster import (
     ClusterSimulator,
     TaskCost,
+    ops_paa,
     ops_signature,
     partition_scan_cost,
 )
+from repro.core.skeleton import partition_name
 from repro.evaluation.groundtruth import GroundTruth
-from repro.series import SeriesDataset
+from repro.series import SeriesDataset, series_nbytes
 
-__all__ = ["SystemEvaluation", "evaluate_system", "modeled_query_seconds"]
+__all__ = ["SystemEvaluation", "evaluate_system", "modeled_build_seconds",
+           "modeled_query_seconds"]
 
 KnnFn = Callable[[np.ndarray, int], object]
 
@@ -56,6 +59,66 @@ def modeled_query_seconds(index, stats) -> float:
         for name in stats.partitions_loaded
     ])
     return route + scan.sim_seconds
+
+
+def modeled_build_seconds(index) -> dict[str, float]:
+    """Seconds the cost model gives the build of a CLIMBER index at paper
+    scale, per construction phase (Fig. 10(a); the sum is Fig. 8(a)/(c)).
+
+    Replays the seven stages of the paper's workflow (Fig. 6) in build
+    order — Step 1's sample read and conversion, Step 2's centroid scan
+    and Step 3's assembly on the driver, the Step-4 broadcast, full-data
+    conversion, shuffle and partition writes — from counts only: the
+    skeleton's three sample counts, the base partitions the DFS header
+    metadata lists (records, logical bytes and how many; an ``append``'s
+    deltas are not the build's), the group count and the global index's
+    size.  ``index.model``, ``cost_scale`` and the input partitioning
+    come from the index and its config, as in
+    :func:`modeled_query_seconds`, so a reopened index models the build
+    that made it.
+    """
+    cfg = index.config
+    skeleton = index.skeleton
+    dfs = index.dfs
+    scale = cfg.cost_scale
+    m = cfg.prefix_length
+    record_bytes = series_nbytes(skeleton.series_length)
+    sig_ops = ops_paa(skeleton.series_length) + ops_signature(
+        cfg.n_pivots, cfg.word_length, m)
+    base = [name for name in map(partition_name, range(skeleton.n_partitions))
+            if dfs.has_partition(name)]
+    records = sum(dfs.record_count(name) for name in base)
+    data_bytes = records * record_bytes
+    chunks = min(cfg.n_input_partitions, records)
+    sampled = skeleton.sample_records
+
+    sim = ClusterSimulator(index.model)
+    sim.run_scaled_stage("build/skeleton/sample", TaskCost(
+        read_bytes=int(sampled * record_bytes * scale),
+        cpu_ops=int(sampled * sig_ops * scale),
+    ), min_tasks=max(1, round(cfg.sample_fraction * chunks)))
+    # Driver-side work grows with the distinct signatures, not the data
+    # volume, so it is not scaled by cost_scale.
+    sim.run_driver_step("build/skeleton/centroids", TaskCost(
+        cpu_ops=skeleton.sample_pivot_sets * max(1, index.n_groups - 1) * m))
+    sim.run_driver_step("build/skeleton/assemble", TaskCost(
+        cpu_ops=skeleton.sample_signatures * m * 8))
+    sim.broadcast("build/redistribute/broadcast", index.global_index_nbytes)
+    sim.run_scaled_stage("build/convert", TaskCost(
+        read_bytes=int(data_bytes * scale),
+        cpu_ops=int(records * sig_ops * scale),
+    ), min_tasks=chunks)
+    sim.run_scaled_stage("build/redistribute/shuffle", TaskCost(
+        shuffle_bytes=int(data_bytes * scale)), min_tasks=chunks)
+    sim.run_scaled_stage("build/redistribute/write", TaskCost(
+        write_bytes=int(sum(dfs.partition_nbytes(name) for name in base)
+                        * scale)), min_tasks=len(base))
+    return {
+        phase: sim.report.seconds_for(f"build/{stage}")
+        for phase, stage in (("skeleton", "skeleton"),
+                             ("conversion", "convert"),
+                             ("redistribution", "redistribute"))
+    }
 
 
 @dataclass(frozen=True)

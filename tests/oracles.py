@@ -288,6 +288,8 @@ def skeleton_of(
                 for gid, (centroid, _, default) in enumerate(groups)],
         n_partitions=n_partitions, node_offset=offsets, node_pivot=pivot,
         node_count=count, subtree_end=end, leaf_pid=leaf_pid,
+        # No sample lies behind a hand-made skeleton: the least valid counts.
+        sample_records=1, sample_signatures=1, sample_pivot_sets=1,
     )
 
 

@@ -122,11 +122,6 @@ class TestBuilderParity:
         # The tie-agnostic branch must be exercised, not vacuous.
         assert n_multi_group_ties > 0
 
-    def test_wall_phase_seconds_recorded(self, built):
-        _, artifacts = built
-        assert set(artifacts.wall_phase_seconds) == {"convert", "redistribute"}
-        assert all(v >= 0 for v in artifacts.wall_phase_seconds.values())
-
 
 class TestAppendParity:
     def test_append_matches_legacy_clustering(self):

@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 from repro.core import ClimberConfig, ClimberIndex
-from repro.core.skeleton import SkeletonWithPivots
+from repro.core.skeleton import (
+    SAMPLE_COUNTS,
+    SKELETON_VERSION,
+    SkeletonWithPivots,
+)
 from repro.datasets import random_walk_dataset
+from repro.evaluation import modeled_build_seconds
 from repro.exceptions import ConfigurationError, StorageError
+from repro.series import SeriesDataset
 from repro.storage import SimulatedDFS
 from repro.storage.serialization import (
     array_from_bytes,
@@ -131,6 +137,28 @@ class TestPersistence:
         res = reopened.knn(ds.values[5], 5)
         assert res.ids[0] == ds.ids[5]
 
+    @pytest.mark.parametrize("store", ["memory", "backing_dir"])
+    def test_reopened_index_models_the_same_build(self, tmp_path, store):
+        """The modelled build is a function of what persists — the
+        skeleton's sample counts and the base partitions — so an
+        ``append``, a save and a reopen (from the files alone, for a
+        disk store) leave it equal to the bit."""
+        ds = random_walk_dataset(1500, 48, seed=3)
+        backing_dir = tmp_path / "dfs" if store == "backing_dir" else None
+        dfs = SimulatedDFS(backing_dir=backing_dir)
+        index = ClimberIndex.build(ds, CFG, dfs=dfs)
+        built = modeled_build_seconds(index)
+        extra = random_walk_dataset(300, 48, seed=8)
+        index.append(SeriesDataset(extra.values, extra.ids + ds.count))
+        assert modeled_build_seconds(index) == built
+        if backing_dir is not None:
+            dfs = SimulatedDFS(backing_dir=backing_dir)
+            dfs.attach()
+        reopened = ClimberIndex.reopen(index.save_global_index(), dfs, CFG)
+        assert reopened.n_records == ds.count + extra.count
+        assert modeled_build_seconds(reopened) == built
+        assert all(seconds > 0 for seconds in built.values())
+
 
 # -- a malformed global index fails typed, at reopen --------------------------
 
@@ -245,6 +273,28 @@ def swap_group_offsets(_, arrays):
     offsets[1], offsets[2] = offsets[2], offsets[1]
 
 
+def version_2_skeleton(meta, arrays):
+    """The layout before the sample counts: version 2, arrays as now."""
+    meta["version"] = 2
+    for name in SAMPLE_COUNTS:
+        del meta[name]
+
+
+def set_count(name, value):
+    """A rewrite that sets one sample count, or drops it for ``None``."""
+    def edit(meta, arrays):
+        if value is None:
+            del meta[name]
+        else:
+            meta[name] = value
+    return edited(edit)
+
+
+def count_above(name, bound):
+    """A rewrite that sets sample count ``name`` one above count ``bound``."""
+    return edited(lambda meta, arrays: meta.update({name: meta[bound] + 1}))
+
+
 def json_tree_skeleton(meta, arrays):
     """The layout before version 2: one JSON blob of nested-list tries."""
     groups = [
@@ -262,8 +312,24 @@ def json_tree_skeleton(meta, arrays):
 HOSTILE_SKELETONS = {
     # not this format
     "pre-change-json-blob": json_tree_skeleton,
+    "version-2-blob": edited(version_2_skeleton),
     "version-from-the-future": edited(
-        lambda meta, arrays: meta.update(version=3)),
+        lambda meta, arrays: meta.update(version=SKELETON_VERSION + 1)),
+    # the sample counts the modelled build reads: present, ints, ordered
+    "sample-records-missing": set_count("sample_records", None),
+    "sample-signatures-missing": set_count("sample_signatures", None),
+    "sample-pivot-sets-missing": set_count("sample_pivot_sets", None),
+    "sample-records-negative": set_count("sample_records", -1),
+    "sample-signatures-negative": set_count("sample_signatures", -1),
+    "sample-pivot-sets-negative": set_count("sample_pivot_sets", -1),
+    "sample-records-a-float": set_count("sample_records", 375.5),
+    "sample-signatures-a-string": set_count("sample_signatures", "12"),
+    "sample-pivot-sets-a-boolean": set_count("sample_pivot_sets", True),
+    "sample-pivot-sets-zero": set_count("sample_pivot_sets", 0),
+    "more-signatures-than-records": count_above("sample_signatures",
+                                                "sample_records"),
+    "more-pivot-sets-than-signatures": count_above("sample_pivot_sets",
+                                                   "sample_signatures"),
     # structure: missing blob, wrong arity, wrong type
     "not-an-object": lambda meta, arrays: [meta],
     "no-groups": drop("centroids", "default_partition"),

@@ -117,21 +117,14 @@ class TestBuildParity:
             art = build_index_artifacts(dataset, _config(n_workers))
             assert _partition_payloads(art.dfs) == ref_payloads
             assert art.dfs.counters == reference.dfs.counters
-            # The broadcast structure (skeleton + pivots) must agree too.
+            # The broadcast structure (skeleton + pivots, and with the
+            # skeleton the sample counts the build is modelled from) must
+            # agree too.
             assert SkeletonWithPivots(
                 art.skeleton, art.pivots
             ).to_bytes() == SkeletonWithPivots(
                 reference.skeleton, reference.pivots
             ).to_bytes()
-            # And the simulated build: same stages, task counts, costs
-            # and seconds, to the bit.
-            assert [
-                (s.name, s.n_tasks, s.total_cost, s.sim_seconds)
-                for s in art.sim_report.stages
-            ] == [
-                (s.name, s.n_tasks, s.total_cost, s.sim_seconds)
-                for s in reference.sim_report.stages
-            ]
 
 
 # -- query parity ----------------------------------------------------------------

@@ -127,6 +127,21 @@ def test_query_stats_surface():
     assert {f.name for f in dataclasses.fields(QueryStats)} == QUERY_STATS_FIELDS
 
 
+def test_builder_models_nothing():
+    """The build runs no cost model: ``repro.core.builder`` imports nothing
+    from ``repro.cluster``, and what a build would cost is
+    ``repro.evaluation.modeled_build_seconds`` (DESIGN.md D10)."""
+    import repro.core.builder as builder
+
+    tree = ast.parse(Path(builder.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules
+    assert [m for m in modules if m.split(".")[:2] == ["repro", "cluster"]] == []
+
+
 def test_library_reads_no_environment():
     """A run is a function of its stated parameters: nothing under
     ``src/repro`` looks at the process environment."""

@@ -108,6 +108,12 @@ class TestSeriesDataset:
         all_ids = sorted(i for c in chunks for i in c.ids.tolist())
         assert all_ids == list(range(10))
 
+    def test_split_into_chunks_are_views_not_copies(self):
+        ds = SeriesDataset(np.arange(40.0).reshape(10, 4))
+        for chunk in ds.split_into_chunks(3):
+            assert np.shares_memory(chunk.values, ds.values)
+            assert np.shares_memory(chunk.ids, ds.ids)
+
     def test_split_into_more_chunks_than_rows(self):
         ds = SeriesDataset(np.zeros((2, 4)))
         chunks = ds.split_into_chunks(5)
