@@ -614,7 +614,7 @@ class ClimberIndex:
 
     @property
     def routing(self) -> RoutingTable:
-        """The vectorised routing engine (centroid bitsets + weights)."""
+        """The vectorised routing engine (centroid membership + weights)."""
         return self._routing
 
     @property

@@ -9,13 +9,15 @@ dominates single-query latency.
 :class:`RoutingTable` precomputes, once per :class:`~repro.core.index.ClimberIndex`
 (and again on ``reopen``, which goes through the same constructor):
 
-* packed uint64 centroid bitsets (:func:`repro.pivots.pack_pivot_sets`),
-* the fall-back mask and per-group metadata arrays,
+* a ``(n_pivots, n_groups)`` uint8 centroid membership table, and the
+  centroids as Python-int bitsets,
+* the fall-back mask,
 * the decay-weight vector and its total weight,
 
-so that routing one query — or a whole batch — is one OD row per
-distinct signature (:meth:`RoutingTable.od_matrix`) plus Weight Distances
-for the few groups at the best OD (:meth:`RoutingTable.candidates`).  The
+so that routing one query — or a whole batch — is one gather of the
+membership table for the OD rows of the distinct signatures
+(:meth:`RoutingTable.od_matrix`) plus Weight Distances for the few groups
+at the best OD (:meth:`RoutingTable.candidates`).  The
 engine is *parity-exact* with the scalar path it replaced: identical OD/WD
 values bit-for-bit, identical candidate ordering (OD → WD → group id) and
 the same tie-break cascade (WD → path length → node size → seeded random,
@@ -38,13 +40,7 @@ import numpy as np
 
 from repro.core.skeleton import GroupEntry, IndexSkeleton, partition_name
 from repro.exceptions import ConfigurationError
-from repro.pivots import (
-    overlap_distance_matrix,
-    pack_pivot_sets,
-    total_weight,
-    wd_tie_tolerance,
-    words_for,
-)
+from repro.pivots import total_weight, wd_tie_tolerance
 
 __all__ = ["GroupCandidate", "RoutingTable", "select_primary"]
 
@@ -97,74 +93,70 @@ class RoutingTable:
         self.total_weight = total_weight(self.weights)
         self.n_groups = len(skeleton.groups)
         self.fallback_mask = skeleton.fallback_mask()
-        self.real_indices = np.flatnonzero(~self.fallback_mask)
-        centroids = skeleton.centroid_matrix()
-        if centroids.size:
-            self.packed_centroids = pack_pivot_sets(centroids, self.n_pivots)
-        else:
-            self.packed_centroids = np.zeros(
-                (0, words_for(self.n_pivots)), dtype=np.uint64
-            )
-        # Group index -> row in the packed centroid matrix.
-        self._centroid_row = np.full(self.n_groups, -1, dtype=np.int64)
-        self._centroid_row[self.real_indices] = np.arange(
-            self.real_indices.size
-        )
-        # Python-int mirrors of the bitsets and weights for the
-        # single-query path, where fixed NumPy call overhead would exceed
-        # the actual work (a handful of 64-bit words per centroid).
-        self._n_words = words_for(self.n_pivots)
-        self._centroid_ints = [
-            int(sum(int(word) << (64 * w) for w, word in enumerate(row)))
-            for row in self.packed_centroids
+        # members[p, g] = 1 iff pivot p is in group g's centroid; the
+        # fall-back groups' columns stay zero, so they score OD m.
+        self._members = np.zeros((self.n_pivots, self.n_groups), dtype=np.uint8)
+        for i, g in enumerate(skeleton.groups):
+            self._members[list(g.centroid), i] = 1
+        # An overlap is at most m, so it is summed in the narrowest type
+        # that holds m (uint8 for any practical m): several times faster
+        # than an int64 sum over the (q, m, n_groups) gather.
+        self._overlap_dtype = np.min_scalar_type(m)
+        # Python-int bitsets and weights for the Weight Distances of the
+        # few chosen groups, where fixed NumPy call overhead would exceed
+        # the actual work.
+        self._centroid_bits = [
+            sum(1 << p for p in g.centroid) for g in skeleton.groups
         ]
         self._weights_list = [float(w) for w in self.weights]
 
     # -- overlap distances -------------------------------------------------------
 
     def _check(self, ranked: np.ndarray) -> np.ndarray:
+        """``ranked`` as a ``(q, m)`` int64 matrix of valid signatures."""
         arr = np.asarray(ranked, dtype=np.int64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        if arr.shape[1] != self.prefix_length:
+        if arr.ndim != 2 or arr.shape[1] != self.prefix_length:
             raise ConfigurationError(
                 f"expected (q, {self.prefix_length}) ranked signatures"
             )
+        for sig in arr.tolist():
+            self._check_sig(sig)
         return arr
 
-    def _pack_one(self, sig_row) -> np.ndarray:
-        """Pack one signature into a ``(words,)`` uint64 bitset row."""
-        acc = 0
-        for p in sig_row:
-            acc |= 1 << int(p)
-        mask = (1 << 64) - 1
-        return np.array(
-            [(acc >> (64 * w)) & mask for w in range(self._n_words)],
-            dtype=np.uint64,
-        )
+    def _check_sig(self, sig: list[int] | tuple[int, ...]) -> None:
+        """Refuse a signature that is not ``m`` distinct pivot ids.
+
+        An id outside ``[0, n_pivots)`` would wrap in the membership
+        gather or alias another node's edge in the trie walk, and a
+        repeated id would be counted twice by the overlap.  Plain Python
+        over ``m`` ints: cheaper than any array check for the rows of a
+        query.
+        """
+        if (
+            len(sig) != self.prefix_length
+            or len(set(sig)) != len(sig)
+            or min(sig) < 0
+            or max(sig) >= self.n_pivots
+        ):
+            raise ConfigurationError(
+                f"a signature must be {self.prefix_length} distinct pivot "
+                f"ids in [0, {self.n_pivots}), got {list(sig)}"
+            )
 
     def od_matrix(self, ranked: np.ndarray) -> np.ndarray:
-        """``(q, n_groups)`` Overlap Distances for a batch of signatures.
+        """``(q, n_groups)`` int64 Overlap Distances for signature rows.
 
-        Fall-back groups get OD ``m`` (no overlap by definition), exactly
-        as the scalar path scored them.
+        One gather of the membership table by the signatures' pivot ids
+        counts each row's overlap with every centroid — exact, because a
+        checked signature holds distinct ids.  Fall-back groups get OD
+        ``m`` (no overlap by definition), exactly as the scalar path
+        scored them.
         """
         arr = self._check(ranked)
-        od = np.full(
-            (arr.shape[0], self.n_groups), self.prefix_length, dtype=np.int64
-        )
-        if self.real_indices.size:
-            if arr.shape[0] == 1:
-                inter = np.bitwise_count(
-                    self.packed_centroids & self._pack_one(arr[0])
-                ).sum(axis=1)
-                od[0, self.real_indices] = self.prefix_length - inter
-            else:
-                packed = pack_pivot_sets(np.sort(arr, axis=1), self.n_pivots)
-                od[:, self.real_indices] = overlap_distance_matrix(
-                    packed, self.packed_centroids, self.prefix_length
-                ).astype(np.int64)
-        return od
+        overlap = self._members[arr].sum(axis=1, dtype=self._overlap_dtype)
+        return (self.prefix_length - overlap).astype(np.int64)
 
     # -- candidate selection -----------------------------------------------------
 
@@ -183,6 +175,7 @@ class RoutingTable:
         trie walk.  Single queries and batch rows take this same path.
         """
         sig = tuple(int(p) for p in ranked_sig)
+        self._check_sig(sig)
         m = self.prefix_length
         groups = self.skeleton.groups
         best = int(od_row[1:].min()) if self.n_groups > 1 else m
@@ -199,7 +192,7 @@ class RoutingTable:
             # weight_distance — bit-identical, no array overhead.
             wds = []
             for i in chosen:
-                bits = self._centroid_ints[int(self._centroid_row[i])]
+                bits = self._centroid_bits[i]
                 matched = 0.0
                 for p, w in zip(sig, self._weights_list):
                     if (bits >> p) & 1:

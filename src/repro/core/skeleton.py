@@ -199,17 +199,6 @@ class IndexSkeleton:
         """Boolean mask over groups, True at fall-back entries (routing)."""
         return np.array([g.is_fallback for g in self.groups], dtype=bool)
 
-    def centroid_matrix(self) -> np.ndarray:
-        """``(n_real, m)`` int64 matrix of non-fallback centroids, in group order.
-
-        The array form the vectorised routing engine packs into bitsets;
-        rows line up with ``fallback_mask() == False`` positions.
-        """
-        real = [g.centroid for g in self.groups if not g.is_fallback]
-        if not real:
-            return np.zeros((0, self.prefix_length), dtype=np.int64)
-        return np.asarray(real, dtype=np.int64)
-
     # -- serialisation ----------------------------------------------------------
     #
     # One JSON blob of scalars (with the version and the sample counts),

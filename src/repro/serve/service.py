@@ -130,7 +130,9 @@ class QueryResponse:
     queue_delay_s: float
     """Admission to dispatch — how long the request waited to be batched."""
     batch_size: int
-    """Requests in the ``knn_batch`` dispatch this response rode in."""
+    """Requests in the ``knn_batch`` call this response rode in: those of
+    its dispatch that share its argument key.  The ``serve.batch_size``
+    histogram counts whole dispatches instead."""
     stopped_early: bool = False
     """True when the request ran progressively and its early-stopping rule
     fired — the answer was served before full plan coverage, with the
@@ -513,7 +515,7 @@ class QueryService:
                         stats=result.stats,
                         latency_s=latency,
                         queue_delay_s=req.t_dispatch - req.t_submit,
-                        batch_size=len(batch),
+                        batch_size=len(group),
                         stopped_early=stopped_early,
                     ))
 

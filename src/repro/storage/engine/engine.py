@@ -22,8 +22,8 @@ from repro.exceptions import PartitionNotFoundError
 from repro.storage.engine.backend import StorageBackend
 from repro.storage.engine.format import (
     PartitionV2View,
+    decode_partition_head,
     encode_partition_v2_arrays,
-    read_partition_head,
 )
 from repro.storage.partition import PartitionFile, logical_partition_nbytes
 
@@ -162,11 +162,13 @@ class StorageEngine:
     # -- metadata ---------------------------------------------------------------
 
     def partition_meta(self, partition_id: str) -> PartitionMeta:
-        """Logical size, record count and series length from headers alone
-        (meta and directory CRCs checked, no payload byte read)."""
+        """Logical size, record count and series length from headers alone:
+        the blob is mapped with one range read, as an open maps it, and
+        decoded with the meta and directory CRCs checked and no payload
+        byte touched."""
         read_range, size = self._reader(partition_id)
-        h, _, directory = read_partition_head(read_range, size,
-                                              self.corruption_cb)
+        h, _, directory = decode_partition_head(read_range(0, size), size,
+                                                self.corruption_cb)
         return PartitionMeta(
             logical_partition_nbytes(h.n_records, h.series_length, directory),
             h.n_records, h.series_length,

@@ -31,13 +31,13 @@ header **version 3**, with per-section CRC32s over the meta blob, the
 directory and the two raw payloads (alignment padding is excluded — it
 is zeroed and never served); a blob of any other version, such as the
 checksum-less version 2, is refused with :class:`StorageError`.  Every
-:class:`PartitionV2View` checks all four CRCs when it is opened, over the
-bytes read by that open, and serves its first read from the very payload
-mapping it checked: what is verified is what is served, and a mismatch
-raises :class:`~repro.exceptions.PartitionCorruptError` from the open,
-where the DFS retry loop sees it.  :func:`read_partition_head` is the
+:class:`PartitionV2View` maps its blob with one range read when it is
+opened, checks all four CRCs over that mapping, and serves its first read
+from it: what is verified is what is served, and a mismatch raises
+:class:`~repro.exceptions.PartitionCorruptError` from the open, where the
+DFS retry loop sees it.  :func:`decode_partition_head` is the
 metadata-only half — header, meta blob and directory, with their CRCs —
-for scans that never read a payload byte.  ``materialised_bytes`` counts
+for scans that never touch a payload byte.  ``materialised_bytes`` counts
 the runs served to the reader, never the bytes a check touched.
 """
 
@@ -62,7 +62,7 @@ __all__ = [
     "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",
-    "read_partition_head",
+    "decode_partition_head",
     "PartitionV2View",
 ]
 
@@ -79,14 +79,17 @@ HEADER_SIZE = _HEADER.size
 _CRC_BLOCK = struct.Struct("<4I")
 CRC_BLOCK_SIZE = _CRC_BLOCK.size
 
-#: Bytes before the meta blob, fetched by a reader in one range.
-_HEAD_SIZE = HEADER_SIZE + CRC_BLOCK_SIZE
+#: The base header and the CRC block, decoded by one unpack.
+_HEAD = struct.Struct("<8sII8Q4I")
+#: Bytes before the meta blob.
+_HEAD_SIZE = _HEAD.size
 
 _IDS_ITEMSIZE = 8     # int64
 _VALUES_ITEMSIZE = 8  # float64
 
 assert HEADER_SIZE == 80
 assert CRC_BLOCK_SIZE == 16
+assert _HEAD_SIZE == HEADER_SIZE + CRC_BLOCK_SIZE
 
 
 def _align(offset: int, alignment: int) -> int:
@@ -233,7 +236,7 @@ def decode_v2_header(
     buf: bytes | bytearray | memoryview, physical_size: int | None = None
 ) -> V2Header:
     """Parse and validate the fixed header and CRC block from a payload's
-    first bytes (``buf`` must hold both).
+    first bytes (``buf`` must hold both), in place, copying nothing.
 
     ``physical_size``, when known, is checked against the header's declared
     total so truncated files fail fast with a clear error.  Only header
@@ -244,9 +247,8 @@ def decode_v2_header(
             f"truncated v2 partition: {len(buf)} header bytes < {_HEAD_SIZE}"
         )
     (magic, version, flags, n_clusters, n_records, series_length, meta_size,
-     dir_offset, ids_offset, values_offset, total_size) = _HEADER.unpack_from(
-        bytes(buf[:HEADER_SIZE])
-    )
+     dir_offset, ids_offset, values_offset, total_size,
+     *crcs) = _HEAD.unpack_from(buf)
     if magic != FORMAT_V2_MAGIC:
         raise StorageError(f"bad partition magic {magic!r}")
     if version != FORMAT_V3_VERSION:
@@ -262,7 +264,7 @@ def decode_v2_header(
         ids_offset=ids_offset,
         values_offset=values_offset,
         total_size=total_size,
-        crcs=_CRC_BLOCK.unpack_from(bytes(buf[HEADER_SIZE:_HEAD_SIZE])),
+        crcs=tuple(crcs),
     )
     dir_nbytes = 2 * 8 * n_clusters
     consistent = (
@@ -289,34 +291,29 @@ def _corrupt(corruption_cb: Callable[[], None] | None, reason: str) -> None:
     raise PartitionCorruptError(f"corrupt v2 partition: {reason}")
 
 
-def read_partition_head(
-    read_range: Callable[[int, int], memoryview],
+def decode_partition_head(
+    buf: bytes | bytearray | memoryview,
     physical_size: int | None = None,
     corruption_cb: Callable[[], None] | None = None,
 ) -> tuple[V2Header, str, dict[str, tuple[int, int]]]:
     """Header, partition id and cluster directory of one partition.
 
-    Two range reads — the head, then the adjacent meta blob and directory
-    — with their two CRCs checked over those bytes and no payload byte
-    read: a metadata scan, and the first half of every
-    :class:`PartitionV2View` open (whose arguments these are).
+    ``buf`` holds the partition's bytes from offset 0 — a whole mapping,
+    or at least everything up to the end of the directory.  Decoded in
+    place, with the meta blob and directory CRCs checked and no payload
+    byte touched: a metadata scan, and the first half of every
+    :class:`PartitionV2View` open.
     """
-    head = read_range(
-        0, _HEAD_SIZE if physical_size is None
-        else min(physical_size, _HEAD_SIZE)
-    )
-    h = decode_v2_header(head, physical_size)
+    h = decode_v2_header(buf, physical_size)
     n = h.n_clusters
-    dir_nbytes = 2 * 8 * n
-    dir_start = h.dir_offset - _HEAD_SIZE
-    front = read_range(_HEAD_SIZE, dir_start + dir_nbytes)
-    if len(front) != dir_start + dir_nbytes:
+    dir_end = h.dir_offset + 2 * 8 * n
+    if len(buf) < dir_end:
         _corrupt(corruption_cb, "short meta blob / directory read")
-    meta_bytes = bytes(front[:h.meta_size])
-    if zlib.crc32(meta_bytes) != h.crcs[0]:
+    meta_blob = buf[_HEAD_SIZE:_HEAD_SIZE + h.meta_size]
+    if zlib.crc32(meta_blob) != h.crcs[0]:
         _corrupt(corruption_cb, "meta blob checksum mismatch")
     try:
-        meta = json_from_bytes(meta_bytes)
+        meta = json_from_bytes(bytes(meta_blob))
     except Exception:
         meta = None
     keys = meta.get("keys") if isinstance(meta, dict) else None
@@ -331,9 +328,9 @@ def read_partition_head(
             f"corrupt v2 partition: {len(keys)} keys for "
             f"{n} directory entries"
         )
-    if zlib.crc32(front[dir_start:]) != h.crcs[1]:
+    if zlib.crc32(buf[h.dir_offset:dir_end]) != h.crcs[1]:
         _corrupt(corruption_cb, "directory checksum mismatch")
-    entries = struct.unpack_from(f"<{2 * n}q", front, dir_start)
+    entries = struct.unpack_from(f"<{2 * n}q", buf, h.dir_offset)
     ranges = list(zip(entries[:n], entries[n:]))
     for offset, count in ranges:
         if offset < 0 or count < 0 or offset + count > h.n_records:
@@ -354,10 +351,11 @@ class PartitionV2View:
         closure over an mmap or an in-memory blob).  Must raise
         :class:`StorageError` on out-of-range requests.
     physical_size:
-        Total stored bytes, when the caller knows it; validated against
-        the header's declared size.  Either way the open maps the payload
-        up to the declared end, so a truncated blob fails at open with
-        :class:`StorageError`, not on some later cluster read.
+        Total stored bytes, when the caller knows it (the storage engine
+        always does); validated against the header's declared size, so a
+        truncated blob fails at open with :class:`StorageError`, not on
+        some later cluster read.  A standalone view without it reads the
+        header once first to learn the size.
     corruption_cb:
         Zero-argument callable invoked once per detected corruption
         (before the raise) — the DFS hooks its
@@ -366,12 +364,12 @@ class PartitionV2View:
         The partition's logical size, when the caller tracks it (the DFS
         registry does); derived from the directory on first use otherwise.
 
-    An open costs three range reads — :func:`read_partition_head`'s two,
-    then the payload ``[ids_offset, total_size)`` in one mapping — and
-    checks all four CRCs over them (a mismatch raises
+    An open costs one range read — the whole blob ``[0, total_size)`` in
+    one mapping, of which header, meta blob, directory and payload are
+    slices — and checks all four CRCs over it (a mismatch raises
     :class:`~repro.exceptions.PartitionCorruptError`).  The first read is
     served from that checked mapping; the view then lets go of it and
-    each later read maps the payload again, so a cached view pins no
+    each later read maps the blob again, so a cached view pins no
     mapping.  The view exposes the :class:`PartitionFile` access
     interface; returned arrays are read-only views into the backing
     buffer.  ``materialised_bytes`` counts the bytes served *to the
@@ -389,19 +387,25 @@ class PartitionV2View:
         self._read = read_range
         self._corruption_cb = corruption_cb
         self._logical_nbytes = logical_nbytes
-        self.v2_header, self.partition_id, self.header = read_partition_head(
-            read_range, physical_size, corruption_cb
+        if physical_size is None:
+            physical_size = decode_v2_header(
+                read_range(0, _HEAD_SIZE)
+            ).total_size
+        self._size = physical_size
+        buf = self._map()
+        self.v2_header, self.partition_id, self.header = decode_partition_head(
+            buf, physical_size, corruption_cb
         )
         h = self.v2_header
         self.materialised_bytes = (
             h.header_size + h.meta_size + 2 * 8 * h.n_clusters
         )
-        payload = self._map_payload()
-        if zlib.crc32(payload[:h.n_records * _IDS_ITEMSIZE]) != h.crcs[2]:
+        ids_end = h.ids_offset + h.n_records * _IDS_ITEMSIZE
+        if zlib.crc32(buf[h.ids_offset:ids_end]) != h.crcs[2]:
             _corrupt(self._corruption_cb, "ids payload checksum mismatch")
-        if zlib.crc32(payload[h.values_offset - h.ids_offset:]) != h.crcs[3]:
+        if zlib.crc32(buf[h.values_offset:]) != h.crcs[3]:
             _corrupt(self._corruption_cb, "values payload checksum mismatch")
-        self._checked_payload: memoryview | None = payload
+        self._checked: memoryview | None = buf
 
     # -- geometry ---------------------------------------------------------------
 
@@ -442,17 +446,15 @@ class PartitionV2View:
 
     # -- range mapping ----------------------------------------------------------
 
-    def _map_payload(self) -> memoryview:
-        """Map ``[ids_offset, total_size)`` in one range read."""
-        h = self.v2_header
-        nbytes = h.total_size - h.ids_offset
-        buf = self._read(h.ids_offset, nbytes)
+    def _map(self) -> memoryview:
+        """Map the whole blob ``[0, size)`` in one range read."""
+        buf = self._read(0, self._size)
         # A checked backend raises on out-of-range requests; this guards
         # custom read callbacks that silently return short slices, which
         # would otherwise surface as numpy reshape errors.
-        if len(buf) != nbytes:
+        if len(buf) != self._size:
             _corrupt(self._corruption_cb,
-                     f"short payload read: {len(buf)} of {nbytes} bytes")
+                     f"short read: {len(buf)} of {self._size} bytes")
         return buf
 
     def _map_runs(
@@ -464,17 +466,16 @@ class PartitionV2View:
         h = self.v2_header
         # Unlocked on purpose: threads sharing a cached view may both take
         # the checked mapping or one may map afresh — either is correct.
-        buf, self._checked_payload = self._checked_payload, None
+        buf, self._checked = self._checked, None
         if buf is None:
-            buf = self._map_payload()
-        values_base = h.values_offset - h.ids_offset
+            buf = self._map()
         parts = []
         for start, count in runs:
             ids = np.frombuffer(buf, dtype=np.int64, count=count,
-                                offset=start * _IDS_ITEMSIZE)
+                                offset=h.ids_offset + start * _IDS_ITEMSIZE)
             values = np.frombuffer(
                 buf, dtype=np.float64, count=count * h.series_length,
-                offset=values_base + start * h.row_nbytes,
+                offset=h.values_offset + start * h.row_nbytes,
             ).reshape(count, h.series_length)
             self.materialised_bytes += (
                 count * _IDS_ITEMSIZE + count * h.row_nbytes

@@ -11,7 +11,8 @@ instead of one against itself:
 * :func:`scalar_group_candidates`, the per-group Python-set routing;
 * the seed kernels of group assignment (:func:`assign_reference`), centroid
   selection (:func:`compute_centroids_reference`), batch OD/WD and top-m
-  pivot selection.
+  pivot selection, and a per-row sort for signature prefixes
+  (:func:`permutation_prefixes_reference`).
 
 Nothing under ``src/repro`` imports this module
 (``tests/test_public_api.py`` checks it).
@@ -539,6 +540,16 @@ def weight_distance_matrix_reference(
         for rank in range(m):
             out += ranks[rank]
     return tw - matched
+
+
+def permutation_prefixes_reference(d2: np.ndarray, m: int) -> np.ndarray:
+    """The ``m`` nearest pivot ids of each row of a ``(d, r)`` distance
+    matrix, one ``lexsort`` per row: ascending distance, then ascending
+    pivot id — the order Def. 5's signatures are defined by."""
+    ids = np.arange(d2.shape[1])
+    return np.array(
+        [np.lexsort((ids, row))[:m] for row in d2], dtype=np.int64
+    ).reshape(d2.shape[0], m)
 
 
 def _topm_ranked_reference(d2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -185,6 +185,46 @@ def test_batch_calls_refuse_wrong_shapes(index, entry):
     assert call(np.empty((0, LENGTH)), 5) == []
 
 
+# Signatures the routing boundary must refuse on the 24-pivot, m = 4 index:
+# an id at or past n_pivots can alias another node's edge key in the trie
+# walk, a negative one wraps in a gather, and a repeated one is counted
+# twice by the overlap.
+HOSTILE_SIGNATURES = [
+    ("id-equals-n-pivots", [24, 1, 2, 3]),
+    ("id-36", [36, 1, 2, 3]),
+    ("id-50", [0, 50, 2, 3]),
+    ("negative-id", [-1, 1, 2, 3]),
+    ("repeated-id", [5, 7, 5, 3]),
+    ("repeated-id-adjacent", [9, 9, 2, 3]),
+]
+
+
+@pytest.mark.parametrize("route", ["group_candidates", "od_matrix-one-row",
+                                   "od_matrix-many-rows", "candidates"])
+@pytest.mark.parametrize("name,sig", HOSTILE_SIGNATURES,
+                         ids=[name for name, _ in HOSTILE_SIGNATURES])
+def test_hostile_signature_is_refused_at_routing(index, monkeypatch, route,
+                                                 name, sig):
+    from repro.core.trie_flat import FlatTrie
+
+    def no_walk(*_):
+        raise AssertionError("a trie was walked with a hostile signature")
+
+    routing = index.routing
+    valid = index.query_signature(good(11))
+    od_row = routing.od_matrix(valid)[0]
+    monkeypatch.setattr(FlatTrie, "descend_path_ids", no_walk)
+    calls = {
+        "group_candidates": lambda: index.group_candidates(np.array(sig)),
+        "od_matrix-one-row": lambda: routing.od_matrix(np.array([sig])),
+        "od_matrix-many-rows": lambda: routing.od_matrix(
+            np.array([valid, sig, valid])),
+        "candidates": lambda: routing.candidates(np.array(sig), od_row),
+    }
+    with pytest.raises(ConfigurationError, match="distinct pivot ids"):
+        calls[route]()
+
+
 def test_refused_queries_emit_no_numpy_warning(index, recwarn):
     for _, query, error in CASES:
         with pytest.raises(error):

@@ -267,6 +267,33 @@ class TestRoutingDistances:
                 compared += 1
         assert compared > ranked.shape[0]
 
+    @pytest.mark.parametrize("q", [1, 7, 32, 300])
+    def test_od_matrix_equals_the_packed_kernel(self, q):
+        """The membership gather against the bitset kernel, for every row
+        count: one path, the same integers.  A second fall-back group sits
+        between real ones and, like G0, scores OD m."""
+        rng = np.random.default_rng(q)
+        r = 70  # two bitset words
+        ranked, centroids = self._random_case(rng, r=r, d=q, k=9)
+        m = ranked.shape[1]
+        groups = [((), leaf(0.0, 0), 0)] + [
+            (tuple(cent.tolist()), leaf(1.0, j), j)
+            for j, cent in enumerate(centroids, start=1)
+        ]
+        groups.insert(4, ((), leaf(0.0, 4), 4))
+        skeleton = skeleton_of(groups, prefix_length=m, n_pivots=r,
+                               n_partitions=len(groups))
+        od = RoutingTable(skeleton, decay_weights(m)).od_matrix(ranked)
+        assert od.shape == (q, len(groups)) and od.dtype == np.int64
+        fallback = [0, 4]
+        assert (od[:, fallback] == m).all()
+        real = np.delete(od, fallback, axis=1)
+        want = overlap_distance_matrix(
+            pack_pivot_sets(np.sort(ranked, axis=1), r),
+            pack_pivot_sets(centroids, r), m,
+        )
+        np.testing.assert_array_equal(real, want)
+
     def test_shapes_and_dtypes(self):
         rng = np.random.default_rng(3)
         ranked, centroids = self._random_case(rng, d=4, k=7)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import permutation_prefixes_reference
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
     full_permutations,
@@ -15,6 +16,7 @@ from repro.pivots import (
     select_farthest_first_pivots,
     select_random_pivots,
 )
+from repro.pivots.permutation import _SORT_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,31 @@ class TestPermutationPrefixes:
     def test_int32_dtype(self, paa_and_pivots):
         paa, pivots = paa_and_pivots
         assert permutation_prefixes(paa, pivots, 4).dtype == np.int32
+
+
+@given(
+    st.integers(2, 40),
+    st.sampled_from([1, 2, _SORT_ROWS, _SORT_ROWS + 1, 4097]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_prefixes_match_per_row_sort_on_tie_heavy_grids(r, d, data):
+    """Property: both row-count regimes — one stable sort for a few rows,
+    the tiled top-m kernel plus tie repair beyond — equal a per-row
+    (distance, pivot id) lexsort, on integer grids where squared distances
+    tie exactly and pivots repeat."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = data.draw(st.integers(1, 4))
+    span = data.draw(st.integers(1, 3))
+    paa = rng.integers(-span, span + 1, size=(d, w)).astype(np.float64)
+    pivots = rng.integers(-span, span + 1, size=(r, w)).astype(np.float64)
+    dups = data.draw(st.integers(0, r - 1))
+    pivots[rng.integers(0, r, dups)] = pivots[rng.integers(0, r, dups)]
+    m = data.draw(st.integers(1, r))
+    want = permutation_prefixes_reference(pivot_distance_matrix(paa, pivots), m)
+    got = permutation_prefixes(paa, pivots, m)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want)
 
 
 @given(st.integers(2, 30), st.integers(2, 10), st.data())

@@ -6,8 +6,8 @@ Three properties the one-pass read must keep and that nothing else pins:
   the bytes of *this* open, so a byte that rots between two reads of the
   same name (same inode, same size, same mtime granularity) is caught by
   the second, inside the retry loop;
-* **the call budget** — a cache-off open plus a single-run cluster read
-  costs at most three backend range reads, one ``size`` and no ``exists``;
+* **the call budget** — a cache-off open costs one ``size`` and one
+  backend range read, and its first cluster read none;
 * **the aliasing contract** — a lone run reaches the refine kernel as the
   mapped buffer itself, while the answer a caller keeps owns its memory
   and outlives the mapping.
@@ -155,22 +155,23 @@ class TestCallBudget:
         backend = CountingBackend(dfs.engine.backend)
         dfs.engine.backend = backend
         view = dfs.read_partition("p0")
-        # The open reads head, meta + directory and payload, and checks
-        # all four CRCs; the first read is served from that payload.
-        assert backend.calls["read_range"] == 3
+        # The open maps the whole blob in one read and checks all four
+        # CRCs over it; the first read is served from that mapping.
+        assert backend.calls == {"size": 1, "read_range": 1}
         ids, values = view.read_clusters(view.cluster_keys())
-        assert backend.calls["read_range"] == 3
-        assert backend.calls["size"] == 1
-        assert backend.calls["exists"] == 0
+        assert backend.calls == {"size": 1, "read_range": 1}
         np.testing.assert_array_equal(ids, part.ids)
         np.testing.assert_array_equal(values, part.values)
+        # A later read maps the blob again, with one more read.
+        view.read_cluster(view.cluster_keys()[0])
+        assert backend.calls == {"size": 1, "read_range": 2}
         # Bytes served to the reader: header + meta + directory at open,
-        # then the one run — exactly what the four-read path accounted.
+        # then the runs — what the multi-read path accounted.
         h = view.v2_header
         n = part.record_count
         assert view.materialised_bytes == (
             h.header_size + h.meta_size + 2 * 8 * h.n_clusters
-            + n * 8 + n * LENGTH * 8
+            + n * 8 + n * LENGTH * 8 + PER_CLUSTER * (8 + LENGTH * 8)
         )
         assert view.nbytes == part.nbytes == dfs.partition_nbytes("p0")
         del ids, values
@@ -192,7 +193,7 @@ class TestCallBudget:
         dfs.engine.backend = backend
         view = dfs.read_partition("p0")
         ids, values = view.read_clusters(view.cluster_keys())
-        assert backend.calls == {"size": 1, "read_range": 3}
+        assert backend.calls == {"size": 1, "read_range": 1}
         np.testing.assert_array_equal(ids, parts[1].ids)
         np.testing.assert_array_equal(values, parts[1].values)
         assert values.ctypes.data % 64 == 0  # aligned in the segment too
@@ -208,7 +209,7 @@ class TestCallBudget:
         view = dfs.read_partition("p0")
         keys = view.cluster_keys()[::2]  # three separate runs
         ids, values = view.read_clusters(keys)
-        assert backend.calls["read_range"] <= 3
+        assert backend.calls == {"size": 1, "read_range": 1}
         want_ids, want_values = part.read_clusters(keys)
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(values, want_values)
@@ -224,13 +225,12 @@ class TestCallBudget:
         backend = CountingBackend(fresh.engine.backend)
         fresh.engine.backend = backend
         assert fresh.attach() == len(parts)
-        assert backend.calls["read_range"] <= 2 * len(parts)
-        assert backend.calls["exists"] == 0
+        assert backend.calls == {"size": len(parts), "read_range": len(parts)}
         for part in parts:
             assert fresh.partition_nbytes(part.partition_id) == part.nbytes
         backend.calls.clear()
         meta = fresh.engine.partition_meta("p2")
-        assert backend.calls["read_range"] <= 2
+        assert backend.calls == {"size": 1, "read_range": 1}
         assert meta.logical_nbytes == parts[2].nbytes
         fresh.engine.close()
 

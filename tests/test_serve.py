@@ -647,6 +647,30 @@ class TestBatcherPolicy:
 
         self._run(scenario, max_batch=8, max_delay_s=0.02)
 
+    def test_batch_size_counts_the_call_a_response_rode_in(self):
+        async def scenario(service, index, submit):
+            first = submit(0)
+            assert await self._entered(index) == [0]
+            # One dispatch, two argument keys: two knn_batch calls.
+            rest = [
+                asyncio.ensure_future(service.submit([tag], k=k))
+                for tag, k in ((1, 5), (2, 10), (3, 5))
+            ]
+            await self._until(
+                lambda: self._counter(service, "serve.requests") == 4)
+            index.permits.release()
+            assert await self._entered(index) == [1, 3]
+            index.permits.release()
+            assert await self._entered(index) == [2]
+            index.permits.release()
+            responses = await asyncio.gather(first, *rest)
+            assert [r.batch_size for r in responses] == [1, 2, 1, 2]
+            # The histogram still counts whole dispatches: 1 and 3.
+            hist = service.stats()["metrics"]["histograms"]["serve.batch_size"]
+            assert (hist["count"], hist["sum"]) == (2, 4)
+
+        self._run(scenario, max_batch=8, max_delay_s=5.0)
+
     def test_second_worker_takes_a_second_batch(self):
         async def scenario(service, index, submit):
             first = submit(0)
