@@ -11,8 +11,9 @@ The PR-8 acceptance suite, in one artifact (``BENCH_fault_resilience.json``):
   bit-flip-only chaos with the retry policy armed: answers must stay
   bit-identical to the unfaulted reference while ``dfs.retries`` absorbs
   the faults and no read fails (wall-clock cost reported
-  informationally).  A flip is caught by the partition CRCs every open
-  checks, so it is retried like a transient error (DESIGN.md D8).
+  informationally).  A flip is caught by the partition checksums every
+  open checks, so it is retried like a transient error (DESIGN.md D8,
+  D12).
 * **Determinism + zero-fault parity** — hard correctness refusals, not
   measurements: the same chaos seed must reproduce identical answers and
   counters across two full runs, and a zero-rate fault plan (injector,

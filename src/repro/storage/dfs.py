@@ -45,7 +45,8 @@ class keeps everything *simulated* about the DFS:
   append, never reads partition payloads.
 
 A read returns a :class:`~repro.storage.engine.PartitionV2View` whose four
-CRC32s were checked over the bytes of its open attempt (DESIGN.md D8).
+section checksums were checked over the bytes of its open attempt
+(DESIGN.md D8, D12).
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class DfsCounters:
 class SimulatedDFS:
     """An in-memory (optionally disk-backed) partition store.
 
-    Every partition is written with four per-section CRC32s and every
+    Every partition is written with four per-section checksums and every
     open attempt checks them; a mismatch is retried like a transient error.
 
     Parameters

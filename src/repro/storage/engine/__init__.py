@@ -3,7 +3,7 @@
 The engine decomposes physical partition storage into three layers:
 
 * :mod:`repro.storage.engine.format` — the binary partition format:
-  fixed-width struct header with per-section CRC32s, packed cluster
+  fixed-width struct header with per-section checksums, packed cluster
   directory and 64-byte-aligned raw C-order payloads, checked at every
   open and served as zero-copy NumPy views;
 * :mod:`repro.storage.engine.backend` — the :class:`StorageBackend`
@@ -25,7 +25,7 @@ from repro.storage.engine.backend import (
 from repro.storage.engine.engine import PartitionMeta, StorageEngine
 from repro.storage.engine.format import (
     FORMAT_V2_MAGIC,
-    FORMAT_V3_VERSION,
+    FORMAT_V4_VERSION,
     PartitionV2View,
     decode_v2_header,
     encode_partition_v2,
@@ -40,7 +40,7 @@ __all__ = [
     "PartitionMeta",
     "PartitionV2View",
     "FORMAT_V2_MAGIC",
-    "FORMAT_V3_VERSION",
+    "FORMAT_V4_VERSION",
     "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",

@@ -3,7 +3,7 @@
 :class:`StorageEngine` owns the mapping from partition ids to stored blobs.
 Writes encode through
 :func:`~repro.storage.engine.format.encode_partition_v2_arrays`, always with
-the four per-section CRC32s; an open returns a
+the four per-section checksums; an open returns a
 :class:`~repro.storage.engine.format.PartitionV2View` that has checked all
 four over the bytes of that open, and metadata scans read headers and
 directories only.  A stored blob in any other encoding or header version is
@@ -42,8 +42,8 @@ class PartitionMeta:
 class StorageEngine:
     """Write/read partitions through a :class:`StorageBackend`.
 
-    Every partition is written with its four CRC32s and every open checks
-    all four over the bytes it read (DESIGN.md D8).
+    Every partition is written with its four checksums and every open
+    checks all four over the bytes it read (DESIGN.md D8, D12).
 
     Parameters
     ----------
@@ -136,7 +136,7 @@ class StorageEngine:
     def open_partition(
         self, partition_id: str, logical_nbytes: int | None = None
     ) -> PartitionV2View:
-        """Open a stored partition as a zero-copy view, all four CRCs
+        """Open a stored partition as a zero-copy view, all four checksums
         checked: a mismatch raises here, never on a later read.
 
         ``logical_nbytes`` is the partition's logical size when the caller
@@ -164,8 +164,8 @@ class StorageEngine:
     def partition_meta(self, partition_id: str) -> PartitionMeta:
         """Logical size, record count and series length from headers alone:
         the blob is mapped with one range read, as an open maps it, and
-        decoded with the meta and directory CRCs checked and no payload
-        byte touched."""
+        decoded with the meta and directory checksums checked and no
+        payload byte touched."""
         read_range, size = self._reader(partition_id)
         h, _, directory = decode_partition_head(read_range(0, size), size,
                                                 self.corruption_cb)
@@ -175,8 +175,8 @@ class StorageEngine:
         )
 
     def physical_nbytes(self, partition_id: str) -> int:
-        """Stored payload size (padding and CRC block included, unlike the
-        logical size)."""
+        """Stored payload size (padding and checksum block included,
+        unlike the logical size)."""
         return self._reader(partition_id)[1]
 
     # -- maintenance ------------------------------------------------------------

@@ -11,11 +11,12 @@ by :func:`decode_v2_header`.
 
     [0, 80)              fixed struct header (magic, version, geometry,
                          section offsets, total size)
-    [80, 96)             four CRC32 checksums (meta blob, directory,
+    [80, 112)            four u64 checksums (meta blob, directory,
                          ids payload, values payload)
-    [96, 96+meta)        JSON meta blob: {"partition_id": ..., "keys": [...]}
-    [dir_offset, ...)    cluster directory: int64 offsets[n_clusters]
-                         followed by int64 counts[n_clusters]
+    [112, 112+meta)      JSON meta blob: {"partition_id": ..., "keys": [...]}
+    [dir_offset, ...)    cluster directory, 8-byte aligned: int64
+                         offsets[n_clusters] followed by int64
+                         counts[n_clusters]
     [ids_offset, ...)    raw C-order int64 ids payload, 64-byte aligned
     [values_offset, ...) raw C-order float64 values payload, 64-byte aligned
 
@@ -26,27 +27,32 @@ Because the payloads are aligned raw C-order buffers, a reader backed by
 zero deserialisation cost — exactly the asymmetry CLIMBER's query
 algorithms assume ("reading one cluster touches only its slice").
 
-One integrity rule holds (DESIGN.md D8).  Every partition is written as
-header **version 3**, with per-section CRC32s over the meta blob, the
-directory and the two raw payloads (alignment padding is excluded — it
-is zeroed and never served); a blob of any other version, such as the
-checksum-less version 2, is refused with :class:`StorageError`.  Every
+One integrity rule holds (DESIGN.md D8, D12).  Every partition is
+written as header **version 4**, with one checksum per section — meta
+blob, directory and the two raw payloads — computed by
+:func:`section_checksums`: the wrap-around sum mod 2**64 of the section's
+little-endian 64-bit words.  Each section starts 8-aligned and its zeroed
+alignment padding runs to the next one, so a check over a section and its
+padding equals the stored sum exactly when the padding is still zero: no
+byte after the header goes unchecked.  A blob of any other version, such
+as the CRC32 version 3, is refused with :class:`StorageError`.  Every
 :class:`PartitionV2View` maps its blob with one range read when it is
-opened, checks all four CRCs over that mapping, and serves its first read
-from it: what is verified is what is served, and a mismatch raises
+opened, checks all four sections over that mapping, and serves its first
+read from it: what is verified is what is served, and a mismatch raises
 :class:`~repro.exceptions.PartitionCorruptError` from the open, where the
 DFS retry loop sees it.  :func:`decode_partition_head` is the
-metadata-only half — header, meta blob and directory, with their CRCs —
-for scans that never touch a payload byte.  ``materialised_bytes`` counts
-the runs served to the reader, never the bytes a check touched.
+metadata-only half — header, meta blob and directory, with their
+checksums — for scans that never touch a payload byte.  Every refusal of
+what was read, checksum or structure, is reported to the caller's
+corruption callback.  ``materialised_bytes`` counts the runs served to
+the reader, never the bytes a check touched.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
-import zlib
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,18 +62,19 @@ from repro.storage.serialization import json_from_bytes, json_to_bytes
 
 __all__ = [
     "FORMAT_V2_MAGIC",
-    "FORMAT_V3_VERSION",
+    "FORMAT_V4_VERSION",
     "PAYLOAD_ALIGNMENT",
     "V2Header",
     "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",
     "decode_partition_head",
+    "section_checksums",
     "PartitionV2View",
 ]
 
 FORMAT_V2_MAGIC = b"CLMBPRT2"
-FORMAT_V3_VERSION = 3  # the one header version: base header + CRC32 block
+FORMAT_V4_VERSION = 4  # the one header version: base header + word-sum block
 PAYLOAD_ALIGNMENT = 64
 
 # magic, version, flags, n_clusters, n_records, series_length, meta_size,
@@ -75,31 +82,66 @@ PAYLOAD_ALIGNMENT = 64
 _HEADER = struct.Struct("<8sII8Q")
 HEADER_SIZE = _HEADER.size
 
-# CRC32s of (meta, directory, ids, values), right after the base header.
-_CRC_BLOCK = struct.Struct("<4I")
-CRC_BLOCK_SIZE = _CRC_BLOCK.size
+# Checksums of (meta, directory, ids, values), right after the base header.
+_CHECKSUM_BLOCK = struct.Struct("<4Q")
+CHECKSUM_BLOCK_SIZE = _CHECKSUM_BLOCK.size
 
-#: The base header and the CRC block, decoded by one unpack.
-_HEAD = struct.Struct("<8sII8Q4I")
+#: The base header and the checksum block, decoded by one unpack.
+_HEAD = struct.Struct("<8sII8Q4Q")
 #: Bytes before the meta blob.
 _HEAD_SIZE = _HEAD.size
 
 _IDS_ITEMSIZE = 8     # int64
 _VALUES_ITEMSIZE = 8  # float64
 
+_WORD = 8  # bytes per checksummed word
+_MASK = (1 << 64) - 1
+
 assert HEADER_SIZE == 80
-assert CRC_BLOCK_SIZE == 16
-assert _HEAD_SIZE == HEADER_SIZE + CRC_BLOCK_SIZE
+assert CHECKSUM_BLOCK_SIZE == 32
+assert _HEAD_SIZE == HEADER_SIZE + CHECKSUM_BLOCK_SIZE
+assert _HEAD_SIZE % _WORD == 0
 
 
 def _align(offset: int, alignment: int) -> int:
     return -(-offset // alignment) * alignment
 
 
-@dataclass(frozen=True)
-class V2Header:
+def section_checksums(
+    buf: bytes | bytearray | memoryview, bounds: Sequence[int]
+) -> list[int]:
+    """The checksum of each section ``buf[bounds[i]:bounds[i + 1]]``.
+
+    A section's checksum is the wrap-around sum mod 2**64 of its
+    little-endian 64-bit words, a short last word zero-padded (DESIGN.md
+    D12).  Every boundary but the last must lie a whole number of words
+    after the first — the format's sections start 8-aligned — so one
+    ``np.add.reduceat`` sums every section in a single pass over the
+    bytes, however small the sections are.
+    """
+    start, end = bounds[0], bounds[-1]
+    n_words, tail = divmod(end - start, _WORD)
+    words = np.frombuffer(buf, dtype="<u8", count=n_words, offset=start)
+    heads = [(b - start) // _WORD for b in bounds[:-1]]
+    ends = heads[1:]
+    ends.append(n_words)
+    if all(map(operator.lt, heads, ends)):
+        sums = np.add.reduceat(words, heads).tolist()
+    else:
+        # reduceat cannot sum an empty section (it returns the word at
+        # its head), such as the payloads of a partition of no records.
+        sums = [int(np.add.reduce(words[h:e])) for h, e in zip(heads, ends)]
+    if tail:
+        last = int.from_bytes(buf[end - tail:end], "little")
+        sums[-1] = (sums[-1] + last) & _MASK
+    return sums
+
+
+class V2Header(NamedTuple):
     """Decoded fixed-width header: geometry, section offsets and the four
-    per-section CRC32s (meta, directory, ids, values)."""
+    per-section checksums (meta, directory, ids, values).  A named tuple,
+    because every open builds one: a frozen dataclass took ≈ 3 µs of a
+    ≈ 20 µs small-partition open."""
 
     n_clusters: int
     n_records: int
@@ -109,14 +151,22 @@ class V2Header:
     ids_offset: int
     values_offset: int
     total_size: int
-    crcs: tuple[int, int, int, int]
+    checksums: tuple[int, int, int, int]
 
     @property
     def row_nbytes(self) -> int:
         return self.series_length * _VALUES_ITEMSIZE
 
-    #: Bytes before the meta blob (base header + CRC block).
-    header_size: ClassVar[int] = _HEAD_SIZE
+    @property
+    def section_bounds(self) -> tuple[int, int, int, int, int]:
+        """Starts of the meta, directory, ids and values sections, then the
+        blob's end: each checked section runs to the next one, its zeroed
+        alignment padding included."""
+        return (self.header_size, self.dir_offset, self.ids_offset,
+                self.values_offset, self.total_size)
+
+    #: Bytes before the meta blob (base header + checksum block).
+    header_size = _HEAD_SIZE
 
 
 def encode_partition_v2_arrays(
@@ -161,9 +211,14 @@ def encode_partition_v2_arrays(
     keys = list(header)
     if not keys:
         raise StorageError(f"partition {partition_id!r} needs >= 1 cluster")
+    # A directory the reader would refuse must fail here, not at a read.
+    problem = _directory_problem(keys, [header[k][0] for k in keys],
+                                 [header[k][1] for k in keys], n_records)
+    if problem:
+        raise StorageError(f"partition {partition_id!r}: {problem}")
     n_clusters = len(keys)
     meta = json_to_bytes({"partition_id": partition_id, "keys": keys})
-    dir_offset = _align(_HEAD_SIZE + len(meta), 8)
+    dir_offset = _align(_HEAD_SIZE + len(meta), _WORD)
     dir_nbytes = 2 * 8 * n_clusters
     ids_nbytes = n_records * _IDS_ITEMSIZE
     values_nbytes = n_records * values.shape[1] * _VALUES_ITEMSIZE
@@ -174,7 +229,7 @@ def encode_partition_v2_arrays(
     out = bytearray(total_size)
     _HEADER.pack_into(
         out, 0,
-        FORMAT_V2_MAGIC, FORMAT_V3_VERSION, 0,
+        FORMAT_V2_MAGIC, FORMAT_V4_VERSION, 0,
         n_clusters, n_records, values.shape[1], len(meta),
         dir_offset, ids_offset, values_offset, total_size,
     )
@@ -187,14 +242,6 @@ def encode_partition_v2_arrays(
                               offset=dir_offset)
     directory[:n_clusters] = [header[k][0] for k in keys]
     directory[n_clusters:] = [header[k][1] for k in keys]
-    # A bad cluster range must fail here, not at some later read.
-    if not (
-        np.all(directory >= 0)
-        and np.all(directory[:n_clusters] + directory[n_clusters:] <= n_records)
-    ):
-        raise StorageError(
-            f"partition {partition_id!r}: cluster directory outside payload"
-        )
     ids_dst = np.frombuffer(out, dtype=np.int64, count=n_records,
                             offset=ids_offset)
     values_dst = np.frombuffer(
@@ -207,15 +254,12 @@ def encode_partition_v2_arrays(
     else:
         np.take(ids, rows, out=ids_dst)
         np.take(values, rows, axis=0, out=values_dst)
-    # CRCs cover the exact logical section bytes (padding excluded: it is
-    # zeroed above and never served to a reader).
-    view = memoryview(out)
-    _CRC_BLOCK.pack_into(
+    # The padding after each section is still zero, so summing up to the
+    # next section gives the section's own checksum.
+    _CHECKSUM_BLOCK.pack_into(
         out, HEADER_SIZE,
-        zlib.crc32(view[_HEAD_SIZE:_HEAD_SIZE + len(meta)]),
-        zlib.crc32(view[dir_offset:dir_offset + dir_nbytes]),
-        zlib.crc32(view[ids_offset:ids_offset + ids_nbytes]),
-        zlib.crc32(view[values_offset:values_offset + values_nbytes]),
+        *section_checksums(out, (_HEAD_SIZE, dir_offset, ids_offset,
+                                 values_offset, total_size)),
     )
     return bytes(out)
 
@@ -235,12 +279,13 @@ def encode_partition_v2(part: PartitionFile) -> bytes:
 def decode_v2_header(
     buf: bytes | bytearray | memoryview, physical_size: int | None = None
 ) -> V2Header:
-    """Parse and validate the fixed header and CRC block from a payload's
-    first bytes (``buf`` must hold both), in place, copying nothing.
+    """Parse and validate the fixed header and checksum block from a
+    payload's first bytes (``buf`` must hold both), in place, copying
+    nothing.
 
     ``physical_size``, when known, is checked against the header's declared
     total so truncated files fail fast with a clear error.  Only header
-    version 3 is read; any other version raises :class:`StorageError`.
+    version 4 is read; any other version raises :class:`StorageError`.
     """
     if len(buf) < _HEAD_SIZE:
         raise StorageError(
@@ -248,27 +293,21 @@ def decode_v2_header(
         )
     (magic, version, flags, n_clusters, n_records, series_length, meta_size,
      dir_offset, ids_offset, values_offset, total_size,
-     *crcs) = _HEAD.unpack_from(buf)
+     *checksums) = _HEAD.unpack_from(buf)
     if magic != FORMAT_V2_MAGIC:
         raise StorageError(f"bad partition magic {magic!r}")
-    if version != FORMAT_V3_VERSION:
+    if version != FORMAT_V4_VERSION:
         raise StorageError(f"unsupported partition format version {version}")
     if flags != 0:
         raise StorageError(f"unknown partition format flags {flags:#x}")
     header = V2Header(
-        n_clusters=n_clusters,
-        n_records=n_records,
-        series_length=series_length,
-        meta_size=meta_size,
-        dir_offset=dir_offset,
-        ids_offset=ids_offset,
-        values_offset=values_offset,
-        total_size=total_size,
-        crcs=tuple(crcs),
+        n_clusters, n_records, series_length, meta_size, dir_offset,
+        ids_offset, values_offset, total_size, tuple(checksums),
     )
     dir_nbytes = 2 * 8 * n_clusters
     consistent = (
         dir_offset >= _HEAD_SIZE + meta_size
+        and dir_offset % _WORD == 0
         and ids_offset % PAYLOAD_ALIGNMENT == 0
         and values_offset % PAYLOAD_ALIGNMENT == 0
         and ids_offset >= dir_offset + dir_nbytes
@@ -285,10 +324,85 @@ def decode_v2_header(
     return header
 
 
-def _corrupt(corruption_cb: Callable[[], None] | None, reason: str) -> None:
+def _refuse(
+    corruption_cb: Callable[[], None] | None,
+    reason: str,
+    error: type[StorageError] = StorageError,
+) -> None:
     if corruption_cb is not None:
         corruption_cb()
-    raise PartitionCorruptError(f"corrupt v2 partition: {reason}")
+    raise error(f"corrupt v2 partition: {reason}")
+
+
+def _corrupt(corruption_cb: Callable[[], None] | None, reason: str) -> None:
+    _refuse(corruption_cb, reason, PartitionCorruptError)
+
+
+def _decode(
+    buf: bytes | bytearray | memoryview,
+    physical_size: int | None,
+    corruption_cb: Callable[[], None] | None,
+    n_sections: int,
+) -> tuple[V2Header, str, dict[str, tuple[int, int]]]:
+    """Decode the head of a partition and check its first ``n_sections``
+    sections — 2 (meta, directory) or all 4 — with one checksum pass."""
+    try:
+        h = decode_v2_header(buf, physical_size)
+    except StorageError:
+        if corruption_cb is not None:
+            corruption_cb()
+        raise
+    n = h.n_clusters
+    bounds = h.section_bounds[:n_sections + 1]
+    if len(buf) < bounds[-1]:
+        _corrupt(corruption_cb, "short meta blob / directory read")
+    sums = section_checksums(buf, bounds)
+    if sums[0] != h.checksums[0]:
+        _corrupt(corruption_cb, "meta blob checksum mismatch")
+    try:
+        meta = json_from_bytes(bytes(buf[_HEAD_SIZE:_HEAD_SIZE + h.meta_size]))
+    except Exception:
+        meta = None
+    keys = meta.get("keys") if isinstance(meta, dict) else None
+    if (
+        not isinstance(keys, list)
+        or not all(isinstance(key, str) for key in keys)
+        or "partition_id" not in meta
+    ):
+        _refuse(corruption_cb, "malformed meta blob")
+    if len(keys) != n:
+        _refuse(corruption_cb,
+                f"{len(keys)} keys for {n} directory entries")
+    if sums[1] != h.checksums[1]:
+        _corrupt(corruption_cb, "directory checksum mismatch")
+    entries = struct.unpack_from(f"<{2 * n}q", buf, h.dir_offset)
+    offsets, counts = entries[:n], entries[n:]
+    problem = _directory_problem(keys, offsets, counts, h.n_records)
+    if problem:
+        _refuse(corruption_cb, problem)
+    for i, section in ((2, "ids payload"), (3, "values payload")):
+        if i < n_sections and sums[i] != h.checksums[i]:
+            _corrupt(corruption_cb, f"{section} checksum mismatch")
+    return h, str(meta["partition_id"]), dict(zip(keys, zip(offsets, counts)))
+
+
+def _directory_problem(
+    keys: list[str], offsets: Sequence[int], counts: Sequence[int],
+    n_records: int,
+) -> str | None:
+    """Why a cluster directory is malformed, or ``None``: its keys must be
+    distinct and sorted, and its ranges must tile ``[0, n_records)`` in
+    key order, so every record belongs to exactly one cluster."""
+    if any(map(operator.ge, keys, keys[1:])):
+        return "cluster keys are not distinct and sorted"
+    end = 0
+    for offset, count in zip(offsets, counts):
+        if offset != end or count < 0:
+            return "directory ranges do not tile the payload"
+        end += count
+    if end != n_records:
+        return "directory ranges do not tile the payload"
+    return None
 
 
 def decode_partition_head(
@@ -299,45 +413,12 @@ def decode_partition_head(
     """Header, partition id and cluster directory of one partition.
 
     ``buf`` holds the partition's bytes from offset 0 — a whole mapping,
-    or at least everything up to the end of the directory.  Decoded in
-    place, with the meta blob and directory CRCs checked and no payload
-    byte touched: a metadata scan, and the first half of every
-    :class:`PartitionV2View` open.
+    or at least everything up to the ids payload.  Decoded in place, with
+    the meta blob and directory checksums checked and no payload byte
+    touched: a metadata scan.  ``corruption_cb`` is called once before
+    any refusal raises.
     """
-    h = decode_v2_header(buf, physical_size)
-    n = h.n_clusters
-    dir_end = h.dir_offset + 2 * 8 * n
-    if len(buf) < dir_end:
-        _corrupt(corruption_cb, "short meta blob / directory read")
-    meta_blob = buf[_HEAD_SIZE:_HEAD_SIZE + h.meta_size]
-    if zlib.crc32(meta_blob) != h.crcs[0]:
-        _corrupt(corruption_cb, "meta blob checksum mismatch")
-    try:
-        meta = json_from_bytes(bytes(meta_blob))
-    except Exception:
-        meta = None
-    keys = meta.get("keys") if isinstance(meta, dict) else None
-    if (
-        not isinstance(keys, list)
-        or not all(isinstance(key, str) for key in keys)
-        or "partition_id" not in meta
-    ):
-        raise StorageError("corrupt v2 partition: malformed meta blob")
-    if len(keys) != n:
-        raise StorageError(
-            f"corrupt v2 partition: {len(keys)} keys for "
-            f"{n} directory entries"
-        )
-    if zlib.crc32(buf[h.dir_offset:dir_end]) != h.crcs[1]:
-        _corrupt(corruption_cb, "directory checksum mismatch")
-    entries = struct.unpack_from(f"<{2 * n}q", buf, h.dir_offset)
-    ranges = list(zip(entries[:n], entries[n:]))
-    for offset, count in ranges:
-        if offset < 0 or count < 0 or offset + count > h.n_records:
-            raise StorageError(
-                "corrupt v2 partition: directory range outside payload"
-            )
-    return h, str(meta["partition_id"]), dict(zip(keys, ranges))
+    return _decode(buf, physical_size, corruption_cb, 2)
 
 
 class PartitionV2View:
@@ -366,7 +447,7 @@ class PartitionV2View:
 
     An open costs one range read — the whole blob ``[0, total_size)`` in
     one mapping, of which header, meta blob, directory and payload are
-    slices — and checks all four CRCs over it (a mismatch raises
+    slices — and checks all four sections over it (a mismatch raises
     :class:`~repro.exceptions.PartitionCorruptError`).  The first read is
     served from that checked mapping; the view then lets go of it and
     each later read maps the blob again, so a cached view pins no
@@ -393,18 +474,13 @@ class PartitionV2View:
             ).total_size
         self._size = physical_size
         buf = self._map()
-        self.v2_header, self.partition_id, self.header = decode_partition_head(
-            buf, physical_size, corruption_cb
+        self.v2_header, self.partition_id, self.header = _decode(
+            buf, physical_size, corruption_cb, 4
         )
         h = self.v2_header
         self.materialised_bytes = (
             h.header_size + h.meta_size + 2 * 8 * h.n_clusters
         )
-        ids_end = h.ids_offset + h.n_records * _IDS_ITEMSIZE
-        if zlib.crc32(buf[h.ids_offset:ids_end]) != h.crcs[2]:
-            _corrupt(self._corruption_cb, "ids payload checksum mismatch")
-        if zlib.crc32(buf[h.values_offset:]) != h.crcs[3]:
-            _corrupt(self._corruption_cb, "values payload checksum mismatch")
         self._checked: memoryview | None = buf
 
     # -- geometry ---------------------------------------------------------------

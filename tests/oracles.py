@@ -12,7 +12,9 @@ instead of one against itself:
 * the seed kernels of group assignment (:func:`assign_reference`), centroid
   selection (:func:`compute_centroids_reference`), batch OD/WD and top-m
   pivot selection, and a per-row sort for signature prefixes
-  (:func:`permutation_prefixes_reference`).
+  (:func:`permutation_prefixes_reference`);
+* the partition section checksum as a plain loop over 8-byte chunks
+  (:func:`word_sum_reference`), against the format's NumPy kernel.
 
 Nothing under ``src/repro`` imports this module
 (``tests/test_public_api.py`` checks it).
@@ -565,3 +567,18 @@ def _topm_ranked_reference(d2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
     ranked = np.take_along_axis(part, order, axis=1)[:, :m]
     vboundary = np.take_along_axis(vals, order[:, m - 1:], axis=1)
     return ranked, vboundary[:, 1] <= vboundary[:, 0]
+
+
+# ---------------------------------------------------------------------------
+# The partition section checksum (DESIGN.md D12)
+# ---------------------------------------------------------------------------
+
+def word_sum_reference(data: bytes) -> int:
+    """The v4 section checksum, one Python integer at a time: the sum of
+    ``data``'s little-endian 64-bit words, the last zero-padded to eight
+    bytes, mod 2**64."""
+    total = 0
+    for start in range(0, len(data), 8):
+        total += int.from_bytes(data[start:start + 8].ljust(8, b"\0"),
+                                "little")
+    return total % 2**64

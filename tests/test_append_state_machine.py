@@ -8,7 +8,19 @@ in the store's registry and counters, and in the number of files on disk
 held to the containment oracle of ``test_containment_oracle``: its top-k
 is exact brute force over exactly the records its walk read.
 
-Budget: about 3 s of tier-1 at the settings below (a 600-record build per
+A restart may also come back under bit-flip chaos: a
+:class:`~repro.resilience.FaultPlan` flips one bit of a read attempt with
+probability ``FLIP_RATE``, and a zero-backoff :class:`RetryPolicy` of
+``FLIP_ATTEMPTS`` attempts retries it.  Every flip fails its open (the
+checksums cover every byte after the header, and the header's fields are
+bound by structural checks: DESIGN.md D12), so a read fails for good only
+when all its attempts draw a flip — probability ``FLIP_RATE **
+FLIP_ATTEMPTS`` < 1e-9 per logical read.  The rate is high so that the
+few reads after such a restart still draw many flips, header bytes
+included.  After every step no read has failed, every retry answers a
+counted corruption, and the answers still meet the containment oracle.
+
+Budget: about 4 s of tier-1 at the settings below (a 600-record build per
 example, at most twelve steps each).
 """
 
@@ -26,6 +38,7 @@ from test_containment_oracle import LENGTH, VARIANTS, ReadLog, _assert_contained
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.series import SeriesDataset
 from repro.storage import SimulatedDFS
 
@@ -33,6 +46,8 @@ BASE = random_walk_dataset(600, LENGTH, seed=17)
 CFG = ClimberConfig(word_length=8, n_pivots=24, prefix_length=4,
                     capacity=60, sample_fraction=0.3,
                     n_input_partitions=4, seed=6)
+FLIP_RATE, FLIP_ATTEMPTS = 0.5, 30
+assert FLIP_RATE ** FLIP_ATTEMPTS < 1e-9
 
 
 class AppendMachine(RuleBasedStateMachine):
@@ -66,13 +81,24 @@ class AppendMachine(RuleBasedStateMachine):
             ids=np.concatenate([self.data.ids, batch.ids]),
         )
 
-    @rule()
-    def restart(self):
+    def _restart(self, **dfs_kwargs):
         """A new process: nothing but the files and the global index."""
         self.index.dfs.engine.close()
-        dfs = SimulatedDFS(backing_dir=self.store)
+        dfs = SimulatedDFS(backing_dir=self.store, **dfs_kwargs)
         self.attached = dfs.attach()
         self.index = ClimberIndex.reopen(self.global_index, dfs, CFG)
+
+    @rule()
+    def restart(self):
+        self._restart()
+
+    @rule(seed=st.integers(0, 2**32 - 1))
+    def restart_under_bit_flips(self, seed):
+        self._restart(
+            fault_plan=FaultPlan(seed=seed, bit_flip_rate=FLIP_RATE),
+            retry_policy=RetryPolicy(max_attempts=FLIP_ATTEMPTS,
+                                     backoff_base_s=0.0),
+        )
 
     @rule(k=st.sampled_from([1, 10]), variant=st.sampled_from(VARIANTS),
           row=st.integers(0, 2**16), seed=st.integers(0, 2**16))
@@ -95,6 +121,12 @@ class AppendMachine(RuleBasedStateMachine):
             == self.data.count
         assert len(list(self.store.iterdir())) \
             == self.n_base_files + self.appends
+
+    @invariant()
+    def every_flip_caught_and_recovered(self):
+        c = self.index.dfs.counters
+        assert c.read_failures == 0
+        assert c.retries == c.corruption_detected
 
 
 TestAppendMachine = AppendMachine.TestCase

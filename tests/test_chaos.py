@@ -2,7 +2,7 @@
 
 Three layers of guarantees pinned down here:
 
-* **Integrity** — per-section CRC32 checksums (partition header v3,
+* **Integrity** — per-section word-sum checksums (partition header v4,
   the only version read) catch a bit flip in every section at open,
   raising :class:`~repro.exceptions.PartitionCorruptError` inside the
   retry loop and bumping ``dfs.corruption_detected``; a read that fails
@@ -11,8 +11,8 @@ Three layers of guarantees pinned down here:
   whatever partitions survive, surfacing ``degraded``/``coverage``/
   ``partitions_failed`` through stats, ``explain_query`` and telemetry.
 * **The zero-fault parity oracle** — a zero-rate
-  :class:`~repro.resilience.FaultPlan` (the full injector + retry + CRC
-  machinery armed, no fault ever fired) is bit-transparent: answers and
+  :class:`~repro.resilience.FaultPlan` (the full injector + retry +
+  checksum machinery armed, no fault ever fired) is bit-transparent: answers and
   logical counters identical to a plain build, across worker counts.
   Plus: same chaos seed, same results — twice.
 """
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-import zlib
 
 import numpy as np
 import pytest
+from oracles import word_sum_reference
 
 from repro.core.config import ClimberConfig
 from repro.core.index import ClimberIndex
@@ -86,8 +86,8 @@ def make_partition(pid="p0", n_clusters=3, per_cluster=5, length=8, seed=0):
 
 
 class TestChecksumIntegrity:
-    """One rule: every partition carries four CRC32s and every open checks
-    all four over the bytes it read, inside the DFS retry loop."""
+    """One rule: every partition carries four checksums and every open
+    checks all four over the bytes it read, inside the DFS retry loop."""
 
     RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.0)
 
@@ -144,35 +144,44 @@ class TestChecksumIntegrity:
         assert dfs.counters.corruption_detected >= 1
         assert dfs.counters.partitions_read == 0
 
-    def test_version_2_blob_is_refused(self, tmp_path):
-        # Header version 2 — the same layout without the CRC block — is
-        # no longer read: a typed StorageError at open and at attach.
+    @staticmethod
+    def _assert_version_refused(tmp_path, version):
         writer = SimulatedDFS(backing_dir=tmp_path)
         ref = make_partition("p0")
         writer.write_partition(ref)
         writer.engine.close()
         path = tmp_path / "p0.part"
         payload = bytearray(path.read_bytes())
-        struct.pack_into("<I", payload, 8, 2)  # the version field
+        struct.pack_into("<I", payload, 8, version)  # the version field
         path.write_bytes(bytes(payload))
-        with pytest.raises(StorageError, match="version 2"):
+        with pytest.raises(StorageError, match=f"version {version}"):
             SimulatedDFS(backing_dir=tmp_path).attach()
         reader = SimulatedDFS(backing_dir=tmp_path)
         reader._register("p0", ref.nbytes, ref.record_count,
                          ref.series_length)
-        with pytest.raises(StorageError, match="version 2"):
+        with pytest.raises(StorageError, match=f"version {version}"):
             reader.read_partition("p0")
         assert reader.counters.read_failures == 1
         reader.engine.close()
 
-    def test_checksummed_payload_carries_crc_block(self):
+    def test_version_2_blob_is_refused(self, tmp_path):
+        # Header version 2 — the same layout without a checksum block —
+        # is no longer read: a typed StorageError at open and at attach.
+        self._assert_version_refused(tmp_path, 2)
+
+    def test_version_3_blob_is_refused(self, tmp_path):
+        # Header version 3 — four CRC32s where version 4 stores four
+        # word sums — is refused the same way.
+        self._assert_version_refused(tmp_path, 3)
+
+    def test_checksummed_payload_carries_checksum_block(self):
         dfs = SimulatedDFS()
         dfs.write_partition(make_partition("p0"))
         backend = dfs.engine.backend
         payload = bytes(backend.read_range("p0.part", 0,
                                            backend.size("p0.part")))
         h = decode_v2_header(payload)
-        # Each CRC covers its section's exact bytes, padding excluded.
+        # Each checksum is the word sum of its section's exact bytes.
         ids_end = h.ids_offset + 8 * h.n_records
         sections = (
             payload[h.header_size:h.header_size + h.meta_size],
@@ -180,12 +189,12 @@ class TestChecksumIntegrity:
             payload[h.ids_offset:ids_end],
             payload[h.values_offset:],
         )
-        assert h.crcs == tuple(zlib.crc32(s) for s in sections)
-        # The CRC block costs physical bytes and nothing logical.
+        assert h.checksums == tuple(word_sum_reference(s) for s in sections)
+        # The checksum block costs physical bytes and nothing logical.
         assert dfs.partition_nbytes("p0") == make_partition("p0").nbytes
 
     def test_every_raised_query_is_a_counted_read_failure(self):
-        # No retries: each flip a CRC covers fails its query, and each
+        # No retries: each flip a checksum covers fails its query, and each
         # such failure is one dfs.read_failures, never an uncounted raise.
         index = ClimberIndex.build(
             _dataset(), _config(),

@@ -2,7 +2,7 @@
 
 Three properties the one-pass read must keep and that nothing else pins:
 
-* **verification is per open, never remembered** — every CRC runs over
+* **verification is per open, never remembered** — every checksum runs over
   the bytes of *this* open, so a byte that rots between two reads of the
   same name (same inode, same size, same mtime granularity) is caught by
   the second, inside the retry loop;
@@ -156,7 +156,7 @@ class TestCallBudget:
         dfs.engine.backend = backend
         view = dfs.read_partition("p0")
         # The open maps the whole blob in one read and checks all four
-        # CRCs over it; the first read is served from that mapping.
+        # checksums over it; the first read is served from that mapping.
         assert backend.calls == {"size": 1, "read_range": 1}
         ids, values = view.read_clusters(view.cluster_keys())
         assert backend.calls == {"size": 1, "read_range": 1}

@@ -297,8 +297,7 @@ class TestDfsRetryIntegration:
         # Every open checks every section inside the retry loop, so
         # a per-attempt flip in a checksummed section is caught and the
         # clean next attempt succeeds.  The seed scan targets the values
-        # section: flips landing in alignment padding are (correctly)
-        # invisible — no CRC covers bytes no reader ever uses.
+        # section.
         from repro.storage.engine import decode_v2_header, encode_partition_v2
 
         name = "p0.part"

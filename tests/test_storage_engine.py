@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import struct
 import tempfile
-import zlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import word_sum_reference
 
 from repro.exceptions import PartitionNotFoundError, StorageError
 from repro.resilience import RetryPolicy
@@ -191,7 +191,7 @@ class TestFormatV2Corruption:
 
     @pytest.mark.parametrize("keys", [b"7       ", b'[["g0"]]', b"null    "])
     def test_meta_keys_must_be_a_list_of_strings(self, keys):
-        # The meta CRC is re-stamped over the rewritten blob, so the
+        # The meta checksum is re-stamped over the rewritten blob, so the
         # checksum passes and the JSON-shape checks behind it must refuse.
         part = make_partition(n_clusters=1)
         payload = encode_partition_v2(part)
@@ -200,7 +200,8 @@ class TestFormatV2Corruption:
         header = decode_v2_header(payload)
         meta = tampered[header.header_size:
                         header.header_size + header.meta_size]
-        struct.pack_into("<I", tampered, HEADER_SIZE, zlib.crc32(meta))
+        struct.pack_into("<Q", tampered, HEADER_SIZE,
+                         word_sum_reference(bytes(meta)))
         with pytest.raises(StorageError, match="malformed meta blob"):
             PartitionV2View(self._reader(bytes(tampered)))
 
@@ -351,8 +352,8 @@ class TestDfsEngineFacade:
             dfs.series_length("ghost")
 
     def test_attach_mixed_format_directory(self, tmp_path):
-        """A directory that holds one header-version-2 partition (no CRC
-        block) beside version-3 ones does not attach."""
+        """A directory that holds one header-version-2 partition (no
+        checksum block) beside current ones does not attach."""
         dfs = SimulatedDFS(backing_dir=tmp_path)
         for pid, seed in (("plain", 1), ("checked", 2)):
             dfs.write_partition(make_partition(pid, seed=seed))

@@ -127,7 +127,7 @@ class TestFormatParity:
         pytest.param({}, {"fault_plan": FaultPlan(seed=20240808,
                                                   transient_rate=0.02)},
                      id="transient-faults"),
-        # Every flip lands inside the open, is caught by a CRC and is
+        # Every flip lands inside the open, is caught by a checksum and is
         # recovered by the next attempt (4 retries).
         pytest.param({}, {"fault_plan": FaultPlan(seed=20240808,
                                                   bit_flip_rate=0.02)},

@@ -7,7 +7,7 @@ only, and looks at everything a query could ever touch:
   backend does that when it is constructed over the directory);
 * every partition, loose or packed, is opened, and an open checks the
   meta blob, the cluster directory and both payload sections against
-  their stored CRC32s;
+  their four stored checksums (DESIGN.md D12);
 * every partition's stored id is the name it is stored under;
 * every base's delta partitions number ``d0..dN`` without a gap.
 
@@ -25,12 +25,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 from repro.exceptions import StorageError
 from repro.storage import LocalDiskBackend, StorageEngine
+from repro.storage.engine import decode_v2_header
+
+SECTIONS = ("meta", "directory", "ids", "values")
 
 
 def check_store(root: Path) -> dict[str, object]:
@@ -76,8 +80,33 @@ def check_store(root: Path) -> dict[str, object]:
     return report
 
 
+def _section_starts(root: Path) -> list[tuple[str, Path, dict[str, int]]]:
+    """For one loose base partition and one partition packed in a
+    segment: the partition, the file holding it and the file offset of
+    each of its four sections, read from its decoded header."""
+    backend = LocalDiskBackend(root)
+    loose = min(p.name for p in root.glob("*.part"))
+    packed = min(name for name in backend.list_names()
+                 if not (root / name).exists())
+    targets = []
+    for name in (loose, packed):
+        blob = bytes(backend.read_range(name, 0, backend.size(name)))
+        holder = root / name if name == loose else next(
+            seg for seg in sorted(root.glob("append-*.seg"))
+            if blob in seg.read_bytes()
+        )
+        base = holder.read_bytes().index(blob)
+        bounds = decode_v2_header(blob).section_bounds
+        targets.append((name, holder, {
+            section: base + start for section, start in zip(SECTIONS, bounds)
+        }))
+    backend.close()
+    return targets
+
+
 def selftest() -> int:
-    """A clean store must pass and one flipped byte must not."""
+    """A clean store must pass, and one flipped byte in any section of a
+    loose or a packed partition must not."""
     import numpy as np
 
     from repro.core import ClimberConfig, ClimberIndex
@@ -104,16 +133,19 @@ def selftest() -> int:
             print("selftest: the clean store did not check clean",
                   file=sys.stderr)
             return 1
-        # Byte 100 of a segment lies in the meta blob of its first packed
-        # partition (header and CRC block end at 96), which is checksummed.
-        segment = root / "append-000000.seg"
-        raw = bytearray(segment.read_bytes())
-        raw[100] ^= 0x01
-        segment.write_bytes(bytes(raw))
-        if main([str(root)]) != 1:
-            print("selftest: a flipped byte went unreported",
-                  file=sys.stderr)
-            return 1
+        for name, holder, starts in _section_starts(root):
+            for section, byte in starts.items():
+                with tempfile.TemporaryDirectory() as damaged:
+                    copy = Path(damaged)
+                    shutil.copytree(root, copy, dirs_exist_ok=True)
+                    raw = bytearray((copy / holder.name).read_bytes())
+                    raw[byte] ^= 0x01
+                    (copy / holder.name).write_bytes(bytes(raw))
+                    if main([str(copy)]) != 1:
+                        print(f"selftest: a flipped byte in the {section} "
+                              f"section of {name} went unreported",
+                              file=sys.stderr)
+                        return 1
     return 0
 
 
