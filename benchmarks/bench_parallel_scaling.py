@@ -55,8 +55,7 @@ WORKER_COUNTS = (1, 2, 4, 8)
 
 
 def make_config(n, n_workers):
-    # Scaled paper geometry (r=96, m=6, two-word bitsets, a couple
-    # hundred groups).
+    # Scaled paper geometry (r=96, m=6, a couple hundred groups).
     return ClimberConfig(
         word_length=8, n_pivots=96, prefix_length=6,
         capacity=max(200, n // 250), sample_fraction=0.02,

@@ -8,8 +8,11 @@ G0.  The returned group indices follow the paper's convention:
 * index 0  — the fall-back group G0 (``<*,*,...>``),
 * index i>0 — the group anchored at ``centroids[i - 1]``.
 
-:meth:`GroupAssigner.assign` is the fully-array path: per-row argmin
-over the WD matrix masked to the OD-tied centroids, vectorised
+:meth:`GroupAssigner.assign` is the fully-array path: Overlap Distances
+from one gather of the centroids' membership table (the table and kernel
+query routing uses, :func:`repro.pivots.overlap_counts`), Weight
+Distances gathered from the same table at the OD-tied pairs only, per-row
+argmin over those WDs, vectorised
 multiplicity counts, and **one** batched RNG draw for the residual WD ties
 of the whole batch.  It is **bit-identical** to the retained seed loop
 (per-row ``flatnonzero`` + ``rng.choice``, kept in ``tests/oracles.py``)
@@ -31,7 +34,6 @@ are bit-identical for every worker count.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,22 +41,15 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
-    centroid_membership,
+    check_pivot_rows,
     decay_weights,
-    pack_pivot_sets,
+    membership_table,
+    overlap_counts,
     total_weight,
     wd_tie_tolerance,
 )
 
 __all__ = ["GroupAssigner", "AssignmentResult", "PendingTies"]
-
-_OD_TILE_BYTES = 1 << 18
-"""Byte target for the OD sweep's uint64 AND workspace tile.  The sweep is
-memory-bound: at large row blocks the full ``(d, k)`` uint64 buffer spills
-every cache level and each popcount pass re-streams it from DRAM.  Tiling
-rows so one tile's AND buffer stays ~256 KB keeps the word loop resident
-in L2; the arithmetic is exact integer work, so tiling cannot change a
-single bit of the result (the kernel-parity suite checks anyway)."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ class GroupAssigner:
     centroids:
         Rank-insensitive centroid signatures (without the fall-back).
     n_pivots:
-        Total pivot count ``r`` (bitset width).
+        Total pivot count ``r`` (the membership table's height).
     prefix_length:
         Signature length ``m``.
     weights:
@@ -127,108 +122,37 @@ class GroupAssigner:
         if self.weights.shape != (prefix_length,):
             raise ConfigurationError("weights length must equal prefix_length")
         self.rng = rng or np.random.default_rng()
-        self._packed_centroids = pack_pivot_sets(
-            np.asarray(self.centroids, dtype=np.int64), n_pivots
-        )
+        # members[p, c] = 1 iff pivot p is in centroid c: the Overlap
+        # Distances and the Weight Distances of a block gather it.
+        self._members = membership_table(self.centroids, n_pivots)
         # WD ties are detected relative to the Total Weight: WD values are
         # differences from TW, so their float error scales with ulp(TW) and
         # a fixed absolute 1e-12 mis-classifies ties under large weights.
         self._total_weight = total_weight(self.weights)
         self._wd_tol = wd_tie_tolerance(self._total_weight)
-        # (n_pivots, k) float membership table: the pair-wise WD kernel of
-        # the fully-array path gathers from it rank by rank, producing the
-        # exact per-element terms of weight_distance_matrix (same shared
-        # unpacking — the bit-parity guarantee depends on it).
-        self._membership = centroid_membership(self._packed_centroids, n_pivots)
-        # Reusable workspace of the OD stage, one buffer per role, held
-        # per *thread*: the streamed conversion calls assign with one
-        # fixed block size, so each worker allocates (and page-faults) its
-        # matrices exactly once; concurrent assign calls from the parallel
-        # conversion pipeline never share a buffer.  A batch of a
-        # different size simply reallocates, so varying batch sizes (e.g.
-        # repeated appends) never accumulate dead buffers.
-        self._tls = threading.local()
-
-    def _buffer(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        workspace = getattr(self._tls, "buffers", None)
-        if workspace is None:
-            workspace = self._tls.buffers = {}
-        buf = workspace.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype=dtype)
-            workspace[name] = buf
-        return buf
 
     # -- shared head ---------------------------------------------------------------
 
     def _od_head(
         self, ranked: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Validation + the OD-matrix stage of the fully-array path.
+        """Validation + the OD stage of the fully-array path.
 
         Returns ``(ranked, out, is_best, rows)`` where ``out`` already
         holds the fall-back zeros and the unique-smallest-OD winners
         (Algorithm 1 lines 3-7) and ``rows`` are the OD-tied row indices.
+        OD = m - overlap, so the comparisons run on overlaps with flipped
+        signs.
         """
-        ranked = np.asarray(ranked, dtype=np.int64)
-        if ranked.ndim != 2 or ranked.shape[1] != self.prefix_length:
-            raise ConfigurationError(
-                f"expected (d, {self.prefix_length}) ranked signatures"
-            )
-        m = self.prefix_length
-        d = ranked.shape[0]
-        k = self._packed_centroids.shape[0]
-        # The bitset encoding is order-free, so the ranked rows pack
-        # directly — no rank_insensitive sort pass needed.
-        packed = pack_pivot_sets(ranked, self.n_pivots)
-
-        # Pivot-set intersection sizes, accumulated word by word into the
-        # reusable workspace (same arithmetic as overlap_distance_matrix;
-        # OD = m - intersection, so comparisons below run on intersections
-        # directly with flipped signs).  The sweep runs in row *tiles*
-        # sized so the uint64 AND buffer stays L2-resident: one full-block
-        # buffer re-streams from DRAM on every popcount pass, which made
-        # this stage memory-bound at large d.  Exact integer work — the
-        # tiling is invisible in the results.
-        cents = self._packed_centroids
-        tile = max(32, _OD_TILE_BYTES // max(1, k * 8))
-        tile = min(tile, d) if d else 0
-        and_buf = self._buffer("and", (tile, k), np.uint64)
-        # Intersections are bounded by m (each signature sets m bits), so
-        # uint8 accumulation is safe for any realistic prefix length.
-        inter = self._buffer(
-            "inter", (d, k), np.uint8 if m < 256 else np.uint16
-        )
-        cnt_buf = (
-            self._buffer("cnt", (tile, k), np.uint8)
-            if cents.shape[1] > 1 else None
-        )
-        for start in range(0, d, tile or 1):
-            end = min(d, start + tile)
-            rows_and = and_buf[: end - start]
-            rows_inter = inter[start:end]
-            np.bitwise_and(
-                packed[start:end, 0][:, None], cents[:, 0][None, :],
-                out=rows_and,
-            )
-            np.bitwise_count(rows_and, out=rows_inter)
-            for word in range(1, cents.shape[1]):
-                rows_cnt = cnt_buf[: end - start]
-                np.bitwise_and(
-                    packed[start:end, word][:, None], cents[:, word][None, :],
-                    out=rows_and,
-                )
-                np.bitwise_count(rows_and, out=rows_cnt)
-                rows_inter += rows_cnt
-
-        best_inter = np.max(inter, axis=1)
-        out = np.zeros(d, dtype=np.int64)
+        ranked = check_pivot_rows(ranked, self.prefix_length, self.n_pivots)
+        overlap = overlap_counts(self._members, ranked)
+        best = overlap.max(axis=1)
+        out = np.zeros(ranked.shape[0], dtype=np.int64)
 
         # Lines 3-5: zero overlap with every centroid -> fall-back group 0.
-        fallback = best_inter == 0
-        # Lines 6-7: unique smallest OD (= largest intersection).
-        is_best = self._buffer("is_best", (d, k), bool)
-        np.equal(inter, best_inter[:, None], out=is_best)
+        fallback = best == 0
+        # Lines 6-7: unique smallest OD (= largest overlap).
+        is_best = overlap == best[:, None]
         n_best = is_best.sum(axis=1)
         unique = (~fallback) & (n_best == 1)
         first_best = is_best.argmax(axis=1)
@@ -237,6 +161,20 @@ class GroupAssigner:
         tied = (~fallback) & (n_best > 1)
         rows = np.flatnonzero(tied)
         return ranked, out, is_best, rows
+
+    def _weight_distances(self, ranked: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Weight Distance (Def. 11) of each row ``ranked[i]`` to centroid
+        ``cols[i]``.
+
+        Rank by rank, each row adds ``w[rank]`` times its membership bit:
+        ``w * 1`` is ``w`` and ``w * 0`` is ``0.0`` exactly, and the
+        additions run in the order of the scalar
+        :func:`~repro.pivots.weight_distance`, so the bits are the same.
+        """
+        matched = np.zeros(cols.shape[0], dtype=np.float64)
+        for rank, w in enumerate(self.weights.tolist()):
+            matched += w * self._members[ranked[:, rank], cols]
+        return self._total_weight - matched
 
     # -- implementations -----------------------------------------------------------
 
@@ -258,7 +196,7 @@ class GroupAssigner:
         assignment is decided without a random draw is final in
         ``group_indices``; rows with residual WD ties are described by
         ``pending`` (``None`` when there are none) and resolved later by
-        :meth:`resolve_ties`.  Pure array work over per-thread buffers, so
+        :meth:`resolve_ties`.  Pure array work that shares no buffer, so
         parallel conversion workers run it concurrently; the caller then
         resolves the pending draws serially in block order, consuming the
         RNG stream exactly as one sequential ``assign`` sweep would.
@@ -270,18 +208,10 @@ class GroupAssigner:
             # Lines 8-14: OD ties -> Weight Distance, then random.  WD is
             # evaluated only at the actual (tied row, tied centroid) pairs
             # — row-major, so each tied row owns one contiguous pair
-            # segment — with per-element terms identical to the full
-            # weight_distance_matrix.
+            # segment.
             sub = is_best[rows]
             prow, pcol = np.nonzero(sub)
-            sig_pairs = ranked[rows][prow]  # (pairs, m) pivot ids
-            matched = np.zeros(prow.shape[0], dtype=np.float64)
-            membership = self._membership
-            for rank in range(self.prefix_length):
-                matched += self.weights[rank] * membership[
-                    sig_pairs[:, rank], pcol
-                ]
-            wd_pair = self._total_weight - matched
+            wd_pair = self._weight_distances(ranked[rows][prow], pcol)
 
             counts = sub.sum(axis=1)
             offsets = np.zeros(counts.shape[0], dtype=np.int64)
@@ -333,8 +263,3 @@ class GroupAssigner:
         draws = (rng or self.rng).integers(0, pending.n_tied)
         out[pending.rows] = pending.cand_cols[pending.cand_offsets + draws] + 1
         return int(pending.rows.size)
-
-    def assign_one(self, ranked_sig: Sequence[int]) -> int:
-        """Assign a single signature (used for query routing)."""
-        row = np.asarray(ranked_sig, dtype=np.int64).reshape(1, -1)
-        return int(self.assign(row).group_indices[0])

@@ -341,7 +341,7 @@ def _convert_fused(
 
     One PAA -> ``permutation_prefixes`` -> deferred-``assign`` pass per
     ``block_rows`` slice of the dataset — a block size picked so every
-    intermediate (distance matrix, OD workspace, WD pairs) stays
+    intermediate (distance matrix, overlap gather, WD pairs) stays
     cache-resident: sweeps at the benchmark operating point put the
     optimum at a few thousand rows, with >2x degradation by 64k rows once
     the ``(d, k)`` matrices spill.

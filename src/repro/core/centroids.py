@@ -11,12 +11,13 @@ by ``alpha``.
 Centroids are *virtual*: they carry only rank-insensitive signatures
 (Section IV-C), which is why the Weight Distance of Def. 11 exists at all.
 
-The epsilon-separation scan runs on packed pivot bitsets: every candidate
-is packed once (:func:`repro.pivots.pack_pivot_sets`) and tested against
-the incrementally-extended selected set with one AND+popcount sweep,
-replacing the O(candidates x selected) tuple-wise ``overlap_distance``
-loop, which ``tests/oracles.py`` keeps as the parity oracle of
-``tests/test_conversion_parity.py``.
+The epsilon-separation scan keeps the selected centroids as a membership
+table, one column per centroid, grown as they are chosen: a candidate's
+overlaps with all of them are one gather of that table
+(:func:`repro.pivots.overlap_counts`), the kernel group assignment and
+query routing run.  It replaces the O(candidates x selected) tuple-wise
+``overlap_distance`` loop, which ``tests/oracles.py`` keeps as the parity
+oracle of ``tests/test_conversion_parity.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.pivots import pack_pivot_sets
+from repro.pivots import check_pivot_rows, overlap_counts
 
 __all__ = ["compute_centroids", "FALLBACK_CENTROID"]
 
@@ -90,9 +91,9 @@ def compute_centroids(
     max_centroids:
         Optional stopping criterion.
     n_pivots:
-        Total pivot count ``r`` (the bitset width of the packed scan).
-        Defaults to ``max pivot id + 1``; the builder passes its configured
-        ``r`` so the packing matches the assigner's.
+        Total pivot count ``r`` (the membership table's height).  Defaults
+        to ``max pivot id + 1``; the builder passes its configured ``r``.
+        Every signature must be ``m`` distinct ids in ``[0, r)``.
 
     Returns
     -------
@@ -115,26 +116,23 @@ def compute_centroids(
     sigs, freqs, total_freq = _descending_order(signatures, frequencies)
     sig_arr = np.asarray(sigs, dtype=np.int64)
     width = int(n_pivots) if n_pivots is not None else int(sig_arr.max()) + 1
-    packed = pack_pivot_sets(sig_arr, width)
+    sig_arr = check_pivot_rows(sig_arr, m, width)
 
-    # The selected set as a growing packed matrix: row ``i`` of ``selected_bits``
-    # is the i-th chosen centroid's bitset.
+    # Column ``j`` of ``table`` is the j-th chosen centroid's membership;
+    # the table doubles its columns when they run out.
     selected: list[tuple[int, ...]] = [sigs[0]]  # line 3
-    selected_bits = np.empty((len(sigs), packed.shape[1]), dtype=np.uint64)
-    selected_bits[0] = packed[0]
+    table = np.zeros((width, 64), dtype=np.uint8)
+    table[sig_arr[0], 0] = 1
     selected_freq = freqs[0]
     size_threshold = sample_fraction * capacity  # line 12: alpha * c
 
     for i in range(1, len(sigs)):
         if max_centroids is not None and len(selected) >= max_centroids:
             break  # lines 15-16
-        # Lines 5-9: skip candidates too close to an existing centroid —
-        # one AND + popcount sweep over the selected bitsets; the smallest
-        # OD is m minus the largest intersection.
-        inter = np.bitwise_count(
-            selected_bits[: len(selected)] & packed[i]
-        ).sum(axis=1, dtype=np.int64)
-        if m - int(inter.max()) < epsilon:
+        # Lines 5-9: skip candidates too close to an existing centroid;
+        # the smallest OD is m minus the largest overlap.
+        overlap = overlap_counts(table[:, : len(selected)], sig_arr[i : i + 1])
+        if m - int(overlap.max()) < epsilon:
             continue
         # Lines 10-12: estimate the candidate group's size assuming the
         # remaining (non-centroid) mass spreads uniformly over the groups.
@@ -142,7 +140,9 @@ def compute_centroids(
         size_est = freqs[i] + remaining / (len(selected) + 1)
         if size_est < size_threshold:
             break  # line 13: later candidates are rarer still
-        selected_bits[len(selected)] = packed[i]
+        if len(selected) == table.shape[1]:
+            table = np.hstack([table, np.zeros_like(table)])
+        table[sig_arr[i], len(selected)] = 1
         selected.append(sigs[i])  # line 14
         selected_freq += freqs[i]
     return selected

@@ -1,9 +1,9 @@
 """Parallel execution layer: one worker is serial, more are a thread pool.
 
 Everything hot in this repository is vectorised numpy (PRs 1-4), and the
-numpy kernels that dominate the build — ``cdist``, the popcount sweeps,
-the payload gathers — release the GIL, so a *thread* pool is the way to
-use more cores: no pickling, one address space in which every worker
+numpy kernels that dominate the build — ``cdist``, the membership-table
+gathers, the payload gathers — release the GIL, so a *thread* pool is the
+way to use more cores: no pickling, one address space in which every worker
 reads the same trie tables and mapped partitions — the shape the
 ParIS+/MESSI line of data-series indexing work uses.
 

@@ -16,8 +16,10 @@ dominates single-query latency.
 
 so that routing one query — or a whole batch — is one gather of the
 membership table for the OD rows of the distinct signatures
-(:meth:`RoutingTable.od_matrix`) plus Weight Distances for the few groups
-at the best OD (:meth:`RoutingTable.candidates`).  The
+(:meth:`RoutingTable.od_matrix`, the table and overlap kernel of
+:mod:`repro.pivots.distances` that group assignment and centroid
+selection run too) plus Weight Distances for the few groups at the best
+OD (:meth:`RoutingTable.candidates`).  The
 engine is *parity-exact* with the scalar path it replaced: identical OD/WD
 values bit-for-bit, identical candidate ordering (OD → WD → group id) and
 the same tie-break cascade (WD → path length → node size → seeded random,
@@ -40,7 +42,12 @@ import numpy as np
 
 from repro.core.skeleton import GroupEntry, IndexSkeleton, partition_name
 from repro.exceptions import ConfigurationError
-from repro.pivots import total_weight, wd_tie_tolerance
+from repro.pivots import (
+    membership_table,
+    overlap_counts,
+    total_weight,
+    wd_tie_tolerance,
+)
 
 __all__ = ["GroupCandidate", "RoutingTable", "select_primary"]
 
@@ -95,13 +102,9 @@ class RoutingTable:
         self.fallback_mask = skeleton.fallback_mask()
         # members[p, g] = 1 iff pivot p is in group g's centroid; the
         # fall-back groups' columns stay zero, so they score OD m.
-        self._members = np.zeros((self.n_pivots, self.n_groups), dtype=np.uint8)
-        for i, g in enumerate(skeleton.groups):
-            self._members[list(g.centroid), i] = 1
-        # An overlap is at most m, so it is summed in the narrowest type
-        # that holds m (uint8 for any practical m): several times faster
-        # than an int64 sum over the (q, m, n_groups) gather.
-        self._overlap_dtype = np.min_scalar_type(m)
+        self._members = membership_table(
+            [g.centroid for g in skeleton.groups], self.n_pivots
+        )
         # Python-int bitsets and weights for the Weight Distances of the
         # few chosen groups, where fixed NumPy call overhead would exceed
         # the actual work.
@@ -154,8 +157,7 @@ class RoutingTable:
         ``m`` (no overlap by definition), exactly as the scalar path
         scored them.
         """
-        arr = self._check(ranked)
-        overlap = self._members[arr].sum(axis=1, dtype=self._overlap_dtype)
+        overlap = overlap_counts(self._members, self._check(ranked))
         return (self.prefix_length - overlap).astype(np.int64)
 
     # -- candidate selection -----------------------------------------------------

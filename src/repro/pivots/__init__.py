@@ -2,16 +2,16 @@
 
 from repro.pivots.distances import (
     DecayKind,
-    centroid_membership,
+    check_pivot_rows,
     decay_weights,
     kendall_tau,
+    membership_table,
+    overlap_counts,
     overlap_distance,
-    overlap_distance_matrix,
     spearman_footrule,
     total_weight,
     wd_tie_tolerance,
     weight_distance,
-    weight_distance_matrix,
 )
 from repro.pivots.permutation import (
     full_permutations,
@@ -24,9 +24,7 @@ from repro.pivots.selection import (
 )
 from repro.pivots.signatures import (
     DualSignature,
-    pack_pivot_sets,
     rank_insensitive,
-    words_for,
 )
 
 __all__ = [
@@ -37,15 +35,13 @@ __all__ = [
     "permutation_prefixes",
     "DualSignature",
     "rank_insensitive",
-    "pack_pivot_sets",
-    "words_for",
     "overlap_distance",
-    "overlap_distance_matrix",
+    "check_pivot_rows",
+    "membership_table",
+    "overlap_counts",
     "decay_weights",
-    "centroid_membership",
     "total_weight",
     "weight_distance",
-    "weight_distance_matrix",
     "wd_tie_tolerance",
     "spearman_footrule",
     "kendall_tau",

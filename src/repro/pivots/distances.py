@@ -11,6 +11,13 @@ CLIMBER's new metrics (Section IV-C):
   and the Weight Distance discounts a centroid by the weights of the
   object's pivots it contains.
 
+Batch Overlap Distances — group assignment (Algorithm 1), centroid
+selection (Algorithm 2) and query routing (Algorithm 3) — all run on one
+representation: a ``(n_pivots, k)`` uint8 membership table of the
+centroids (:func:`membership_table`), gathered by the signatures' pivot
+ids and summed (:func:`overlap_counts`), over rows that
+:func:`check_pivot_rows` has found to be ``m`` distinct ids in range.
+
 Also provided: Spearman footrule and Kendall tau over full permutations,
 the classic rank-sensitive metrics of the pivot-permutation literature [37]
 that the paper argues *cannot* compare signatures of different
@@ -19,21 +26,21 @@ granularities — kept for tests and the related-work comparisons.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from itertools import chain
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.pivots.signatures import pack_pivot_sets, words_for
 
 __all__ = [
     "overlap_distance",
-    "overlap_distance_matrix",
+    "check_pivot_rows",
+    "membership_table",
+    "overlap_counts",
     "decay_weights",
     "total_weight",
-    "centroid_membership",
     "weight_distance",
-    "weight_distance_matrix",
     "wd_tie_tolerance",
     "spearman_footrule",
     "kendall_tau",
@@ -65,51 +72,69 @@ def overlap_distance(sig_x: Iterable[int], sig_y: Iterable[int]) -> int:
     return len(xs) - len(xs & ys)
 
 
-def overlap_distance_matrix(
-    packed_objects: np.ndarray, packed_centroids: np.ndarray, prefix_length: int
+def check_pivot_rows(
+    rows: np.ndarray, prefix_length: int, n_pivots: int
 ) -> np.ndarray:
-    """Batch Overlap Distances between packed pivot sets.
+    """``rows`` as a ``(d, m)`` int64 matrix of valid signatures.
 
-    Parameters
-    ----------
-    packed_objects, packed_centroids:
-        ``(d, words)`` and ``(k, words)`` uint64 bitsets from
-        :func:`repro.pivots.signatures.pack_pivot_sets`.
-    prefix_length:
-        The common signature length ``m``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(d, k)`` uint16 matrix of Overlap Distances.
+    Every row must hold ``m`` distinct pivot ids in ``[0, n_pivots)``: a
+    repeated id would be counted twice by :func:`overlap_counts` and an
+    id outside the range would wrap or miss in its gather.  One sort of
+    the rows, then the first and last column bound the ids and
+    neighbour equality finds a repeat.
     """
-    a = np.asarray(packed_objects, dtype=np.uint64)
-    b = np.asarray(packed_centroids, dtype=np.uint64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ConfigurationError("packed signature word counts differ")
-    # One 2-D AND + popcount per bitset word, accumulated in uint16 —
-    # never materialising the (d, k, words) 3-D broadcast, whose uint64
-    # temporaries dominated the batch cost as soon as r exceeded 64 — and
-    # swept in row tiles sized so the uint64 AND temporary stays
-    # L2-resident instead of re-streaming a full (d, k) buffer from DRAM
-    # on every word pass.  Exact integer arithmetic: tiling cannot change
-    # a bit (the kernel-parity suite compares against the untiled seed
-    # kernel in tests/oracles.py).
-    d, k = a.shape[0], b.shape[0]
-    inter = np.empty((d, k), dtype=np.uint16)
-    tile = max(32, (1 << 18) // max(1, k * 8))
-    for start in range(0, d, tile):
-        end = min(d, start + tile)
-        rows = inter[start:end]
-        np.bitwise_count(
-            a[start:end, 0][:, None] & b[:, 0][None, :], out=rows
+    arr = np.asarray(rows, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != prefix_length:
+        raise ConfigurationError(
+            f"expected (d, {prefix_length}) signatures, got shape {arr.shape}"
         )
-        for word in range(1, a.shape[1]):
-            rows += np.bitwise_count(
-                a[start:end, word][:, None] & b[:, word][None, :]
+    if arr.size:
+        ordered = np.sort(arr, axis=1)
+        bad = (
+            (ordered[:, 0] < 0)
+            | (ordered[:, -1] >= n_pivots)
+            | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        )
+        if bad.any():
+            row = int(bad.argmax())
+            raise ConfigurationError(
+                f"a signature must be {prefix_length} distinct pivot ids in "
+                f"[0, {n_pivots}), row {row} is {arr[row].tolist()}"
             )
-    return (np.uint16(prefix_length) - inter).astype(np.uint16)
+    return arr
 
+
+def membership_table(
+    pivot_sets: Sequence[Sequence[int]], n_pivots: int
+) -> np.ndarray:
+    """``(n_pivots, k)`` uint8 table of ``k`` pivot sets: 1 iff pivot ``p``
+    is in set ``c``.
+
+    The one representation of a centroid's pivots for Overlap and Weight
+    Distances (DESIGN.md D13).  An empty set — the fall-back centroid
+    ``()`` — gets a zero column, so it overlaps nothing.
+    """
+    sets = list(pivot_sets)
+    ids = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n_pivots):
+        raise ConfigurationError(
+            f"pivot id out of range [0, {n_pivots}) in a pivot set"
+        )
+    table = np.zeros((n_pivots, len(sets)), dtype=np.uint8)
+    table[ids, np.repeat(np.arange(len(sets)), [len(s) for s in sets])] = 1
+    return table
+
+
+def overlap_counts(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(d, k)`` intersection sizes of signature rows with a table's sets.
+
+    ``OD = m - overlap`` (Def. 7).  One gather of the table by the rows'
+    pivot ids, rank-major so the sum adds whole ``(d, k)`` slabs, in the
+    narrowest unsigned type that holds ``m``.  Exact only for rows of
+    distinct ids (:func:`check_pivot_rows`).
+    """
+    dtype = np.min_scalar_type(rows.shape[1])
+    return table[rows.T].sum(axis=0, dtype=dtype)
 
 # ---------------------------------------------------------------------------
 # Pivot weights (Defs. 9-11)
@@ -167,71 +192,6 @@ def weight_distance(
     members = set(int(p) for p in centroid_set)
     matched = sum(w for p, w in zip(ranked, weights) if p in members)
     return total_weight(weights) - matched
-
-
-def weight_distance_matrix(
-    ranked: np.ndarray,
-    centroid_sets: np.ndarray,
-    n_pivots: int,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Batch Weight Distances.
-
-    Parameters
-    ----------
-    ranked:
-        ``(d, m)`` rank-sensitive signatures.
-    centroid_sets:
-        ``(k, m)`` centroid pivot sets *or* ``(k, words)`` pre-packed
-        uint64 bitsets.
-    n_pivots:
-        Total pivot count (bitset width).
-    weights:
-        ``(m,)`` decay weights.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(d, k)`` float64 Weight Distances.
-    """
-    arr = np.asarray(ranked, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != w.shape[0]:
-        raise ConfigurationError("ranked shape does not match weights length")
-    cs = np.asarray(centroid_sets)
-    if cs.dtype != np.uint64:
-        cs = pack_pivot_sets(cs, n_pivots)
-    if cs.shape[1] != words_for(n_pivots):
-        raise ConfigurationError("packed centroid width does not match n_pivots")
-    tw = total_weight(w)
-    d, m = arr.shape
-    k = cs.shape[0]
-    # Unpack the centroid bitsets once into a (n_pivots, k) float membership
-    # table, then accumulate rank by rank: each step gathers one (d, k)
-    # slab by the objects' rank-j pivot ids and adds ``w[j] * membership``.
-    # Every added term is exactly ``w[j]`` or ``0.0`` and the per-element
-    # addition order (ascending rank, zeros included) matches the scalar
-    # :func:`weight_distance`, so results stay bit-identical — without the
-    # (k, d, m) uint64 shift/popcount temporaries of the old kernel.
-    membership = centroid_membership(cs, n_pivots)
-    matched = np.zeros((d, k), dtype=np.float64)
-    for rank in range(m):
-        matched += w[rank] * membership[arr[:, rank]]
-    return tw - matched
-
-
-def centroid_membership(packed_centroids: np.ndarray, n_pivots: int) -> np.ndarray:
-    """``(n_pivots, k)`` float 0/1 table: pivot p in centroid c.
-
-    The gather table behind the batch and pair-wise WD kernels — both must
-    read the *same* unpacking for the bit-parity guarantee to hold, hence
-    one shared helper.
-    """
-    cs = np.asarray(packed_centroids, dtype=np.uint64)
-    pivot_ids = np.arange(n_pivots, dtype=np.int64)
-    words = cs[:, pivot_ids >> 6]  # (k, n_pivots)
-    bits = (words >> (pivot_ids & 63).astype(np.uint64)) & np.uint64(1)
-    return bits.astype(np.float64).T
 
 
 def wd_tie_tolerance(total: float) -> float:

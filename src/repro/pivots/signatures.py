@@ -1,4 +1,4 @@
-"""P4 dual signatures (Def. 6) and their packed bitset form.
+"""P4 dual signatures (Def. 6).
 
 Every data series gets two signatures derived from its Pivot Permutation
 Prefix:
@@ -9,9 +9,8 @@ Prefix:
   order — coarse-grained, drives group placement.
 
 The rank-insensitive signature is a *set*; the Overlap Distance only needs
-set intersections.  We therefore also provide a packed bitset encoding
-(``ceil(r/64)`` uint64 words per object) so batch OD computations are a
-bitwise AND plus popcount.
+set intersections, which :mod:`repro.pivots.distances` counts by gathering
+a centroid membership table with the signature's pivot ids.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["DualSignature", "rank_insensitive", "pack_pivot_sets", "words_for"]
+__all__ = ["DualSignature", "rank_insensitive"]
 
 
 def rank_insensitive(ranked: np.ndarray) -> np.ndarray:
@@ -35,54 +34,6 @@ def rank_insensitive(ranked: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ConfigurationError("ranked signatures must be a (d, m) matrix")
     return np.sort(arr, axis=1)
-
-
-def words_for(n_pivots: int) -> int:
-    """Number of uint64 words needed to hold a set over ``n_pivots`` bits."""
-    if n_pivots < 1:
-        raise ConfigurationError("n_pivots must be >= 1")
-    return (n_pivots + 63) // 64
-
-
-def pack_pivot_sets(signatures: np.ndarray, n_pivots: int) -> np.ndarray:
-    """Pack pivot-id rows into fixed-width bitsets.
-
-    Parameters
-    ----------
-    signatures:
-        ``(d, m)`` matrix of pivot ids (order irrelevant — this is a set
-        encoding).  Ids must lie in ``[0, n_pivots)`` and be unique per row.
-    n_pivots:
-        Total pivot count ``r`` (determines the bitset width).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(d, words_for(n_pivots))`` uint64 bitsets.
-    """
-    arr = np.asarray(signatures, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ConfigurationError("signatures must be a (d, m) matrix")
-    if arr.size and (arr.min() < 0 or arr.max() >= n_pivots):
-        raise ConfigurationError(
-            f"pivot id out of range [0, {n_pivots}) in signature matrix"
-        )
-    n_words = words_for(n_pivots)
-    if n_words == 1:
-        # Every id lands in the same word: one shift + OR-reduce along the
-        # signature axis, no fancy indexing at all.
-        bits = np.uint64(1) << arr.astype(np.uint64)
-        return np.bitwise_or.reduce(bits, axis=1).reshape(-1, 1)
-    out = np.zeros((arr.shape[0], n_words), dtype=np.uint64)
-    word_idx = arr >> 6
-    bit = np.uint64(1) << (arr & 63).astype(np.uint64)
-    rows = np.arange(arr.shape[0])
-    # One fancy-assign per signature position instead of an elementwise
-    # ufunc.at scatter: ids are unique per row, so within one column every
-    # (row, word) target is distinct and |= cannot lose updates.
-    for j in range(arr.shape[1]):
-        out[rows, word_idx[:, j]] |= bit[:, j]
-    return out
 
 
 @dataclass(frozen=True)

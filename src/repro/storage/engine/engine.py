@@ -150,15 +150,6 @@ class StorageEngine:
             logical_nbytes=logical_nbytes,
         )
 
-    def read_cluster_ranges(
-        self, partition_id: str, keys: Iterable[str]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated records of the requested clusters.
-
-        Only the byte ranges covering ``keys`` are mapped.
-        """
-        return self.open_partition(partition_id).read_clusters(list(keys))
-
     # -- metadata ---------------------------------------------------------------
 
     def partition_meta(self, partition_id: str) -> PartitionMeta:

@@ -122,3 +122,11 @@ def clustered_dataset() -> SeriesDataset:
         c = centers[i % 8]
         rows.append(c + gen.normal(scale=0.25, size=64))
     return SeriesDataset(znormalize(np.array(rows)), name="clustered")
+
+
+def pair_weight_distances(assigner, ranked: np.ndarray) -> np.ndarray:
+    """``(d, k)`` Weight Distances of every row to every centroid, through
+    the pair-wise kernel ``GroupAssigner`` runs on its OD-tied pairs."""
+    k = len(assigner.centroids)
+    rows, cols = np.divmod(np.arange(ranked.shape[0] * k), k)
+    return assigner._weight_distances(ranked[rows], cols).reshape(-1, k)

@@ -12,7 +12,10 @@ instead of one against itself:
 * the seed kernels of group assignment (:func:`assign_reference`), centroid
   selection (:func:`compute_centroids_reference`), batch OD/WD and top-m
   pivot selection, and a per-row sort for signature prefixes
-  (:func:`permutation_prefixes_reference`);
+  (:func:`permutation_prefixes_reference`).  The OD/WD kernels keep the
+  seed's packed uint64 bitsets behind a packer of their own
+  (:func:`pack_pivot_sets`), a representation ``repro`` no longer has: it
+  counts overlaps by gathering a membership table (DESIGN.md D13);
 * the partition section checksum as a plain loop over 8-byte chunks
   (:func:`word_sum_reference`), against the format's NumPy kernel.
 
@@ -35,11 +38,9 @@ from repro.core.skeleton import GroupEntry, IndexSkeleton
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
     overlap_distance,
-    pack_pivot_sets,
     rank_insensitive,
     total_weight,
     weight_distance,
-    words_for,
 )
 
 
@@ -409,7 +410,10 @@ def assign_reference(assigner, ranked: np.ndarray) -> AssignmentResult:
     m = assigner.prefix_length
     unranked = rank_insensitive(ranked)
     packed = pack_pivot_sets(unranked, assigner.n_pivots)
-    od = overlap_distance_matrix_reference(packed, assigner._packed_centroids, m)
+    packed_centroids = pack_pivot_sets(
+        np.asarray(assigner.centroids, dtype=np.int64), assigner.n_pivots
+    )
+    od = overlap_distance_matrix_reference(packed, packed_centroids, m)
 
     best_od = od.min(axis=1)
     out = np.zeros(ranked.shape[0], dtype=np.int64)
@@ -429,7 +433,7 @@ def assign_reference(assigner, ranked: np.ndarray) -> AssignmentResult:
     if od_ties:
         rows = np.flatnonzero(tied)
         wd = weight_distance_matrix_reference(
-            ranked[rows], assigner._packed_centroids, assigner.n_pivots,
+            ranked[rows], packed_centroids, assigner.n_pivots,
             assigner.weights,
         )
         # Restrict to the OD-tied centroids per row.
@@ -487,13 +491,43 @@ def compute_centroids_reference(
     return selected
 
 
+def words_for(n_pivots: int) -> int:
+    """Number of uint64 words needed to hold a set over ``n_pivots`` bits."""
+    if n_pivots < 1:
+        raise ConfigurationError("n_pivots must be >= 1")
+    return (n_pivots + 63) // 64
+
+
+def pack_pivot_sets(signatures: np.ndarray, n_pivots: int) -> np.ndarray:
+    """The seed kernels' bitset encoding: ``(d, m)`` pivot-id rows as
+    ``(d, words_for(n_pivots))`` uint64 bitsets.
+
+    Order within a row is irrelevant (a set encoding); ids must lie in
+    ``[0, n_pivots)``.
+    """
+    arr = np.asarray(signatures, dtype=np.int64)
+    if arr.ndim != 2:
+        raise ConfigurationError("signatures must be a (d, m) matrix")
+    if arr.size and (arr.min() < 0 or arr.max() >= n_pivots):
+        raise ConfigurationError(
+            f"pivot id out of range [0, {n_pivots}) in signature matrix"
+        )
+    out = np.zeros((arr.shape[0], words_for(n_pivots)), dtype=np.uint64)
+    word_idx = arr >> 6
+    bit = np.uint64(1) << (arr & 63).astype(np.uint64)
+    rows = np.arange(arr.shape[0])
+    for j in range(arr.shape[1]):
+        out[rows, word_idx[:, j]] |= bit[:, j]
+    return out
+
+
 def overlap_distance_matrix_reference(
     packed_objects: np.ndarray, packed_centroids: np.ndarray, prefix_length: int
 ) -> np.ndarray:
     """The seed batch-OD kernel.
 
     One ``(d, k, words)`` 3-D broadcast AND + popcount + word-axis sum —
-    bit-identical to the word-sliced ``overlap_distance_matrix``.
+    the same integers as ``m - repro.pivots.overlap_counts``.
     """
     a = np.asarray(packed_objects, dtype=np.uint64)
     b = np.asarray(packed_centroids, dtype=np.uint64)
@@ -514,8 +548,9 @@ def weight_distance_matrix_reference(
     """The seed batch-WD kernel.
 
     Chunked uint64 shift/popcount extraction with rank-sequential
-    accumulation — bit-identical to ``weight_distance_matrix`` and to the
-    scalar ``weight_distance``.
+    accumulation — bit-identical to the scalar ``weight_distance`` and to
+    the Weight Distances ``GroupAssigner`` gathers from its membership
+    table.
     """
     arr = np.asarray(ranked, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)

@@ -9,7 +9,7 @@ so that agreement is adversarial evidence, not self-comparison:
   indices, identical OD/WD tie counters, and identical RNG stream
   consumption, across seeded sweeps of (r, m, d, centroid count) and the
   fall-back-only / all-tied edge cases;
-* ``compute_centroids`` (packed bitset scan) vs
+* ``compute_centroids`` (membership-table scan) vs
   ``compute_centroids_reference`` (tuple-wise scan) — identical selected
   centroids in identical order.
 
@@ -22,21 +22,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import pair_weight_distances
 from oracles import (
     _topm_ranked_reference,
     assign_reference,
     compute_centroids_reference,
     overlap_distance_matrix_reference,
+    pack_pivot_sets,
     weight_distance_matrix_reference,
 )
 from repro.core import compute_centroids
 from repro.core.assignment import GroupAssigner
-from repro.pivots import (
-    decay_weights,
-    overlap_distance_matrix,
-    pack_pivot_sets,
-    weight_distance_matrix,
-)
+from repro.pivots import decay_weights, membership_table, overlap_counts
 from repro.pivots.permutation import _topm_ranked
 
 
@@ -67,6 +64,9 @@ class TestAssignParity:
         (3, 96, 6, 800, 40),     # two-word bitsets
         (4, 130, 10, 500, 25),   # three-word bitsets
         (5, 24, 3, 1000, 12),    # short prefixes -> heavy OD ties
+        (6, 63, 6, 600, 20),     # either side of the reference's word
+        (7, 65, 6, 600, 20),     # boundary
+        (8, 10, 10, 50, 1),      # m = r: every row is every pivot
     ])
     def test_randomized_sweep_bit_identical(self, seed, r, m, d, k):
         gen = np.random.default_rng(seed + 1000)
@@ -148,19 +148,28 @@ class TestKernelParity:
         (1, 64, 8, 500, 31),
         (2, 96, 6, 400, 50),
         (3, 200, 10, 200, 64),
+        (4, 63, 6, 300, 20),
+        (5, 65, 6, 300, 20),
+        (6, 64, 64, 40, 3),      # m = r
+        (7, 260, 260, 20, 2),    # m = r past uint8: uint16 overlaps
     ])
     def test_od_and_wd_kernels(self, seed, r, m, d, k):
+        """The membership-table OD kernel and the assigner's pair-wise WD
+        against the seed bitset kernels of ``tests/oracles.py``."""
         gen = np.random.default_rng(seed)
         objs = random_signatures(gen, d, r, m)
         cents = random_signatures(gen, k, r, m)
-        packed_objs = pack_pivot_sets(np.sort(objs, axis=1), r)
-        packed_cents = pack_pivot_sets(np.sort(cents, axis=1), r)
-        od_new = overlap_distance_matrix(packed_objs, packed_cents, m)
-        od_ref = overlap_distance_matrix_reference(packed_objs, packed_cents, m)
-        np.testing.assert_array_equal(od_new, od_ref)
+        overlap = overlap_counts(membership_table(cents, r), objs)
+        packed_cents = pack_pivot_sets(cents, r)
+        od_ref = overlap_distance_matrix_reference(
+            pack_pivot_sets(objs, r), packed_cents, m
+        )
+        np.testing.assert_array_equal(m - overlap.astype(np.int64), od_ref)
 
         w = decay_weights(m)
-        wd_new = weight_distance_matrix(objs, packed_cents, r, w)
+        assigner = GroupAssigner([tuple(c) for c in cents.tolist()], r, m,
+                                 weights=w)
+        wd_new = pair_weight_distances(assigner, objs)
         wd_ref = weight_distance_matrix_reference(objs, packed_cents, r, w)
         # Bit-identical, not merely close: identical accumulation order.
         assert wd_new.tobytes() == wd_ref.tobytes()

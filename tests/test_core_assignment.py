@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import assign_reference
-from repro.core import GroupAssigner
+from repro.core import GroupAssigner, compute_centroids
 from repro.exceptions import ConfigurationError
 from repro.pivots import decay_weights
 
@@ -55,9 +55,6 @@ class TestPaperExample1:
 
 
 class TestGroupAssignerGeneral:
-    def test_assign_one(self, paper_assigner):
-        assert paper_assigner.assign_one([3, 4, 1]) == 1
-
     def test_random_tie_is_seeded(self):
         def build():
             return GroupAssigner(
@@ -166,3 +163,44 @@ class TestGroupAssignerGeneral:
                 assert min(ods) == 4
             else:
                 assert ods[gid - 1] == min(ods)
+
+
+
+def _run_entry(entry: str, rows: list[list[int]]):
+    """Hand ``rows`` to one of the three entries that gather a membership
+    table (r = 10, m = 3)."""
+    if entry == "compute_centroids":
+        # Beside a valid signature, so a wrong width is a mixed one.
+        sigs = [(6, 8, 9)] + [tuple(r) for r in rows] if rows else []
+        return compute_centroids(sigs, [1] * len(sigs), sample_fraction=1.0,
+                                 capacity=1, epsilon=1, n_pivots=10)
+    assigner = GroupAssigner([(1, 2, 3), (2, 4, 5)], 10, 3)
+    batch = np.array(rows, dtype=np.int64).reshape(
+        len(rows), len(rows[0]) if rows else 3
+    )
+    return getattr(assigner, entry)(batch)
+
+
+_ENTRIES = pytest.mark.parametrize(
+    "entry", ["assign", "assign_deferred", "compute_centroids"]
+)
+
+
+@_ENTRIES
+@pytest.mark.parametrize("rows", [
+    pytest.param([[0, 5, 7], [1, 2, -1]], id="negative id"),
+    pytest.param([[0, 5, 7], [1, 2, 10]], id="id = r"),
+    pytest.param([[0, 5, 7], [4, 2, 4]], id="repeated id"),
+    pytest.param([[1, 2, 3, 4]], id="wrong width"),
+])
+def test_signature_boundary_refused(entry, rows):
+    """A signature reaching the overlap gather must be ``m`` distinct ids
+    in ``[0, r)``: a repeated id would be counted twice, a negative one
+    would wrap."""
+    with pytest.raises(ConfigurationError, match="signature"):
+        _run_entry(entry, rows)
+
+
+@_ENTRIES
+def test_signature_boundary_empty_batch(entry):
+    _run_entry(entry, [])

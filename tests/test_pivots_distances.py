@@ -7,20 +7,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import TrieNode, skeleton_of
+from conftest import pair_weight_distances
+from oracles import (
+    TrieNode,
+    overlap_distance_matrix_reference,
+    pack_pivot_sets,
+    skeleton_of,
+)
+from repro.core import GroupAssigner
 from repro.core.routing import RoutingTable
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
+    check_pivot_rows,
     decay_weights,
     kendall_tau,
+    membership_table,
+    overlap_counts,
     overlap_distance,
-    overlap_distance_matrix,
-    pack_pivot_sets,
     spearman_footrule,
     total_weight,
     weight_distance,
-    weight_distance_matrix,
 )
+
+
+def od_matrix(objs: np.ndarray, cents: np.ndarray, r: int) -> np.ndarray:
+    """``(d, k)`` Overlap Distances through the shared table and kernel."""
+    overlap = overlap_counts(membership_table(cents, r), objs)
+    return objs.shape[1] - overlap.astype(np.int64)
+
+
+def random_rows(rng, n: int, r: int, m: int) -> np.ndarray:
+    return np.array([rng.choice(r, size=m, replace=False) for _ in range(n)])
 
 
 class TestOverlapDistance:
@@ -48,34 +65,53 @@ class TestOverlapDistance:
 
 
 class TestOverlapDistanceMatrix:
+    """The membership table and overlap kernel that routing, group
+    assignment and centroid selection share (DESIGN.md D13)."""
+
     def test_matches_scalar(self, rng):
         m, r = 6, 64
-        objs = np.array([rng.choice(r, size=m, replace=False) for _ in range(30)])
-        cents = np.array([rng.choice(r, size=m, replace=False) for _ in range(5)])
-        mat = overlap_distance_matrix(
-            pack_pivot_sets(objs, r), pack_pivot_sets(cents, r), m
-        )
+        objs = random_rows(rng, 30, r, m)
+        cents = random_rows(rng, 5, r, m)
+        mat = od_matrix(objs, cents, r)
         for i in range(30):
             for j in range(5):
                 assert mat[i, j] == overlap_distance(objs[i], cents[j])
 
+    @pytest.mark.parametrize("r,m", [(63, 6), (64, 6), (65, 6), (9, 9)])
+    def test_matches_scalar_at_word_boundaries(self, r, m):
+        """Around the old 64-bit word boundary, and at m = r, where every
+        signature holds every pivot."""
+        rng = np.random.default_rng(r)
+        objs = random_rows(rng, 40, r, m)
+        cents = random_rows(rng, 7, r, m)
+        mat = od_matrix(objs, cents, r)
+        want = [[overlap_distance(o, c) for c in cents] for o in objs]
+        np.testing.assert_array_equal(mat, want)
+
     def test_range(self, rng):
         m, r = 8, 100
-        objs = np.array([rng.choice(r, size=m, replace=False) for _ in range(20)])
-        mat = overlap_distance_matrix(
-            pack_pivot_sets(objs, r), pack_pivot_sets(objs, r), m
-        )
+        objs = random_rows(rng, 20, r, m)
+        mat = od_matrix(objs, objs, r)
         assert mat.min() >= 0
         assert mat.max() <= m
         np.testing.assert_array_equal(np.diag(mat), 0)
 
-    def test_word_count_mismatch(self):
+    def test_table_width_mismatch(self):
+        """A pivot id past the table's height is refused, in a centroid
+        set and in a signature row, never wrapped."""
+        for bad in ([(0, 8)], [(-1, 2)]):
+            with pytest.raises(ConfigurationError):
+                membership_table(bad, 8)
         with pytest.raises(ConfigurationError):
-            overlap_distance_matrix(
-                np.zeros((2, 1), dtype=np.uint64),
-                np.zeros((2, 2), dtype=np.uint64),
-                4,
-            )
+            check_pivot_rows(np.array([[0, 8]]), 2, 8)
+
+    def test_fallback_centroid_is_a_zero_column(self):
+        table = membership_table([(), (1, 3), ()], 5)
+        assert table.shape == (5, 3) and table.dtype == np.uint8
+        np.testing.assert_array_equal(table[:, [0, 2]], 0)
+        np.testing.assert_array_equal(np.flatnonzero(table[:, 1]), [1, 3])
+        overlap = overlap_counts(table, np.array([[3, 1], [0, 4]]))
+        np.testing.assert_array_equal(overlap, [[0, 2, 0], [0, 0, 0]])
 
 
 class TestDecayWeights:
@@ -147,32 +183,46 @@ class TestWeightDistance:
 
 
 class TestWeightDistanceMatrix:
+    """The Weight Distances ``GroupAssigner`` gathers from its uint8
+    membership table at (signature, centroid) pairs."""
+
+    @staticmethod
+    def _assigner(cents, r, w):
+        return GroupAssigner([tuple(c) for c in cents.tolist()], r,
+                             cents.shape[1], weights=w)
+
     def test_matches_scalar(self, rng):
         m, r = 5, 80
         w = decay_weights(m, "exponential", 0.5)
-        ranked = np.array([rng.choice(r, size=m, replace=False) for _ in range(25)])
-        cents = np.array([rng.choice(r, size=m, replace=False) for _ in range(4)])
-        mat = weight_distance_matrix(ranked, cents, r, w)
+        ranked = random_rows(rng, 25, r, m)
+        cents = random_rows(rng, 4, r, m)
+        mat = pair_weight_distances(self._assigner(cents, r, w), ranked)
         for i in range(25):
             for j in range(4):
-                expect = weight_distance(ranked[i], cents[j], w)
-                assert mat[i, j] == pytest.approx(expect)
+                # Exact: the assignment's tie cascade compares these bits.
+                assert mat[i, j] == weight_distance(ranked[i], cents[j], w)
 
-    def test_accepts_prepacked_centroids(self, rng):
-        m, r = 4, 64
-        w = decay_weights(m)
-        ranked = np.array([rng.choice(r, size=m, replace=False) for _ in range(10)])
-        cents = np.array([rng.choice(r, size=m, replace=False) for _ in range(3)])
-        a = weight_distance_matrix(ranked, cents, r, w)
-        b = weight_distance_matrix(ranked, pack_pivot_sets(cents, r), r, w)
-        np.testing.assert_allclose(a, b)
+    def test_uint8_table_equals_float_table(self, rng):
+        """``w * 1`` is ``w``: gathering the uint8 table gives the bits a
+        float copy of it gives."""
+        m, r = 7, 64
+        w = decay_weights(m, "linear")
+        ranked = random_rows(rng, 30, r, m)
+        cents = random_rows(rng, 6, r, m)
+        assigner = self._assigner(cents, r, w)
+        got = pair_weight_distances(assigner, ranked)
+        members = assigner._members.astype(np.float64)
+        matched = np.zeros(got.shape)
+        for rank in range(m):
+            matched += w[rank] * members[ranked[:, rank]]
+        assert got.tobytes() == (total_weight(w) - matched).tobytes()
 
     def test_bounds(self, rng):
         m, r = 6, 100
         w = decay_weights(m)
-        ranked = np.array([rng.choice(r, size=m, replace=False) for _ in range(20)])
-        cents = np.array([rng.choice(r, size=m, replace=False) for _ in range(6)])
-        mat = weight_distance_matrix(ranked, cents, r, w)
+        ranked = random_rows(rng, 20, r, m)
+        cents = random_rows(rng, 6, r, m)
+        mat = pair_weight_distances(self._assigner(cents, r, w), ranked)
         assert mat.min() >= -1e-12
         assert mat.max() <= total_weight(w) + 1e-12
 
@@ -267,15 +317,23 @@ class TestRoutingDistances:
                 compared += 1
         assert compared > ranked.shape[0]
 
-    @pytest.mark.parametrize("q", [1, 7, 32, 300])
-    def test_od_matrix_equals_the_packed_kernel(self, q):
-        """The membership gather against the bitset kernel, for every row
-        count: one path, the same integers.  A second fall-back group sits
-        between real ones and, like G0, scores OD m."""
-        rng = np.random.default_rng(q)
-        r = 70  # two bitset words
-        ranked, centroids = self._random_case(rng, r=r, d=q, k=9)
-        m = ranked.shape[1]
+    @pytest.mark.parametrize("q,r,m", [
+        pytest.param(1, 70, 6, id="1"),
+        pytest.param(7, 70, 6, id="7"),
+        pytest.param(32, 70, 6, id="32"),
+        pytest.param(300, 70, 6, id="300"),
+        pytest.param(40, 63, 6, id="r63"),
+        pytest.param(40, 64, 6, id="r64"),
+        pytest.param(40, 65, 6, id="r65"),
+        pytest.param(40, 12, 12, id="m=r"),
+    ])
+    def test_od_matrix_equals_the_packed_kernel(self, q, r, m):
+        """The membership gather against the seed bitset kernel of
+        ``tests/oracles.py``, for every row count and around the old
+        64-bit word boundary: the same integers.  A second fall-back group
+        sits between real ones and, like G0, scores OD m."""
+        rng = np.random.default_rng(q + r)
+        ranked, centroids = self._random_case(rng, r=r, m=m, d=q, k=9)
         groups = [((), leaf(0.0, 0), 0)] + [
             (tuple(cent.tolist()), leaf(1.0, j), j)
             for j, cent in enumerate(centroids, start=1)
@@ -288,9 +346,8 @@ class TestRoutingDistances:
         fallback = [0, 4]
         assert (od[:, fallback] == m).all()
         real = np.delete(od, fallback, axis=1)
-        want = overlap_distance_matrix(
-            pack_pivot_sets(np.sort(ranked, axis=1), r),
-            pack_pivot_sets(centroids, r), m,
+        want = overlap_distance_matrix_reference(
+            pack_pivot_sets(ranked, r), pack_pivot_sets(centroids, r), m,
         )
         np.testing.assert_array_equal(real, want)
 

@@ -310,16 +310,6 @@ class TestStorageEngine:
         assert engine.has_partition("alpha")
         engine.close()
 
-    def test_read_cluster_ranges(self):
-        engine = StorageEngine(MemoryBackend())
-        part = make_partition("p", n_clusters=4, per_cluster=3, seed=8)
-        engine.write_partition(part)
-        keys = part.cluster_keys()[1:3]
-        ids, values = engine.read_cluster_ranges("p", keys)
-        eids, evals = part.read_clusters(keys)
-        np.testing.assert_array_equal(ids, eids)
-        np.testing.assert_array_equal(values, evals)
-
     def test_partition_meta_without_payload(self):
         engine = StorageEngine(MemoryBackend())
         part = make_partition("p", n_clusters=2, per_cluster=6, length=12)
