@@ -32,6 +32,7 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
+    StaleCalibrationError,
     StorageError,
     TransientReadError,
 )
@@ -41,6 +42,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ReproError",
     "ConfigurationError",
+    "StaleCalibrationError",
     "DimensionalityError",
     "NonFiniteValueError",
     "IndexNotBuiltError",

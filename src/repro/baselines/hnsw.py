@@ -28,6 +28,7 @@ from repro.baselines.common import BaselineResult, BaselineStats
 from repro.cluster import CostModel, ops_euclidean
 from repro.exceptions import ConfigurationError, MemoryBudgetExceeded
 from repro.series import SeriesDataset
+from repro.series.distance import sq_norms
 
 __all__ = ["HnswConfig", "HnswIndex"]
 
@@ -173,7 +174,7 @@ class HnswIndex:
         def dist_to(q: np.ndarray, nodes: np.ndarray) -> np.ndarray:
             counter[0] += len(nodes)
             diff = data[nodes] - q
-            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            return np.sqrt(sq_norms(diff))
 
         def search_layer(q, entries, entry_dists, ef, layer):
             """Beam search; returns (ids, dists) of the ef closest found."""
@@ -264,7 +265,7 @@ class HnswIndex:
         def dist_to(nodes: np.ndarray) -> np.ndarray:
             counter[0] += len(nodes)
             diff = data[nodes] - q
-            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            return np.sqrt(sq_norms(diff))
 
         import heapq
 

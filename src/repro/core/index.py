@@ -64,6 +64,7 @@ from repro.core.progressive import (
     ProgressiveUpdate,
     StopRule,
     resolve_stop_rule,
+    store_stamp,
 )
 from repro.core.routing import GroupCandidate, RoutingTable
 from repro.core.routing import select_primary as _select_primary
@@ -73,6 +74,7 @@ from repro.exceptions import (
     DimensionalityError,
     NonFiniteValueError,
     PartitionNotFoundError,
+    StaleCalibrationError,
     StorageError,
 )
 from repro.obs import (
@@ -256,10 +258,13 @@ class _RoutedWalk:
             self._t_mark = now
 
     def _score(
-        self, run: tuple[np.ndarray, np.ndarray]
+        self, run: tuple[np.ndarray, np.ndarray, np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one run where it lies; keep 16 bytes a record, not the run."""
-        scored = (run[0], block_scores(run[1], self._neg2q))
+        """Score one ``(ids, values, norms)`` run where it lies — the
+        stored norms plus one matrix-vector product; keep 16 bytes a
+        record, not the run."""
+        ids, values, norms = run
+        scored = (ids, block_scores(values, self._neg2q, norms))
         self._scored.append(scored)
         self._charge("refine")
         return scored
@@ -288,8 +293,9 @@ class _RoutedWalk:
                 (present if key in wanted else other).append(key)
             # One cluster-range read per partition, served from the
             # payload mapping the open already checksummed: it slices the
-            # runs these keys cover (adjacent clusters coalesce).
-            run = part.read_clusters(present) if present else None
+            # runs these keys cover (adjacent clusters coalesce), with
+            # their stored norms.
+            run = part.read_clusters_with_norms(present) if present else None
         except StorageError as err:
             if not self._skip_failures or isinstance(err, PartitionNotFoundError):
                 raise
@@ -314,7 +320,7 @@ class _RoutedWalk:
             return False
         for actual, part, other, contributed in self._fallback_pool:
             try:
-                run = part.read_clusters(other)
+                run = part.read_clusters_with_norms(other)
             except StorageError as err:
                 if not self._skip_failures or isinstance(err, PartitionNotFoundError):
                     raise
@@ -1038,11 +1044,27 @@ class ClimberIndex:
         persisted next to the index partitions), or ``None`` to detach.
         ``early_stop="confidence"`` queries consult the attached curve;
         without one they fall back to the conservative built-in prior.
+
+        A curve stamped with another store than this index holds — one
+        calibrated before an ``append`` — is refused with
+        :class:`~repro.exceptions.StaleCalibrationError` and the attached
+        curve is left as it was; an unstamped one is attached as is.
         """
-        if calibration is None or isinstance(calibration, ProgressiveCalibration):
-            self.calibration = calibration
-        else:
-            self.calibration = ProgressiveCalibration.load(calibration)
+        if calibration is not None and not isinstance(
+            calibration, ProgressiveCalibration
+        ):
+            calibration = ProgressiveCalibration.load(calibration)
+        if calibration is not None and calibration.store_digest is not None:
+            n_records, digest = store_stamp(self.dfs)
+            if (calibration.n_records, calibration.store_digest) != (
+                n_records, digest
+            ):
+                raise StaleCalibrationError(
+                    f"calibration measured on {calibration.n_records} "
+                    f"records (store {calibration.store_digest[:12]}), "
+                    f"index holds {n_records} (store {digest[:12]})"
+                )
+        self.calibration = calibration
         return self.calibration
 
     def _resolve_stop_rule(self, early_stop: object) -> StopRule | None:

@@ -21,7 +21,8 @@ This module holds the query-path-independent pieces:
   ``s``, the fraction of queries whose stop-at-``s`` answer already equals
   the full-budget answer; ``threshold_for(c)`` picks the smallest streak
   achieving fraction >= ``c``.  The artifact is JSON, persisted next to
-  the index (see ``evaluation/calibration.py`` and the README workflow).
+  the index (see ``evaluation/calibration.py`` and the README workflow),
+  and stamped with the store it was measured on (:func:`store_stamp`).
 * :func:`parse_early_stop` / :func:`resolve_stop_rule` — the shared knob
   grammar: ``"off"``, ``"confidence:0.95"`` (a bare ``"confidence"``
   means ``"confidence:0.9"``), ``"streak:3"`` (or a bare int), threaded
@@ -36,6 +37,7 @@ simply runs to full coverage.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,9 +58,10 @@ __all__ = [
     "StopRule",
     "parse_early_stop",
     "resolve_stop_rule",
+    "store_stamp",
 ]
 
-CALIBRATION_SCHEMA = "repro.progressive-calibration/v1"
+CALIBRATION_SCHEMA = "repro.progressive-calibration/v2"
 
 #: Streak ceiling of the built-in prior calibration (see
 #: :meth:`ProgressiveCalibration.prior`).
@@ -150,6 +153,10 @@ class ProgressiveCalibration:
     queries — see :func:`repro.evaluation.calibrate_early_stop`).  The
     curve is non-decreasing in ``s`` by construction, so
     :meth:`threshold_for` is a simple scan.
+
+    ``n_records`` and ``store_digest`` stamp the store the curve was
+    measured on (:func:`store_stamp`); an unstamped curve, such as the
+    :meth:`prior`, describes no store in particular.
     """
 
     curve: tuple[tuple[int, float], ...]
@@ -158,6 +165,8 @@ class ProgressiveCalibration:
     n_queries: int = 0
     source: str = "prior"
     created: str | None = None
+    n_records: int | None = None
+    store_digest: str | None = None
     schema: str = field(default=CALIBRATION_SCHEMA)
 
     def __post_init__(self) -> None:
@@ -222,6 +231,8 @@ class ProgressiveCalibration:
                 "n_queries": self.n_queries,
                 "source": self.source,
                 "created": self.created,
+                "n_records": self.n_records,
+                "store_digest": self.store_digest,
             },
             indent=2,
         )
@@ -240,6 +251,10 @@ class ProgressiveCalibration:
             n_queries=int(data.get("n_queries", 0)),
             source=str(data.get("source", "prior")),
             created=data.get("created"),
+            n_records=(None if data.get("n_records") is None
+                       else int(data["n_records"])),
+            store_digest=(None if data.get("store_digest") is None
+                          else str(data["store_digest"])),
         )
 
     def save(self, path: str | Path) -> Path:
@@ -251,6 +266,19 @@ class ProgressiveCalibration:
     @classmethod
     def load(cls, path: str | Path) -> "ProgressiveCalibration":
         return cls.from_json(Path(path).read_text())
+
+
+def store_stamp(dfs) -> tuple[int, str]:
+    """What a calibration is measured on: the store's record count and a
+    SHA-256 over its partition names and their record counts.
+
+    Read from header metadata the DFS already holds — no payload read, no
+    counter charged.  An ``append`` adds delta partitions, so it changes
+    the digest even where the record count could coincide.
+    """
+    counts = [[name, dfs.record_count(name)] for name in dfs.list_partitions()]
+    digest = hashlib.sha256(json.dumps(counts).encode()).hexdigest()
+    return sum(count for _, count in counts), digest
 
 
 def parse_early_stop(spec: object) -> tuple[str, float | int | None]:

@@ -19,7 +19,10 @@ Workflow::
     result = list(index.knn_progressive(q, 10, early_stop="confidence:0.95"))
 
 Calibration queries must be *held out* from the serving workload — the
-curve is an estimate of generalisation, not a memorised answer key.
+curve is an estimate of generalisation, not a memorised answer key.  The
+curve is stamped with the store it was measured on; once an ``append``
+changes that store, attaching it raises
+:class:`~repro.exceptions.StaleCalibrationError`: calibrate again.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.progressive import ProgressiveCalibration
+from repro.core.progressive import ProgressiveCalibration, store_stamp
 from repro.exceptions import ConfigurationError
 
 __all__ = ["calibrate_early_stop"]
@@ -59,7 +62,7 @@ def calibrate_early_stop(
     ----------
     index:
         A :class:`~repro.core.ClimberIndex` (any object exposing
-        ``knn_progressive`` works).
+        ``knn_progressive`` and the ``dfs`` it reads works).
     queries:
         Held-out query series — a :class:`~repro.series.SeriesDataset`
         or a 2-D array of rows.
@@ -109,6 +112,7 @@ def calibrate_early_stop(
         (streak, float(agreements[streak]) / n_queries)
         for streak in range(1, max_streak + 1)
     )
+    n_records, store_digest = store_stamp(index.dfs)
     calibration = ProgressiveCalibration(
         curve=curve,
         k=k,
@@ -116,6 +120,8 @@ def calibrate_early_stop(
         n_queries=n_queries,
         source="calibrated",
         created=created,
+        n_records=n_records,
+        store_digest=store_digest,
     )
     if path is not None:
         calibration.save(path)

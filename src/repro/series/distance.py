@@ -19,6 +19,7 @@ __all__ = [
     "euclidean",
     "squared_euclidean",
     "pairwise_euclidean",
+    "sq_norms",
     "block_scores",
     "knn_select",
     "knn_bruteforce",
@@ -53,8 +54,8 @@ def squared_euclidean(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"length mismatch: queries have n={q.shape[1]}, data n={d.shape[1]}"
         )
-    sq_q = np.einsum("ij,ij->i", q, q)[:, None]
-    sq_d = np.einsum("ij,ij->i", d, d)[None, :]
+    sq_q = sq_norms(q)[:, None]
+    sq_d = sq_norms(d)[None, :]
     cross = q @ d.T
     out = sq_q + sq_d - 2.0 * cross
     np.maximum(out, 0.0, out=out)
@@ -66,17 +67,36 @@ def pairwise_euclidean(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
     return np.sqrt(squared_euclidean(queries, data))
 
 
-def block_scores(block: np.ndarray, neg2q: np.ndarray) -> np.ndarray:
+def sq_norms(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``‖v‖²`` of every row ``v`` of a 2-D float64 ``block``.
+
+    The one norm kernel: the partition writer stores its result beside
+    each record (into ``out``, the partition's norms section) and every
+    query-time score adds what was stored.  A row's norm does not depend
+    on the rows around it or on where the block lies in memory, so the
+    stored norm equals this kernel over the row as any reader maps it.
+    """
+    return np.einsum("ij,ij->i", block, block, out=out)
+
+
+def block_scores(
+    block: np.ndarray, neg2q: np.ndarray, norms: np.ndarray | None = None
+) -> np.ndarray:
     """Scoring step: ``‖v‖² − 2 v·q`` for every row ``v`` of ``block``.
 
     That is the squared distance to ``q`` less ``‖q‖²``, a constant
     :func:`knn_select` adds once per query rather than once per block.
     ``block`` is a C-contiguous ``(d, n)`` float64 matrix, read as it
     lies — a read-only view of a mapped partition is scored without a
-    copy — and ``neg2q`` is ``-2 * q``.
+    copy — and ``neg2q`` is ``-2 * q``.  ``norms`` are the rows'
+    :func:`sq_norms`, as a partition stores them; without them the rows'
+    norms are computed here.  Either way one matrix-vector product is
+    added to the same norms, so the scores agree to the bit.
     """
-    scores = np.einsum("ij,ij->i", block, block)
-    scores += np.dot(block, neg2q)
+    if norms is None:
+        norms = sq_norms(block)
+    scores = np.dot(block, neg2q)
+    scores += norms
     return scores
 
 

@@ -44,9 +44,9 @@ class keeps everything *simulated* about the DFS:
   maintained at write/attach time so reopening an index, or validating an
   append, never reads partition payloads.
 
-A read returns a :class:`~repro.storage.engine.PartitionV2View` whose four
+A read returns a :class:`~repro.storage.engine.PartitionV2View` whose five
 section checksums were checked over the bytes of its open attempt
-(DESIGN.md D8, D12).
+(DESIGN.md D8, D12, D14).
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class DfsCounters:
 class SimulatedDFS:
     """An in-memory (optionally disk-backed) partition store.
 
-    Every partition is written with four per-section checksums and every
+    Every partition is written with five per-section checksums and every
     open attempt checks them; a mismatch is retried like a transient error.
 
     Parameters
@@ -404,7 +404,7 @@ class SimulatedDFS:
         """One partition, as a view checked in full by the open.
 
         Recoverable failures — :class:`TransientReadError`, a checksum
-        mismatch in any of the four sections, blown deadlines — are
+        mismatch in any of the five sections, blown deadlines — are
         retried per
         :attr:`retry_policy` (``dfs.retries`` counts the extra attempts);
         :class:`PartitionLostError` and :class:`PartitionNotFoundError`

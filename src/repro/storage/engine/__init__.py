@@ -25,7 +25,7 @@ from repro.storage.engine.backend import (
 from repro.storage.engine.engine import PartitionMeta, StorageEngine
 from repro.storage.engine.format import (
     FORMAT_V2_MAGIC,
-    FORMAT_V4_VERSION,
+    FORMAT_VERSION,
     PartitionV2View,
     decode_v2_header,
     encode_partition_v2,
@@ -40,7 +40,7 @@ __all__ = [
     "PartitionMeta",
     "PartitionV2View",
     "FORMAT_V2_MAGIC",
-    "FORMAT_V4_VERSION",
+    "FORMAT_VERSION",
     "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",

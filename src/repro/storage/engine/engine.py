@@ -3,9 +3,10 @@
 :class:`StorageEngine` owns the mapping from partition ids to stored blobs.
 Writes encode through
 :func:`~repro.storage.engine.format.encode_partition_v2_arrays`, always with
-the four per-section checksums; an open returns a
-:class:`~repro.storage.engine.format.PartitionV2View` that has checked all
-four over the bytes of that open, and metadata scans read headers and
+each record's stored norm and the five per-section checksums; an open
+returns a :class:`~repro.storage.engine.format.PartitionV2View` that has
+checked all five over the bytes of that open, and metadata scans read
+headers and
 directories only.  A stored blob in any other encoding or header version is
 refused with :class:`StorageError` by the header decode.
 """
@@ -42,8 +43,8 @@ class PartitionMeta:
 class StorageEngine:
     """Write/read partitions through a :class:`StorageBackend`.
 
-    Every partition is written with its four checksums and every open
-    checks all four over the bytes it read (DESIGN.md D8, D12).
+    Every partition is written with its five checksums and every open
+    checks all five over the bytes it read (DESIGN.md D8, D12, D14).
 
     Parameters
     ----------
@@ -136,7 +137,7 @@ class StorageEngine:
     def open_partition(
         self, partition_id: str, logical_nbytes: int | None = None
     ) -> PartitionV2View:
-        """Open a stored partition as a zero-copy view, all four checksums
+        """Open a stored partition as a zero-copy view, all five checksums
         checked: a mismatch raises here, never on a later read.
 
         ``logical_nbytes`` is the partition's logical size when the caller
@@ -166,7 +167,7 @@ class StorageEngine:
         )
 
     def physical_nbytes(self, partition_id: str) -> int:
-        """Stored payload size (padding and checksum block included,
+        """Stored payload size (padding, checksum block and norms included,
         unlike the logical size)."""
         return self._reader(partition_id)[1]
 

@@ -9,15 +9,17 @@ by :func:`decode_v2_header`.
 
 .. code-block:: text
 
-    [0, 80)              fixed struct header (magic, version, geometry,
+    [0, 88)              fixed struct header (magic, version, geometry,
                          section offsets, total size)
-    [80, 112)            four u64 checksums (meta blob, directory,
-                         ids payload, values payload)
-    [112, 112+meta)      JSON meta blob: {"partition_id": ..., "keys": [...]}
+    [88, 128)            five u64 checksums (meta blob, directory,
+                         ids payload, norms payload, values payload)
+    [128, 128+meta)      JSON meta blob: {"partition_id": ..., "keys": [...]}
     [dir_offset, ...)    cluster directory, 8-byte aligned: int64
                          offsets[n_clusters] followed by int64
                          counts[n_clusters]
     [ids_offset, ...)    raw C-order int64 ids payload, 64-byte aligned
+    [norms_offset, ...)  one float64 ``‖v‖²`` per record, in record order,
+                         64-byte aligned (DESIGN.md D14)
     [values_offset, ...) raw C-order float64 values payload, 64-byte aligned
 
 Offsets/counts are *record* indices (the :class:`PartitionFile` header
@@ -25,27 +27,33 @@ tuples); byte ranges are derived by multiplying with the fixed item sizes.
 Because the payloads are aligned raw C-order buffers, a reader backed by
 ``mmap``/``bytes`` serves any cluster as an ``np.frombuffer`` view with
 zero deserialisation cost — exactly the asymmetry CLIMBER's query
-algorithms assume ("reading one cluster touches only its slice").
+algorithms assume ("reading one cluster touches only its slice").  The
+norms payload is the scoring half of each record, written once by
+:func:`~repro.series.distance.sq_norms` so that no query recomputes it:
+a cluster read for scoring serves a run's norms from the same mapping as
+its values.
 
 One integrity rule holds (DESIGN.md D8, D12).  Every partition is
-written as header **version 4**, with one checksum per section — meta
-blob, directory and the two raw payloads — computed by
+written as header **version 5**, with one checksum per section — meta
+blob, directory and the three raw payloads — computed by
 :func:`section_checksums`: the wrap-around sum mod 2**64 of the section's
 little-endian 64-bit words.  Each section starts 8-aligned and its zeroed
 alignment padding runs to the next one, so a check over a section and its
 padding equals the stored sum exactly when the padding is still zero: no
 byte after the header goes unchecked.  A blob of any other version, such
-as the CRC32 version 3, is refused with :class:`StorageError`.  Every
-:class:`PartitionV2View` maps its blob with one range read when it is
-opened, checks all four sections over that mapping, and serves its first
-read from it: what is verified is what is served, and a mismatch raises
+as version 4 (no norms) or the CRC32 version 3, is refused with
+:class:`StorageError`.  Every :class:`PartitionV2View` maps its blob with
+one range read when it is opened, checks all five sections over that
+mapping, and serves its first read from it: what is verified is what is
+served, and a mismatch raises
 :class:`~repro.exceptions.PartitionCorruptError` from the open, where the
 DFS retry loop sees it.  :func:`decode_partition_head` is the
 metadata-only half — header, meta blob and directory, with their
 checksums — for scans that never touch a payload byte.  Every refusal of
 what was read, checksum or structure, is reported to the caller's
 corruption callback.  ``materialised_bytes`` counts the runs served to
-the reader, never the bytes a check touched.
+the reader — record ids and values, not the derived norms — never the
+bytes a check touched.
 """
 
 from __future__ import annotations
@@ -57,12 +65,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.exceptions import PartitionCorruptError, StorageError
+from repro.series.distance import sq_norms
 from repro.storage.partition import PartitionFile, logical_partition_nbytes
 from repro.storage.serialization import json_from_bytes, json_to_bytes
 
 __all__ = [
     "FORMAT_V2_MAGIC",
-    "FORMAT_V4_VERSION",
+    "FORMAT_VERSION",
     "PAYLOAD_ALIGNMENT",
     "V2Header",
     "encode_partition_v2",
@@ -74,31 +83,33 @@ __all__ = [
 ]
 
 FORMAT_V2_MAGIC = b"CLMBPRT2"
-FORMAT_V4_VERSION = 4  # the one header version: base header + word-sum block
+FORMAT_VERSION = 5  # the one header version: base header + word-sum block
 PAYLOAD_ALIGNMENT = 64
 
 # magic, version, flags, n_clusters, n_records, series_length, meta_size,
-# dir_offset, ids_offset, values_offset, total_size
-_HEADER = struct.Struct("<8sII8Q")
+# dir_offset, ids_offset, norms_offset, values_offset, total_size
+_HEADER = struct.Struct("<8sII9Q")
 HEADER_SIZE = _HEADER.size
 
-# Checksums of (meta, directory, ids, values), right after the base header.
-_CHECKSUM_BLOCK = struct.Struct("<4Q")
+# Checksums of (meta, directory, ids, norms, values), right after the base
+# header.
+_CHECKSUM_BLOCK = struct.Struct("<5Q")
 CHECKSUM_BLOCK_SIZE = _CHECKSUM_BLOCK.size
 
 #: The base header and the checksum block, decoded by one unpack.
-_HEAD = struct.Struct("<8sII8Q4Q")
+_HEAD = struct.Struct("<8sII9Q5Q")
 #: Bytes before the meta blob.
 _HEAD_SIZE = _HEAD.size
 
 _IDS_ITEMSIZE = 8     # int64
 _VALUES_ITEMSIZE = 8  # float64
+_NORMS_ITEMSIZE = 8   # float64
 
 _WORD = 8  # bytes per checksummed word
 _MASK = (1 << 64) - 1
 
-assert HEADER_SIZE == 80
-assert CHECKSUM_BLOCK_SIZE == 32
+assert HEADER_SIZE == 88
+assert CHECKSUM_BLOCK_SIZE == 40
 assert _HEAD_SIZE == HEADER_SIZE + CHECKSUM_BLOCK_SIZE
 assert _HEAD_SIZE % _WORD == 0
 
@@ -138,10 +149,10 @@ def section_checksums(
 
 
 class V2Header(NamedTuple):
-    """Decoded fixed-width header: geometry, section offsets and the four
-    per-section checksums (meta, directory, ids, values).  A named tuple,
-    because every open builds one: a frozen dataclass took ≈ 3 µs of a
-    ≈ 20 µs small-partition open."""
+    """Decoded fixed-width header: geometry, section offsets and the five
+    per-section checksums (meta, directory, ids, norms, values).  A named
+    tuple, because every open builds one: a frozen dataclass took ≈ 3 µs
+    of a ≈ 20 µs small-partition open."""
 
     n_clusters: int
     n_records: int
@@ -149,21 +160,22 @@ class V2Header(NamedTuple):
     meta_size: int
     dir_offset: int
     ids_offset: int
+    norms_offset: int
     values_offset: int
     total_size: int
-    checksums: tuple[int, int, int, int]
+    checksums: tuple[int, int, int, int, int]
 
     @property
     def row_nbytes(self) -> int:
         return self.series_length * _VALUES_ITEMSIZE
 
     @property
-    def section_bounds(self) -> tuple[int, int, int, int, int]:
-        """Starts of the meta, directory, ids and values sections, then the
-        blob's end: each checked section runs to the next one, its zeroed
-        alignment padding included."""
+    def section_bounds(self) -> tuple[int, int, int, int, int, int]:
+        """Starts of the meta, directory, ids, norms and values sections,
+        then the blob's end: each checked section runs to the next one,
+        its zeroed alignment padding included."""
         return (self.header_size, self.dir_offset, self.ids_offset,
-                self.values_offset, self.total_size)
+                self.norms_offset, self.values_offset, self.total_size)
 
     #: Bytes before the meta blob (base header + checksum block).
     header_size = _HEAD_SIZE
@@ -192,6 +204,10 @@ def encode_partition_v2_arrays(
     directly into the output buffer (``np.take(..., out=...)``), so the
     bulk build pays one scattered read instead of materialising a sorted
     copy of the dataset first.
+
+    Each record's ``‖v‖²`` is computed by
+    :func:`~repro.series.distance.sq_norms` over the values as they lie in
+    the output buffer and written straight into the norms section.
     """
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -221,17 +237,19 @@ def encode_partition_v2_arrays(
     dir_offset = _align(_HEAD_SIZE + len(meta), _WORD)
     dir_nbytes = 2 * 8 * n_clusters
     ids_nbytes = n_records * _IDS_ITEMSIZE
+    norms_nbytes = n_records * _NORMS_ITEMSIZE
     values_nbytes = n_records * values.shape[1] * _VALUES_ITEMSIZE
     ids_offset = _align(dir_offset + dir_nbytes, PAYLOAD_ALIGNMENT)
-    values_offset = _align(ids_offset + ids_nbytes, PAYLOAD_ALIGNMENT)
+    norms_offset = _align(ids_offset + ids_nbytes, PAYLOAD_ALIGNMENT)
+    values_offset = _align(norms_offset + norms_nbytes, PAYLOAD_ALIGNMENT)
     total_size = values_offset + values_nbytes
 
     out = bytearray(total_size)
     _HEADER.pack_into(
         out, 0,
-        FORMAT_V2_MAGIC, FORMAT_V4_VERSION, 0,
+        FORMAT_V2_MAGIC, FORMAT_VERSION, 0,
         n_clusters, n_records, values.shape[1], len(meta),
-        dir_offset, ids_offset, values_offset, total_size,
+        dir_offset, ids_offset, norms_offset, values_offset, total_size,
     )
     out[_HEAD_SIZE:_HEAD_SIZE + len(meta)] = meta
     # Payload sections are filled through writable NumPy views over the
@@ -254,12 +272,15 @@ def encode_partition_v2_arrays(
     else:
         np.take(ids, rows, out=ids_dst)
         np.take(values, rows, axis=0, out=values_dst)
+    sq_norms(values_dst, out=np.frombuffer(
+        out, dtype=np.float64, count=n_records, offset=norms_offset,
+    ))
     # The padding after each section is still zero, so summing up to the
     # next section gives the section's own checksum.
     _CHECKSUM_BLOCK.pack_into(
         out, HEADER_SIZE,
         *section_checksums(out, (_HEAD_SIZE, dir_offset, ids_offset,
-                                 values_offset, total_size)),
+                                 norms_offset, values_offset, total_size)),
     )
     return bytes(out)
 
@@ -285,33 +306,36 @@ def decode_v2_header(
 
     ``physical_size``, when known, is checked against the header's declared
     total so truncated files fail fast with a clear error.  Only header
-    version 4 is read; any other version raises :class:`StorageError`.
+    version 5 is read; any other version raises :class:`StorageError`.
     """
     if len(buf) < _HEAD_SIZE:
         raise StorageError(
             f"truncated v2 partition: {len(buf)} header bytes < {_HEAD_SIZE}"
         )
     (magic, version, flags, n_clusters, n_records, series_length, meta_size,
-     dir_offset, ids_offset, values_offset, total_size,
+     dir_offset, ids_offset, norms_offset, values_offset, total_size,
      *checksums) = _HEAD.unpack_from(buf)
     if magic != FORMAT_V2_MAGIC:
         raise StorageError(f"bad partition magic {magic!r}")
-    if version != FORMAT_V4_VERSION:
+    if version != FORMAT_VERSION:
         raise StorageError(f"unsupported partition format version {version}")
     if flags != 0:
         raise StorageError(f"unknown partition format flags {flags:#x}")
     header = V2Header(
         n_clusters, n_records, series_length, meta_size, dir_offset,
-        ids_offset, values_offset, total_size, tuple(checksums),
+        ids_offset, norms_offset, values_offset, total_size,
+        tuple(checksums),
     )
     dir_nbytes = 2 * 8 * n_clusters
     consistent = (
         dir_offset >= _HEAD_SIZE + meta_size
         and dir_offset % _WORD == 0
         and ids_offset % PAYLOAD_ALIGNMENT == 0
+        and norms_offset % PAYLOAD_ALIGNMENT == 0
         and values_offset % PAYLOAD_ALIGNMENT == 0
         and ids_offset >= dir_offset + dir_nbytes
-        and values_offset >= ids_offset + n_records * _IDS_ITEMSIZE
+        and norms_offset >= ids_offset + n_records * _IDS_ITEMSIZE
+        and values_offset >= norms_offset + n_records * _NORMS_ITEMSIZE
         and total_size == values_offset + n_records * header.row_nbytes
     )
     if not consistent:
@@ -345,7 +369,7 @@ def _decode(
     n_sections: int,
 ) -> tuple[V2Header, str, dict[str, tuple[int, int]]]:
     """Decode the head of a partition and check its first ``n_sections``
-    sections — 2 (meta, directory) or all 4 — with one checksum pass."""
+    sections — 2 (meta, directory) or all 5 — with one checksum pass."""
     try:
         h = decode_v2_header(buf, physical_size)
     except StorageError:
@@ -380,7 +404,8 @@ def _decode(
     problem = _directory_problem(keys, offsets, counts, h.n_records)
     if problem:
         _refuse(corruption_cb, problem)
-    for i, section in ((2, "ids payload"), (3, "values payload")):
+    for i, section in ((2, "ids payload"), (3, "norms payload"),
+                       (4, "values payload")):
         if i < n_sections and sums[i] != h.checksums[i]:
             _corrupt(corruption_cb, f"{section} checksum mismatch")
     return h, str(meta["partition_id"]), dict(zip(keys, zip(offsets, counts)))
@@ -446,16 +471,17 @@ class PartitionV2View:
         registry does); derived from the directory on first use otherwise.
 
     An open costs one range read — the whole blob ``[0, total_size)`` in
-    one mapping, of which header, meta blob, directory and payload are
-    slices — and checks all four sections over it (a mismatch raises
+    one mapping, of which header, meta blob, directory and payloads are
+    slices — and checks all five sections over it (a mismatch raises
     :class:`~repro.exceptions.PartitionCorruptError`).  The first read is
     served from that checked mapping; the view then lets go of it and
     each later read maps the blob again, so a cached view pins no
     mapping.  The view exposes the :class:`PartitionFile` access
-    interface; returned arrays are read-only views into the backing
-    buffer.  ``materialised_bytes`` counts the bytes served *to the
-    reader* (the benchmark's "bytes materialised" metric), not those an
-    integrity check touched.
+    interface, plus :meth:`read_clusters_with_norms` for scoring; returned
+    arrays are read-only views into the backing buffer.
+    ``materialised_bytes`` counts the record bytes (ids and values)
+    served *to the reader* (the benchmark's "bytes materialised" metric),
+    not the stored norms and not those an integrity check touched.
     """
 
     def __init__(
@@ -475,7 +501,7 @@ class PartitionV2View:
         self._size = physical_size
         buf = self._map()
         self.v2_header, self.partition_id, self.header = _decode(
-            buf, physical_size, corruption_cb, 4
+            buf, physical_size, corruption_cb, 5
         )
         h = self.v2_header
         self.materialised_bytes = (
@@ -535,10 +561,10 @@ class PartitionV2View:
 
     def _map_runs(
         self, runs: list[tuple[int, int]]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Contiguous record runs as (ids, values) views of one mapping:
-        the one checked at open for the view's first read, a fresh one
-        after that."""
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Contiguous record runs as (ids, values, norms) views of one
+        mapping: the one checked at open for the view's first read, a
+        fresh one after that."""
         h = self.v2_header
         # Unlocked on purpose: threads sharing a cached view may both take
         # the checked mapping or one may map afresh — either is correct.
@@ -553,10 +579,14 @@ class PartitionV2View:
                 buf, dtype=np.float64, count=count * h.series_length,
                 offset=h.values_offset + start * h.row_nbytes,
             ).reshape(count, h.series_length)
+            norms = np.frombuffer(
+                buf, dtype=np.float64, count=count,
+                offset=h.norms_offset + start * _NORMS_ITEMSIZE,
+            )
             self.materialised_bytes += (
                 count * _IDS_ITEMSIZE + count * h.row_nbytes
             )
-            parts.append((ids, values))
+            parts.append((ids, values, norms))
         return parts
 
     def _runs(self, keys: Iterable[str]) -> list[tuple[int, int]]:
@@ -582,7 +612,7 @@ class PartitionV2View:
             raise StorageError(
                 f"partition {self.partition_id!r} has no cluster {key!r}"
             )
-        return self._map_runs([self.header[key]])[0]
+        return self._map_runs([self.header[key]])[0][:2]
 
     def read_clusters(
         self, keys: Iterable[str]
@@ -593,20 +623,26 @@ class PartitionV2View:
         next to each other in sorted key order) coalesce into single mapped
         runs; a lone run is returned as a pure view with no copy at all.
         """
+        return self.read_clusters_with_norms(keys)[:2]
+
+    def read_clusters_with_norms(
+        self, keys: Iterable[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`read_clusters` plus each record's stored ``‖v‖²``: the
+        ``(ids, values, norms)`` a query scores, all three from the one
+        mapping (a lone run is three views, no copy)."""
         runs = self._runs(keys)
         if not runs:
             raise StorageError("read_clusters requires at least one key")
         parts = self._map_runs(runs)
         if len(parts) == 1:
             return parts[0]
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.vstack([p[1] for p in parts]),
-        )
+        ids, values, norms = zip(*parts)
+        return np.concatenate(ids), np.vstack(values), np.concatenate(norms)
 
     def read_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Every record in the partition, as two whole-payload views."""
-        return self._map_runs([(0, self.record_count)])[0]
+        return self._map_runs([(0, self.record_count)])[0][:2]
 
     @property
     def ids(self) -> np.ndarray:

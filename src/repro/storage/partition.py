@@ -42,7 +42,7 @@ def logical_partition_nbytes(
     for I/O.  This is the single definition of that accounting: every
     registration path (write-time, attach-time) reports sizes through it,
     so the Fig. 11(b) access-volume metrics do not depend on alignment
-    padding, checksums or which cache served the bytes.
+    padding, checksums, the stored norms or which cache served the bytes.
     """
     records = record_count * series_nbytes(series_length)
     return records + len(

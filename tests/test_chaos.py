@@ -2,7 +2,7 @@
 
 Three layers of guarantees pinned down here:
 
-* **Integrity** — per-section word-sum checksums (partition header v4,
+* **Integrity** — per-section word-sum checksums (partition header v5,
   the only version read) catch a bit flip in every section at open,
   raising :class:`~repro.exceptions.PartitionCorruptError` inside the
   retry loop and bumping ``dfs.corruption_detected``; a read that fails
@@ -38,7 +38,8 @@ from repro.obs import Telemetry
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.series import SeriesDataset
 from repro.storage import PartitionFile, SimulatedDFS
-from repro.storage.engine import decode_v2_header
+from repro.series.distance import sq_norms
+from repro.storage.engine import decode_v2_header, encode_partition_v2
 
 
 def _dataset(n=2000, length=64, seed=17):
@@ -86,8 +87,8 @@ def make_partition(pid="p0", n_clusters=3, per_cluster=5, length=8, seed=0):
 
 
 class TestChecksumIntegrity:
-    """One rule: every partition carries four checksums and every open
-    checks all four over the bytes it read, inside the DFS retry loop."""
+    """One rule: every partition carries five checksums and every open
+    checks all five over the bytes it read, inside the DFS retry loop."""
 
     RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.0)
 
@@ -105,13 +106,16 @@ class TestChecksumIntegrity:
             "meta": h.header_size,
             "directory": h.dir_offset,
             "ids": h.ids_offset,
+            "norms": h.norms_offset,
             "values": h.values_offset,
         }
         payload[offsets[section] + 1] ^= 0x04
         backend.write(name, bytes(payload))
         return dfs
 
-    @pytest.mark.parametrize("section", ["meta", "directory", "ids", "values"])
+    @pytest.mark.parametrize(
+        "section", ["meta", "directory", "ids", "norms", "values"]
+    )
     def test_eager_verify_catches_every_section(self, section):
         # A flip in any section fails the open itself — payload sections
         # included — so the rot is retried, then counted once as failed.
@@ -134,7 +138,7 @@ class TestChecksumIntegrity:
             dfs.read_partition("p0")
         assert dfs.counters.corruption_detected >= 1
 
-    @pytest.mark.parametrize("section", ["ids", "values"])
+    @pytest.mark.parametrize("section", ["ids", "norms", "values"])
     def test_lazy_verify_catches_payload_on_first_map(self, section):
         # A payload flip is caught no later than the first cluster map —
         # in fact by the open before it — so no corrupt cluster is served.
@@ -174,6 +178,37 @@ class TestChecksumIntegrity:
         # word sums — is refused the same way.
         self._assert_version_refused(tmp_path, 3)
 
+    def test_norms_flip_on_one_attempt_is_retried_and_counted_once(self):
+        # A per-attempt flip in the stored norms fails that open inside
+        # the retry loop, is counted once, and the clean next attempt
+        # serves the norms the writer stored.
+        ref = make_partition("p0")
+        payload = encode_partition_v2(ref)
+        h = decode_v2_header(payload)
+        name, size = "p0.part", len(payload)
+        plan = next(
+            plan for plan in (
+                FaultPlan(seed=s, bit_flip_rate=0.5) for s in range(10_000)
+            )
+            if h.norms_offset <= plan.decide(name, 0, size).flip_byte
+            < h.values_offset
+            and plan.decide(name, 1, size).flip_byte < 0
+        )
+        dfs = SimulatedDFS(fault_plan=plan, retry_policy=self.RETRY)
+        dfs.write_partition(ref)
+        view = dfs.read_partition("p0")
+        ids, values, norms = view.read_clusters_with_norms(view.cluster_keys())
+        np.testing.assert_array_equal(ids, ref.ids)
+        np.testing.assert_array_equal(norms, sq_norms(ref.values))
+        c = dfs.counters
+        assert c.retries == c.corruption_detected == 1
+        assert c.read_failures == 0
+
+    def test_version_4_blob_is_refused(self, tmp_path):
+        # Header version 4 — four word sums and no norms section — is
+        # refused the same way: a store written before D14 is not read.
+        self._assert_version_refused(tmp_path, 4)
+
     def test_checksummed_payload_carries_checksum_block(self):
         dfs = SimulatedDFS()
         dfs.write_partition(make_partition("p0"))
@@ -183,10 +218,12 @@ class TestChecksumIntegrity:
         h = decode_v2_header(payload)
         # Each checksum is the word sum of its section's exact bytes.
         ids_end = h.ids_offset + 8 * h.n_records
+        norms_end = h.norms_offset + 8 * h.n_records
         sections = (
             payload[h.header_size:h.header_size + h.meta_size],
             payload[h.dir_offset:h.dir_offset + 16 * h.n_clusters],
             payload[h.ids_offset:ids_end],
+            payload[h.norms_offset:norms_end],
             payload[h.values_offset:],
         )
         assert h.checksums == tuple(word_sum_reference(s) for s in sections)

@@ -1,9 +1,10 @@
-"""The v4 section checksum and what it detects (DESIGN.md D12).
+"""The section checksum and what it detects (DESIGN.md D12, D14).
 
 * the NumPy kernel (:func:`section_checksums`) against a pure-Python
   reference that shares no code with it (``oracles.word_sum_reference``);
 * every single-bit flip of a small blob fails its open, and every burst
-  of up to 64 contiguous bits inside a section is caught;
+  of up to 64 contiguous bits inside a section — the norms payload
+  included — is caught, each refusal counted once;
 * the cluster directory's structural rule: keys distinct and sorted,
   ranges tiling the payload (a checksum-valid blob that breaks it is
   refused);
@@ -35,11 +36,12 @@ from repro.storage.engine.format import (
     section_checksums,
 )
 
-SECTIONS = ("meta blob", "directory", "ids payload", "values payload")
+SECTIONS = ("meta blob", "directory", "ids payload", "norms payload",
+            "values payload")
 
 
 def _blob(n_clusters=2, per_cluster=1, length=4, seed=0) -> bytes:
-    """A small v4 partition: ``n_clusters`` clusters "a", "b", ..."""
+    """A small partition: ``n_clusters`` clusters "a", "b", ..."""
     rng = np.random.default_rng(seed)
     n = n_clusters * per_cluster
     header = {chr(ord("a") + c): (c * per_cluster, per_cluster)
@@ -65,7 +67,7 @@ def _section_of(h, byte):
     """Index of the checked section holding ``byte`` (its padding
     included), or ``None`` for the fixed header and checksum block."""
     bounds = h.section_bounds
-    for i in range(4):
+    for i in range(len(SECTIONS)):
         if bounds[i] <= byte < bounds[i + 1]:
             return i
     return None
@@ -73,7 +75,7 @@ def _section_of(h, byte):
 
 def _checksum_field(byte):
     """Index of the stored checksum ``byte`` belongs to, or ``None``."""
-    if HEADER_SIZE <= byte < HEADER_SIZE + 32:
+    if HEADER_SIZE <= byte < HEADER_SIZE + 8 * len(SECTIONS):
         return (byte - HEADER_SIZE) // 8
     return None
 
@@ -153,7 +155,7 @@ class TestEveryFlipFailsTheOpen:
         blob = _blob(n_clusters=3, per_cluster=5, length=16, seed=1)
         h = decode_v2_header(blob)
         bounds = h.section_bounds
-        section = data.draw(st.integers(0, 3))
+        section = data.draw(st.integers(0, len(SECTIONS) - 1))
         start_bit = 8 * bounds[section]
         end_bit = 8 * bounds[section + 1]
         length = data.draw(st.integers(1, min(64, end_bit - start_bit)))
@@ -162,8 +164,10 @@ class TestEveryFlipFailsTheOpen:
         middle = data.draw(st.integers(0, 2 ** max(length - 2, 0) - 1))
         pattern = 1 | (middle << 1) | (1 << (length - 1))
         damaged = int.from_bytes(blob, "little") ^ (pattern << first)
+        refusals = []
         with pytest.raises(PartitionCorruptError, match=SECTIONS[section]):
-            _open(damaged.to_bytes(len(blob), "little"))
+            _open(damaged.to_bytes(len(blob), "little"), refusals)
+        assert len(refusals) == 1
 
 
 # -- the directory's structural rule ----------------------------------------------

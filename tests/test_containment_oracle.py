@@ -3,7 +3,7 @@
 Whatever a query's routed walk does — run to the end, stream, stop early,
 skip a lost partition, expand within a partition — its answer must be the
 ``k`` smallest ``(distance, id)`` among exactly the records its
-``read_clusters`` calls returned, and ``stats.records_examined`` must be
+``read_clusters_with_norms`` calls returned, and ``stats.records_examined`` must be
 how many those were.  The oracle shares no code with the kernel under
 test: it logs the ids the storage layer handed back, looks the series up
 in the *raw dataset* by id, and recomputes distances in plain NumPy
@@ -30,7 +30,7 @@ MODES = ("knn", "knn_batch", "drained", "streak:1", "skip")
 
 class ReadLog:
     """Every ``read_partition`` call of an index's DFS, and the record ids
-    each of the handle's ``read_clusters`` calls returned."""
+    each of the handle's ``read_clusters_with_norms`` calls returned."""
 
     class _Handle:
         def __init__(self, part, ids_seen):
@@ -40,10 +40,10 @@ class ReadLog:
         def __getattr__(self, name):
             return getattr(self._part, name)
 
-        def read_clusters(self, keys):
-            ids, values = self._part.read_clusters(keys)
+        def read_clusters_with_norms(self, keys):
+            ids, values, norms = self._part.read_clusters_with_norms(keys)
             self._ids_seen.append(np.array(ids))
-            return ids, values
+            return ids, values, norms
 
     def __init__(self, index, monkeypatch):
         self.opens: list[list[np.ndarray]] = []

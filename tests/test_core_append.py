@@ -187,3 +187,20 @@ class TestBuildRefusesBadDatasets:
         assert len(dfs) == 0
         assert dfs.counters.bytes_written == 0
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: append checks ids for repeats within its batch only, "
+    "so an id already stored is accepted again and a query can return "
+    "it twice; the fix needs index-wide id knowledge"
+))
+def test_an_id_already_stored_never_reaches_an_answer_twice(built):
+    # Whatever the fix — refuse the batch, or replace the stored record —
+    # no answer may hold one id twice.
+    base, _, index = built
+    try:
+        index.append(SeriesDataset(base.values[:10], ids=np.arange(10)))
+    except ConfigurationError:
+        pass
+    ids = index.knn(base.values[3], 10).ids
+    assert np.unique(ids).size == ids.size

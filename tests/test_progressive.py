@@ -35,7 +35,7 @@ from repro.core import (
 )
 from repro.core.index import QueryStats
 from repro.evaluation import calibrate_early_stop
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StaleCalibrationError
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.series import SeriesDataset
 from repro.storage import SimulatedDFS
@@ -464,7 +464,10 @@ class TestCalibration:
         loaded = ProgressiveCalibration.load(path)
         assert loaded == cal
         data = json.loads(path.read_text())
-        assert data["schema"] == "repro.progressive-calibration/v1"
+        assert data["schema"] == "repro.progressive-calibration/v2"
+        # Stamped with the store it was measured on.
+        assert data["n_records"] == 800
+        assert len(data["store_digest"]) == 64
 
     def test_attach_and_confidence_mode(self, index, tmp_path):
         path = tmp_path / "calibration.json"
@@ -486,6 +489,30 @@ class TestCalibration:
         assert all(f.done for f in finals)
         index.attach_calibration(None)
         assert index.calibration is None
+
+    def test_stale_sidecar_is_refused_after_append(self, tmp_path):
+        index = ClimberIndex.build(_dataset(), _config())
+        path = tmp_path / "calibration.json"
+        cal = calibrate_early_stop(index, _queries(6, seed=77), k=5,
+                                   max_streak=3, path=path)
+        # Attaching without an append still works, from object or file.
+        assert index.attach_calibration(cal) == cal
+        assert index.attach_calibration(path) == cal
+        index.append(SeriesDataset(_dataset(40, seed=3).values,
+                                   ids=np.arange(10_000, 10_040)))
+        for sidecar in (cal, path):
+            with pytest.raises(StaleCalibrationError, match="800 records"):
+                index.attach_calibration(sidecar)
+        assert index.calibration == cal  # the refusal changed nothing
+        # A curve measured on the appended-to store attaches again, and an
+        # unstamped one (the prior) describes no store and always attaches.
+        fresh = calibrate_early_stop(index, _queries(6, seed=77), k=5,
+                                     max_streak=3)
+        assert fresh.n_records == 840
+        assert fresh.store_digest != cal.store_digest
+        assert index.attach_calibration(fresh) == fresh
+        prior = ProgressiveCalibration.prior()
+        assert index.attach_calibration(prior) == prior
 
     def test_unachievable_confidence_disables_stopping(self):
         cal = ProgressiveCalibration(curve=((1, 0.2), (2, 0.4)))

@@ -253,9 +253,9 @@ class TestAliasing:
         seen = []
         scoring = index_module.block_scores
 
-        def spy(block, neg2q):
-            seen.append(block)
-            return scoring(block, neg2q)
+        def spy(block, neg2q, norms):
+            seen.append((block, norms))
+            return scoring(block, neg2q, norms)
 
         monkeypatch.setattr(index_module, "block_scores", spy)
         in_place = 0
@@ -266,7 +266,7 @@ class TestAliasing:
             results.append(result)
             if len(result.stats.partitions_loaded) != 1 or len(seen) != 1:
                 continue
-            data = seen[0]
+            data, norms = seen[0]
             name = dfs.engine.blob_name(result.stats.partitions_loaded[0])
             blob = np.frombuffer(
                 dfs.engine.backend.read_range(
@@ -276,10 +276,13 @@ class TestAliasing:
             )
             if np.shares_memory(data, blob):
                 in_place += 1
+                # The stored norms are scored where they lie, too.
+                assert np.shares_memory(norms, blob)
                 assert not data.flags.writeable
+                assert not norms.flags.writeable
                 assert not np.shares_memory(result.ids, blob)
                 assert not np.shares_memory(result.distances, blob)
-            del data, blob
+            del data, norms, blob
         # Single-partition, single-run walks are the common case here; the
         # kernel must have seen the mapping itself in them, not a copy.
         assert in_place >= 10

@@ -6,8 +6,13 @@ only, and looks at everything a query could ever touch:
 * every ``append-*.seg`` directory is loaded and CRC-checked (the disk
   backend does that when it is constructed over the directory);
 * every partition, loose or packed, is opened, and an open checks the
-  meta blob, the cluster directory and both payload sections against
-  their four stored checksums (DESIGN.md D12);
+  meta blob, the cluster directory and the ids, norms and values
+  payloads against their five stored checksums (DESIGN.md D12, D14);
+* every stored norm is ``‖v‖²`` of its record's stored values, up to
+  rounding (a relative 1e-12, so that a store written where the norm
+  kernel rounds differently still checks clean): a writer that stored
+  a wrong norm under a matching checksum is caught here, as no open
+  would catch it;
 * every partition's stored id is the name it is stored under;
 * every base's delta partitions number ``d0..dN`` without a gap.
 
@@ -26,15 +31,28 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import struct
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.exceptions import StorageError
+from repro.series.distance import sq_norms
 from repro.storage import LocalDiskBackend, StorageEngine
 from repro.storage.engine import decode_v2_header
+from repro.storage.engine.format import (
+    HEADER_SIZE,
+    V2Header,
+    section_checksums,
+)
 
-SECTIONS = ("meta", "directory", "ids", "values")
+SECTIONS = ("meta", "directory", "ids", "norms", "values")
+
+#: Largest relative difference between a stored norm and the recomputed
+#: one that is taken for rounding, not for a wrong norm.
+NORM_RTOL = 1e-12
 
 
 def check_store(root: Path) -> dict[str, object]:
@@ -65,6 +83,18 @@ def check_store(root: Path) -> dict[str, object]:
             problems.append(f"{pid}: {err}")
             continue
         report["records"] += view.record_count
+        _, values, norms = view.read_clusters_with_norms(view.cluster_keys())
+        expected = sq_norms(values)
+        # Written so that a NaN norm counts as wrong too.
+        wrong = np.flatnonzero(
+            ~(np.abs(norms - expected) <= NORM_RTOL * expected)
+        )
+        if wrong.size:
+            problems.append(
+                f"{pid}: {wrong.size} stored norm(s), first of record "
+                f"{int(wrong[0])}, differ from the squared norm of the "
+                f"record's values"
+            )
         if view.partition_id != pid:
             problems.append(
                 f"{pid}: stored under this name but holds partition "
@@ -83,7 +113,7 @@ def check_store(root: Path) -> dict[str, object]:
 def _section_starts(root: Path) -> list[tuple[str, Path, dict[str, int]]]:
     """For one loose base partition and one partition packed in a
     segment: the partition, the file holding it and the file offset of
-    each of its four sections, read from its decoded header."""
+    each of its five sections, read from its decoded header."""
     backend = LocalDiskBackend(root)
     loose = min(p.name for p in root.glob("*.part"))
     packed = min(name for name in backend.list_names()
@@ -104,11 +134,37 @@ def _section_starts(root: Path) -> list[tuple[str, Path, dict[str, int]]]:
     return targets
 
 
-def selftest() -> int:
-    """A clean store must pass, and one flipped byte in any section of a
-    loose or a packed partition must not."""
-    import numpy as np
+def _damaged_report(root: Path, holder: Path, damage) -> dict[str, object]:
+    """The report on a copy of ``root`` whose ``holder`` file had
+    ``damage(raw)`` applied to its bytes."""
+    with tempfile.TemporaryDirectory() as damaged:
+        copy = Path(damaged)
+        shutil.copytree(root, copy, dirs_exist_ok=True)
+        raw = bytearray((copy / holder.name).read_bytes())
+        damage(raw)
+        (copy / holder.name).write_bytes(bytes(raw))
+        return check_store(copy)
 
+
+def _wrong_norm(starts: dict[str, int]):
+    """Damage that doubles a partition's first stored norm and re-stamps
+    the norms checksum, as a writer bug would: no open refuses it."""
+    def damage(raw: bytearray) -> None:
+        norms, values = starts["norms"], starts["values"]
+        first = np.frombuffer(raw, dtype=np.float64, count=1, offset=norms)
+        first *= 2.0
+        checksums = starts["meta"] - V2Header.header_size + HEADER_SIZE
+        struct.pack_into(
+            "<Q", raw, checksums + 8 * SECTIONS.index("norms"),
+            *section_checksums(raw, (norms, values)),
+        )
+    return damage
+
+
+def selftest() -> int:
+    """A clean store must pass; one flipped byte in any section of a
+    loose or a packed partition must not, nor a wrong norm stored under a
+    matching checksum."""
     from repro.core import ClimberConfig, ClimberIndex
     from repro.datasets import random_walk_dataset
     from repro.series import SeriesDataset
@@ -135,17 +191,18 @@ def selftest() -> int:
             return 1
         for name, holder, starts in _section_starts(root):
             for section, byte in starts.items():
-                with tempfile.TemporaryDirectory() as damaged:
-                    copy = Path(damaged)
-                    shutil.copytree(root, copy, dirs_exist_ok=True)
-                    raw = bytearray((copy / holder.name).read_bytes())
+                def flip(raw: bytearray, byte: int = byte) -> None:
                     raw[byte] ^= 0x01
-                    (copy / holder.name).write_bytes(bytes(raw))
-                    if main([str(copy)]) != 1:
-                        print(f"selftest: a flipped byte in the {section} "
-                              f"section of {name} went unreported",
-                              file=sys.stderr)
-                        return 1
+                if not _damaged_report(root, holder, flip)["problems"]:
+                    print(f"selftest: a flipped byte in the {section} "
+                          f"section of {name} went unreported",
+                          file=sys.stderr)
+                    return 1
+            report = _damaged_report(root, holder, _wrong_norm(starts))
+            if not any("stored norm" in p for p in report["problems"]):
+                print(f"selftest: a wrong norm under a matching checksum "
+                      f"in {name} went unreported", file=sys.stderr)
+                return 1
     return 0
 
 
