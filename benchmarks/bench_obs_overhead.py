@@ -11,13 +11,18 @@ same disk-backed index:
   sides of the gate's denominator);
 * **disabled** — a fresh ``Telemetry(enabled=False)`` with its own
   registry, the out-of-the-box configuration;
-* **sampled** — ``Telemetry(enabled=True, sample_every=16)``: 1-in-16
-  queries carry a live probe and full metrics, the rest pay one counter
-  increment.  Recorded, not gated: one probed query in 16 already costs
-  a sixteenth of enabled's overhead, so its budget belongs with the
-  always-on telemetry cost, not with this gate;
-* **enabled** — ``Telemetry(enabled=True)``: full per-query probes,
-  stage histograms and counters (reported informationally, not gated).
+* **sampled** — ``Telemetry(enabled=True, sample_every=16)``:
+  ``record_query`` folds 1 query record in 16 into the registry, the
+  rest pay one counter increment.  Recorded, not gated: one folded
+  record in 16 already costs a sixteenth of enabled's overhead, so its
+  budget belongs with the always-on telemetry cost, not with this gate;
+* **enabled** — ``Telemetry(enabled=True)``: every query record folded
+  into the stage histograms and counters (reported informationally, not
+  gated).
+
+Every query fills its record — stage clocks, cache hits and misses on
+``QueryStats`` — in all four modes, so those clocks are on both sides of
+every ratio here; what they cost is measured in DESIGN.md D15.
 
 Modes are interleaved round-by-round, in an order rotated every round so
 that no mode always runs first, and each takes its best round, so host
@@ -51,7 +56,7 @@ OUT_PATH = REPO_ROOT / "BENCH_obs_overhead.json"
 SAMPLE_PATH = RESULTS_DIR / "explain_query_sample.json"
 
 OVERHEAD_GATE = 0.02  # disabled-mode overhead ceiling (2%)
-SAMPLE_EVERY = 16     # sampled-mode probe rate (1 in N queries)
+SAMPLE_EVERY = 16     # sampled-mode fold rate (1 in N query records)
 
 
 def operating_point(smoke: bool):

@@ -88,18 +88,23 @@ class ClimberConfig:
         answers as ``n_workers=1`` (the parity suite proves it).
     telemetry:
         Enable the observability layer (:mod:`repro.obs`): per-stage build
-        spans, per-query latency histograms and ``explain_query`` probes.
-        Purely observational — query results, partition bytes and logical
-        DFS counters are bit-identical with it on or off (the obs parity
-        test proves it).  Off by default; disabled mode costs one
-        attribute lookup per gated site.
+        spans and the per-query latency histograms and counters.  Every
+        query fills its own record either way
+        (``QueryStats.stage_seconds``, ``cache_hits``, ``cache_misses``);
+        this only decides whether :meth:`~repro.obs.Telemetry.record_query`
+        folds it into the registry.  Purely observational — query
+        results, partition bytes and logical DFS counters are
+        bit-identical with it on or off (the obs parity test proves it).
+        Off by default; disabled mode costs one attribute lookup per
+        gated site.
     telemetry_sample_every:
-        Sampling period of the enabled-mode per-query probes: 1 (default)
-        probes every query; ``N > 1`` probes one query in N and the rest
-        pay only the ``query.count`` increment — the always-on production
-        sampling mode (enabled-mode overhead drops to ~disabled level).
-        Sampled-out queries still return exact answers/stats; only the
-        per-query stage histograms subsample.
+        Sampling period of the enabled-mode per-query metrics: 1 (default)
+        folds every finished query's record into the registry; ``N > 1``
+        folds one in N (a tick shared by all threads, inside
+        ``record_query``) and the rest pay only the ``query.count``
+        increment.  Sampled-out queries still return exact answers and
+        their full record on ``QueryStats``; only the registry's
+        per-query counters and histograms subsample.
     on_partition_failure:
         Degraded-query mode of every query call that does not pass its
         own: ``"raise"`` (the default) propagates storage failures,

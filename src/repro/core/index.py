@@ -80,7 +80,7 @@ from repro.exceptions import (
 from repro.obs import (
     NULL_TELEMETRY,
     OBS_SCHEMA,
-    QueryProbe,
+    QUERY_STAGES,
     Telemetry,
     global_registry,
 )
@@ -102,6 +102,10 @@ count — so the task list (and with it every deterministic per-shard
 result) is identical for any ``n_workers``; 8 rows amortise task overhead
 while a typical benchmark batch still yields enough shards to fill a
 pool."""
+
+# Indices into a walk's stage clocks (``QUERY_STAGES`` order); the
+# prologue fills signature and route before the walk exists.
+_SELECT, _READ, _REFINE = 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,17 @@ class QueryStats:
     """Planned partitions a *progressive* query deliberately never visited
     because its early-stopping rule fired (always empty for ``knn``/
     ``knn_batch`` and for progressive runs that reached full coverage)."""
+    stage_seconds: tuple[float, ...] = (0.0,) * len(QUERY_STAGES)
+    """Wall seconds per stage, in :data:`~repro.obs.QUERY_STAGES` order:
+    signature, route, select, read, refine.  A batch row carries an even
+    share (span ÷ rows) of its batch's signature and route spans.  A
+    clock, like ``wall_seconds``."""
+    cache_hits: int = 0
+    """Reads of this query that the DFS read cache served (0 with the
+    cache off)."""
+    cache_misses: int = 0
+    """Reads of this query that opened their partition into the DFS read
+    cache (0 with the cache off)."""
 
     @property
     def n_partitions(self) -> int:
@@ -188,9 +203,11 @@ class _RoutedWalk:
     """One query's walk over its routed plan, from planning to its stats.
 
     Plan → visit → expand → select → :class:`QueryStats` → telemetry
-    exist here once.  :meth:`ClimberIndex._knn_routed` runs
-    the walk to its end; the progressive calls drive it one :meth:`visit`
-    at a time and may :meth:`finish` it early.  Every record is scored
+    exist here once, and so does the query's record: the walk times its
+    own stages and counts the cache hits and misses of its own reads,
+    whichever other walks run meanwhile.  :meth:`ClimberIndex._knn_routed`
+    runs the walk to its end; the progressive calls drive it one
+    :meth:`visit` at a time and may :meth:`finish` it early.  Every record is scored
     once, when its run is read, on the run as the storage engine mapped
     it; the answer is a selection over those scores, so two drivers that
     made the same visits return the same bits.
@@ -205,16 +222,20 @@ class _RoutedWalk:
         adaptive_factor: int | None,
         candidates: list[GroupCandidate],
         primary: GroupCandidate | None,
-        probe: QueryProbe | None,
         on_failure: str,
+        prologue: tuple[float, float],
     ) -> None:
+        # ``prologue`` is the (signature, route) seconds spent before the
+        # walk exists; the wall clock starts where they did.
+        self._t_mark = time.perf_counter()
+        self._t0 = self._t_mark - prologue[0] - prologue[1]
+        self._seconds = [*prologue, 0.0, 0.0, 0.0]
+        self._hits = self._misses = 0
         self._index = index
         self.k = k
         self._variant = variant
         self._candidates = candidates
-        self._probe = probe
         self._skip_failures = on_failure == "skip"
-        self._mark()
         if primary is None:
             primary = index.select_primary(candidates)
         self._primary = primary
@@ -240,22 +261,18 @@ class _RoutedWalk:
         self._failed: list[str] = []
         self._data_bytes = 0
         self._fallback_pool: list[tuple] = []
-        if probe is not None:
-            self._charge("select")
-            self._counters_before = index.dfs.counters
+        self._charge(_SELECT)
 
-    # Probed walks charge wall time to stages between marks; a walk may be
+    # The walk charges wall time to stages between marks; it may be
     # suspended between visits, so every entry point sets its own mark.
 
     def _mark(self) -> None:
-        if self._probe is not None:
-            self._t_mark = time.perf_counter()
+        self._t_mark = time.perf_counter()
 
-    def _charge(self, stage: str) -> None:
-        if self._probe is not None:
-            now = time.perf_counter()
-            self._probe.add_stage(stage, now - self._t_mark)
-            self._t_mark = now
+    def _charge(self, stage: int) -> None:
+        now = time.perf_counter()
+        self._seconds[stage] += now - self._t_mark
+        self._t_mark = now
 
     def _score(
         self, run: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -266,7 +283,7 @@ class _RoutedWalk:
         ids, values, norms = run
         scored = (ids, block_scores(values, self._neg2q, norms))
         self._scored.append(scored)
-        self._charge("refine")
+        self._charge(_REFINE)
         return scored
 
     def visit(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -286,7 +303,11 @@ class _RoutedWalk:
         self.visited += 1
         self._mark()
         try:
-            part = self._index.dfs.read_partition(actual)
+            part, hit = self._index.dfs.read_partition_with_hit(actual)
+            if hit:
+                self._hits += 1
+            elif hit is not None:
+                self._misses += 1
             present: list[str] = []
             other: list[str] = []
             for key in part.cluster_keys():
@@ -300,7 +321,7 @@ class _RoutedWalk:
             if not self._skip_failures or isinstance(err, PartitionNotFoundError):
                 raise
             self._failed.append(actual)
-            self._charge("read")
+            self._charge(_READ)
             return None
         self._loaded.append(actual)
         self._data_bytes += part.nbytes
@@ -309,7 +330,7 @@ class _RoutedWalk:
             # expansion CLIMBER-kNN applies when the node is too small;
             # the records are only materialised if that happens.
             self._fallback_pool.append((actual, part, other, run is not None))
-        self._charge("read")
+        self._charge(_READ)
         return None if run is None else self._score(run)
 
     def _expand_within_partitions(self) -> bool:
@@ -334,28 +355,20 @@ class _RoutedWalk:
                     self._failed.append(actual)
                     self._data_bytes -= part.nbytes
                 continue
-            self._charge("read")
+            self._charge(_READ)
             self._score(run)
         return True
 
-    def finish(self, t0: float) -> QueryResult:
+    def finish(self) -> QueryResult:
         """Expand if short, select the top-k, account; the walk's answer.
 
         Planned partitions not yet visited are reported as forgone.  The
         answer owns its memory: selection gathers the chosen rows into
         fresh arrays, nothing in it aliases a mapped partition.
         """
-        index = self._index
-        probe = self._probe
         self._mark()
         expanded = self._expand_within_partitions()
-        self._charge("read")
-        if probe is not None:
-            before, after = self._counters_before, index.dfs.counters
-            probe.add_count("cache_hits", after.cache_hits - before.cache_hits)
-            probe.add_count(
-                "cache_misses", after.cache_misses - before.cache_misses
-            )
+        self._charge(_READ)
 
         # Refinement is a selection over 16 bytes a record; no series is
         # copied, stacked or read again.
@@ -368,9 +381,7 @@ class _RoutedWalk:
             chosen, dists = knn_select(scores, all_ids, self.k, self.query_sq)
             ids = all_ids[chosen]
             examined = all_ids.shape[0]
-        if probe is not None:
-            self._charge("refine")
-            probe.add_count("candidates_scored", examined)
+        self._charge(_REFINE)
 
         primary = self._primary
         stats = QueryStats(
@@ -385,15 +396,18 @@ class _RoutedWalk:
             data_bytes=self._data_bytes,
             records_examined=examined,
             expanded_within_partition=expanded,
-            wall_seconds=time.perf_counter() - t0,
+            wall_seconds=self._t_mark - self._t0,
             partitions_failed=tuple(self._failed),
             partitions_forgone=tuple(
                 actual for actual, _ in self.plan[self.visited:]
             ),
+            stage_seconds=tuple(self._seconds),
+            cache_hits=self._hits,
+            cache_misses=self._misses,
         )
-        tel = index._tel
+        tel = self._index._tel
         if tel.enabled:
-            tel.record_query(stats, probe)
+            tel.record_query(stats)
         return QueryResult(ids, dists, stats)
 
 
@@ -417,8 +431,9 @@ class ClimberIndex:
         )
         self._routing = RoutingTable(artifacts.skeleton, self._weights)
         #: Offline-calibrated early-stopping curve (progressive queries).
-        #: ``None`` until :meth:`attach_calibration` loads one; confidence
-        #: mode then falls back to the conservative built-in prior.
+        #: ``None`` until :meth:`attach_calibration` loads one, and again
+        #: after an :meth:`append` outdates a stamped one; confidence mode
+        #: then falls back to the conservative built-in prior.
         self.calibration: ProgressiveCalibration | None = None
         # Telemetry resolution: an explicit argument wins; else adopt the
         # build's telemetry (so build.* and query.* metrics share one
@@ -491,6 +506,9 @@ class ClimberIndex:
 
         A batch is refused whole, before anything is stored or counted, by
         :func:`~repro.core.builder.check_records` (as :meth:`build` is).
+        An attached calibration stamped with the store is detached, since
+        the store it describes is gone, so confidence mode falls back to
+        the prior; an unstamped one stays attached.
 
         Returns a summary dict (records appended, partitions written).
         """
@@ -528,6 +546,9 @@ class ClimberIndex:
         # not at all, and on disk as one file (DESIGN.md D6).
         dfs.write_encoded_partitions(encoded)
         self._art.n_records += dataset.count
+        if (self.calibration is not None
+                and self.calibration.store_digest is not None):
+            self.calibration = None
         return {
             "records_appended": dataset.count,
             "delta_partitions": [delta_id for delta_id, *_ in encoded],
@@ -790,7 +811,6 @@ class ClimberIndex:
         variant: str = "adaptive",
         adaptive_factor: int | None = None,
         on_partition_failure: str | None = None,
-        _probe: QueryProbe | None = None,
     ) -> QueryResult:
         """Approximate kNN query (Def. 4).
 
@@ -822,8 +842,8 @@ class ClimberIndex:
             ``query`` is not one finite series of the indexed length
             (see :meth:`check_queries`); nothing has been read by then.
         """
-        return self._knn_routed(*self._start_walk(
-            query, k, variant, adaptive_factor, on_partition_failure, _probe
+        return self._knn_routed(self._start_walk(
+            query, k, variant, adaptive_factor, on_partition_failure
         ))
 
     def _start_walk(
@@ -833,9 +853,8 @@ class ClimberIndex:
         variant: str,
         adaptive_factor: int | None,
         on_partition_failure: str | None,
-        probe: QueryProbe | None,
-    ) -> tuple[_RoutedWalk, float]:
-        """Validate, route and plan one query; its walk and its clock.
+    ) -> _RoutedWalk:
+        """Validate, route and plan one query; its walk.
 
         Stages 1-3 run here, eagerly — signature, routing and primary
         selection consume the index RNG stream the same way for
@@ -845,21 +864,16 @@ class ClimberIndex:
         self.check_query_args(k, variant)
         on_failure = self._resolve_on_failure(on_partition_failure)
         query = self.check_query(query)
-        if probe is None:
-            probe = self._tel.probe()
         t0 = time.perf_counter()
-        od_slack = 1 if variant == "adaptive" else 0
-        if probe is None:
-            ranked = self.query_signature(query)
-            candidates = self.group_candidates(ranked, od_slack=od_slack)
-        else:
-            with probe.stage("signature"):
-                ranked = self.query_signature(query)
-            with probe.stage("route"):
-                candidates = self.group_candidates(ranked, od_slack=od_slack)
-        walk = _RoutedWalk(self, query, k, variant, adaptive_factor,
-                           candidates, None, probe, on_failure)
-        return walk, t0
+        ranked = self.query_signature(query)
+        t_route = time.perf_counter()
+        candidates = self.group_candidates(
+            ranked, od_slack=1 if variant == "adaptive" else 0
+        )
+        return _RoutedWalk(
+            self, query, k, variant, adaptive_factor, candidates, None,
+            on_failure, (t_route - t0, time.perf_counter() - t_route),
+        )
 
     def knn_batch(
         self,
@@ -868,7 +882,6 @@ class ClimberIndex:
         variant: str = "adaptive",
         adaptive_factor: int | None = None,
         on_partition_failure: str | None = None,
-        _probes: list[QueryProbe] | None = None,
     ) -> list[QueryResult]:
         """Answer a batch of kNN queries (rows of ``queries``).
 
@@ -895,7 +908,7 @@ class ClimberIndex:
         """
         return self._walk_rows(
             queries, k, variant, adaptive_factor, on_partition_failure,
-            _probes, self._knn_routed,
+            self._knn_routed,
         )
 
     def _walk_rows(
@@ -905,40 +918,29 @@ class ClimberIndex:
         variant: str,
         adaptive_factor: int | None,
         on_partition_failure: str | None,
-        probes: list[QueryProbe] | None,
         drive,
     ) -> list:
-        """The batch calls' body: route every row, ``drive(walk, t0)`` each.
+        """The batch calls' body: route every row, ``drive(walk)`` each.
 
-        Rows run as shards on the configured executor; explicitly probed
-        batches (``explain_query``) run serially so per-row DFS
-        cache-delta attribution is exact — concurrent shards would
-        interleave hits/misses across rows.
+        Rows run as shards on the configured executor.
         """
         self.check_query_args(k, variant)
         on_failure = self._resolve_on_failure(on_partition_failure)
         arr = self.check_queries(queries)
         if arr.shape[0] == 0:
             return []
-        row_probes, candidates_of, primaries, shared_share = self._route_batch(
-            arr, variant, probes
-        )
+        candidates_of, primaries, prologue = self._route_batch(arr, variant)
 
         def run_shard(span):
-            answers = []
-            for i in range(*span):
-                t0 = time.perf_counter() - shared_share
-                walk = _RoutedWalk(
+            return [
+                drive(_RoutedWalk(
                     self, arr[i], k, variant, adaptive_factor,
-                    candidates_of[i], primaries[i], row_probes[i], on_failure,
-                )
-                answers.append(drive(walk, t0))
-            return answers
+                    candidates_of[i], primaries[i], on_failure, prologue,
+                ))
+                for i in range(*span)
+            ]
 
-        executor = make_executor(
-            1 if probes is not None else self.config.n_workers
-        )
-        with executor:
+        with make_executor(self.config.n_workers) as executor:
             shards = executor.map(
                 self._tel.wrap_tasks("query.shard", run_shard),
                 split_ranges(arr.shape[0], _QUERY_SHARD_ROWS),
@@ -946,21 +948,18 @@ class ClimberIndex:
         return [answer for shard in shards for answer in shard]
 
     def _route_batch(
-        self,
-        arr: np.ndarray,
-        variant: str,
-        probes: list[QueryProbe | None] | None,
-    ) -> tuple[list[QueryProbe | None], list[list[GroupCandidate]],
-               list[GroupCandidate], float]:
+        self, arr: np.ndarray, variant: str
+    ) -> tuple[list[list[GroupCandidate]], list[GroupCandidate],
+               tuple[float, float]]:
         """The batch pipelines' shared prologue: signatures, routing, primaries.
 
-        Returns ``(probes, candidates_of, primaries, shared_share)``, one
-        entry per row of ``arr`` in the first three.  ``probes`` are the
-        explicit ones (``explain_query``) or implicit when telemetry is
-        enabled; under probe sampling individual entries are ``None``
-        (that row records only ``query.count``).  ``shared_share`` is the
-        signature/routing span amortised evenly over the rows, so
-        per-query ``wall_seconds`` stay comparable to :meth:`knn`'s.
+        Returns ``(candidates_of, primaries, prologue)``, one entry per
+        row of ``arr`` in the first two.  ``prologue`` is each row's even
+        share (span ÷ rows) of the signature and routing spans, so the
+        rows' stage clocks sum to the spans and per-query
+        ``wall_seconds`` stay comparable to :meth:`knn`'s; with telemetry
+        enabled the whole spans go to ``query.batch.signature_s`` /
+        ``query.batch.route_s``.
 
         Routing is the single-query path's, row by row — one OD row, then
         Weight Distances accumulated lazily for just the chosen groups —
@@ -969,37 +968,11 @@ class ClimberIndex:
         pins the RNG stream to the serial sweep's before the RNG-free
         shard scans fan out.
         """
-        tel = self._tel
-        n_rows = arr.shape[0]
-        if probes is None:
-            probes = (
-                [tel.probe() for _ in range(n_rows)] if tel.enabled
-                else [None] * n_rows
-            )
-        elif len(probes) != n_rows:
-            raise ConfigurationError(
-                f"{len(probes)} probes for {n_rows} query rows"
-            )
-        # Shared spans are split across *live* probes, not rows: under
-        # probe sampling the sampled-out rows carry no stage breakdown,
-        # and dividing by the row count would make the live probes'
-        # stage sums under-report the measured span (the invariant
-        # pinned in tests/test_obs.py).
-        live = [probe for probe in probes if probe is not None]
-
-        def share(stage: str, seconds: float) -> None:
-            if tel.enabled:
-                tel.registry.histogram(f"query.batch.{stage}_s").observe(seconds)
-            for probe in live:
-                probe.add_stage(stage, seconds / len(live))
-
         t0 = time.perf_counter()
         paa = paa_transform(arr, self.config.word_length)
         ranked = permutation_prefixes(
             paa, self._art.pivots, self.config.prefix_length
         )
-        if live:
-            share("signature", time.perf_counter() - t0)
         od_slack = 1 if variant == "adaptive" else 0
         t_route = time.perf_counter()
         # Identical signatures route identically, so the OD matrix is
@@ -1020,16 +993,20 @@ class ClimberIndex:
                 self._routing.candidates(sig, od[slot], od_slack=od_slack)
             )
             primaries.append(self.select_primary(candidates_of[-1]))
-        if live:
-            share("route", time.perf_counter() - t_route)
-        return (probes, candidates_of, primaries,
-                (time.perf_counter() - t0) / n_rows)
+        spans = (t_route - t0, time.perf_counter() - t_route)
+        tel = self._tel
+        if tel.enabled:
+            for stage, seconds in zip(QUERY_STAGES, spans):
+                tel.registry.histogram(f"query.batch.{stage}_s").observe(seconds)
+        n_rows = arr.shape[0]
+        return (candidates_of, primaries,
+                (spans[0] / n_rows, spans[1] / n_rows))
 
-    def _knn_routed(self, walk: _RoutedWalk, t0: float) -> QueryResult:
+    def _knn_routed(self, walk: _RoutedWalk) -> QueryResult:
         """Stage 4 of the pipeline: run the planned walk to its end."""
         for _ in walk.plan:
             walk.visit()
-        return walk.finish(t0)
+        return walk.finish()
 
     # -- progressive queries -----------------------------------------------------------
 
@@ -1081,7 +1058,6 @@ class ClimberIndex:
         adaptive_factor: int | None = None,
         on_partition_failure: str | None = None,
         early_stop: str | int | None = None,
-        _probe: QueryProbe | None = None,
     ) -> Iterator[ProgressiveUpdate]:
         """Progressive kNN: stream improving answers partition by partition.
 
@@ -1114,10 +1090,10 @@ class ClimberIndex:
         the partition visits are lazy.
         """
         rule = self._resolve_stop_rule(early_stop)
-        walk, t0 = self._start_walk(
-            query, k, variant, adaptive_factor, on_partition_failure, _probe
+        walk = self._start_walk(
+            query, k, variant, adaptive_factor, on_partition_failure
         )
-        return self._stream_walk(walk, rule, t0)
+        return self._stream_walk(walk, rule)
 
     def knn_batch_progressive(
         self,
@@ -1127,7 +1103,6 @@ class ClimberIndex:
         adaptive_factor: int | None = None,
         on_partition_failure: str | None = None,
         early_stop: str | int | None = None,
-        _probes: list[QueryProbe] | None = None,
     ) -> list[ProgressiveUpdate]:
         """Progressive kNN over a batch: one *final* update per row.
 
@@ -1143,19 +1118,18 @@ class ClimberIndex:
         """
         rule = self._resolve_stop_rule(early_stop)
 
-        def drain(walk, t0):
+        def drain(walk):
             final = None
-            for final in self._stream_walk(walk, rule, t0):
+            for final in self._stream_walk(walk, rule):
                 pass
             return final
 
         return self._walk_rows(
-            queries, k, variant, adaptive_factor, on_partition_failure,
-            _probes, drain,
+            queries, k, variant, adaptive_factor, on_partition_failure, drain,
         )
 
     def _stream_walk(
-        self, walk: _RoutedWalk, rule: StopRule | None, t0: float
+        self, walk: _RoutedWalk, rule: StopRule | None
     ) -> Iterator[ProgressiveUpdate]:
         """Drive ``walk`` one visit at a time, yielding the running top-k.
 
@@ -1227,7 +1201,7 @@ class ClimberIndex:
         # The stop rule requires k answers in hand, and fewer than k
         # targeted records means fewer than k in hand, so the walk's
         # within-partition expansion only ever runs at full coverage.
-        result = walk.finish(t0)
+        result = walk.finish()
         stats = result.stats
         visited = walk.visited
         if self._tel.enabled:
@@ -1255,24 +1229,19 @@ class ClimberIndex:
     # -- observability surface ---------------------------------------------------------
 
     @staticmethod
-    def _explain_entry(
-        result: QueryResult | ProgressiveUpdate, probe: QueryProbe
-    ) -> dict:
+    def _explain_entry(result: QueryResult | ProgressiveUpdate) -> dict:
         """One query's structured breakdown (explain_query response body);
         ``result`` is a :class:`QueryResult` or a final progressive update."""
         stats = result.stats
         return {
             "variant": stats.variant,
             "k": stats.k,
-            "stages": {name: seconds for name, seconds in probe.stages.items()},
+            "stages": dict(zip(QUERY_STAGES, stats.stage_seconds)),
             "partitions_probed": stats.n_partitions,
             "partitions": list(stats.partitions_loaded),
             "bytes_read": stats.data_bytes,
             "records_examined": stats.records_examined,
-            "cache": {
-                "hits": probe.counts.get("cache_hits", 0),
-                "misses": probe.counts.get("cache_misses", 0),
-            },
+            "cache": {"hits": stats.cache_hits, "misses": stats.cache_misses},
             "best_od": stats.best_od,
             "groups_considered": list(stats.group_ids),
             "n_selected_nodes": stats.n_selected_nodes,
@@ -1363,12 +1332,12 @@ class ClimberIndex:
         trajectory.  Batch rows then run as serial per-row progressive
         walks (RNG-equivalent to the batch pipeline).
 
-        Works regardless of ``config.telemetry`` (probes are attached
-        explicitly for this call).  The query *runs for real*: it consumes
-        the index RNG stream exactly like the equivalent ``knn`` /
-        ``knn_batch`` call and charges the DFS logical counters — explain
-        is a probed query, not a dry run.  Batch rows execute serially so
-        each row's cache delta is attributed exactly.
+        Works regardless of ``config.telemetry``: every query fills its
+        own record (``QueryStats.stage_seconds``, ``cache_hits``,
+        ``cache_misses``) and explain reads it.  The query *runs for
+        real*: it consumes the index RNG stream exactly like the
+        equivalent ``knn`` / ``knn_batch`` call and charges the DFS
+        logical counters — explain is a recorded query, not a dry run.
         """
         arr = np.asarray(query)
         run_progressive = progressive or early_stop is not None
@@ -1380,30 +1349,27 @@ class ClimberIndex:
             for row in self.check_queries(arr):
                 # Per-row walks compute their own signatures/routes, so
                 # nothing is amortised across rows here.
-                probe = QueryProbe()
                 updates = list(self.knn_progressive(
                     row, k, variant, adaptive_factor,
                     on_partition_failure=on_partition_failure,
-                    early_stop=early_stop, _probe=probe,
+                    early_stop=early_stop,
                 ))
-                entry = self._explain_entry(updates[-1], probe)
+                entry = self._explain_entry(updates[-1])
                 entry["progressive"] = self._explain_progressive(updates)
                 entries.append(entry)
         elif arr.ndim == 1:
-            probe = QueryProbe()
-            result = self.knn(arr, k, variant, adaptive_factor,
-                              on_partition_failure=on_partition_failure,
-                              _probe=probe)
-            entries = [self._explain_entry(result, probe)]
+            entries = [self._explain_entry(self.knn(
+                arr, k, variant, adaptive_factor,
+                on_partition_failure=on_partition_failure,
+            ))]
         else:
             shared_stages = ["signature", "route"]
-            probes = [QueryProbe() for _ in range(arr.shape[0])]
-            results = self.knn_batch(arr, k, variant, adaptive_factor,
-                                     on_partition_failure=on_partition_failure,
-                                     _probes=probes)
             entries = [
-                self._explain_entry(result, probe)
-                for result, probe in zip(results, probes)
+                self._explain_entry(result)
+                for result in self.knn_batch(
+                    arr, k, variant, adaptive_factor,
+                    on_partition_failure=on_partition_failure,
+                )
             ]
         if arr.ndim == 1:
             return {**entries[0], "schema": OBS_SCHEMA, "mode": mode}

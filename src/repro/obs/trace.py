@@ -1,4 +1,4 @@
-"""Span tracing and per-query probes on top of the metrics registry.
+"""Span tracing and the per-query record on top of the metrics registry.
 
 The gating contract — what "zero overhead when disabled" means here:
 
@@ -12,8 +12,10 @@ The gating contract — what "zero overhead when disabled" means here:
 * Logical counters are *not* gated.  The DFS access-volume counters and
   the ``parallel.fallbacks`` counter are correctness/diagnostic surfaces
   that parity tests and BENCH artifacts depend on; they always record.
-  Only latency spans, histograms and per-query probes honour
-  ``enabled``.
+  Only latency spans and histograms honour ``enabled``.  A query's
+  record (its stage clocks and cache counts on ``QueryStats``) is always
+  filled; ``enabled`` only decides whether :meth:`Telemetry.record_query`
+  folds it into the registry.
 * Telemetry objects hold locks and must not cross process boundaries;
   the ``core/parallel.py`` executors are in-process (serial or threads),
   so :meth:`Telemetry.wrap_tasks` applies to every task they run.
@@ -29,7 +31,7 @@ from repro.obs.metrics import OBS_SCHEMA, MetricsRegistry
 __all__ = [
     "NULL_SPAN",
     "NULL_TELEMETRY",
-    "QueryProbe",
+    "QUERY_STAGES",
     "Span",
     "Telemetry",
     "global_registry",
@@ -52,6 +54,9 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+#: The stages of one query, in the order of ``QueryStats.stage_seconds``.
+QUERY_STAGES = ("signature", "route", "select", "read", "refine")
+
 
 class Span:
     """Times a ``with`` block into ``<name>_s`` on a registry histogram."""
@@ -73,50 +78,6 @@ class Span:
         return False
 
 
-class QueryProbe:
-    """Per-query stage breakdown collected along one knn/knn_batch row.
-
-    Not thread-safe and not meant to be: one probe belongs to exactly one
-    query row.  ``stages`` maps stage name -> seconds; ``counts`` holds
-    auxiliary integers (cache hits/misses deltas, candidate counts).
-    ``explain_query`` turns probes into its structured response.
-    """
-
-    __slots__ = ("stages", "counts")
-
-    def __init__(self) -> None:
-        self.stages: dict[str, float] = {}
-        self.counts: dict[str, int] = {}
-
-    def stage(self, name: str):
-        return _ProbeSpan(self, name)
-
-    def add_stage(self, name: str, seconds: float) -> None:
-        self.stages[name] = self.stages.get(name, 0.0) + seconds
-
-    def add_count(self, name: str, n: int) -> None:
-        self.counts[name] = self.counts.get(name, 0) + n
-
-
-class _ProbeSpan:
-    """Times a ``with`` block into one probe stage (accumulating)."""
-
-    __slots__ = ("_probe", "_name", "_t0")
-
-    def __init__(self, probe: QueryProbe, name: str) -> None:
-        self._probe = probe
-        self._name = name
-        self._t0 = 0.0
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self._probe.add_stage(self._name, time.perf_counter() - self._t0)
-        return False
-
-
 class Telemetry:
     """A registry plus the enabled flag that gates all latency recording.
 
@@ -127,14 +88,15 @@ class Telemetry:
     pay only the ``tel.enabled`` attribute check.
 
     ``sample_every=N`` (N > 1) turns enabled mode into 1-in-N sampling for
-    the *per-query* surfaces: :meth:`probe` hands out a live probe on every
-    Nth call (``None`` otherwise), and :meth:`record_query` for a
+    the *per-query* surfaces: :meth:`record_query` folds every Nth query
+    record it is handed (the first included) into the registry, and a
     sampled-out query pays only the ``query.count`` increment.  Build
     spans, ``trace`` and ``wrap_tasks`` are unaffected — they are not
     per-query costs.
     """
 
-    __slots__ = ("enabled", "registry", "sample_every", "_probe_tick")
+    __slots__ = ("enabled", "registry", "sample_every", "_tick",
+                 "_tick_lock")
 
     def __init__(self, enabled: bool = False,
                  registry: MetricsRegistry | None = None,
@@ -144,31 +106,14 @@ class Telemetry:
         self.enabled = enabled
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sample_every = sample_every
-        self._probe_tick = 0
+        self._tick = 0
+        self._tick_lock = threading.Lock()
 
     def trace(self, name: str):
         """Span over ``<name>_s`` when enabled, the shared no-op otherwise."""
         if not self.enabled:
             return NULL_SPAN
         return Span(self.registry.histogram(name + "_s"))
-
-    def probe(self) -> QueryProbe | None:
-        """A fresh :class:`QueryProbe` when enabled and sampled in.
-
-        With ``sample_every=N`` only every Nth call (first call included)
-        returns a probe; the rest return ``None`` — identical to disabled
-        mode from the caller's perspective.  Call this once per query row,
-        from the query's submitting thread (the tick is not locked; probes
-        are handed out before any parallel fan-out).
-        """
-        if not self.enabled:
-            return None
-        if self.sample_every > 1:
-            tick = self._probe_tick
-            self._probe_tick = tick + 1
-            if tick % self.sample_every:
-                return None
-        return QueryProbe()
 
     def wrap_tasks(self, name: str, fn):
         """Wrap an executor task fn with per-task and per-worker timing.
@@ -197,31 +142,36 @@ class Telemetry:
 
         return timed
 
-    def record_query(self, stats, probe: QueryProbe | None = None) -> None:
-        """Fold one query's stats (and optional probe) into the registry.
+    def record_query(self, stats) -> None:
+        """Fold one finished query's record (its ``QueryStats``) into the
+        registry.
 
-        A sampled-out query (``sample_every > 1`` and no probe) pays only
-        the ``query.count`` increment — the sampling fast path.
+        Under ``sample_every=N`` a tick shared by every thread folds every
+        Nth call; the others pay only the ``query.count`` increment.
         """
         if not self.enabled:
             return
         reg = self.registry
         reg.counter("query.count").inc()
-        if probe is None and self.sample_every > 1:
-            return
+        if self.sample_every > 1:
+            with self._tick_lock:
+                tick = self._tick
+                self._tick = tick + 1
+            if tick % self.sample_every:
+                return
         reg.counter("query.partitions_probed").inc(len(stats.partitions_loaded))
         reg.counter("query.bytes_read").inc(stats.data_bytes)
         reg.counter("query.records_examined").inc(stats.records_examined)
-        failed = getattr(stats, "partitions_failed", ())
-        if failed:
+        reg.counter("query.cache_hits").inc(stats.cache_hits)
+        reg.counter("query.cache_misses").inc(stats.cache_misses)
+        if stats.partitions_failed:
             reg.counter("query.degraded").inc()
-            reg.counter("query.partitions_failed").inc(len(failed))
+            reg.counter("query.partitions_failed").inc(
+                len(stats.partitions_failed)
+            )
         reg.histogram("query.wall_s").observe(stats.wall_seconds)
-        if probe is not None:
-            for name, seconds in probe.stages.items():
-                reg.histogram(f"query.stage.{name}_s").observe(seconds)
-            for name, n in probe.counts.items():
-                reg.counter(f"query.{name}").inc(n)
+        for name, seconds in zip(QUERY_STAGES, stats.stage_seconds):
+            reg.histogram(f"query.stage.{name}_s").observe(seconds)
 
     def record_progressive(self, stats, visited: int, planned: int,
                            stopped_early: bool) -> None:

@@ -414,6 +414,20 @@ class SimulatedDFS:
         which in fault-free runs is observationally identical to the
         pre-resilience accounting (every read succeeded).
         """
+        return self.read_partition_with_hit(partition_id)[0]
+
+    def read_partition_with_hit(
+        self, partition_id: str
+    ) -> tuple[PartitionV2View, bool | None]:
+        """:meth:`read_partition`, and whether the read cache served it.
+
+        The flag is ``True`` for a read that charged ``cache_hits``,
+        ``False`` for one that charged ``cache_misses`` and ``None`` with
+        the cache off, so a caller that sums the flags of its own reads
+        holds its share of those two counters exactly, whatever other
+        readers do meanwhile.  This is how a query counts its cache
+        hits and misses.
+        """
         # Lock discipline: the narrow lock covers only the existence check,
         # the cache probe and the counter/cache mutations.  The open itself
         # — backend I/O, retry-backoff sleeps, injected straggler sleeps —
@@ -433,27 +447,29 @@ class SimulatedDFS:
         if self.cache_bytes:
             cached = self._cached_read(partition_id)
             if cached is not None:
-                return cached
+                return cached, True
         with guard:
             if self.cache_bytes:
                 # Re-probe: a reader that held the guard while we waited
                 # may have opened and cached this partition already.
                 cached = self._cached_read(partition_id)
                 if cached is not None:
-                    return cached
+                    return cached, True
             try:
                 part = self._open_with_retry(partition_id)
             except StorageError:
                 with self._lock:
                     self._c_read_failures.inc()
                 raise
+            hit = None
             with self._lock:
                 self._c_bytes_read.inc(self._sizes[partition_id])
                 self._c_partitions_read.inc()
                 if self.cache_bytes:
                     self._c_cache_misses.inc()
                     self._cache_insert(partition_id, part)
-            return part
+                    hit = False
+            return part, hit
 
     def _cached_read(self, partition_id: str) -> PartitionV2View | None:
         """Serve one read from the cache, or return ``None`` on a miss.

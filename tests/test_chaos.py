@@ -27,7 +27,7 @@ import pytest
 from oracles import word_sum_reference
 
 from repro.core.config import ClimberConfig
-from repro.core.index import ClimberIndex
+from repro.core.index import ClimberIndex, QueryStats
 from repro.exceptions import (
     ConfigurationError,
     PartitionCorruptError,
@@ -451,13 +451,23 @@ class TestZeroFaultParity:
 
 
 class TestTelemetrySampling:
-    def test_probe_sampling_one_in_n(self):
+    def test_record_query_samples_one_in_n(self):
+        stats = QueryStats(
+            variant="knn", k=3, best_od=0, group_ids=(), path_len=0,
+            gn_size=0.0, n_selected_nodes=0, partitions_loaded=(),
+            data_bytes=0, records_examined=0,
+            expanded_within_partition=False, wall_seconds=0.0,
+        )
         tel = Telemetry(enabled=True, sample_every=4)
-        probes = [tel.probe() for _ in range(8)]
-        assert [p is not None for p in probes] == [
-            True, False, False, False, True, False, False, False,
-        ]
-        assert Telemetry(enabled=False, sample_every=4).probe() is None
+        folded = []
+        for _ in range(8):
+            tel.record_query(stats)
+            folded.append(tel.registry.histogram("query.wall_s").count)
+        assert folded == [1, 1, 1, 1, 2, 2, 2, 2]
+        assert tel.registry.counter("query.count").value == 8
+        disabled = Telemetry(enabled=False, sample_every=4)
+        disabled.record_query(stats)
+        assert disabled.registry.names() == []
         with pytest.raises(ValueError):
             Telemetry(enabled=True, sample_every=0)
 

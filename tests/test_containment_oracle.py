@@ -29,8 +29,9 @@ MODES = ("knn", "knn_batch", "drained", "streak:1", "skip")
 
 
 class ReadLog:
-    """Every ``read_partition`` call of an index's DFS, and the record ids
-    each of the handle's ``read_clusters_with_norms`` calls returned."""
+    """Every ``read_partition_with_hit`` call of an index's DFS (the
+    walk's read), and the record ids each of the handle's
+    ``read_clusters_with_norms`` calls returned."""
 
     class _Handle:
         def __init__(self, part, ids_seen):
@@ -47,14 +48,15 @@ class ReadLog:
 
     def __init__(self, index, monkeypatch):
         self.opens: list[list[np.ndarray]] = []
-        read_partition = index.dfs.read_partition
+        read_partition = index.dfs.read_partition_with_hit
 
         def logged(name):
             ids_seen: list[np.ndarray] = []
             self.opens.append(ids_seen)  # logged even if the open fails
-            return self._Handle(read_partition(name), ids_seen)
+            part, hit = read_partition(name)
+            return self._Handle(part, ids_seen), hit
 
-        monkeypatch.setattr(index.dfs, "read_partition", logged)
+        monkeypatch.setattr(index.dfs, "read_partition_with_hit", logged)
 
     def take(self, n_opens: int) -> np.ndarray:
         """Ids returned under the next ``n_opens`` partition opens."""

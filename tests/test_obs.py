@@ -8,7 +8,11 @@ The contracts under test (see :mod:`repro.obs`):
 * **Zero behavioural footprint** — telemetry enabled vs disabled changes
   *nothing* observable about a query except wall-clock noise: identical
   ids/distances/sim accounting and identical logical DFS counters.
-* **EXPLAIN is a probed query, not a dry run** — ``explain_query``
+* **One record per query** — every walk fills its own stage clocks and
+  the cache hits and misses of its own reads, telemetry on or off;
+  ``record_query`` folds 1 in ``sample_every`` of them, exactly, from
+  any number of threads.
+* **EXPLAIN is a recorded query, not a dry run** — ``explain_query``
   returns the per-stage breakdown of a query that really executed
   (consumes RNG, charges the DFS), with totals consistent per entry.
 * **No silent degrades** — every parallelism fallback warns and bumps
@@ -22,7 +26,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import ClimberConfig, ClimberIndex
+from repro.core import ClimberConfig, ClimberIndex, QueryStats
 from repro.core.parallel import ThreadExecutor, make_executor
 from repro.datasets import random_walk_dataset, sample_queries
 from repro.exceptions import ConfigurationError
@@ -31,10 +35,10 @@ from repro.obs import (
     NULL_SPAN,
     NULL_TELEMETRY,
     OBS_SCHEMA,
+    QUERY_STAGES,
     Counter,
     Histogram,
     MetricsRegistry,
-    QueryProbe,
     Telemetry,
     global_registry,
 )
@@ -179,20 +183,6 @@ class TestTrace:
         snap = tel.registry.snapshot()
         assert snap["histograms"]["route_s"]["count"] == 1
 
-    def test_probe_gating(self):
-        assert Telemetry(enabled=False).probe() is None
-        assert isinstance(Telemetry(enabled=True).probe(), QueryProbe)
-
-    def test_probe_stage_accumulates(self):
-        probe = QueryProbe()
-        probe.add_stage("read", 0.5)
-        with probe.stage("read"):
-            pass
-        assert probe.stages["read"] > 0.5
-        probe.add_count("cache_hits", 2)
-        probe.add_count("cache_hits", 3)
-        assert probe.counts["cache_hits"] == 5
-
     def test_wrap_tasks_identity_when_disabled(self):
         def fn(x):
             return x + 1
@@ -258,6 +248,33 @@ class TestConcurrentHammer:
             if name.startswith("parallel.worker.") and name.endswith(".tasks")
         ]
         assert sum(worker_tasks) == self.N_TASKS
+
+    def test_sampling_tick_is_exact_under_four_threads(self):
+        """``record_query`` from four threads under ``sample_every=4``
+        folds exactly ceil(n / 4) records, whatever the interleaving."""
+        n = 801
+        tel = Telemetry(enabled=True, sample_every=4)
+        stats = QueryStats(
+            variant="knn", k=3, best_od=0, group_ids=(0,), path_len=1,
+            gn_size=1.0, n_selected_nodes=1, partitions_loaded=("p0",),
+            data_bytes=10, records_examined=4,
+            expanded_within_partition=False, wall_seconds=0.5,
+            stage_seconds=(0.25,) * len(QUERY_STAGES), cache_hits=1,
+        )
+        executor = ThreadExecutor(4)
+        try:
+            executor.map(lambda _: tel.record_query(stats), range(n))
+        finally:
+            executor.close()
+        snap = tel.registry.snapshot()
+        folded = -(-n // 4)
+        assert snap["counters"]["query.count"] == n
+        assert snap["counters"]["query.cache_hits"] == folded
+        assert snap["histograms"]["query.wall_s"]["count"] == folded
+        for stage in QUERY_STAGES:
+            hist = snap["histograms"][f"query.stage.{stage}_s"]
+            assert hist["count"] == folded
+            assert hist["sum"] == 0.25 * folded
 
 
 # ---------------------------------------------------------------------------
@@ -329,51 +346,110 @@ class TestEnabledDisabledParity:
         for stage in ("signature", "route", "select", "read", "refine"):
             assert snap["histograms"][f"query.stage.{stage}_s"]["count"] == 4
 
+    def test_record_is_filled_with_telemetry_off(self, obs_dataset,
+                                                 obs_queries):
+        """The stage clocks and cache counts do not wait for telemetry:
+        ``knn``, ``knn_batch`` and a drained ``knn_progressive`` all
+        return them with the registry left empty."""
+        dfs = SimulatedDFS(cache_bytes=1 << 30)
+        index = ClimberIndex.build(obs_dataset, _config(), dfs=dfs)
+        results = [index.knn(obs_queries[0], 5)]
+        results += index.knn_batch(obs_queries[:3], 5)
+        *_, final = index.knn_progressive(obs_queries[1], 5)
+        results.append(final)
+        for result in results:
+            stats = result.stats
+            assert len(stats.stage_seconds) == len(QUERY_STAGES)
+            assert all(s >= 0.0 for s in stats.stage_seconds)
+            assert sum(stats.stage_seconds) <= stats.wall_seconds * (1 + 1e-9)
+            assert stats.cache_hits + stats.cache_misses == stats.n_partitions
+        assert "query.count" not in index.stats()["metrics"]["counters"]
+
 
 class TestBatchAmortisation:
+    @staticmethod
+    def _shares(results, stage):
+        return [r.stats.stage_seconds[QUERY_STAGES.index(stage)]
+                for r in results]
+
     @pytest.mark.parametrize("sample_every", [1, 3])
-    def test_shared_spans_amortised_over_live_probes(
+    def test_shared_spans_split_evenly_over_rows(
         self, obs_dataset, obs_queries, sample_every
     ):
-        """The batch-shared signature/route spans are split across the
-        probes that actually exist.  Under ``telemetry_sample_every=N``
-        only every Nth query carries a probe, so the per-probe share must
-        be ``span / live_probes`` — dividing by the full batch size
-        instead (the old bug) under-reports the stage histograms by
-        ``live/rows``.  Invariant pinned here: the summed per-query stage
-        time equals the measured shared span."""
+        """Each batch row carries an even share (span ÷ rows) of the
+        batch-shared signature and route spans, whether or not sampling
+        folds its record: summed over the rows, the shares equal the
+        measured ``query.batch.*_s`` span.  (Charging a sampled row the
+        span ÷ sampled rows instead made it N× its own share.)"""
         index = ClimberIndex.build(
             obs_dataset,
             _config(telemetry=True, telemetry_sample_every=sample_every),
         )
-        index.knn_batch(obs_queries, 5)
+        results = index.knn_batch(obs_queries, 5)
         hist = index.stats()["metrics"]["histograms"]
-        n_live = hist["query.wall_s"]["count"]
-        assert n_live == (len(obs_queries) + sample_every - 1) // sample_every
+        n_folded = hist["query.wall_s"]["count"]
+        assert n_folded == (len(obs_queries) + sample_every - 1) // sample_every
         for stage in ("signature", "route"):
-            stage_sum = hist[f"query.stage.{stage}_s"]["sum"]
-            span_sum = hist[f"query.batch.{stage}_s"]["sum"]
-            assert stage_sum == pytest.approx(span_sum, rel=1e-9)
+            shares = self._shares(results, stage)
+            assert min(shares) == max(shares)
+            assert sum(shares) == pytest.approx(
+                hist[f"query.batch.{stage}_s"]["sum"], rel=1e-9
+            )
 
     def test_fully_sampled_out_batch_records_no_stage_times(
         self, obs_dataset, obs_queries
     ):
-        """A sampling cadence longer than the batch leaves zero live
-        probes; the shared spans must not be charged to anyone (and must
-        not divide by zero)."""
+        """A sampling cadence longer than the batch folds none of its
+        rows: the stage histograms keep only the lone ``knn``, while the
+        batch span is still measured and the rows still carry its
+        shares."""
         cadence = len(obs_queries) + 5
         index = ClimberIndex.build(
             obs_dataset,
             _config(telemetry=True, telemetry_sample_every=cadence),
         )
-        index.knn(obs_queries[0], 5)  # takes the tick-0 probe
-        index.knn_batch(obs_queries, 5)  # ticks 1..6: all sampled out
+        index.knn(obs_queries[0], 5)  # tick 0: folded
+        results = index.knn_batch(obs_queries, 5)  # ticks 1..6: sampled out
         snap = index.stats()["metrics"]
-        # The probe list collapses to None: no shared-span histogram, no
-        # stage attribution — only the lone knn's probe left a breakdown.
-        assert "query.batch.signature_s" not in snap["histograms"]
         assert snap["histograms"]["query.stage.signature_s"]["count"] == 1
         assert snap["counters"]["query.count"] == 1 + len(obs_queries)
+        span = snap["histograms"]["query.batch.signature_s"]
+        assert span["count"] == 1
+        assert sum(self._shares(results, "signature")) == pytest.approx(
+            span["sum"], rel=1e-9
+        )
+
+
+class TestQueryRecordCacheCounts:
+    def test_overlapping_walks_count_only_their_own_reads(
+        self, obs_dataset, obs_queries
+    ):
+        """A walk counts the cache hits and misses of the reads it made.
+
+        The first progressive walk is routed, then a second walk runs to
+        its end, then the first is drained: the second's reads fall
+        inside the first's lifetime and must not land in its record."""
+        dfs = SimulatedDFS(cache_bytes=1 << 30)
+        index = ClimberIndex.build(
+            obs_dataset, _config(telemetry=True), dfs=dfs
+        )
+        before = dfs.counters
+        first = index.knn_progressive(obs_queries[0], 5, early_stop="off")
+        *_, second = index.knn_progressive(obs_queries[1], 5,
+                                           early_stop="off")
+        *_, first = first
+        after = dfs.counters
+        counters = index.stats()["metrics"]["counters"]
+        assert (
+            counters["query.cache_hits"] + counters["query.cache_misses"]
+            == after.cache_hits + after.cache_misses
+            - before.cache_hits - before.cache_misses
+        )
+        for final in (first, second):
+            stats = final.stats
+            assert stats.cache_hits + stats.cache_misses == len(
+                stats.partitions_loaded
+            )
 
 
 # ---------------------------------------------------------------------------

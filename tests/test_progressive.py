@@ -500,10 +500,13 @@ class TestCalibration:
         assert index.attach_calibration(path) == cal
         index.append(SeriesDataset(_dataset(40, seed=3).values,
                                    ids=np.arange(10_000, 10_040)))
+        assert index.calibration is None  # the append detached it
+        prior = ProgressiveCalibration.prior()
+        index.attach_calibration(prior)
         for sidecar in (cal, path):
             with pytest.raises(StaleCalibrationError, match="800 records"):
                 index.attach_calibration(sidecar)
-        assert index.calibration == cal  # the refusal changed nothing
+        assert index.calibration == prior  # the refusal changed nothing
         # A curve measured on the appended-to store attaches again, and an
         # unstamped one (the prior) describes no store and always attaches.
         fresh = calibrate_early_stop(index, _queries(6, seed=77), k=5,
@@ -511,8 +514,27 @@ class TestCalibration:
         assert fresh.n_records == 840
         assert fresh.store_digest != cal.store_digest
         assert index.attach_calibration(fresh) == fresh
-        prior = ProgressiveCalibration.prior()
         assert index.attach_calibration(prior) == prior
+
+    def test_append_detaches_a_stamped_curve_only(self):
+        """A curve stamped with the store stops describing it at the next
+        ``append``, so the append detaches it and confidence mode falls
+        back to the prior; an unstamped curve describes no store and
+        stays attached."""
+        index = ClimberIndex.build(_dataset(), _config())
+        cal = calibrate_early_stop(index, _queries(6, seed=77), k=5,
+                                   max_streak=3)
+        assert cal.store_digest is not None
+        unstamped = dataclasses.replace(cal, n_records=None,
+                                        store_digest=None)
+        for n, (curve, kept) in enumerate(((cal, None),
+                                           (unstamped, unstamped))):
+            index.attach_calibration(curve)
+            index.append(SeriesDataset(
+                _dataset(20, seed=n).values,
+                ids=np.arange(10_000 + 20 * n, 10_020 + 20 * n),
+            ))
+            assert index.calibration == kept
 
     def test_unachievable_confidence_disables_stopping(self):
         cal = ProgressiveCalibration(curve=((1, 0.2), (2, 0.4)))

@@ -117,7 +117,8 @@ QUERY_STATS_FIELDS = {
     "variant", "k", "best_od", "group_ids", "path_len", "gn_size",
     "n_selected_nodes", "partitions_loaded", "data_bytes",
     "records_examined", "expanded_within_partition", "wall_seconds",
-    "partitions_failed", "partitions_forgone",
+    "partitions_failed", "partitions_forgone", "stage_seconds",
+    "cache_hits", "cache_misses",
 }
 
 
