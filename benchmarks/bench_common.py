@@ -266,8 +266,8 @@ def bench_environment(n_workers: int = 1) -> dict:
     this dict in its JSON payload — together with two ``repro.obs/v1``
     metric snapshots: ``bench_metrics`` (every
     ``timed()``/``best_of()``/``record_rounds()`` observation this
-    process made) and ``process_metrics`` (the global registry, e.g.
-    ``parallel.fallbacks`` — a nonzero value flags a degraded run).
+    process made) and ``process_metrics`` (the global registry,
+    :func:`repro.obs.global_registry`).
     """
     return {
         "host_cpus": os.cpu_count() or 1,

@@ -8,13 +8,40 @@ benchmarks are set per call site; this class only validates consistency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from repro.core.progressive import parse_early_stop
 from repro.exceptions import ConfigurationError
 from repro.pivots.distances import DecayKind
 
-__all__ = ["ClimberConfig", "PAPER_DEFAULTS"]
+__all__ = [
+    "ClimberConfig",
+    "PAPER_DEFAULTS",
+    "check_integer_fields",
+    "is_integer",
+]
+
+
+def is_integer(value) -> bool:
+    """The one rule for a count: a Python or NumPy integer, never a
+    ``bool`` — for ``k`` and every integer field of a config."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer_fields(config) -> None:
+    """Refuse, with :class:`ConfigurationError`, a config dataclass whose
+    field annotated ``int`` holds a non-integer, or whose field annotated
+    ``int | None`` holds one other than ``None``."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.type == "int | None" and value is None:
+            continue
+        if field.type in ("int", "int | None") and not is_integer(value):
+            raise ConfigurationError(
+                f"{field.name} must be an integer, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -142,6 +169,7 @@ class ClimberConfig:
     early_stop: str = "off"
 
     def __post_init__(self) -> None:
+        check_integer_fields(self)
         if self.word_length < 1:
             raise ConfigurationError("word_length must be >= 1")
         if self.n_pivots < 2:
@@ -170,8 +198,8 @@ class ClimberConfig:
             raise ConfigurationError("cost_scale must be positive")
         if self.sim_partition_bytes is not None and self.sim_partition_bytes < 1024:
             raise ConfigurationError("sim_partition_bytes must be >= 1024")
-        if self.n_workers is None or self.n_workers < 1:
-            raise ConfigurationError("n_workers must be an integer >= 1")
+        if self.n_workers < 1:
+            raise ConfigurationError("n_workers must be >= 1")
         if self.telemetry_sample_every < 1:
             raise ConfigurationError("telemetry_sample_every must be >= 1")
         if self.on_partition_failure not in ("raise", "skip"):

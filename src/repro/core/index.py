@@ -57,7 +57,7 @@ from repro.core.builder import (
     build_index_artifacts,
     check_records,
 )
-from repro.core.config import ClimberConfig
+from repro.core.config import ClimberConfig, is_integer
 from repro.core.parallel import make_executor, split_ranges
 from repro.core.progressive import (
     ProgressiveCalibration,
@@ -736,8 +736,7 @@ class ClimberIndex:
         """Refuse a ``k`` that is not an integer >= 1 (Python or NumPy
         integer, not ``bool``) or an unknown ``variant``; every query entry
         point, :meth:`QueryService.submit` included, calls this first."""
-        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
-                or k < 1):
+        if not is_integer(k) or k < 1:
             raise ConfigurationError(f"k must be an integer >= 1, got {k!r}")
         if variant not in ("knn", "adaptive", "od-smallest"):
             raise ConfigurationError(f"unknown variant {variant!r}")
@@ -1389,7 +1388,7 @@ class ClimberIndex:
         ``metrics`` registry (build spans, query histograms and counters —
         populated when telemetry is enabled), the always-on ``dfs``
         logical counters (+ cache occupancy), and the ``process`` global
-        registry (cross-cutting counters like ``parallel.fallbacks``).
+        registry (:func:`repro.obs.global_registry`).
         """
         dfs_section: dict[str, object] = dataclasses.asdict(self.dfs.counters)
         dfs_section["cache_used_bytes"] = self.dfs.cache_used_bytes

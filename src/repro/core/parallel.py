@@ -24,32 +24,25 @@ That is what makes ``n_workers=8`` bit-identical to ``n_workers=1``:
 same partition bytes, same counters, same kNN answers, regardless of how
 the OS schedules workers.  ``tests/test_parallel_parity.py`` enforces it.
 
-Task-level fault tolerance (PR 8): a pooled task that raises is
-resubmitted once (the ``parallel.task_retries`` counter records it); a
-second failure falls back to a serial re-run on the caller's thread via
-:func:`record_parallel_fallback`, so only *persistent* failures propagate
-— and they re-raise on the caller's thread with no hangs and no
-partially-registered state (the failure-propagation tests pin this
-down).  The retry is safe because every task is a pure function of its
-item (see above): re-running it cannot double-apply state, and a
-recovered result is bit-identical to a first-try success.
+A task that raises, raises: ``map`` re-raises the first failure in item
+order on the caller's thread, as the serial executor does, and the pool
+cancels the tasks not yet started.  No executor re-runs a task; storage
+faults are retried below it, by the DFS
+:class:`~repro.resilience.RetryPolicy` (DESIGN.md D16).
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from repro.exceptions import ConfigurationError
-from repro.obs import global_registry
 
 __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
     "make_executor",
-    "record_parallel_fallback",
     "split_ranges",
 ]
 
@@ -89,46 +82,6 @@ class SerialExecutor(Executor):
         return [fn(item) for item in items]
 
 
-def _map_with_task_retry(pool, fn: Callable[[_T], _R],
-                         items: Iterable[_T]) -> list[_R]:
-    """Ordered pooled map with retry-once-then-serial-rerun per task.
-
-    Each item is submitted as its own future so a single flaky task —
-    a transient injected fault, a worker killed mid-run — costs one
-    resubmission (``parallel.task_retries``), not the whole map.  A task
-    that fails twice on the pool is re-run serially on the caller's
-    thread (recorded via :func:`record_parallel_fallback`); if even that
-    raises, the exception propagates and the remaining futures are
-    cancelled.  Tasks are pure functions of their items, so a recovered
-    result is bit-identical to a first-try success and results keep
-    submission order.
-    """
-    items = list(items)
-    futures = [pool.submit(fn, item) for item in items]
-    results: list[_R] = []
-    try:
-        for i, future in enumerate(futures):
-            try:
-                results.append(future.result())
-                continue
-            except Exception:
-                global_registry().counter("parallel.task_retries").inc()
-            try:
-                results.append(pool.submit(fn, items[i]).result())
-                continue
-            except Exception:
-                record_parallel_fallback(
-                    f"pooled task {i} failed twice; re-running serially "
-                    "on the caller's thread"
-                )
-            results.append(fn(items[i]))
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
-    return results
-
-
 class ThreadExecutor(Executor):
     """Thread-pool executor: GIL-releasing numpy kernels scale across
     cores with zero serialisation cost."""
@@ -142,26 +95,10 @@ class ThreadExecutor(Executor):
         )
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-        return _map_with_task_retry(self._pool, fn, items)
+        return list(self._pool.map(fn, items))
 
     def close(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
-
-
-def record_parallel_fallback(reason: str) -> None:
-    """Make a parallelism downgrade visible instead of silent.
-
-    Bumps the process-lifetime ``parallel.fallbacks`` counter (always on —
-    it surfaces in ``index.stats()`` and every BENCH artifact's
-    ``process_metrics``) and warns, so a run that quietly degraded from
-    the requested executor can be diagnosed after the fact.  The fallback
-    itself stays correct-by-construction (bit-identical results); only
-    its *visibility* changes.
-    """
-    global_registry().counter("parallel.fallbacks").inc()
-    warnings.warn(
-        f"parallel execution degraded: {reason}", RuntimeWarning, stacklevel=3
-    )
 
 
 def make_executor(n_workers: int) -> Executor:

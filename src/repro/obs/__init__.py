@@ -6,11 +6,10 @@ The cross-cutting telemetry subsystem (PR 7).  Four pieces:
   :class:`Counter`/:class:`Gauge`/:class:`Histogram` (fixed log-spaced
   buckets, p50/p90/p99 snapshots), exported as one JSON-able dict
   stamped :data:`OBS_SCHEMA`.
-* :mod:`repro.obs.trace` — ``with trace("route"):`` span timing with a
-  shared no-op singleton when disabled, :meth:`Telemetry.record_query`
+* :mod:`repro.obs.trace` — ``with tel.trace("route"):`` span timing with
+  a shared no-op singleton when disabled, :meth:`Telemetry.record_query`
   (which folds one query's record into the registry, 1 in
-  ``sample_every``), and the process-lifetime :func:`global_registry`
-  that hosts counters like ``parallel.fallbacks``.
+  ``sample_every``), and the process-lifetime :func:`global_registry`.
 * The query record: every routed walk fills its own stage clocks
   (:data:`QUERY_STAGES`: signature, route, select, read, refine) and
   the cache hits and misses of its own reads on ``QueryStats``, with
@@ -19,8 +18,8 @@ The cross-cutting telemetry subsystem (PR 7).  Four pieces:
 * The gating rule: recording into the registry is opt-in
   (``ClimberConfig(telemetry=True)`` / ``Telemetry(enabled=True)``) and
   costs one attribute lookup when off; *logical* counters (DFS access
-  volume, parallel fallbacks) are always on — parity suites and BENCH
-  artifacts depend on them.
+  volume) are always on — parity suites and BENCH artifacts depend on
+  them.
 
 Entry points on the index: ``ClimberIndex.stats()``, ``reset_stats()``
 and ``explain_query()``.
@@ -41,8 +40,6 @@ from repro.obs.trace import (
     Span,
     Telemetry,
     global_registry,
-    global_telemetry,
-    trace,
 )
 
 __all__ = [
@@ -58,6 +55,4 @@ __all__ = [
     "Span",
     "Telemetry",
     "global_registry",
-    "global_telemetry",
-    "trace",
 ]

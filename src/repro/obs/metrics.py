@@ -205,8 +205,8 @@ class MetricsRegistry:
     One registry per scope: each :class:`~repro.storage.SimulatedDFS` owns
     one (its logical counters), each ``ClimberIndex`` owns one (build +
     query metrics), the benchmark suite owns one, and a process-lifetime
-    global registry (:func:`repro.obs.global_registry`) hosts cross-cutting
-    counters like ``parallel.fallbacks``.
+    global registry (:func:`repro.obs.global_registry`) hosts counters
+    that belong to no index or DFS.
     """
 
     __slots__ = ("_lock", "_metrics")

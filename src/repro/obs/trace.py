@@ -9,9 +9,9 @@ The gating contract — what "zero overhead when disabled" means here:
   ``trace()`` on a disabled telemetry returns the shared
   :data:`NULL_SPAN` singleton, so even un-gated ``with tel.trace(...)``
   blocks allocate nothing.
-* Logical counters are *not* gated.  The DFS access-volume counters and
-  the ``parallel.fallbacks`` counter are correctness/diagnostic surfaces
-  that parity tests and BENCH artifacts depend on; they always record.
+* Logical counters are *not* gated.  The DFS access-volume counters are
+  correctness/diagnostic surfaces that parity tests and BENCH artifacts
+  depend on; they always record.
   Only latency spans and histograms honour ``enabled``.  A query's
   record (its stage clocks and cache counts on ``QueryStats``) is always
   filled; ``enabled`` only decides whether :meth:`Telemetry.record_query`
@@ -35,8 +35,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "global_registry",
-    "global_telemetry",
-    "trace",
 ]
 
 
@@ -211,22 +209,10 @@ class Telemetry:
 #: still record) but no spans/histograms ever fire through it.
 NULL_TELEMETRY = Telemetry(enabled=False)
 
-#: Process-lifetime telemetry hosting cross-cutting counters
-#: (``parallel.fallbacks``) and anything recorded via the module-level
-#: :func:`trace`.  Disabled by default; flip ``global_telemetry().enabled``
-#: to capture module-level spans.
-_GLOBAL_TELEMETRY = Telemetry(enabled=False)
-
-
-def global_telemetry() -> Telemetry:
-    return _GLOBAL_TELEMETRY
+#: Process-lifetime registry for counters that belong to no index or DFS.
+_GLOBAL_REGISTRY = MetricsRegistry()
 
 
 def global_registry() -> MetricsRegistry:
-    """The process-lifetime registry (``parallel.fallbacks`` lives here)."""
-    return _GLOBAL_TELEMETRY.registry
-
-
-def trace(name: str):
-    """``with trace("route"):`` against the process-lifetime telemetry."""
-    return _GLOBAL_TELEMETRY.trace(name)
+    """The process-lifetime registry (``ClimberIndex.stats()["process"]``)."""
+    return _GLOBAL_REGISTRY

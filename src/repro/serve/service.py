@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import check_integer_fields
 from repro.core.index import ClimberIndex, QueryStats
 from repro.exceptions import (
     ConfigurationError,
@@ -103,6 +104,7 @@ class ServeConfig:
     worker_threads: int = 1
 
     def __post_init__(self) -> None:
+        check_integer_fields(self)
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
         if self.max_delay_s < 0:

@@ -32,19 +32,6 @@ STD_INDEX_CONFIG = ClimberConfig(
 )
 
 
-def expect_degraded(match: str = ""):
-    """Context for code that *should* emit the ``parallel execution
-    degraded`` RuntimeWarning.
-
-    CI runs the plain tier-1 suite with ``-W error::RuntimeWarning`` so a
-    stray NumPy "invalid value" cannot pass silently; the intentional
-    degradation notices are asserted here instead.
-    """
-    return pytest.warns(
-        RuntimeWarning, match=f"parallel execution degraded.*{match}"
-    )
-
-
 #: The footer ending an ``append-*.seg`` file (DESIGN.md D6): magic,
 #: version, directory CRC32, directory offset, directory length.
 SEGMENT_FOOTER = struct.Struct("<8sIIQQ")

@@ -1,4 +1,4 @@
-"""Telemetry layer: registry exactness, gating, EXPLAIN, and fallbacks.
+"""Telemetry layer: registry exactness, gating, EXPLAIN and stats.
 
 The contracts under test (see :mod:`repro.obs`):
 
@@ -15,8 +15,6 @@ The contracts under test (see :mod:`repro.obs`):
 * **EXPLAIN is a recorded query, not a dry run** — ``explain_query``
   returns the per-stage breakdown of a query that really executed
   (consumes RNG, charges the DFS), with totals consistent per entry.
-* **No silent degrades** — every parallelism fallback warns and bumps
-  the process-lifetime ``parallel.fallbacks`` counter.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import ClimberConfig, ClimberIndex, QueryStats
-from repro.core.parallel import ThreadExecutor, make_executor
+from repro.core.parallel import ThreadExecutor
 from repro.datasets import random_walk_dataset, sample_queries
 from repro.exceptions import ConfigurationError
 from repro.obs import (
@@ -40,7 +38,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     Telemetry,
-    global_registry,
 )
 from repro.storage import SimulatedDFS
 
@@ -548,34 +545,6 @@ class TestStats:
         assert stats["metrics"]["counters"]["query.count"] == 0
         assert dfs.counters.bytes_read == bytes_read
         assert stats["dfs"]["bytes_read"] == bytes_read
-
-
-# ---------------------------------------------------------------------------
-# Fallback visibility (satellite: no silent serial degrades)
-# ---------------------------------------------------------------------------
-
-def _fallback_count() -> int:
-    return global_registry().counter("parallel.fallbacks").value
-
-
-class TestFallbackVisibility:
-    def test_task_failed_twice_warns_and_counts(self):
-        # A pooled task that fails twice is re-run on the caller's
-        # thread; that degrade must warn and count.
-        attempts = []
-
-        def flaky(item):
-            attempts.append(item)
-            if len(attempts) < 3:
-                raise RuntimeError("pool-side failure")
-            return item
-
-        before = _fallback_count()
-        with make_executor(2) as executor:
-            with pytest.warns(RuntimeWarning, match="degraded.*failed twice"):
-                assert executor.map(flaky, [7]) == [7]
-        assert len(attempts) == 3
-        assert _fallback_count() == before + 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ results; a worker exception must surface on the caller, not hang.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from conftest import expect_degraded
 
 import repro.core.builder as builder_mod
 from repro.core.builder import build_index_artifacts
@@ -25,8 +26,10 @@ from repro.core.parallel import (
     split_ranges,
 )
 from repro.core.skeleton import SkeletonWithPivots
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, PartitionLostError
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.series import SeriesDataset
+from repro.storage import SimulatedDFS
 
 
 def _dataset(n=3000, length=64, seed=11):
@@ -93,8 +96,7 @@ class TestExecutors:
             return x
 
         with make_executor(2) as ex:
-            with pytest.raises(ValueError, match="worker failed"), \
-                    expect_degraded(match="failed twice"):
+            with pytest.raises(ValueError, match="worker failed"):
                 ex.map(boom, range(8))
 
     def test_split_ranges(self):
@@ -179,50 +181,17 @@ class TestQueryParity:
 
 
 class TestFailurePropagation:
-    def test_transient_worker_failure_recovers_via_retry(self, monkeypatch):
-        # 3000 records / 4096-row blocks -> one conversion task; a one-shot
-        # injected failure is resubmitted (parallel.task_retries) and the
-        # build completes — bit-identical to an unfaulted serial build.
-        dataset = _dataset(n=3000)
-        real = builder_mod._convert_block
-        calls = {"n": 0}
-
-        def flaky(task):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("injected worker failure")
-            return real(task)
-
-        from repro.obs import global_registry
-
-        retries_before = global_registry().counter(
-            "parallel.task_retries"
-        ).value
-        monkeypatch.setattr(builder_mod, "_convert_block", flaky)
-        artifacts = build_index_artifacts(dataset, _config(2))
-        monkeypatch.setattr(builder_mod, "_convert_block", real)
-        reference = build_index_artifacts(dataset, _config(1))
-        assert calls["n"] >= 2
-        assert global_registry().counter(
-            "parallel.task_retries"
-        ).value > retries_before
-        assert sorted(artifacts.dfs.list_partitions()) == sorted(
-            reference.dfs.list_partitions()
-        )
-
     def test_persistent_worker_failure_surfaces_from_build(self, monkeypatch):
-        # A deterministic task failure survives the retry and the serial
-        # rerun, and must abort the build on the caller's thread — not
-        # hang the pool.
+        # A task failure must abort the build on the caller's thread —
+        # not hang the pool.
         dataset = _dataset(n=3000)
 
         def broken(task):
             raise RuntimeError("injected worker failure")
 
         monkeypatch.setattr(builder_mod, "_convert_block", broken)
-        with pytest.warns(RuntimeWarning, match="failed twice"):
-            with pytest.raises(RuntimeError, match="injected worker failure"):
-                build_index_artifacts(dataset, _config(2))
+        with pytest.raises(RuntimeError, match="injected worker failure"):
+            build_index_artifacts(dataset, _config(2))
 
     def test_worker_exception_surfaces_from_knn_batch(self, monkeypatch):
         dataset = _dataset(n=1000)
@@ -236,6 +205,33 @@ class TestFailurePropagation:
         queries = np.random.default_rng(1).standard_normal(
             (20, dataset.length)
         )
-        with pytest.warns(RuntimeWarning, match="failed twice"):
-            with pytest.raises(RuntimeError, match="injected shard failure"):
-                index.knn_batch(queries, k=3)
+        with pytest.raises(RuntimeError, match="injected shard failure"):
+            index.knn_batch(queries, k=3)
+
+    def test_lost_partition_fails_alike_at_any_worker_count(self):
+        # A shard that reads a lost partition raises exactly as the serial
+        # sweep does: the same error, no warning, and the same logical
+        # reads — the executor never re-runs a task.  Eight rows are one
+        # shard, so the reads are exact whatever the thread scheduling.
+        dataset = _dataset()
+        queries = dataset.values[56:64]
+        observed = []
+        for n_workers in (1, 2):
+            dfs = SimulatedDFS(
+                fault_plan=FaultPlan(seed=5, loss_rate=0.3),
+                retry_policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+            )
+            index = ClimberIndex.build(dataset, _config(n_workers), dfs=dfs)
+            before = dfs.counters
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(PartitionLostError):
+                    index.knn_batch(queries, k=5,
+                                    on_partition_failure="raise")
+            after = dfs.counters
+            observed.append(tuple(
+                getattr(after, f) - getattr(before, f)
+                for f in ("read_failures", "partitions_read", "bytes_read")
+            ))
+        assert observed[0][0] == 1 and observed[0][1] > 0
+        assert observed[1] == observed[0]

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -92,6 +93,16 @@ CONFIG_FIELDS = {
 }
 
 
+#: The integer fields of ``ClimberConfig``; the ``| None`` ones may also
+#: be ``None`` (unset).
+INTEGER_FIELDS = (
+    "word_length", "n_pivots", "prefix_length", "capacity",
+    "min_centroid_separation", "max_centroids", "adaptive_factor", "seed",
+    "n_input_partitions", "sim_partition_bytes", "n_workers",
+    "telemetry_sample_every",
+)
+
+
 def test_config_surface():
     fields = dataclasses.fields(repro.ClimberConfig)
     assert {f.name for f in fields} == CONFIG_FIELDS
@@ -102,6 +113,15 @@ def test_config_surface():
     for n_workers in (None, 0):
         with pytest.raises(repro.ConfigurationError):
             repro.ClimberConfig(n_workers=n_workers)
+    # Every integer field takes a Python or NumPy integer and nothing else:
+    # a float or a bool is refused here, not truncated or cast later.
+    for name in INTEGER_FIELDS:
+        for bad in (2.5, 24.0, True):
+            with pytest.raises(repro.ConfigurationError, match=name):
+                repro.ClimberConfig(**{name: bad})
+    assert repro.ClimberConfig(
+        n_workers=np.int64(2), seed=np.int32(3), capacity=np.int64(150)
+    ).n_workers == 2
     # The retired routes are gone, not deprecated.
     for retired in ({"fault_plan": repro.FaultPlan(seed=3)},
                     {"executor": "thread"}):

@@ -302,6 +302,11 @@ class TestLifecycle:
             ServeConfig(worker_threads=0)
         with pytest.raises(ConfigurationError):
             ServeConfig(max_delay_s=-1.0)
+        for name in ("max_batch", "queue_limit", "worker_threads"):
+            for bad in (2.5, 4.0, True):
+                with pytest.raises(ConfigurationError, match=name):
+                    ServeConfig(**{name: bad})
+        assert ServeConfig(worker_threads=np.int64(2)).worker_threads == 2
 
     def test_stats_shape(self, index):
         service = QueryService(index, registry=MetricsRegistry())
