@@ -68,12 +68,13 @@ def main() -> None:
     print(render_table(f"approximate {K}-NN over {queries.count} queries", rows))
 
     # 5. EXPLAIN one query: per-stage wall timings, partitions probed,
-    #    logical bytes read, cache hits/misses — plus the answer itself.
+    #    bytes read (each partition's stored size), cache hits/misses —
+    #    plus the answer itself.
     plan = index.explain_query(queries.values[0], 5)
     print(f"\nfirst query -> ids {plan['ids']}, "
           f"distances {[round(d, 3) for d in plan['distances']]}")
     print(f"touched partitions: {plan['partitions']} "
-          f"({plan['bytes_read']:,} logical bytes)")
+          f"({plan['bytes_read']:,} bytes read)")
     stage_us = {name: f"{1e6 * s:.0f}us" for name, s in plan["stages"].items()}
     print(f"stage walls: {stage_us}")
 

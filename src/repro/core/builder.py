@@ -407,7 +407,6 @@ def _redistribute_flat(
         kid_of = router.route(ranked_all, gids_all)
         order, parts = router.partition_layout(kid_of)
     engine = dfs.engine
-    series_length = int(dataset.values.shape[1])
     with telemetry.trace("build.redistribute.write"):
         def encode_one(item):
             pid, start, end, header = item
@@ -422,10 +421,5 @@ def _redistribute_flat(
         # above the dataset instead of a second copy of it.
         run = executor.map if executor.n_workers > 1 else map
         payloads = run(encode, parts)
-        for (pid, start, end, header), payload in zip(parts, payloads):
-            dfs.write_encoded_partition(
-                partition_name(pid), payload,
-                record_count=end - start,
-                series_length=series_length,
-                header=header,
-            )
+        for (pid, *_), payload in zip(parts, payloads):
+            dfs.write_encoded_partition(partition_name(pid), payload)

@@ -8,7 +8,9 @@ benchmarks are set per call site; this class only validates consistency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from repro.pivots.distances import DecayKind
 __all__ = [
     "ClimberConfig",
     "PAPER_DEFAULTS",
-    "check_integer_fields",
+    "check_fields",
     "is_integer",
 ]
 
@@ -30,17 +32,42 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_integer_fields(config) -> None:
+def is_real(value) -> bool:
+    """A finite Python or NumPy real number, never a ``bool`` — the rule
+    for every float field of a config."""
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return is_integer(value)
+
+
+#: Annotation -> (test, what the test asks for), for :func:`check_fields`.
+_FIELD_RULES = {
+    "int": (is_integer, "an integer"),
+    "float": (is_real, "a finite real number"),
+    "bool": (lambda value: isinstance(value, bool), "a bool"),
+    "DecayKind": (lambda value: isinstance(value, str)
+                  and value in get_args(DecayKind),
+                  f"one of {get_args(DecayKind)}"),
+}
+
+
+def check_fields(config) -> None:
     """Refuse, with :class:`ConfigurationError`, a config dataclass whose
-    field annotated ``int`` holds a non-integer, or whose field annotated
-    ``int | None`` holds one other than ``None``."""
+    field holds a value of the wrong type for its annotation: ``int`` an
+    integer, ``float`` a finite real number, ``bool`` a bool,
+    ``DecayKind`` one of its names — never a ``bool`` where a number is
+    asked for.  An annotation ending ``| None`` also takes ``None``;
+    fields of any other annotation are left to the config's own
+    checks."""
     for field in fields(config):
         value = getattr(config, field.name)
-        if field.type == "int | None" and value is None:
+        kind = field.type.removesuffix(" | None")
+        if kind not in _FIELD_RULES or (kind != field.type and value is None):
             continue
-        if field.type in ("int", "int | None") and not is_integer(value):
+        accepts, wanted = _FIELD_RULES[kind]
+        if not accepts(value):
             raise ConfigurationError(
-                f"{field.name} must be an integer, got {value!r}"
+                f"{field.name} must be {wanted}, got {value!r}"
             )
 
 
@@ -169,7 +196,7 @@ class ClimberConfig:
     early_stop: str = "off"
 
     def __post_init__(self) -> None:
-        check_integer_fields(self)
+        check_fields(self)
         if self.word_length < 1:
             raise ConfigurationError("word_length must be >= 1")
         if self.n_pivots < 2:
@@ -192,6 +219,8 @@ class ClimberConfig:
             raise ConfigurationError("max_centroids must be >= 1 when given")
         if self.adaptive_factor < 1:
             raise ConfigurationError("adaptive_factor must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.n_input_partitions < 1:
             raise ConfigurationError("n_input_partitions must be >= 1")
         if self.cost_scale <= 0:

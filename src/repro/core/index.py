@@ -540,7 +540,6 @@ class ClimberIndex:
                 delta_id,
                 dfs.engine.encode_arrays(delta_id, dataset.ids, dataset.values,
                                          header, rows=order[start:end]),
-                end - start, dataset.length, header,
             ))
         # One store call for the whole append: the deltas land together or
         # not at all, and on disk as one file (DESIGN.md D6).
@@ -551,7 +550,7 @@ class ClimberIndex:
             self.calibration = None
         return {
             "records_appended": dataset.count,
-            "delta_partitions": [delta_id for delta_id, *_ in encoded],
+            "delta_partitions": [delta_id for delta_id, _ in encoded],
         }
 
     # -- persistence ---------------------------------------------------------------

@@ -70,7 +70,7 @@ def modeled_build_seconds(index) -> dict[str, float]:
     and Step 3's assembly on the driver, the Step-4 broadcast, full-data
     conversion, shuffle and partition writes — from counts only: the
     skeleton's three sample counts, the base partitions the DFS header
-    metadata lists (records, logical bytes and how many; an ``append``'s
+    metadata lists (records, stored bytes and how many; an ``append``'s
     deltas are not the build's), the group count and the global index's
     size.  ``index.model``, ``cost_scale`` and the input partitioning
     come from the index and its config, as in

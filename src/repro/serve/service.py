@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import check_integer_fields
+from repro.core.config import check_fields
 from repro.core.index import ClimberIndex, QueryStats
 from repro.exceptions import (
     ConfigurationError,
@@ -104,7 +104,7 @@ class ServeConfig:
     worker_threads: int = 1
 
     def __post_init__(self) -> None:
-        check_integer_fields(self)
+        check_fields(self)
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
         if self.max_delay_s < 0:

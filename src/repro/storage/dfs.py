@@ -7,9 +7,10 @@ class keeps everything *simulated* about the DFS:
 
 * byte-level read/write counters (the "additional data access" metric of
   Fig. 11(b)).  Counters are **logical**: every partition touch charges
-  the partition's logical size (records plus JSON header length) no
-  matter which backend or cache served the bytes, so the paper's
-  access-volume metrics are byte-identical across storage configurations;
+  the partition's size — the length of its stored blob, which its own
+  header declares (DESIGN.md D17) — no matter which backend or cache
+  served the bytes, so the paper's access-volume metrics are
+  byte-identical across storage configurations;
 * the capacity constraint ``c`` of Def. 12 (``block_records``);
 * an opt-in byte-bounded LRU **read cache** over opened partition handles
   (``cache_bytes``), tracked physically by ``cache_hits``/``cache_misses``;
@@ -40,9 +41,10 @@ class keeps everything *simulated* about the DFS:
   delta partitions of one append through a single backend call (one file
   on disk, there whole or not at all) and registers each under its own
   name, so nothing above can tell a packed partition from a loose one;
-* **header metadata** — ``record_count(pid)`` / ``series_length(pid)``
-  maintained at write/attach time so reopening an index, or validating an
-  append, never reads partition payloads.
+* **header metadata** — ``partition_nbytes(pid)`` / ``record_count(pid)``
+  / ``series_length(pid)``, decoded from each blob's fixed header at
+  write and attach time, so reopening an index, or validating an append,
+  never reads partition payloads.
 
 A read returns a :class:`~repro.storage.engine.PartitionV2View` whose five
 section checksums were checked over the bytes of its open attempt
@@ -73,8 +75,9 @@ from repro.storage.engine import (
     MemoryBackend,
     PartitionV2View,
     StorageEngine,
+    decode_v2_header,
 )
-from repro.storage.partition import PartitionFile, logical_partition_nbytes
+from repro.storage.partition import PartitionFile
 
 __all__ = ["SimulatedDFS", "DfsCounters"]
 
@@ -86,13 +89,15 @@ class DfsCounters:
     """Cumulative I/O counters, for tests and access-volume metrics.
 
     ``bytes_read`` / ``partitions_read`` are *logical*: every successful
-    read charges them, cache hit or not.  ``cache_hits`` / ``cache_misses``
-    track the physical behaviour of the read cache (both stay 0 with
-    caching off).  The resilience counters (PR 8) are zero in fault-free
-    runs by construction: ``retries`` counts retry attempts after a
-    recoverable failure, ``read_failures`` counts logical reads that
-    failed for good (retries exhausted or partition lost), and
-    ``corruption_detected`` counts checksum/decode integrity failures.
+    read charges them, cache hit or not.  A partition's bytes, read or
+    written, are always its size: the length of its stored blob
+    (DESIGN.md D17).  ``cache_hits`` / ``cache_misses`` track the
+    physical behaviour of the read cache (both stay 0 with caching off).
+    The resilience counters (PR 8) are zero in fault-free runs by
+    construction: ``retries`` counts retry attempts after a recoverable
+    failure, ``read_failures`` counts logical reads that failed for good
+    (retries exhausted or partition lost), and ``corruption_detected``
+    counts checksum/decode integrity failures.
     """
 
     bytes_written: int = 0
@@ -273,7 +278,7 @@ class SimulatedDFS:
             if pid in self._sizes:
                 continue
             meta = self._engine.partition_meta(pid)
-            self._register(pid, meta.logical_nbytes, meta.record_count,
+            self._register(pid, meta.nbytes, meta.record_count,
                            meta.series_length)
             attached += 1
         return attached
@@ -289,9 +294,10 @@ class SimulatedDFS:
         if sep:
             insort(self._deltas.setdefault(base, []), pid)
 
-    def write_partition(self, partition: PartitionFile) -> None:
-        """Store one assembled partition (baselines and tests build these)."""
-        self.write_partition_arrays(partition.partition_id, partition.ids,
+    def write_partition(self, partition: PartitionFile) -> int:
+        """Store one assembled partition (baselines and tests build these);
+        returns its stored size in bytes."""
+        return self.write_partition_arrays(partition.partition_id, partition.ids,
                                     partition.values, partition.header)
 
     def write_partition_arrays(
@@ -312,81 +318,64 @@ class SimulatedDFS:
         ``values[rows]``, gathered directly into the payload buffer.  The
         stored bytes are identical to writing
         ``PartitionFile.from_clusters`` over the same records.  Returns the
-        partition's logical size in bytes.
+        partition's stored size in bytes.
         """
         return self.write_encoded_partition(
             partition_id,
             self._engine.encode_arrays(partition_id, ids, values, header,
                                        rows=rows),
-            record_count=int(
-                rows.shape[0] if rows is not None else ids.shape[0]
-            ),
-            series_length=int(values.shape[1]),
-            header=header,
         )
 
-    def write_encoded_partition(
-        self,
-        partition_id: str,
-        payload: bytes,
-        record_count: int,
-        series_length: int,
-        header: dict[str, tuple[int, int]],
-    ) -> int:
+    def write_encoded_partition(self, partition_id: str,
+                                payload: bytes) -> int:
         """Store a payload pre-encoded by :meth:`StorageEngine.encode_arrays`.
 
         Every single-partition write ends here.  The builder's workers
         encode payloads concurrently (a pure function of the record
         arrays) and the caller stores them through here serially in
         partition order, so the stored bytes and every counter are the
-        same for any worker count.  Returns the partition's logical size
-        in bytes.
+        same for any worker count.  Returns the partition's stored size in
+        bytes.
         """
-        nbytes = logical_partition_nbytes(record_count, series_length, header)
-        with self._lock:
-            if partition_id in self._sizes:
-                raise StorageError(f"partition {partition_id!r} already exists")
-            self._engine.write_payload(partition_id, payload)
-            self._register_written(partition_id, nbytes, record_count,
-                                   series_length)
-        return nbytes
+        return self._store([(partition_id, payload)], packed=False)
 
     def write_encoded_partitions(
-        self,
-        partitions: Sequence[
-            tuple[str, bytes, int, int, dict[str, tuple[int, int]]]
-        ],
+        self, partitions: Sequence[tuple[str, bytes]]
     ) -> int:
-        """Store a batch of pre-encoded partitions in one backend call.
+        """Store ``(partition_id, payload)`` pairs in one backend call.
 
-        Each item is the argument list of :meth:`write_encoded_partition`:
-        ``(partition_id, payload, record_count, series_length, header)``.
-        The batch is stored whole or not at all — a duplicate id is
-        refused before a byte is written, and a disk backend makes one
-        file of it (DESIGN.md D6) — and is then registered and counted
+        The batch is stored whole or not at all — a duplicate id, or a
+        payload whose fixed header does not decode, is refused before a
+        byte is written, and a disk backend makes one file of it
+        (DESIGN.md D6) — and is then registered and counted
         partition by partition, exactly as the same partitions written one
-        at a time would be.  This is how ``ClimberIndex.append`` stores
-        its delta partitions.  Returns the summed logical size in bytes.
+        at a time would be.  Each partition's size, record count and series
+        length come from its payload's own header.  This is how
+        ``ClimberIndex.append`` stores its delta partitions.  Returns the
+        summed stored size in bytes.
         """
-        sizes = [
-            logical_partition_nbytes(record_count, series_length, header)
-            for _, _, record_count, series_length, header in partitions
-        ]
+        return self._store(partitions, packed=True)
+
+    def _store(self, partitions: Sequence[tuple[str, bytes]],
+               packed: bool) -> int:
+        # Every check runs before the first byte is stored; ``packed``
+        # stores the batch through one ``write_payloads`` call.
+        heads = [decode_v2_header(payload, len(payload))
+                 for _, payload in partitions]
         with self._lock:
             batch = set()
-            for pid, *_ in partitions:
+            for pid, _ in partitions:
                 if pid in self._sizes or pid in batch:
                     raise StorageError(f"partition {pid!r} already exists")
                 batch.add(pid)
-            self._engine.write_payloads(
-                (pid, payload) for pid, payload, *_ in partitions
-            )
-            for (pid, _, record_count, series_length, _), nbytes in zip(
-                partitions, sizes
-            ):
-                self._register_written(pid, nbytes, record_count,
-                                       series_length)
-        return sum(sizes)
+            if packed:
+                self._engine.write_payloads(partitions)
+            else:
+                self._engine.write_payload(*partitions[0])
+            for (pid, _), h in zip(partitions, heads):
+                self._register_written(pid, h.total_size, h.n_records,
+                                       h.series_length)
+        return sum(h.total_size for h in heads)
 
     def _register_written(self, pid: str, nbytes: int, record_count: int,
                           series_length: int) -> None:
@@ -517,9 +506,7 @@ class SimulatedDFS:
                 injector.begin_attempt(name)
             t_attempt = time.perf_counter()
             try:
-                part = self._engine.open_partition(
-                    partition_id, logical_nbytes=self._sizes[partition_id]
-                )
+                part = self._engine.open_partition(partition_id)
             except (PartitionLostError, PartitionNotFoundError):
                 raise  # permanent: retrying cannot help
             except StorageError as err:

@@ -13,8 +13,8 @@ The engine decomposes physical partition storage into three layers:
   that encodes on write, opens partitions checked, and answers
   cluster-range reads by mapping only the requested byte slices.
 
-:class:`~repro.storage.SimulatedDFS` fronts this package; its logical
-read/write counters charge logical sizes, never stored ones.
+:class:`~repro.storage.SimulatedDFS` fronts this package; its read/write
+counters charge each partition's stored size (DESIGN.md D17).
 """
 
 from repro.storage.engine.backend import (

@@ -26,7 +26,6 @@ from repro.storage.engine.format import (
     decode_partition_head,
     encode_partition_v2_arrays,
 )
-from repro.storage.partition import PartitionFile, logical_partition_nbytes
 
 __all__ = ["StorageEngine", "PartitionMeta"]
 
@@ -35,7 +34,7 @@ __all__ = ["StorageEngine", "PartitionMeta"]
 class PartitionMeta:
     """Header-level partition metadata (no payload bytes read)."""
 
-    logical_nbytes: int
+    nbytes: int
     record_count: int
     series_length: int
 
@@ -71,14 +70,6 @@ class StorageEngine:
 
     # -- write ------------------------------------------------------------------
 
-    def write_partition(self, partition: PartitionFile) -> int:
-        """Encode and store one partition; returns the physical byte count."""
-        return self.write_payload(
-            partition.partition_id,
-            self.encode_arrays(partition.partition_id, partition.ids,
-                               partition.values, partition.header),
-        )
-
     def encode_arrays(
         self,
         partition_id: str,
@@ -105,7 +96,7 @@ class StorageEngine:
 
     def write_payload(self, partition_id: str, payload: bytes) -> int:
         """Store an already-encoded partition payload (see
-        :meth:`encode_arrays`); returns the physical byte count."""
+        :meth:`encode_arrays`); returns its size in bytes."""
         self.backend.write(self._name(partition_id), payload)
         return len(payload)
 
@@ -134,41 +125,27 @@ class StorageEngine:
             ) from None
         return partial(self.backend.read_range, name), size
 
-    def open_partition(
-        self, partition_id: str, logical_nbytes: int | None = None
-    ) -> PartitionV2View:
+    def open_partition(self, partition_id: str) -> PartitionV2View:
         """Open a stored partition as a zero-copy view, all five checksums
-        checked: a mismatch raises here, never on a later read.
-
-        ``logical_nbytes`` is the partition's logical size when the caller
-        tracks it (the DFS registry), sparing the view from deriving it.
-        """
+        checked: a mismatch raises here, never on a later read."""
         read_range, size = self._reader(partition_id)
-        return PartitionV2View(
-            read_range,
-            physical_size=size,
-            corruption_cb=self.corruption_cb,
-            logical_nbytes=logical_nbytes,
-        )
+        return PartitionV2View(read_range, physical_size=size,
+                               corruption_cb=self.corruption_cb)
 
     # -- metadata ---------------------------------------------------------------
 
     def partition_meta(self, partition_id: str) -> PartitionMeta:
-        """Logical size, record count and series length from headers alone:
-        the blob is mapped with one range read, as an open maps it, and
+        """Size, record count and series length from headers alone: the
+        blob is mapped with one range read, as an open maps it, and
         decoded with the meta and directory checksums checked and no
         payload byte touched."""
         read_range, size = self._reader(partition_id)
-        h, _, directory = decode_partition_head(read_range(0, size), size,
-                                                self.corruption_cb)
-        return PartitionMeta(
-            logical_partition_nbytes(h.n_records, h.series_length, directory),
-            h.n_records, h.series_length,
-        )
+        h, _, _ = decode_partition_head(read_range(0, size), size,
+                                        self.corruption_cb)
+        return PartitionMeta(h.total_size, h.n_records, h.series_length)
 
     def physical_nbytes(self, partition_id: str) -> int:
-        """Stored payload size (padding, checksum block and norms included,
-        unlike the logical size)."""
+        """A stored partition's size in bytes, from the backend alone."""
         return self._reader(partition_id)[1]
 
     # -- maintenance ------------------------------------------------------------

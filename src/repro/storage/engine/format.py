@@ -51,9 +51,8 @@ DFS retry loop sees it.  :func:`decode_partition_head` is the
 metadata-only half — header, meta blob and directory, with their
 checksums — for scans that never touch a payload byte.  Every refusal of
 what was read, checksum or structure, is reported to the caller's
-corruption callback.  ``materialised_bytes`` counts the runs served to
-the reader — record ids and values, not the derived norms — never the
-bytes a check touched.
+corruption callback.  A partition's one size is its blob's length, the
+header's ``total_size`` (DESIGN.md D17).
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ import numpy as np
 
 from repro.exceptions import PartitionCorruptError, StorageError
 from repro.series.distance import sq_norms
-from repro.storage.partition import PartitionFile, logical_partition_nbytes
+from repro.storage.partition import PartitionFile
 from repro.storage.serialization import json_from_bytes, json_to_bytes
 
 __all__ = [
@@ -466,9 +465,6 @@ class PartitionV2View:
         Zero-argument callable invoked once per detected corruption
         (before the raise) — the DFS hooks its
         ``dfs.corruption_detected`` counter here.
-    logical_nbytes:
-        The partition's logical size, when the caller tracks it (the DFS
-        registry does); derived from the directory on first use otherwise.
 
     An open costs one range read — the whole blob ``[0, total_size)`` in
     one mapping, of which header, meta blob, directory and payloads are
@@ -479,9 +475,6 @@ class PartitionV2View:
     mapping.  The view exposes the :class:`PartitionFile` access
     interface, plus :meth:`read_clusters_with_norms` for scoring; returned
     arrays are read-only views into the backing buffer.
-    ``materialised_bytes`` counts the record bytes (ids and values)
-    served *to the reader* (the benchmark's "bytes materialised" metric),
-    not the stored norms and not those an integrity check touched.
     """
 
     def __init__(
@@ -489,11 +482,9 @@ class PartitionV2View:
         read_range: Callable[[int, int], memoryview],
         physical_size: int | None = None,
         corruption_cb: Callable[[], None] | None = None,
-        logical_nbytes: int | None = None,
     ) -> None:
         self._read = read_range
         self._corruption_cb = corruption_cb
-        self._logical_nbytes = logical_nbytes
         if physical_size is None:
             physical_size = decode_v2_header(
                 read_range(0, _HEAD_SIZE)
@@ -502,10 +493,6 @@ class PartitionV2View:
         buf = self._map()
         self.v2_header, self.partition_id, self.header = _decode(
             buf, physical_size, corruption_cb, 5
-        )
-        h = self.v2_header
-        self.materialised_bytes = (
-            h.header_size + h.meta_size + 2 * 8 * h.n_clusters
         )
         self._checked: memoryview | None = buf
 
@@ -520,25 +507,10 @@ class PartitionV2View:
         return self.v2_header.series_length
 
     @property
-    def physical_nbytes(self) -> int:
-        """Stored size of the v2 payload itself."""
-        return self.v2_header.total_size
-
-    @property
     def nbytes(self) -> int:
-        """*Logical* partition size, not the stored one.
-
-        The shared :func:`logical_partition_nbytes` figure (records with
-        per-record overhead plus the JSON header length), which is what
-        DFS counters and simulated costs charge.  Views opened through the
-        DFS are handed the registry's figure; a standalone view derives it
-        when first asked.
-        """
-        if self._logical_nbytes is None:
-            self._logical_nbytes = logical_partition_nbytes(
-                self.record_count, self.series_length, self.header
-            )
-        return self._logical_nbytes
+        """The partition's size: its stored blob's length, which DFS
+        counters and simulated costs charge (DESIGN.md D17)."""
+        return self.v2_header.total_size
 
     def cluster_keys(self) -> list[str]:
         return list(self.header)
@@ -582,9 +554,6 @@ class PartitionV2View:
             norms = np.frombuffer(
                 buf, dtype=np.float64, count=count,
                 offset=h.norms_offset + start * _NORMS_ITEMSIZE,
-            )
-            self.materialised_bytes += (
-                count * _IDS_ITEMSIZE + count * h.row_nbytes
             )
             parts.append((ids, values, norms))
         return parts

@@ -24,30 +24,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.exceptions import StorageError
-from repro.series import series_nbytes
-from repro.storage.serialization import json_to_bytes
 
-__all__ = ["PartitionFile", "logical_partition_nbytes"]
-
-
-def logical_partition_nbytes(
-    record_count: int,
-    series_length: int,
-    header: Mapping[str, tuple[int, int]],
-) -> int:
-    """The *logical* stored size of a partition, in bytes.
-
-    Records (with per-record overhead) plus the serialised JSON header —
-    the quantity the DFS counters charge per read and the cost model bills
-    for I/O.  This is the single definition of that accounting: every
-    registration path (write-time, attach-time) reports sizes through it,
-    so the Fig. 11(b) access-volume metrics do not depend on alignment
-    padding, checksums, the stored norms or which cache served the bytes.
-    """
-    records = record_count * series_nbytes(series_length)
-    return records + len(
-        json_to_bytes({k: list(v) for k, v in header.items()})
-    )
+__all__ = ["PartitionFile"]
 
 
 @dataclass
@@ -112,20 +90,6 @@ class PartitionFile:
     @property
     def series_length(self) -> int:
         return int(self.values.shape[1])
-
-    @property
-    def nbytes(self) -> int:
-        """Stored size: records (with per-record overhead) plus the header.
-
-        Computed once and cached — the query path asks repeatedly and the
-        header serialisation is not free.
-        """
-        cached = self.__dict__.get("_nbytes")
-        if cached is None:
-            cached = self.__dict__["_nbytes"] = logical_partition_nbytes(
-                self.record_count, self.series_length, self.header
-            )
-        return cached
 
     def cluster_keys(self) -> list[str]:
         return list(self.header)

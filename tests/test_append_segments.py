@@ -168,15 +168,20 @@ class TestTornAppend:
         dfs = attach(root)
         taken = next(pid for pid in dfs.list_partitions() if ".d" in pid)
         view = dfs.read_partition(taken)
-        item = (view.partition_id, b"never stored", view.record_count,
-                LENGTH, view.header)
+        payload = dfs.engine.encode_arrays(taken, *view.read_all(),
+                                           view.header)
         files = sorted(p.name for p in root.iterdir())
         before = (dfs.list_partitions(), dfs.counters)
         for batch_ids in (["fresh", taken], ["fresh", "fresh"]):
             with pytest.raises(StorageError, match="already exists"):
                 dfs.write_encoded_partitions(
-                    [(pid, *item[1:]) for pid in batch_ids]
+                    [(pid, payload) for pid in batch_ids]
                 )
+        # A payload whose header does not decode refuses the batch too.
+        with pytest.raises(StorageError, match="truncated"):
+            dfs.write_encoded_partitions(
+                [("fresh", payload), ("other", b"never stored")]
+            )
         assert sorted(p.name for p in root.iterdir()) == files
         assert (dfs.list_partitions(), dfs.counters) == before
         dfs.engine.close()

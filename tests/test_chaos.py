@@ -161,7 +161,7 @@ class TestChecksumIntegrity:
         with pytest.raises(StorageError, match=f"version {version}"):
             SimulatedDFS(backing_dir=tmp_path).attach()
         reader = SimulatedDFS(backing_dir=tmp_path)
-        reader._register("p0", ref.nbytes, ref.record_count,
+        reader._register("p0", len(payload), ref.record_count,
                          ref.series_length)
         with pytest.raises(StorageError, match=f"version {version}"):
             reader.read_partition("p0")
@@ -227,8 +227,8 @@ class TestChecksumIntegrity:
             payload[h.values_offset:],
         )
         assert h.checksums == tuple(word_sum_reference(s) for s in sections)
-        # The checksum block costs physical bytes and nothing logical.
-        assert dfs.partition_nbytes("p0") == make_partition("p0").nbytes
+        # The checksum block is part of the partition's one size.
+        assert dfs.partition_nbytes("p0") == len(payload) == h.total_size
 
     def test_every_raised_query_is_a_counted_read_failure(self):
         # No retries: each flip a checksum covers fails its query, and each

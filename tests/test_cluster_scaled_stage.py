@@ -12,7 +12,7 @@ from repro.cluster import (
     partition_scan_cost,
 )
 from repro.datasets import random_walk_dataset
-from repro.storage import PartitionFile
+from repro.storage import PartitionFile, encode_partition_v2
 import numpy as np
 
 
@@ -116,15 +116,16 @@ class TestSimulateDistributedBuild:
 
 class TestPartitionScanCost:
     def _part(self):
-        return PartitionFile.from_clusters(
+        part = PartitionFile.from_clusters(
             "p", {"a": (np.arange(10), np.zeros((10, 16)))}
         )
+        return part, len(encode_partition_v2(part))
 
     def test_block_granular_mode(self):
-        part = self._part()
+        part, nbytes = self._part()
         block = 64 * 1024 * 1024
         cost = partition_scan_cost(
-            part.nbytes, part.record_count, part.series_length,
+            nbytes, part.record_count, part.series_length,
             cost_scale=1e6, sim_partition_bytes=block,
         )
         assert cost.read_bytes == block
@@ -132,9 +133,9 @@ class TestPartitionScanCost:
         assert cost.cpu_ops < 1e12
 
     def test_honest_mode_scales_bytes(self):
-        part = self._part()
+        part, nbytes = self._part()
         cost = partition_scan_cost(
-            part.nbytes, part.record_count, part.series_length,
+            nbytes, part.record_count, part.series_length,
             cost_scale=100.0, sim_partition_bytes=None,
         )
-        assert cost.read_bytes == part.nbytes * 100
+        assert cost.read_bytes == nbytes * 100

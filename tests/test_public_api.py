@@ -102,6 +102,10 @@ INTEGER_FIELDS = (
     "telemetry_sample_every",
 )
 
+#: The float fields of ``ClimberConfig``; ``decay_rate`` may also be
+#: ``None`` (unset).
+FLOAT_FIELDS = ("sample_fraction", "decay_rate", "cost_scale")
+
 
 def test_config_surface():
     fields = dataclasses.fields(repro.ClimberConfig)
@@ -122,6 +126,26 @@ def test_config_surface():
     assert repro.ClimberConfig(
         n_workers=np.int64(2), seed=np.int32(3), capacity=np.int64(150)
     ).n_workers == 2
+    # A float field takes a finite real number — a Python or NumPy float
+    # or integer — and never a bool, a string, a NaN or an infinity.
+    for name in FLOAT_FIELDS:
+        for bad in (True, np.bool_(False), "0.5", float("nan"),
+                    float("inf"), -np.inf):
+            with pytest.raises(repro.ConfigurationError, match=name):
+                repro.ClimberConfig(**{name: bad})
+    assert repro.ClimberConfig(sample_fraction=np.float32(0.5),
+                               cost_scale=2, decay_rate=0.25).cost_scale == 2
+    # A bool field takes a bool and nothing truthy in its place.
+    for bad in ("no", 1, 0, None, np.bool_(True)):
+        with pytest.raises(repro.ConfigurationError, match="telemetry"):
+            repro.ClimberConfig(telemetry=bad)
+    # The seed is a non-negative integer; the decay is one of its kinds.
+    with pytest.raises(repro.ConfigurationError, match="seed"):
+        repro.ClimberConfig(seed=-1)
+    for bad in ("quadratic", None, 1):
+        with pytest.raises(repro.ConfigurationError, match="decay"):
+            repro.ClimberConfig(decay=bad)
+    assert repro.ClimberConfig(seed=0, decay="linear").decay == "linear"
     # The retired routes are gone, not deprecated.
     for retired in ({"fault_plan": repro.FaultPlan(seed=3)},
                     {"executor": "thread"}):

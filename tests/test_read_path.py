@@ -26,7 +26,7 @@ from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
 from repro.exceptions import PartitionCorruptError
 from repro.resilience import FaultPlan, RetryPolicy
-from repro.storage import PartitionFile, SimulatedDFS
+from repro.storage import PartitionFile, SimulatedDFS, encode_partition_v2
 from repro.storage.engine import decode_v2_header
 
 LENGTH = 16
@@ -155,7 +155,7 @@ class TestCallBudget:
         backend = CountingBackend(dfs.engine.backend)
         dfs.engine.backend = backend
         view = dfs.read_partition("p0")
-        # The open maps the whole blob in one read and checks all four
+        # The open maps the whole blob in one read and checks all five
         # checksums over it; the first read is served from that mapping.
         assert backend.calls == {"size": 1, "read_range": 1}
         ids, values = view.read_clusters(view.cluster_keys())
@@ -165,15 +165,11 @@ class TestCallBudget:
         # A later read maps the blob again, with one more read.
         view.read_cluster(view.cluster_keys()[0])
         assert backend.calls == {"size": 1, "read_range": 2}
-        # Bytes served to the reader: header + meta + directory at open,
-        # then the runs — what the multi-read path accounted.
-        h = view.v2_header
-        n = part.record_count
-        assert view.materialised_bytes == (
-            h.header_size + h.meta_size + 2 * 8 * h.n_clusters
-            + n * 8 + n * LENGTH * 8 + PER_CLUSTER * (8 + LENGTH * 8)
-        )
-        assert view.nbytes == part.nbytes == dfs.partition_nbytes("p0")
+        # The open mapped and checked the whole blob, and the read is
+        # charged exactly that: the partition's one size.
+        size = len(encode_partition_v2(part))
+        assert view.nbytes == dfs.partition_nbytes("p0") == size
+        assert dfs.counters.bytes_read == size
         del ids, values
         dfs.engine.close()
 
@@ -182,11 +178,7 @@ class TestCallBudget:
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0)
         parts = [make_partition("other", seed=1), make_partition()]
         dfs.write_encoded_partitions([
-            (part.partition_id,
-             dfs.engine.encode_arrays(part.partition_id, part.ids,
-                                      part.values, part.header),
-             part.record_count, LENGTH, part.header)
-            for part in parts
+            (part.partition_id, encode_partition_v2(part)) for part in parts
         ])
         assert [p.name for p in tmp_path.iterdir()] == ["append-000000.seg"]
         backend = CountingBackend(dfs.engine.backend)
@@ -226,12 +218,13 @@ class TestCallBudget:
         fresh.engine.backend = backend
         assert fresh.attach() == len(parts)
         assert backend.calls == {"size": len(parts), "read_range": len(parts)}
-        for part in parts:
-            assert fresh.partition_nbytes(part.partition_id) == part.nbytes
+        sizes = [len(encode_partition_v2(part)) for part in parts]
+        for part, size in zip(parts, sizes):
+            assert fresh.partition_nbytes(part.partition_id) == size
         backend.calls.clear()
         meta = fresh.engine.partition_meta("p2")
         assert backend.calls == {"size": 1, "read_range": 1}
-        assert meta.logical_nbytes == parts[2].nbytes
+        assert meta.nbytes == sizes[2]
         fresh.engine.close()
 
 

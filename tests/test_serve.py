@@ -307,6 +307,10 @@ class TestLifecycle:
                 with pytest.raises(ConfigurationError, match=name):
                     ServeConfig(**{name: bad})
         assert ServeConfig(worker_threads=np.int64(2)).worker_threads == 2
+        for bad in (True, "0.01", float("nan"), float("inf"), None):
+            with pytest.raises(ConfigurationError, match="max_delay_s"):
+                ServeConfig(max_delay_s=bad)
+        assert ServeConfig(max_delay_s=0).max_delay_s == 0
 
     def test_stats_shape(self, index):
         service = QueryService(index, registry=MetricsRegistry())

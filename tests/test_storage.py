@@ -13,6 +13,7 @@ from repro.storage import (
     SimulatedDFS,
     array_from_bytes,
     array_to_bytes,
+    encode_partition_v2,
 )
 from repro.storage.serialization import read_blob, write_blob
 
@@ -26,6 +27,11 @@ def make_partition(pid="p0", n_clusters=3, per_cluster=5, length=8, seed=0):
         next_id += per_cluster
         clusters[f"g0/{c}"] = (ids, rng.normal(size=(per_cluster, length)))
     return PartitionFile.from_clusters(pid, clusters)
+
+
+def blob_size(part: PartitionFile) -> int:
+    """The partition's one size: the length of its stored blob."""
+    return len(encode_partition_v2(part))
 
 
 class TestSerialization:
@@ -132,7 +138,7 @@ class TestPartitionFile:
     def test_nbytes_grows_with_records(self):
         small = make_partition(per_cluster=2)
         big = make_partition(per_cluster=20)
-        assert big.nbytes > small.nbytes
+        assert blob_size(big) > blob_size(small)
 
     def test_cluster_sizes(self):
         part = make_partition(n_clusters=2, per_cluster=3)
@@ -164,12 +170,12 @@ class TestSimulatedDFS:
         dfs = SimulatedDFS()
         part = make_partition("a")
         dfs.write_partition(part)
-        assert dfs.counters.bytes_written == part.nbytes
+        assert dfs.counters.bytes_written == blob_size(part)
         assert dfs.counters.partitions_written == 1
         dfs.read_partition("a")
         dfs.read_partition("a")
         assert dfs.counters.partitions_read == 2
-        assert dfs.counters.bytes_read == 2 * part.nbytes
+        assert dfs.counters.bytes_read == 2 * blob_size(part)
 
     def test_counters_snapshot_is_independent(self):
         dfs = SimulatedDFS()
@@ -202,7 +208,7 @@ class TestSimulatedDFS:
         p1, p2 = make_partition("a"), make_partition("b", per_cluster=10)
         dfs.write_partition(p1)
         dfs.write_partition(p2)
-        assert dfs.total_bytes == p1.nbytes + p2.nbytes
+        assert dfs.total_bytes == blob_size(p1) + blob_size(p2)
 
     def test_disk_backed_roundtrip(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path)

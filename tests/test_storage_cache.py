@@ -16,7 +16,7 @@ import pytest
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
 from repro.exceptions import PartitionNotFoundError, StorageError
-from repro.storage import PartitionFile, SimulatedDFS
+from repro.storage import PartitionFile, SimulatedDFS, encode_partition_v2
 
 
 def make_partition(pid="p0", n_clusters=2, per_cluster=4, length=8, seed=0):
@@ -28,6 +28,11 @@ def make_partition(pid="p0", n_clusters=2, per_cluster=4, length=8, seed=0):
         next_id += per_cluster
         clusters[f"g0/{c}"] = (ids, rng.normal(size=(per_cluster, length)))
     return PartitionFile.from_clusters(pid, clusters)
+
+
+def blob_size(part: PartitionFile) -> int:
+    """The partition's one size: the length of its stored blob."""
+    return len(encode_partition_v2(part))
 
 
 class TestReadCache:
@@ -48,7 +53,7 @@ class TestReadCache:
         dfs.read_partition("a")
         dfs.read_partition("a")
         assert dfs.counters.partitions_read == 2
-        assert dfs.counters.bytes_read == 2 * part.nbytes
+        assert dfs.counters.bytes_read == 2 * blob_size(part)
 
     def test_cached_read_returns_equal_content(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=1 << 20)
@@ -61,7 +66,7 @@ class TestReadCache:
 
     def test_byte_bound_respected(self, tmp_path):
         parts = [make_partition(f"p{i}", per_cluster=8, seed=i) for i in range(4)]
-        budget = parts[0].nbytes * 2 + 1
+        budget = blob_size(parts[0]) * 2 + 1
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=budget)
         for p in parts:
             dfs.write_partition(p)
@@ -73,7 +78,7 @@ class TestReadCache:
     def test_lru_eviction_order(self, tmp_path):
         parts = [make_partition(f"p{i}", per_cluster=8, seed=i) for i in range(3)]
         dfs = SimulatedDFS(backing_dir=tmp_path,
-                           cache_bytes=parts[0].nbytes * 2 + 1)
+                           cache_bytes=blob_size(parts[0]) * 2 + 1)
         for p in parts:
             dfs.write_partition(p)
         dfs.read_partition("p0")
@@ -84,7 +89,8 @@ class TestReadCache:
 
     def test_oversized_partition_not_cached(self, tmp_path):
         part = make_partition("big", per_cluster=64)
-        dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=part.nbytes - 1)
+        dfs = SimulatedDFS(backing_dir=tmp_path,
+                           cache_bytes=blob_size(part) - 1)
         dfs.write_partition(part)
         dfs.read_partition("big")
         assert dfs.cache_used_bytes == 0
@@ -171,7 +177,7 @@ class TestRecordCountMetadata:
         assert fresh.attach() == 3
         for p in parts:
             assert fresh.record_count(p.partition_id) == p.record_count
-            assert fresh.partition_nbytes(p.partition_id) == p.nbytes
+            assert fresh.partition_nbytes(p.partition_id) == blob_size(p)
 
 
 class TestReopenUsesMetadata:
@@ -235,7 +241,7 @@ class TestCacheThreadSafety:
 
         parts = [make_partition(f"p{i}", seed=i) for i in range(12)]
         # Budget fits only ~3 partitions, forcing constant eviction churn.
-        dfs = SimulatedDFS(cache_bytes=3 * parts[0].nbytes + 1)
+        dfs = SimulatedDFS(cache_bytes=3 * blob_size(parts[0]) + 1)
         for part in parts:
             dfs.write_partition(part)
 
@@ -266,7 +272,7 @@ class TestCacheThreadSafety:
         total = n_threads * reads_each
         c = dfs.counters
         assert c.partitions_read == total
-        # All test partitions share one shape, so logical bytes are exact.
+        # All test partitions share one shape, so bytes read are exact.
         assert c.bytes_read == total * dfs.partition_nbytes("p0")
         # Every read is exactly one hit or one miss.
         assert c.cache_hits + c.cache_misses == total
@@ -289,7 +295,7 @@ class TestCacheThreadSafety:
 
         parts = [make_partition(f"p{i}", seed=i) for i in range(12)]
         plan = FaultPlan(seed=29, straggler_rate=0.5, straggler_delay_s=0.001)
-        dfs = SimulatedDFS(cache_bytes=3 * parts[0].nbytes + 1,
+        dfs = SimulatedDFS(cache_bytes=3 * blob_size(parts[0]) + 1,
                            fault_plan=plan)
         for part in parts:
             dfs.write_partition(part)

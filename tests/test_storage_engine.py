@@ -65,10 +65,10 @@ class TestFormatV2:
         np.testing.assert_array_equal(view.ids, part.ids)
         np.testing.assert_array_equal(view.values, part.values)
 
-    def test_logical_nbytes_matches_v1(self):
+    def test_nbytes_is_blob_size(self):
         part = make_partition(n_clusters=4, per_cluster=7, seed=1)
-        view, _ = memory_view(part)
-        assert view.nbytes == part.nbytes
+        view, payload = memory_view(part)
+        assert view.nbytes == len(payload) == view.v2_header.total_size
 
     def test_payloads_are_64_byte_aligned(self):
         part = make_partition()
@@ -113,15 +113,6 @@ class TestFormatV2:
         # result is still a view into the backing buffer (no concatenate).
         assert not values.flags.writeable
         np.testing.assert_array_equal(ids, part.ids)
-
-    def test_materialised_bytes_tracks_mapped_ranges(self):
-        part = make_partition(n_clusters=4, per_cluster=8, length=16)
-        view, payload = memory_view(part)
-        base = view.materialised_bytes
-        assert base < len(payload) / 4  # header + directory only
-        view.read_cluster(part.cluster_keys()[0])
-        per_cluster_bytes = 8 * (8 + 16 * 8)
-        assert view.materialised_bytes == base + per_cluster_bytes
 
     def test_missing_cluster_raises(self):
         view, _ = memory_view(make_partition())
@@ -301,11 +292,12 @@ class TestStorageEngine:
     def test_write_open_roundtrip(self, tmp_path):
         engine = StorageEngine(LocalDiskBackend(tmp_path))
         part = make_partition("alpha", seed=2)
-        engine.write_partition(part)
+        payload = encode_partition_v2(part)
+        assert engine.write_payload("alpha", payload) == len(payload)
         handle = engine.open_partition("alpha")
         np.testing.assert_array_equal(handle.ids, part.ids)
         np.testing.assert_array_equal(handle.values, part.values)
-        assert handle.nbytes == part.nbytes
+        assert handle.nbytes == len(payload)
         assert engine.list_partitions() == ["alpha"]
         assert engine.has_partition("alpha")
         engine.close()
@@ -313,9 +305,10 @@ class TestStorageEngine:
     def test_partition_meta_without_payload(self):
         engine = StorageEngine(MemoryBackend())
         part = make_partition("p", n_clusters=2, per_cluster=6, length=12)
-        engine.write_partition(part)
+        payload = encode_partition_v2(part)
+        engine.write_payload("p", payload)
         meta = engine.partition_meta("p")
-        assert meta.logical_nbytes == part.nbytes
+        assert meta.nbytes == len(payload)
         assert meta.record_count == 12
         assert meta.series_length == 12
 
@@ -328,7 +321,7 @@ class TestStorageEngine:
 
     def test_delete_partition(self):
         engine = StorageEngine(MemoryBackend())
-        engine.write_partition(make_partition("p"))
+        engine.write_payload("p", encode_partition_v2(make_partition("p")))
         engine.delete_partition("p")
         assert not engine.has_partition("p")
 
@@ -365,15 +358,16 @@ class TestDfsEngineFacade:
         np.testing.assert_array_equal(ids, eids)
         np.testing.assert_array_equal(values, evals)
         assert dfs.counters.partitions_read == 1
-        assert dfs.counters.bytes_read == part.nbytes
+        assert dfs.counters.bytes_read == len(encode_partition_v2(part))
 
-    def test_logical_counters_charge_logical_size(self, tmp_path):
+    def test_counters_charge_stored_size(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path)
         part = make_partition("a", seed=3)
         dfs.write_partition(part)
         dfs.read_partition("a")
-        assert dfs.counters.bytes_written == part.nbytes
-        assert dfs.counters.bytes_read == part.nbytes
+        stored = (tmp_path / "a.part").stat().st_size
+        assert dfs.counters.bytes_written == stored
+        assert dfs.counters.bytes_read == stored
         assert dfs.counters.partitions_read == 1
 
 

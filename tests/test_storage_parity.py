@@ -22,7 +22,7 @@ from repro.core import ClimberConfig, ClimberIndex, QueryStats
 from repro.datasets import random_walk_dataset, sample_queries
 from repro.resilience import FaultPlan
 from repro.series import SeriesDataset
-from repro.storage import SimulatedDFS
+from repro.storage import PartitionFile, SimulatedDFS, encode_partition_v2
 
 CFG = ClimberConfig(
     word_length=8, n_pivots=32, prefix_length=6, capacity=100,
@@ -291,6 +291,57 @@ class TestPlacementIsInvisible:
             == ["append-000000.seg"]
         assert reopened.n_records == 1_500 + 480
         assert extra.ids[5] in reopened.knn(extra.values[5], 3).ids
+
+
+class TestOneSize:
+    """A partition has one size, the length of its stored blob (DESIGN.md
+    D17): the DFS registers it, totals it and charges a read with it the
+    same way wherever the blob lives."""
+
+    @staticmethod
+    def payloads(dataset):
+        """Three partitions of different sizes and cluster counts, encoded
+        once: the bytes every store below holds."""
+        out = {}
+        for i, (n, n_clusters) in enumerate(((60, 1), (150, 4), (333, 7))):
+            rows = np.arange(100 * i, 100 * i + n)
+            clusters = {
+                f"g{i}/{c}": (dataset.ids[chunk], dataset.values[chunk])
+                for c, chunk in enumerate(np.array_split(rows, n_clusters))
+            }
+            part = PartitionFile.from_clusters(f"p{i}", clusters)
+            out[part.partition_id] = encode_partition_v2(part)
+        return out
+
+    def test_sizes_and_reads_charge_the_blob_however_stored(self, dataset,
+                                                            tmp_path):
+        payloads = self.payloads(dataset)
+        loose, packed = tmp_path / "loose", tmp_path / "packed"
+        memory = SimulatedDFS()
+        on_disk = SimulatedDFS(backing_dir=loose)
+        for dfs in (memory, on_disk):
+            for pid, payload in payloads.items():
+                assert dfs.write_encoded_partition(pid, payload) \
+                    == len(payload)
+        appended = SimulatedDFS(backing_dir=packed)
+        assert appended.write_encoded_partitions(list(payloads.items())) \
+            == sum(map(len, payloads.values()))
+        assert [p.name for p in packed.iterdir()] == ["append-000000.seg"]
+        attached = SimulatedDFS(backing_dir=loose)
+        assert attached.attach() == len(payloads)
+        attached_packed = SimulatedDFS(backing_dir=packed)
+        assert attached_packed.attach() == len(payloads)
+
+        for dfs in (memory, on_disk, attached, appended, attached_packed):
+            assert dfs.total_bytes == sum(map(len, payloads.values()))
+            for pid, payload in payloads.items():
+                assert dfs.partition_nbytes(pid) == len(payload)
+                before = dfs.counters.bytes_read
+                view = dfs.read_partition(pid)
+                assert dfs.counters.bytes_read - before == len(payload)
+                assert view.nbytes == len(payload)
+        for dfs in (on_disk, attached, appended, attached_packed):
+            dfs.engine.close()
 
 
 class TestBatchSignatureDedup:
