@@ -8,20 +8,20 @@ Sweeps the parallel execution layer (``ClimberConfig.n_workers``) over
   and the parallel ``knn_batch`` must return identical answers.  The
   artifact is refused when any of this diverges: scaling numbers from a
   wrong pipeline are meaningless.
-* **measured walls** — honest end-to-end build and batch-query wall
-  times per worker count *on this host*, stamped with the host's CPU
-  count.  On a single-core container these stay flat: threads only help
-  when cores exist.
-* **modeled makespans** — per-task durations are measured once on the
-  serial path (conversion blocks, partition encodes, per-query scans —
-  the exact task decomposition the executors run, which is fixed by
-  block/shard size and independent of worker count), then scheduled
-  onto ``k`` workers with a greedy longest-processing-time makespan
-  plus the measured serial remainder (skeleton phase, RNG tail, routing,
-  store registration).  This is the schedule the thread pool realises
-  when ``host_cpus >= k`` and the kernels release the GIL; the artifact
-  records both series and which one the headline speedups come from, so
-  a single-core CI host cannot silently masquerade as an 8-core one.
+* **headline: the measured 1-vs-2-worker build** — end-to-end build
+  walls on this host, the worker counts alternating over ``--reps``
+  repetitions (median reported), stamped with the host's CPU count.
+  Batch-query QPS is measured beside it.
+* **modeled makespans** (the ``modeled`` field) — per-task durations
+  are measured once on the serial path (conversion blocks, partition
+  encodes, per-query scans — the exact task decomposition the executors
+  run, which is fixed by block/shard size and independent of worker
+  count), then scheduled onto ``k`` workers with a greedy
+  longest-processing-time makespan plus the measured serial remainder
+  (skeleton phase, RNG tail, routing, the streamed store).  This is the
+  schedule the thread pool would realise with ``k`` free cores and
+  kernels that release the GIL; its speedups at 4 workers are the
+  acceptance gates, which a host with fewer cores can still check.
 
 Usage::
 
@@ -72,10 +72,10 @@ def build_once(dataset, config):
 
 
 def partition_payloads(dfs):
-    engine = dfs.engine
+    backend = dfs.engine.backend
     return {
-        pid: bytes(engine.backend.read_range(
-            engine._name(pid), 0, engine.physical_nbytes(pid)))
+        pid: bytes(backend.read_range(dfs.engine.blob_name(pid), 0,
+                                      dfs.partition_nbytes(pid)))
         for pid in dfs.list_partitions()
     }
 
@@ -144,9 +144,10 @@ def profile_serial_build(dataset, config):
     Wraps the exact task units the executors run — ``_convert_block``
     calls and per-partition encodes — so the modeled schedule uses the
     real task decomposition (fixed by block/shard size, identical at
-    every worker count).  The stores that follow each encode stay on the
-    caller's thread at every worker count, so they count as serial.  The
-    phase walls are the build's own ``build.convert_s`` /
+    every worker count).  The store — one ``write_encoded_partitions``
+    call that takes the payloads as they come — stays on the caller's
+    thread at every worker count, so it counts as serial.  The phase
+    walls are the build's own ``build.convert_s`` /
     ``build.redistribute_s`` spans.
     """
     block_times: list[float] = []
@@ -251,19 +252,30 @@ def modeled_query_walls(profile) -> dict[int, float]:
 # -- measured walls --------------------------------------------------------------
 
 
-def measure_walls(dataset, queries, k, n) -> dict:
-    build_walls, qps = {}, {}
+def measure_walls(dataset, queries, k, n, reps) -> dict:
+    """Build walls per worker count over ``reps`` repetitions, the order
+    of the counts reversed every other repetition so drift in the host's
+    speed falls on all of them alike; then one batch-query QPS each."""
+    build_reps = {workers: [] for workers in WORKER_COUNTS}
+    for rep in range(reps):
+        order = WORKER_COUNTS if rep % 2 == 0 else WORKER_COUNTS[::-1]
+        for workers in order:
+            with timed(f"scaling.build.w{workers}") as t_build:
+                build_once(dataset, make_config(n, workers))
+            build_reps[workers].append(t_build.seconds)
+    qps = {}
     for workers in WORKER_COUNTS:
         cfg = make_config(n, workers)
-        with timed(f"scaling.build.w{workers}") as t_build:
-            art = build_once(dataset, cfg)
-        build_walls[workers] = t_build.seconds
-        index = ClimberIndex(art, cfg, model=_model())
+        index = ClimberIndex(build_once(dataset, cfg), cfg, model=_model())
         index.knn_batch(queries[:8], k)  # warm routing tables / caches
         with timed(f"scaling.batch.w{workers}") as t_batch:
             index.knn_batch(queries, k)
         qps[workers] = len(queries) / t_batch.seconds
-    return {"build_wall_s": build_walls, "batch_qps": qps}
+    return {
+        "build_wall_s": {w: float(np.median(t)) for w, t in build_reps.items()},
+        "build_wall_s_reps": build_reps,
+        "batch_qps": qps,
+    }
 
 
 def main() -> None:
@@ -271,7 +283,11 @@ def main() -> None:
     parser.add_argument("--smoke", action="store_true",
                         help="small fast run (CI)")
     parser.add_argument("--records", type=int, default=None)
+    parser.add_argument("--reps", type=int, default=None,
+                        help="build repetitions per worker count "
+                             "(default 2 with --smoke, else 5)")
     args = parser.parse_args()
+    reps = args.reps or (2 if args.smoke else 5)
 
     n = args.records or (20_000 if args.smoke else 200_000)
     n_queries = 64 if args.smoke else 256
@@ -300,7 +316,7 @@ def main() -> None:
     qprofile = profile_serial_queries(index, queries, k)
     query_modeled = modeled_query_walls(qprofile)
 
-    measured = measure_walls(dataset, queries, k, n)
+    measured = measure_walls(dataset, queries, k, n, reps)
 
     build_speedup_modeled = {
         k_: build_modeled[1] / build_modeled[k_] for k_ in WORKER_COUNTS
@@ -320,17 +336,11 @@ def main() -> None:
         for k_ in WORKER_COUNTS
     }
 
-    # Headline speedups: measured when the host actually has the cores,
-    # else the modeled makespan series (recorded as such).
-    use_measured = host_cpus >= max(WORKER_COUNTS)
-    headline_mode = "measured" if use_measured else "modeled_makespan"
-    build_speedup = (build_speedup_measured if use_measured
-                     else build_speedup_modeled)
-    qps_speedup = (qps_speedup_measured if use_measured
-                   else qps_speedup_modeled)
-
     print(f"records={n:,} queries={n_queries} host_cpus={host_cpus} "
-          f"headline={headline_mode}")
+          f"build reps={reps}")
+    print(f"headline: measured build wall {measured['build_wall_s'][1]:.3f}s "
+          f"at 1 worker, {measured['build_wall_s'][2]:.3f}s at 2 "
+          f"(x{build_speedup_measured[2]:.2f}, median of {reps})")
     print(f"serial build {profile['wall']:.3f}s "
           f"(convert {profile['convert_wall']:.3f}s over "
           f"{len(profile['block_times'])} blocks, redistribute "
@@ -338,11 +348,11 @@ def main() -> None:
           f"{len(profile['encode_times'])} encodes, "
           f"other {profile['other_serial']:.3f}s)")
     for k_ in WORKER_COUNTS:
-        print(f"  workers={k_}: build x{build_speedup[k_]:.2f} "
-              f"(measured x{build_speedup_measured[k_]:.2f}, "
-              f"wall {measured['build_wall_s'][k_]:.3f}s)  "
-              f"qps x{qps_speedup[k_]:.2f} "
-              f"(measured {measured['batch_qps'][k_]:.0f} q/s)")
+        print(f"  workers={k_}: build measured x{build_speedup_measured[k_]:.2f} "
+              f"(wall {measured['build_wall_s'][k_]:.3f}s), modeled "
+              f"x{build_speedup_modeled[k_]:.2f}  qps measured "
+              f"{measured['batch_qps'][k_]:.0f} q/s, modeled "
+              f"x{qps_speedup_modeled[k_]:.2f}")
 
     payload = {
         "smoke": args.smoke,
@@ -350,10 +360,17 @@ def main() -> None:
         "n_queries": n_queries,
         "series_length": length,
         "k": k,
+        "build_reps": reps,
         "environment": bench_environment(),
         "worker_counts": list(WORKER_COUNTS),
-        "headline_mode": headline_mode,
         "parity": parity,
+        "headline": {
+            "what": "measured build wall, 1 vs 2 workers, median of "
+                    "build_reps alternating repetitions",
+            "build_wall_s_1": measured["build_wall_s"][1],
+            "build_wall_s_2": measured["build_wall_s"][2],
+            "build_speedup_at_2": build_speedup_measured[2],
+        },
         "serial_profile": {
             "build_wall_s": profile["wall"],
             "convert_wall_s": profile["convert_wall"],
@@ -368,6 +385,8 @@ def main() -> None:
             "query_shared_serial_s": qprofile["shared_serial"],
         },
         "modeled": {
+            "what": "LPT makespan of the serially profiled tasks on k "
+                    "workers plus the serial remainder; not measured",
             "build_wall_s": build_modeled,
             "build_speedup": build_speedup_modeled,
             "batch_wall_s": query_modeled,
@@ -379,24 +398,23 @@ def main() -> None:
             "build_speedup": build_speedup_measured,
             "qps_speedup": qps_speedup_measured,
         },
-        "build_speedup_at_4": build_speedup[4],
-        "qps_speedup_at_4": qps_speedup[4],
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT_PATH}")
 
-    # Acceptance: >= 2.5x build and >= 2x batch QPS at 4 workers (headline
-    # series).  Smoke runs only guard against gross scaling regressions.
+    # Acceptance: >= 2.5x build and >= 2x batch QPS at 4 workers on the
+    # modeled series.  Smoke runs only guard against gross scaling
+    # regressions.
     build_floor, qps_floor = (1.5, 1.3) if args.smoke else (2.5, 2.0)
-    if build_speedup[4] < build_floor:
+    if build_speedup_modeled[4] < build_floor:
         raise SystemExit(
-            f"acceptance not met: build speedup x{build_speedup[4]:.2f} "
-            f"< x{build_floor} at 4 workers"
+            f"acceptance not met: modeled build speedup "
+            f"x{build_speedup_modeled[4]:.2f} < x{build_floor} at 4 workers"
         )
-    if qps_speedup[4] < qps_floor:
+    if qps_speedup_modeled[4] < qps_floor:
         raise SystemExit(
-            f"acceptance not met: QPS speedup x{qps_speedup[4]:.2f} "
-            f"< x{qps_floor} at 4 workers"
+            f"acceptance not met: modeled QPS speedup "
+            f"x{qps_speedup_modeled[4]:.2f} < x{qps_floor} at 4 workers"
         )
 
 

@@ -397,9 +397,11 @@ def _redistribute_flat(
     Every build is *encode, then store*: the per-partition payload encodes
     are pure functions of the record arrays and run on ``executor``, each
     task gathering its rows straight from the dataset arrays through the
-    live engine handle; stores and their counters run on this thread in
-    partition order, so the stored bytes and every counter are identical
-    for any worker count.
+    live engine handle.  The payloads go, in partition order, to one
+    :meth:`SimulatedDFS.write_encoded_partitions` call as a generator —
+    one segment file on disk, visible whole or not at all (DESIGN.md D18)
+    — and the counters are charged on this thread, so the stored bytes
+    and every counter are identical for any worker count.
     """
     with telemetry.trace("build.redistribute.compile"):
         router = skeleton.flat_router()
@@ -416,10 +418,12 @@ def _redistribute_flat(
             )
 
         encode = telemetry.wrap_tasks("build.redistribute.encode", encode_one)
-        # A serial build streams: each payload is stored and dropped
-        # before the next is encoded, so peak memory stays one partition
-        # above the dataset instead of a second copy of it.
+        # A serial build streams: each payload is written into the segment
+        # and dropped before the next is encoded, so peak memory stays one
+        # partition above the dataset instead of a second copy of it.
         run = executor.map if executor.n_workers > 1 else map
         payloads = run(encode, parts)
-        for (pid, *_), payload in zip(parts, payloads):
-            dfs.write_encoded_partition(partition_name(pid), payload)
+        dfs.write_encoded_partitions(
+            (partition_name(pid), payload)
+            for (pid, *_), payload in zip(parts, payloads)
+        )

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.progressive import parse_early_stop
 from repro.exceptions import ConfigurationError
-from repro.pivots.distances import DecayKind
+from repro.pivots.distances import DecayKind, decay_weights
 
 __all__ = [
     "ClimberConfig",
@@ -205,6 +205,8 @@ class ClimberConfig:
             raise ConfigurationError(
                 f"prefix_length must be in [1, n_pivots={self.n_pivots}]"
             )
+        # Raises on a decay_rate outside its decay kind's range.
+        decay_weights(self.prefix_length, self.decay, self.decay_rate)
         if self.capacity is not None and self.capacity < 1:
             raise ConfigurationError("capacity must be >= 1 when given")
         if not 0.0 < self.sample_fraction <= 1.0:

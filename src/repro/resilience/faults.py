@@ -158,8 +158,8 @@ class FaultPlan:
 class FaultInjector:
     """A :class:`StorageBackend` wrapper realising a :class:`FaultPlan`.
 
-    Wraps any backend and satisfies the same byte-range protocol.  Writes,
-    deletes and listings always pass through untouched (build pipelines
+    Wraps any backend and satisfies the same byte-range protocol.  Writes
+    and listings always pass through untouched (build pipelines
     are unaffected); reads consult the fault decision of the blob's
     current attempt:
 
@@ -208,9 +208,6 @@ class FaultInjector:
 
     # -- StorageBackend protocol ------------------------------------------------
 
-    def write(self, name: str, payload: bytes) -> None:
-        self.inner.write(name, payload)
-
     def write_many(self, blobs) -> None:
         self.inner.write_many(blobs)
 
@@ -243,9 +240,6 @@ class FaultInjector:
 
     def exists(self, name: str) -> bool:
         return self.inner.exists(name)
-
-    def delete(self, name: str) -> None:
-        self.inner.delete(name)
 
     def list_names(self) -> list[str]:
         return self.inner.list_names()

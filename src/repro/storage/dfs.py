@@ -37,10 +37,12 @@ class keeps everything *simulated* about the DFS:
      same per-partition order, so answers and counters are unchanged;
 * a **delta-name registry** — ``delta_partitions(base)`` answers the
   ``<base>.d<seq>`` naming-convention lookup from an in-memory index;
-* **batch registration** — ``write_encoded_partitions`` stores all the
-  delta partitions of one append through a single backend call (one file
-  on disk, there whole or not at all) and registers each under its own
-  name, so nothing above can tell a packed partition from a loose one;
+* **one write path** — every write is a batch:
+  ``write_encoded_partitions`` stores the base partitions of a build, or
+  the delta partitions of one append, through a single backend call (one
+  segment file on disk, there whole or not at all) and registers each
+  under its own name; ``write_partition`` and ``write_partition_arrays``
+  are batches of one (DESIGN.md D6, D18);
 * **header metadata** — ``partition_nbytes(pid)`` / ``record_count(pid)``
   / ``series_length(pid)``, decoded from each blob's fixed header at
   write and attach time, so reopening an index, or validating an append,
@@ -59,7 +61,7 @@ from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 from repro.exceptions import (
     PartitionLostError,
@@ -144,8 +146,9 @@ class SimulatedDFS:
     block_bytes:
         Storage block size; the paper uses 64 or 128 MB HDFS blocks.
     backing_dir:
-        If given, partitions are persisted to files under this directory
-        and served through mmap, making I/O genuinely disk-based.
+        If given, partitions are persisted to segment files under this
+        directory, one a write, and served through mmap, making I/O
+        genuinely disk-based.
     cache_bytes:
         Byte budget of the LRU read cache over opened partition handles;
         0 (the default) disables caching.  Logical read counters are
@@ -266,10 +269,12 @@ class SimulatedDFS:
         """Register the partitions already present in the backing directory.
 
         Lets a fresh process reopen a disk-persisted index: the engine
-        lists the stored partitions and reads only their headers (fixed
-        header, meta blob and directory).  A ``.part`` file that is not a
-        partition in the engine's format raises :class:`StorageError`.
-        Returns the number of partitions attached.
+        lists the partitions stored in the directory's segments and reads
+        only their headers (fixed header, meta blob and directory).  A
+        stored blob that is not a partition in the engine's format, or a
+        file in the directory that is not a segment (a loose ``.part``
+        file of a store written before DESIGN.md D18), raises
+        :class:`StorageError`.  Returns the number of partitions attached.
         """
         if not self.backing_dir:
             raise StorageError("attach() requires a backing_dir")
@@ -308,74 +313,55 @@ class SimulatedDFS:
         header: dict[str, tuple[int, int]],
         rows=None,
     ) -> int:
-        """Bulk-write entry point: store cluster-sorted arrays directly.
+        """Store one partition straight from cluster-sorted arrays.
 
-        The flat-trie build pipeline routes and sorts every record in bulk,
-        then writes each partition straight from the dataset arrays (with a
-        ready cluster directory) through here, with no intermediate
-        :class:`PartitionFile`.  With ``rows`` given, ``ids``/``values`` are
-        source arrays and the stored records are ``ids[rows]``/
-        ``values[rows]``, gathered directly into the payload buffer.  The
-        stored bytes are identical to writing
-        ``PartitionFile.from_clusters`` over the same records.  Returns the
-        partition's stored size in bytes.
+        With ``rows`` given, ``ids``/``values`` are source arrays and the
+        stored records are ``ids[rows]``/``values[rows]``, gathered
+        directly into the payload buffer.  The stored bytes are identical
+        to writing ``PartitionFile.from_clusters`` over the same records.
+        A batch of one through :meth:`write_encoded_partitions`; returns
+        the partition's stored size in bytes.
         """
-        return self.write_encoded_partition(
+        return self.write_encoded_partitions([(
             partition_id,
             self._engine.encode_arrays(partition_id, ids, values, header,
                                        rows=rows),
-        )
-
-    def write_encoded_partition(self, partition_id: str,
-                                payload: bytes) -> int:
-        """Store a payload pre-encoded by :meth:`StorageEngine.encode_arrays`.
-
-        Every single-partition write ends here.  The builder's workers
-        encode payloads concurrently (a pure function of the record
-        arrays) and the caller stores them through here serially in
-        partition order, so the stored bytes and every counter are the
-        same for any worker count.  Returns the partition's stored size in
-        bytes.
-        """
-        return self._store([(partition_id, payload)], packed=False)
+        )])
 
     def write_encoded_partitions(
-        self, partitions: Sequence[tuple[str, bytes]]
+        self, partitions: Iterable[tuple[str, bytes]]
     ) -> int:
-        """Store ``(partition_id, payload)`` pairs in one backend call.
+        """Store ``(partition_id, payload)`` pairs, pre-encoded by
+        :meth:`StorageEngine.encode_arrays`, in one backend call.
 
-        The batch is stored whole or not at all — a duplicate id, or a
-        payload whose fixed header does not decode, is refused before a
-        byte is written, and a disk backend makes one file of it
-        (DESIGN.md D6) — and is then registered and counted
-        partition by partition, exactly as the same partitions written one
-        at a time would be.  Each partition's size, record count and series
-        length come from its payload's own header.  This is how
-        ``ClimberIndex.append`` stores its delta partitions.  Returns the
-        summed stored size in bytes.
+        Every write ends here.  ``partitions`` may be a generator — the
+        build hands over each payload as it is encoded — and each pair is
+        checked as it arrives: a duplicate id, or a payload whose fixed
+        header does not decode, refuses the whole batch, of which nothing
+        is then stored, registered or counted.  A stored batch is one
+        segment file on disk (DESIGN.md D6, D18) and is registered and
+        counted partition by partition; each partition's size, record
+        count and series length come from its payload's own header.
+        Returns the summed stored size in bytes.
         """
-        return self._store(partitions, packed=True)
+        heads = []
 
-    def _store(self, partitions: Sequence[tuple[str, bytes]],
-               packed: bool) -> int:
-        # Every check runs before the first byte is stored; ``packed``
-        # stores the batch through one ``write_payloads`` call.
-        heads = [decode_v2_header(payload, len(payload))
-                 for _, payload in partitions]
-        with self._lock:
+        def checked():
             batch = set()
-            for pid, _ in partitions:
+            for pid, payload in partitions:
+                h = decode_v2_header(payload, len(payload))
                 if pid in self._sizes or pid in batch:
                     raise StorageError(f"partition {pid!r} already exists")
                 batch.add(pid)
-            if packed:
-                self._engine.write_payloads(partitions)
-            else:
-                self._engine.write_payload(*partitions[0])
-            for (pid, _), h in zip(partitions, heads):
+                heads.append((pid, h))
+                yield pid, payload
+
+        with self._lock:
+            self._engine.write_payloads(checked())
+            for pid, h in heads:
                 self._register_written(pid, h.total_size, h.n_records,
                                        h.series_length)
-        return sum(h.total_size for h in heads)
+        return sum(h.total_size for _, h in heads)
 
     def _register_written(self, pid: str, nbytes: int, record_count: int,
                           series_length: int) -> None:

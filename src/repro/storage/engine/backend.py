@@ -1,21 +1,21 @@
 """Pluggable byte-range storage backends.
 
 A :class:`StorageBackend` stores immutable named blobs and serves arbitrary
-byte ranges from them.  The contract is deliberately tiny — ``write``,
-``write_many``, ``read_range``, ``size``, ``delete`` — so a partition format
-that knows its own offsets (format v2) can be served zero-copy from any
-medium:
+byte ranges from them.  The contract is deliberately tiny — one batch
+write, ``write_many``, then ``read_range``, ``size``, ``exists`` and
+``list_names`` — so a partition format that knows its own offsets can be
+served zero-copy from any medium:
 
 * :class:`MemoryBackend` — blobs in a dict; ranges are memoryviews over
   the stored bytes.
-* :class:`LocalDiskBackend` — one file per ``write`` and one *segment*
-  file per ``write_many`` under a root directory; ranges are memoryviews
-  over lazily-opened read-only ``mmap`` handles, so the OS pages in only
-  the bytes actually touched.
+* :class:`LocalDiskBackend` — one *segment* file per ``write_many`` under
+  a root directory, and no other file; ranges are memoryviews over
+  lazily-opened read-only ``mmap`` handles of the segments, so the OS
+  pages in only the bytes actually touched.
 
-Where a blob's bytes sit is the backend's business alone: a blob packed
-into a segment is read, sized and listed under the name it was written
-with, exactly like one that has a file to itself (DESIGN.md D6).
+Every write is a batch, stored whole or not at all, and every blob is
+read, sized and listed under the name it was written with; where its
+bytes sit is the backend's business alone (DESIGN.md D6, D18).
 
 Every ``read_range`` is bounds-checked: a request past the end of the blob
 raises :class:`StorageError` rather than silently returning a short view,
@@ -32,7 +32,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.exceptions import (
     PartitionCorruptError,
@@ -48,23 +48,20 @@ __all__ = ["StorageBackend", "MemoryBackend", "LocalDiskBackend"]
 class StorageBackend(Protocol):
     """Byte-range object store: named immutable blobs, sliceable reads."""
 
-    def write(self, name: str, data: bytes) -> None:
-        """Store ``data`` under ``name`` (replacing any previous blob)."""
-
-    def write_many(self, blobs: Sequence[tuple[str, bytes]]) -> None:
+    def write_many(self, blobs: Iterable[tuple[str, bytes]]) -> None:
         """Store a batch of ``(name, data)`` blobs, all of them or none.
 
-        Each blob is afterwards read, sized and listed under its own name;
-        how many files the batch became is the backend's business."""
+        Every name must be new.  The batch may be a generator: each blob
+        is stored as it arrives, and one that raises, or a name that is
+        taken, leaves nothing of the batch behind.  Each blob is
+        afterwards read, sized and listed under its own name; how many
+        files the batch became is the backend's business."""
 
     def read_range(self, name: str, offset: int, length: int) -> memoryview:
         """A zero-copy view of ``length`` bytes starting at ``offset``."""
 
     def size(self, name: str) -> int:
         """Stored size of one blob in bytes."""
-
-    def delete(self, name: str) -> None:
-        """Remove one blob."""
 
     def exists(self, name: str) -> bool:
         """Whether ``name`` is stored."""
@@ -94,11 +91,13 @@ class MemoryBackend:
     def __init__(self) -> None:
         self._blobs: dict[str, bytes] = {}
 
-    def write(self, name: str, data: bytes) -> None:
-        self._blobs[name] = bytes(data)
-
-    def write_many(self, blobs: Sequence[tuple[str, bytes]]) -> None:
-        self._blobs.update((name, bytes(data)) for name, data in blobs)
+    def write_many(self, blobs: Iterable[tuple[str, bytes]]) -> None:
+        batch: dict[str, bytes] = {}
+        for name, data in blobs:
+            if name in batch or name in self._blobs:
+                raise StorageError(f"object {name!r} is already stored")
+            batch[name] = bytes(data)
+        self._blobs.update(batch)
 
     def _blob(self, name: str) -> bytes:
         blob = self._blobs.get(name)
@@ -113,10 +112,6 @@ class MemoryBackend:
 
     def size(self, name: str) -> int:
         return len(self._blob(name))
-
-    def delete(self, name: str) -> None:
-        if self._blobs.pop(name, None) is None:
-            raise PartitionNotFoundError(f"no stored object {name!r}")
 
     def exists(self, name: str) -> bool:
         return name in self._blobs
@@ -143,28 +138,6 @@ _SEGMENT_VERSION = 1
 _SEGMENT_ALIGNMENT = 64
 # magic, version, directory CRC32, directory offset, directory length
 _SEGMENT_FOOTER = struct.Struct("<8sIIQQ")
-
-
-def _encode_segment(
-    blobs: Sequence[tuple[str, bytes]]
-) -> tuple[bytes, list[tuple[str, int, int]]]:
-    """One segment's bytes and its ``(name, offset, length)`` directory."""
-    pieces: list[bytes] = []
-    directory = []
-    offset = 0
-    for name, data in blobs:
-        padding = -offset % _SEGMENT_ALIGNMENT
-        pieces.append(bytes(padding))
-        offset += padding
-        pieces.append(data)
-        directory.append((name, offset, len(data)))
-        offset += len(data)
-    table = json_to_bytes(directory)
-    pieces.append(table)
-    pieces.append(_SEGMENT_FOOTER.pack(
-        _SEGMENT_MAGIC, _SEGMENT_VERSION, zlib.crc32(table), offset, len(table)
-    ))
-    return b"".join(pieces), directory
 
 
 def _read_segment_directory(path: Path) -> list[tuple[str, int, int]]:
@@ -217,36 +190,36 @@ def _read_segment_directory(path: Path) -> list[tuple[str, int, int]]:
 
 
 class LocalDiskBackend:
-    """Files under ``root``, read through cached mmap handles.
+    """Segment files under ``root``, read through cached mmap handles.
 
-    A ``write`` makes one file named after its blob.  A ``write_many``
-    makes one *segment* file ``append-<seq>.seg`` holding the whole batch
-    (see ``_encode_segment``), written tmp + rename like any other, so a
-    crash leaves all of the batch or none of it.  From then on each packed
-    name resolves through an in-memory ``name -> (segment, offset,
-    length)`` map, loaded — every directory CRC-checked — when a backend
-    is constructed over an existing directory; ``read_range``, ``size``,
-    ``exists`` and ``list_names`` answer for a packed name as they do for
-    a loose one, and segments themselves are never listed.  Packed blobs
-    are immutable: ``write`` or ``delete`` of one raises
-    :class:`StorageError`.
+    A ``write_many`` makes one *segment* file ``append-<seq>.seg`` holding
+    the whole batch (see ``_SEGMENT_FOOTER``): each blob is streamed into
+    a dot-named tmp file as it arrives, the directory and footer follow,
+    and one ``os.replace`` makes it visible, so a crash — or a blob that
+    raises on its way in — leaves all of the batch or none of it.  From
+    then on each name resolves through an in-memory ``name -> (segment,
+    offset, length)`` map, loaded — every directory CRC-checked — when a
+    backend is constructed over an existing directory.  Segments are the
+    only files a store holds: they are never listed as blobs, and
+    ``list_names`` refuses a directory holding any other file (a loose
+    ``<pid>.part``, say, which stores written before DESIGN.md D18 held),
+    naming the file.  Blobs are immutable: nothing rewrites or removes
+    one.
 
-    Handles are opened lazily on the first range read of a file, reused
+    Handles are opened lazily on the first range read of a segment, reused
     LRU-style, and capped at ``max_open_handles`` so a store with many
-    partitions cannot exhaust the process file-descriptor limit.  A handle
+    segments cannot exhaust the process file-descriptor limit.  A handle
     whose buffer is still referenced by live NumPy views cannot be closed
     (CPython refuses while exports exist); such handles are dropped from
-    the cache and reclaimed when the last view dies.  Overwrites go
-    through an atomic rename, so views over a replaced blob keep reading
-    the old inode instead of faulting.
+    the cache and reclaimed when the last view dies.
 
-    The handle LRU and the packed-name map are guarded by an internal
-    lock: the DFS read path opens partitions concurrently (its own lock
-    covers only bookkeeping), and a cached v2 view re-maps its payload on
-    every read after its first, long after the open, so the map mutations
-    here must be safe under concurrent readers.  Views are sliced while
-    the lock is held, so an eviction racing a read can never close a
-    mapping between lookup and export.
+    The handle LRU and the name map are guarded by an internal lock: the
+    DFS read path opens partitions concurrently (its own lock covers only
+    bookkeeping), and a cached view re-maps its payload on every read
+    after its first, long after the open, so the map mutations here must
+    be safe under concurrent readers.  Views are sliced while the lock is
+    held, so an eviction racing a read can never close a mapping between
+    lookup and export.
     """
 
     def __init__(self, root: str | Path, max_open_handles: int = 256) -> None:
@@ -278,52 +251,40 @@ class LocalDiskBackend:
                 self._packed[name] = (entry, offset, length)
             self._next_segment = max(self._next_segment, int(match[1]) + 1)
 
-    def _path(self, name: str) -> Path:
-        if not name or "/" in name or "\\" in name or name.startswith("."):
-            raise StorageError(f"invalid object name {name!r}")
-        return self.root / name
-
-    def _mutable_path(self, name: str) -> Path:
-        """The file a write or delete of ``name`` may touch."""
-        path = self._path(name)
-        with self._maps_lock:
-            packed = self._packed.get(name)
-        if packed is not None:
-            raise StorageError(
-                f"object {name!r} is packed in segment {packed[0]!r} "
-                f"and immutable"
-            )
-        if _SEGMENT_NAME.fullmatch(name):
-            raise StorageError(f"object name {name!r} is reserved for segments")
-        return path
-
-    def write(self, name: str, data: bytes) -> None:
-        path = self._mutable_path(name)
-        self._drop_handle(name)
-        self._replace(path, data)
-
-    @staticmethod
-    def _replace(path: Path, data: bytes) -> None:
-        # Write-then-rename: an overwrite swaps the directory entry while
-        # any still-mapped previous version lives on under its old inode.
-        tmp = path.with_name(f".{path.name}.tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-
-    def write_many(self, blobs: Sequence[tuple[str, bytes]]) -> None:
-        if not blobs:
-            return
-        data, directory = _encode_segment(blobs)
+    def write_many(self, blobs: Iterable[tuple[str, bytes]]) -> None:
         with self._segment_lock:
-            names = set()
-            for name, _ in blobs:
-                # Every name must be new: a packed blob shadowed by a
-                # loose file (or the reverse) would have two sets of bytes.
-                if name in names or self._mutable_path(name).exists():
-                    raise StorageError(f"object {name!r} is already stored")
-                names.add(name)
             segment = f"append-{self._next_segment:06d}.seg"
-            self._replace(self.root / segment, data)
+            tmp = self.root / f".{segment}.tmp"
+            directory: list[tuple[str, int, int]] = []
+            names: set[str] = set()
+            offset = 0
+            try:
+                with tmp.open("wb") as fh:
+                    for name, data in blobs:
+                        if name in self._packed or name in names:
+                            raise StorageError(
+                                f"object {name!r} is already stored"
+                            )
+                        names.add(name)
+                        padding = -offset % _SEGMENT_ALIGNMENT
+                        fh.write(bytes(padding))
+                        offset += padding
+                        fh.write(data)
+                        directory.append((name, offset, len(data)))
+                        offset += len(data)
+                    table = json_to_bytes(directory)
+                    fh.write(table)
+                    fh.write(_SEGMENT_FOOTER.pack(
+                        _SEGMENT_MAGIC, _SEGMENT_VERSION, zlib.crc32(table),
+                        offset, len(table),
+                    ))
+                if directory:
+                    os.replace(tmp, self.root / segment)
+            finally:
+                # Still there if the batch was empty or refused.
+                tmp.unlink(missing_ok=True)
+            if not directory:
+                return
             self._next_segment += 1
             with self._maps_lock:
                 self._packed.update(
@@ -331,83 +292,65 @@ class LocalDiskBackend:
                     for name, offset, length in directory
                 )
 
-    def _map_locked(self, name: str) -> mmap.mmap:
+    def _map_locked(self, segment: str) -> mmap.mmap:
         # Caller holds self._maps_lock.
-        handle = self._maps.get(name)
+        handle = self._maps.get(segment)
         if handle is None:
-            path = self._path(name)
             try:
-                with path.open("rb") as fh:
+                with (self.root / segment).open("rb") as fh:
                     handle = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             except FileNotFoundError:
-                raise PartitionNotFoundError(f"no stored object {name!r}")
-            except ValueError:
-                raise StorageError(f"cannot map empty object {name!r}")
-            self._maps[name] = handle
+                raise PartitionNotFoundError(
+                    f"segment {segment!r} is gone from {self.root}"
+                ) from None
+            self._maps[segment] = handle
             while len(self._maps) > self.max_open_handles:
                 self._drop_handle_locked(next(iter(self._maps)))
         else:
-            self._maps.move_to_end(name)
+            self._maps.move_to_end(segment)
         return handle
+
+    def _locate(self, name: str) -> tuple[str, int, int]:
+        # Caller holds self._maps_lock.
+        packed = self._packed.get(name)
+        if packed is None:
+            raise PartitionNotFoundError(f"no stored object {name!r}")
+        return packed
 
     def read_range(self, name: str, offset: int, length: int) -> memoryview:
         with self._maps_lock:
-            packed = self._packed.get(name)
-            if packed is None:
-                handle = self._map_locked(name)
-                start, total = 0, len(handle)
-            else:
-                segment, start, total = packed
-                handle = self._map_locked(segment)
+            segment, start, total = self._locate(name)
             _check_range(name, offset, length, total)
+            handle = self._map_locked(segment)
             start += offset
             return memoryview(handle)[start:start + length]
 
     def size(self, name: str) -> int:
         with self._maps_lock:
-            packed = self._packed.get(name)
-            if packed is not None:
-                return packed[2]
-            handle = self._maps.get(name)
-            if handle is not None:
-                return len(handle)
-        path = self._path(name)
-        try:
-            return os.stat(path).st_size
-        except FileNotFoundError:
-            raise PartitionNotFoundError(f"no stored object {name!r}")
-
-    def delete(self, name: str) -> None:
-        path = self._mutable_path(name)
-        self._drop_handle(name)
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            raise PartitionNotFoundError(f"no stored object {name!r}")
+            return self._locate(name)[2]
 
     def exists(self, name: str) -> bool:
         with self._maps_lock:
-            if name in self._packed:
-                return True
-        return self._path(name).is_file()
+            return name in self._packed
 
     def list_names(self) -> list[str]:
-        # Dot-files are no object's name (see _path): they are the tmp
-        # files of writes in flight, or what a crash left of one.
-        loose = {
-            p.name for p in self.root.iterdir()
-            if p.is_file() and not p.name.startswith(".")
-            and _SEGMENT_NAME.fullmatch(p.name) is None
-        }
+        # Dot-files are the tmp files of writes in flight, or what a crash
+        # left of one; any other file that is not a segment has no place
+        # in a store.
+        for path in sorted(self.root.iterdir()):
+            if path.is_file() and not (
+                path.name.startswith(".") or _SEGMENT_NAME.fullmatch(path.name)
+            ):
+                raise StorageError(
+                    f"{path.name!r} in {self.root} is not a segment: a store "
+                    f"holds segment files only (DESIGN.md D18), and one "
+                    f"written with loose partition files must be rebuilt"
+                )
         with self._maps_lock:
-            return sorted(loose.union(self._packed))
+            return sorted(self._packed)
 
-    def _drop_handle(self, name: str) -> None:
-        with self._maps_lock:
-            self._drop_handle_locked(name)
-
-    def _drop_handle_locked(self, name: str) -> None:
-        handle = self._maps.pop(name, None)
+    def _drop_handle_locked(self, segment: str) -> None:
+        handle = self._maps.pop(segment, None)
         if handle is not None:
             try:
                 handle.close()
@@ -416,8 +359,8 @@ class LocalDiskBackend:
 
     def close(self) -> None:
         with self._maps_lock:
-            for name in list(self._maps):
-                self._drop_handle_locked(name)
+            for segment in list(self._maps):
+                self._drop_handle_locked(segment)
 
     def _iter_handles(self) -> Iterator[mmap.mmap]:  # for tests
         return iter(self._maps.values())

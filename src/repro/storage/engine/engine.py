@@ -1,14 +1,15 @@
 """The storage engine: checked partition access over a pluggable backend.
 
 :class:`StorageEngine` owns the mapping from partition ids to stored blobs.
-Writes encode through
-:func:`~repro.storage.engine.format.encode_partition_v2_arrays`, always with
-each record's stored norm and the five per-section checksums; an open
-returns a :class:`~repro.storage.engine.format.PartitionV2View` that has
-checked all five over the bytes of that open, and metadata scans read
-headers and
-directories only.  A stored blob in any other encoding or header version is
-refused with :class:`StorageError` by the header decode.
+Partitions are encoded by
+:func:`~repro.storage.engine.format.encode_partition_v2_arrays`, always
+with each record's stored norm and the five per-section checksums, and
+stored in batches, one backend ``write_many`` a batch — on disk, one
+segment file (DESIGN.md D6, D18); an open returns a
+:class:`~repro.storage.engine.format.PartitionV2View` that has checked all
+five over the bytes of that open, and metadata scans read headers and
+directories only.  A stored blob in any other encoding or header version
+is refused with :class:`StorageError` by the header decode.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class PartitionMeta:
 
 
 class StorageEngine:
-    """Write/read partitions through a :class:`StorageBackend`.
+    """Store and read partitions through a :class:`StorageBackend`.
 
     Every partition is written with its five checksums and every open
     checks all five over the bytes it read (DESIGN.md D8, D12, D14).
@@ -61,12 +62,9 @@ class StorageEngine:
         self.backend = backend
         self.corruption_cb = corruption_cb
 
-    def _name(self, partition_id: str) -> str:
-        return f"{partition_id}{self.SUFFIX}"
-
     def blob_name(self, partition_id: str) -> str:
         """The backend blob name a partition is stored under."""
-        return self._name(partition_id)
+        return f"{partition_id}{self.SUFFIX}"
 
     # -- write ------------------------------------------------------------------
 
@@ -88,35 +86,31 @@ class StorageEngine:
         bytes are identical to encoding ``PartitionFile.from_clusters``
         over the same records.  A pure function of its arguments, safe to
         run on worker threads: the builder encodes payloads concurrently
-        through here and stores them serially, in partition order, via
-        :meth:`write_payload`.
+        through here and stores them, in partition order, through one
+        :meth:`write_payloads` call.
         """
         return encode_partition_v2_arrays(partition_id, ids, values, header,
                                           rows=rows)
 
-    def write_payload(self, partition_id: str, payload: bytes) -> int:
-        """Store an already-encoded partition payload (see
-        :meth:`encode_arrays`); returns its size in bytes."""
-        self.backend.write(self._name(partition_id), payload)
-        return len(payload)
-
     def write_payloads(self, payloads: Iterable[tuple[str, bytes]]) -> None:
-        """Store a batch of ``(partition_id, payload)`` pairs encoded by
+        """Store ``(partition_id, payload)`` pairs encoded by
         :meth:`encode_arrays` in one backend call — all of them or none,
-        and on disk one file for the lot (DESIGN.md D6)."""
+        and on disk one file for the lot (DESIGN.md D6, D18).  ``payloads``
+        may be a generator: each payload goes to the backend as it
+        arrives."""
         self.backend.write_many(
-            [(self._name(pid), payload) for pid, payload in payloads]
+            (self.blob_name(pid), payload) for pid, payload in payloads
         )
 
     # -- read -------------------------------------------------------------------
 
     def has_partition(self, partition_id: str) -> bool:
-        return self.backend.exists(self._name(partition_id))
+        return self.backend.exists(self.blob_name(partition_id))
 
     def _reader(self, partition_id: str):
         """``(read_range, size)`` of a stored partition; the ``size`` is
         the existence check too."""
-        name = self._name(partition_id)
+        name = self.blob_name(partition_id)
         try:
             size = self.backend.size(name)
         except PartitionNotFoundError:
@@ -157,12 +151,6 @@ class StorageEngine:
             name[:-n] for name in self.backend.list_names()
             if name.endswith(self.SUFFIX)
         )
-
-    def delete_partition(self, partition_id: str) -> None:
-        name = self._name(partition_id)
-        if not self.backend.exists(name):
-            raise PartitionNotFoundError(f"no partition {partition_id!r}")
-        self.backend.delete(name)
 
     def close(self) -> None:
         """Release backend handles (open mmaps); stored data is untouched."""

@@ -48,10 +48,26 @@ def segment_directory(segment: Path) -> list[tuple[str, int, int]]:
     return [tuple(row) for row in json.loads(raw[offset:offset + length])]
 
 
+def stored_blob(root: Path, name: str) -> tuple[Path, int, int]:
+    """The segment file under ``root`` that holds blob ``name``, and the
+    blob's offset and length in it."""
+    for segment in sorted(root.glob("append-*.seg")):
+        for blob, offset, length in segment_directory(segment):
+            if blob == name:
+                return segment, offset, length
+    raise KeyError(name)
+
+
+def rot_blob(backend, name: str, data: bytes) -> None:
+    """Replace the bytes a ``MemoryBackend`` stores under ``name``, as rot
+    at rest would: no backend call rewrites a stored blob."""
+    backend._blobs[name] = bytes(data)
+
+
 def unpack_segment(segment: Path) -> None:
-    """Rewrite one append the way the commits before segments stored it:
-    every packed blob copied out to a loose file of its own name, the
-    segment removed."""
+    """Rewrite one segment the way the commits before DESIGN.md D18 stored
+    base partitions: every packed blob copied out to a loose file of its
+    own name, the segment removed."""
     raw = segment.read_bytes()
     for name, offset, length in segment_directory(segment):
         (segment.parent / name).write_bytes(raw[offset:offset + length])

@@ -1,16 +1,19 @@
-"""Torn and damaged segments: one append is one file, and says so when hurt.
+"""Torn and damaged segments: one write is one file, and says so when hurt.
 
-``ClimberIndex.append`` stores its delta partitions through one
-``write_many``, which a disk store turns into one ``append-<seq>.seg``
-file (DESIGN.md D6).  The names above the backend do not change, so what
-these tests pin is the file level: what a crash may leave behind, what a
-damaged segment does to ``attach``, that damage inside one packed blob
-stays that blob's problem, that the fault schedule cannot tell a packed
-blob from a loose one, and how many files a store holds.
+A build stores its base partitions, and ``ClimberIndex.append`` its delta
+partitions, through one ``write_many`` each, which a disk store turns into
+one ``append-<seq>.seg`` file (DESIGN.md D6, D18).  The names above the
+backend do not change, so what these tests pin is the file level: what a
+crash may leave behind, what a damaged segment does to ``attach``, that
+damage inside one packed blob stays that blob's problem, how many files a
+store holds, and that a directory holding a loose partition file is
+refused.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import re
 import shutil
 import sys
 import threading
@@ -28,7 +31,12 @@ from repro.exceptions import (
 )
 from repro.resilience import FaultInjector, FaultPlan, RetryPolicy
 from repro.series import SeriesDataset
-from repro.storage import LocalDiskBackend, MemoryBackend, SimulatedDFS
+from repro.storage import (
+    LocalDiskBackend,
+    MemoryBackend,
+    SimulatedDFS,
+    StorageEngine,
+)
 from repro.storage.engine import decode_v2_header
 
 LENGTH = 32
@@ -92,20 +100,20 @@ def copy(store, tmp_path):
 class TestFileCount:
     def test_one_file_per_append(self, tmp_path):
         index, dfs = build(tmp_path, n_appends=0)
-        n_base = len(dfs)
-        assert len(list(tmp_path.iterdir())) == n_base
+        assert len(dfs) > 1
+        assert [p.name for p in tmp_path.iterdir()] == ["append-000000.seg"]
         for number in range(4):
             summary = index.append(batch(number))
             assert len(summary["delta_partitions"]) > 1
-            assert len(list(tmp_path.iterdir())) == n_base + number + 1
+            assert len(list(tmp_path.iterdir())) == number + 2
         assert segments(tmp_path) == [
-            f"append-{seq:06d}.seg" for seq in range(4)
+            f"append-{seq:06d}.seg" for seq in range(5)
         ]
-        # Base partitions stay loose files; deltas have no file of their own.
-        loose = {p.name for p in tmp_path.glob("*.part")}
-        assert loose == {
+        # No partition has a file of its own, base or delta.
+        assert not list(tmp_path.glob("*.part"))
+        assert {name for seg in tmp_path.glob("append-*.seg")
+                for name, _, _ in segment_directory(seg)} == {
             dfs.engine.blob_name(pid) for pid in dfs.list_partitions()
-            if ".d" not in pid
         }
         dfs.engine.close()
         assert len(attach(tmp_path)) == len(dfs)
@@ -129,8 +137,9 @@ class TestTornAppend:
         self, copy
     ):
         root, blob, n_records = copy
-        # What a crash between write and rename of the fourth append leaves.
-        (root / ".append-000003.seg.tmp").write_bytes(b"half an append")
+        # What a crash between write and rename of the fourth append (the
+        # fifth segment, after the build's) leaves.
+        (root / ".append-000004.seg.tmp").write_bytes(b"half an append")
         dfs = attach(root)
         assert not [name for name in dfs.engine.backend.list_names()
                     if name.endswith(".tmp")]
@@ -140,7 +149,7 @@ class TestTornAppend:
                   for base in dfs.list_partitions() if ".d" not in base}
         summary = index.append(batch(3))
         assert segments(root) == [
-            f"append-{seq:06d}.seg" for seq in range(4)
+            f"append-{seq:06d}.seg" for seq in range(5)
         ]
         assert not list(root.glob(".*.tmp"))
         for delta in summary["delta_partitions"]:
@@ -153,11 +162,11 @@ class TestTornAppend:
     def test_a_refused_batch_writes_nothing(self, copy):
         root, _, _ = copy
         backend = LocalDiskBackend(root)
-        taken = segment_directory(root / "append-000001.seg")[0][0]
-        loose = next(p.name for p in root.glob("*.part"))
+        base = segment_directory(root / "append-000000.seg")[0][0]
+        delta = segment_directory(root / "append-000001.seg")[0][0]
         files = sorted(p.name for p in root.iterdir())
-        for clash in (taken, loose, "new.part"):
-            with pytest.raises(StorageError, match="already stored|immutable"):
+        for clash in (base, delta, "new.part"):
+            with pytest.raises(StorageError, match="already stored"):
                 backend.write_many([("new.part", b"x"), (clash, b"y")])
         assert sorted(p.name for p in root.iterdir()) == files
         assert not backend.exists("new.part")
@@ -184,6 +193,50 @@ class TestTornAppend:
             )
         assert sorted(p.name for p in root.iterdir()) == files
         assert (dfs.list_partitions(), dfs.counters) == before
+        dfs.engine.close()
+
+
+class TestTornBuild:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_an_encode_that_raises_midway_leaves_nothing(
+        self, tmp_path, monkeypatch, n_workers
+    ):
+        encode = StorageEngine.encode_arrays
+        calls = []
+
+        def failing(engine, partition_id, *args, **kwargs):
+            calls.append(partition_id)
+            if len(calls) == 5:
+                raise RuntimeError("encode failed")
+            return encode(engine, partition_id, *args, **kwargs)
+
+        monkeypatch.setattr(StorageEngine, "encode_arrays", failing)
+        dfs = SimulatedDFS(backing_dir=tmp_path)
+        with pytest.raises(RuntimeError, match="encode failed"):
+            ClimberIndex.build(random_walk_dataset(N_BASE, LENGTH, seed=31),
+                               dataclasses.replace(CFG, n_workers=n_workers),
+                               dfs=dfs)
+        # By then a serial build has streamed four payloads into the tmp
+        # segment; none of them is visible, on disk or in the DFS.
+        assert len(calls) >= 5
+        assert list(tmp_path.iterdir()) == []
+        assert len(dfs) == 0 and dfs.counters.partitions_written == 0
+        dfs.engine.close()
+        assert SimulatedDFS(backing_dir=tmp_path).attach() == 0
+
+
+class TestLooseFilesAreRefused:
+    def test_a_store_with_loose_partition_files_is_refused_at_attach(
+        self, copy
+    ):
+        root, _, _ = copy
+        # How the commits before DESIGN.md D18 stored the base partitions.
+        unpack_segment(root / "append-000000.seg")
+        loose = min(p.name for p in root.glob("*.part"))
+        dfs = SimulatedDFS(backing_dir=root)
+        with pytest.raises(StorageError, match=re.escape(loose)):
+            dfs.attach()
+        assert len(dfs) == 0
         dfs.engine.close()
 
 
@@ -262,21 +315,6 @@ class TestDamagedSegment:
 
 
 class TestPackedBlobsAreImmutable:
-    def test_write_and_delete_of_a_packed_name_are_refused(self, copy):
-        root, _, _ = copy
-        backend = LocalDiskBackend(root)
-        name, _, length = segment_directory(root / "append-000000.seg")[0]
-        for mutate in (lambda: backend.write(name, b"x"),
-                       lambda: backend.delete(name)):
-            with pytest.raises(StorageError, match="immutable"):
-                mutate()
-        assert backend.size(name) == length
-        for reserved in ("append-000000.seg", "append-123456.seg"):
-            with pytest.raises(StorageError, match="reserved"):
-                backend.write(reserved, b"x")
-        with pytest.raises(StorageError, match="reserved"):
-            backend.delete("append-000000.seg")
-
     def test_ranges_are_relative_to_the_blob_and_bounded_by_it(self, copy):
         root, _, _ = copy
         victim = root / "append-000002.seg"
@@ -381,49 +419,3 @@ class TestConcurrentBatches:
                 == bytes(backend.read_range(name, 0, backend.size(name)))
         backend.close()
         fresh.close()
-
-
-class TestFaultScheduleIgnoresPlacement:
-    """``FaultPlan`` decides per ``(name, attempt)`` and per blob size:
-    the same blobs packed or loose suffer the same faults."""
-
-    PLAN = FaultPlan(seed=77, transient_rate=0.25, bit_flip_rate=0.25)
-    RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.0)
-
-    def sweep(self, root):
-        # Every open checks every section: a flipped bit fails inside the
-        # retry loop.
-        dfs = attach(root, fault_plan=self.PLAN, retry_policy=self.RETRY)
-        deltas = [pid for pid in dfs.list_partitions() if ".d" in pid]
-        outcomes = []
-        for _ in range(3):
-            for pid in deltas:
-                try:
-                    ids, _ = dfs.read_partition(pid).read_all()
-                    outcomes.append((pid, ids.tolist()))
-                except StorageError as err:
-                    outcomes.append((pid, type(err).__name__))
-        attempts = {
-            pid: dfs.fault_injector.attempts(dfs.engine.blob_name(pid))
-            for pid in deltas
-        }
-        dfs.engine.close()
-        return outcomes, attempts, dfs.counters
-
-    def test_packed_and_loose_suffer_the_same_faults(self, copy):
-        packed_root, _, _ = copy
-        loose_root = packed_root.parent / "loose"
-        shutil.copytree(packed_root, loose_root)
-        for segment in loose_root.glob("append-*.seg"):
-            unpack_segment(segment)
-        assert not segments(loose_root) and segments(packed_root)
-
-        packed = self.sweep(packed_root)
-        loose = self.sweep(loose_root)
-        assert packed == loose
-        _, attempts, counters = packed
-        # The plan did fire: retries, detected flips, and at least one
-        # read that needed more than one attempt.
-        assert counters.retries > 0
-        assert counters.corruption_detected > 0
-        assert max(attempts.values()) > 3

@@ -4,7 +4,7 @@ ROADMAP item 4b, restricted to the append path: hypothesis interleaves
 appends, restarts from the files alone and queries, and after every step
 the index must hold exactly what was put into it — in its record count,
 in the store's registry and counters, and in the number of files on disk
-(one per base partition, one per append: DESIGN.md D6).  Every query is
+(one segment for the build, one per append: DESIGN.md D6, D18).  Every query is
 held to the containment oracle of ``test_containment_oracle``: its top-k
 is exact brute force over exactly the records its walk read.
 
@@ -58,7 +58,6 @@ class AppendMachine(RuleBasedStateMachine):
         dfs = SimulatedDFS(backing_dir=self.store)
         self.index = ClimberIndex.build(BASE, CFG, dfs=dfs)
         self.global_index = self.index.save_global_index()
-        self.n_base_files = len(dfs)
         self.attached = 0   # partitions the current DFS found, not wrote
         self.appends = 0
         # Everything put into the index so far, as the oracle's raw data.
@@ -119,8 +118,7 @@ class AppendMachine(RuleBasedStateMachine):
         assert len(dfs) == self.attached + dfs.counters.partitions_written
         assert sum(dfs.record_count(pid) for pid in dfs.list_partitions()) \
             == self.data.count
-        assert len(list(self.store.iterdir())) \
-            == self.n_base_files + self.appends
+        assert len(list(self.store.iterdir())) == 1 + self.appends
 
     @invariant()
     def every_flip_caught_and_recovered(self):

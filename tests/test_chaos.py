@@ -24,6 +24,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import rot_blob, stored_blob
 from oracles import word_sum_reference
 
 from repro.core.config import ClimberConfig
@@ -110,7 +111,7 @@ class TestChecksumIntegrity:
             "values": h.values_offset,
         }
         payload[offsets[section] + 1] ^= 0x04
-        backend.write(name, bytes(payload))
+        rot_blob(backend, name, payload)
         return dfs
 
     @pytest.mark.parametrize(
@@ -154,15 +155,14 @@ class TestChecksumIntegrity:
         ref = make_partition("p0")
         writer.write_partition(ref)
         writer.engine.close()
-        path = tmp_path / "p0.part"
-        payload = bytearray(path.read_bytes())
-        struct.pack_into("<I", payload, 8, version)  # the version field
-        path.write_bytes(bytes(payload))
+        segment, offset, size = stored_blob(tmp_path, "p0.part")
+        raw = bytearray(segment.read_bytes())
+        struct.pack_into("<I", raw, offset + 8, version)  # the version field
+        segment.write_bytes(bytes(raw))
         with pytest.raises(StorageError, match=f"version {version}"):
             SimulatedDFS(backing_dir=tmp_path).attach()
         reader = SimulatedDFS(backing_dir=tmp_path)
-        reader._register("p0", len(payload), ref.record_count,
-                         ref.series_length)
+        reader._register("p0", size, ref.record_count, ref.series_length)
         with pytest.raises(StorageError, match=f"version {version}"):
             reader.read_partition("p0")
         assert reader.counters.read_failures == 1
@@ -260,7 +260,7 @@ class TestChecksumIntegrity:
         backend = dfs.engine.backend
         payload = bytes(backend.read_range("p0.part", 0,
                                            backend.size("p0.part")))
-        backend.write("p0.part", payload[: len(payload) // 2])
+        rot_blob(backend, "p0.part", payload[: len(payload) // 2])
         with pytest.raises(StorageError):
             part = dfs.read_partition("p0")
             part.read_all()

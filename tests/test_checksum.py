@@ -224,7 +224,7 @@ class TestDirectoryStructure:
         with pytest.raises(StorageError, match=reason):
             decode_partition_head(blob, len(blob))
         engine = StorageEngine(MemoryBackend())
-        engine.write_payload("p", blob)
+        engine.write_payloads([("p", blob)])
         with pytest.raises(StorageError, match=reason):
             engine.partition_meta("p")
 

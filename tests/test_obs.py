@@ -323,7 +323,7 @@ class TestEnabledDisabledParity:
             engine = dfs.engine
             parts = {}
             for pid in dfs.list_partitions():
-                name = engine._name(pid)
+                name = engine.blob_name(pid)
                 parts[pid] = bytes(
                     engine.backend.read_range(name, 0, engine.backend.size(name))
                 )

@@ -153,6 +153,19 @@ def test_config_surface():
             repro.ClimberConfig(**retired)
 
 
+@pytest.mark.parametrize("decay, rate", [
+    ("exponential", 0.0), ("exponential", 1.0), ("exponential", 1.5),
+    ("exponential", -1.0), ("linear", 0.0), ("linear", -0.5),
+])
+def test_config_refuses_a_decay_rate_outside_its_range(decay, rate):
+    # Refused where the config is made, not by the build that uses it.
+    with pytest.raises(repro.ConfigurationError, match="decay_rate"):
+        repro.ClimberConfig(decay=decay, decay_rate=rate)
+    in_range = {"exponential": 0.75, "linear": 2.0}[decay]
+    assert repro.ClimberConfig(decay=decay, decay_rate=in_range).decay_rate \
+        == in_range
+
+
 #: The whole of ``QueryStats``: what a query measured and counted.  No
 #: modelled clock — that is ``repro.evaluation.modeled_query_seconds``,
 #: computed from these on demand (DESIGN.md D7); a model creeping back

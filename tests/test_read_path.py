@@ -20,6 +20,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import stored_blob
 
 import repro.core.index as index_module
 from repro.core import ClimberConfig, ClimberIndex
@@ -66,14 +67,8 @@ class CountingBackend:
         self.calls["exists"] += 1
         return self.inner.exists(name)
 
-    def write(self, name, data):
-        self.inner.write(name, data)
-
     def write_many(self, blobs):
         self.inner.write_many(blobs)
-
-    def delete(self, name):
-        self.inner.delete(name)
 
     def list_names(self):
         return self.inner.list_names()
@@ -92,12 +87,12 @@ class TestVerificationIsPerOpen:
         ids, values = read_everything(dfs)
         np.testing.assert_array_equal(values, part.values)
         del ids, values
-        path = tmp_path / dfs.engine.blob_name("p0")
-        header = decode_v2_header(path.read_bytes())
+        path, offset, length = stored_blob(tmp_path, dfs.engine.blob_name("p0"))
+        header = decode_v2_header(path.read_bytes()[offset:offset + length])
         # Same file, same inode, same size: one payload byte changes in
         # place, under the backend's still-open mapping.
         with path.open("r+b") as fh:
-            fh.seek(header.values_offset + 5 * LENGTH * 8 + 3)
+            fh.seek(offset + header.values_offset + 5 * LENGTH * 8 + 3)
             byte = fh.read(1)
             fh.seek(-1, 1)
             fh.write(bytes([byte[0] ^ 0x10]))
@@ -121,7 +116,7 @@ class TestVerificationIsPerOpen:
         name = dfs.engine.blob_name("p0")
         size = dfs.engine.physical_nbytes("p0")
         values_offset = decode_v2_header(
-            (tmp_path / name).read_bytes()
+            dfs.engine.backend.read_range(name, 0, size)
         ).values_offset
         read_everything(dfs)  # attempt 0: clean, verified, served
         assert dfs.counters.corruption_detected == 0

@@ -100,7 +100,7 @@ class TestFaultPlan:
 class TestFaultInjector:
     def _store(self, plan, payload=b"x" * 256, name="b.part"):
         backend = MemoryBackend()
-        backend.write(name, payload)
+        backend.write_many([(name, payload)])
         return FaultInjector(backend, plan), name
 
     def test_reads_outside_attempts_are_clean(self):
@@ -165,7 +165,7 @@ class TestFaultInjector:
 
     def test_attempt_counter_is_per_name(self):
         injector, name = self._store(FaultPlan(seed=0))
-        injector.inner.write("other.part", b"y" * 16)
+        injector.inner.write_many([("other.part", b"y" * 16)])
         assert injector.attempts(name) == 0
         injector.begin_attempt(name)
         injector.begin_attempt(name)
@@ -175,12 +175,10 @@ class TestFaultInjector:
 
     def test_writes_pass_through(self):
         injector, _ = self._store(FaultPlan(seed=0, transient_rate=1.0))
-        injector.write("new.part", b"abc")
+        injector.write_many([("new.part", b"abc")])
         assert injector.exists("new.part")
         assert injector.size("new.part") == 3
         assert "new.part" in injector.list_names()
-        injector.delete("new.part")
-        assert not injector.exists("new.part")
 
 
 class TestRetryPolicy:

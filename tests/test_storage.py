@@ -214,7 +214,7 @@ class TestSimulatedDFS:
         dfs = SimulatedDFS(backing_dir=tmp_path)
         part = make_partition("onDisk", seed=4)
         dfs.write_partition(part)
-        assert (tmp_path / "onDisk.part").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["append-000000.seg"]
         out = dfs.read_partition("onDisk")
         np.testing.assert_allclose(out.values, part.values)
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import rot_blob, stored_blob
 from oracles import word_sum_reference
 
 from repro.exceptions import PartitionNotFoundError, StorageError
@@ -46,7 +47,7 @@ def make_partition(pid="p0", n_clusters=3, per_cluster=5, length=8, seed=0):
 def memory_view(part: PartitionFile) -> tuple[PartitionV2View, bytes]:
     payload = encode_partition_v2(part)
     backend = MemoryBackend()
-    backend.write("x", payload)
+    backend.write_many([("x", payload)])
     view = PartitionV2View(
         lambda off, length: backend.read_range("x", off, length),
         physical_size=len(payload),
@@ -95,7 +96,7 @@ class TestFormatV2:
         part = make_partition()
         payload = encode_partition_v2(part)
         backend = MemoryBackend()
-        backend.write("x", payload)
+        backend.write_many([("x", payload)])
         view = PartitionV2View(
             lambda off, length: backend.read_range("x", off, length)
         )
@@ -130,7 +131,7 @@ class TestFormatV2:
 class TestFormatV2Corruption:
     def _reader(self, payload: bytes):
         backend = MemoryBackend()
-        backend.write("x", payload)
+        backend.write_many([("x", payload)])
         return lambda off, length: backend.read_range("x", off, length)
 
     def test_truncated_header(self):
@@ -199,7 +200,7 @@ class TestFormatV2Corruption:
     def test_truncated_payload_detected_via_backend_bounds(self):
         payload = encode_partition_v2(make_partition())
         backend = MemoryBackend()
-        backend.write("x", payload[:-16])
+        backend.write_many([("x", payload[:-16])])
         with pytest.raises(StorageError):
             PartitionV2View(
                 lambda off, length: backend.read_range("x", off, length),
@@ -209,23 +210,32 @@ class TestFormatV2Corruption:
 
 class TestBackends:
     @pytest.mark.parametrize("kind", ["memory", "disk"])
-    def test_write_read_size_delete(self, kind, tmp_path):
+    def test_write_read_size(self, kind, tmp_path):
         backend = MemoryBackend() if kind == "memory" else LocalDiskBackend(tmp_path)
         assert isinstance(backend, StorageBackend)
-        backend.write("a.part", b"0123456789")
+        backend.write_many([("a.part", b"0123456789")])
         assert backend.exists("a.part")
         assert backend.size("a.part") == 10
         assert bytes(backend.read_range("a.part", 2, 4)) == b"2345"
         assert backend.list_names() == ["a.part"]
-        backend.delete("a.part")
-        assert not backend.exists("a.part")
+        assert not backend.exists("b.part")
         with pytest.raises(PartitionNotFoundError):
-            backend.size("a.part")
+            backend.size("b.part")
+        # A stored blob is never rewritten, and an empty batch stores
+        # nothing at all.
+        with pytest.raises(StorageError, match="already stored"):
+            backend.write_many([("a.part", b"other")])
+        backend.write_many(iter(()))
+        assert backend.list_names() == ["a.part"]
+        assert bytes(backend.read_range("a.part", 0, 10)) == b"0123456789"
+        if kind == "disk":
+            assert [p.name for p in tmp_path.iterdir()] == ["append-000000.seg"]
+            backend.close()
 
     @pytest.mark.parametrize("kind", ["memory", "disk"])
     def test_out_of_range_read_raises(self, kind, tmp_path):
         backend = MemoryBackend() if kind == "memory" else LocalDiskBackend(tmp_path)
-        backend.write("a.part", b"0123")
+        backend.write_many([("a.part", b"0123")])
         with pytest.raises(StorageError):
             backend.read_range("a.part", 0, 5)
         with pytest.raises(StorageError):
@@ -235,26 +245,23 @@ class TestBackends:
 
     def test_disk_read_is_mmap_backed_zero_copy(self, tmp_path):
         backend = LocalDiskBackend(tmp_path)
-        backend.write("a.part", b"x" * 256)
+        backend.write_many([("a.part", b"x" * 256), ("b.part", b"y" * 64)])
         first = backend.read_range("a.part", 0, 256)
         second = backend.read_range("a.part", 10, 20)
+        other = backend.read_range("b.part", 0, 64)
+        # One segment, one mapping: every blob of the batch is a view of it.
         assert np.shares_memory(
             np.frombuffer(first, dtype=np.uint8),
             np.frombuffer(second, dtype=np.uint8),
         )
-        del first, second
+        assert len(backend._maps) == 1
+        del first, second, other
         backend.close()
-
-    def test_disk_rejects_path_traversal_names(self, tmp_path):
-        backend = LocalDiskBackend(tmp_path)
-        for name in ("../evil", "a/b", ".hidden", ""):
-            with pytest.raises(StorageError):
-                backend.write(name, b"x")
 
     def test_disk_handle_cache_is_bounded(self, tmp_path):
         backend = LocalDiskBackend(tmp_path, max_open_handles=4)
         for i in range(10):
-            backend.write(f"p{i}.part", bytes(64))
+            backend.write_many([(f"p{i}.part", bytes(64))])
         for i in range(10):
             backend.read_range(f"p{i}.part", 0, 8)
         assert len(backend._maps) <= 4
@@ -266,25 +273,19 @@ class TestBackends:
         with pytest.raises(StorageError):
             LocalDiskBackend(tmp_path, max_open_handles=0)
 
-    def test_disk_overwrite_keeps_live_views_valid(self, tmp_path):
-        backend = LocalDiskBackend(tmp_path)
-        backend.write("a.part", b"old" * 100)
+    def test_disk_eviction_keeps_live_views_valid(self, tmp_path):
+        backend = LocalDiskBackend(tmp_path, max_open_handles=1)
+        backend.write_many([("a.part", b"old" * 100)])
+        backend.write_many([("b.part", b"new" * 100)])
         live = np.frombuffer(backend.read_range("a.part", 0, 300),
                              dtype=np.uint8)
-        backend.write("a.part", b"new" * 100)
-        # The atomic-rename overwrite leaves the old inode mapped: the
-        # live view still serves the old bytes instead of faulting.
+        # Mapping b's segment evicts a's handle while a view of it lives:
+        # the mapping cannot close, and the view keeps serving its bytes.
+        assert bytes(backend.read_range("b.part", 0, 3)) == b"new"
+        assert len(backend._maps) == 1
         assert live[:3].tobytes() == b"old"
-        assert bytes(backend.read_range("a.part", 0, 3)) == b"new"
+        assert bytes(backend.read_range("a.part", 297, 3)) == b"old"
         del live
-        backend.close()
-
-    def test_disk_overwrite_invalidates_handle(self, tmp_path):
-        backend = LocalDiskBackend(tmp_path)
-        backend.write("a.part", b"old-bytes")
-        assert bytes(backend.read_range("a.part", 0, 3)) == b"old"
-        backend.write("a.part", b"new-bytes")
-        assert bytes(backend.read_range("a.part", 0, 3)) == b"new"
         backend.close()
 
 
@@ -293,7 +294,7 @@ class TestStorageEngine:
         engine = StorageEngine(LocalDiskBackend(tmp_path))
         part = make_partition("alpha", seed=2)
         payload = encode_partition_v2(part)
-        assert engine.write_payload("alpha", payload) == len(payload)
+        engine.write_payloads(iter([("alpha", payload)]))
         handle = engine.open_partition("alpha")
         np.testing.assert_array_equal(handle.ids, part.ids)
         np.testing.assert_array_equal(handle.values, part.values)
@@ -306,7 +307,7 @@ class TestStorageEngine:
         engine = StorageEngine(MemoryBackend())
         part = make_partition("p", n_clusters=2, per_cluster=6, length=12)
         payload = encode_partition_v2(part)
-        engine.write_payload("p", payload)
+        engine.write_payloads([("p", payload)])
         meta = engine.partition_meta("p")
         assert meta.nbytes == len(payload)
         assert meta.record_count == 12
@@ -315,15 +316,9 @@ class TestStorageEngine:
     def test_missing_partition(self):
         engine = StorageEngine(MemoryBackend())
         for fn in (engine.open_partition, engine.partition_meta,
-                   engine.physical_nbytes, engine.delete_partition):
+                   engine.physical_nbytes):
             with pytest.raises(PartitionNotFoundError):
                 fn("ghost")
-
-    def test_delete_partition(self):
-        engine = StorageEngine(MemoryBackend())
-        engine.write_payload("p", encode_partition_v2(make_partition("p")))
-        engine.delete_partition("p")
-        assert not engine.has_partition("p")
 
 
 class TestDfsEngineFacade:
@@ -341,10 +336,10 @@ class TestDfsEngineFacade:
         for pid, seed in (("plain", 1), ("checked", 2)):
             dfs.write_partition(make_partition(pid, seed=seed))
         dfs.engine.close()
-        path = tmp_path / "plain.part"
-        payload = bytearray(path.read_bytes())
-        struct.pack_into("<I", payload, 8, 2)  # the version field
-        path.write_bytes(bytes(payload))
+        segment, offset, _ = stored_blob(tmp_path, "plain.part")
+        raw = bytearray(segment.read_bytes())
+        struct.pack_into("<I", raw, offset + 8, 2)  # the version field
+        segment.write_bytes(bytes(raw))
         with pytest.raises(StorageError, match="version 2"):
             SimulatedDFS(backing_dir=tmp_path).attach()
 
@@ -365,7 +360,7 @@ class TestDfsEngineFacade:
         part = make_partition("a", seed=3)
         dfs.write_partition(part)
         dfs.read_partition("a")
-        stored = (tmp_path / "a.part").stat().st_size
+        _, _, stored = stored_blob(tmp_path, "a.part")
         assert dfs.counters.bytes_written == stored
         assert dfs.counters.bytes_read == stored
         assert dfs.counters.partitions_read == 1
@@ -387,7 +382,7 @@ class TestHostileBytes:
         with tempfile.TemporaryDirectory() as root:
             disk = LocalDiskBackend(root)
             for backend in (MemoryBackend(), disk):
-                backend.write("junk.part", junk)
+                backend.write_many([("junk.part", junk)])
                 engine = StorageEngine(backend)
                 with pytest.raises(StorageError):
                     engine.partition_meta("junk")
@@ -397,13 +392,13 @@ class TestHostileBytes:
             with pytest.raises(StorageError):
                 SimulatedDFS(backing_dir=root).attach()
 
-        # A registered partition whose blob is overwritten afterwards: the
+        # A registered partition whose blob rots into junk afterwards: the
         # read fails for good and is counted as one failed logical read.
         dfs = SimulatedDFS(
             retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0)
         )
         dfs.write_partition(make_partition("p"))
-        dfs.engine.backend.write("p.part", junk)
+        rot_blob(dfs.engine.backend, "p.part", junk)
         with pytest.raises(StorageError):
             dfs.read_partition("p")
         assert dfs.counters.read_failures == 1

@@ -12,11 +12,9 @@ satellite (repeated queries in a batch route once).
 from __future__ import annotations
 
 import dataclasses
-import shutil
 
 import numpy as np
 import pytest
-from conftest import unpack_segment
 
 from repro.core import ClimberConfig, ClimberIndex, QueryStats
 from repro.datasets import random_walk_dataset, sample_queries
@@ -188,9 +186,8 @@ class TestFormatParity:
 
 
 class TestPlacementIsInvisible:
-    """Where a delta partition's bytes sit — a dict, a segment file, a
-    loose file as the commits before DESIGN.md D6 wrote it, or some of
-    each — shows in nothing above the backend."""
+    """Where a partition's bytes sit — a dict, or a segment file written by
+    the build or by an append — shows in nothing above the backend."""
 
     VARIANTS = ("knn", "adaptive", "od-smallest")
     STATS = [f.name for f in dataclasses.fields(QueryStats)
@@ -231,32 +228,22 @@ class TestPlacementIsInvisible:
             "partitions_read": after.partitions_read - before.partitions_read,
         }
 
-    def test_memory_packed_loose_and_mixed_stores_agree(self, dataset,
-                                                        tmp_path):
-        packed, loose, mixed = (tmp_path / name
-                                for name in ("packed", "loose", "mixed"))
+    def test_memory_and_disk_stores_agree(self, dataset, tmp_path):
         mem_idx, mem_dfs, mem_deltas = self.grow(dataset, None)
-        disk_idx, disk_dfs, disk_deltas = self.grow(dataset, packed)
+        disk_idx, disk_dfs, disk_deltas = self.grow(dataset, tmp_path)
         assert mem_deltas == disk_deltas
         assert_logical_io_identical(
             mem_dfs, disk_dfs, ("bytes_written", "partitions_written")
         )
         assert disk_dfs.counters.partitions_written == len(disk_dfs)
         disk_dfs.engine.close()
-        n_base = len(disk_dfs) - sum(map(len, disk_deltas))
-        # What a store written before segments looks like, and a store
-        # that was appended to on both sides of that change.
-        for root, rewritten in ((loose, slice(None)), (mixed, slice(1, 2))):
-            shutil.copytree(packed, root)
-            for segment in sorted(root.glob("append-*.seg"))[rewritten]:
-                unpack_segment(segment)
-        assert [len(list(root.iterdir())) for root in (packed, loose, mixed)] \
-            == [n_base + 3, len(disk_dfs), n_base + 2 + len(disk_deltas[1])]
+        # One segment for the build and one for each of the three appends.
+        assert len(list(tmp_path.iterdir())) == 4
 
         blob = mem_idx.save_global_index()
         assert blob == disk_idx.save_global_index()
         readers = [(ClimberIndex.reopen(blob, mem_dfs, CFG), mem_dfs)]
-        readers += [reopen(disk_idx, root) for root in (packed, loose, mixed)]
+        readers.append(reopen(disk_idx, tmp_path))
         probes = np.vstack([
             sample_queries(dataset, 8, seed=77).values,
             random_walk_dataset(120, 48, seed=41).values[:8],
@@ -270,27 +257,6 @@ class TestPlacementIsInvisible:
         for observed in others:
             for what, value in reference.items():
                 assert observed[what] == value, what
-
-    def test_appending_to_a_store_with_loose_deltas(self, dataset, tmp_path):
-        """A store the parent wrote keeps growing: the next append packs,
-        and its deltas continue each base's sequence."""
-        index, dfs, deltas = self.grow(dataset, tmp_path)
-        dfs.engine.close()
-        for segment in tmp_path.glob("append-*.seg"):
-            unpack_segment(segment)
-        reopened, fresh = reopen(index, tmp_path)
-        extra = SeriesDataset(random_walk_dataset(120, 48, seed=50).values,
-                              ids=np.arange(9_000, 9_120))
-        taken = {pid for batch in deltas for pid in batch}
-        written = reopened.append(extra)["delta_partitions"]
-        assert not taken & set(written)
-        for pid in written:
-            base, _, seq = pid.partition(".d")
-            assert fresh.delta_partitions(base).index(pid) == int(seq)
-        assert [p.name for p in tmp_path.glob("append-*.seg")] \
-            == ["append-000000.seg"]
-        assert reopened.n_records == 1_500 + 480
-        assert extra.ids[5] in reopened.knn(extra.values[5], 3).ids
 
 
 class TestOneSize:
@@ -316,23 +282,24 @@ class TestOneSize:
     def test_sizes_and_reads_charge_the_blob_however_stored(self, dataset,
                                                             tmp_path):
         payloads = self.payloads(dataset)
-        loose, packed = tmp_path / "loose", tmp_path / "packed"
+        singles, batched = tmp_path / "singles", tmp_path / "batched"
         memory = SimulatedDFS()
-        on_disk = SimulatedDFS(backing_dir=loose)
-        for dfs in (memory, on_disk):
+        one_by_one = SimulatedDFS(backing_dir=singles)
+        for dfs in (memory, one_by_one):
             for pid, payload in payloads.items():
-                assert dfs.write_encoded_partition(pid, payload) \
+                assert dfs.write_encoded_partitions([(pid, payload)]) \
                     == len(payload)
-        appended = SimulatedDFS(backing_dir=packed)
-        assert appended.write_encoded_partitions(list(payloads.items())) \
+        assert len(list(singles.iterdir())) == len(payloads)
+        in_one = SimulatedDFS(backing_dir=batched)
+        assert in_one.write_encoded_partitions(iter(payloads.items())) \
             == sum(map(len, payloads.values()))
-        assert [p.name for p in packed.iterdir()] == ["append-000000.seg"]
-        attached = SimulatedDFS(backing_dir=loose)
+        assert [p.name for p in batched.iterdir()] == ["append-000000.seg"]
+        attached = SimulatedDFS(backing_dir=singles)
         assert attached.attach() == len(payloads)
-        attached_packed = SimulatedDFS(backing_dir=packed)
-        assert attached_packed.attach() == len(payloads)
+        attached_batch = SimulatedDFS(backing_dir=batched)
+        assert attached_batch.attach() == len(payloads)
 
-        for dfs in (memory, on_disk, attached, appended, attached_packed):
+        for dfs in (memory, one_by_one, attached, in_one, attached_batch):
             assert dfs.total_bytes == sum(map(len, payloads.values()))
             for pid, payload in payloads.items():
                 assert dfs.partition_nbytes(pid) == len(payload)
@@ -340,7 +307,7 @@ class TestOneSize:
                 view = dfs.read_partition(pid)
                 assert dfs.counters.bytes_read - before == len(payload)
                 assert view.nbytes == len(payload)
-        for dfs in (on_disk, attached, appended, attached_packed):
+        for dfs in (one_by_one, attached, in_one, attached_batch):
             dfs.engine.close()
 
 

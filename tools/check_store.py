@@ -4,8 +4,9 @@ Opens a store the way a reader would, through the public storage API
 only, and looks at everything a query could ever touch:
 
 * every ``append-*.seg`` directory is loaded and CRC-checked (the disk
-  backend does that when it is constructed over the directory);
-* every partition, loose or packed, is opened, and an open checks the
+  backend does that when it is constructed over the directory), and a
+  file that is not a segment is a problem (DESIGN.md D18);
+* every partition, base or delta, is opened, and an open checks the
   meta blob, the cluster directory and the ids, norms and values
   payloads against their five stored checksums (DESIGN.md D12, D14);
 * every stored norm is ``‖v‖²`` of its record's stored values, up to
@@ -68,11 +69,12 @@ def check_store(root: Path) -> dict[str, object]:
     problems: list[str] = report["problems"]
     try:
         engine = StorageEngine(LocalDiskBackend(root))
+        pids = engine.list_partitions()
     except StorageError as err:
         problems.append(str(err))
         return report
     deltas: dict[str, list[int]] = {}
-    for pid in engine.list_partitions():
+    for pid in pids:
         report["partitions"] += 1
         base, is_delta, seq = pid.partition(".d")
         if is_delta and seq.isdigit():
@@ -111,24 +113,24 @@ def check_store(root: Path) -> dict[str, object]:
 
 
 def _section_starts(root: Path) -> list[tuple[str, Path, dict[str, int]]]:
-    """For one loose base partition and one partition packed in a
-    segment: the partition, the file holding it and the file offset of
-    each of its five sections, read from its decoded header."""
+    """For one base and one delta partition: the partition, the segment
+    holding it and the file offset of each of its five sections, read
+    from its decoded header."""
     backend = LocalDiskBackend(root)
-    loose = min(p.name for p in root.glob("*.part"))
-    packed = min(name for name in backend.list_names()
-                 if not (root / name).exists())
+    names = backend.list_names()
+    base = min(name for name in names if ".d" not in name)
+    delta = min(name for name in names if ".d" in name)
     targets = []
-    for name in (loose, packed):
+    for name in (base, delta):
         blob = bytes(backend.read_range(name, 0, backend.size(name)))
-        holder = root / name if name == loose else next(
+        holder = next(
             seg for seg in sorted(root.glob("append-*.seg"))
             if blob in seg.read_bytes()
         )
-        base = holder.read_bytes().index(blob)
+        start = holder.read_bytes().index(blob)
         bounds = decode_v2_header(blob).section_bounds
         targets.append((name, holder, {
-            section: base + start for section, start in zip(SECTIONS, bounds)
+            section: start + bound for section, bound in zip(SECTIONS, bounds)
         }))
     backend.close()
     return targets
@@ -163,8 +165,8 @@ def _wrong_norm(starts: dict[str, int]):
 
 def selftest() -> int:
     """A clean store must pass; one flipped byte in any section of a
-    loose or a packed partition must not, nor a wrong norm stored under a
-    matching checksum."""
+    base or a delta partition must not, nor a wrong norm stored under a
+    matching checksum, nor a loose partition file beside the segments."""
     from repro.core import ClimberConfig, ClimberIndex
     from repro.datasets import random_walk_dataset
     from repro.series import SeriesDataset
@@ -202,6 +204,14 @@ def selftest() -> int:
             if not any("stored norm" in p for p in report["problems"]):
                 print(f"selftest: a wrong norm under a matching checksum "
                       f"in {name} went unreported", file=sys.stderr)
+                return 1
+        with tempfile.TemporaryDirectory() as damaged:
+            copy = Path(damaged)
+            shutil.copytree(root, copy, dirs_exist_ok=True)
+            (copy / "p0.part").write_bytes(b"")
+            if not check_store(copy)["problems"]:
+                print("selftest: a loose partition file went unreported",
+                      file=sys.stderr)
                 return 1
     return 0
 
