@@ -25,12 +25,15 @@ Every query fills its record — stage clocks, cache hits and misses on
 every ratio here; what they cost is measured in DESIGN.md D15.
 
 Modes are interleaved round-by-round, in an order rotated every round so
-that no mode always runs first, and each takes its best round, so host
-noise hits all four alike.  The run fails (and refuses to write the
-artifact) if disabled-mode overhead exceeds the gate — this is the CI
-overhead smoke.  A sample ``explain_query`` response (single and batch)
-is written to ``results/explain_query_sample.json`` for the workflow
-artifact.
+that no mode always runs first.  A mode's overhead is the median over
+rounds of its wall divided by ``absent``'s wall *in the same round*: the
+two walls of a pair ran moments apart, so host drift cancels inside each
+ratio, and the median ignores the rounds a stall hit, where a ratio of
+two best-of walls compares two single extreme rounds.  The run fails
+(and refuses to write the artifact) if the disabled mode's overhead
+exceeds the gate — this is the CI overhead smoke.  A sample
+``explain_query`` response (single and batch) is written to
+``results/explain_query_sample.json`` for the workflow artifact.
 
 Usage::
 
@@ -44,6 +47,8 @@ import json
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from bench_common import RESULTS_DIR, bench_environment
 from repro.core import ClimberConfig, ClimberIndex
@@ -79,13 +84,14 @@ def operating_point(smoke: bool):
 
 def measure_modes(blob: bytes, config: ClimberConfig, dfs_dir: Path,
                   queries, k: int, rounds: int) -> dict:
-    """Best-of-``rounds`` interleaved query walls for the four modes.
+    """Interleaved query walls of the four modes over ``rounds`` rounds.
 
     Each mode gets its own reopened index over the same partitions (so
     RNG streams and caches are mode-private), and every round runs the
     modes back-to-back, starting one mode later than the round before —
     drift on the host moves all four together, and no mode always pays
-    for running first.
+    for running first.  ``*_overhead`` is the median of the per-round
+    ratios to ``absent`` minus one; ``wall_s`` is each mode's best round.
     """
 
     def reopen(telemetry: Telemetry) -> ClimberIndex:
@@ -102,7 +108,7 @@ def measure_modes(blob: bytes, config: ClimberConfig, dfs_dir: Path,
                                     sample_every=SAMPLE_EVERY)),
         "enabled": reopen(Telemetry(enabled=True)),
     }
-    best = {name: float("inf") for name in modes}
+    walls = {name: [] for name in modes}
     # One untimed warmup sweep per mode (page cache, routing tables).
     for index in modes.values():
         for q in queries:
@@ -115,7 +121,13 @@ def measure_modes(blob: bytes, config: ClimberConfig, dfs_dir: Path,
             t0 = time.perf_counter()
             for q in queries:
                 index.knn(q, k)
-            best[name] = min(best[name], time.perf_counter() - t0)
+            walls[name].append(time.perf_counter() - t0)
+    best = {name: min(series) for name, series in walls.items()}
+    absent = np.array(walls["absent"])
+
+    def overhead(name: str) -> float:
+        return float(np.median(np.array(walls[name]) / absent)) - 1.0
+
     n = len(queries)
     enabled_metrics = modes["enabled"].stats()["metrics"]
     return {
@@ -126,9 +138,9 @@ def measure_modes(blob: bytes, config: ClimberConfig, dfs_dir: Path,
         "us_per_query": {m: 1e6 * s / n for m, s in best.items()},
         "qps": {m: n / s for m, s in best.items()},
         "sample_every": SAMPLE_EVERY,
-        "disabled_overhead": best["disabled"] / best["absent"] - 1.0,
-        "sampled_overhead": best["sampled"] / best["absent"] - 1.0,
-        "enabled_overhead": best["enabled"] / best["absent"] - 1.0,
+        "disabled_overhead": overhead("disabled"),
+        "sampled_overhead": overhead("sampled"),
+        "enabled_overhead": overhead("enabled"),
         "enabled_query_metrics": enabled_metrics,
         "sampled_query_metrics": modes["sampled"].stats()["metrics"],
     }
@@ -158,16 +170,15 @@ def main() -> None:
     parser.add_argument("--queries", type=int, default=None)
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--rounds", type=int, default=None,
-                        help="interleaved best-of rounds")
+                        help="interleaved rounds")
     args = parser.parse_args()
 
     dataset, config = operating_point(args.smoke)
     # The smoke gates a 2% difference between two modes that run the same
     # code, on hosts whose speed drifts by tens of percent over seconds:
-    # best-of needs many short rounds for every mode to meet a quiet
-    # stretch.  Best of 5 rounds of 32 queries flipped on that noise.
+    # many short rounds give the median many pairs to vote.
     n_queries = args.queries or (64 if args.smoke else 100)
-    rounds = args.rounds or (121 if args.smoke else 7)
+    rounds = args.rounds or (121 if args.smoke else 61)
 
     with tempfile.TemporaryDirectory() as tmp:
         dfs_dir = Path(tmp) / "dfs"
@@ -182,7 +193,8 @@ def main() -> None:
                                  rounds)
         write_explain_sample(blob, config, dfs_dir, queries, args.k)
 
-    print(f"query wall (best of {rounds}, {n_queries} queries): "
+    print(f"query wall (best of {rounds} rounds, {n_queries} queries; "
+          f"overhead = median paired ratio to absent): "
           f"absent {overhead['us_per_query']['absent']:.1f} us/q, "
           f"disabled {overhead['us_per_query']['disabled']:.1f} us/q "
           f"({100 * overhead['disabled_overhead']:+.2f}%), "

@@ -13,10 +13,9 @@ The PR-10 acceptance suite, in one artifact:
   recall@10 >= 0.40 must be reachable *before* full coverage on at least
   one family, otherwise early stopping has no budget to save and the
   artifact is refused.
-* **Calibrated operating points** — the offline agreement curve from
-  :func:`repro.evaluation.calibrate_early_stop` (measured on held-out
-  queries) plus the served quality of ``streak:*`` / ``confidence:*``
-  rules: mean visited fraction, early-stop rate, and realised recall.
+* **Stop-rule operating points** — the served quality of the
+  ``streak:1`` / ``streak:2`` rules: mean visited fraction, early-stop
+  rate, and realised recall.
 * **Drain-overhead gate** — a progressive answer is only worth streaming
   if draining it costs about what the one-shot search costs: on the same
   ``od-smallest`` plans, a drained ``knn_progressive(early_stop="off")``
@@ -41,15 +40,14 @@ import numpy as np
 from bench_common import bench_environment
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import make_dataset, sample_queries
-from repro.evaluation import calibrate_early_stop, exact_ground_truth
-from repro.series import SeriesDataset
+from repro.evaluation import exact_ground_truth
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_progressive.json"
 
 RECALL_FLOOR = 0.40         # recall@10 reachable before full coverage
 PARITY_WORKERS = (1, 2, 4)
-STOP_SPECS = ("streak:1", "streak:2", "confidence:0.9")
+STOP_SPECS = ("streak:1", "streak:2")
 DRAIN_OVERHEAD_CEILING = 1.5  # drained progressive wall / exhaustive knn wall
 DRAIN_ROUNDS = 7
 #: Curve + operating points use od-smallest: its promise-ordered plans
@@ -190,7 +188,7 @@ def floor_reached_before_full_coverage(curve) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Calibrated early-stop operating points
+# Early-stop operating points
 # ---------------------------------------------------------------------------
 
 def stop_operating_points(index, queries, truth, k, variant) -> list[dict]:
@@ -277,9 +275,6 @@ def main() -> None:
     for family in families:
         dataset = make_dataset(family, n_records, length=length, seed=1)
         queries = sample_queries(dataset, n_queries, seed=99)
-        held_out = SeriesDataset(
-            sample_queries(dataset, n_queries, seed=1234).values
-        )
         truth = exact_ground_truth(dataset, queries, args.k)
         index = ClimberIndex.build(
             dataset, ClimberConfig(**config_kwargs)
@@ -288,11 +283,6 @@ def main() -> None:
         reached = floor_reached_before_full_coverage(curve)
         if reached:
             floor_families.append(family)
-        calibration = calibrate_early_stop(
-            index, held_out.values, k=args.k, variant=CURVE_VARIANT,
-            max_streak=6,
-        )
-        index.attach_calibration(calibration)
         points = stop_operating_points(index, queries, truth, args.k,
                                        CURVE_VARIANT)
         overhead = drain_overhead_ratio(index, queries, args.k,
@@ -307,7 +297,6 @@ def main() -> None:
             "family": family,
             "recall_vs_partitions_visited": curve,
             "floor_before_full_coverage": reached,
-            "calibration": json.loads(calibration.to_json()),
             "operating_points": points,
             "drain_overhead_ratio": overhead,
         })

@@ -32,7 +32,6 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
-    StaleCalibrationError,
     StorageError,
     TransientReadError,
 )
@@ -42,7 +41,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ReproError",
     "ConfigurationError",
-    "StaleCalibrationError",
     "DimensionalityError",
     "NonFiniteValueError",
     "IndexNotBuiltError",

@@ -9,16 +9,10 @@ CLIMBER-kNN-Adaptive, OD-Smallest).
 from repro.core.assignment import AssignmentResult, GroupAssigner
 from repro.core.builder import BuildArtifacts, build_index_artifacts
 from repro.core.centroids import FALLBACK_CENTROID, compute_centroids
-from repro.core.config import PAPER_DEFAULTS, ClimberConfig
+from repro.core.config import PAPER_DEFAULTS, ClimberConfig, parse_early_stop
 from repro.core.index import ClimberIndex, GroupCandidate, QueryResult, QueryStats
 from repro.core.packing import first_fit, first_fit_decreasing, one_per_bin
-from repro.core.progressive import (
-    ProgressiveCalibration,
-    ProgressiveUpdate,
-    StopRule,
-    parse_early_stop,
-    resolve_stop_rule,
-)
+from repro.core.progressive import ProgressiveUpdate
 from repro.core.skeleton import (
     DEFAULT_CLUSTER_SUFFIX,
     GroupEntry,
@@ -36,11 +30,8 @@ __all__ = [
     "QueryResult",
     "QueryStats",
     "GroupCandidate",
-    "ProgressiveCalibration",
     "ProgressiveUpdate",
-    "StopRule",
     "parse_early_stop",
-    "resolve_stop_rule",
     "GroupAssigner",
     "AssignmentResult",
     "compute_centroids",

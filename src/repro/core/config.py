@@ -14,7 +14,6 @@ from typing import get_args
 
 import numpy as np
 
-from repro.core.progressive import parse_early_stop
 from repro.exceptions import ConfigurationError
 from repro.pivots.distances import DecayKind, decay_weights
 
@@ -23,6 +22,7 @@ __all__ = [
     "PAPER_DEFAULTS",
     "check_fields",
     "is_integer",
+    "parse_early_stop",
 ]
 
 
@@ -38,6 +38,39 @@ def is_real(value) -> bool:
     if isinstance(value, (float, np.floating)):
         return math.isfinite(value)
     return is_integer(value)
+
+
+def parse_early_stop(spec) -> int | None:
+    """The progressive stop rule ``spec`` names: a streak, or ``None``.
+
+    The one grammar of ``early_stop``, wherever it is passed
+    (:class:`ClimberConfig`, ``knn_progressive``,
+    ``knn_batch_progressive``, ``QueryService.submit``): ``"off"`` never
+    stops early; ``"streak:<s>"`` or an integer ``s >= 1`` (Python or
+    NumPy, never a ``bool``) stops once the running top-k has survived
+    ``s`` consecutive partition visits unchanged, with ``k`` answers in
+    hand.  A string's case and surrounding blanks do not matter.
+    """
+    text = spec.strip().lower() if isinstance(spec, str) else None
+    if text == "off":
+        return None
+    if is_integer(spec):
+        streak = int(spec)
+    elif text is not None and text.startswith("streak:"):
+        try:
+            streak = int(text[len("streak:"):])
+        except ValueError:
+            streak = 0
+    else:
+        raise ConfigurationError(
+            f"early_stop must be 'off', 'streak:<s>' or an integer s >= 1, "
+            f"got {spec!r}"
+        )
+    if streak < 1:
+        raise ConfigurationError(
+            f"early_stop streak must be an integer >= 1, got {spec!r}"
+        )
+    return streak
 
 
 #: Annotation -> (test, what the test asks for), for :func:`check_fields`.
@@ -169,10 +202,8 @@ class ClimberConfig:
         Stopping knob of the *progressive* query path
         (``knn_progressive``/``knn_batch_progressive``; the exact
         ``knn``/``knn_batch`` paths never stop early) for calls that do
-        not pass their own: ``"off"`` (the default), ``"confidence:0.95"``
-        (calibrated streak; a bare ``"confidence"`` means
-        ``"confidence:0.9"``) or ``"streak:3"`` — see
-        :func:`repro.core.progressive.parse_early_stop`.
+        not pass their own: ``"off"`` (the default) or a streak,
+        ``"streak:3"`` or ``3`` — see :func:`parse_early_stop`.
     """
 
     word_length: int = 16

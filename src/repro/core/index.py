@@ -46,7 +46,6 @@ import dataclasses
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -57,15 +56,9 @@ from repro.core.builder import (
     build_index_artifacts,
     check_records,
 )
-from repro.core.config import ClimberConfig, is_integer
+from repro.core.config import ClimberConfig, is_integer, parse_early_stop
 from repro.core.parallel import make_executor, split_ranges
-from repro.core.progressive import (
-    ProgressiveCalibration,
-    ProgressiveUpdate,
-    StopRule,
-    resolve_stop_rule,
-    store_stamp,
-)
+from repro.core.progressive import ProgressiveUpdate
 from repro.core.routing import GroupCandidate, RoutingTable
 from repro.core.routing import select_primary as _select_primary
 from repro.core.skeleton import SkeletonWithPivots, partition_name
@@ -74,7 +67,6 @@ from repro.exceptions import (
     DimensionalityError,
     NonFiniteValueError,
     PartitionNotFoundError,
-    StaleCalibrationError,
     StorageError,
 )
 from repro.obs import (
@@ -222,7 +214,7 @@ class _RoutedWalk:
         adaptive_factor: int | None,
         candidates: list[GroupCandidate],
         primary: GroupCandidate | None,
-        on_failure: str,
+        on_failure: str | None,
         prologue: tuple[float, float],
     ) -> None:
         # ``prologue`` is the (signature, route) seconds spent before the
@@ -235,13 +227,16 @@ class _RoutedWalk:
         self.k = k
         self._variant = variant
         self._candidates = candidates
+        if on_failure is None:
+            on_failure = index.config.on_partition_failure
         self._skip_failures = on_failure == "skip"
         if primary is None:
             primary = index.select_primary(candidates)
         self._primary = primary
         self._n_selected, to_load = index._routing.plan(
             variant, primary, candidates, k,
-            adaptive_factor or index.config.adaptive_factor,
+            index.config.adaptive_factor if adaptive_factor is None
+            else adaptive_factor,
         )
         #: The routed plan as ``(physical partition, wanted cluster keys)``
         #: in visit order: sorted base names, each base (when present)
@@ -430,11 +425,6 @@ class ClimberIndex:
             config.prefix_length, config.decay, config.decay_rate
         )
         self._routing = RoutingTable(artifacts.skeleton, self._weights)
-        #: Offline-calibrated early-stopping curve (progressive queries).
-        #: ``None`` until :meth:`attach_calibration` loads one, and again
-        #: after an :meth:`append` outdates a stamped one; confidence mode
-        #: then falls back to the conservative built-in prior.
-        self.calibration: ProgressiveCalibration | None = None
         # Telemetry resolution: an explicit argument wins; else adopt the
         # build's telemetry (so build.* and query.* metrics share one
         # registry); else create one per index from config.telemetry —
@@ -506,9 +496,6 @@ class ClimberIndex:
 
         A batch is refused whole, before anything is stored or counted, by
         :func:`~repro.core.builder.check_records` (as :meth:`build` is).
-        An attached calibration stamped with the store is detached, since
-        the store it describes is gone, so confidence mode falls back to
-        the prior; an unstamped one stays attached.
 
         Returns a summary dict (records appended, partitions written).
         """
@@ -545,9 +532,6 @@ class ClimberIndex:
         # not at all, and on disk as one file (DESIGN.md D6).
         dfs.write_encoded_partitions(encoded)
         self._art.n_records += dataset.count
-        if (self.calibration is not None
-                and self.calibration.store_digest is not None):
-            self.calibration = None
         return {
             "records_appended": dataset.count,
             "delta_partitions": [delta_id for delta_id, _ in encoded],
@@ -731,14 +715,39 @@ class ClimberIndex:
     # -- record-level search ------------------------------------------------------------
 
     @staticmethod
-    def check_query_args(k: int, variant: str) -> None:
+    def check_query_args(
+        k: int,
+        variant: str,
+        adaptive_factor: int | None = None,
+        on_partition_failure: str | None = None,
+    ) -> None:
         """Refuse a ``k`` that is not an integer >= 1 (Python or NumPy
-        integer, not ``bool``) or an unknown ``variant``; every query entry
-        point, :meth:`QueryService.submit` included, calls this first."""
+        integer, not ``bool``), an unknown ``variant``, an
+        ``adaptive_factor`` that is neither ``None`` nor such an integer,
+        or an ``on_partition_failure`` that is neither ``None``,
+        ``"raise"`` nor ``"skip"``; every query entry point,
+        :meth:`QueryService.submit` included, calls this first."""
         if not is_integer(k) or k < 1:
             raise ConfigurationError(f"k must be an integer >= 1, got {k!r}")
-        if variant not in ("knn", "adaptive", "od-smallest"):
+        if not isinstance(variant, str) or variant not in (
+            "knn", "adaptive", "od-smallest"
+        ):
             raise ConfigurationError(f"unknown variant {variant!r}")
+        if adaptive_factor is not None and not (
+            is_integer(adaptive_factor) and adaptive_factor >= 1
+        ):
+            raise ConfigurationError(
+                f"adaptive_factor must be None or an integer >= 1, "
+                f"got {adaptive_factor!r}"
+            )
+        if on_partition_failure is not None and not (
+            isinstance(on_partition_failure, str)
+            and on_partition_failure in ("raise", "skip")
+        ):
+            raise ConfigurationError(
+                f"on_partition_failure must be 'raise' or 'skip', "
+                f"got {on_partition_failure!r}"
+            )
 
     def check_queries(self, queries: np.ndarray) -> np.ndarray:
         """``queries`` as a validated ``(q, n)`` float64 matrix.
@@ -791,17 +800,6 @@ class ClimberIndex:
             )
         return arr[0]
 
-    def _resolve_on_failure(self, on_partition_failure: str | None) -> str:
-        """Degraded-query mode: the call's argument, else the config's."""
-        if on_partition_failure is None:
-            return self.config.on_partition_failure
-        if on_partition_failure not in ("raise", "skip"):
-            raise ConfigurationError(
-                f"on_partition_failure must be 'raise' or 'skip', "
-                f"got {on_partition_failure!r}"
-            )
-        return on_partition_failure
-
     def knn(
         self,
         query: np.ndarray,
@@ -821,8 +819,8 @@ class ClimberIndex:
         variant:
             ``"knn"``, ``"adaptive"`` or ``"od-smallest"`` (see module doc).
         adaptive_factor:
-            Partition-budget multiplier override (2 for -2X, 4 for -4X);
-            defaults to ``config.adaptive_factor``.
+            Partition-budget multiplier override, an integer >= 1 (2 for
+            -2X, 4 for -4X); ``None`` defers to ``config.adaptive_factor``.
         on_partition_failure:
             ``"raise"`` (default) propagates storage failures; ``"skip"``
             drops unreadable partitions from the candidate set and answers
@@ -859,8 +857,8 @@ class ClimberIndex:
         :meth:`knn` and :meth:`knn_progressive` — and nothing has been
         read when this returns.
         """
-        self.check_query_args(k, variant)
-        on_failure = self._resolve_on_failure(on_partition_failure)
+        self.check_query_args(k, variant, adaptive_factor,
+                              on_partition_failure)
         query = self.check_query(query)
         t0 = time.perf_counter()
         ranked = self.query_signature(query)
@@ -870,7 +868,8 @@ class ClimberIndex:
         )
         return _RoutedWalk(
             self, query, k, variant, adaptive_factor, candidates, None,
-            on_failure, (t_route - t0, time.perf_counter() - t_route),
+            on_partition_failure,
+            (t_route - t0, time.perf_counter() - t_route),
         )
 
     def knn_batch(
@@ -922,8 +921,8 @@ class ClimberIndex:
 
         Rows run as shards on the configured executor.
         """
-        self.check_query_args(k, variant)
-        on_failure = self._resolve_on_failure(on_partition_failure)
+        self.check_query_args(k, variant, adaptive_factor,
+                              on_partition_failure)
         arr = self.check_queries(queries)
         if arr.shape[0] == 0:
             return []
@@ -933,7 +932,8 @@ class ClimberIndex:
             return [
                 drive(_RoutedWalk(
                     self, arr[i], k, variant, adaptive_factor,
-                    candidates_of[i], primaries[i], on_failure, prologue,
+                    candidates_of[i], primaries[i], on_partition_failure,
+                    prologue,
                 ))
                 for i in range(*span)
             ]
@@ -1008,45 +1008,11 @@ class ClimberIndex:
 
     # -- progressive queries -----------------------------------------------------------
 
-    def attach_calibration(
-        self, calibration: "ProgressiveCalibration | str | Path | None"
-    ) -> ProgressiveCalibration | None:
-        """Attach (or detach) the early-stopping calibration artifact.
-
-        Accepts a :class:`~repro.core.progressive.ProgressiveCalibration`,
-        a path to one saved by
-        :func:`repro.evaluation.calibrate_early_stop` (the JSON sidecar
-        persisted next to the index partitions), or ``None`` to detach.
-        ``early_stop="confidence"`` queries consult the attached curve;
-        without one they fall back to the conservative built-in prior.
-
-        A curve stamped with another store than this index holds — one
-        calibrated before an ``append`` — is refused with
-        :class:`~repro.exceptions.StaleCalibrationError` and the attached
-        curve is left as it was; an unstamped one is attached as is.
-        """
-        if calibration is not None and not isinstance(
-            calibration, ProgressiveCalibration
-        ):
-            calibration = ProgressiveCalibration.load(calibration)
-        if calibration is not None and calibration.store_digest is not None:
-            n_records, digest = store_stamp(self.dfs)
-            if (calibration.n_records, calibration.store_digest) != (
-                n_records, digest
-            ):
-                raise StaleCalibrationError(
-                    f"calibration measured on {calibration.n_records} "
-                    f"records (store {calibration.store_digest[:12]}), "
-                    f"index holds {n_records} (store {digest[:12]})"
-                )
-        self.calibration = calibration
-        return self.calibration
-
-    def _resolve_stop_rule(self, early_stop: object) -> StopRule | None:
-        """Stopping rule: the call's argument, else the config's."""
-        if early_stop is None:
-            early_stop = self.config.early_stop
-        return resolve_stop_rule(early_stop, self.calibration)
+    def _streak(self, early_stop: object) -> int | None:
+        """Stop rule of a progressive call: the call's, else the config's."""
+        return parse_early_stop(
+            self.config.early_stop if early_stop is None else early_stop
+        )
 
     def knn_progressive(
         self,
@@ -1074,24 +1040,23 @@ class ClimberIndex:
         Parameters beyond :meth:`knn`'s
         ------------------------------
         early_stop:
-            ``"off"`` | ``"confidence:0.95"`` (a bare ``"confidence"``
-            means ``"confidence:0.9"``) | ``"streak:3"`` | bare int.
-            ``None`` defers to ``config.early_stop``.  Confidence mode maps
-            the confidence to a stable-streak threshold via the attached
-            calibration (see :meth:`attach_calibration`) or the built-in
-            prior.  The rule never fires before ``k`` answers are in hand,
-            so an index holding fewer than ``k`` records always runs to
-            full coverage.
+            ``"off"``, or a streak ``s`` as ``"streak:<s>"`` or an
+            integer: stop once the top-k has survived ``s`` consecutive
+            partition visits unchanged (see
+            :func:`~repro.core.config.parse_early_stop`).  ``None`` defers
+            to ``config.early_stop``.  The rule never fires before ``k``
+            answers are in hand, so an index holding fewer than ``k``
+            records always runs to full coverage.
 
         Note: validation, signature and routing run eagerly at call time
         (consuming the index RNG stream exactly like :meth:`knn`); only
         the partition visits are lazy.
         """
-        rule = self._resolve_stop_rule(early_stop)
+        streak = self._streak(early_stop)
         walk = self._start_walk(
             query, k, variant, adaptive_factor, on_partition_failure
         )
-        return self._stream_walk(walk, rule)
+        return self._stream_walk(walk, streak)
 
     def knn_batch_progressive(
         self,
@@ -1114,11 +1079,11 @@ class ClimberIndex:
         the answer, its stats and the forgone coverage.  With stopping
         disabled every row is bit-identical to :meth:`knn_batch`.
         """
-        rule = self._resolve_stop_rule(early_stop)
+        streak = self._streak(early_stop)
 
         def drain(walk):
             final = None
-            for final in self._stream_walk(walk, rule):
+            for final in self._stream_walk(walk, streak):
                 pass
             return final
 
@@ -1127,7 +1092,7 @@ class ClimberIndex:
         )
 
     def _stream_walk(
-        self, walk: _RoutedWalk, rule: StopRule | None
+        self, walk: _RoutedWalk, streak: int | None
     ) -> Iterator[ProgressiveUpdate]:
         """Drive ``walk`` one visit at a time, yielding the running top-k.
 
@@ -1186,9 +1151,8 @@ class ClimberIndex:
                 stability=stable / walk.visited,
                 done=False,
             )
-            if rule is not None and rule.should_stop(
-                top_ids.shape[0] >= k, walk.visited, stable
-            ):
+            if (streak is not None and stable >= streak
+                    and top_ids.shape[0] >= k):
                 # A rule firing on the last planned partition forgoes
                 # nothing — that is a full-coverage answer, not an early
                 # stop, so the flag (and the early_stops counter) stays
@@ -1337,6 +1301,8 @@ class ClimberIndex:
         equivalent ``knn`` / ``knn_batch`` call and charges the DFS
         logical counters — explain is a recorded query, not a dry run.
         """
+        self.check_query_args(k, variant, adaptive_factor,
+                              on_partition_failure)
         arr = np.asarray(query)
         run_progressive = progressive or early_stop is not None
         mode = "knn" if arr.ndim == 1 else "knn_batch"

@@ -1,6 +1,5 @@
 """Evaluation substrate: ground truth, recall, harness, reporting."""
 
-from repro.evaluation.calibration import calibrate_early_stop
 from repro.evaluation.groundtruth import GroundTruth, exact_ground_truth
 from repro.evaluation.harness import (
     SystemEvaluation,
@@ -17,7 +16,6 @@ __all__ = [
     "evaluate_system",
     "modeled_build_seconds",
     "modeled_query_seconds",
-    "calibrate_early_stop",
     "render_table",
     "write_csv",
     "fmt_duration",

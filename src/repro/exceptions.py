@@ -15,14 +15,6 @@ class ConfigurationError(ReproError):
     """A configuration value is out of range or inconsistent."""
 
 
-class StaleCalibrationError(ConfigurationError):
-    """A progressive-stopping calibration was measured on another store.
-
-    Its stamp — the record count and a digest of the partition names and
-    their record counts — differs from the index it is attached to, as
-    after an ``append``: the curve no longer describes these partitions."""
-
-
 class DimensionalityError(ReproError):
     """An array does not have the shape an operation requires."""
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import check_fields
+from repro.core.config import check_fields, parse_early_stop
 from repro.core.index import ClimberIndex, QueryStats
 from repro.exceptions import (
     ConfigurationError,
@@ -336,16 +336,23 @@ class QueryService:
             The service is not running, or stopped before this request
             could be dispatched.
         ConfigurationError, DimensionalityError, NonFiniteValueError
-            ``k`` is not an integer >= 1, ``variant`` is unknown, or
-            ``query`` is not one finite real series of the indexed length.
-            Refused here, before admission, so a malformed request fails
-            alone and never takes its micro-batch down with it.
+            ``k`` is not an integer >= 1, ``variant``,
+            ``adaptive_factor``, ``on_partition_failure`` or
+            ``early_stop`` is malformed, or ``query`` is not one finite
+            real series of the indexed length.  Refused here, before
+            admission, so a malformed request fails alone and never takes
+            its micro-batch down with it.
         """
         if not self.running:
             raise ServiceClosedError("service is not running")
         self._c_requests.inc()
         try:
-            ClimberIndex.check_query_args(k, variant)
+            ClimberIndex.check_query_args(k, variant, adaptive_factor,
+                                          on_partition_failure)
+            if early_stop is not None:
+                # Keyed on the parsed rule, so "streak:2", 2 and
+                # " STREAK:2 " share a dispatch.
+                early_stop = parse_early_stop(early_stop) or "off"
             query = self.index.check_query(query)
         except ReproError:
             self._c_failures.inc()
@@ -372,8 +379,9 @@ class QueryService:
         future = self._loop.create_future()
         req = _Request(
             query,
-            (int(k), variant, adaptive_factor, on_partition_failure,
-             early_stop),
+            (int(k), variant,
+             None if adaptive_factor is None else int(adaptive_factor),
+             on_partition_failure, early_stop),
             future,
             time.perf_counter(),
         )

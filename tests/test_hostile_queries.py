@@ -73,6 +73,8 @@ def hostile_cases():
 DTYPE_CASES = ["complex", "digit-strings", "object", "bool-mask"]
 BAD_K = [2.5, np.float64(3.0), True, np.True_, "5", None, 0, -1]
 BAD_K_IDS = [repr(k) for k in BAD_K]
+BAD_FACTOR = [0, -1, 2.5, True, np.True_, "2", np.float64(2.0), [4]]
+BAD_FACTOR_IDS = [repr(f) for f in BAD_FACTOR]
 
 
 CASES = hostile_cases()
@@ -168,6 +170,40 @@ def test_k_must_be_a_positive_integer(index, entry, k):
     assert index._rng.bit_generator.state == rng_state
 
 
+@pytest.mark.parametrize("entry", ["knn", "knn_progressive", "knn_batch",
+                                   "knn_batch_progressive", "explain_query"])
+@pytest.mark.parametrize("factor", BAD_FACTOR, ids=BAD_FACTOR_IDS)
+def test_adaptive_factor_must_be_none_or_a_positive_integer(index, entry,
+                                                            factor):
+    """0 used to mean the config's factor and -1 a negative budget; both,
+    a fraction and a bool were answered.  ``None`` alone defers."""
+    query = good(7) if not entry.startswith("knn_batch") else np.stack(
+        [good(7), good(8)]
+    )
+    before = index.dfs.counters
+    rng_state = index._rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match="adaptive_factor"):
+        getattr(index, entry)(query, 5, adaptive_factor=factor)
+    assert index.dfs.counters == before
+    assert index._rng.bit_generator.state == rng_state
+
+
+def test_explain_refuses_bad_arguments_of_an_empty_batch(index):
+    empty = np.empty((0, LENGTH))
+    for kwargs in (dict(adaptive_factor=0), dict(on_partition_failure="no"),
+                   dict(k=0)):
+        with pytest.raises(ConfigurationError):
+            index.explain_query(empty, **{"k": 5, "progressive": True,
+                                          **kwargs})
+
+
+def test_numpy_integer_adaptive_factor_is_an_integer(index):
+    want = index.knn(good(9), 5, variant="knn", adaptive_factor=2)
+    got = index.knn(good(9), 5, variant="knn", adaptive_factor=np.int64(2))
+    np.testing.assert_array_equal(got.ids, want.ids)
+    assert got.stats.n_selected_nodes == want.stats.n_selected_nodes
+
+
 def test_numpy_integer_k_is_an_integer(index):
     want = index.knn(good(9), 5)
     got = index.knn(good(9), np.int64(5))
@@ -242,17 +278,31 @@ def test_service_fails_the_bad_request_alone():
     bad = [np.full(LENGTH, np.nan), good()[:-3], np.stack([good(), good()]),
            good() + 1j]
     bad_k = [2.5, True]
+    # Refused at submit, not at dispatch: an unhashable argument used to
+    # raise while the dispatch grouped its batch, before any future was
+    # resolved, and so hung every request of that batch.
+    bad_args = [dict(early_stop=[2]), dict(early_stop="bogus"),
+                dict(early_stop="confidence:0.9"),
+                dict(on_partition_failure="nope"),
+                dict(on_partition_failure=["skip"]),
+                dict(adaptive_factor=0), dict(adaptive_factor=[4]),
+                dict(variant=np.array(["knn", "adaptive"]))]
+    # One rule, three spellings: keyed on the parsed streak, one dispatch.
+    streaks = ["streak:2", 2, " STREAK:2 "]
 
     async def drive():
-        config = ServeConfig(max_batch=16, max_delay_s=0.02)
+        config = ServeConfig(max_batch=32, max_delay_s=0.02)
         async with QueryService(served, config,
                                 registry=MetricsRegistry()) as service:
             mixed = queries[:3] + bad + queries[3:]
-            results = await asyncio.gather(
+            results = await asyncio.wait_for(asyncio.gather(
                 *(service.submit(q, 5) for q in mixed),
                 *(service.submit(queries[0], k) for k in bad_k),
+                *(service.submit(queries[1], 5, **kw) for kw in bad_args),
+                *(service.submit(queries[2], 5, early_stop=s)
+                  for s in streaks),
                 return_exceptions=True,
-            )
+            ), timeout=20)
             return results, service.stats()
 
     results, stats = asyncio.run(drive())
@@ -261,15 +311,20 @@ def test_service_fails_the_bad_request_alone():
     assert isinstance(errors[1], DimensionalityError)
     assert isinstance(errors[2], DimensionalityError)
     assert isinstance(errors[3], DimensionalityError)
-    assert all(isinstance(e, ConfigurationError) for e in results[-2:])
-    answers = results[:3] + results[7:-2]
+    refused = results[10:12 + len(bad_args)]
+    assert all(isinstance(e, ConfigurationError) for e in refused)
+    answers = results[:3] + results[7:10]
     for got, want in zip(answers, expected):
         np.testing.assert_array_equal(got.ids, want.ids)
         np.testing.assert_array_equal(got.distances, want.distances)
+    streak_answers = results[-len(streaks):]
+    assert [r.batch_size for r in streak_answers] == [3, 3, 3]
+    for r in streak_answers[1:]:
+        np.testing.assert_array_equal(r.ids, streak_answers[0].ids)
     counters = stats["metrics"]["counters"]
-    assert counters["serve.requests"] == 12
-    assert counters["serve.responses"] == 6
-    assert counters["serve.failures"] == 6
+    assert counters["serve.requests"] == 12 + len(bad_args) + len(streaks)
+    assert counters["serve.responses"] == 6 + len(streaks)
+    assert counters["serve.failures"] == 6 + len(bad_args)
 
 
 def test_empty_store_reopen_still_knows_the_series_length(index):

@@ -1,4 +1,4 @@
-"""Progressive kNN: parity oracle, early stopping, calibration, knobs.
+"""Progressive kNN: parity oracle, early stopping, knobs.
 
 The contracts under test (see :mod:`repro.core.progressive`):
 
@@ -10,11 +10,10 @@ The contracts under test (see :mod:`repro.core.progressive`):
 * **Early stopping is safe** — the rule never fires before ``k`` answers
   are in hand, forgone coverage is recorded honestly, and a stopped
   answer is still a complete (ordered, deduplicated) answer set.
-* **Calibration** — the offline curve is monotone, persists as JSON,
-  round-trips through :meth:`~repro.core.ClimberIndex.attach_calibration`,
-  and drives ``early_stop="confidence"``.
-* **Knob grammar** — the call's argument, else the config field (default
-  off), with malformed specs rejected eagerly.
+* **Knob grammar** — ``"off"`` or a streak (``"streak:s"`` or an
+  integer), the call's argument, else the config field (default off),
+  with malformed specs — the retired ``"confidence[:c]"`` included —
+  rejected eagerly.
 """
 
 from __future__ import annotations
@@ -25,17 +24,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import (
-    ClimberConfig,
-    ClimberIndex,
-    ProgressiveCalibration,
-    StopRule,
-    parse_early_stop,
-    resolve_stop_rule,
-)
+from repro.core import ClimberConfig, ClimberIndex, parse_early_stop
 from repro.core.index import QueryStats
-from repro.evaluation import calibrate_early_stop
-from repro.exceptions import ConfigurationError, StaleCalibrationError
+from repro.exceptions import ConfigurationError
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.series import SeriesDataset
 from repro.storage import SimulatedDFS
@@ -89,48 +80,66 @@ def _assert_final_matches(final, ref) -> None:
 
 class TestKnobGrammar:
     @pytest.mark.parametrize("spec,expected", [
-        ("off", ("off", None)),
-        ("OFF", ("off", None)),
-        ("confidence", ("confidence", 0.9)),
-        ("confidence:0.95", ("confidence", 0.95)),
-        ("streak:3", ("streak", 3)),
-        (4, ("streak", 4)),
+        ("off", None),
+        ("OFF", None),
+        ("streak:3", 3),
+        (" STREAK:2 ", 2),
+        (4, 4),
+        (np.int64(5), 5),
     ])
     def test_parse_accepts(self, spec, expected):
-        assert parse_early_stop(spec) == expected
+        got = parse_early_stop(spec)
+        assert got == expected and type(got) is type(expected)
 
     @pytest.mark.parametrize("spec", [
-        "", "maybe", "confidence:2", "confidence:nope", "streak:0",
-        "streak:x", 0, -1, True, None, 1.5,
+        "", "maybe", "confidence", "confidence:0.95", "confidence:2",
+        "confidence:nope", "streak:0", "streak:x", "streak:", 0, -1,
+        np.int64(0), True, np.True_, None, 1.5, [2],
     ])
     def test_parse_rejects(self, spec):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="early_stop"):
             parse_early_stop(spec)
 
     def test_config_validates_eagerly(self):
-        with pytest.raises(ConfigurationError):
-            _config(early_stop="bogus")
-        with pytest.raises(ConfigurationError):
-            _config(early_stop="confidence:1.5")
+        for bad in ("bogus", "confidence", "confidence:0.9"):
+            with pytest.raises(ConfigurationError, match="'streak:<s>'"):
+                _config(early_stop=bad)
         assert _config(early_stop="streak:2").early_stop == "streak:2"
         assert _config().early_stop == "off"
 
-    def test_resolve_stop_rule_modes(self):
-        assert resolve_stop_rule("off", None) is None
-        rule = resolve_stop_rule("streak:2", None)
-        assert rule == StopRule(streak=2, kind="streak")
-        # confidence without calibration uses the conservative prior:
-        # 1 - 0.5**s >= 0.9 first at s=4; a bare "confidence" is 0.9.
-        rule = resolve_stop_rule("confidence", None)
-        assert rule.kind == "confidence" and rule.streak == 4
-        assert rule == resolve_stop_rule("confidence:0.9", None)
-        rule = resolve_stop_rule("confidence:0.99", None)
-        assert rule.streak == 7
-
     def test_stop_rule_requires_k_in_hand(self):
-        rule = StopRule(streak=1)
-        assert not rule.should_stop(False, 5, 5)
-        assert rule.should_stop(True, 1, 1)
+        """A streak rule stops at the first visit whose top-k has stood
+        ``s`` visits with ``k`` answers in hand — read off the drained
+        trajectory of a twin index — and never at one short of ``k``.
+        Lost partitions (skipped) are stable visits that add nothing, so
+        some visits are stable while the answer is still short."""
+        stopping, draining = (
+            ClimberIndex.build(
+                _dataset(), _config(on_partition_failure="skip"),
+                dfs=_lossy_dfs(FaultPlan(seed=1234, loss_rate=0.3)),
+            )
+            for _ in range(2)
+        )
+        short_and_stable = 0
+        for k in (10, 150):
+            for q in _queries(8, seed=41):
+                got = list(stopping.knn_progressive(
+                    q, k, variant="od-smallest", early_stop=1
+                ))
+                full = list(draining.knn_progressive(
+                    q, k, variant="od-smallest", early_stop="off"
+                ))[:-1]
+                fires = [u.stable_steps >= 1 and u.ids.shape[0] >= k
+                         for u in full]
+                short_and_stable += sum(
+                    u.stable_steps >= 1 and u.ids.shape[0] < k for u in full
+                )
+                n = fires.index(True) + 1 if True in fires else len(full)
+                assert len(got) == n + 1
+                for a, b in zip(got, full[:n]):
+                    assert np.array_equal(a.ids, b.ids)
+                assert got[-1].stopped_early == (n < len(full))
+        assert short_and_stable, "no visit was stable yet short of k"
 
 
 # ---------------------------------------------------------------------------
@@ -441,128 +450,6 @@ class TestDegradedProgressive:
 
 
 # ---------------------------------------------------------------------------
-# Calibration
-# ---------------------------------------------------------------------------
-
-class TestCalibration:
-    @pytest.fixture(scope="class")
-    def index(self):
-        return ClimberIndex.build(_dataset(), _config())
-
-    def test_curve_monotone_and_persisted(self, index, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cal") / "calibration.json"
-        cal = calibrate_early_stop(
-            index, _queries(20, seed=77), k=10, variant="od-smallest",
-            max_streak=6, path=path,
-        )
-        fracs = [frac for _, frac in cal.curve]
-        assert all(b >= a for a, b in zip(fracs, fracs[1:]))
-        assert all(0.0 <= f <= 1.0 for f in fracs)
-        assert cal.source == "calibrated"
-        assert cal.n_queries == 20
-        # JSON round-trip through the file
-        loaded = ProgressiveCalibration.load(path)
-        assert loaded == cal
-        data = json.loads(path.read_text())
-        assert data["schema"] == "repro.progressive-calibration/v2"
-        # Stamped with the store it was measured on.
-        assert data["n_records"] == 800
-        assert len(data["store_digest"]) == 64
-
-    def test_attach_and_confidence_mode(self, index, tmp_path):
-        path = tmp_path / "calibration.json"
-        cal = calibrate_early_stop(
-            index, _queries(20, seed=77), k=10, variant="od-smallest",
-            max_streak=6, path=path,
-        )
-        index.attach_calibration(path)
-        assert index.calibration == cal
-        # The resolved streak comes from the measured curve.
-        rule = resolve_stop_rule("confidence:0.9", index.calibration)
-        assert rule.streak == cal.threshold_for(0.9)
-        finals = [
-            list(index.knn_progressive(
-                q, 10, variant="od-smallest", early_stop="confidence:0.9"
-            ))[-1]
-            for q in _queries(16, seed=41)
-        ]
-        assert all(f.done for f in finals)
-        index.attach_calibration(None)
-        assert index.calibration is None
-
-    def test_stale_sidecar_is_refused_after_append(self, tmp_path):
-        index = ClimberIndex.build(_dataset(), _config())
-        path = tmp_path / "calibration.json"
-        cal = calibrate_early_stop(index, _queries(6, seed=77), k=5,
-                                   max_streak=3, path=path)
-        # Attaching without an append still works, from object or file.
-        assert index.attach_calibration(cal) == cal
-        assert index.attach_calibration(path) == cal
-        index.append(SeriesDataset(_dataset(40, seed=3).values,
-                                   ids=np.arange(10_000, 10_040)))
-        assert index.calibration is None  # the append detached it
-        prior = ProgressiveCalibration.prior()
-        index.attach_calibration(prior)
-        for sidecar in (cal, path):
-            with pytest.raises(StaleCalibrationError, match="800 records"):
-                index.attach_calibration(sidecar)
-        assert index.calibration == prior  # the refusal changed nothing
-        # A curve measured on the appended-to store attaches again, and an
-        # unstamped one (the prior) describes no store and always attaches.
-        fresh = calibrate_early_stop(index, _queries(6, seed=77), k=5,
-                                     max_streak=3)
-        assert fresh.n_records == 840
-        assert fresh.store_digest != cal.store_digest
-        assert index.attach_calibration(fresh) == fresh
-        assert index.attach_calibration(prior) == prior
-
-    def test_append_detaches_a_stamped_curve_only(self):
-        """A curve stamped with the store stops describing it at the next
-        ``append``, so the append detaches it and confidence mode falls
-        back to the prior; an unstamped curve describes no store and
-        stays attached."""
-        index = ClimberIndex.build(_dataset(), _config())
-        cal = calibrate_early_stop(index, _queries(6, seed=77), k=5,
-                                   max_streak=3)
-        assert cal.store_digest is not None
-        unstamped = dataclasses.replace(cal, n_records=None,
-                                        store_digest=None)
-        for n, (curve, kept) in enumerate(((cal, None),
-                                           (unstamped, unstamped))):
-            index.attach_calibration(curve)
-            index.append(SeriesDataset(
-                _dataset(20, seed=n).values,
-                ids=np.arange(10_000 + 20 * n, 10_020 + 20 * n),
-            ))
-            assert index.calibration == kept
-
-    def test_unachievable_confidence_disables_stopping(self):
-        cal = ProgressiveCalibration(curve=((1, 0.2), (2, 0.4)))
-        assert cal.threshold_for(0.99) == 3  # max_streak + 1
-
-    def test_prior_thresholds(self):
-        prior = ProgressiveCalibration.prior()
-        assert prior.threshold_for(0.9) == 4
-        assert prior.threshold_for(0.99) == 7
-
-    def test_calibration_validates(self):
-        with pytest.raises(ConfigurationError):
-            ProgressiveCalibration(curve=())
-        with pytest.raises(ConfigurationError):
-            ProgressiveCalibration(curve=((2, 0.5), (1, 0.7)))
-        with pytest.raises(ConfigurationError):
-            ProgressiveCalibration(curve=((1, 1.5),))
-        with pytest.raises(ConfigurationError):
-            calibrate_early_stop(object(), np.empty((0, 8)), k=5)
-
-    def test_schema_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProgressiveCalibration.from_json(
-                json.dumps({"schema": "bogus/v9", "curve": [[1, 0.5]]})
-            )
-
-
-# ---------------------------------------------------------------------------
 # Explain + telemetry integration
 # ---------------------------------------------------------------------------
 
@@ -642,7 +529,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             index.knn_progressive(q, 5, early_stop="bogus")
         with pytest.raises(ConfigurationError):
-            index.knn_progressive(q, 5, early_stop="confidence:1.5")
+            index.knn_progressive(q, 5, early_stop="confidence:0.9")
         with pytest.raises(TypeError):
             index.knn_progressive(q, 5, early_stop="confidence",
                                   confidence=0.9)

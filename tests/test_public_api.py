@@ -253,3 +253,39 @@ def test_references_live_in_tests_only():
                 if name.endswith("_reference") or name in ORACLE_NAMES:
                     offenders.append(f"{package}.{name}")
     assert offenders == []
+
+
+def test_stop_rule_is_a_streak_and_nothing_calibrates_it():
+    """``early_stop`` is ``"off"`` or a streak (DESIGN.md D19): the
+    ``confidence`` rule, its calibration, sidecar and store stamp are
+    gone, not deprecated."""
+    import importlib
+
+    import repro.core
+    import repro.core.progressive
+    import repro.evaluation
+    import repro.exceptions
+
+    index = repro.ClimberIndex.build(
+        repro.random_walk_dataset(200, 32, seed=2),
+        repro.ClimberConfig(word_length=8, n_pivots=16, prefix_length=4,
+                            capacity=100, sample_fraction=0.3),
+    )
+    gone = [
+        (repro, ("StaleCalibrationError",)),
+        (repro.exceptions, ("StaleCalibrationError",)),
+        (repro.core, ("ProgressiveCalibration", "StopRule",
+                      "resolve_stop_rule")),
+        (repro.core.progressive, ("ProgressiveCalibration", "StopRule",
+                                  "resolve_stop_rule", "store_stamp",
+                                  "CALIBRATION_SCHEMA")),
+        (repro.evaluation, ("calibrate_early_stop",)),
+        (index, ("attach_calibration", "calibration")),
+    ]
+    for owner, names in gone:
+        for name in names:
+            assert not hasattr(owner, name), name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.evaluation.calibration")
+    with pytest.raises(repro.ConfigurationError, match="'streak:<s>'"):
+        repro.ClimberConfig(early_stop="confidence:0.9")
