@@ -11,8 +11,11 @@ The primary public entry points are re-exported here:
 ...                            ClimberConfig(word_length=8, n_pivots=16,
 ...                                          prefix_length=4, capacity=100,
 ...                                          sample_fraction=0.3))
->>> result = index.knn(index.dfs.read_partition(
-...     index.dfs.list_partitions()[0]).values[0], k=5)
+>>> part = index.dfs.read_partition(index.dfs.list_partitions()[0])
+>>> ids, values = part.read_clusters(part.cluster_keys())
+>>> result = index.knn(values[0], k=5)
+>>> int(result.ids[0]) == int(ids[0])
+True
 
 See :mod:`repro.core` for the paper's contribution, :mod:`repro.baselines`
 for the comparators, and DESIGN.md for the full system inventory.
@@ -58,7 +61,6 @@ __all__ = [
     "ClimberIndex",
     "QueryResult",
     "ProgressiveUpdate",
-    "ProgressiveCalibration",
     "QueryService",
     "QueryResponse",
     "ServeConfig",
@@ -80,7 +82,7 @@ def __getattr__(name):
     first attribute access.
     """
     if name in ("ClimberConfig", "ClimberIndex", "QueryResult",
-                "ProgressiveUpdate", "ProgressiveCalibration"):
+                "ProgressiveUpdate"):
         from repro import core
 
         return getattr(core, name)

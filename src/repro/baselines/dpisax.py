@@ -38,7 +38,7 @@ from repro.cluster import (
 )
 from repro.exceptions import ConfigurationError
 from repro.series import ISaxSpace, ISaxWord, SeriesDataset, knn_bruteforce, paa_transform
-from repro.storage import PartitionFile, SimulatedDFS
+from repro.storage import SimulatedDFS
 
 __all__ = ["DpisaxConfig", "DpisaxIndex"]
 
@@ -158,11 +158,10 @@ class DpisaxIndex:
             rows = np.flatnonzero(assignments == pid)
             if rows.shape[0] == 0:
                 continue
-            part = PartitionFile.from_clusters(
-                f"dpisax{pid}",
-                {str(leaf_cells[pid].word): (dataset.ids[rows], dataset.values[rows])},
+            dfs.write_partition_arrays(
+                f"dpisax{pid}", dataset.ids, dataset.values,
+                {str(leaf_cells[pid].word): (0, rows.shape[0])}, rows=rows,
             )
-            dfs.write_partition(part)
             tree = ISaxTree(space, config.leaf_capacity)
             tree.bulk_load(all_syms[rows], np.arange(rows.shape[0]))
             local_trees[pid] = tree
@@ -268,7 +267,7 @@ class DpisaxIndex:
                               report.total_seconds, time.perf_counter() - t0),
             )
         part = self.dfs.read_partition(pname)
-        ids, vals = part.read_all()
+        ids, vals = part.read_clusters(part.cluster_keys())
         node = self.local_trees[pid].descend(q_syms)
         rows = node.rows if node.rows is not None else np.arange(ids.shape[0])
         if rows.shape[0] < k:  # expand within the partition

@@ -17,7 +17,7 @@ from repro.baselines.common import BaselineResult, BaselineStats
 from repro.cluster import ClusterSimulator, CostModel, TaskCost, ops_euclidean
 from repro.exceptions import ConfigurationError
 from repro.series import SeriesDataset, knn_bruteforce, knn_merge
-from repro.storage import PartitionFile, SimulatedDFS
+from repro.storage import SimulatedDFS
 
 __all__ = ["DssScanner"]
 
@@ -52,10 +52,8 @@ class DssScanner:
             raise ConfigurationError("n_partitions must be >= 1")
         dfs = dfs if dfs is not None else SimulatedDFS()
         for i, chunk in enumerate(dataset.split_into_chunks(n_partitions)):
-            part = PartitionFile.from_clusters(
-                f"dss{i}", {"all": (chunk.ids, chunk.values)}
-            )
-            dfs.write_partition(part)
+            dfs.write_partition_arrays(f"dss{i}", chunk.ids, chunk.values,
+                                       {"all": (0, chunk.count)})
         return cls(dfs, model or CostModel(), cost_scale, dataset.length)
 
     @property
@@ -76,7 +74,7 @@ class DssScanner:
         names = tuple(self.dfs.list_partitions())
         for pname in names:
             part = self.dfs.read_partition(pname)
-            ids, vals = part.read_all()
+            ids, vals = part.read_clusters(part.cluster_keys())
             partials.append(knn_bruteforce(query, vals, ids, k))
             examined += part.record_count
             data_bytes += part.nbytes

@@ -33,7 +33,7 @@ from repro.cluster import (
 )
 from repro.exceptions import ConfigurationError
 from repro.series import ISaxSpace, SeriesDataset, knn_bruteforce, paa_transform
-from repro.storage import PartitionFile, SimulatedDFS
+from repro.storage import SimulatedDFS
 
 __all__ = ["TardisConfig", "TardisIndex"]
 
@@ -177,12 +177,15 @@ class TardisIndex:
                 pid, key = node.default_partition, node.key() + "/~"
             clusters.setdefault(pid, {}).setdefault(key, []).append(i)
         for pid in sorted(clusters):
-            mapping = {
-                key: (dataset.ids[rows], dataset.values[rows])
-                for key, rows in clusters[pid].items()
-                for rows in [np.asarray(rows, dtype=np.int64)]
-            }
-            dfs.write_partition(PartitionFile.from_clusters(f"tardis{pid}", mapping))
+            # Sorted keys, each cluster contiguous (paper §VI).
+            header, rows = {}, []
+            for key in sorted(clusters[pid]):
+                header[key] = (len(rows), len(clusters[pid][key]))
+                rows += clusters[pid][key]
+            dfs.write_partition_arrays(
+                f"tardis{pid}", dataset.ids, dataset.values, header,
+                rows=np.array(rows, dtype=np.int64),
+            )
 
         per_record_ops = ops_paa(dataset.length) + 16 * config.word_length
         report = simulate_distributed_build(
@@ -334,19 +337,14 @@ class TardisIndex:
         ids = vals = None
         anchors = list(reversed(path))[:2]
         for anchor in anchors:
-            cand_ids, cand_vals = [], []
-            for key, kbits, ksyms in parsed_keys:
-                if self._covers(anchor, kbits, ksyms):
-                    cid, cval = part.read_cluster(key)
-                    cand_ids.append(cid)
-                    cand_vals.append(cval)
-            if cand_ids:
-                ids = np.concatenate(cand_ids)
-                vals = np.vstack(cand_vals)
+            keys = [key for key, kbits, ksyms in parsed_keys
+                    if self._covers(anchor, kbits, ksyms)]
+            if keys:
+                ids, vals = part.read_clusters(keys)
                 if ids.shape[0] >= k:
                     break
         if ids is None or ids.shape[0] < k:  # expand to the whole partition
-            ids, vals = part.read_all()
+            ids, vals = part.read_clusters(part.cluster_keys())
         out_ids, out_d = knn_bruteforce(query, vals, ids, k)
         sim.run_stage(
             "query/scan",

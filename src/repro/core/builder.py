@@ -388,11 +388,10 @@ def _redistribute_flat(
     One :meth:`FlatTrieRouter.route` resolves every record's cluster in
     ``prefix_length`` ``searchsorted`` sweeps over the global trie, one
     stable argsort over the precomputed ``(partition, cluster key)`` ranks
-    groups the records into the exact layout
-    :meth:`PartitionFile.from_clusters` would build, and each partition is
-    gathered straight from the dataset arrays into its payload buffer — no
-    per-record Python, no intermediate partition objects, no sorted copy
-    of the dataset.
+    groups the records into the partition layout (sorted keys, each
+    cluster contiguous), and each partition is gathered straight from the
+    dataset arrays into its payload buffer — no per-record Python, no
+    intermediate partition objects, no sorted copy of the dataset.
 
     Every build is *encode, then store*: the per-partition payload encodes
     are pure functions of the record arrays and run on ``executor``, each

@@ -115,8 +115,8 @@ class FlatTrieRouter:
     cluster ``G<gid>/~``.  Each kid belongs to exactly one physical
     partition (``kid_pid``), and ``kid_rank`` pre-orders kids by
     ``(partition id, cluster key string)`` — so one stable integer argsort
-    over ``kid_rank[kid_of]`` lands every record in exactly the layout
-    :meth:`PartitionFile.from_clusters` builds from a key-sorted mapping.
+    over ``kid_rank[kid_of]`` lands every record in the partition layout:
+    sorted keys, each cluster contiguous.
     """
 
     def __init__(self, skeleton: IndexSkeleton) -> None:

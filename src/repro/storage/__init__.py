@@ -7,10 +7,8 @@ from repro.storage.engine import (
     PartitionV2View,
     StorageBackend,
     StorageEngine,
-    encode_partition_v2,
     encode_partition_v2_arrays,
 )
-from repro.storage.partition import PartitionFile
 from repro.storage.serialization import (
     array_from_bytes,
     array_to_bytes,
@@ -21,13 +19,11 @@ from repro.storage.serialization import (
 __all__ = [
     "SimulatedDFS",
     "DfsCounters",
-    "PartitionFile",
     "StorageEngine",
     "StorageBackend",
     "MemoryBackend",
     "LocalDiskBackend",
     "PartitionV2View",
-    "encode_partition_v2",
     "encode_partition_v2_arrays",
     "array_to_bytes",
     "array_from_bytes",

@@ -41,8 +41,8 @@ class keeps everything *simulated* about the DFS:
   ``write_encoded_partitions`` stores the base partitions of a build, or
   the delta partitions of one append, through a single backend call (one
   segment file on disk, there whole or not at all) and registers each
-  under its own name; ``write_partition`` and ``write_partition_arrays``
-  are batches of one (DESIGN.md D6, D18);
+  under its own name; ``write_partition_arrays`` is a batch of one
+  (DESIGN.md D6, D18);
 * **header metadata** — ``partition_nbytes(pid)`` / ``record_count(pid)``
   / ``series_length(pid)``, decoded from each blob's fixed header at
   write and attach time, so reopening an index, or validating an append,
@@ -79,7 +79,6 @@ from repro.storage.engine import (
     StorageEngine,
     decode_v2_header,
 )
-from repro.storage.partition import PartitionFile
 
 __all__ = ["SimulatedDFS", "DfsCounters"]
 
@@ -153,13 +152,6 @@ class SimulatedDFS:
         Byte budget of the LRU read cache over opened partition handles;
         0 (the default) disables caching.  Logical read counters are
         unaffected either way.
-    registry:
-        :class:`~repro.obs.MetricsRegistry` the I/O counters live on as
-        ``dfs.*`` counters (PR 7 re-homed them there so DFS accounting
-        shares the observability schema).  ``None`` (the default) creates
-        a private registry.  The :attr:`counters` property still returns
-        a :class:`DfsCounters` snapshot with the exact same logical
-        semantics the parity suites pin down.
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan`; when given the
         backend is wrapped in a :class:`~repro.resilience.FaultInjector`
@@ -178,7 +170,6 @@ class SimulatedDFS:
         block_bytes: int = _DEFAULT_BLOCK_BYTES,
         backing_dir: str | Path | None = None,
         cache_bytes: int = 0,
-        registry: MetricsRegistry | None = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
@@ -218,12 +209,13 @@ class SimulatedDFS:
         # lazily under self._lock.  Bounded by the number of registered
         # partitions, so no eviction is needed.
         self._inflight: dict[str, threading.Lock] = {}
-        # Logical counters live on a MetricsRegistry as dfs.* counters (one
-        # schema across the repo); handles are cached so the hot paths pay
-        # one .inc() each.  They are always on — never gated on telemetry —
-        # because the paper's access-volume metrics and the parity suites
-        # are built on them.
-        self.registry = registry if registry is not None else MetricsRegistry()
+        # Logical counters live on the DFS's own MetricsRegistry
+        # (``self.registry``) as dfs.* counters (one schema across the
+        # repo); handles are cached so the hot paths pay one .inc() each.
+        # They are always on — never gated on telemetry — because the
+        # paper's access-volume metrics and the parity suites are built on
+        # them.
+        self.registry = MetricsRegistry()
         self._metric_handles = tuple(
             self.registry.counter(metric)
             for _, metric in DfsCounters.METRIC_NAMES
@@ -299,12 +291,6 @@ class SimulatedDFS:
         if sep:
             insort(self._deltas.setdefault(base, []), pid)
 
-    def write_partition(self, partition: PartitionFile) -> int:
-        """Store one assembled partition (baselines and tests build these);
-        returns its stored size in bytes."""
-        return self.write_partition_arrays(partition.partition_id, partition.ids,
-                                    partition.values, partition.header)
-
     def write_partition_arrays(
         self,
         partition_id: str,
@@ -313,14 +299,14 @@ class SimulatedDFS:
         header: dict[str, tuple[int, int]],
         rows=None,
     ) -> int:
-        """Store one partition straight from cluster-sorted arrays.
+        """Store one partition: sorted keys, each cluster contiguous.
 
-        With ``rows`` given, ``ids``/``values`` are source arrays and the
-        stored records are ``ids[rows]``/``values[rows]``, gathered
-        directly into the payload buffer.  The stored bytes are identical
-        to writing ``PartitionFile.from_clusters`` over the same records.
-        A batch of one through :meth:`write_encoded_partitions`; returns
-        the partition's stored size in bytes.
+        ``header`` maps each cluster key, in sorted order, to its
+        ``(offset, count)`` in the records.  With ``rows`` given,
+        ``ids``/``values`` are source arrays and the stored records are
+        ``ids[rows]``/``values[rows]``, gathered directly into the payload
+        buffer.  A batch of one through :meth:`write_encoded_partitions`;
+        returns the partition's stored size in bytes.
         """
         return self.write_encoded_partitions([(
             partition_id,

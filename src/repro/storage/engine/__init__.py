@@ -28,7 +28,6 @@ from repro.storage.engine.format import (
     FORMAT_VERSION,
     PartitionV2View,
     decode_v2_header,
-    encode_partition_v2,
     encode_partition_v2_arrays,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "PartitionV2View",
     "FORMAT_V2_MAGIC",
     "FORMAT_VERSION",
-    "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",
 ]

@@ -76,18 +76,16 @@ class StorageEngine:
         header: dict[str, tuple[int, int]],
         rows: np.ndarray | None = None,
     ) -> bytes:
-        """Encode cluster-sorted arrays without storing them.
+        """Encode one partition without storing it.
 
-        The arrays go straight into the columnar payload — no intermediate
-        :class:`PartitionFile` — which is how the flat-trie builder encodes
-        every partition.  With ``rows`` given, ``ids``/``values`` are
-        source arrays and the stored records are ``ids[rows]``/
-        ``values[rows]``, gathered directly into the payload buffer; the
-        bytes are identical to encoding ``PartitionFile.from_clusters``
-        over the same records.  A pure function of its arguments, safe to
-        run on worker threads: the builder encodes payloads concurrently
-        through here and stores them, in partition order, through one
-        :meth:`write_payloads` call.
+        The layout is sorted keys, each cluster contiguous: ``header``
+        maps each key, in sorted order, to its ``(offset, count)`` in the
+        records.  With ``rows`` given, ``ids``/``values`` are source
+        arrays and the stored records are ``ids[rows]``/``values[rows]``,
+        gathered directly into the payload buffer.  A pure function of its
+        arguments, safe to run on worker threads: the builder encodes
+        payloads concurrently through here and stores them, in partition
+        order, through one :meth:`write_payloads` call.
         """
         return encode_partition_v2_arrays(partition_id, ids, values, header,
                                           rows=rows)
@@ -137,10 +135,6 @@ class StorageEngine:
         h, _, _ = decode_partition_head(read_range(0, size), size,
                                         self.corruption_cb)
         return PartitionMeta(h.total_size, h.n_records, h.series_length)
-
-    def physical_nbytes(self, partition_id: str) -> int:
-        """A stored partition's size in bytes, from the backend alone."""
-        return self._reader(partition_id)[1]
 
     # -- maintenance ------------------------------------------------------------
 

@@ -1,11 +1,19 @@
 """The binary partition format: mmap-friendly columnar layout.
 
-The one encoding of the paper's partition model (contiguous trie-node
-clusters indexed by an offset directory, §VI), laid out so that a reader
-touches only the byte ranges it needs.  Its magic and symbol names say
-"v2" because a blob-stream encoding preceded it; that encoding is gone
-(DESIGN.md D4) and a blob that does not start with the magic is refused
-by :func:`decode_v2_header`.
+Section VI ("Localized Record-Level Similarity within Identified
+Partitions") specifies the layout CLIMBER relies on at query time:
+
+    "The data records within each data partition are organized such that
+     all data series objects belonging to a trie node are stored
+     contiguously next to each other.  The start offset of each trie node
+     cluster is maintained in a header section within the partition."
+
+This module is the one encoding of that layout — sorted cluster keys,
+each cluster contiguous, indexed by an offset directory — laid out so
+that a reader touches only the byte ranges it needs.  Its magic and
+symbol names say "v2" because a blob-stream encoding preceded it; that
+encoding is gone (DESIGN.md D4) and a blob that does not start with the
+magic is refused by :func:`decode_v2_header`.
 
 .. code-block:: text
 
@@ -22,8 +30,8 @@ by :func:`decode_v2_header`.
                          64-byte aligned (DESIGN.md D14)
     [values_offset, ...) raw C-order float64 values payload, 64-byte aligned
 
-Offsets/counts are *record* indices (the :class:`PartitionFile` header
-tuples); byte ranges are derived by multiplying with the fixed item sizes.
+Offsets/counts are *record* indices (the ``header`` tuples a writer
+passes); byte ranges are derived by multiplying with the fixed item sizes.
 Because the payloads are aligned raw C-order buffers, a reader backed by
 ``mmap``/``bytes`` serves any cluster as an ``np.frombuffer`` view with
 zero deserialisation cost — exactly the asymmetry CLIMBER's query
@@ -65,7 +73,6 @@ import numpy as np
 
 from repro.exceptions import PartitionCorruptError, StorageError
 from repro.series.distance import sq_norms
-from repro.storage.partition import PartitionFile
 from repro.storage.serialization import json_from_bytes, json_to_bytes
 
 __all__ = [
@@ -73,7 +80,6 @@ __all__ = [
     "FORMAT_VERSION",
     "PAYLOAD_ALIGNMENT",
     "V2Header",
-    "encode_partition_v2",
     "encode_partition_v2_arrays",
     "decode_v2_header",
     "decode_partition_head",
@@ -187,22 +193,23 @@ def encode_partition_v2_arrays(
     header: dict[str, tuple[int, int]],
     rows: np.ndarray | None = None,
 ) -> bytes:
-    """Serialise pre-laid-out cluster arrays straight into format v2.
+    """Serialise cluster-laid-out arrays into the partition format.
 
-    The bulk-write entry point of the flat-trie build pipeline: the builder
-    sorts all routed records once and hands each partition's
-    ``ids``/``values`` records (plus the cluster directory) here, skipping
-    the intermediate :class:`PartitionFile` object entirely.  Byte-for-byte
-    identical to ``encode_partition_v2(PartitionFile.from_clusters(...))``
-    over the same records — ``header`` insertion order defines cluster
-    order, so callers must pass keys sorted (the layout contract of paper
-    §VI that :meth:`PartitionFile.from_clusters` establishes).
+    The one encoder: every writer — the build, ``append`` and the
+    baselines — hands each partition's ``ids``/``values`` records and its
+    cluster directory ``header`` (``{key: (offset, count)}``, in record
+    indices) here.  The layout is sorted ``str`` keys, each cluster
+    contiguous: ``header`` insertion order is the cluster order, so its
+    keys must be distinct, sorted strings and its ranges must tile the
+    records in that order.  A directory the reader would refuse raises
+    :class:`StorageError` here, before anything is stored.
 
     With ``rows`` given, ``ids``/``values`` are *source* arrays and the
     partition's records are ``ids[rows]``/``values[rows]`` — gathered
     directly into the output buffer (``np.take(..., out=...)``), so the
     bulk build pays one scattered read instead of materialising a sorted
-    copy of the dataset first.
+    copy of the dataset first.  ``rows`` must be an integer array (a
+    boolean mask or float indices raise, never cast).
 
     Each record's ``‖v‖²`` is computed by
     :func:`~repro.series.distance.sq_norms` over the values as they lie in
@@ -215,7 +222,13 @@ def encode_partition_v2_arrays(
             f"partition {partition_id!r}: ids/values shape mismatch"
         )
     if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":
+            raise StorageError(
+                f"partition {partition_id!r}: row indices must be integers, "
+                f"not {rows.dtype}"
+            )
+        rows = rows.astype(np.int64, copy=False)
         if rows.ndim != 1 or (
             rows.size and (rows.min() < 0 or rows.max() >= ids.shape[0])
         ):
@@ -226,6 +239,10 @@ def encode_partition_v2_arrays(
     keys = list(header)
     if not keys:
         raise StorageError(f"partition {partition_id!r} needs >= 1 cluster")
+    bad = [key for key in keys if not isinstance(key, str)]
+    if bad:
+        raise StorageError(f"partition {partition_id!r}: cluster key "
+                           f"{bad[0]!r} is not a string")
     # A directory the reader would refuse must fail here, not at a read.
     problem = _directory_problem(keys, [header[k][0] for k in keys],
                                  [header[k][1] for k in keys], n_records)
@@ -282,18 +299,6 @@ def encode_partition_v2_arrays(
                                  norms_offset, values_offset, total_size)),
     )
     return bytes(out)
-
-
-def encode_partition_v2(part: PartitionFile) -> bytes:
-    """Serialise a partition into format v2.
-
-    Cluster order follows the partition header (sorted key order from
-    :meth:`PartitionFile.from_clusters`), so the directory describes the
-    same contiguous layout as that header.
-    """
-    return encode_partition_v2_arrays(
-        part.partition_id, part.ids, part.values, part.header
-    )
 
 
 def decode_v2_header(
@@ -472,9 +477,10 @@ class PartitionV2View:
     :class:`~repro.exceptions.PartitionCorruptError`).  The first read is
     served from that checked mapping; the view then lets go of it and
     each later read maps the blob again, so a cached view pins no
-    mapping.  The view exposes the :class:`PartitionFile` access
-    interface, plus :meth:`read_clusters_with_norms` for scoring; returned
-    arrays are read-only views into the backing buffer.
+    mapping.  Records are read by cluster key: :meth:`read_clusters`
+    (``read_clusters(view.cluster_keys())`` is every record) and
+    :meth:`read_clusters_with_norms` for scoring; returned arrays are
+    read-only views into the backing buffer.
     """
 
     def __init__(
@@ -514,9 +520,6 @@ class PartitionV2View:
 
     def cluster_keys(self) -> list[str]:
         return list(self.header)
-
-    def cluster_sizes(self) -> dict[str, int]:
-        return {k: count for k, (_, count) in self.header.items()}
 
     # -- range mapping ----------------------------------------------------------
 
@@ -573,15 +576,7 @@ class PartitionV2View:
                 runs.append([start, count])
         return [(s, c) for s, c in runs]
 
-    # -- access (PartitionFile interface) ---------------------------------------
-
-    def read_cluster(self, key: str) -> tuple[np.ndarray, np.ndarray]:
-        """Records of one trie-node cluster — a mapped view, never a copy."""
-        if key not in self.header:
-            raise StorageError(
-                f"partition {self.partition_id!r} has no cluster {key!r}"
-            )
-        return self._map_runs([self.header[key]])[0][:2]
+    # -- access -----------------------------------------------------------------
 
     def read_clusters(
         self, keys: Iterable[str]
@@ -608,15 +603,3 @@ class PartitionV2View:
             return parts[0]
         ids, values, norms = zip(*parts)
         return np.concatenate(ids), np.vstack(values), np.concatenate(norms)
-
-    def read_all(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every record in the partition, as two whole-payload views."""
-        return self._map_runs([(0, self.record_count)])[0][:2]
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self.read_all()[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.read_all()[1]

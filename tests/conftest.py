@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import Layout, layout_from_clusters
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
 from repro.series import SeriesDataset, znormalize
@@ -56,6 +57,24 @@ def stored_blob(root: Path, name: str) -> tuple[Path, int, int]:
             if blob == name:
                 return segment, offset, length
     raise KeyError(name)
+
+
+def make_layout(n_clusters: int = 3, per_cluster: int = 5, length: int = 8,
+                seed: int = 0) -> Layout:
+    """A small partition to store: clusters ``g0/0`` .. ``g0/<n-1>`` of
+    ``per_cluster`` random records each, ids ``0, 1, ...`` in key order.
+    Write it with ``dfs.write_partition_arrays(pid, *layout)``."""
+    rng = np.random.default_rng(seed)
+    return layout_from_clusters({
+        f"g0/{c}": (np.arange(c * per_cluster, (c + 1) * per_cluster),
+                    rng.normal(size=(per_cluster, length)))
+        for c in range(n_clusters)
+    })
+
+
+def all_records(part) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, values)`` of every record of an opened partition."""
+    return part.read_clusters(part.cluster_keys())
 
 
 def rot_blob(backend, name: str, data: bytes) -> None:

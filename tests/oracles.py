@@ -17,7 +17,9 @@ instead of one against itself:
   (:func:`pack_pivot_sets`), a representation ``repro`` no longer has: it
   counts overlaps by gathering a membership table (DESIGN.md D13);
 * the partition section checksum as a plain loop over 8-byte chunks
-  (:func:`word_sum_reference`), against the format's NumPy kernel.
+  (:func:`word_sum_reference`), against the format's NumPy kernel;
+* the §VI partition layout assembled one cluster at a time
+  (:func:`layout_from_clusters`), against the builder's one argsort.
 
 Nothing under ``src/repro`` imports this module
 (``tests/test_public_api.py`` checks it).
@@ -26,7 +28,7 @@ Nothing under ``src/repro`` imports this module
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -617,3 +619,44 @@ def word_sum_reference(data: bytes) -> int:
         total += int.from_bytes(data[start:start + 8].ljust(8, b"\0"),
                                 "little")
     return total % 2**64
+
+
+# ---------------------------------------------------------------------------
+# The partition layout (§VI)
+# ---------------------------------------------------------------------------
+
+class Layout(NamedTuple):
+    """One partition's records and cluster directory: the arguments
+    ``SimulatedDFS.write_partition_arrays(pid, *layout)`` takes."""
+
+    ids: np.ndarray
+    values: np.ndarray
+    header: dict[str, tuple[int, int]]
+
+    def records(self, keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, values)`` of the clusters ``keys``, in that order."""
+        rows = np.concatenate([np.arange(start, start + count)
+                               for start, count in map(self.header.get, keys)])
+        return self.ids[rows], self.values[rows]
+
+
+def layout_from_clusters(
+    mapping: dict[str, tuple[np.ndarray, np.ndarray]],
+) -> Layout:
+    """The records of ``{cluster_key: (ids, values)}`` in the paper's §VI
+    layout, one cluster at a time: sorted keys, each cluster contiguous;
+    ``header`` maps each key, in sorted order, to its ``(offset, count)``
+    in the records."""
+    ids_parts, value_parts = [], []
+    header: dict[str, tuple[int, int]] = {}
+    offset = 0
+    for key in sorted(mapping):
+        ids, values = mapping[key]
+        ids = np.asarray(ids, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        assert values.ndim == 2 and ids.shape == (values.shape[0],), key
+        header[key] = (offset, ids.shape[0])
+        offset += ids.shape[0]
+        ids_parts.append(ids)
+        value_parts.append(values)
+    return Layout(np.concatenate(ids_parts), np.vstack(value_parts), header)

@@ -177,8 +177,8 @@ class TestTornAppend:
         dfs = attach(root)
         taken = next(pid for pid in dfs.list_partitions() if ".d" in pid)
         view = dfs.read_partition(taken)
-        payload = dfs.engine.encode_arrays(taken, *view.read_all(),
-                                           view.header)
+        payload = dfs.engine.encode_arrays(
+            taken, *view.read_clusters(view.cluster_keys()), view.header)
         files = sorted(p.name for p in root.iterdir())
         before = (dfs.list_partitions(), dfs.counters)
         for batch_ids in (["fresh", taken], ["fresh", "fresh"]):
@@ -307,7 +307,8 @@ class TestDamagedSegment:
         assert (c.read_failures, c.partitions_read) == (1, 0)
         for neighbour, _, _ in directory:
             if neighbour != name:
-                ids, values = dfs.read_partition(neighbour[:-suffix]).read_all()
+                part = dfs.read_partition(neighbour[:-suffix])
+                ids, values = part.read_clusters(part.cluster_keys())
                 assert ids.shape[0] == values.shape[0] > 0
         assert dfs.counters.corruption_detected == retry.max_attempts
         assert dfs.counters.read_failures == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import all_records
 
 from repro.baselines import (
     DpisaxConfig,
@@ -60,7 +61,7 @@ class TestDpisax:
     def test_every_record_stored_once(self, ds, dpisax):
         seen = []
         for pname in dpisax.dfs.list_partitions():
-            seen.extend(dpisax.dfs.read_partition(pname).ids.tolist())
+            seen.extend(all_records(dpisax.dfs.read_partition(pname))[0].tolist())
         assert sorted(seen) == sorted(ds.ids.tolist())
 
     def test_single_partition_per_query(self, ds, dpisax):
@@ -99,7 +100,7 @@ class TestTardis:
     def test_every_record_stored_once(self, ds, tardis):
         seen = []
         for pname in tardis.dfs.list_partitions():
-            seen.extend(tardis.dfs.read_partition(pname).ids.tolist())
+            seen.extend(all_records(tardis.dfs.read_partition(pname))[0].tolist())
         assert sorted(seen) == sorted(ds.ids.tolist())
 
     def test_single_partition_per_query(self, ds, tardis):

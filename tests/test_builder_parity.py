@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import pointer_trie
+from oracles import layout_from_clusters, pointer_trie
 from repro.core import ClimberConfig, ClimberIndex
 from repro.core.builder import build_index_artifacts
 from repro.core.skeleton import cluster_key, partition_name
@@ -31,7 +31,7 @@ from repro.pivots import (
     weight_distance,
 )
 from repro.series import paa_transform
-from repro.storage import PartitionFile, SimulatedDFS
+from repro.storage import SimulatedDFS
 
 CONFIG = dict(word_length=8, n_pivots=48, prefix_length=6, capacity=150,
               sample_fraction=0.2, n_input_partitions=32, seed=9)
@@ -54,7 +54,7 @@ class TestBuilderParity:
         where = {}
         for pid in artifacts.dfs.list_partitions():
             part = artifacts.dfs.read_partition(pid)
-            ids, values = part.read_all()
+            ids, values = part.read_clusters(part.cluster_keys())
             for key, (offset, count) in part.header.items():
                 for row in range(offset, offset + count):
                     rid = int(ids[row])
@@ -163,9 +163,10 @@ class TestAppendParity:
         }
         assert sorted(summary["delta_partitions"]) == sorted(expected)
         for delta_id, mapping in expected.items():
-            ref = PartitionFile.from_clusters(delta_id, mapping)
+            ref_ids, ref_values, ref_header = layout_from_clusters(mapping)
             got = index.dfs.read_partition(delta_id)
-            assert got.cluster_keys() == ref.cluster_keys()
-            assert np.array_equal(got.ids, ref.ids)
-            assert np.array_equal(got.values, ref.values)
-            assert dict(got.header) == dict(ref.header)
+            ids, values = got.read_clusters(got.cluster_keys())
+            assert got.cluster_keys() == list(ref_header)
+            assert np.array_equal(ids, ref_ids)
+            assert np.array_equal(values, ref_values)
+            assert dict(got.header) == ref_header

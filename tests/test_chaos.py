@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import rot_blob, stored_blob
+from conftest import make_layout, rot_blob, stored_blob
 from oracles import word_sum_reference
 
 from repro.core.config import ClimberConfig
@@ -38,9 +38,9 @@ from repro.exceptions import (
 from repro.obs import Telemetry
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.series import SeriesDataset
-from repro.storage import PartitionFile, SimulatedDFS
+from repro.storage import SimulatedDFS
 from repro.series.distance import sq_norms
-from repro.storage.engine import decode_v2_header, encode_partition_v2
+from repro.storage.engine import decode_v2_header, encode_partition_v2_arrays
 
 
 def _dataset(n=2000, length=64, seed=17):
@@ -73,17 +73,6 @@ def _answers(index, queries, k=5, **kwargs):
     ]
 
 
-def make_partition(pid="p0", n_clusters=3, per_cluster=5, length=8, seed=0):
-    rng = np.random.default_rng(seed)
-    clusters = {}
-    next_id = 0
-    for c in range(n_clusters):
-        ids = np.arange(next_id, next_id + per_cluster)
-        next_id += per_cluster
-        clusters[f"g0/{c}"] = (ids, rng.normal(size=(per_cluster, length)))
-    return PartitionFile.from_clusters(pid, clusters)
-
-
 # -- checksum integrity -----------------------------------------------------------
 
 
@@ -96,7 +85,7 @@ class TestChecksumIntegrity:
     def _dfs_with_flipped_byte(self, section):
         """A DFS whose stored p0 has one bit flipped inside ``section``."""
         dfs = SimulatedDFS(retry_policy=self.RETRY)
-        dfs.write_partition(make_partition("p0"))
+        dfs.write_partition_arrays("p0", *make_layout())
         backend = dfs.engine.backend
         name = "p0.part"
         payload = bytearray(
@@ -145,15 +134,15 @@ class TestChecksumIntegrity:
         # in fact by the open before it — so no corrupt cluster is served.
         dfs = self._dfs_with_flipped_byte(section)
         with pytest.raises(PartitionCorruptError, match=section):
-            dfs.read_partition("p0").read_cluster("g0/0")
+            dfs.read_partition("p0").read_clusters(["g0/0"])
         assert dfs.counters.corruption_detected >= 1
         assert dfs.counters.partitions_read == 0
 
     @staticmethod
     def _assert_version_refused(tmp_path, version):
         writer = SimulatedDFS(backing_dir=tmp_path)
-        ref = make_partition("p0")
-        writer.write_partition(ref)
+        ref = make_layout()
+        writer.write_partition_arrays("p0", *ref)
         writer.engine.close()
         segment, offset, size = stored_blob(tmp_path, "p0.part")
         raw = bytearray(segment.read_bytes())
@@ -162,7 +151,7 @@ class TestChecksumIntegrity:
         with pytest.raises(StorageError, match=f"version {version}"):
             SimulatedDFS(backing_dir=tmp_path).attach()
         reader = SimulatedDFS(backing_dir=tmp_path)
-        reader._register("p0", size, ref.record_count, ref.series_length)
+        reader._register("p0", size, *ref.values.shape)
         with pytest.raises(StorageError, match=f"version {version}"):
             reader.read_partition("p0")
         assert reader.counters.read_failures == 1
@@ -182,8 +171,8 @@ class TestChecksumIntegrity:
         # A per-attempt flip in the stored norms fails that open inside
         # the retry loop, is counted once, and the clean next attempt
         # serves the norms the writer stored.
-        ref = make_partition("p0")
-        payload = encode_partition_v2(ref)
+        ref = make_layout()
+        payload = encode_partition_v2_arrays("p0", *ref)
         h = decode_v2_header(payload)
         name, size = "p0.part", len(payload)
         plan = next(
@@ -195,7 +184,7 @@ class TestChecksumIntegrity:
             and plan.decide(name, 1, size).flip_byte < 0
         )
         dfs = SimulatedDFS(fault_plan=plan, retry_policy=self.RETRY)
-        dfs.write_partition(ref)
+        dfs.write_partition_arrays("p0", *ref)
         view = dfs.read_partition("p0")
         ids, values, norms = view.read_clusters_with_norms(view.cluster_keys())
         np.testing.assert_array_equal(ids, ref.ids)
@@ -211,7 +200,7 @@ class TestChecksumIntegrity:
 
     def test_checksummed_payload_carries_checksum_block(self):
         dfs = SimulatedDFS()
-        dfs.write_partition(make_partition("p0"))
+        dfs.write_partition_arrays("p0", *make_layout())
         backend = dfs.engine.backend
         payload = bytes(backend.read_range("p0.part", 0,
                                            backend.size("p0.part")))
@@ -256,14 +245,14 @@ class TestChecksumIntegrity:
         # StorageError (never a bare struct/IndexError) and charge
         # read_failures.
         dfs = SimulatedDFS()
-        dfs.write_partition(make_partition("p0"))
+        dfs.write_partition_arrays("p0", *make_layout())
         backend = dfs.engine.backend
         payload = bytes(backend.read_range("p0.part", 0,
                                            backend.size("p0.part")))
         rot_blob(backend, "p0.part", payload[: len(payload) // 2])
         with pytest.raises(StorageError):
             part = dfs.read_partition("p0")
-            part.read_all()
+            part.read_clusters(part.cluster_keys())
         assert dfs.counters.read_failures + \
             dfs.counters.corruption_detected >= 1
 

@@ -12,7 +12,7 @@ from repro.cluster import (
     partition_scan_cost,
 )
 from repro.datasets import random_walk_dataset
-from repro.storage import PartitionFile, encode_partition_v2
+from repro.storage import encode_partition_v2_arrays
 import numpy as np
 
 
@@ -116,16 +116,17 @@ class TestSimulateDistributedBuild:
 
 class TestPartitionScanCost:
     def _part(self):
-        part = PartitionFile.from_clusters(
-            "p", {"a": (np.arange(10), np.zeros((10, 16)))}
+        """Stored size, record count and series length of one partition."""
+        payload = encode_partition_v2_arrays(
+            "p", np.arange(10), np.zeros((10, 16)), {"a": (0, 10)}
         )
-        return part, len(encode_partition_v2(part))
+        return len(payload), 10, 16
 
     def test_block_granular_mode(self):
-        part, nbytes = self._part()
+        nbytes, n_records, length = self._part()
         block = 64 * 1024 * 1024
         cost = partition_scan_cost(
-            nbytes, part.record_count, part.series_length,
+            nbytes, n_records, length,
             cost_scale=1e6, sim_partition_bytes=block,
         )
         assert cost.read_bytes == block
@@ -133,9 +134,9 @@ class TestPartitionScanCost:
         assert cost.cpu_ops < 1e12
 
     def test_honest_mode_scales_bytes(self):
-        part, nbytes = self._part()
+        nbytes, n_records, length = self._part()
         cost = partition_scan_cost(
-            nbytes, part.record_count, part.series_length,
+            nbytes, n_records, length,
             cost_scale=100.0, sim_partition_bytes=None,
         )
         assert cost.read_bytes == nbytes * 100

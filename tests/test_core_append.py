@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import all_records
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
@@ -34,7 +35,7 @@ class TestAppend:
         assert summary["records_appended"] == 400
         stored = []
         for pname in index.dfs.list_partitions():
-            stored.extend(index.dfs.read_partition(pname).ids.tolist())
+            stored.extend(all_records(index.dfs.read_partition(pname))[0].tolist())
         assert sorted(stored) == sorted(
             base.ids.tolist() + extra.ids.tolist()
         )

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import all_records
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset, sample_queries
@@ -59,7 +60,7 @@ class TestBuild:
         seen = []
         for pname in idx.dfs.list_partitions():
             part = idx.dfs.read_partition(pname)
-            seen.extend(part.ids.tolist())
+            seen.extend(all_records(part)[0].tolist())
         assert sorted(seen) == sorted(ds.ids.tolist())
 
     def test_fallback_group_is_group_zero(self, built):
@@ -97,7 +98,7 @@ class TestBuild:
             if parts[-1] == "~" or len(parts) == 1:
                 continue
             path = tuple(int(p) for p in parts[1:])
-            _, vals = part.read_cluster(key)
+            _, vals = part.read_clusters([key])
             paa = paa_transform(vals, std_index_config.word_length)
             ranked = permutation_prefixes(
                 paa, idx.pivots, std_index_config.prefix_length

@@ -22,22 +22,11 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
+from conftest import make_layout
 
 from repro.exceptions import TransientReadError
 from repro.resilience import FaultPlan, RetryPolicy
-from repro.storage import PartitionFile, SimulatedDFS
-
-
-def make_partition(pid, n_clusters=2, per_cluster=4, length=8, seed=0):
-    rng = np.random.default_rng(seed)
-    clusters = {}
-    next_id = 0
-    for c in range(n_clusters):
-        ids = np.arange(next_id, next_id + per_cluster)
-        next_id += per_cluster
-        clusters[f"g0/{c}"] = (ids, rng.normal(size=(per_cluster, length)))
-    return PartitionFile.from_clusters(pid, clusters)
+from repro.storage import SimulatedDFS
 
 
 def _run_threads(fns):
@@ -72,7 +61,7 @@ class TestStragglerOverlap:
         plan = FaultPlan(seed=1, straggler_rate=1.0, straggler_delay_s=delay)
         dfs = SimulatedDFS(fault_plan=plan)
         for i in range(2):
-            dfs.write_partition(make_partition(f"p{i}", seed=i))
+            dfs.write_partition_arrays(f"p{i}", *make_layout(2, 4, seed=i))
 
         wall, errors = _run_threads([
             lambda pid=f"p{i}": dfs.read_partition(pid) for i in range(2)
@@ -96,7 +85,7 @@ class TestStragglerOverlap:
         plan = FaultPlan(seed=3, transient_rate=1.0)
         dfs = SimulatedDFS(fault_plan=plan, retry_policy=policy)
         for i in range(2):
-            dfs.write_partition(make_partition(f"p{i}", seed=i))
+            dfs.write_partition_arrays(f"p{i}", *make_layout(2, 4, seed=i))
 
         raised = []
 
@@ -137,7 +126,7 @@ class TestSingleFlight:
         delay = 0.15
         plan = FaultPlan(seed=2, straggler_rate=1.0, straggler_delay_s=delay)
         dfs = SimulatedDFS(fault_plan=plan, cache_bytes=1 << 20)
-        dfs.write_partition(make_partition("p0"))
+        dfs.write_partition_arrays("p0", *make_layout(2, 4))
 
         n = 6
         wall, errors = _run_threads(
@@ -162,7 +151,7 @@ class TestScheduleDeterminism:
         )
         n_parts, reads_each = 6, 5
         for i in range(n_parts):
-            dfs.write_partition(make_partition(f"p{i}", seed=i))
+            dfs.write_partition_arrays(f"p{i}", *make_layout(2, 4, seed=i))
 
         outcomes: dict[str, list[bool]] = {f"p{i}": [] for i in range(n_parts)}
 
@@ -207,7 +196,7 @@ class TestScheduleDeterminism:
             retry_policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
         )
         for i in range(6):
-            dfs.write_partition(make_partition(f"p{i}", seed=i))
+            dfs.write_partition_arrays(f"p{i}", *make_layout(2, 4, seed=i))
         serial: dict[str, list[bool]] = {}
         for i in range(6):
             pid = f"p{i}"

@@ -59,7 +59,7 @@ def _partition_payloads(dfs):
     engine = dfs.engine
     out = {}
     for pid in dfs.list_partitions():
-        size = engine.physical_nbytes(pid)
+        size = dfs.partition_nbytes(pid)
         out[pid] = bytes(
             engine.backend.read_range(f"{pid}{engine.SUFFIX}", 0, size)
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import all_records
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
@@ -42,7 +43,7 @@ def test_build_and_query_invariants(setup):
     # (1) Storage conservation: every record stored exactly once.
     stored = []
     for pname in index.dfs.list_partitions():
-        stored.extend(index.dfs.read_partition(pname).ids.tolist())
+        stored.extend(all_records(index.dfs.read_partition(pname))[0].tolist())
     assert sorted(stored) == sorted(ds.ids.tolist())
 
     # (2) The fall-back group exists and is group 0.

@@ -289,3 +289,61 @@ def test_stop_rule_is_a_streak_and_nothing_calibrates_it():
         importlib.import_module("repro.evaluation.calibration")
     with pytest.raises(repro.ConfigurationError, match="'streak:<s>'"):
         repro.ClimberConfig(early_stop="confidence:0.9")
+
+
+def test_package_example_runs():
+    """The example in ``repro``'s docstring is run, not just read."""
+    import doctest
+
+    result = doctest.testmod(repro, optionflags=doctest.ELLIPSIS)
+    assert result.attempted > 0 and result.failed == 0
+
+
+def test_every_exported_name_resolves():
+    """``from <package> import *`` works: each name a package lists in
+    ``__all__`` is one it has."""
+    import importlib
+
+    root = Path(repro.__file__).parent
+    missing = []
+    for path in sorted(root.rglob("__init__.py")):
+        package = importlib.import_module(".".join(
+            ("repro",) + path.parent.relative_to(root).parts))
+        missing += [f"{package.__name__}.{name}"
+                    for name in getattr(package, "__all__", ())
+                    if not hasattr(package, name)]
+    assert missing == []
+
+
+def test_one_partition_model():
+    """Partitions have one encoder, one write call and one reader
+    (DESIGN.md D20): the in-memory partition model, its encoder, its write
+    call, the second size accessor and the view's mirror readers are
+    gone, not deprecated."""
+    import importlib
+    import inspect
+
+    import repro.storage
+    import repro.storage.engine
+    import repro.storage.engine.format
+    from repro.storage import PartitionV2View, SimulatedDFS, StorageEngine
+
+    gone = [
+        (repro.storage, ("PartitionFile", "encode_partition_v2")),
+        (repro.storage.engine, ("encode_partition_v2",)),
+        (repro.storage.engine.format, ("encode_partition_v2",
+                                       "PartitionFile")),
+        (SimulatedDFS, ("write_partition",)),
+        (StorageEngine, ("physical_nbytes",)),
+        (PartitionV2View, ("read_cluster", "read_all", "ids", "values",
+                           "cluster_sizes")),
+    ]
+    for owner, names in gone:
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.storage.partition")
+    # The DFS keeps its own metrics registry; there is no knob for it.
+    params = inspect.signature(SimulatedDFS).parameters
+    assert "registry" not in params and len(params) == 5
+    assert SimulatedDFS().registry is not None

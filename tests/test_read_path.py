@@ -20,27 +20,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import stored_blob
+from conftest import make_layout, stored_blob
 
 import repro.core.index as index_module
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
 from repro.exceptions import PartitionCorruptError
 from repro.resilience import FaultPlan, RetryPolicy
-from repro.storage import PartitionFile, SimulatedDFS, encode_partition_v2
+from repro.storage import SimulatedDFS, encode_partition_v2_arrays
 from repro.storage.engine import decode_v2_header
 
 LENGTH = 16
 PER_CLUSTER = 40
 
 
-def make_partition(pid="p0", n_clusters=3, seed=0):
-    rng = np.random.default_rng(seed)
-    clusters = {}
-    for c in range(n_clusters):
-        ids = np.arange(c * PER_CLUSTER, (c + 1) * PER_CLUSTER)
-        clusters[f"g0/{c}"] = (ids, rng.normal(size=(PER_CLUSTER, LENGTH)))
-    return PartitionFile.from_clusters(pid, clusters)
+def make_partition(n_clusters=3, seed=0):
+    return make_layout(n_clusters, PER_CLUSTER, LENGTH, seed)
 
 
 def read_everything(dfs, pid="p0"):
@@ -83,7 +78,7 @@ class TestVerificationIsPerOpen:
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0,
                            retry_policy=retry)
         part = make_partition()
-        dfs.write_partition(part)
+        dfs.write_partition_arrays("p0", *part)
         ids, values = read_everything(dfs)
         np.testing.assert_array_equal(values, part.values)
         del ids, values
@@ -112,9 +107,9 @@ class TestVerificationIsPerOpen:
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0,
                            fault_plan=clean)
         part = make_partition()
-        dfs.write_partition(part)
+        dfs.write_partition_arrays("p0", *part)
         name = dfs.engine.blob_name("p0")
-        size = dfs.engine.physical_nbytes("p0")
+        size = dfs.partition_nbytes("p0")
         values_offset = decode_v2_header(
             dfs.engine.backend.read_range(name, 0, size)
         ).values_offset
@@ -146,7 +141,7 @@ class TestCallBudget:
     def test_open_and_single_run_read(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0)
         part = make_partition()
-        dfs.write_partition(part)
+        dfs.write_partition_arrays("p0", *part)
         backend = CountingBackend(dfs.engine.backend)
         dfs.engine.backend = backend
         view = dfs.read_partition("p0")
@@ -158,11 +153,11 @@ class TestCallBudget:
         np.testing.assert_array_equal(ids, part.ids)
         np.testing.assert_array_equal(values, part.values)
         # A later read maps the blob again, with one more read.
-        view.read_cluster(view.cluster_keys()[0])
+        view.read_clusters(view.cluster_keys()[:1])
         assert backend.calls == {"size": 1, "read_range": 2}
         # The open mapped and checked the whole blob, and the read is
         # charged exactly that: the partition's one size.
-        size = len(encode_partition_v2(part))
+        size = len(encode_partition_v2_arrays("p0", *part))
         assert view.nbytes == dfs.partition_nbytes("p0") == size
         assert dfs.counters.bytes_read == size
         del ids, values
@@ -171,9 +166,10 @@ class TestCallBudget:
     def test_a_packed_partition_costs_the_same_calls(self, tmp_path):
         # Stored the way an append stores its deltas: one batch, one file.
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0)
-        parts = [make_partition("other", seed=1), make_partition()]
+        parts = {"other": make_partition(seed=1), "p0": make_partition()}
         dfs.write_encoded_partitions([
-            (part.partition_id, encode_partition_v2(part)) for part in parts
+            (pid, encode_partition_v2_arrays(pid, *part))
+            for pid, part in parts.items()
         ])
         assert [p.name for p in tmp_path.iterdir()] == ["append-000000.seg"]
         backend = CountingBackend(dfs.engine.backend)
@@ -181,8 +177,8 @@ class TestCallBudget:
         view = dfs.read_partition("p0")
         ids, values = view.read_clusters(view.cluster_keys())
         assert backend.calls == {"size": 1, "read_range": 1}
-        np.testing.assert_array_equal(ids, parts[1].ids)
-        np.testing.assert_array_equal(values, parts[1].values)
+        np.testing.assert_array_equal(ids, parts["p0"].ids)
+        np.testing.assert_array_equal(values, parts["p0"].values)
         assert values.ctypes.data % 64 == 0  # aligned in the segment too
         del ids, values
         dfs.engine.close()
@@ -190,32 +186,33 @@ class TestCallBudget:
     def test_runs_of_one_read_share_one_mapping(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=0)
         part = make_partition(n_clusters=5)
-        dfs.write_partition(part)
+        dfs.write_partition_arrays("p0", *part)
         backend = CountingBackend(dfs.engine.backend)
         dfs.engine.backend = backend
         view = dfs.read_partition("p0")
         keys = view.cluster_keys()[::2]  # three separate runs
         ids, values = view.read_clusters(keys)
         assert backend.calls == {"size": 1, "read_range": 1}
-        want_ids, want_values = part.read_clusters(keys)
+        want_ids, want_values = part.records(keys)
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(values, want_values)
         dfs.engine.close()
 
     def test_attach_and_partition_meta(self, tmp_path):
         writer = SimulatedDFS(backing_dir=tmp_path)
-        parts = [make_partition(f"p{i}", seed=i) for i in range(4)]
-        for part in parts:
-            writer.write_partition(part)
+        parts = {f"p{i}": make_partition(seed=i) for i in range(4)}
+        for pid, part in parts.items():
+            writer.write_partition_arrays(pid, *part)
         writer.engine.close()
         fresh = SimulatedDFS(backing_dir=tmp_path)
         backend = CountingBackend(fresh.engine.backend)
         fresh.engine.backend = backend
         assert fresh.attach() == len(parts)
         assert backend.calls == {"size": len(parts), "read_range": len(parts)}
-        sizes = [len(encode_partition_v2(part)) for part in parts]
-        for part, size in zip(parts, sizes):
-            assert fresh.partition_nbytes(part.partition_id) == size
+        sizes = [len(encode_partition_v2_arrays(pid, *part))
+                 for pid, part in parts.items()]
+        for pid, size in zip(parts, sizes):
+            assert fresh.partition_nbytes(pid) == size
         backend.calls.clear()
         meta = fresh.engine.partition_meta("p2")
         assert backend.calls == {"size": 1, "read_range": 1}

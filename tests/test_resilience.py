@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import all_records, make_layout
 
 from repro.exceptions import (
     ConfigurationError,
@@ -26,19 +27,8 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.resilience.faults import stable_uniform
-from repro.storage import PartitionFile, SimulatedDFS
+from repro.storage import SimulatedDFS
 from repro.storage.engine import MemoryBackend
-
-
-def make_partition(pid="p0", n_clusters=3, per_cluster=5, length=8, seed=0):
-    rng = np.random.default_rng(seed)
-    clusters = {}
-    next_id = 0
-    for c in range(n_clusters):
-        ids = np.arange(next_id, next_id + per_cluster)
-        next_id += per_cluster
-        clusters[f"g0/{c}"] = (ids, rng.normal(size=(per_cluster, length)))
-    return PartitionFile.from_clusters(pid, clusters)
 
 
 class TestStableUniform:
@@ -207,7 +197,7 @@ class TestDfsRetryIntegration:
     def _dfs(self, plan, retry_policy=None, **kwargs):
         dfs = SimulatedDFS(fault_plan=plan, retry_policy=retry_policy,
                            **kwargs)
-        dfs.write_partition(make_partition("p0"))
+        dfs.write_partition_arrays("p0", *make_layout())
         return dfs
 
     def _faulted_attempt_plan(self, n_faults: int) -> FaultPlan:
@@ -296,10 +286,14 @@ class TestDfsRetryIntegration:
         # a per-attempt flip in a checksummed section is caught and the
         # clean next attempt succeeds.  The seed scan targets the values
         # section.
-        from repro.storage.engine import decode_v2_header, encode_partition_v2
+        from repro.storage.engine import (
+            decode_v2_header,
+            encode_partition_v2_arrays,
+        )
 
         name = "p0.part"
-        payload = encode_partition_v2(make_partition("p0"))
+        ref = make_layout()
+        payload = encode_partition_v2_arrays("p0", *ref)
         h = decode_v2_header(payload)
         for seed in range(10_000):
             plan = FaultPlan(seed=seed, bit_flip_rate=0.5)
@@ -313,11 +307,10 @@ class TestDfsRetryIntegration:
         dfs = SimulatedDFS(fault_plan=plan,
                            retry_policy=RetryPolicy(max_attempts=3,
                                                     backoff_base_s=0.0))
-        ref = make_partition("p0")
-        dfs.write_partition(ref)
-        part = dfs.read_partition("p0")
-        np.testing.assert_array_equal(part.read_all()[0], ref.ids)
-        np.testing.assert_array_equal(part.read_all()[1], ref.values)
+        dfs.write_partition_arrays("p0", *ref)
+        ids, values = all_records(dfs.read_partition("p0"))
+        np.testing.assert_array_equal(ids, ref.ids)
+        np.testing.assert_array_equal(values, ref.values)
         c = dfs.counters
         assert c.retries >= 1
         assert c.corruption_detected >= 1
@@ -325,13 +318,13 @@ class TestDfsRetryIntegration:
 
     def test_zero_fault_plan_is_byte_transparent(self):
         ref = SimulatedDFS()
-        ref.write_partition(make_partition("p0"))
+        ref.write_partition_arrays("p0", *make_layout())
         wrapped = self._dfs(FaultPlan(seed=99))
         assert wrapped.fault_injector is not None
         a = wrapped.read_partition("p0")
         b = ref.read_partition("p0")
-        np.testing.assert_array_equal(a.read_all()[0], b.read_all()[0])
-        np.testing.assert_array_equal(a.read_all()[1], b.read_all()[1])
+        for got, want in zip(all_records(a), all_records(b)):
+            np.testing.assert_array_equal(got, want)
         ca, cb = wrapped.counters, ref.counters
         assert ca == cb
         assert ca.retries == 0 and ca.read_failures == 0

@@ -1,4 +1,4 @@
-"""Tests for partition files, the simulated DFS, and binary codecs."""
+"""Tests for stored partitions, the simulated DFS, and binary codecs."""
 
 from __future__ import annotations
 
@@ -7,31 +7,29 @@ import io
 import numpy as np
 import pytest
 
+from conftest import all_records, make_layout
+from oracles import layout_from_clusters
+
 from repro.exceptions import PartitionNotFoundError, StorageError
 from repro.storage import (
-    PartitionFile,
     SimulatedDFS,
     array_from_bytes,
     array_to_bytes,
-    encode_partition_v2,
+    encode_partition_v2_arrays,
 )
 from repro.storage.serialization import read_blob, write_blob
 
 
-def make_partition(pid="p0", n_clusters=3, per_cluster=5, length=8, seed=0):
-    rng = np.random.default_rng(seed)
-    clusters = {}
-    next_id = 0
-    for c in range(n_clusters):
-        ids = np.arange(next_id, next_id + per_cluster)
-        next_id += per_cluster
-        clusters[f"g0/{c}"] = (ids, rng.normal(size=(per_cluster, length)))
-    return PartitionFile.from_clusters(pid, clusters)
-
-
-def blob_size(part: PartitionFile) -> int:
+def blob_size(layout) -> int:
     """The partition's one size: the length of its stored blob."""
-    return len(encode_partition_v2(part))
+    return len(encode_partition_v2_arrays("p", *layout))
+
+
+def stored(layout, pid="p0"):
+    """``layout`` written to a fresh in-memory DFS, opened again."""
+    dfs = SimulatedDFS()
+    dfs.write_partition_arrays(pid, *layout)
+    return dfs.read_partition(pid)
 
 
 class TestSerialization:
@@ -76,8 +74,11 @@ class TestSerialization:
 
 
 class TestPartitionFile:
+    """A partition as stored: written by ``write_partition_arrays``, read
+    back by cluster key through ``read_clusters``."""
+
     def test_cluster_layout_contiguous_and_sorted(self):
-        part = make_partition(n_clusters=3, per_cluster=4)
+        part = stored(make_layout(n_clusters=3, per_cluster=4))
         offsets = [part.header[k][0] for k in sorted(part.header)]
         assert offsets == [0, 4, 8]
         assert part.record_count == 12
@@ -88,76 +89,75 @@ class TestPartitionFile:
         vals_a = rng.normal(size=(2, 4))
         ids_b = np.array([20])
         vals_b = rng.normal(size=(1, 4))
-        part = PartitionFile.from_clusters(
-            "p", {"b": (ids_b, vals_b), "a": (ids_a, vals_a)}
-        )
-        got_ids, got_vals = part.read_cluster("a")
+        part = stored(layout_from_clusters(
+            {"b": (ids_b, vals_b), "a": (ids_a, vals_a)}
+        ))
+        got_ids, got_vals = part.read_clusters(["a"])
         np.testing.assert_array_equal(got_ids, ids_a)
         np.testing.assert_allclose(got_vals, vals_a)
 
     def test_read_missing_cluster(self):
-        part = make_partition()
-        with pytest.raises(StorageError):
-            part.read_cluster("nope")
+        part = stored(make_layout())
+        with pytest.raises(StorageError, match="no cluster 'nope'"):
+            part.read_clusters(["nope"])
 
     def test_read_clusters_concatenates(self):
-        part = make_partition(n_clusters=3, per_cluster=2)
+        part = stored(make_layout(n_clusters=3, per_cluster=2))
         ids, vals = part.read_clusters(["g0/0", "g0/2"])
-        assert ids.shape == (4,)
+        assert ids.tolist() == [0, 1, 4, 5]
         assert vals.shape == (4, 8)
 
     def test_read_clusters_empty_keys(self):
-        part = make_partition()
+        part = stored(make_layout())
         with pytest.raises(StorageError):
             part.read_clusters([])
 
     def test_read_all(self):
-        part = make_partition(n_clusters=2, per_cluster=3)
-        ids, vals = part.read_all()
-        assert ids.shape == (6,)
-        assert vals.shape == (6, 8)
+        layout = make_layout(n_clusters=2, per_cluster=3)
+        part = stored(layout)
+        ids, vals = part.read_clusters(part.cluster_keys())
+        np.testing.assert_array_equal(ids, layout.ids)
+        np.testing.assert_array_equal(vals, layout.values)
 
     def test_rejects_empty(self):
-        with pytest.raises(StorageError):
-            PartitionFile.from_clusters("p", {})
+        with pytest.raises(StorageError, match="needs >= 1 cluster"):
+            stored((np.arange(0), np.zeros((0, 4)), {}))
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(StorageError):
-            PartitionFile.from_clusters(
-                "p",
-                {"a": (np.array([1]), np.zeros((1, 4))),
-                 "b": (np.array([2]), np.zeros((1, 5)))},
-            )
+        # The records are one matrix, so every cluster shares one series
+        # length; anything but a 2-D matrix is refused.
+        with pytest.raises(StorageError, match="shape mismatch"):
+            stored((np.array([1, 2]), np.zeros(8), {"a": (0, 2)}))
 
     def test_rejects_id_value_mismatch(self):
-        with pytest.raises(StorageError):
-            PartitionFile.from_clusters(
-                "p", {"a": (np.array([1, 2]), np.zeros((1, 4)))}
-            )
+        with pytest.raises(StorageError, match="shape mismatch"):
+            stored((np.array([1, 2]), np.zeros((1, 4)), {"a": (0, 2)}))
 
     def test_nbytes_grows_with_records(self):
-        small = make_partition(per_cluster=2)
-        big = make_partition(per_cluster=20)
+        small = make_layout(per_cluster=2)
+        big = make_layout(per_cluster=20)
         assert blob_size(big) > blob_size(small)
+        assert stored(big).nbytes == blob_size(big)
 
     def test_cluster_sizes(self):
-        part = make_partition(n_clusters=2, per_cluster=3)
-        assert part.cluster_sizes() == {"g0/0": 3, "g0/1": 3}
+        part = stored(make_layout(n_clusters=2, per_cluster=3))
+        assert {k: count for k, (_, count) in part.header.items()} == {
+            "g0/0": 3, "g0/1": 3}
 
 
 class TestSimulatedDFS:
     def test_write_read_roundtrip(self):
         dfs = SimulatedDFS()
-        part = make_partition("alpha")
-        dfs.write_partition(part)
+        part = make_layout()
+        dfs.write_partition_arrays("alpha", *part)
         out = dfs.read_partition("alpha")
-        np.testing.assert_array_equal(out.ids, part.ids)
+        np.testing.assert_array_equal(all_records(out)[0], part.ids)
 
     def test_duplicate_write_rejected(self):
         dfs = SimulatedDFS()
-        dfs.write_partition(make_partition("a"))
+        dfs.write_partition_arrays("a", *make_layout())
         with pytest.raises(StorageError):
-            dfs.write_partition(make_partition("a"))
+            dfs.write_partition_arrays("a", *make_layout())
 
     def test_missing_partition(self):
         dfs = SimulatedDFS()
@@ -168,8 +168,8 @@ class TestSimulatedDFS:
 
     def test_counters_track_io(self):
         dfs = SimulatedDFS()
-        part = make_partition("a")
-        dfs.write_partition(part)
+        part = make_layout()
+        dfs.write_partition_arrays("a", *part)
         assert dfs.counters.bytes_written == blob_size(part)
         assert dfs.counters.partitions_written == 1
         dfs.read_partition("a")
@@ -179,7 +179,7 @@ class TestSimulatedDFS:
 
     def test_counters_snapshot_is_independent(self):
         dfs = SimulatedDFS()
-        dfs.write_partition(make_partition("a"))
+        dfs.write_partition_arrays("a", *make_layout())
         snap = dfs.counters.snapshot()
         dfs.read_partition("a")
         assert snap.partitions_read == 0
@@ -196,8 +196,8 @@ class TestSimulatedDFS:
 
     def test_list_and_len(self):
         dfs = SimulatedDFS()
-        dfs.write_partition(make_partition("b"))
-        dfs.write_partition(make_partition("a"))
+        dfs.write_partition_arrays("b", *make_layout())
+        dfs.write_partition_arrays("a", *make_layout())
         assert dfs.list_partitions() == ["a", "b"]
         assert len(dfs) == 2
         assert dfs.has_partition("a")
@@ -205,24 +205,24 @@ class TestSimulatedDFS:
 
     def test_total_bytes(self):
         dfs = SimulatedDFS()
-        p1, p2 = make_partition("a"), make_partition("b", per_cluster=10)
-        dfs.write_partition(p1)
-        dfs.write_partition(p2)
+        p1, p2 = make_layout(), make_layout(per_cluster=10)
+        dfs.write_partition_arrays("a", *p1)
+        dfs.write_partition_arrays("b", *p2)
         assert dfs.total_bytes == blob_size(p1) + blob_size(p2)
 
     def test_disk_backed_roundtrip(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path)
-        part = make_partition("onDisk", seed=4)
-        dfs.write_partition(part)
+        part = make_layout(seed=4)
+        dfs.write_partition_arrays("onDisk", *part)
         assert [p.name for p in tmp_path.iterdir()] == ["append-000000.seg"]
         out = dfs.read_partition("onDisk")
-        np.testing.assert_allclose(out.values, part.values)
+        np.testing.assert_allclose(all_records(out)[1], part.values)
 
     def test_disk_backed_does_not_keep_in_memory(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path)
-        dfs.write_partition(make_partition("x"))
+        dfs.write_partition_arrays("x", *make_layout())
         # No handle is held after the write, and a read serves read-only
         # views of the file mapping rather than copies.
         assert dfs.cache_used_bytes == 0
-        values = dfs.read_partition("x").values
+        _, values = all_records(dfs.read_partition("x"))
         assert not values.flags.owndata and not values.flags.writeable

@@ -12,34 +12,28 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import all_records, make_layout
 
 from repro.core import ClimberConfig, ClimberIndex
 from repro.datasets import random_walk_dataset
 from repro.exceptions import PartitionNotFoundError, StorageError
-from repro.storage import PartitionFile, SimulatedDFS, encode_partition_v2
+from repro.storage import SimulatedDFS, encode_partition_v2_arrays
 
 
-def make_partition(pid="p0", n_clusters=2, per_cluster=4, length=8, seed=0):
-    rng = np.random.default_rng(seed)
-    clusters = {}
-    next_id = 0
-    for c in range(n_clusters):
-        ids = np.arange(next_id, next_id + per_cluster)
-        next_id += per_cluster
-        clusters[f"g0/{c}"] = (ids, rng.normal(size=(per_cluster, length)))
-    return PartitionFile.from_clusters(pid, clusters)
+def make_partition(n_clusters=2, per_cluster=4, length=8, seed=0):
+    return make_layout(n_clusters, per_cluster, length, seed)
 
 
-def blob_size(part: PartitionFile) -> int:
+def blob_size(part) -> int:
     """The partition's one size: the length of its stored blob."""
-    return len(encode_partition_v2(part))
+    return len(encode_partition_v2_arrays("p", *part))
 
 
 class TestReadCache:
     def test_hit_and_miss_counters(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=1 << 20)
-        part = make_partition("a")
-        dfs.write_partition(part)
+        part = make_partition()
+        dfs.write_partition_arrays("a", *part)
         dfs.read_partition("a")
         dfs.read_partition("a")
         dfs.read_partition("a")
@@ -48,8 +42,8 @@ class TestReadCache:
 
     def test_logical_counters_charged_on_hits(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=1 << 20)
-        part = make_partition("a")
-        dfs.write_partition(part)
+        part = make_partition()
+        dfs.write_partition_arrays("a", *part)
         dfs.read_partition("a")
         dfs.read_partition("a")
         assert dfs.counters.partitions_read == 2
@@ -57,30 +51,30 @@ class TestReadCache:
 
     def test_cached_read_returns_equal_content(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=1 << 20)
-        part = make_partition("a", seed=5)
-        dfs.write_partition(part)
+        part = make_partition(seed=5)
+        dfs.write_partition_arrays("a", *part)
         first = dfs.read_partition("a")
         second = dfs.read_partition("a")
         assert second is first  # served from cache, no re-deserialisation
-        np.testing.assert_allclose(second.values, part.values)
+        np.testing.assert_allclose(all_records(second)[1], part.values)
 
     def test_byte_bound_respected(self, tmp_path):
-        parts = [make_partition(f"p{i}", per_cluster=8, seed=i) for i in range(4)]
-        budget = blob_size(parts[0]) * 2 + 1
+        parts = {f"p{i}": make_partition(per_cluster=8, seed=i) for i in range(4)}
+        budget = blob_size(parts["p0"]) * 2 + 1
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=budget)
-        for p in parts:
-            dfs.write_partition(p)
-        for p in parts:
-            dfs.read_partition(p.partition_id)
+        for pid, p in parts.items():
+            dfs.write_partition_arrays(pid, *p)
+        for pid in parts:
+            dfs.read_partition(pid)
         assert dfs.cache_used_bytes <= budget
         assert len(dfs._cache) == 2  # LRU kept the last two
 
     def test_lru_eviction_order(self, tmp_path):
-        parts = [make_partition(f"p{i}", per_cluster=8, seed=i) for i in range(3)]
+        parts = {f"p{i}": make_partition(per_cluster=8, seed=i) for i in range(3)}
         dfs = SimulatedDFS(backing_dir=tmp_path,
-                           cache_bytes=blob_size(parts[0]) * 2 + 1)
-        for p in parts:
-            dfs.write_partition(p)
+                           cache_bytes=blob_size(parts["p0"]) * 2 + 1)
+        for pid, p in parts.items():
+            dfs.write_partition_arrays(pid, *p)
         dfs.read_partition("p0")
         dfs.read_partition("p1")
         dfs.read_partition("p0")   # refresh p0
@@ -88,10 +82,10 @@ class TestReadCache:
         assert set(dfs._cache) == {"p0", "p2"}
 
     def test_oversized_partition_not_cached(self, tmp_path):
-        part = make_partition("big", per_cluster=64)
+        part = make_partition(per_cluster=64)
         dfs = SimulatedDFS(backing_dir=tmp_path,
                            cache_bytes=blob_size(part) - 1)
-        dfs.write_partition(part)
+        dfs.write_partition_arrays("big", *part)
         dfs.read_partition("big")
         assert dfs.cache_used_bytes == 0
 
@@ -99,15 +93,17 @@ class TestReadCache:
         """Defensive: overwrites are rejected today, but if an entry ever
         lingered under a written id it must not shadow the new bytes."""
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=1 << 20)
-        fresh = make_partition("x", seed=1)
-        dfs._cache["x"] = make_partition("x", seed=2)  # stale injection
-        dfs.write_partition(fresh)
-        got = dfs.read_partition("x")
-        np.testing.assert_allclose(got.values, fresh.values)
+        fresh = make_partition(seed=1)
+        other = SimulatedDFS()
+        other.write_partition_arrays("x", *make_partition(seed=2))
+        dfs._cache["x"] = other.read_partition("x")  # stale injection
+        dfs.write_partition_arrays("x", *fresh)
+        np.testing.assert_allclose(all_records(dfs.read_partition("x"))[1],
+                                   fresh.values)
 
     def test_cache_clear(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path, cache_bytes=1 << 20)
-        dfs.write_partition(make_partition("a"))
+        dfs.write_partition_arrays("a", *make_partition())
         dfs.read_partition("a")
         assert dfs.cache_used_bytes > 0
         dfs.cache_clear()
@@ -117,7 +113,7 @@ class TestReadCache:
 
     def test_cache_off_never_counts(self):
         dfs = SimulatedDFS()
-        dfs.write_partition(make_partition("a"))
+        dfs.write_partition_arrays("a", *make_partition())
         dfs.read_partition("a")
         assert dfs.counters.cache_hits == 0
         assert dfs.counters.cache_misses == 0
@@ -131,7 +127,7 @@ class TestDeltaRegistry:
     def test_delta_partitions_sorted(self):
         dfs = SimulatedDFS()
         for pid in ("beta1.d1", "beta1.d0", "beta12.d0", "beta1"):
-            dfs.write_partition(make_partition(pid))
+            dfs.write_partition_arrays(pid, *make_partition())
         assert dfs.delta_partitions("beta1") == ["beta1.d0", "beta1.d1"]
         assert dfs.delta_partitions("beta12") == ["beta12.d0"]
         assert dfs.delta_partitions("beta2") == []
@@ -141,7 +137,7 @@ class TestDeltaRegistry:
         names = ["beta0", "beta0.d0", "beta0.d1", "beta0.d10", "beta0.d2",
                  "beta10.d0"]
         for pid in names:
-            dfs.write_partition(make_partition(pid))
+            dfs.write_partition_arrays(pid, *make_partition())
         for base in ("beta0", "beta10"):
             scan = [p for p in dfs.list_partitions()
                     if p.startswith(f"{base}.d")]
@@ -149,8 +145,8 @@ class TestDeltaRegistry:
 
     def test_attach_rebuilds_registry(self, tmp_path):
         dfs = SimulatedDFS(backing_dir=tmp_path)
-        dfs.write_partition(make_partition("beta3"))
-        dfs.write_partition(make_partition("beta3.d0"))
+        dfs.write_partition_arrays("beta3", *make_partition())
+        dfs.write_partition_arrays("beta3.d0", *make_partition())
         fresh = SimulatedDFS(backing_dir=tmp_path)
         assert fresh.attach() == 2
         assert fresh.delta_partitions("beta3") == ["beta3.d0"]
@@ -159,8 +155,8 @@ class TestDeltaRegistry:
 class TestRecordCountMetadata:
     def test_record_count_after_write(self):
         dfs = SimulatedDFS()
-        part = make_partition("a", n_clusters=3, per_cluster=5)
-        dfs.write_partition(part)
+        part = make_partition(n_clusters=3, per_cluster=5)
+        dfs.write_partition_arrays("a", *part)
         assert dfs.record_count("a") == 15
 
     def test_record_count_missing_partition(self):
@@ -170,14 +166,14 @@ class TestRecordCountMetadata:
 
     def test_attach_reads_headers_not_payloads(self, tmp_path):
         writer = SimulatedDFS(backing_dir=tmp_path)
-        parts = [make_partition(f"p{i}", per_cluster=6, seed=i) for i in range(3)]
-        for p in parts:
-            writer.write_partition(p)
+        parts = {f"p{i}": make_partition(per_cluster=6, seed=i) for i in range(3)}
+        for pid, p in parts.items():
+            writer.write_partition_arrays(pid, *p)
         fresh = SimulatedDFS(backing_dir=tmp_path)
         assert fresh.attach() == 3
-        for p in parts:
-            assert fresh.record_count(p.partition_id) == p.record_count
-            assert fresh.partition_nbytes(p.partition_id) == blob_size(p)
+        for pid, p in parts.items():
+            assert fresh.record_count(pid) == len(p.ids)
+            assert fresh.partition_nbytes(pid) == blob_size(p)
 
 
 class TestReopenUsesMetadata:
@@ -239,11 +235,11 @@ class TestCacheThreadSafety:
     def test_concurrent_read_hammer(self):
         import threading
 
-        parts = [make_partition(f"p{i}", seed=i) for i in range(12)]
+        parts = {f"p{i}": make_partition(seed=i) for i in range(12)}
         # Budget fits only ~3 partitions, forcing constant eviction churn.
-        dfs = SimulatedDFS(cache_bytes=3 * blob_size(parts[0]) + 1)
-        for part in parts:
-            dfs.write_partition(part)
+        dfs = SimulatedDFS(cache_bytes=3 * blob_size(parts["p0"]) + 1)
+        for pid, part in parts.items():
+            dfs.write_partition_arrays(pid, *part)
 
         n_threads, reads_each = 8, 300
         errors = []
@@ -256,7 +252,7 @@ class TestCacheThreadSafety:
                 for _ in range(reads_each):
                     pid = f"p{rng.integers(0, len(parts))}"
                     handle = dfs.read_partition(pid)
-                    assert handle.record_count == parts[0].record_count
+                    assert handle.record_count == len(parts["p0"].ids)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -293,12 +289,12 @@ class TestCacheThreadSafety:
         # still be arithmetically exact.
         from repro.resilience import FaultPlan
 
-        parts = [make_partition(f"p{i}", seed=i) for i in range(12)]
+        parts = {f"p{i}": make_partition(seed=i) for i in range(12)}
         plan = FaultPlan(seed=29, straggler_rate=0.5, straggler_delay_s=0.001)
-        dfs = SimulatedDFS(cache_bytes=3 * blob_size(parts[0]) + 1,
+        dfs = SimulatedDFS(cache_bytes=3 * blob_size(parts["p0"]) + 1,
                            fault_plan=plan)
-        for part in parts:
-            dfs.write_partition(part)
+        for pid, part in parts.items():
+            dfs.write_partition_arrays(pid, *part)
 
         n_threads, reads_each = 8, 150
         errors = []
@@ -315,7 +311,7 @@ class TestCacheThreadSafety:
                     else:
                         pid = f"p{rng.integers(0, len(parts))}"
                     handle = dfs.read_partition(pid)
-                    assert handle.record_count == parts[0].record_count
+                    assert handle.record_count == len(parts["p0"].ids)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -350,9 +346,8 @@ class TestCacheThreadSafety:
     def test_duplicate_insert_is_idempotent(self):
         # Regression for the pre-lock accounting: re-inserting an already
         # cached partition must not double-count cache_used_bytes.
-        part = make_partition("a")
         dfs = SimulatedDFS(cache_bytes=1 << 20)
-        dfs.write_partition(part)
+        dfs.write_partition_arrays("a", *make_partition())
         handle = dfs.read_partition("a")
         before = dfs.cache_used_bytes
         dfs._cache_insert("a", handle)

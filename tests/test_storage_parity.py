@@ -19,8 +19,9 @@ import pytest
 from repro.core import ClimberConfig, ClimberIndex, QueryStats
 from repro.datasets import random_walk_dataset, sample_queries
 from repro.resilience import FaultPlan
+from oracles import layout_from_clusters
 from repro.series import SeriesDataset
-from repro.storage import PartitionFile, SimulatedDFS, encode_partition_v2
+from repro.storage import SimulatedDFS, encode_partition_v2_arrays
 
 CFG = ClimberConfig(
     word_length=8, n_pivots=32, prefix_length=6, capacity=100,
@@ -275,8 +276,8 @@ class TestOneSize:
                 f"g{i}/{c}": (dataset.ids[chunk], dataset.values[chunk])
                 for c, chunk in enumerate(np.array_split(rows, n_clusters))
             }
-            part = PartitionFile.from_clusters(f"p{i}", clusters)
-            out[part.partition_id] = encode_partition_v2(part)
+            out[f"p{i}"] = encode_partition_v2_arrays(
+                f"p{i}", *layout_from_clusters(clusters))
         return out
 
     def test_sizes_and_reads_charge_the_blob_however_stored(self, dataset,
